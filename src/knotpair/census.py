@@ -11,7 +11,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import classify, oracle
-from .diagram import pd_from_json, pd_from_rep, orient
+from .diagram import pd_from_json, pd_from_rep
 from .laurent import (
     LaurentPoly,
     jones_from_bracket,
@@ -52,11 +52,6 @@ class InvariantRecord:
 
 def build_record(rep, oracle_cap: int = oracle.CONWAY_CAP) -> InvariantRecord:
     """Exact invariants of one representation, closed forms where they exist."""
-    pd = pd_from_rep(rep)
-    ori = orient(pd)
-    bracket = classify.closed_bracket(rep)
-    jones = jones_from_bracket(bracket, ori.writhe)
-    span = jones_span_inclusive(jones)
     inv = classify.rep_invariants(rep, oracle_cap)
     note = ""
     if inv.conway is not None and inv.components > 1:
@@ -74,9 +69,9 @@ def build_record(rep, oracle_cap: int = oracle.CONWAY_CAP) -> InvariantRecord:
         rep=rep,
         components=inv.components,
         conway=inv.conway,
-        bracket=bracket,
-        jones=jones,
-        span=span,
+        bracket=inv.bracket,
+        jones=inv.jones,
+        span=jones_span_inclusive(inv.jones),
         source=source,
         conway_note=note,
     )
@@ -142,8 +137,10 @@ class CensusClass:
 def dedup_census(reps: list, oracle_cap: int = oracle.CONWAY_CAP):
     """Group representations by (components, Conway, Jones).
 
-    Classes with two or more members are adjudicated pairwise against the
-    class representative via classify.compare.
+    Every member after the first gets a verdict against the class
+    representative: EqualBySymmetry when the two share a canonical key,
+    Unresolved otherwise.  Those are the only answers classify.compare can
+    give inside a class (see below), so it is not called.
     """
     records = [build_record(r, oracle_cap) for r in reps]
     groups: dict[tuple, list[InvariantRecord]] = {}
@@ -152,8 +149,16 @@ def dedup_census(reps: list, oracle_cap: int = oracle.CONWAY_CAP):
     classes = []
     for idx, key in enumerate(sorted(groups)):
         members = groups[key]
+        # Members share components, Conway and Jones by construction, so
+        # compare(head, m) without mirrors finds no separating invariant:
+        # it answers EqualBySymmetry on identical canonical keys and
+        # Unresolved otherwise.
+        head = canonicalize(members[0].rep).key
         verdicts = tuple(
-            classify.compare(members[0].rep, m.rep).tag for m in members[1:]
+            classify.EQUAL_BY_SYMMETRY
+            if canonicalize(m.rep).key == head
+            else classify.UNRESOLVED
+            for m in members[1:]
         )
         classes.append(
             CensusClass(

@@ -139,12 +139,18 @@ def row_swap_test(rep: Girth3Rep) -> Verdict:
 class RepInvariants:
     components: int
     conway: LaurentPoly | None
+    bracket: LaurentPoly
     jones: LaurentPoly
     writhe: int
 
 
 def rep_invariants(rep, oracle_cap: int = oracle.CONWAY_CAP) -> RepInvariants:
-    """Exact invariants of a representation, closed forms where available."""
+    """Exact invariants of a representation, closed forms where available.
+
+    Builds and orients the template once; the bracket is always closed
+    form, the Conway polynomial comes from Fox calculus on the template
+    only for girth-3 knots outside the all-even family.
+    """
     pd = pd_from_rep(rep)
     ori = orient(pd)
     comps = ori.n_components
@@ -163,7 +169,7 @@ def rep_invariants(rep, oracle_cap: int = oracle.CONWAY_CAP) -> RepInvariants:
             conway = cf.conway_girth3_even(rep)
         elif comps == 1 and pd.n() <= oracle_cap:
             conway = oracle.conway_fox(pd)
-    return RepInvariants(comps, conway, jones, ori.writhe)
+    return RepInvariants(comps, conway, bracket, jones, ori.writhe)
 
 
 def closed_bracket(rep) -> LaurentPoly:

@@ -31,35 +31,30 @@ def _read_pd(path: str):
     return pd_from_text(text)
 
 
-def _closed_conway(rep):
-    inv = classify.rep_invariants(rep)
-    return inv.conway
-
-
 def cmd_eval(args) -> int:
     rep = parse_rep(args.rep)
     results: dict[str, dict] = {}
 
     def method_values(method: str) -> dict:
-        pd = pd_from_rep(rep)
-        ori = orient(pd)
-        out: dict = {}
         if method == "closed":
-            bracket = classify.closed_bracket(rep)
-            conway = _closed_conway(rep)
+            inv = classify.rep_invariants(rep)
+            bracket, conway, jones = inv.bracket, inv.conway, inv.jones
         else:
+            pd = pd_from_rep(rep)
+            ori = orient(pd)
             bracket = oracle.bracket_state_sum(pd, cap=args.budget_crossings)
             conway = (
                 oracle.conway_fox(pd, cap=args.budget_crossings)
                 if ori.n_components == 1
                 else None
             )
-        jones = jones_from_bracket(bracket, ori.writhe)
-        out["bracket"] = bracket
-        out["conway"] = conway
-        out["jones"] = jones
-        out["span"] = jones_span_inclusive(jones)
-        return out
+            jones = jones_from_bracket(bracket, ori.writhe)
+        return {
+            "bracket": bracket,
+            "conway": conway,
+            "jones": jones,
+            "span": jones_span_inclusive(jones),
+        }
 
     methods = ["closed", "oracle"] if args.method == "both" else [args.method]
     for m in methods:
@@ -84,7 +79,7 @@ def cmd_eval(args) -> int:
             prefix = f"{m}: " if len(methods) > 1 else ""
             print(prefix + fmt(results[m]))
     if len(methods) == 2:
-        agree = all(fmt(results["closed"]) == fmt(results["oracle"]) for _ in (0,))
+        agree = fmt(results["closed"]) == fmt(results["oracle"])
         print("AGREE" if agree else "DISAGREE")
         return 0 if agree else 1
     return 0
@@ -277,7 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--even", action="store_true")
     p.add_argument("--positive", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="ignored: the census always runs in one process",
+    )
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_census)

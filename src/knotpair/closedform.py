@@ -223,46 +223,42 @@ def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
 
     The four blocks are weighted by powers of the loop value; the six
     adjacent cross terms sit in the constant block and the three antipodal
-    cross terms carry weight delta^2.
+    cross terms carry weight delta^2.  Each row's symmetric functions and
+    each label's S polynomial are computed once.
     """
     top, bot = rep.top, rep.bottom
     p, q, r = top
     a, b, c = bot
     d = loop_value()
-    s = s_poly
+    t0, t1, t2, t3 = (sym_s(k, top) for k in range(4))
+    b0, b1, b2, b3 = (sym_s(k, bot) for k in range(4))
+    sp, sq, sr, sa, sb, sc = (s_poly(x) for x in top + bot)
 
-    def cross(x: int, y: int, rest: int) -> LaurentPoly:
-        return (s(x) * s(y)).shift(rest)
+    def cross(sx: LaurentPoly, sy: LaurentPoly, rest: int) -> LaurentPoly:
+        return (sx * sy).shift(rest)
 
     blk0 = (
-        sym_s(0, top) * sym_s(0, bot)
-        + sym_s(2, top) * sym_s(2, bot)
-        + cross(p, a, -q - r - b - c)
-        + cross(p, c, -q - r - a - b)
-        + cross(q, a, -p - r - b - c)
-        + cross(q, b, -p - r - a - c)
-        + cross(r, b, -p - q - a - c)
-        + cross(r, c, -p - q - a - b)
+        t0 * b0
+        + t2 * b2
+        + cross(sp, sa, -q - r - b - c)
+        + cross(sp, sc, -q - r - a - b)
+        + cross(sq, sa, -p - r - b - c)
+        + cross(sq, sb, -p - r - a - c)
+        + cross(sr, sb, -p - q - a - c)
+        + cross(sr, sc, -p - q - a - b)
     )
-    blk1 = (
-        sym_s(1, top) * sym_s(0, bot)
-        + sym_s(0, top) * sym_s(1, bot)
-        + sym_s(2, top) * sym_s(1, bot)
-        + sym_s(1, top) * sym_s(2, bot)
-        + sym_s(3, top) * sym_s(2, bot)
-        + sym_s(2, top) * sym_s(3, bot)
-    )
+    blk1 = t1 * b0 + t0 * b1 + t2 * b1 + t1 * b2 + t3 * b2 + t2 * b3
     blk2 = (
-        sym_s(2, top) * sym_s(0, bot)
-        + sym_s(0, top) * sym_s(2, bot)
-        + sym_s(3, top) * sym_s(1, bot)
-        + sym_s(1, top) * sym_s(3, bot)
-        + sym_s(3, top) * sym_s(3, bot)
-        + cross(p, b, -q - r - a - c)
-        + cross(q, c, -p - r - a - b)
-        + cross(r, a, -p - q - b - c)
+        t2 * b0
+        + t0 * b2
+        + t3 * b1
+        + t1 * b3
+        + t3 * b3
+        + cross(sp, sb, -q - r - a - c)
+        + cross(sq, sc, -p - r - a - b)
+        + cross(sr, sa, -p - q - b - c)
     )
-    blk3 = sym_s(3, top) * sym_s(0, bot) + sym_s(0, top) * sym_s(3, bot)
+    blk3 = t3 * b0 + t0 * b3
     return blk0 + blk1 * d + blk2 * d**2 + blk3 * d**3
 
 

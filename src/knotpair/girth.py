@@ -478,10 +478,8 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
     if pd.n() == 0:
         return 2, None  # degenerate circle: girth-2 report with labels (0,0)
     if pd.n() > budget:
-        shades = checkerboard(pd)
-        est = tree_count(tait_graph(pd, shades[0])) + tree_count(
-            tait_graph(pd, shades[1])
-        )
+        # both shadings have the same number of trees (planar duality)
+        est = tree_count(tait_graph(pd, checkerboard(pd)[0]))
         raise BudgetError(
             f"{pd.n()} crossings exceeds the spanning-tree budget of {budget} "
             f"(about {est} decompositions)"

@@ -8,8 +8,6 @@ closed forms, so they share no code with them.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .diagram import PDCode, orient
 from .laurent import LaurentPoly
 
@@ -209,13 +207,12 @@ def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
         points = list(range(2, 2 + n))
         values = []
         for t0 in points:
-            mat = [
-                [
-                    sum(c * t0**e for e, c in rows[i].get(j, {}).items())
-                    for j in range(dim)
-                ]
-                for i in range(dim)
-            ]
+            # each row has at most three nonzero entries: fill only those
+            mat = [[0] * dim for _ in range(dim)]
+            for i in range(dim):
+                for j, cell in rows[i].items():
+                    if j < dim:
+                        mat[i][j] = sum(c * t0**e for e, c in cell.items())
             values.append(_bareiss_det(mat))
         coeffs = _interpolate_integer_poly(points, values)
         delta = {e: c for e, c in enumerate(coeffs) if c != 0}
@@ -252,29 +249,31 @@ def _bareiss_det(m: list[list[int]]) -> int:
 
 
 def _interpolate_integer_poly(points: list[int], values: list[int]) -> list[int]:
-    """Lagrange interpolation; the result must have integer coefficients."""
+    """Newton interpolation; the result must have integer coefficients.
+
+    For an integer polynomial at distinct integer points every divided
+    difference is an integer, so the table is built with exact integer
+    division, and a remainder means the data is not integral.  Expanding
+    the Newton form by Horner's rule then gives the coefficients, constant
+    term first.
+    """
     k = len(points)
-    acc = [Fraction(0)] * k
-    for i, (xi, yi) in enumerate(zip(points, values)):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(points):
-            if j == i:
-                continue
-            basis = [Fraction(0)] + basis[:]
-            for d in range(len(basis) - 1):
-                basis[d] -= Fraction(xj) * basis[d + 1]
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for d in range(len(basis)):
-            acc[d] += scale * basis[d]
-    out = []
-    for c in acc:
-        if c.denominator != 1:
-            raise ValueError("interpolated Alexander polynomial is not integral")
-        out.append(int(c))
-    return out
+    diffs = list(values)
+    for level in range(1, k):
+        for i in range(k - 1, level - 1, -1):
+            q, rem = divmod(diffs[i] - diffs[i - 1], points[i] - points[i - level])
+            if rem:
+                raise ValueError("interpolated Alexander polynomial is not integral")
+            diffs[i] = q
+    coeffs = [diffs[k - 1]]
+    for i in range(k - 2, -1, -1):
+        # coeffs <- coeffs * (x - points[i]) + diffs[i]
+        shifted = [0] + coeffs
+        for d, c in enumerate(coeffs):
+            shifted[d] -= points[i] * c
+        shifted[0] += diffs[i]
+        coeffs = shifted
+    return coeffs
 
 
 def _normalize_alexander_to_conway(delta: dict[int, int]) -> LaurentPoly:

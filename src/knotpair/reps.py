@@ -13,6 +13,7 @@ of girth >= 4 coming out of the girth module.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 
@@ -196,8 +197,18 @@ class CanonicalRep:
     degenerate: bool = False
 
 
+# The wheel symmetries as position permutations of (p q r a b c): the orbit
+# of the index labeling lists, for each image, where its labels come from.
+_G3_PERMS = tuple(
+    operator.itemgetter(*(x.top + x.bottom))
+    for x in d3_orbit(Girth3Rep((0, 1, 2), (3, 4, 5)))
+)
+assert len(_G3_PERMS) == 12
+
+
 def _g3_key(r: Girth3Rep) -> tuple:
-    return ("g3",) + min(x.top + x.bottom for x in d3_orbit(r))
+    labels = r.top + r.bottom
+    return ("g3",) + min(perm(labels) for perm in _G3_PERMS)
 
 
 def canonicalize(rep) -> CanonicalRep:

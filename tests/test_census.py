@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from knotpair.census import (
@@ -8,7 +10,8 @@ from knotpair.census import (
     table_report,
     verify_table,
 )
-from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize
+from knotpair.classify import compare
+from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize, d3_orbit
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
 
@@ -60,8 +63,6 @@ def test_collision_example_conway_only():
 
 
 def test_d3_orbit_collapses_to_one_class():
-    from knotpair.reps import d3_orbit
-
     members = sorted(
         d3_orbit(Girth3Rep((2, 4, 6), (2, 2, 4))),
         key=lambda r: r.top + r.bottom,
@@ -69,6 +70,32 @@ def test_d3_orbit_collapses_to_one_class():
     classes = dedup_census(list(members))
     assert len(classes) == 1
     assert set(classes[0].verdicts) <= {"EqualBySymmetry"}
+
+
+def test_dedup_verdicts_match_compare():
+    reps = census_enumerate(2, 12) + sorted(
+        d3_orbit(Girth3Rep((2, 4, 6), (2, 2, 4))), key=lambda r: r.top + r.bottom
+    )
+    classes = dedup_census(reps)
+    checked = set()
+    for cls in classes:
+        head = cls.members[0].rep
+        for rec, verdict in zip(cls.members[1:], cls.verdicts):
+            assert verdict == compare(head, rec.rep).tag, (head, rec.rep)
+            checked.add(verdict)
+    assert checked == {"EqualBySymmetry", "Unresolved"}
+
+
+@pytest.mark.parametrize(
+    "girth, max_abs, digest",
+    [
+        (2, 12, "796729674c2428d2cf8aed1195e938d6a63d9eea4da8bb3010fd2effa39e0211"),
+        (3, 2, "110926f4bd058053efda451cac9a8686ec3cd4070fb9c0fd281af4251477606d"),
+    ],
+)
+def test_census_csv_is_byte_identical(girth, max_abs, digest):
+    text = census_csv(dedup_census(census_enumerate(girth, max_abs)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_record_fields():

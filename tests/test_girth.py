@@ -78,6 +78,16 @@ def test_diagram_girth_budget_refusal():
     assert "decompositions" in str(err.value)
 
 
+def test_budget_refusal_counts_the_trees_of_one_shading():
+    pd = pd_from_rep(Girth2Rep(9, 9))
+    shades = checkerboard(pd)
+    count = tree_count(tait_graph(pd, shades[0]))
+    assert count == tree_count(tait_graph(pd, shades[1]))
+    with pytest.raises(BudgetError) as err:
+        diagram_girth(pd, budget=16)
+    assert f"(about {count} decompositions)" in str(err.value)
+
+
 def test_figure2_girth_three():
     rep = Girth3Rep((0, 2, 2), (0, -1, -1))
     g, witness = diagram_girth(pd_from_rep(rep))

@@ -6,6 +6,7 @@ from knotpair.diagram import PDCode, pd_from_rep, pd_from_text
 from knotpair.laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from knotpair.oracle import (
     OracleSizeError,
+    _interpolate_integer_poly,
     bracket_state_sum,
     components,
     conway_fox,
@@ -168,3 +169,22 @@ def test_fixture_knot_8_18_not_required():
     assert nab.coeff(0) == 1
     assert poly_to_text(nab) == "1 + z^2 - z^4 - z^6"
     assert abs(sum(c * (-4) ** (e // 2) for e, c in nab.terms)) == 45
+
+
+def test_newton_interpolation_recovers_integer_polynomials():
+    rng = random.Random(7)
+    for degree in range(24):
+        for _ in range(3):
+            coeffs = [rng.randint(-10**6, 10**6) for _ in range(degree + 1)]
+            points = list(range(2, degree + 3))
+            values = [sum(c * x**e for e, c in enumerate(coeffs)) for x in points]
+            assert _interpolate_integer_poly(points, values) == coeffs
+
+
+def test_newton_interpolation_rejects_non_integral_data():
+    # x(x - 1)/2 takes integer values everywhere but is not integral
+    points = [2, 3, 4]
+    with pytest.raises(ValueError):
+        _interpolate_integer_poly(points, [x * (x - 1) // 2 for x in points])
+    with pytest.raises(ValueError):
+        _interpolate_integer_poly([2, 4], [0, 1])  # slope 1/2

@@ -10,6 +10,7 @@ from knotpair.reps import (
     Girth2Rep,
     Girth3Rep,
     PlaneTree,
+    _g3_key,
     canonicalize,
     d3_orbit,
     mirror,
@@ -141,3 +142,10 @@ def test_strip_and_pad_zero_exterior_edges():
     assert len(padded.leaves()) == 3
     labels = sorted(label for _, _, label in padded.edges)
     assert labels == [0, 2, 3]
+
+
+def test_g3_key_table_matches_orbit_minimum():
+    for labels in itertools.product(range(-2, 3), repeat=6):
+        rep = Girth3Rep(labels[:3], labels[3:])
+        orbit_min = min(x.top + x.bottom for x in d3_orbit(rep))
+        assert _g3_key(rep) == ("g3",) + orbit_min

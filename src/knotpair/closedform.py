@@ -27,10 +27,6 @@ def _z(c: int = 1, e: int = 1) -> LaurentPoly:
     return LaurentPoly.monomial(c, e, _Z)
 
 
-def _a(c: int = 1, e: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(c, e, _A)
-
-
 def loop_value() -> LaurentPoly:
     """delta = -A^2 - A^(-2), the value of an extra closed loop."""
     return LaurentPoly.from_dict({2: -1, -2: -1}, _A)

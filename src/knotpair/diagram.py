@@ -70,9 +70,21 @@ def pd_to_json(pd: PDCode) -> str:
 
 def pd_from_json(text: str) -> PDCode:
     obj = json.loads(text)
-    pd = PDCode(
-        tuple(tuple(c) for c in obj["crossings"]), int(obj.get("free_loops", 0))
-    )
+    if not isinstance(obj, dict):
+        raise InvalidPDError("PD JSON must be an object with a 'crossings' list")
+    crossings = obj.get("crossings")
+    if not isinstance(crossings, list):
+        raise InvalidPDError(f"'crossings' must be a list, got {crossings!r}")
+    for c in crossings:
+        # type() rather than isinstance(): JSON true/false are not arc ids
+        if not (isinstance(c, list) and len(c) == 4 and all(type(a) is int for a in c)):
+            raise InvalidPDError(f"crossing {c!r} is not a list of 4 integers")
+    free_loops = obj.get("free_loops", 0)
+    if type(free_loops) is not int or free_loops < 0:
+        raise InvalidPDError(
+            f"'free_loops' must be a non-negative integer, got {free_loops!r}"
+        )
+    pd = PDCode(tuple(tuple(c) for c in crossings), free_loops)
     validate_pd(pd)
     return pd
 

@@ -18,7 +18,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from .diagram import PDCode, TaitGraph, checkerboard, tait_graph
+from .diagram import PDCode, TaitEdge, TaitGraph, checkerboard, tait_graph
 from .oracle import _bareiss_det
 from .reps import Girth2Rep, Girth3Rep, PlaneTree, TreePairRep
 
@@ -137,16 +137,6 @@ def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
         if not tree_pos[v]:
             raise ValueError(f"edge set does not span vertex {v}")
 
-    def corner_of(ei: int, end: int) -> int:
-        e = tait.edges[ei]
-        return e.k0 if end == 0 else (e.k0 + 2) % 4
-
-    def other_end(ei: int, v: int, end: int) -> tuple[int, int]:
-        e = tait.edges[ei]
-        if end == 0:
-            return e.v2, 1
-        return e.v1, 0
-
     # start: first tree edge, traversed from its v1 side
     start_edge = min(tree_set)
     e0 = tait.edges[start_edge]
@@ -155,7 +145,7 @@ def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
     sectors: list[Sector] = []
     gaps: list[list[Traversal]] = []
     current_gap = [
-        Traversal(start_edge, e0.v1, (corner_of(start_edge, 0) + FLANK) % 4)
+        Traversal(start_edge, e0.v1, (_corner(e0, 0) + FLANK) % 4)
     ]
     guard = 0
     while True:
@@ -178,10 +168,10 @@ def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
         gaps.append(current_gap)
         # depart along the tree end at pos
         dep_edge, dep_end = entries[pos]
-        faced = (corner_of(dep_edge, dep_end) + FLANK) % 4
+        faced = (_corner(tait.edges[dep_edge], dep_end) + FLANK) % 4
         current_gap = [Traversal(dep_edge, v, faced)]
-        state = other_end(dep_edge, v, dep_end)
-        state = (state[0], dep_edge, state[1])
+        next_v, next_end = _other(tait, dep_edge, dep_end)
+        state = (next_v, dep_edge, next_end)
         if state == start_state:
             break
     # each gap of separating traversals precedes the sector it leads into;
@@ -293,6 +283,11 @@ def _other(tait: TaitGraph, ei: int, end: int) -> tuple[int, int]:
     return (e.v2, 1) if end == 0 else (e.v1, 0)
 
 
+def _corner(e: TaitEdge, end: int) -> int:
+    """Absolute corner index, at its crossing, of one end of a Tait edge."""
+    return e.k0 if end == 0 else (e.k0 + 2) % 4
+
+
 def _port_end(tait: TaitGraph, ei: int, v: int) -> int:
     e = tait.edges[ei]
     if e.v1 == v:
@@ -383,7 +378,8 @@ def decompose(pd: PDCode, shading_index: int, tree: tuple[int, ...]) -> TaitDeco
     b_classes = []
     sectors = list(c_black.sectors)
     gaps = list(c_black.traversals)
-    white_class_of = _dual_class_lookup(white, dual_tree, c_white)
+    white_classes = [s for s in c_white.sectors if s.dashes]
+    white_class_of = _dual_class_lookup(white, white_classes)
     order = [i for i, s in enumerate(sectors) if s.dashes]
     for i in order:
         a_sectors.append(sectors[i])
@@ -402,11 +398,9 @@ def decompose(pd: PDCode, shading_index: int, tree: tuple[int, ...]) -> TaitDeco
         (("A", tuple(s.dashes)), ("B", b_classes[i]))
         for i, s in enumerate(a_sectors)
     )
-    black_edges = tuple(
-        _class_edge(red_black, s.vertex, s) for s in a_sectors
-    )
+    black_edges = tuple(_class_edge(red_black, s.vertex) for s in a_sectors)
     white_edges = tuple(
-        _class_edge_by_index(red_white, c_white, bc) for bc in b_classes
+        _class_edge(red_white, white_classes[bc].vertex) for bc in b_classes
     )
     mixed = any(e.mixed_signs for e in red_black.edges) or any(
         e.mixed_signs for e in red_white.edges
@@ -443,20 +437,18 @@ def _reject_unreduced(black: TaitGraph, white: TaitGraph) -> None:
 
 
 def _dual_class_lookup(
-    white: TaitGraph, dual_tree: tuple[int, ...], c_white: Contour
+    white: TaitGraph, classes: list[Sector]
 ) -> dict[tuple[int, int], int]:
     """Map (crossing, absolute white corner) -> index of the dual dash class."""
     lookup: dict[tuple[int, int], int] = {}
-    classes = [s for s in c_white.sectors if s.dashes]
     for cls_idx, s in enumerate(classes):
         for ei, end in s.dashes:
             e = white.edges[ei]
-            corner = e.k0 if end == 0 else (e.k0 + 2) % 4
-            lookup[(e.crossing, corner)] = cls_idx
+            lookup[(e.crossing, _corner(e, end))] = cls_idx
     return lookup
 
 
-def _class_edge(red: ReducedTree, vertex: int, sector: Sector):
+def _class_edge(red: ReducedTree, vertex: int):
     """Reduced edge index whose leaf hosts this class, or None (pad with 0)."""
     rot = red.rotation.get(vertex, ())
     if len(rot) == 1:
@@ -464,16 +456,24 @@ def _class_edge(red: ReducedTree, vertex: int, sector: Sector):
     return None
 
 
-def _class_edge_by_index(red: ReducedTree, c_white: Contour, class_index: int):
-    classes = [s for s in c_white.sectors if s.dashes]
-    return _class_edge(red, classes[class_index].vertex, classes[class_index])
+def _tree_girths(pd: PDCode):
+    """Yield (girth, tree) for every spanning tree of the shading-0 graph."""
+    shades = checkerboard(pd)
+    black = tait_graph(pd, shades[0])
+    white = tait_graph(pd, shades[1])
+    if black.n_vertices == 1 or white.n_vertices == 1:
+        raise ValueError("single-vertex Tait graph: diagram is not reduced")
+    for tree in spanning_trees(black):
+        yield contour_girth(black, tree), tree
 
 
 def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
-    """Minimum girth over both shadings and all spanning trees.
+    """Minimum girth over all spanning trees of the shading-0 Tait graph.
 
     Returns (girth, witness decomposition); the witness is the
-    lexicographically least (shading, tree) attaining the minimum.
+    lexicographically least shading-0 tree attaining the minimum.  The
+    shading-1 trees are the complements of these with the same girth (see
+    ``decompositions_of_girth``), so they cannot lower it.
     """
     if pd.n() == 0:
         return 2, None  # degenerate circle: girth-2 report with labels (0,0)
@@ -484,35 +484,23 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
             f"{pd.n()} crossings exceeds the spanning-tree budget of {budget} "
             f"(about {est} decompositions)"
         )
-    best: tuple[int, int, tuple[int, ...]] | None = None
-    shades = checkerboard(pd)
-    for si in (0, 1):
-        g = tait_graph(pd, shades[si])
-        for tree in spanning_trees(g):
-            girth = _quick_girth(pd, si, tree, shades)
-            cand = (girth, si, tree)
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    girth, si, tree = best
-    return girth, decompose(pd, si, tree)
+    girth, tree = min(_tree_girths(pd))
+    return girth, decompose(pd, 0, tree)
 
 
 def decompositions_of_girth(pd: PDCode, target: int):
-    """Yield every decomposition attaining the target girth."""
-    shades = checkerboard(pd)
-    for si in (0, 1):
-        g = tait_graph(pd, shades[si])
-        for tree in spanning_trees(g):
-            if _quick_girth(pd, si, tree, shades) == target:
-                yield decompose(pd, si, tree)
+    """Yield every shading-0 decomposition attaining the target girth.
 
-
-def _quick_girth(pd, shading_index, tree, shades) -> int:
-    black = tait_graph(pd, shades[shading_index])
-    if len(tree) == 0:
-        raise ValueError("single-vertex Tait graph: diagram is not reduced")
-    return contour_girth(black, tuple(tree))
+    A spanning tree T of one Tait graph and the complementary spanning
+    tree T' of the other (its planar dual) give one splitting of the
+    diagram, seen from either side, and ``decompose`` asserts that both
+    sides count the same girth.  So each shading-1 decomposition is a
+    shading-0 one with T and T' swapped: searching shading 0 alone finds
+    every girth and every canonical representation the other would.
+    """
+    for girth, tree in _tree_girths(pd):
+        if girth == target:
+            yield decompose(pd, 0, tree)
 
 
 # ---------------------------------------------------------------------------

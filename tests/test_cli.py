@@ -87,6 +87,28 @@ def test_girth_budget_refusal(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{}",
+        '{"crossings": [1,2]}',
+        '{"crossings": null}',
+        '{"crossings": [], "free_loops": -3}',
+        '{"crossings": [["a","a","b","b"]]}',
+        '{"crossings": [], "free_loops": 1.5}',
+    ],
+)
+def test_malformed_pd_json_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.pd.json"
+    path.write_text(text)
+    code = main(["girth", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_census_csv_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

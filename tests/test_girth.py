@@ -1,15 +1,21 @@
+import hashlib
+from importlib import resources
+
 import pytest
 
 from knotpair.classify import jones_equal
+from knotpair.cli import main
 from knotpair.diagram import (
     braid_closure_pd,
     checkerboard,
+    pd_from_json,
     pd_from_rep,
     tait_graph,
 )
 from knotpair.girth import (
     BudgetError,
     TaitDecomposition,
+    contour_girth,
     decompose,
     decompositions_of_girth,
     diagram_girth,
@@ -184,3 +190,67 @@ def test_pipeline_on_independent_reference_diagrams():
     assert canonicalize(rep_from_decomposition(witness)).key == canonicalize(
         parse_rep("(2,-2)")
     ).key
+
+
+def _fixture_files():
+    root = resources.files("knotpair").joinpath("fixtures").joinpath("rolfsen")
+    files = [f for f in root.iterdir() if f.name.endswith(".pd.json")]
+    return sorted(files, key=lambda f: f.name)
+
+
+# reduced girth-2 and girth-3 templates (every Tait vertex of valence >= 2)
+DUALITY_TEMPLATES = [
+    Girth2Rep(2, 2),
+    Girth2Rep(3, -2),
+    Girth2Rep(-3, 4),
+    Girth2Rep(2, 5),
+    Girth3Rep((1, 2, 0), (0, -1, 2)),
+    Girth3Rep((0, 2, 2), (0, -1, -1)),
+    Girth3Rep((2, -2, 2), (1, 1, 0)),
+    Girth3Rep((1, 1, 1), (1, 1, 1)),
+    Girth3Rep((2, 1, -1), (1, -2, 1)),
+    Girth3Rep((-1, 2, 1), (2, -1, 1)),
+    Girth3Rep((2, 0, -2), (1, 2, 1)),
+    Girth3Rep((2, 2, 2), (2, 2, 2)),
+]
+
+
+def test_shading_one_trees_are_complements_of_shading_zero_trees():
+    # the girth search visits shading 0 only; this is the duality it rests on
+    def key(d):
+        return canonicalize(rep_from_decomposition(d)).key
+
+    pds = [pd_from_json(f.read_text()) for f in _fixture_files()]
+    pds += [pd_from_rep(rep) for rep in DUALITY_TEMPLATES]
+    for pd in pds:
+        shades = checkerboard(pd)
+        black, white = tait_graph(pd, shades[0]), tait_graph(pd, shades[1])
+        girth0 = {t: contour_girth(black, t) for t in spanning_trees(black)}
+        girth1 = {t: contour_girth(white, t) for t in spanning_trees(white)}
+        assert len(girth0) == len(girth1), pd
+        for t, g in girth1.items():
+            complement = tuple(ei for ei in range(pd.n()) if ei not in t)
+            assert girth0.get(complement) == g, (pd, t)
+        for target in (2, 3):
+            # what the search over both shadings recovered
+            old = {
+                key(decompose(pd, si, t))
+                for si, girths in ((0, girth0), (1, girth1))
+                for t, g in girths.items()
+                if g == target
+            }
+            new = {key(d) for d in decompositions_of_girth(pd, target)}
+            assert new == old, (pd, target)
+
+
+def test_decompose_json_of_fixtures_is_pinned(capsys):
+    # every shipped fixture's witness, byte for byte: sha256 of the
+    # concatenated `decompose --format json` stdout in filename order
+    out = []
+    for f in _fixture_files():
+        with resources.as_file(f) as path:
+            assert main(["decompose", str(path), "--format", "json"]) == 0
+        out.append(capsys.readouterr().out)
+    assert len(out) == 18
+    digest = hashlib.sha256("".join(out).encode()).hexdigest()
+    assert digest == "66efd1e4b1706ad637d064eb44b8199fd41fd0809e95a8c81389901d8ad7a987"

@@ -96,7 +96,10 @@ def pd_from_text(text: str) -> PDCode:
     """Read the flat `X(a,b,c,d) X(e,f,g,h) ...` form."""
     crossings = [tuple(int(g) for g in m.groups()) for m in _X_RE.finditer(text)]
     if not crossings and text.strip():
-        raise InvalidPDError(f"no X(...) terms found in {text!r}")
+        quoted = repr(text)
+        if len(quoted) > 60:
+            quoted = quoted[:60] + "..."
+        raise InvalidPDError(f"no X(...) terms found in {quoted}")
     pd = PDCode(tuple(crossings))
     validate_pd(pd)
     return pd

@@ -10,11 +10,18 @@ number of nonempty sectors, counted identically from either side.
 The walk also yields the interleaving of the two trees' dash classes
 around the boundary circle, which is what lets a girth-3 decomposition be
 read back as a label wheel (p a q b r c).
+
+The girth search visits every spanning tree but walks no contour.  The
+walk arrives once by each tree-edge end and then sweeps the rotation at
+that vertex to the next tree end, so a sector is nonempty exactly when
+the rotation turns from a tree edge straight to a non-tree edge.  Counting
+those turns costs O(V) per tree; the trees themselves come from a
+backtracking enumeration, not from filtering every (V-1)-edge subset.  Only
+the witness is walked, and its walked girth must equal the searched one.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -64,18 +71,72 @@ def _is_spanning_tree(n_vertices: int, endpoints: list[tuple[int, int]]) -> bool
 
 
 def spanning_trees(tait: TaitGraph):
-    """All spanning trees as sorted tuples of edge indices, lexicographic."""
-    v = tait.n_vertices
-    edge_ids = [
-        ei for ei, e in enumerate(tait.edges) if e.v1 != e.v2
-    ]
-    if v == 1:
+    """All spanning trees as sorted tuples of edge indices, lexicographic.
+
+    Backtracking over the non-loop edges in index order, each edge tried in
+    before it is left out, lists the trees in the order
+    ``itertools.combinations`` lists the edge sets.  A union-find without
+    path compression keeps the chosen edges a forest and is rolled back one
+    edge at a time.  An edge is left out only if the edges after it can
+    still join the forest's parts (the bridge test of Gabow and Myers), so
+    no branch is a dead end: between two trees the search takes back at
+    most V - 1 edges and tests each in O(V + E).
+    """
+    n = tait.n_vertices
+    if n == 1:
         yield ()
         return
-    for combo in itertools.combinations(edge_ids, v - 1):
-        endpoints = [tait.endpoints(ei) for ei in combo]
-        if _is_spanning_tree(v, endpoints):
-            yield combo
+    edges = [(ei, e.v1, e.v2) for ei, e in enumerate(tait.edges) if e.v1 != e.v2]
+    parent = list(range(n))
+    size = [1] * n
+    tree: list[int] = []
+    undo: list[tuple[int, int]] = []  # per tree edge: next position, hung root
+    i = 0
+    while True:
+        if len(tree) == n - 1:
+            yield tuple(tree)
+        elif i < len(edges):
+            ei, u, v = edges[i]
+            i += 1
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                if size[u] > size[v]:
+                    u, v = v, u
+                parent[u] = v
+                size[v] += size[u]
+                tree.append(ei)
+                undo.append((i, u))
+            continue
+        # take back the last tree edge and go on without it, if that can
+        # still end in a tree
+        while True:
+            if not tree:
+                return
+            tree.pop()
+            i, u = undo.pop()
+            size[parent[u]] -= size[u]
+            parent[u] = u
+            if _can_join(n - len(tree), parent[:], edges, i):
+                break
+
+
+def _can_join(parts: int, parent: list[int], edges: list, start: int) -> bool:
+    """Whether edges[start:] join a forest of ``parts`` parts (its union-find
+    ``parent``, which this consumes) into one."""
+    for _, u, v in edges[start:]:
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
+            parent[u] = v
+            parts -= 1
+            if parts == 1:
+                return True
+    return False
 
 
 def tree_count(tait: TaitGraph) -> int:
@@ -352,13 +413,26 @@ def decompose(pd: PDCode, shading_index: int, tree: tuple[int, ...]) -> TaitDeco
     shades = checkerboard(pd)
     black = tait_graph(pd, shades[shading_index])
     white = tait_graph(pd, shades[1 - shading_index])
+    return _decompose(pd, shading_index, tree, black, white)
+
+
+def _decompose(
+    pd: PDCode,
+    shading_index: int,
+    tree: tuple[int, ...],
+    black: TaitGraph,
+    white: TaitGraph,
+) -> TaitDecomposition:
+    """``decompose`` on Tait graphs already built: ``black`` of the chosen
+    shading, ``white`` of the other."""
     _reject_unreduced(black, white)
     tree = tuple(sorted(tree))
     if not _is_spanning_tree(
         black.n_vertices, [black.endpoints(ei) for ei in tree]
     ) or len(tree) != black.n_vertices - 1:
         raise ValueError("edge set is not a spanning tree of the Tait graph")
-    dual_tree = tuple(ei for ei in range(len(white.edges)) if ei not in set(tree))
+    tree_set = set(tree)
+    dual_tree = tuple(ei for ei in range(len(white.edges)) if ei not in tree_set)
 
     c_black = tree_contour(black, tree)
     c_white = tree_contour(white, dual_tree)
@@ -456,15 +530,40 @@ def _class_edge(red: ReducedTree, vertex: int):
     return None
 
 
-def _tree_girths(pd: PDCode):
-    """Yield (girth, tree) for every spanning tree of the shading-0 graph."""
+def _tait_graphs(pd: PDCode) -> tuple[TaitGraph, TaitGraph]:
+    """The shading-0 and shading-1 Tait graphs of a reduced diagram."""
     shades = checkerboard(pd)
     black = tait_graph(pd, shades[0])
     white = tait_graph(pd, shades[1])
     if black.n_vertices == 1 or white.n_vertices == 1:
         raise ValueError("single-vertex Tait graph: diagram is not reduced")
+    return black, white
+
+
+def _tree_girths(black: TaitGraph):
+    """Yield (girth, tree) for every spanning tree of ``black``.
+
+    The girth is counted without walking the contour.  The walk enters one
+    sector after each tree-edge end: arriving at v by the tree end at
+    position p of ``black.rotation[v]``, it sweeps p + 1, p + 2, ... up to
+    the next tree end.  That sector holds a dash exactly when the entry at
+    p + 1 is a non-tree end, and the walk arrives by every tree end once.
+    So the girth of T is the number of turns (a, b), consecutive entries
+    of one rotation, that go from a tree edge a to a non-tree edge b, and
+    equals ``tree_contour(black, T).girth()``.  The turns out of each edge
+    are listed once per graph, two per non-loop edge.
+    """
+    turns: list[list[int]] = [[] for _ in black.edges]
+    for entries in black.rotation:
+        for p, (a, _end) in enumerate(entries):
+            turns[a].append(entries[(p + 1) % len(entries)][0])
     for tree in spanning_trees(black):
-        yield contour_girth(black, tree), tree
+        tree_set = set(tree)
+        girth = 0
+        for a in tree:
+            b1, b2 = turns[a]
+            girth += (b1 not in tree_set) + (b2 not in tree_set)
+        yield girth, tree
 
 
 def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
@@ -473,7 +572,9 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
     Returns (girth, witness decomposition); the witness is the
     lexicographically least shading-0 tree attaining the minimum.  The
     shading-1 trees are the complements of these with the same girth (see
-    ``decompositions_of_girth``), so they cannot lower it.
+    ``decompositions_of_girth``), so they cannot lower it.  The search
+    counts girths locally (``_tree_girths``); the witness's girth comes
+    from walking its contour, and the two must agree.
     """
     if pd.n() == 0:
         return 2, None  # degenerate circle: girth-2 report with labels (0,0)
@@ -484,8 +585,14 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
             f"{pd.n()} crossings exceeds the spanning-tree budget of {budget} "
             f"(about {est} decompositions)"
         )
-    girth, tree = min(_tree_girths(pd))
-    return girth, decompose(pd, 0, tree)
+    black, white = _tait_graphs(pd)
+    girth, tree = min(_tree_girths(black))
+    witness = _decompose(pd, 0, tree, black, white)
+    if witness.girth != girth:
+        raise AssertionError(
+            f"searched girth {girth} but the witness contour counts {witness.girth}"
+        )
+    return girth, witness
 
 
 def decompositions_of_girth(pd: PDCode, target: int):
@@ -498,9 +605,10 @@ def decompositions_of_girth(pd: PDCode, target: int):
     shading-0 one with T and T' swapped: searching shading 0 alone finds
     every girth and every canonical representation the other would.
     """
-    for girth, tree in _tree_girths(pd):
+    black, white = _tait_graphs(pd)
+    for girth, tree in _tree_girths(black):
         if girth == target:
-            yield decompose(pd, 0, tree)
+            yield _decompose(pd, 0, tree, black, white)
 
 
 # ---------------------------------------------------------------------------

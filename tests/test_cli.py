@@ -109,6 +109,18 @@ def test_malformed_pd_json_exits_2(tmp_path, capsys, text):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+def test_large_non_pd_file_gets_a_short_error(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("not a diagram\n" * 7500)
+    code = main(["girth", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err[:300]
+    assert len(lines[0]) < 200
+
+
 def test_census_csv_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

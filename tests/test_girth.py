@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from importlib import resources
 
 import pytest
@@ -15,12 +16,15 @@ from knotpair.diagram import (
 from knotpair.girth import (
     BudgetError,
     TaitDecomposition,
+    _is_spanning_tree,
+    _tree_girths,
     contour_girth,
     decompose,
     decompositions_of_girth,
     diagram_girth,
     rep_from_decomposition,
     spanning_trees,
+    tree_contour,
     tree_count,
 )
 from knotpair.laurent import jones_from_bracket
@@ -254,3 +258,37 @@ def test_decompose_json_of_fixtures_is_pinned(capsys):
     assert len(out) == 18
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digest == "66efd1e4b1706ad637d064eb44b8199fd41fd0809e95a8c81389901d8ad7a987"
+
+
+def _subset_filter_trees(tait):
+    # reference: every (V-1)-subset of the non-loop edges, kept if acyclic
+    v = tait.n_vertices
+    if v == 1:
+        return [()]
+    ids = [ei for ei, e in enumerate(tait.edges) if e.v1 != e.v2]
+    return [
+        combo
+        for combo in itertools.combinations(ids, v - 1)
+        if _is_spanning_tree(v, [tait.endpoints(ei) for ei in combo])
+    ]
+
+
+def test_backtracking_trees_and_turn_girths_match_the_subset_filter_and_walk():
+    pds = [pd_from_json(f.read_text()) for f in _fixture_files()]
+    pds += [pd_from_rep(rep) for rep in DUALITY_TEMPLATES]
+    graphs = [tait_graph(pd, shading) for pd in pds for shading in checkerboard(pd)]
+    # a Tait graph with a self-loop and parallel edges
+    pd = pd_from_rep(Girth3Rep((1, 2, 0), (0, 1, 0)))
+    g = tait_graph(pd, checkerboard(pd)[1])
+    assert any(e.v1 == e.v2 for e in g.edges)
+    pairs = [frozenset(g.endpoints(ei)) for ei in range(len(g.edges))]
+    assert len(set(pairs)) < len(pairs)
+    graphs.append(g)
+    for g in graphs:
+        trees = list(spanning_trees(g))
+        assert trees == _subset_filter_trees(g)
+        assert len(trees) == tree_count(g)
+        girths = list(_tree_girths(g))
+        assert [t for _, t in girths] == trees
+        for girth, tree in girths:
+            assert girth == tree_contour(g, tree).girth(), tree

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -40,6 +41,30 @@ def test_eval_output_parses_back(capsys):
     code, out = run(capsys, "eval", "(3,-2)", "conway")
     poly = poly_from_text(out.strip(), "z")
     assert poly.coeff(0) == 1
+
+
+# sha256 of stdout, recorded while every product still ran the schoolbook
+# loop; these brackets multiply polynomials of hundreds of terms, so they
+# pin the Kronecker path end to end.
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("[40 50 60 / 30 20 10]", "jones"),
+         "62e48a66956f0eba40c188cc6def53da69e120c9273dbd6a5bd0d9b81de3b8f5"),
+        (("(1000,1000)", "bracket"),
+         "8206ed436703409e8397b8f65b7fb05dd4bde9cd4e2f93ed219b4f9b51f1eb33"),
+        (("[-300 211 97 / 150 -64 288]", "bracket"),
+         "d817b570253896cd27b37ddce6ff414a8a14380032676ed5adc7d8629acd333e"),
+        (("[-300 211 97 / 150 -64 288]", "span"),
+         "ca1144ed9f3aa0bf799043d185aa306dfc74e468d61ae6e12465a48c966bb4bf"),
+        (("[297 -283 301 / -276 305 -299]", "bracket"),
+         "aadb283ed45e4c52936ffaffb1951aa1967f8df9a0a438c5ab6490707eb5d4be"),
+    ],
+)
+def test_eval_large_labels_pinned(capsys, argv, digest):
+    code, out = run(capsys, "eval", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_compare(capsys):

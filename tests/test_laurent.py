@@ -1,9 +1,14 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from knotpair.laurent import (
+    KRONECKER_MIN_TERMS,
+    MAX_EXPONENT,
     LaurentPoly,
     RationalLaurent,
     TagMismatchError,
@@ -20,6 +25,7 @@ from knotpair.laurent import (
     poly_from_text,
     poly_to_text,
 )
+from knotpair.laurent import _kronecker_product
 
 
 def P(d, tag="A"):
@@ -164,3 +170,94 @@ def test_jones_text_round_trip_quarter_powers():
 def test_exponent_overflow_aborts():
     with pytest.raises(OverflowError):
         LaurentPoly.from_dict({2**63: 1})
+
+
+def schoolbook(x, y):
+    """Reference product: the double loop over every pair of terms."""
+    out = {}
+    for e1, c1 in x.terms:
+        for e2, c2 in y.terms:
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return P(out, x.tag)
+
+
+def test_mul_equals_schoolbook_across_the_kronecker_boundary():
+    rng = random.Random(2009)
+
+    def rand_poly():
+        n = rng.randint(0, 60)
+        stride = rng.choice([1, 2, 4])
+        base = rng.randint(-300, 300)
+        span = rng.randint(n, 2 * n + 1)
+        bound = rng.choice([1, 2**8, 2**64, 2**200])
+        # a third of the polynomials mix exponent residues
+        off = rng.choice([0, 0, 1, 2, 3])
+        coeffs = {}
+        for _ in range(n):
+            e = base + stride * rng.randint(0, span) + (off if rng.random() < 0.2 else 0)
+            coeffs[e] = rng.randint(-bound, bound)
+        return P(coeffs)
+
+    packed = sparse = 0
+    for _ in range(1500):
+        x, y = rand_poly(), rand_poly()
+        ref = schoolbook(x, y)
+        assert x * y == ref
+        if min(len(x.terms), len(y.terms)) >= KRONECKER_MIN_TERMS:
+            items = _kronecker_product(x.terms, y.terms)
+            if items is None:
+                sparse += 1
+            else:
+                assert items == ref.terms
+                packed += 1
+    assert packed > 150 and sparse > 150
+
+
+def test_mul_edge_cases():
+    x = LaurentPoly.var()
+    big = P({4 * i - 37: (-1) ** i * (i + 1) for i in range(40)})
+    assert len(big.terms) >= KRONECKER_MIN_TERMS
+    assert big * LaurentPoly.zero() == LaurentPoly.zero()
+    assert LaurentPoly.zero() * big == LaurentPoly.zero()
+    assert big * LaurentPoly.monomial(-3, 5) == schoolbook(big, LaurentPoly.monomial(-3, 5))
+    assert LaurentPoly.monomial(7, -2) * big == (7 * big).shift(-2)
+    assert big * big == schoolbook(big, big)
+    # every odd coefficient of (1 + x)^20 (1 - x)^20 cancels to zero
+    plus, minus = (1 + x) ** 20, (1 - x) ** 20
+    assert _kronecker_product(plus.terms, minus.terms) is not None
+    assert plus * minus == P({2 * k: (-1) ** k * comb(20, k) for k in range(21)})
+    # stride 4 in both operands, exponents 2 and 1 mod 4
+    s = P({4 * i - 2: (-1) ** i for i in range(30)})
+    t = P({4 * i + 1: 1 for i in range(25)})
+    assert _kronecker_product(s.terms, t.terms) is not None
+    assert s * t == schoolbook(s, t)
+
+
+def test_mul_overflow_raises_on_both_paths():
+    with pytest.raises(OverflowError, match=f"exponent {MAX_EXPONENT + 1} "):
+        P({MAX_EXPONENT: 1, 0: 1}) * P({1: 1, 0: 1})
+    top = P({MAX_EXPONENT - i: 1 for i in range(20)})
+    low = P({i: 1 for i in range(20)})
+    assert _kronecker_product(top.terms, low.terms) is not None
+    with pytest.raises(OverflowError, match=f"exponent {MAX_EXPONENT + 1} "):
+        top * low
+    with pytest.raises(OverflowError, match=f"exponent {-MAX_EXPONENT - 19} "):
+        lp_invert_variable(top) * lp_invert_variable(low)
+    with pytest.raises(OverflowError, match=f"exponent {MAX_EXPONENT + 1} "):
+        LaurentPoly.from_dict({MAX_EXPONENT + 1: 1, MAX_EXPONENT + 5: 1})
+
+
+def test_sparse_product_stays_off_kronecker():
+    p = P({**{i: i + 1 for i in range(20)}, 2**40: 1})
+    assert _kronecker_product(p.terms, p.terms) is None
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        square = p * p
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert square == schoolbook(p, p)
+    assert elapsed < 1.0
+    assert peak < 2**20

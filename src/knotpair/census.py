@@ -11,7 +11,7 @@ from fractions import Fraction
 from importlib import resources
 
 from . import classify, oracle
-from .diagram import pd_from_json, pd_from_rep
+from .diagram import orient, pd_from_json, pd_from_rep
 from .laurent import (
     LaurentPoly,
     jones_from_bracket,
@@ -283,14 +283,11 @@ def verify_table(
             continue
         rep = parse_rep(rep_text)
         pd = pd_from_rep(rep)
-        j_rep = jones_from_bracket(
-            oracle.bracket_state_sum(pd), oracle.writhe(pd)
-        )
-        j_ref = jones_from_bracket(
-            oracle.bracket_state_sum(ref), oracle.writhe(ref)
-        )
-        comps_rep = oracle.components(pd)
-        comps_ref = oracle.components(ref)
+        ori_rep, ori_ref = orient(pd), orient(ref)
+        j_rep = jones_from_bracket(oracle.bracket_state_sum(pd), ori_rep.writhe)
+        j_ref = jones_from_bracket(oracle.bracket_state_sum(ref), ori_ref.writhe)
+        comps_rep = ori_rep.n_components
+        comps_ref = ori_ref.n_components
         if comps_rep != comps_ref:
             results.append(
                 TableResult(

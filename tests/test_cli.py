@@ -37,6 +37,16 @@ def test_eval_both_methods_agree(capsys):
     assert "AGREE" in out
 
 
+def test_eval_oracle_over_the_cap_is_refused_in_one_line(capsys):
+    code = main(["eval", "(13,12)", "bracket", "--method", "oracle"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: 25 crossings exceeds the state-sum cap of 24 crossings\n"
+    )
+
+
 def test_eval_output_parses_back(capsys):
     code, out = run(capsys, "eval", "(3,-2)", "conway")
     poly = poly_from_text(out.strip(), "z")

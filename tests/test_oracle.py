@@ -1,12 +1,18 @@
 import random
+import time
+from importlib import resources
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from knotpair.diagram import PDCode, pd_from_rep, pd_from_text
+from knotpair.closedform import bracket_girth3
+from knotpair.diagram import PDCode, pd_from_json, pd_from_rep, pd_from_text
 from knotpair.laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from knotpair.oracle import (
     OracleSizeError,
+    _divide_by_delta,
     _interpolate_integer_poly,
+    _sweep_order,
     bracket_state_sum,
     components,
     conway_fox,
@@ -188,3 +194,246 @@ def test_newton_interpolation_rejects_non_integral_data():
         _interpolate_integer_poly(points, [x * (x - 1) // 2 for x in points])
     with pytest.raises(ValueError):
         _interpolate_integer_poly([2, 4], [0, 1])  # slope 1/2
+
+
+# ---------------------------------------------------------------------------
+# the frontier sweep against the 2^n state walk it replaced
+
+
+def bracket_state_sum_dfs(pd: PDCode) -> LaurentPoly:
+    """Sum A^(#A - #B) * delta^(loops - 1) over all smoothing states.
+
+    delta = -A^2 - A^(-2); a single crossing-free circle has bracket 1.
+    The enumeration walks the binary smoothing tree with a rollback
+    union-find so each state only pays for its incremental merges.
+    """
+    n = pd.n()
+    if n == 0:
+        if pd.free_loops == 0:
+            raise ValueError("empty diagram has no bracket")
+        return _dfs_delta_power(pd.free_loops - 1)
+
+    # ports are flattened as 4*ci + slot; arcs glue ports pairwise
+    occ: dict[int, list[int]] = {}
+    for ci, cr in enumerate(pd.crossings):
+        for slot, a in enumerate(cr):
+            occ.setdefault(a, []).append(4 * ci + slot)
+
+    parent = list(range(4 * n))
+    size = [1] * (4 * n)
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    trail: list[int] = []
+
+    def union(x: int, y: int) -> int:
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            return 0
+        if size[rx] < size[ry]:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        size[rx] += size[ry]
+        trail.append(ry)
+        return 1
+
+    def rollback(mark: int) -> None:
+        while len(trail) > mark:
+            ry = trail.pop()
+            size[parent[ry]] -= size[ry]
+            parent[ry] = ry
+
+    base_merges = 0
+    for ports in occ.values():
+        base_merges += union(ports[0], ports[1])
+    assert base_merges == 2 * n
+
+    # smoothing A joins slots (0,1) and (2,3); B joins (0,3) and (1,2)
+    pair_a = [(4 * ci, 4 * ci + 1, 4 * ci + 2, 4 * ci + 3) for ci in range(n)]
+    pair_b = [(4 * ci, 4 * ci + 3, 4 * ci + 1, 4 * ci + 2) for ci in range(n)]
+
+    counts: dict[tuple[int, int], int] = {}
+
+    def recurse(ci: int, merges: int, diff: int) -> None:
+        if ci == n:
+            loops = 2 * n - merges + pd.free_loops
+            key = (diff, loops)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        for delta_diff, (w, x, yy, zz) in ((1, pair_a[ci]), (-1, pair_b[ci])):
+            mark = len(trail)
+            m = union(w, x) + union(yy, zz)
+            recurse(ci + 1, merges + m, diff + delta_diff)
+            rollback(mark)
+
+    recurse(0, 0, 0)
+
+    total: dict[int, int] = {}
+    for (diff, loops), mult in counts.items():
+        contrib = _dfs_delta_power(loops - 1).shift(diff)
+        for e, c in contrib.terms:
+            total[e] = total.get(e, 0) + c * mult
+    return LaurentPoly.from_dict(total, "A")
+
+
+_DFS_DELTA_POWERS: list[LaurentPoly] = []
+
+
+def _dfs_delta_power(k: int) -> LaurentPoly:
+    """delta^k with delta = -A^2 - A^(-2), cached."""
+    while len(_DFS_DELTA_POWERS) <= k:
+        if not _DFS_DELTA_POWERS:
+            _DFS_DELTA_POWERS.append(LaurentPoly.one("A"))
+        else:
+            _DFS_DELTA_POWERS.append(
+                _DFS_DELTA_POWERS[-1] * LaurentPoly.from_dict({2: -1, -2: -1}, "A")
+            )
+    return _DFS_DELTA_POWERS[k]
+
+
+def scramble(pd: PDCode, rng: random.Random) -> PDCode:
+    """The same diagram with arcs renamed, crossings reordered and some
+    crossings half-turned (a half turn keeps the under-strand in slots 0, 2)."""
+    arcs = pd.arcs()
+    rename = dict(zip(arcs, rng.sample(range(-len(arcs), 3 * len(arcs)), len(arcs))))
+    crossings = [tuple(rename[a] for a in c) for c in pd.crossings]
+    rng.shuffle(crossings)
+    crossings = [c[2:] + c[:2] if rng.random() < 0.5 else c for c in crossings]
+    return PDCode(tuple(crossings), pd.free_loops)
+
+
+def fixture_pds() -> list[tuple[str, PDCode]]:
+    root = resources.files("knotpair").joinpath("fixtures").joinpath("rolfsen")
+    files = sorted(
+        (f for f in root.iterdir() if f.name.endswith(".pd.json")), key=lambda f: f.name
+    )
+    return [(f.name, pd_from_json(f.read_text())) for f in files]
+
+
+def random_girth3(rng: random.Random, max_crossings: int) -> Girth3Rep:
+    while True:
+        labels = [rng.randint(-3, 3) for _ in range(6)]
+        if 1 <= sum(map(abs, labels)) <= max_crossings:
+            return Girth3Rep(tuple(labels[:3]), tuple(labels[3:]))
+
+
+def test_sweep_equals_state_walk_on_the_fixtures():
+    pds = fixture_pds()
+    assert len(pds) == 18
+    rng = random.Random(2024)
+    for name, pd in pds:
+        want = bracket_state_sum_dfs(pd)
+        assert bracket_state_sum(pd) == want, name
+        for _ in range(3):
+            assert bracket_state_sum(scramble(pd, rng)) == want, name
+
+
+def test_sweep_equals_state_walk_on_girth1_and_girth2_templates():
+    reps = [Girth1Rep(p) for p in range(-5, 6)]
+    reps += [Girth2Rep(p, q) for p in range(-4, 5) for q in range(-4, 5)]
+    for rep in reps:
+        pd = pd_from_rep(rep)
+        assert bracket_state_sum(pd) == bracket_state_sum_dfs(pd), rep
+
+
+def test_sweep_equals_state_walk_on_random_girth3_templates():
+    rng = random.Random(606)
+    kinds = {"link": 0, "free loops": 0, "kink": 0}
+    pds = [pd_from_rep(Girth1Rep(1)), pd_from_rep(Girth1Rep(2))]
+    for i in range(300):
+        pd = pd_from_rep(random_girth3(rng, 14))
+        if i % 5 == 1 and pd.n() < 14:
+            pd = add_kink(pd, positive=rng.random() < 0.5)
+        elif i % 5 == 2:
+            pd = PDCode(pd.crossings, pd.free_loops + rng.randint(1, 2))
+        pds.append(pd)
+    for pd in pds:
+        assert pd.n() <= 14
+        kinds["link"] += components(pd) > 1
+        kinds["free loops"] += pd.free_loops > 0
+        kinds["kink"] += any(len(set(c)) < 4 for c in pd.crossings)
+        assert bracket_state_sum(pd) == bracket_state_sum_dfs(pd), pd
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_sweep_order_takes_the_most_open_arcs_then_the_lowest_index():
+    rng = random.Random(5)
+    pds = [scramble(pd, rng) for _, pd in fixture_pds()]
+    pds += [scramble(pd_from_rep(random_girth3(rng, 20)), rng) for _ in range(40)]
+    for pd in pds:
+        order = _sweep_order(pd)
+        assert sorted(order) == list(range(pd.n()))
+        done: set[int] = set()
+        for ci in order:
+            ends = {}
+            for cj in done:
+                for a in pd.crossings[cj]:
+                    ends[a] = ends.get(a, 0) + 1
+            open_arcs = {a for a, k in ends.items() if k == 1}
+
+            def count(cj):
+                return sum(a in open_arcs for a in pd.crossings[cj])
+
+            left = [cj for cj in range(pd.n()) if cj not in done]
+            best = max(count(cj) for cj in left)
+            assert ci == min(cj for cj in left if count(cj) == best)
+            done.add(ci)
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        Girth3Rep((10, 10, 10), (10, 10, 10)),
+        Girth3Rep((-20, 25, 15), (20, -15, 20)),
+        Girth3Rep((50, -50, 50), (-50, 50, 50)),
+    ],
+    ids=["60", "115", "300"],
+)
+def test_sweep_is_polynomial_on_large_templates(rep):
+    # 2^60 states could never be walked one by one; the sweep must also
+    # agree with the closed form there
+    pd = pd_from_rep(rep)
+    assert pd.n() == sum(map(abs, rep.top + rep.bottom))
+    t0 = time.perf_counter()
+    got = bracket_state_sum(pd, cap=pd.n())
+    assert time.perf_counter() - t0 < 5.0
+    assert got == bracket_girth3(rep)
+
+
+def test_divide_by_delta_is_exact_or_refuses():
+    delta = A({2: -1, -2: -1})
+    rng = random.Random(9)
+    for _ in range(50):
+        p = A({rng.randint(-30, 30): rng.randint(-9, 9) for _ in range(8)})
+        if not p.is_zero():
+            assert _divide_by_delta(delta * p) == p
+    for p in (A({0: 1}), A({2: -1, -2: -1, 0: 1}), A({-2: -1, 2: 1})):
+        with pytest.raises(ValueError):
+            _divide_by_delta(p)
+
+
+@st.composite
+def scrambled_small_diagrams(draw):
+    girth = draw(st.sampled_from([1, 2, 3]))
+    label = st.integers(-6, 6)
+    if girth == 1:
+        rep = Girth1Rep(draw(label))
+    elif girth == 2:
+        rep = Girth2Rep(draw(label), draw(label))
+    else:
+        rep = Girth3Rep(
+            tuple(draw(st.integers(-3, 3)) for _ in range(3)),
+            tuple(draw(st.integers(-3, 3)) for _ in range(3)),
+        )
+    pd = pd_from_rep(rep)
+    assume(pd.n() <= 14)
+    return scramble(pd, random.Random(draw(st.integers(0, 2**32))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scrambled_small_diagrams())
+def test_sweep_equals_state_walk_on_scrambled_diagrams(pd):
+    assert bracket_state_sum(pd) == bracket_state_sum_dfs(pd)

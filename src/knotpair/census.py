@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ from .laurent import (
     jones_to_text,
     poly_to_text,
 )
-from .reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize, parse_rep
+from .reps import Girth2Rep, Girth3Rep, canonicalize, g3_wheel_min, parse_rep
 from .tables import (
     ROLFSEN_TABLE,
     TABLE_ERRATA,
@@ -50,21 +51,14 @@ class InvariantRecord:
         )
 
 
-def build_record(rep, oracle_cap: int = oracle.CONWAY_CAP) -> InvariantRecord:
+def build_record(rep) -> InvariantRecord:
     """Exact invariants of one representation, closed forms where they exist."""
-    inv = classify.rep_invariants(rep, oracle_cap)
+    inv = classify.rep_invariants(rep)
     note = ""
     if inv.conway is not None and inv.components > 1:
         note = "link value; orientation with parallel strands in the odd regions"
     if inv.conway is not None and inv.components == 1:
         assert inv.conway.coeff(0) == 1
-    source = "closed_form"
-    if (
-        inv.conway is not None
-        and isinstance(rep, Girth3Rep)
-        and not all(x % 2 == 0 and x >= 0 for x in rep.top + rep.bottom)
-    ):
-        source = "oracle"  # Conway came from Fox calculus on the template
     return InvariantRecord(
         rep=rep,
         components=inv.components,
@@ -72,7 +66,7 @@ def build_record(rep, oracle_cap: int = oracle.CONWAY_CAP) -> InvariantRecord:
         bracket=inv.bracket,
         jones=inv.jones,
         span=jones_span_inclusive(inv.jones),
-        source=source,
+        source=inv.source,
         conway_note=note,
     )
 
@@ -94,25 +88,21 @@ def census_enumerate(
     if girth == 3 and max_abs_label > G3_BUDGET:
         raise ValueError(f"girth-3 label budget is {G3_BUDGET}")
     values = _label_range(max_abs_label, even_only, positive_only)
-    seen: dict[tuple, object] = {}
-    if girth == 2:
-        for p in values:
-            for q in values:
-                canon = canonicalize(Girth2Rep(p, q))
-                seen.setdefault(canon.key, canon.rep)
-    elif girth == 3:
-        for p in values:
-            for q in values:
-                for r in values:
-                    for a in values:
-                        for b in values:
-                            for c in values:
-                                canon = canonicalize(
-                                    Girth3Rep((p, q, r), (a, b, c))
-                                )
-                                seen.setdefault(canon.key, canon.rep)
-    else:
+    if girth == 3:
+        # a labelling is canonical when it is the least of its wheel
+        # images, and the product runs in key order
+        return [
+            Girth3Rep(labels[:3], labels[3:])
+            for labels in itertools.product(values, repeat=6)
+            if g3_wheel_min(labels) == labels
+        ]
+    if girth != 2:
         raise ValueError("census enumerates girth 2 or 3")
+    seen: dict[tuple, object] = {}
+    for p in values:
+        for q in values:
+            canon = canonicalize(Girth2Rep(p, q))
+            seen.setdefault(canon.key, canon.rep)
     return [seen[k] for k in sorted(seen)]
 
 
@@ -134,7 +124,7 @@ class CensusClass:
     verdicts: tuple  # classify verdict tag per non-representative member
 
 
-def dedup_census(reps: list, oracle_cap: int = oracle.CONWAY_CAP):
+def dedup_census(reps: list):
     """Group representations by (components, Conway, Jones).
 
     Every member after the first gets a verdict against the class
@@ -142,7 +132,7 @@ def dedup_census(reps: list, oracle_cap: int = oracle.CONWAY_CAP):
     Unresolved otherwise.  Those are the only answers classify.compare can
     give inside a class (see below), so it is not called.
     """
-    records = [build_record(r, oracle_cap) for r in reps]
+    records = [build_record(r) for r in reps]
     groups: dict[tuple, list[InvariantRecord]] = {}
     for rec in records:
         groups.setdefault(rec.class_key(), []).append(rec)

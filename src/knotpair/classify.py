@@ -142,9 +142,10 @@ class RepInvariants:
     bracket: LaurentPoly
     jones: LaurentPoly
     writhe: int
+    source: str  # 'oracle' if the Conway polynomial came from Fox calculus
 
 
-def rep_invariants(rep, oracle_cap: int = oracle.CONWAY_CAP) -> RepInvariants:
+def rep_invariants(rep) -> RepInvariants:
     """Exact invariants of a representation, closed forms where available.
 
     Builds and orients the template once; the bracket is always closed
@@ -157,6 +158,7 @@ def rep_invariants(rep, oracle_cap: int = oracle.CONWAY_CAP) -> RepInvariants:
     bracket = closed_bracket(rep)
     jones = jones_from_bracket(bracket, ori.writhe)
     conway: LaurentPoly | None = None
+    source = "closed_form"
     if isinstance(rep, Girth1Rep):
         if rep.p % 2 != 0:
             conway = cf.conway_single_twist(rep.p)
@@ -165,11 +167,12 @@ def rep_invariants(rep, oracle_cap: int = oracle.CONWAY_CAP) -> RepInvariants:
             conway = cf.conway_double_twist(rep.p, rep.q)
     elif isinstance(rep, Girth3Rep):
         labels = rep.top + rep.bottom
-        if all(x % 2 == 0 and x >= 0 for x in labels):
+        if all(x % 2 == 0 for x in labels):
             conway = cf.conway_girth3_even(rep)
-        elif comps == 1 and pd.n() <= oracle_cap:
+        elif comps == 1 and pd.n() <= oracle.CONWAY_CAP:
             conway = oracle.conway_fox(pd)
-    return RepInvariants(comps, conway, bracket, jones, ori.writhe)
+            source = "oracle"
+    return RepInvariants(comps, conway, bracket, jones, ori.writhe, source)
 
 
 def closed_bracket(rep) -> LaurentPoly:
@@ -226,15 +229,15 @@ def jones_equal(
     return False
 
 
-def compare(r1, r2, mirror_ok: bool = False, oracle_cap: int = oracle.CONWAY_CAP) -> Verdict:
+def compare(r1, r2, mirror_ok: bool = False) -> Verdict:
     """Full comparison: symmetry, then Conway, then Jones, else Unresolved."""
     c1, c2 = canonicalize(r1), canonicalize(r2)
     if c1.key == c2.key:
         return Verdict(EQUAL_BY_SYMMETRY, note="identical canonical keys")
     if mirror_ok and canonicalize(mirror(r1)).key == c2.key:
         return Verdict(EQUAL_BY_SYMMETRY, note="mirror images")
-    inv1 = rep_invariants(r1, oracle_cap)
-    inv2 = rep_invariants(r2, oracle_cap)
+    inv1 = rep_invariants(r1)
+    inv2 = rep_invariants(r2)
     if inv1.components != inv2.components:
         return Verdict(
             UNRESOLVED,
@@ -242,10 +245,8 @@ def compare(r1, r2, mirror_ok: bool = False, oracle_cap: int = oracle.CONWAY_CAP
             "distinct links, but outside the polynomial verdicts",
         )
     if inv1.conway is not None and inv2.conway is not None:
+        # Conway of a knot is mirror-invariant, so mirror_ok needs no adjustment
         diff = inv1.conway - inv2.conway
-        if mirror_ok:
-            # Conway of a knot is mirror-invariant, so no adjustment needed
-            pass
         if not diff.is_zero():
             return Verdict(DISTINCT_BY_CONWAY, evidence=diff)
     if not jones_equal(

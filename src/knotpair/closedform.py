@@ -88,14 +88,13 @@ def conway_double_twist(p: int, q: int) -> LaurentPoly:
 def conway_girth3_even(rep: Girth3Rep) -> LaurentPoly:
     """Conway polynomial for the all-even girth-3 family.
 
-    Valid (and oracle-checked) for even labels >= 0; zero labels are
-    degenerate twist regions and satisfy the same multilinear formula.
+    Valid (and oracle-checked) for all even labels, negative ones
+    included; zero labels are degenerate twist regions and satisfy the
+    same multilinear formula.
     """
     labels = rep.top + rep.bottom
     if any(x % 2 for x in labels):
         raise ValueError(f"labels must all be even, got {labels}")
-    if any(x < 0 for x in labels):
-        raise ValueError(f"labels must be nonnegative, got {labels}")
     p, q, r = rep.top
     a, b, c = rep.bottom
     quartic = (p * q + p * r + q * r) * (a * b + a * c + b * c)

@@ -122,13 +122,11 @@ class Orientation:
     """Derived orientation data for a PD code.
 
     ``incoming[ci][slot]`` says whether the strand enters the crossing there;
-    ``component_of_arc`` maps arc id to a component index; ``signs[ci]`` is
-    the crossing sign, and components without crossings are counted in the
-    PD's ``free_loops``.
+    ``signs[ci]`` is the crossing sign, and components without crossings are
+    counted in the PD's ``free_loops``.
     """
 
     incoming: tuple[tuple[bool, bool, bool, bool], ...]
-    component_of_arc: dict[int, int]
     n_components: int
     signs: tuple[int, ...]
     writhe: int
@@ -166,66 +164,58 @@ def _trace_components(pd: PDCode) -> list[list[tuple[int, int]]]:
 
 
 def orient(pd: PDCode) -> Orientation:
-    """Orient every component deterministically.
+    """Orient every component deterministically, in one pass.
 
-    The first component keeps its traced direction; every other component
-    picks the direction minimizing the concatenated per-crossing sign string
-    (components considered independently would not be deterministic, so the
-    full assignment with the lexicographically least sign tuple is used).
+    Among the direction choices that keep the first traced component's
+    direction, take the lexicographically least sign tuple (-1 before +1),
+    then the least tuple of reversals.
+
+    Reversing a component toggles ``incoming`` at all its ports, and a sign
+    is +1 exactly when slots 0 and 1 disagree, so a crossing of a component
+    with itself has a fixed sign, and one between components a and b reads
+    only whether a and b are reversed alike.  Walk the crossings in order,
+    grouping components whose relative direction is fixed.  A crossing
+    that joins two groups can take either sign without changing an earlier
+    one, so it gets -1, which fixes the two groups' relative direction; a
+    crossing inside a group has its sign fixed already.  Each sign is thus
+    the least possible given those before it.  What stays free is one
+    direction per final group, which no sign reads, and the least choice
+    keeps each group's lowest component as traced.
     """
     cycles = _trace_components(pd)
     n = pd.n()
-    occ = _occurrences(pd)
+    comp_of_port = {port: k for k, cyc in enumerate(cycles) for port in cyc}
+    # even positions of a traced cycle are exits, odd positions are entries
+    traced_in = {port: idx % 2 == 1 for cyc in cycles for idx, port in enumerate(cyc)}
 
-    under_slot: list[int] = []
-    comp_of_port: dict[tuple[int, int], int] = {}
-    for k, cyc in enumerate(cycles):
-        for port in cyc:
-            comp_of_port[port] = k
-
-    base_incoming: dict[tuple[int, int], bool] = {}
-    for cyc in cycles:
-        # even positions are exits, odd positions are entries
-        for idx, port in enumerate(cyc):
-            base_incoming[port] = idx % 2 == 1
-
-    def signs_for(flips: tuple[bool, ...]) -> list[int]:
-        out = []
-        for ci in range(n):
-            u = 0 if base_incoming[(ci, 0)] != flips[comp_of_port[(ci, 0)]] else 2
-            # over strand occupies slots 1 and 3
-            over_in = (
-                1 if base_incoming[(ci, 1)] != flips[comp_of_port[(ci, 1)]] else 3
-            )
-            out.append(1 if over_in == (u + 3) % 4 else -1)
-        return out
-
-    k = len(cycles)
-    best: tuple[list[int], tuple[bool, ...]] | None = None
-    for combo in itertools.product((False, True), repeat=max(k - 1, 0)):
-        flips = (False,) + combo
-        s = signs_for(flips)
-        if best is None or s < best[0]:
-            best = (s, flips)
-    if best is None:
-        best = ([], ())
-    signs, flips = best
-
-    incoming = []
-    comp_of_arc: dict[int, int] = {}
+    group = list(range(len(cycles)))  # the lowest component of each group
+    flipped = [False] * len(cycles)
     for ci in range(n):
-        row = []
-        for slot in range(4):
-            port = (ci, slot)
-            row.append(base_incoming[port] != flips[comp_of_port[port]])
-            comp_of_arc[pd.crossings[ci][slot]] = comp_of_port[port]
-        incoming.append(tuple(row))
-    n_components = len(cycles) + pd.free_loops
+        a, b = comp_of_port[(ci, 0)], comp_of_port[(ci, 1)]
+        if group[a] == group[b]:
+            continue
+        # reverse the higher group if the crossing would otherwise be +1
+        toggle = (traced_in[(ci, 0)] != flipped[a]) != (
+            traced_in[(ci, 1)] != flipped[b]
+        )
+        keep, merged = sorted((group[a], group[b]))
+        for c, g in enumerate(group):
+            if g == merged:
+                group[c] = keep
+                flipped[c] ^= toggle
+
+    incoming = tuple(
+        tuple(
+            traced_in[(ci, slot)] != flipped[comp_of_port[(ci, slot)]]
+            for slot in range(4)
+        )
+        for ci in range(n)
+    )
+    signs = tuple(1 if row[0] != row[1] else -1 for row in incoming)
     return Orientation(
-        incoming=tuple(incoming),
-        component_of_arc=comp_of_arc,
-        n_components=n_components,
-        signs=tuple(signs),
+        incoming=incoming,
+        n_components=len(cycles) + pd.free_loops,
+        signs=signs,
         writhe=sum(signs),
     )
 

@@ -17,8 +17,6 @@ import operator
 import re
 from dataclasses import dataclass
 
-Rep = "Girth1Rep | Girth2Rep | Girth3Rep"
-
 
 @dataclass(frozen=True)
 class Girth1Rep:
@@ -206,9 +204,13 @@ _G3_PERMS = tuple(
 assert len(_G3_PERMS) == 12
 
 
+def g3_wheel_min(labels: tuple) -> tuple:
+    """The least of the 12 wheel images of a labelling (p, q, r, a, b, c)."""
+    return min(perm(labels) for perm in _G3_PERMS)
+
+
 def _g3_key(r: Girth3Rep) -> tuple:
-    labels = r.top + r.bottom
-    return ("g3",) + min(perm(labels) for perm in _G3_PERMS)
+    return ("g3",) + g3_wheel_min(r.top + r.bottom)
 
 
 def canonicalize(rep) -> CanonicalRep:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -28,6 +29,23 @@ def test_enumerate_includes_figure_eight_class():
 def test_enumerate_girth3_even_positive_max2():
     reps = census_enumerate(3, 2, even_only=True, positive_only=True)
     assert reps == [Girth3Rep((2, 2, 2), (2, 2, 2))]
+
+
+@pytest.mark.parametrize(
+    "even_only, positive_only", [(False, False), (True, False), (False, True)]
+)
+def test_enumerate_girth3_is_one_canonical_rep_per_key(even_only, positive_only):
+    values = [-2, -1, 0, 1, 2]
+    if even_only:
+        values = [-2, 0, 2]
+    if positive_only:
+        values = [1, 2]
+    seen = {}
+    for labels in itertools.product(values, repeat=6):
+        canon = canonicalize(Girth3Rep(labels[:3], labels[3:]))
+        seen.setdefault(canon.key, canon.rep)
+    want = [seen[k] for k in sorted(seen)]
+    assert census_enumerate(3, 2, even_only, positive_only) == want
 
 
 def test_enumerate_budget():
@@ -104,6 +122,10 @@ def test_record_fields():
     assert rec.span == 4
     assert rec.conway is not None and rec.conway.coeff(0) == 1
     assert rec.source == "closed_form"
+    # the even closed form covers negative labels; odd labels go to Fox
+    assert build_record(Girth3Rep((2, 2, 2), (2, 2, -2))).source == "closed_form"
+    rec = build_record(Girth3Rep((1, 2, 0), (0, 0, 0)))
+    assert rec.components == 1 and rec.source == "oracle"
 
 
 def test_verify_table_knots_up_to_seven_pass_with_errata():

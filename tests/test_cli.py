@@ -205,6 +205,21 @@ def test_verify_table_fixtures_dir_override(tmp_path, capsys):
     assert "SKIP" in out
 
 
+def test_verify_table_refuses_a_many_component_fixture_in_one_line(tmp_path, capsys):
+    # a chain of 30 unknots as the trefoil's fixture: orienting it must not
+    # try 2^29 directions, and its 58 crossings exceed the state-sum cap
+    from knotpair.diagram import braid_closure_pd, pd_to_json
+
+    chain = braid_closure_pd([i for i in range(1, 30) for _ in range(2)], 30)
+    (tmp_path / "3_1.pd.json").write_text(pd_to_json(chain))
+    code = main(["verify-table", "--fixtures", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 def test_selftest(capsys):
     code, out = run(capsys, "selftest")
     assert code == 0

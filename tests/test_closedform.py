@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,9 @@ from knotpair.closedform import (
     swap_pa,
     sym_s,
 )
+from knotpair.diagram import pd_from_rep
 from knotpair.laurent import LaurentPoly, chebyshev_U, lp_extremes
+from knotpair.oracle import conway_fox
 from knotpair.reps import Girth3Rep
 
 PERMS = ("swap_ab", "swap_bc", "swap_ac", "cycle_cab", "cycle_bca")
@@ -97,8 +100,20 @@ def test_conway_girth3_even_examples():
         )
     with pytest.raises(ValueError):
         conway_girth3_even(Girth3Rep((2, 2, 2), (2, 2, 1)))
-    with pytest.raises(ValueError):
-        conway_girth3_even(Girth3Rep((2, 2, 2), (2, 2, -2)))
+    negative = Girth3Rep((2, 2, 2), (2, 2, -2))
+    assert conway_girth3_even(negative) == conway_fox(pd_from_rep(negative))
+
+
+def test_conway_girth3_even_equals_fox_with_negative_labels():
+    # every non-empty labelling in {-2,0,2}^6, then random even ones in [-6,6]
+    grid = [g for g in itertools.product((-2, 0, 2), repeat=6) if any(g)]
+    assert len(grid) == 728
+    rng = random.Random(7)
+    sample = [tuple(2 * rng.randint(-3, 3) for _ in range(6)) for _ in range(150)]
+    for labels in grid + sample:
+        rep = Girth3Rep(labels[:3], labels[3:])
+        pd = pd_from_rep(rep)
+        assert conway_girth3_even(rep) == conway_fox(pd, cap=pd.n()), labels
 
 
 def test_conway_diff_examples():

@@ -1,10 +1,15 @@
+import itertools
 import random
+import time
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotpair.diagram import (
     InvalidPDError,
     PDCode,
+    _trace_components,
     braid_closure_pd,
     checkerboard,
     orient,
@@ -164,3 +169,134 @@ def test_pretzel_template_correspondence():
             continue
         krep = pd_from_rep(Girth3Rep((p, q, r), (s, t, 0)))
         assert jones(krep) == jones(pretzel_pd(p - s, q, r - t))
+
+
+# ---------------------------------------------------------------------------
+# the one-pass orientation against the 2^(k-1) flip search it replaced
+
+
+def orient_by_search(pd):
+    """Try every direction of every component but the first; keep the least
+    sign tuple, and the first flip tuple in product order that gives it.
+
+    Returns (incoming, n_components, signs, writhe) as ``orient`` does.
+    """
+    cycles = _trace_components(pd)
+    n = pd.n()
+
+    comp_of_port: dict[tuple[int, int], int] = {}
+    for k, cyc in enumerate(cycles):
+        for port in cyc:
+            comp_of_port[port] = k
+
+    base_incoming: dict[tuple[int, int], bool] = {}
+    for cyc in cycles:
+        # even positions are exits, odd positions are entries
+        for idx, port in enumerate(cyc):
+            base_incoming[port] = idx % 2 == 1
+
+    def signs_for(flips: tuple[bool, ...]) -> list[int]:
+        out = []
+        for ci in range(n):
+            u = 0 if base_incoming[(ci, 0)] != flips[comp_of_port[(ci, 0)]] else 2
+            # over strand occupies slots 1 and 3
+            over_in = (
+                1 if base_incoming[(ci, 1)] != flips[comp_of_port[(ci, 1)]] else 3
+            )
+            out.append(1 if over_in == (u + 3) % 4 else -1)
+        return out
+
+    k = len(cycles)
+    best: tuple[list[int], tuple[bool, ...]] | None = None
+    for combo in itertools.product((False, True), repeat=max(k - 1, 0)):
+        flips = (False,) + combo
+        s = signs_for(flips)
+        if best is None or s < best[0]:
+            best = (s, flips)
+    if best is None:
+        best = ([], ())
+    signs, flips = best
+
+    incoming = []
+    for ci in range(n):
+        row = []
+        for slot in range(4):
+            port = (ci, slot)
+            row.append(base_incoming[port] != flips[comp_of_port[port]])
+        incoming.append(tuple(row))
+    n_components = len(cycles) + pd.free_loops
+    return tuple(incoming), n_components, tuple(signs), sum(signs)
+
+
+def assert_orient_matches_search(pd):
+    ori = orient(pd)
+    got = (ori.incoming, ori.n_components, ori.signs, ori.writhe)
+    assert got == orient_by_search(pd), pd
+
+
+def reorder(pd: PDCode, rng: random.Random) -> PDCode:
+    """The same diagram with crossings reordered and some half-turned (a
+    half turn keeps the under-strand in slots 0 and 2)."""
+    crossings = list(pd.crossings)
+    rng.shuffle(crossings)
+    crossings = [c[2:] + c[:2] if rng.random() < 0.5 else c for c in crossings]
+    return PDCode(tuple(crossings), pd.free_loops)
+
+
+def random_braid_closure(rng: random.Random, strands: int, extra: int) -> PDCode:
+    """Closure of a word holding every generator at least twice, so no strand
+    is left untouched, plus ``extra`` random letters, some doubled."""
+    word = [i for i in range(1, strands) for _ in range(2)]
+    for _ in range(extra):
+        letter = rng.choice((1, -1)) * rng.randint(1, strands - 1)
+        word += [letter] * rng.choice((1, 2))
+    rng.shuffle(word)
+    return braid_closure_pd(word, strands)
+
+
+def test_orient_equals_flip_search_on_templates_and_fixtures():
+    pds = [pd_from_rep(Girth1Rep(p)) for p in range(-6, 7)]
+    pds += [pd_from_rep(Girth2Rep(p, q)) for p in range(-4, 5) for q in range(-4, 5)]
+    rng = random.Random(11)
+    for _ in range(300):
+        labels = [rng.randint(-2, 2) for _ in range(6)]
+        pds.append(pd_from_rep(Girth3Rep(tuple(labels[:3]), tuple(labels[3:]))))
+    root = resources.files("knotpair").joinpath("fixtures").joinpath("rolfsen")
+    fixtures = [f for f in root.iterdir() if f.name.endswith(".pd.json")]
+    assert len(fixtures) == 18
+    pds += [pd_from_json(f.read_text()) for f in fixtures]
+    for pd in pds:
+        assert_orient_matches_search(pd)
+
+
+def test_orient_equals_flip_search_on_reordered_braid_closures():
+    rng = random.Random(2026)
+    by_components: dict[int, int] = {}
+    for _ in range(1600):
+        closure = random_braid_closure(rng, rng.randint(2, 8), rng.randint(0, 8))
+        pd = reorder(closure, rng)
+        k = orient(pd).n_components
+        by_components[k] = by_components.get(k, 0) + 1
+        assert_orient_matches_search(pd)
+    assert set(by_components) == set(range(1, 9))
+    assert sum(v for k, v in by_components.items() if k >= 4) >= 30
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 7), st.integers(0, 10), st.integers(0, 2**32))
+def test_orient_equals_flip_search_property(strands, extra, seed):
+    rng = random.Random(seed)
+    pd = reorder(random_braid_closure(rng, strands, extra), rng)
+    assert_orient_matches_search(pd)
+
+
+def test_orient_is_not_exponential_in_components():
+    # closure of s1^2 s2^2 ... s39^2: a chain of 40 unknots; the search
+    # would try 2^39 direction choices
+    pd = braid_closure_pd([i for i in range(1, 40) for _ in range(2)], 40)
+    t0 = time.perf_counter()
+    ori = orient(pd)
+    assert time.perf_counter() - t0 < 1.0
+    assert ori.n_components == 40
+    # both crossings of a clasp share their sign, and the first is made -1
+    assert ori.signs == (-1,) * 78

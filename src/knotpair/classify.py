@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import closedform as cf
 from . import oracle
-from .diagram import pd_from_rep, orient
+from .diagram import components_and_writhe, orient, pd_from_rep
 from .laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from .reps import (
     Girth1Rep,
@@ -148,15 +148,26 @@ class RepInvariants:
 def rep_invariants(rep) -> RepInvariants:
     """Exact invariants of a representation, closed forms where available.
 
-    Builds and orients the template once; the bracket is always closed
-    form, the Conway polynomial comes from Fox calculus on the template
-    only for girth-3 knots outside the all-even family.
+    The bracket is always closed form.  The Conway polynomial comes from
+    Fox calculus on the rep's own template only for girth-3 knots with an
+    odd label and at most ``oracle.CONWAY_CAP`` crossings; such a rep
+    reads its component count and writhe off that template.  Every other
+    rep reads them off the reduced template of at most two crossings per
+    twist region (``diagram.components_and_writhe``), so a rep builds at
+    most one template and a large one only for Fox.
     """
-    pd = pd_from_rep(rep)
-    ori = orient(pd)
-    comps = ori.n_components
+    pd = None
+    if isinstance(rep, Girth3Rep):
+        labels = rep.top + rep.bottom
+        if any(x % 2 for x in labels) and sum(map(abs, labels)) <= oracle.CONWAY_CAP:
+            pd = pd_from_rep(rep)
+    if pd is None:
+        comps, writhe = components_and_writhe(rep)
+    else:
+        ori = orient(pd)
+        comps, writhe = ori.n_components, ori.writhe
     bracket = closed_bracket(rep)
-    jones = jones_from_bracket(bracket, ori.writhe)
+    jones = jones_from_bracket(bracket, writhe)
     conway: LaurentPoly | None = None
     source = "closed_form"
     if isinstance(rep, Girth1Rep):
@@ -166,13 +177,12 @@ def rep_invariants(rep) -> RepInvariants:
         if comps == 1:
             conway = cf.conway_double_twist(rep.p, rep.q)
     elif isinstance(rep, Girth3Rep):
-        labels = rep.top + rep.bottom
         if all(x % 2 == 0 for x in labels):
             conway = cf.conway_girth3_even(rep)
-        elif comps == 1 and pd.n() <= oracle.CONWAY_CAP:
+        elif comps == 1 and pd is not None:
             conway = oracle.conway_fox(pd)
             source = "oracle"
-    return RepInvariants(comps, conway, bracket, jones, ori.writhe, source)
+    return RepInvariants(comps, conway, bracket, jones, writhe, source)
 
 
 def closed_bracket(rep) -> LaurentPoly:

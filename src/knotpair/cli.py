@@ -229,8 +229,15 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors take ``main``'s one-line path."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message} (see {self.prog} -h)")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="knotpair",
         description="Exact invariants and girth decompositions of tree-pair knots",
     )
@@ -297,8 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,6 +13,8 @@ Conventions fixed by the calibration suite against the oracles:
 
 from __future__ import annotations
 
+from math import comb
+
 from .laurent import LaurentPoly
 from .reps import Girth3Rep
 
@@ -35,27 +37,21 @@ def loop_value() -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # Conway polynomials
 
-_NABLA: dict[int, LaurentPoly] = {}
-
-
 def nabla_same(p: int) -> LaurentPoly:
     """Conway polynomial of the closed twist region with parallel strands.
 
-    nabla_0 = 0, nabla_1 = 1, nabla_2 = z and the skein recursion
-    nabla_p = z nabla_{p-1} + nabla_{p-2}; for negative p the value is
-    nabla_{|p|} when p is odd and -nabla_{|p|} when p is even.
+    The solution of the skein recursion nabla_p = z nabla_{p-1} +
+    nabla_{p-2} from nabla_0 = 0, nabla_1 = 1, written out by its
+    Fibonacci-polynomial coefficients: nabla_p = sum_k C(p-1-k, k)
+    z^(p-1-2k) for p >= 1.  For negative p the value is nabla_{|p|} when
+    p is odd and -nabla_{|p|} when p is even.
     """
     if p < 0:
         v = nabla_same(-p)
         return v if p % 2 else -v
-    if p not in _NABLA:
-        if p == 0:
-            _NABLA[p] = LaurentPoly.zero(_Z)
-        elif p == 1:
-            _NABLA[p] = LaurentPoly.one(_Z)
-        else:
-            _NABLA[p] = _z() * nabla_same(p - 1) + nabla_same(p - 2)
-    return _NABLA[p]
+    return LaurentPoly.from_dict(
+        {p - 1 - 2 * k: comb(p - 1 - k, k) for k in range((p + 1) // 2)}, _Z
+    )
 
 
 def conway_single_twist(p: int, case: str = SAME_DIRECTION) -> LaurentPoly:
@@ -193,24 +189,24 @@ def bracket_double_twist(p: int, q: int) -> LaurentPoly:
 
 def sym_s(k: int, triple: tuple[int, int, int]) -> LaurentPoly:
     """The symmetric functions S^0..S^3 of a label triple."""
+    if k not in range(4):
+        raise ValueError(f"symmetric function index must be 0..3, got {k}")
+    return _row_sym(triple, tuple(s_poly(x) for x in triple))[k]
+
+
+def _row_sym(
+    triple: tuple[int, int, int], s: tuple[LaurentPoly, ...]
+) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
+    """S^0..S^3 of a label triple, given the triple's S polynomials."""
     p, q, r = triple
-    if k == 0:
-        return LaurentPoly.monomial(1, -p - q - r, _A)
-    if k == 1:
-        return (
-            s_poly(p).shift(-q - r)
-            + s_poly(q).shift(-p - r)
-            + s_poly(r).shift(-p - q)
-        )
-    if k == 2:
-        return (
-            (s_poly(p) * s_poly(q)).shift(-r)
-            + (s_poly(p) * s_poly(r)).shift(-q)
-            + (s_poly(q) * s_poly(r)).shift(-p)
-        )
-    if k == 3:
-        return s_poly(p) * s_poly(q) * s_poly(r)
-    raise ValueError(f"symmetric function index must be 0..3, got {k}")
+    sp, sq, sr = s
+    spq = sp * sq
+    return (
+        LaurentPoly.monomial(1, -p - q - r, _A),
+        sp.shift(-q - r) + sq.shift(-p - r) + sr.shift(-p - q),
+        spq.shift(-r) + (sp * sr).shift(-q) + (sq * sr).shift(-p),
+        spq * sr,
+    )
 
 
 def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
@@ -225,9 +221,9 @@ def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
     p, q, r = top
     a, b, c = bot
     d = loop_value()
-    t0, t1, t2, t3 = (sym_s(k, top) for k in range(4))
-    b0, b1, b2, b3 = (sym_s(k, bot) for k in range(4))
     sp, sq, sr, sa, sb, sc = (s_poly(x) for x in top + bot)
+    t0, t1, t2, t3 = _row_sym(top, (sp, sq, sr))
+    b0, b1, b2, b3 = _row_sym(bot, (sa, sb, sc))
 
     def cross(sx: LaurentPoly, sy: LaurentPoly, rest: int) -> LaurentPoly:
         return (sx * sy).shift(rest)

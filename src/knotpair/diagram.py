@@ -645,3 +645,61 @@ def pd_from_rep(rep) -> PDCode:
     if isinstance(rep, Girth3Rep):
         return star_pair_pd(list(rep.top), list(rep.bottom))
     raise TypeError(f"cannot build a diagram from {rep!r}")
+
+
+def _ladder_labels(rep) -> tuple[int, ...]:
+    """The labels of a representation in the order ``pd_from_rep`` emits
+    their ladders (``star_pair_pd`` alternates inner and outer; the two
+    zero ladders of the girth-2 template are left out)."""
+    if isinstance(rep, Girth1Rep):
+        return (rep.p,)
+    if isinstance(rep, Girth2Rep):
+        return (rep.p, rep.q)
+    if isinstance(rep, Girth3Rep):
+        (p, q, r), (a, b, c) = rep.top, rep.bottom
+        return (p, a, q, b, r, c)
+    raise TypeError(f"cannot build a diagram from {rep!r}")
+
+
+def _reduce_label(x: int) -> int:
+    if x == 0:
+        return 0
+    return (1 if x % 2 else 2) * (1 if x > 0 else -1)
+
+
+def _reduced_rep(rep):
+    """The representation with each label x replaced by
+    sign(x) * (1 if x is odd else 2): at most two crossings per ladder."""
+    if isinstance(rep, Girth1Rep):
+        return Girth1Rep(_reduce_label(rep.p))
+    if isinstance(rep, Girth2Rep):
+        return Girth2Rep(_reduce_label(rep.p), _reduce_label(rep.q))
+    if isinstance(rep, Girth3Rep):
+        return Girth3Rep(
+            tuple(_reduce_label(x) for x in rep.top),
+            tuple(_reduce_label(x) for x in rep.bottom),
+        )
+    raise TypeError(f"cannot build a diagram from {rep!r}")
+
+
+def components_and_writhe(rep) -> tuple[int, int]:
+    """Component count and writhe of ``orient(pd_from_rep(rep))``, read
+    off the template of ``_reduced_rep(rep)``.
+
+    A ladder's crossings all join the same two strands with one sign, and
+    how the ladder connects its ends depends only on the parity of its
+    label.  So ``orient``'s one-pass grouping depends only on which
+    ladders are nonempty, their order, their parities and their first
+    crossings, and the reduced template has all of these.  The writhe is
+    the sum over the ladders of |x| times the sign of the ladder's first
+    crossing in the reduced template.  tests/test_diagram.py checks both
+    values against the full template.
+    """
+    small = _reduced_rep(rep)
+    ori = orient(pd_from_rep(small))
+    writhe = first = 0
+    for x, y in zip(_ladder_labels(rep), _ladder_labels(small)):
+        if y:
+            writhe += ori.signs[first] * abs(x)
+            first += abs(y)
+    return ori.n_components, writhe

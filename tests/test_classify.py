@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -174,3 +175,45 @@ def test_verdict_json_round_trip():
     v = classify_girth2_even(2, 8, 4, 4)
     obj = json.loads(json.dumps(v.to_json_dict()))
     assert obj["verdict"] == DISTINCT_BY_JONES
+
+
+def spy_on_templates(monkeypatch):
+    """Record (rep, crossing count) for every template ``pd_from_rep`` builds."""
+    from knotpair import census, classify, diagram
+
+    built = []
+    build = diagram.pd_from_rep
+
+    def spy(rep):
+        pd = build(rep)
+        built.append((rep, pd.n()))
+        return pd
+
+    for module in (census, classify, diagram):
+        monkeypatch.setattr(module, "pd_from_rep", spy)
+    return built
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [
+        Girth2Rep(1000, 1000),
+        Girth3Rep((-300, 211, 97), (150, -64, 288)),
+        Girth1Rep(2000),
+    ],
+)
+def test_rep_invariants_builds_only_small_templates(monkeypatch, rep):
+    built = spy_on_templates(monkeypatch)
+    rep_invariants(rep)
+    assert len(built) == 1 and built[0][1] <= 12, built
+
+
+def test_census_builds_at_most_one_template_per_rep(monkeypatch):
+    from knotpair.census import census_enumerate, dedup_census
+
+    reps = census_enumerate(3, 2)
+    built = spy_on_templates(monkeypatch)
+    dedup_census(reps)
+    # labels of size at most 2 are their own reduced labels, so each rep
+    # builds exactly its own template
+    assert Counter(rep for rep, _ in built) == Counter(reps)

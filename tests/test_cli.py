@@ -1,8 +1,12 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotpair.cli import main
 from knotpair.laurent import poly_from_text
@@ -225,3 +229,82 @@ def test_selftest(capsys):
     assert code == 0
     assert "all suites passed" in out
     assert out.count("PASS") >= 6
+
+
+@pytest.mark.parametrize(
+    "rep, invariant",
+    [
+        ("(1000,1)", "span"),
+        ("(990,1)", "span"),
+        ("(1,1000)", "span"),
+        ("(1000,3)", "span"),
+        ("(1001)", "conway"),
+    ],
+)
+def test_eval_of_a_long_twist_region_exits_0(capsys, rep, invariant):
+    code = main(["eval", rep, invariant])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == "" and captured.out.strip()
+
+
+def test_usage_errors_take_the_one_line_path(capsys):
+    for argv in (
+        ["eval", "-(3)", "span"],
+        ["eval", "(3)"],
+        ["census", "--girth", "4", "--max", "1"],
+        [],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+_fuzz_label = st.integers(-1500, 1500)
+_well_formed_rep = st.one_of(
+    st.builds("({})".format, _fuzz_label),
+    st.builds("({},{})".format, _fuzz_label, _fuzz_label),
+    st.builds("[{} {} {} / {} {} {}]".format, *[_fuzz_label] * 6),
+)
+
+
+@st.composite
+def _mangled_rep(draw):
+    text = list(draw(_well_formed_rep))
+    for _ in range(draw(st.integers(1, 3))):
+        pos = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("delete", "insert", "replace")))
+        char = draw(st.sampled_from(list("()[]/,- 0123456789x.e")))
+        if kind == "insert" or not text:
+            text.insert(pos, char)
+        elif kind == "delete":
+            del text[min(pos, len(text) - 1)]
+        else:
+            text[min(pos, len(text) - 1)] = char
+    return "".join(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(_well_formed_rep, _mangled_rep()),
+    st.sampled_from(["conway", "bracket", "jones", "span"]),
+)
+def test_eval_input_contract(text, invariant):
+    # hypothesis raises the recursion limit while a test runs; the CLI runs
+    # with the interpreter's default of 1000 frames
+    limit = sys.getrecursionlimit()
+    err = io.StringIO()
+    try:
+        sys.setrecursionlimit(1000)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["eval", text, invariant])
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (0, 2), (text, code)
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    else:
+        assert lines == []

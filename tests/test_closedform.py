@@ -59,6 +59,33 @@ def test_nabla_sign_extension():
             assert nabla_same(-p) == -nabla_same(p)
 
 
+def nabla_by_skein(p, memo={}):
+    """The skein recursion nabla_p = z nabla_{p-1} + nabla_{p-2}, with the
+    sign rule for negative p: the reference for the closed coefficients."""
+    if p < 0:
+        v = nabla_by_skein(-p)
+        return v if p % 2 else -v
+    if p not in memo:
+        if p <= 1:
+            memo[p] = Z({0: p})
+        else:
+            memo[p] = Z({1: 1}) * nabla_by_skein(p - 1) + nabla_by_skein(p - 2)
+    return memo[p]
+
+
+def test_nabla_equals_the_skein_recursion():
+    for p in range(-60, 61):
+        assert nabla_same(p) == nabla_by_skein(p), p
+
+
+def test_nabla_at_one_is_fibonacci_without_recursion_depth():
+    fib = [0, 1]
+    while len(fib) <= 1500:
+        fib.append(fib[-1] + fib[-2])
+    assert nabla_same(1500).evaluate(1) == fib[1500]
+    assert nabla_same(-1500).evaluate(1) == -fib[1500]
+
+
 def test_nabla_matches_chebyshev_closed_form_at_rational_points():
     # nabla_p(z) = i^(p-1) U_(p-1)(-zi/2) reduces at z = t to the real sum
     # sum_m C(p, 2m+1) (t/2)^(p-1-2m) (t^2/4 + 1)^m

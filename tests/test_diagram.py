@@ -12,6 +12,7 @@ from knotpair.diagram import (
     _trace_components,
     braid_closure_pd,
     checkerboard,
+    components_and_writhe,
     orient,
     pd_from_json,
     pd_from_rep,
@@ -300,3 +301,43 @@ def test_orient_is_not_exponential_in_components():
     assert ori.n_components == 40
     # both crossings of a clasp share their sign, and the first is made -1
     assert ori.signs == (-1,) * 78
+
+
+# ---------------------------------------------------------------------------
+# writhe and components from the reduced template
+
+
+def full_template_components_and_writhe(rep):
+    ori = orient(pd_from_rep(rep))
+    return ori.n_components, ori.writhe
+
+
+def test_reduced_template_matches_full_template_on_grids():
+    reps = [Girth1Rep(p) for p in range(-30, 31)]
+    reps += [Girth2Rep(p, q) for p in range(-12, 13) for q in range(-12, 13)]
+    rng = random.Random(20261018)
+    for _ in range(400):
+        labels = [rng.randint(-20, 20) for _ in range(6)]
+        reps.append(Girth3Rep(tuple(labels[:3]), tuple(labels[3:])))
+    assert sum(0 in rep.top + rep.bottom for rep in reps[-400:]) >= 40
+    links = 0
+    for rep in reps:
+        expected = full_template_components_and_writhe(rep)
+        assert components_and_writhe(rep) == expected, rep
+        links += expected[0] > 1
+    assert links >= 0.3 * len(reps), (links, len(reps))
+
+
+_label = st.integers(-40, 40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.builds(Girth1Rep, _label),
+        st.builds(Girth2Rep, _label, _label),
+        st.builds(Girth3Rep, st.tuples(*[_label] * 3), st.tuples(*[_label] * 3)),
+    )
+)
+def test_reduced_template_matches_full_template_property(rep):
+    assert components_and_writhe(rep) == full_template_components_and_writhe(rep)

@@ -154,7 +154,8 @@ def rep_invariants(rep) -> RepInvariants:
     reads its component count and writhe off that template.  Every other
     rep reads them off the reduced template of at most two crossings per
     twist region (``diagram.components_and_writhe``), so a rep builds at
-    most one template and a large one only for Fox.
+    most one template and a large one only for Fox.  Every result passes
+    ``check_identities`` or raises ``AssertionError``.
     """
     pd = None
     if isinstance(rep, Girth3Rep):
@@ -182,7 +183,32 @@ def rep_invariants(rep) -> RepInvariants:
         elif comps == 1 and pd is not None:
             conway = oracle.conway_fox(pd)
             source = "oracle"
+    check_identities(comps, conway, jones)
     return RepInvariants(comps, conway, bracket, jones, writhe, source)
+
+
+def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly) -> None:
+    """Raise AssertionError unless the invariants satisfy two identities.
+
+    V(1) = (-2)^(c-1) for a c-component link ties the bracket and the
+    writhe to the component count.  For a knot with a Conway value,
+    |V(-1)| = |nabla(2i)|, both being the determinant, ties the bracket to
+    the Conway polynomial.  A knot's Jones polynomial lies in Z[t, 1/t]
+    and its Conway polynomial in Z[z^2], so both sides are integers:
+    sum c_e (-1)^(e/4) over the quarter-power exponents e of V, and
+    sum c_2j (-4)^j.
+    """
+    v1 = sum(c for _, c in jones.terms)
+    if v1 != (-2) ** (comps - 1):
+        raise AssertionError(f"V(1) = {v1} for a {comps}-component diagram")
+    if comps != 1 or conway is None:
+        return
+    if any(e % 4 for e, _ in jones.terms) or any(e % 2 for e, _ in conway.terms):
+        raise AssertionError("knot Jones in fractional powers of t, or Conway in odd powers of z")
+    v_minus = sum(c if e % 8 == 0 else -c for e, c in jones.terms)
+    nabla_2i = sum(c * (-4) ** (e // 2) for e, c in conway.terms)
+    if abs(v_minus) != abs(nabla_2i):
+        raise AssertionError(f"|V(-1)| = {abs(v_minus)} but |nabla(2i)| = {abs(nabla_2i)}")
 
 
 def closed_bracket(rep) -> LaurentPoly:
@@ -197,21 +223,14 @@ def closed_bracket(rep) -> LaurentPoly:
 
 
 def bracket_single_twist(p: int) -> LaurentPoly:
-    """Bracket of the closed twist region, by the one-crossing expansion.
+    """Bracket of the closed twist region: <K(p)> = A^-p (delta + s_p).
 
-    Smoothing the last crossing either shortens the chain or plat-closes
-    it into a fully kinked circle: <K(p)> = A^-1 <K(p-1)> + A (-A^3)^(p-1)
-    for p > 0, with <K(0)> = delta; mirrored for p < 0.  Verified against
-    the state-sum oracle.
+    That is delta A^-p + S_p, linear in |p|; s_p = S_p A^p as in
+    ``closedform``.  Verified against the state-sum oracle and against the
+    one-crossing recurrence <K(p)> = A^-1 <K(p-1)> + A (-A^3)^(p-1),
+    <K(0)> = delta.
     """
-    if p < 0:
-        return bracket_single_twist(-p).invert_variable()
-    value = cf.loop_value()  # two split circles
-    a = LaurentPoly.monomial(1, 1, "A")
-    for k in range(1, p + 1):
-        kink = LaurentPoly.monomial((-1) ** (k - 1), 3 * (k - 1), "A")
-        value = a.invert_variable() * value + a * kink
-    return value
+    return cf.loop_value().shift(-p) + cf.s_poly(p)
 
 
 def jones_equal(

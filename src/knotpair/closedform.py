@@ -9,13 +9,39 @@ Conventions fixed by the calibration suite against the oracles:
   the Fox-calculus oracle on the full template grid.
 * the bracket difference factor is 1 - (-A^2 - A^(-2))^2; the A^(-1)
   occasionally seen in print fails the subtraction check.
+
+The girth-2 and girth-3 brackets are not assembled from Laurent products.
+Each is one evaluation of its formula at y = A^4 = 2^k in Python ints,
+cut into coefficients once:
+
+* **The s-hat identity.** S_x A^x (A^2 + A^-2) = 1 - (-A^4)^x, so
+  s_x = S_x A^x = A^2 [x]_u with u = -A^4 and [x]_u = (1 - u^x) / (1 - u),
+  for every integer x; s_0 = 0.  The loop value is delta = -A^-2 (1 + y).
+* **Residue class.** In these terms a bracket is A^(-w) F, with w the
+  label sum and F a sum of products of s's and delta's.  A product with a
+  s-factors and b delta-factors carries A^(2(a - b)), and a - b is even in
+  every one, so it is y^((a - b)/2) times a Laurent polynomial in y: all
+  exponents of the bracket are -w mod 4.
+* **Integers.** For x < 0, [x]_u = (y^|x| - (-1)^x) / ((1 + y) y^|x|).
+  Times y^N, N the sum of |x| over the negative labels, F becomes a
+  polynomial in y.  At y = 2^k each numerator over 1 + y is one exact
+  division, a power of y is a shift by k bits, and the rest is int sums
+  and products.
+* **Slot width.** Expanded, the girth-3 formula is 64 products of at most
+  six S's times delta^m with m <= 3.  Since ||S_x||_1 = |x| and
+  ||delta||_1 = 2, ||bracket||_1 <= 512 prod max(1, |x|); the girth-2
+  formula has four products with at most one delta, so 8 prod max(1, |x|)
+  (``bracket_l1_bound``).  k is the least multiple of 8 with the bound
+  below 2^(k-1), so every coefficient of y^N F, which are those of the
+  bracket, fits a k-bit slot with the sign bit to spare, and
+  ``laurent.unpack`` reads them off with one biased cut.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, unpack
 from .reps import Girth3Rep
 
 SAME_DIRECTION = "same_direction"
@@ -177,80 +203,130 @@ def s_hat(p: int) -> LaurentPoly:
     return s_poly(p).shift(p)
 
 
+# ||bracket||_1 <= scale * prod max(1, |x|), the scale being the number of
+# products in the expanded formula times ||delta^m||_1 for its largest m
+_GIRTH2_SCALE = 4 * 2
+_GIRTH3_SCALE = 64 * 8
+
+
+def bracket_l1_bound(labels: tuple[int, ...]) -> int:
+    """Bound on the sum of |coefficients| of a girth-2 (two labels) or girth-3 bracket."""
+    bound = _GIRTH3_SCALE if len(labels) == 6 else _GIRTH2_SCALE
+    for x in labels:
+        bound *= abs(x) or 1
+    return bound
+
+
+def _slot_bits(labels: tuple[int, ...]) -> int:
+    """k, the least multiple of 8 with bracket_l1_bound(labels) < 2^(k-1)."""
+    return 8 * ((bracket_l1_bound(labels).bit_length() + 8) // 8)
+
+
+def _q_int(x: int, k: int) -> tuple[int, int]:
+    """(P, n) with [x]_u = P / y^n at y = 2^k, where n = max(-x, 0)."""
+    t = 1 << (k * abs(x))
+    if x % 2:
+        num = t + 1
+    else:
+        num = 1 - t if x > 0 else t - 1
+    return num // ((1 << k) + 1), max(-x, 0)
+
+
+def _decode(value: int, k: int, low: int) -> LaurentPoly:
+    """The bracket whose y^j coefficient (exponent low + 4j) is slot j of value."""
+    slots = abs(value).bit_length() // k + 1
+    return LaurentPoly.from_terms(unpack(value, k // 8, slots, low, 4), _A)
+
+
 def bracket_double_twist(p: int, q: int) -> LaurentPoly:
-    """Kauffman bracket of the double twist diagram."""
-    sp, sq = s_poly(p), s_poly(q)
-    return (
-        loop_value() * (sp.shift(-q) + sq.shift(-p))
-        + sp * sq
-        + LaurentPoly.monomial(1, -p - q, _A)
+    """Kauffman bracket of the double twist diagram.
+
+    <K(p,q)> = A^(-p-q) (delta (s_p + s_q) + s_p s_q + 1), evaluated once
+    at y = 2^k (module docstring): the s_p s_q term carries y^1.
+    """
+    k = _slot_bits((p, q))
+    (pp, np_), (pq, nq) = _q_int(p, k), _q_int(q, k)
+    d = -((1 << k) + 1)
+    value = (
+        (1 << k * (np_ + nq))
+        + d * ((pp << k * nq) + (pq << k * np_))
+        + (pp * pq << k)
     )
+    return _decode(value, k, -p - q - 4 * (np_ + nq))
 
 
 def sym_s(k: int, triple: tuple[int, int, int]) -> LaurentPoly:
-    """The symmetric functions S^0..S^3 of a label triple."""
+    """The symmetric functions S^0..S^3 of a label triple.
+
+    S^i = A^(-p-q-r) e_i(s_p, s_q, s_r), built from Laurent products; the
+    brackets do not use it.
+    """
     if k not in range(4):
         raise ValueError(f"symmetric function index must be 0..3, got {k}")
-    return _row_sym(triple, tuple(s_poly(x) for x in triple))[k]
-
-
-def _row_sym(
-    triple: tuple[int, int, int], s: tuple[LaurentPoly, ...]
-) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
-    """S^0..S^3 of a label triple, given the triple's S polynomials."""
     p, q, r = triple
-    sp, sq, sr = s
-    spq = sp * sq
-    return (
-        LaurentPoly.monomial(1, -p - q - r, _A),
-        sp.shift(-q - r) + sq.shift(-p - r) + sr.shift(-p - q),
-        spq.shift(-r) + (sp * sr).shift(-q) + (sq * sr).shift(-p),
-        spq * sr,
-    )
+    sp, sq, sr = (s_poly(x) for x in triple)
+    if k == 0:
+        return LaurentPoly.monomial(1, -p - q - r, _A)
+    if k == 1:
+        return sp.shift(-q - r) + sq.shift(-p - r) + sr.shift(-p - q)
+    if k == 2:
+        return (sp * sq).shift(-r) + (sp * sr).shift(-q) + (sq * sr).shift(-p)
+    return sp * sq * sr
+
+
+def _row(
+    triple: tuple[int, int, int], k: int, d: int
+) -> tuple[int, int, tuple[int, int, int], int]:
+    """One ring's values at y = 2^k, each times y^n for n the ring's negative sum.
+
+    Returns (T, T2, singles, n): with t_i the elementary symmetric
+    functions of the ring's [x]_u, T = t1 + d t2 + d^2 t3 and
+    T2 = t2 + d t3; singles are the three terms of t1.
+    """
+    (pp, np_), (pq, nq), (pr, nr) = (_q_int(x, k) for x in triple)
+    n = np_ + nq + nr
+    singles = (pp << k * (n - np_), pq << k * (n - nq), pr << k * (n - nr))
+    e2 = (pp * pq << k * nr) + (pp * pr << k * nq) + (pq * pr << k * np_)
+    e2d = e2 + d * (pp * pq * pr)
+    return sum(singles) + d * e2d, e2d, singles, n
 
 
 def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
     """Kauffman bracket of the girth-3 template, assembled per state class.
 
-    The four blocks are weighted by powers of the loop value; the six
-    adjacent cross terms sit in the constant block and the three antipodal
-    cross terms carry weight delta^2.  Each row's symmetric functions and
-    each label's S polynomial are computed once.
+    <K> = A^(-w) F.  F has four blocks weighted by delta^0..delta^3: with
+    t_i = e_i(s_p, s_q, s_r) and b_i likewise for the bottom ring,
+
+        t0 b0 + t2 b2 + adj
+        + delta (t1 b0 + t0 b1 + t2 b1 + t1 b2 + t3 b2 + t2 b3)
+        + delta^2 (t2 b0 + t0 b2 + t3 b1 + t1 b3 + t3 b3 + anti)
+        + delta^3 (t3 b0 + t0 b3),
+
+    where adj sums s_x s_y over the six adjacent label pairs (p a, p c,
+    q a, q b, r b, r c) and anti over the three antipodal ones (p b, q c,
+    r a).  Put s_x = A^2 [x]_u and delta = A^-2 d, d = -(1 + y), and let
+    t_i, b_i, adj and anti now stand for the same sums of the [x]_u.  A
+    product then picks up y^((s-degree - delta-degree)/2) (module
+    docstring), and with T = t1 + d t2 + d^2 t3, T2 = t2 + d t3 and B, B2
+    likewise for the bottom, F = F0 + y F1 + y^2 F2 with
+
+        F0 = t0 b0 + d (b0 T + t0 B + d anti)
+        F1 = T B - anti - d^2 F2   (T B holds t1 b1 = adj + anti)
+        F2 = T2 B2.
+
+    F is evaluated once at y = 2^k.
     """
-    top, bot = rep.top, rep.bottom
-    p, q, r = top
-    a, b, c = bot
-    d = loop_value()
-    sp, sq, sr, sa, sb, sc = (s_poly(x) for x in top + bot)
-    t0, t1, t2, t3 = _row_sym(top, (sp, sq, sr))
-    b0, b1, b2, b3 = _row_sym(bot, (sa, sb, sc))
-
-    def cross(sx: LaurentPoly, sy: LaurentPoly, rest: int) -> LaurentPoly:
-        return (sx * sy).shift(rest)
-
-    blk0 = (
-        t0 * b0
-        + t2 * b2
-        + cross(sp, sa, -q - r - b - c)
-        + cross(sp, sc, -q - r - a - b)
-        + cross(sq, sa, -p - r - b - c)
-        + cross(sq, sb, -p - r - a - c)
-        + cross(sr, sb, -p - q - a - c)
-        + cross(sr, sc, -p - q - a - b)
-    )
-    blk1 = t1 * b0 + t0 * b1 + t2 * b1 + t1 * b2 + t3 * b2 + t2 * b3
-    blk2 = (
-        t2 * b0
-        + t0 * b2
-        + t3 * b1
-        + t1 * b3
-        + t3 * b3
-        + cross(sp, sb, -q - r - a - c)
-        + cross(sq, sc, -p - r - a - b)
-        + cross(sr, sa, -p - q - b - c)
-    )
-    blk3 = t3 * b0 + t0 * b3
-    return blk0 + blk1 * d + blk2 * d**2 + blk3 * d**3
+    labels = rep.top + rep.bottom
+    k = _slot_bits(labels)
+    d = -((1 << k) + 1)
+    top, top2, (p, q, r), nt = _row(rep.top, k, d)
+    bot, bot2, (a, b, c), nb = _row(rep.bottom, k, d)
+    anti = p * b + q * c + r * a
+    f2 = top2 * bot2
+    f1 = top * bot - anti - d * d * f2
+    f0 = (1 << k * (nt + nb)) + d * ((top << k * nb) + (bot << k * nt) + d * anti)
+    value = f0 + (f1 << k) + (f2 << 2 * k)
+    return _decode(value, k, -sum(labels) - 4 * (nt + nb))
 
 
 def bracket_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:

@@ -23,6 +23,8 @@ back out of its k-bit slots.
 * **Decode.** Adding 2^(k-1) in every slot makes each slot's content
   c + 2^(k-1) lie in [1, 2^k), so no slot borrows from the next; the sum is
   cut into k-bit slots with ``to_bytes`` and the bias is taken off again.
+  ``unpack`` is this one decoder; the closed-form brackets
+  (``closedform``) use it too.
 * **Selection.** Kronecker runs only when both operands have at least
   ``KRONECKER_MIN_TERMS`` terms and each operand's packed length, in slots,
   is at most ``KRONECKER_MAX_FILL`` times its term count.  Below the size
@@ -73,6 +75,11 @@ class LaurentPoly:
     @staticmethod
     def from_dict(coeffs: dict[int, int], tag: str = "A") -> "LaurentPoly":
         items = tuple(sorted((e, c) for e, c in coeffs.items() if c != 0))
+        return LaurentPoly.from_terms(items, tag)
+
+    @staticmethod
+    def from_terms(items: tuple[tuple[int, int], ...], tag: str = "A") -> "LaurentPoly":
+        """From sorted (exponent, nonzero coefficient) pairs; checks the exponent range."""
         if items and (items[0][0] < -MAX_EXPONENT or items[-1][0] > MAX_EXPONENT):
             _raise_out_of_range(items)
         return LaurentPoly(items, tag)
@@ -172,9 +179,7 @@ class LaurentPoly:
         if len(a) >= KRONECKER_MIN_TERMS and len(b) >= KRONECKER_MIN_TERMS:
             items = _kronecker_product(a, b)
             if items is not None:
-                if items[0][0] < -MAX_EXPONENT or items[-1][0] > MAX_EXPONENT:
-                    _raise_out_of_range(items)
-                return LaurentPoly(items, self.tag)
+                return LaurentPoly.from_terms(items, self.tag)
         out: dict[int, int] = {}
         for e1, c1 in a:
             for e2, c2 in b:
@@ -265,12 +270,22 @@ def _kronecker_product(a: tuple[tuple[int, int], ...],
     da, db = _dense(a, a0, stride, na), _dense(b, b0, stride, nb)
     bound = max(map(abs, da)) * max(map(abs, db)) * min(len(a), len(b))
     width = (bound.bit_length() + 8) // 8  # bytes per slot: bound < 2^(8 * width - 1)
-    slots = na + nb - 1
+    return unpack(_pack(da, width) * _pack(db, width), width, na + nb - 1, a0 + b0, stride)
+
+
+def unpack(value: int, width: int, slots: int,
+           low: int, stride: int) -> tuple[tuple[int, int], ...]:
+    """Sorted nonzero terms of a packed value; the inverse of ``_pack``.
+
+    ``value`` is sum(c_i * 2^(8 * width * i)) over at most ``slots`` slots,
+    each |c_i| < 2^(8 * width - 1), and slot i holds the coefficient of
+    exponent low + i * stride.  The biased cut is argued in the module
+    docstring.
+    """
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    data = (_pack(da, width) * _pack(db, width) + bias).to_bytes(slots * width, "little")
+    data = (value + bias).to_bytes(slots * width, "little")
     values = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
     half = 1 << (8 * width - 1)
-    low = a0 + b0
     exps = range(low, low + slots * stride, stride)
     return tuple((e, v - half) for e, v in zip(exps, values) if v != half)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -13,6 +14,7 @@ from knotpair.classify import (
     Verdict,
     bracket_single_twist,
     classify_girth2_even,
+    closed_bracket,
     compare,
     cycle_obstruction,
     rep_invariants,
@@ -28,6 +30,47 @@ from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, d3_orbit, mirror
 def test_bracket_single_twist_matches_oracle():
     for p in range(-6, 7):
         assert bracket_single_twist(p) == bracket_state_sum(torus2_pd(p))
+
+
+def _recurrence_single_twist(p: int) -> LaurentPoly:
+    """<K(p)> = A^-1 <K(p-1)> + A (-A^3)^(p-1) from <K(0)> = delta; mirrored for p < 0."""
+    if p < 0:
+        return _recurrence_single_twist(-p).invert_variable()
+    value = LaurentPoly.from_dict({2: -1, -2: -1}, "A")
+    a = LaurentPoly.monomial(1, 1, "A")
+    for k in range(1, p + 1):
+        kink = LaurentPoly.monomial((-1) ** (k - 1), 3 * (k - 1), "A")
+        value = a.invert_variable() * value + a * kink
+    return value
+
+
+def test_bracket_single_twist_matches_recurrence():
+    for p in range(-60, 61):
+        assert bracket_single_twist(p) == _recurrence_single_twist(p), p
+
+
+def test_long_single_twist_bracket_is_linear():
+    start = time.perf_counter()
+    closed_bracket(Girth1Rep(20000))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_rep_invariants_checks_the_identities(monkeypatch):
+    from knotpair import classify
+
+    reps = (Girth1Rep(5), Girth2Rep(3, -4), Girth2Rep(3, 5), Girth3Rep((2, 1, -3), (0, 2, 1)))
+    for rep in reps:
+        rep_invariants(rep)  # silent on the true values
+    true_bracket = classify.closed_bracket
+
+    def flipped(rep):
+        (e, c), *rest = true_bracket(rep).terms
+        return LaurentPoly(((e, -c), *rest), "A")
+
+    monkeypatch.setattr(classify, "closed_bracket", flipped)
+    for rep in reps:
+        with pytest.raises(AssertionError):
+            rep_invariants(rep)
 
 
 def test_classify_girth2_even_examples():

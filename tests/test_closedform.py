@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotpair.closedform import (
     OPPOSITE_DIRECTIONS,
@@ -11,6 +12,7 @@ from knotpair.closedform import (
     bracket_diff_formula,
     bracket_double_twist,
     bracket_girth3,
+    bracket_l1_bound,
     conway_diff,
     conway_double_twist,
     conway_girth3_even,
@@ -28,8 +30,8 @@ from knotpair.closedform import (
 )
 from knotpair.diagram import pd_from_rep
 from knotpair.laurent import LaurentPoly, chebyshev_U, lp_extremes
-from knotpair.oracle import conway_fox
-from knotpair.reps import Girth3Rep
+from knotpair.oracle import bracket_state_sum, conway_fox
+from knotpair.reps import Girth2Rep, Girth3Rep
 
 PERMS = ("swap_ab", "swap_bc", "swap_ac", "cycle_cab", "cycle_bca")
 
@@ -270,3 +272,131 @@ def test_row_swap_difference_antisymmetry():
 def test_chebyshev_vs_nabla_degree():
     for n in range(9):
         assert lp_extremes(chebyshev_U(n))[1] == n
+
+
+# ---------------------------------------------------------------------------
+# The brackets by one evaluation against the Laurent-assembled formulas they
+# replaced, kept here verbatim as references.
+
+
+def _ref_bracket_double_twist(p: int, q: int) -> LaurentPoly:
+    """Kauffman bracket of the double twist diagram."""
+    sp, sq = s_poly(p), s_poly(q)
+    return (
+        loop_value() * (sp.shift(-q) + sq.shift(-p))
+        + sp * sq
+        + LaurentPoly.monomial(1, -p - q, "A")
+    )
+
+
+def _ref_row_sym(triple, s):
+    """S^0..S^3 of a label triple, given the triple's S polynomials."""
+    p, q, r = triple
+    sp, sq, sr = s
+    spq = sp * sq
+    return (
+        LaurentPoly.monomial(1, -p - q - r, "A"),
+        sp.shift(-q - r) + sq.shift(-p - r) + sr.shift(-p - q),
+        spq.shift(-r) + (sp * sr).shift(-q) + (sq * sr).shift(-p),
+        spq * sr,
+    )
+
+
+def _ref_bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
+    """Kauffman bracket of the girth-3 template, assembled per state class."""
+    top, bot = rep.top, rep.bottom
+    p, q, r = top
+    a, b, c = bot
+    d = loop_value()
+    sp, sq, sr, sa, sb, sc = (s_poly(x) for x in top + bot)
+    t0, t1, t2, t3 = _ref_row_sym(top, (sp, sq, sr))
+    b0, b1, b2, b3 = _ref_row_sym(bot, (sa, sb, sc))
+
+    def cross(sx: LaurentPoly, sy: LaurentPoly, rest: int) -> LaurentPoly:
+        return (sx * sy).shift(rest)
+
+    blk0 = (
+        t0 * b0
+        + t2 * b2
+        + cross(sp, sa, -q - r - b - c)
+        + cross(sp, sc, -q - r - a - b)
+        + cross(sq, sa, -p - r - b - c)
+        + cross(sq, sb, -p - r - a - c)
+        + cross(sr, sb, -p - q - a - c)
+        + cross(sr, sc, -p - q - a - b)
+    )
+    blk1 = t1 * b0 + t0 * b1 + t2 * b1 + t1 * b2 + t3 * b2 + t2 * b3
+    blk2 = (
+        t2 * b0
+        + t0 * b2
+        + t3 * b1
+        + t1 * b3
+        + t3 * b3
+        + cross(sp, sb, -q - r - a - c)
+        + cross(sq, sc, -p - r - a - b)
+        + cross(sr, sa, -p - q - b - c)
+    )
+    blk3 = t3 * b0 + t0 * b3
+    return blk0 + blk1 * d + blk2 * d**2 + blk3 * d**3
+
+
+def _l1(poly: LaurentPoly) -> int:
+    return sum(abs(c) for _, c in poly.terms)
+
+
+def _log_uniform(rng: random.Random, top: int) -> int:
+    return rng.choice((-1, 1)) * round(top ** rng.random())
+
+
+def test_bracket_girth3_equals_laurent_assembly():
+    rng = random.Random(60)
+    small = [
+        Girth3Rep(tuple(rng.randint(-6, 6) for _ in range(3)),
+                  tuple(rng.randint(-6, 6) for _ in range(3)))
+        for _ in range(400)
+    ]
+    assert sum(0 in rep.top + rep.bottom for rep in small) >= 100
+    large = [
+        Girth3Rep(tuple(_log_uniform(rng, 300) for _ in range(3)),
+                  tuple(_log_uniform(rng, 300) for _ in range(3)))
+        for _ in range(100)
+    ]
+    assert max(max(map(abs, rep.top + rep.bottom)) for rep in large) > 200
+    for rep in small + large:
+        got = bracket_girth3(rep)
+        assert got == _ref_bracket_girth3(rep), rep
+        # the slot-width premise
+        assert _l1(got) <= bracket_l1_bound(rep.top + rep.bottom), rep
+
+
+def test_bracket_double_twist_equals_laurent_assembly():
+    rng = random.Random(61)
+    grid = [(p, q) for p in range(-40, 41) for q in range(-40, 41)]
+    wide = [(rng.randint(-1000, 1000), rng.randint(-1000, 1000)) for _ in range(200)]
+    for p, q in grid + wide:
+        got = bracket_double_twist(p, q)
+        assert got == _ref_bracket_double_twist(p, q), (p, q)
+        assert _l1(got) <= bracket_l1_bound((p, q)), (p, q)
+
+
+def _crossings(rep) -> int:
+    labels = rep.top + rep.bottom if isinstance(rep, Girth3Rep) else (rep.p, rep.q)
+    return sum(map(abs, labels))
+
+
+_label2, _label3 = st.integers(-20, 20), st.integers(-8, 8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(Girth2Rep, _label2, _label2),
+        st.builds(Girth3Rep, st.tuples(*[_label3] * 3), st.tuples(*[_label3] * 3)),
+    ).filter(lambda rep: 0 < _crossings(rep) <= 40)
+)
+def test_evaluated_brackets_equal_the_state_sum(rep):
+    pd = pd_from_rep(rep)
+    if isinstance(rep, Girth2Rep):
+        assert bracket_double_twist(rep.p, rep.q) == bracket_state_sum(pd, cap=pd.n())
+    else:
+        assert bracket_girth3(rep) == bracket_state_sum(pd, cap=pd.n())

@@ -25,7 +25,7 @@ from knotpair.laurent import (
     poly_from_text,
     poly_to_text,
 )
-from knotpair.laurent import _kronecker_product
+from knotpair.laurent import _kronecker_product, _pack, unpack
 
 
 def P(d, tag="A"):
@@ -261,3 +261,33 @@ def test_sparse_product_stays_off_kronecker():
     assert square == schoolbook(p, p)
     assert elapsed < 1.0
     assert peak < 2**20
+
+
+def test_unpack_round_trips_signed_slots():
+    rng = random.Random(1009)
+    for width in (1, 2, 3, 8, 17):
+        top = (1 << (8 * width - 1)) - 1  # largest |c| a slot holds
+        for _ in range(60):
+            n = rng.randint(1, 40)
+            dense = [rng.choice([0, top, -top, rng.randint(-top, top)]) for _ in range(n)]
+            if rng.random() < 0.3:
+                dense[0] = dense[-1] = 0  # zero slots at both ends
+            expect = tuple((i, c) for i, c in enumerate(dense) if c)
+            value = _pack(dense, width)
+            assert unpack(value, width, n, 0, 1) == expect
+            # a spare slot on top reads as zero
+            assert unpack(value, width, n + 1, 0, 1) == expect
+            low, stride = rng.randint(-50, 50), rng.choice([1, 4])
+            assert unpack(value, width, n, low, stride) == tuple(
+                (low + i * stride, c) for i, c in expect
+            )
+
+
+def test_unpack_single_slot_and_extremes():
+    for width in (1, 3):
+        top = (1 << (8 * width - 1)) - 1
+        for c in (top, -top, 1, -1):
+            assert unpack(c, width, 1, 7, 4) == ((7, c),)
+        assert unpack(0, width, 1, 7, 4) == ()
+        dense = [top, -top, -top, top]
+        assert unpack(_pack(dense, width), width, 4, 0, 1) == tuple(enumerate(dense))

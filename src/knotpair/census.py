@@ -40,8 +40,10 @@ class InvariantRecord:
     bracket: LaurentPoly
     jones: LaurentPoly
     span: Fraction
-    source: str  # 'closed_form' or 'oracle'
     conway_note: str = ""
+    # the JSONL ``source`` key: every census value comes from a closed form,
+    # the girth-3 knot Conway polynomial from the frozen table (``g3table``)
+    source: str = "closed_form"
 
     def class_key(self) -> tuple:
         return (
@@ -66,7 +68,6 @@ def build_record(rep) -> InvariantRecord:
         bracket=inv.bracket,
         jones=inv.jones,
         span=jones_span_inclusive(inv.jones),
-        source=inv.source,
         conway_note=note,
     )
 

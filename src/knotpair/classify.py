@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from . import closedform as cf
 from . import oracle
-from .diagram import components_and_writhe, orient, pd_from_rep
+from .diagram import components_and_writhe
 from .laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from .reps import (
     Girth1Rep,
@@ -142,69 +142,76 @@ class RepInvariants:
     bracket: LaurentPoly
     jones: LaurentPoly
     writhe: int
-    source: str  # 'oracle' if the Conway polynomial came from Fox calculus
 
 
 def rep_invariants(rep) -> RepInvariants:
-    """Exact invariants of a representation, closed forms where available.
+    """Exact invariants of a representation, all from closed forms.
 
-    The bracket is always closed form.  The Conway polynomial comes from
-    Fox calculus on the rep's own template only for girth-3 knots with an
-    odd label and at most ``oracle.CONWAY_CAP`` crossings; such a rep
-    reads its component count and writhe off that template.  Every other
-    rep reads them off the reduced template of at most two crossings per
-    twist region (``diagram.components_and_writhe``), so a rep builds at
-    most one template and a large one only for Fox.  Every result passes
-    ``check_identities`` or raises ``AssertionError``.
+    A girth-3 rep reads its component count off the frozen parity-pattern
+    table (``g3table``), and a girth-3 knot its writhe too.  Its Conway
+    polynomial is the even formula when every label is even, and otherwise
+    the table's, up to ``oracle.CONWAY_CAP`` crossings, the domain the
+    Fox oracle answers on.  Every other rep reads its component count and
+    writhe off the reduced template of at most two crossings per twist
+    region (``diagram.components_and_writhe``), so a girth-3 knot builds no
+    template at all.  Every result passes ``check_identities`` or raises
+    ``AssertionError``.
     """
-    pd = None
+    conway: LaurentPoly | None = None
+    comps = writhe = 0
     if isinstance(rep, Girth3Rep):
+        from . import g3table  # frozen data: loaded on the first girth-3 rep
+
         labels = rep.top + rep.bottom
-        if any(x % 2 for x in labels) and sum(map(abs, labels)) <= oracle.CONWAY_CAP:
-            pd = pd_from_rep(rep)
-    if pd is None:
+        if g3table.components(labels) == 1:
+            comps, writhe = 1, g3table.writhe(labels)
+            if all(x % 2 == 0 for x in labels):
+                conway = cf.conway_girth3_even(rep)
+            elif sum(map(abs, labels)) <= oracle.CONWAY_CAP:
+                conway = g3table.conway(labels)
+    if not comps:
         comps, writhe = components_and_writhe(rep)
-    else:
-        ori = orient(pd)
-        comps, writhe = ori.n_components, ori.writhe
     bracket = closed_bracket(rep)
     jones = jones_from_bracket(bracket, writhe)
-    conway: LaurentPoly | None = None
-    source = "closed_form"
     if isinstance(rep, Girth1Rep):
         if rep.p % 2 != 0:
             conway = cf.conway_single_twist(rep.p)
     elif isinstance(rep, Girth2Rep):
         if comps == 1:
             conway = cf.conway_double_twist(rep.p, rep.q)
-    elif isinstance(rep, Girth3Rep):
-        if all(x % 2 == 0 for x in labels):
-            conway = cf.conway_girth3_even(rep)
-        elif comps == 1 and pd is not None:
-            conway = oracle.conway_fox(pd)
-            source = "oracle"
     check_identities(comps, conway, jones)
-    return RepInvariants(comps, conway, bracket, jones, writhe, source)
+    return RepInvariants(comps, conway, bracket, jones, writhe)
 
 
 def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly) -> None:
-    """Raise AssertionError unless the invariants satisfy two identities.
+    """Raise AssertionError unless the invariants satisfy three identities.
 
     V(1) = (-2)^(c-1) for a c-component link ties the bracket and the
-    writhe to the component count.  For a knot with a Conway value,
-    |V(-1)| = |nabla(2i)|, both being the determinant, ties the bracket to
-    the Conway polynomial.  A knot's Jones polynomial lies in Z[t, 1/t]
-    and its Conway polynomial in Z[z^2], so both sides are integers:
-    sum c_e (-1)^(e/4) over the quarter-power exponents e of V, and
-    sum c_2j (-4)^j.
+    writhe to the component count.  A knot's Jones polynomial lies in
+    Z[t, 1/t], and V(w) = 1 at w = e^(2 pi i/3): with S_j the sum of the
+    coefficients of the powers t^n with n = j mod 3, V(w) = S0 + S1 w +
+    S2 w^2 = (S0 - S2) + (S1 - S2) w, since w^2 = -1 - w.  For a knot with
+    a Conway value, |V(-1)| = |nabla(2i)|, both being the determinant,
+    ties the bracket to the Conway polynomial.  Its Conway polynomial lies
+    in Z[z^2], so both sides are integers: sum c_e (-1)^(e/4) over the
+    quarter-power exponents e of V, and sum c_2j (-4)^j.
     """
     v1 = sum(c for _, c in jones.terms)
     if v1 != (-2) ** (comps - 1):
         raise AssertionError(f"V(1) = {v1} for a {comps}-component diagram")
-    if comps != 1 or conway is None:
+    if comps != 1:
         return
-    if any(e % 4 for e, _ in jones.terms) or any(e % 2 for e, _ in conway.terms):
-        raise AssertionError("knot Jones in fractional powers of t, or Conway in odd powers of z")
+    if any(e % 4 for e, _ in jones.terms):
+        raise AssertionError("knot Jones in fractional powers of t")
+    sums = [0, 0, 0]
+    for e, c in jones.terms:
+        sums[e // 4 % 3] += c
+    if sums[1] != sums[2] or sums[0] - sums[2] != 1:
+        raise AssertionError(f"V(e^(2 pi i/3)) = {sums[0] - sums[2]} + {sums[1] - sums[2]} w")
+    if conway is None:
+        return
+    if any(e % 2 for e, _ in conway.terms):
+        raise AssertionError("knot Conway in odd powers of z")
     v_minus = sum(c if e % 8 == 0 else -c for e, c in jones.terms)
     nabla_2i = sum(c * (-4) ** (e // 2) for e, c in conway.terms)
     if abs(v_minus) != abs(nabla_2i):

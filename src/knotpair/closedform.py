@@ -39,8 +39,6 @@ cut into coefficients once:
 
 from __future__ import annotations
 
-from math import comb
-
 from .laurent import LaurentPoly, unpack
 from .reps import Girth3Rep
 
@@ -68,16 +66,23 @@ def nabla_same(p: int) -> LaurentPoly:
 
     The solution of the skein recursion nabla_p = z nabla_{p-1} +
     nabla_{p-2} from nabla_0 = 0, nabla_1 = 1, written out by its
-    Fibonacci-polynomial coefficients: nabla_p = sum_k C(p-1-k, k)
-    z^(p-1-2k) for p >= 1.  For negative p the value is nabla_{|p|} when
-    p is odd and -nabla_{|p|} when p is even.
+    Fibonacci-polynomial coefficients: nabla_p = sum_k C(n-k, k) z^(n-2k)
+    for p >= 1, n = p - 1, each got from the one before by the ratio
+    C(n-1-k, k+1) / C(n-k, k) = (n-2k)(n-2k-1) / ((k+1)(n-k)).  For
+    negative p the value is nabla_{|p|} when p is odd and -nabla_{|p|}
+    when p is even.
     """
     if p < 0:
         v = nabla_same(-p)
         return v if p % 2 else -v
-    return LaurentPoly.from_dict(
-        {p - 1 - 2 * k: comb(p - 1 - k, k) for k in range((p + 1) // 2)}, _Z
-    )
+    n = p - 1
+    terms = []
+    c = 1
+    for k in range((p + 1) // 2):
+        if k:
+            c = c * (n - 2 * k + 2) * (n - 2 * k + 1) // (k * (n - k + 1))
+        terms.append((n - 2 * k, c))
+    return LaurentPoly.from_terms(tuple(reversed(terms)), _Z)
 
 
 def conway_single_twist(p: int, case: str = SAME_DIRECTION) -> LaurentPoly:

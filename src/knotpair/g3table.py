@@ -1,0 +1,116 @@
+"""Component count, writhe and Conway polynomial of a girth-3 template from
+its labels, by a frozen per-parity-pattern table.
+
+A parity pattern is the 6-bit number with bit i the parity of label i of
+(p, q, r, a, b, c); zero counts as even.  A ladder connects its four ends
+by the parity of its label alone, so the pattern fixes the components: 36
+of the 64 patterns are knots (``COMPONENTS``).  A knot's orientation is
+unique up to reversing it, so in each region both strands run one way for
+the whole pattern, and every crossing of region i has the sign sigma_i
+times the sign of its label: writhe = sum sigma_i x_i.
+
+With the other labels fixed, f(m) = nabla at label b_i + 2m of region i
+obeys f(m+1) = c f(m) - f(m-1), from the skein relation on one crossing of
+the region: c = 2 (``AFFINE``) where its strands run opposite ways, and
+c = z^2 + 2 (``FIBONACCI``) where they run the same way.  So nabla is fixed
+by its 64 values at the corners, each label at b_i or b_i + 2, with
+b_i = -1 for an odd label and 0 for an even one, and is extrapolated axis by
+axis from them.
+
+``g3table_data`` holds, per knot pattern, the kinds, the sigma_i and the 64
+corner polynomials, made by ``make_g3table`` from the templates and
+``oracle.conway_fox``.  This module imports nothing from ``oracle``.  The
+corners come from the oracle, so the independent checks are those that do
+not read the table's own data: tests/test_g3table.py regenerates the table
+and compares components and writhe with ``orient`` and the extrapolated
+polynomial with Fox off the corners (a grid over every knot pattern with
+shifts of -4..+4, and a property test), and ``classify.check_identities``
+ties each value to the bracket through the determinant.
+"""
+
+from __future__ import annotations
+
+import functools
+
+from .g3table_data import COMPONENTS, KNOTS
+from .laurent import LaurentPoly
+
+AFFINE = "A"
+FIBONACCI = "F"
+
+
+def _pattern(labels: tuple[int, ...]) -> int:
+    return sum((x & 1) << i for i, x in enumerate(labels))
+
+
+def base_label(pattern: int, i: int) -> int:
+    """b_i: the lower corner label of region i, -1 if odd, 0 if even."""
+    return -(pattern >> i & 1)
+
+
+def components(labels: tuple[int, ...]) -> int:
+    return COMPONENTS[_pattern(labels)]
+
+
+def writhe(labels: tuple[int, ...]) -> int:
+    """Writhe of the oriented template of a girth-3 knot."""
+    _, sigma, _ = KNOTS[_pattern(labels)]
+    return sum(s * x for s, x in zip(sigma, labels))
+
+
+def conway(labels: tuple[int, ...]) -> LaurentPoly:
+    """Conway polynomial of a girth-3 knot, extrapolated from the corners.
+
+    An axis whose label is a corner picks its half of the table by
+    indexing; only the off-corner axes are combined, one at a time.
+    """
+    pattern = _pattern(labels)
+    kinds = KNOTS[pattern][0]
+    corners = _corners(pattern)
+    index = 0
+    off = []
+    for i, x in enumerate(labels):
+        m = (x + (x & 1)) >> 1  # x = b_i + 2m
+        if m == 1:
+            index |= 1 << i
+        elif m:
+            off.append((i, m))
+    picked = [index]
+    for i, _ in off:
+        picked += [c | 1 << i for c in picked]
+    # position bit j of ``values`` is the corner bit of the j-th off axis
+    values = [corners[c] for c in picked]
+    for i, m in reversed(off):
+        half = len(values) // 2
+        fib = kinds[i] == FIBONACCI
+        values = [_along(values[s], values[s + half], m, fib) for s in range(half)]
+    (result,) = values
+    return LaurentPoly.from_terms(tuple((2 * j, c) for j, c in enumerate(result) if c), "z")
+
+
+@functools.cache
+def _corners(pattern: int) -> tuple[tuple[int, ...], ...]:
+    """The 64 corner polynomials of a knot pattern, decoded on first use."""
+    return tuple(tuple(map(int, c.split(","))) for c in KNOTS[pattern][2].split())
+
+
+def _along(f0, f1, m: int, fib: bool):
+    """f(m) from f(0) = f0 and f(1) = f1, polynomials in s = z^2 listed from
+    the constant term, where f(j+1) + f(j-1) = c f(j)."""
+    if m < 0:  # g(j) = f(1 - j) obeys the same recurrence
+        f0, f1, m = f1, f0, 1 - m
+    for _ in range(m - 1):
+        f0, f1 = f1, _next(f0, f1, fib)
+    return f1
+
+
+def _next(prev, cur, fib: bool) -> list[int]:
+    """c cur - prev, with c = s + 2 if ``fib`` else 2."""
+    out = [0] * max(len(cur) + fib, len(prev))
+    for j, c in enumerate(cur):
+        out[j] += 2 * c
+        if fib:
+            out[j + 1] += c
+    for j, c in enumerate(prev):
+        out[j] -= c
+    return out

@@ -122,10 +122,11 @@ def test_record_fields():
     assert rec.span == 4
     assert rec.conway is not None and rec.conway.coeff(0) == 1
     assert rec.source == "closed_form"
-    # the even closed form covers negative labels; odd labels go to Fox
+    # the even closed form covers negative labels; odd labels read the
+    # frozen parity-pattern table, not Fox
     assert build_record(Girth3Rep((2, 2, 2), (2, 2, -2))).source == "closed_form"
     rec = build_record(Girth3Rep((1, 2, 0), (0, 0, 0)))
-    assert rec.components == 1 and rec.source == "oracle"
+    assert rec.components == 1 and rec.source == "closed_form"
 
 
 def test_verify_table_knots_up_to_seven_pass_with_errata():
@@ -158,3 +159,14 @@ def test_verify_table_skip_notice():
 def test_table_report_format():
     text = table_report(verify_table(max_crossings=4, apply_errata=True))
     assert "3_1" in text and "PASS" in text
+
+
+def test_girth3_census_calls_no_fox(monkeypatch, tmp_path):
+    from knotpair import cli, oracle
+
+    calls = []
+    monkeypatch.setattr(oracle, "conway_fox", lambda *a, **k: calls.append(a))
+    out = tmp_path / "census.csv"
+    assert cli.main(["census", "--girth", "3", "--max", "2", "--output", str(out)]) == 0
+    assert out.read_text().count("\n") == 1 + len(census_enumerate(3, 2))
+    assert calls == []

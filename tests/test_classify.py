@@ -13,6 +13,7 @@ from knotpair.classify import (
     UNRESOLVED,
     Verdict,
     bracket_single_twist,
+    check_identities,
     classify_girth2_even,
     closed_bracket,
     compare,
@@ -71,6 +72,14 @@ def test_rep_invariants_checks_the_identities(monkeypatch):
     for rep in reps:
         with pytest.raises(AssertionError):
             rep_invariants(rep)
+
+
+def test_check_identities_evaluates_knot_jones_at_a_cube_root_of_unity():
+    # t - t^2 + t^3 has V(1) = 1 but V(w) = 1 + w - w^2 = 2 + 2w
+    jones = LaurentPoly.from_dict({4: 1, 8: -1, 12: 1}, "t")
+    with pytest.raises(AssertionError, match="2 pi i/3"):
+        check_identities(1, None, jones)
+    check_identities(1, None, rep_invariants(Girth2Rep(2, -3)).jones)
 
 
 def test_classify_girth2_even_examples():
@@ -222,7 +231,7 @@ def test_verdict_json_round_trip():
 
 def spy_on_templates(monkeypatch):
     """Record (rep, crossing count) for every template ``pd_from_rep`` builds."""
-    from knotpair import census, classify, diagram
+    from knotpair import census, diagram
 
     built = []
     build = diagram.pd_from_rep
@@ -232,7 +241,7 @@ def spy_on_templates(monkeypatch):
         built.append((rep, pd.n()))
         return pd
 
-    for module in (census, classify, diagram):
+    for module in (census, diagram):
         monkeypatch.setattr(module, "pd_from_rep", spy)
     return built
 
@@ -243,12 +252,17 @@ def spy_on_templates(monkeypatch):
         Girth2Rep(1000, 1000),
         Girth3Rep((-300, 211, 97), (150, -64, 288)),
         Girth1Rep(2000),
+        Girth3Rep((-301, 212, 98), (151, -64, 288)),
     ],
 )
 def test_rep_invariants_builds_only_small_templates(monkeypatch, rep):
     built = spy_on_templates(monkeypatch)
-    rep_invariants(rep)
-    assert len(built) == 1 and built[0][1] <= 12, built
+    inv = rep_invariants(rep)
+    if isinstance(rep, Girth3Rep) and inv.components == 1:
+        # a girth-3 knot reads everything off the frozen table
+        assert built == []
+    else:
+        assert len(built) == 1 and built[0][1] <= 12, built
 
 
 def test_census_builds_at_most_one_template_per_rep(monkeypatch):
@@ -256,7 +270,9 @@ def test_census_builds_at_most_one_template_per_rep(monkeypatch):
 
     reps = census_enumerate(3, 2)
     built = spy_on_templates(monkeypatch)
-    dedup_census(reps)
-    # labels of size at most 2 are their own reduced labels, so each rep
-    # builds exactly its own template
-    assert Counter(rep for rep, _ in built) == Counter(reps)
+    records = dedup_census(reps)
+    links = [rec.rep for cls in records for rec in cls.members if rec.components > 1]
+    # knots build none; labels of size at most 2 are their own reduced
+    # labels, so each link builds exactly its own template
+    assert 0 < len(links) < len(reps)
+    assert Counter(rep for rep, _ in built) == Counter(links)

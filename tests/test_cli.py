@@ -3,13 +3,16 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotpair.cli import main
+from knotpair.diagram import orient, pd_from_rep
 from knotpair.laurent import poly_from_text
+from knotpair.reps import Girth3Rep
 
 
 def run(capsys, *argv):
@@ -39,6 +42,26 @@ def test_eval_both_methods_agree(capsys):
     code, out = run(capsys, "eval", "(2,-3)", "jones", "--method", "both")
     assert code == 0
     assert "AGREE" in out
+
+
+def test_eval_both_agrees_on_girth3_knot_conway(capsys):
+    # the closed side reads the frozen parity-pattern table, the oracle
+    # side runs Fox calculus on the template
+    rng = random.Random(20261018)
+    checked = 0
+    while checked < 100:
+        labels = [rng.randint(-8, 8) for _ in range(6)]
+        rep = Girth3Rep(tuple(labels[:3]), tuple(labels[3:]))
+        if (
+            not 10 <= sum(map(abs, labels)) <= 24
+            or all(x % 2 == 0 for x in labels)
+            or orient(pd_from_rep(rep)).n_components != 1
+        ):
+            continue
+        code, out = run(capsys, "eval", str(rep), "conway", "--method", "both")
+        assert code == 0 and out.splitlines()[-1] == "AGREE", (rep, out)
+        assert "(not available)" not in out
+        checked += 1
 
 
 def test_eval_oracle_over_the_cap_is_refused_in_one_line(capsys):

@@ -1,0 +1,82 @@
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from knotpair import g3table, g3table_data
+from knotpair.closedform import conway_girth3_even
+from knotpair.diagram import orient, pd_from_rep
+from knotpair.g3table import KNOTS, base_label
+from knotpair.make_g3table import build_table, render
+from knotpair.oracle import CONWAY_CAP, conway_fox
+from knotpair.reps import Girth3Rep
+
+
+def _rep(labels) -> Girth3Rep:
+    return Girth3Rep(tuple(labels[:3]), tuple(labels[3:]))
+
+
+def _fox(labels):
+    return conway_fox(pd_from_rep(_rep(labels)))
+
+
+def test_shipped_table_regenerates_from_fox():
+    with open(g3table_data.__file__) as f:
+        assert render(build_table()) == f.read()
+    assert len(KNOTS) == 36
+
+
+def test_components_and_writhe_match_orient():
+    rng = random.Random(20261018)
+    knots = 0
+    for _ in range(600):
+        labels = tuple(rng.randint(-3, 3) for _ in range(6))
+        ori = orient(pd_from_rep(_rep(labels)))
+        assert g3table.components(labels) == ori.n_components, labels
+        if ori.n_components == 1:
+            knots += 1
+            assert g3table.writhe(labels) == ori.writhe, labels
+    assert 200 < knots < 600
+
+
+@pytest.mark.parametrize("pattern", sorted(KNOTS))
+def test_conway_matches_fox_off_the_corners(pattern):
+    # one axis at shift -4..4 from its lower corner, the others at corners
+    # that change with the shift, so zero and negative labels all occur
+    base = [base_label(pattern, i) for i in range(6)]
+    for axis in range(6):
+        for shift in range(-4, 5):
+            labels = [b + 2 * ((shift + j) & 1) for j, b in enumerate(base)]
+            labels[axis] = base[axis] + 2 * shift
+            assert g3table.conway(labels) == _fox(labels), labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(KNOTS)), st.lists(st.integers(-2, 3), min_size=6, max_size=6))
+def test_conway_matches_fox_property(pattern, shifts):
+    labels = [base_label(pattern, i) + 2 * m for i, m in enumerate(shifts)]
+    assume(sum(map(abs, labels)) <= CONWAY_CAP)
+    assert g3table.conway(labels) == _fox(labels)
+
+
+def test_all_even_pattern_matches_the_even_formula():
+    rng = random.Random(7)
+    for _ in range(200):
+        labels = [2 * rng.randint(-40, 40) for _ in range(6)]
+        assert g3table.conway(labels) == conway_girth3_even(_rep(labels)), labels
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [("knotpair.g3table", "knotpair.oracle"), ("knotpair.cli", "knotpair.g3table")],
+)
+def test_import_leaves_module_unloaded(module, absent):
+    # the table reads nothing from the oracle, and the CLI loads the table
+    # only when a girth-3 rep needs it
+    code = f"import sys, {module}; assert {absent!r} not in sys.modules"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -7,6 +7,7 @@ from knotpair.census import (
     build_record,
     census_csv,
     census_enumerate,
+    census_jsonl,
     dedup_census,
     table_report,
     verify_table,
@@ -104,15 +105,24 @@ def test_dedup_verdicts_match_compare():
     assert checked == {"EqualBySymmetry", "Unresolved"}
 
 
+def _pin(fmt, girth, max_abs, digest):
+    # the CSV rows keep the ids they had before the format column
+    prefix = "" if fmt == "csv" else f"{fmt}-"
+    return pytest.param(fmt, girth, max_abs, digest, id=f"{prefix}{girth}-{max_abs}-{digest}")
+
+
 @pytest.mark.parametrize(
-    "girth, max_abs, digest",
+    "fmt, girth, max_abs, digest",
     [
-        (2, 12, "796729674c2428d2cf8aed1195e938d6a63d9eea4da8bb3010fd2effa39e0211"),
-        (3, 2, "110926f4bd058053efda451cac9a8686ec3cd4070fb9c0fd281af4251477606d"),
+        _pin("csv", 2, 12, "796729674c2428d2cf8aed1195e938d6a63d9eea4da8bb3010fd2effa39e0211"),
+        _pin("csv", 3, 2, "110926f4bd058053efda451cac9a8686ec3cd4070fb9c0fd281af4251477606d"),
+        _pin("jsonl", 2, 12, "8e527178b5c4ef8b91beed12ed4ba45c106ee2d8ca4b37091ff595cc2896acab"),
+        _pin("jsonl", 3, 2, "443cb3b0208d4ab396dbed18531fda5f1ef86104fe57e7846fc266730ec11a43"),
     ],
 )
-def test_census_csv_is_byte_identical(girth, max_abs, digest):
-    text = census_csv(dedup_census(census_enumerate(girth, max_abs)))
+def test_census_csv_is_byte_identical(fmt, girth, max_abs, digest):
+    write = {"csv": census_csv, "jsonl": census_jsonl}[fmt]
+    text = write(dedup_census(census_enumerate(girth, max_abs)))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

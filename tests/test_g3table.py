@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -71,12 +72,35 @@ def test_all_even_pattern_matches_the_even_formula():
 
 @pytest.mark.parametrize(
     "module, absent",
-    [("knotpair.g3table", "knotpair.oracle"), ("knotpair.cli", "knotpair.g3table")],
+    [
+        ("knotpair.g3table", "knotpair.oracle"),
+        ("knotpair.cli", "knotpair.g3table"),
+        ("knotpair.closedform", "knotpair.oracle"),
+    ],
 )
 def test_import_leaves_module_unloaded(module, absent):
-    # the table reads nothing from the oracle, and the CLI loads the table
-    # only when a girth-3 rep needs it
+    # the table and the closed forms read nothing from the oracle, and the
+    # CLI loads the table only when a girth-3 rep needs it
     code = f"import sys, {module}; assert {absent!r} not in sys.modules"
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_package_imports_only_the_standard_library():
+    pkg = os.path.dirname(g3table.__file__)
+    outside = []
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name)) as f:
+            tree = ast.parse(f.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                roots = [node.module.split(".")[0]]
+            else:
+                continue
+            outside += [(name, r) for r in roots if r not in sys.stdlib_module_names]
+    assert outside == []

@@ -14,7 +14,6 @@ from importlib import resources
 from . import classify, oracle
 from .diagram import orient, pd_from_json, pd_from_rep
 from .laurent import (
-    LaurentPoly,
     jones_from_bracket,
     jones_span_inclusive,
     jones_to_text,
@@ -34,41 +33,33 @@ G3_BUDGET = 6
 
 @dataclass(frozen=True)
 class InvariantRecord:
+    """What the census prints of one representation.
+
+    ``conway`` and ``jones`` are the polynomials' text, formatted once;
+    ``conway`` is "" where no Conway value is available.
+    """
+
     rep: object
     components: int
-    conway: LaurentPoly | None
-    bracket: LaurentPoly
-    jones: LaurentPoly
+    conway: str
+    jones: str
     span: Fraction
-    conway_note: str = ""
-    # the JSONL ``source`` key: every census value comes from a closed form,
-    # the girth-3 knot Conway polynomial from the frozen table (``g3table``)
-    source: str = "closed_form"
 
     def class_key(self) -> tuple:
-        return (
-            self.components,
-            poly_to_text(self.conway) if self.conway is not None else "",
-            jones_to_text(self.jones),
-        )
+        return (self.components, self.conway, self.jones)
 
 
 def build_record(rep) -> InvariantRecord:
     """Exact invariants of one representation, closed forms where they exist."""
     inv = classify.rep_invariants(rep)
-    note = ""
-    if inv.conway is not None and inv.components > 1:
-        note = "link value; orientation with parallel strands in the odd regions"
     if inv.conway is not None and inv.components == 1:
         assert inv.conway.coeff(0) == 1
     return InvariantRecord(
         rep=rep,
         components=inv.components,
-        conway=inv.conway,
-        bracket=inv.bracket,
-        jones=inv.jones,
+        conway=poly_to_text(inv.conway) if inv.conway is not None else "",
+        jones=jones_to_text(inv.jones),
         span=jones_span_inclusive(inv.jones),
-        conway_note=note,
     )
 
 
@@ -173,14 +164,14 @@ def census_jsonl(classes) -> str:
                         "rep": str(rec.rep),
                         "girth": rec.rep.girth(),
                         "components": rec.components,
-                        "conway": poly_to_text(rec.conway)
-                        if rec.conway is not None
-                        else None,
-                        "jones": jones_to_text(rec.jones),
+                        "conway": rec.conway or None,
+                        "jones": rec.jones,
                         "span": str(rec.span),
                         "class_id": cls.class_id,
                         "verdict": None if i == 0 else cls.verdicts[i - 1],
-                        "source": rec.source,
+                        # every census value comes from a closed form, the
+                        # girth-3 knot Conway polynomial from ``g3table``
+                        "source": "closed_form",
                     }
                 )
             )
@@ -202,8 +193,8 @@ def census_csv(classes) -> str:
                     str(rec.rep),
                     rec.rep.girth(),
                     rec.components,
-                    poly_to_text(rec.conway) if rec.conway is not None else "",
-                    jones_to_text(rec.jones),
+                    rec.conway,
+                    rec.jones,
                     str(rec.span),
                     cls.class_id,
                     verdict,

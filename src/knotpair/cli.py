@@ -25,8 +25,7 @@ from .reps import Girth2Rep, Girth3Rep, parse_rep
 def _read_pd(path: str):
     with open(path) as f:
         text = f.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):
         return pd_from_json(text)
     return pd_from_text(text)
 

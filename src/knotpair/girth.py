@@ -241,10 +241,6 @@ def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
     return Contour(tuple(sectors), tuple(tuple(g) for g in gap_after))
 
 
-def contour_girth(tait: TaitGraph, tree: tuple[int, ...]) -> int:
-    return tree_contour(tait, tree).girth()
-
-
 # ---------------------------------------------------------------------------
 # reduced trees
 
@@ -263,13 +259,6 @@ class ReducedTree:
     vertices: tuple[int, ...]  # kept tait vertex ids
     edges: tuple[ReducedEdge, ...]
     rotation: dict  # kept vertex -> cyclic tuple of (reduced_edge_idx, end)
-
-    def leaves(self) -> list[int]:
-        count: dict[int, int] = {}
-        for e in self.edges:
-            count[e.v1] = count.get(e.v1, 0) + 1
-            count[e.v2] = count.get(e.v2, 0) + 1
-        return [v for v in self.vertices if count.get(v, 0) == 1]
 
 
 def reduce_tree(

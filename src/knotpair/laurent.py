@@ -5,52 +5,27 @@ polynomials in quarter powers of t) is built on the `LaurentPoly` type
 defined here.  Coefficients and exponents are plain Python integers; no
 floating point ever enters an invariant computation.
 
-Multiplication has two paths with identical results.  Small operands use
-the schoolbook double loop.  Large ones use Kronecker substitution
-(Harvey, J. Symb. Comput. 44 (2009)): evaluate each operand at x = 2^k,
-multiply the two Python ints once, and read the product's coefficients
-back out of its k-bit slots.
+Multiplication is the schoolbook double loop over every pair of terms.
 
-* **Stride.** Exponents are first divided by their common stride, the gcd
-  of the offsets of every exponent from its operand's lowest one.  Bracket
-  exponents step by 4, so a bracket packs into a quarter of the slots.
-* **Slot width.** A product coefficient is a sum of at most
-  min(len a, len b) products, so its magnitude is at most
-  max|a| * max|b| * min(len a, len b).  k is the least multiple of 8 with
-  that bound below 2^(k-1): one bit to spare for the sign.
-* **Signs.** Positive and negative coefficients are packed into two
-  non-negative ints, whose difference is the operand's signed value at 2^k.
-* **Decode.** Adding 2^(k-1) in every slot makes each slot's content
-  c + 2^(k-1) lie in [1, 2^k), so no slot borrows from the next; the sum is
-  cut into k-bit slots with ``to_bytes`` and the bias is taken off again.
-  ``unpack`` is this one decoder; the closed-form brackets
-  (``closedform``) use it too.
-* **Selection.** Kronecker runs only when both operands have at least
-  ``KRONECKER_MIN_TERMS`` terms and each operand's packed length, in slots,
-  is at most ``KRONECKER_MAX_FILL`` times its term count.  Below the size
-  crossover the loop is faster; the fill test keeps sparse input (say, two
-  terms 2^40 apart) from allocating a buffer of one slot per exponent.
+``unpack`` decodes a polynomial packed into one Python int, coefficient c_i
+in the 8*width-bit slot i, as sum(c_i * 2^(8 * width * i)).  The closed-form
+brackets (``closedform``) evaluate at A^4 = 2^k and read their coefficients
+back this way.  Adding 2^(8 * width - 1) in every slot makes each slot's
+content c + 2^(8 * width - 1) lie in [1, 2^(8 * width)) when
+|c| < 2^(8 * width - 1), so no slot borrows from the next; the biased sum is
+cut into slots with ``to_bytes`` and the bias is taken off again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 import re
 
 # Exponents are kept inside a 64-bit-ish window so that a runaway
 # computation fails loudly instead of silently chewing memory.
 MAX_EXPONENT = 2**62
-
-# Kronecker selection (see the module docstring).  Measured crossover for
-# two operands of n terms each (CPython 3.11, x86-64): for n consecutive
-# terms of stride 4 with coefficients +-1, the shape of S_p, the two paths
-# meet at n = 16; for n random terms spread over 2n slots, near n = 24.
-# When one operand is much longer than the other, as in most large bracket
-# products, Kronecker wins earlier.
-KRONECKER_MIN_TERMS = 16
-KRONECKER_MAX_FILL = 4
 
 
 class TagMismatchError(ValueError):
@@ -63,8 +38,8 @@ class LaurentPoly:
 
     ``terms`` never contains a zero coefficient; the zero polynomial has an
     empty ``terms`` tuple.  ``tag`` is a semantic label for the variable
-    ('A' for brackets, 'z' for Conway, 't' for Jones in quarter powers,
-    'x' for Chebyshev) and must agree between operands of binary ops.
+    ('A' for brackets, 'z' for Conway, 't' for Jones in quarter powers)
+    and must agree between operands of binary ops.
     """
 
     terms: tuple[tuple[int, int], ...]
@@ -159,13 +134,9 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        """Product; by the schoolbook loop or by Kronecker substitution.
+        """Product by the schoolbook loop.
 
-        Both give the same terms.  Kronecker substitution (module docstring)
-        is chosen when both operands have at least ``KRONECKER_MIN_TERMS``
-        terms and each fills at least 1/``KRONECKER_MAX_FILL`` of its slots
-        after dividing out the common exponent stride.  Either path raises
-        ``OverflowError`` naming the first product exponent past
+        Raises ``OverflowError`` naming the first product exponent past
         ``MAX_EXPONENT``.
         """
         if isinstance(other, int):
@@ -175,14 +146,9 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_tag(other)
-        a, b = self.terms, other.terms
-        if len(a) >= KRONECKER_MIN_TERMS and len(b) >= KRONECKER_MIN_TERMS:
-            items = _kronecker_product(a, b)
-            if items is not None:
-                return LaurentPoly.from_terms(items, self.tag)
         out: dict[int, int] = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
+        for e1, c1 in self.terms:
+            for e2, c2 in other.terms:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPoly.from_dict(out, self.tag)
@@ -217,10 +183,6 @@ class LaurentPoly:
     def retag(self, tag: str) -> "LaurentPoly":
         return LaurentPoly(self.terms, tag)
 
-    def derivative_at_one(self) -> int:
-        """d/dv evaluated at v = 1, i.e. sum of exponent * coefficient."""
-        return sum(e * c for e, c in self.terms)
-
     def evaluate(self, x: "Fraction | int") -> Fraction:
         """Exact evaluation at a nonzero rational point."""
         x = Fraction(x)
@@ -239,43 +201,9 @@ def _raise_out_of_range(items: tuple[tuple[int, int], ...]) -> None:
             raise OverflowError(f"exponent {e} out of range")
 
 
-def _dense(terms: tuple[tuple[int, int], ...], low: int, stride: int, slots: int) -> list[int]:
-    """Coefficient list: slot i holds the coefficient of exponent low + i * stride."""
-    dense = [0] * slots
-    for e, c in terms:
-        dense[(e - low) // stride] = c
-    return dense
-
-
-def _pack(dense: list[int], width: int) -> int:
-    """sum(c * 2^(8 * width * i)) over the slots; each |c| < 2^(8 * width)."""
-    pos = b"".join((c if c > 0 else 0).to_bytes(width, "little") for c in dense)
-    neg = b"".join((-c if c < 0 else 0).to_bytes(width, "little") for c in dense)
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-def _kronecker_product(a: tuple[tuple[int, int], ...],
-                       b: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...] | None:
-    """The product's sorted terms by one big-integer product, or None if too sparse.
-
-    Both term tuples have at least two terms; the packing is argued in the
-    module docstring.
-    """
-    a0, b0 = a[0][0], b[0][0]
-    stride = gcd(*[e - a0 for e, _ in a], *[e - b0 for e, _ in b])
-    na = (a[-1][0] - a0) // stride + 1
-    nb = (b[-1][0] - b0) // stride + 1
-    if na > KRONECKER_MAX_FILL * len(a) or nb > KRONECKER_MAX_FILL * len(b):
-        return None
-    da, db = _dense(a, a0, stride, na), _dense(b, b0, stride, nb)
-    bound = max(map(abs, da)) * max(map(abs, db)) * min(len(a), len(b))
-    width = (bound.bit_length() + 8) // 8  # bytes per slot: bound < 2^(8 * width - 1)
-    return unpack(_pack(da, width) * _pack(db, width), width, na + nb - 1, a0 + b0, stride)
-
-
 def unpack(value: int, width: int, slots: int,
            low: int, stride: int) -> tuple[tuple[int, int], ...]:
-    """Sorted nonzero terms of a packed value; the inverse of ``_pack``.
+    """Sorted nonzero terms of a packed value.
 
     ``value`` is sum(c_i * 2^(8 * width * i)) over at most ``slots`` slots,
     each |c_i| < 2^(8 * width - 1), and slot i holds the coefficient of
@@ -291,30 +219,7 @@ def unpack(value: int, width: int, slots: int,
 
 
 # ---------------------------------------------------------------------------
-# spec-level operation wrappers
-
-
-def lp_arith(op: str, x: LaurentPoly, y: LaurentPoly | int | None = None) -> LaurentPoly:
-    """Dispatch basic arithmetic by name (add|sub|mul|neg|scale)."""
-    if op == "neg":
-        return -x
-    if y is None:
-        raise ValueError(f"operation {op!r} needs a second operand")
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "scale":
-        if not isinstance(y, int):
-            raise ValueError("scale expects an integer")
-        return x * y
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def lp_invert_variable(x: LaurentPoly) -> LaurentPoly:
-    return x.invert_variable()
+# extremes, spans and the Jones substitution
 
 
 def lp_extremes(x: LaurentPoly) -> tuple[int, int, int]:
@@ -323,34 +228,6 @@ def lp_extremes(x: LaurentPoly) -> tuple[int, int, int]:
         raise ValueError("span of the zero polynomial is undefined")
     lo, hi = x.min_exp(), x.max_exp()
     return lo, hi, hi - lo
-
-
-def lp_derivative_at_one(x: LaurentPoly) -> int:
-    return x.derivative_at_one()
-
-
-def chebyshev_U(n: int) -> LaurentPoly:
-    """Chebyshev polynomial of the second kind, U_0 = 1, U_1 = 2x."""
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    u_prev = LaurentPoly.one("x")
-    if n == 0:
-        return u_prev
-    two_x = LaurentPoly.monomial(2, 1, "x")
-    u = two_x
-    for _ in range(n - 1):
-        u_prev, u = u, two_x * u - u_prev
-    return u
-
-
-def chebyshev_U_explicit(n: int) -> LaurentPoly:
-    """U_n via the binomial sum over (x^2 - 1)^m, used as an independent check."""
-    x = LaurentPoly.var("x")
-    x2m1 = x * x - 1
-    total = LaurentPoly.zero("x")
-    for m in range(n // 2 + 1):
-        total = total + comb(n + 1, 2 * m + 1) * (x ** (n - 2 * m)) * (x2m1**m)
-    return total
 
 
 def jones_from_bracket(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
@@ -433,17 +310,18 @@ def poly_to_text(p: LaurentPoly, exp_denom: int = 1) -> str:
     var = p.tag
     parts: list[str] = []
     for e, c in p.terms:
-        frac = Fraction(e, exp_denom)
-        if frac == 0:
+        whole, rest = divmod(e, exp_denom)
+        if e == 0:
             body = str(abs(c))
         else:
             mag = "" if abs(c) == 1 else str(abs(c))
-            if frac == 1:
+            if rest:
+                g = gcd(rest, exp_denom)
+                body = f"{mag}{var}^({e // g}/{exp_denom // g})"
+            elif whole == 1:
                 body = f"{mag}{var}"
-            elif frac.denominator == 1:
-                body = f"{mag}{var}^{frac.numerator}"
             else:
-                body = f"{mag}{var}^({frac.numerator}/{frac.denominator})"
+                body = f"{mag}{var}^{whole}"
         if not parts:
             parts.append(("-" if c < 0 else "") + body)
         else:

@@ -12,7 +12,6 @@ of girth >= 4 coming out of the girth module.
 
 from __future__ import annotations
 
-import json
 import operator
 import re
 from dataclasses import dataclass
@@ -67,15 +66,6 @@ class PlaneTree:
     edges: tuple[tuple[int, int, int], ...]
     rotation: tuple[tuple[tuple[int, int], ...], ...]
 
-    def n_vertices(self) -> int:
-        return len(self.rotation)
-
-    def valence(self, v: int) -> int:
-        return len(self.rotation[v])
-
-    def leaves(self) -> list[int]:
-        return [v for v in range(self.n_vertices()) if self.valence(v) == 1]
-
 
 @dataclass(frozen=True)
 class TreePairRep:
@@ -111,28 +101,6 @@ def parse_rep(text: str):
         f"cannot parse representation {text!r} "
         "(expected (p), (p,q) or [p q r / a b c])"
     )
-
-
-def rep_to_json(rep) -> str:
-    if isinstance(rep, Girth1Rep):
-        return json.dumps({"girth": 1, "labels": [rep.p]})
-    if isinstance(rep, Girth2Rep):
-        return json.dumps({"girth": 2, "labels": [rep.p, rep.q]})
-    if isinstance(rep, Girth3Rep):
-        return json.dumps({"girth": 3, "top": list(rep.top), "bottom": list(rep.bottom)})
-    raise TypeError(f"not a serializable representation: {rep!r}")
-
-
-def rep_from_json(text: str):
-    obj = json.loads(text)
-    g = obj["girth"]
-    if g == 1:
-        return Girth1Rep(obj["labels"][0])
-    if g == 2:
-        return Girth2Rep(*obj["labels"])
-    if g == 3:
-        return Girth3Rep(tuple(obj["top"]), tuple(obj["bottom"]))
-    raise ValueError(f"unsupported girth {g}")
 
 
 def mirror(rep):
@@ -238,71 +206,3 @@ def canonicalize(rep) -> CanonicalRep:
         canon = Girth3Rep(tuple(key[1:4]), tuple(key[4:7]))
         return CanonicalRep(canon, key)
     raise TypeError(f"cannot canonicalize {rep!r}")
-
-
-# ---------------------------------------------------------------------------
-# zero-labeled exterior edges on general tree pairs
-
-
-def strip_zero_exterior(tree: PlaneTree) -> PlaneTree:
-    """Remove exterior (leaf) edges labeled zero, repeatedly."""
-    edges: list = [tuple(e) for e in tree.edges]
-    rotation = [list(r) for r in tree.rotation]
-    changed = True
-    while changed:
-        changed = False
-        for idx, entry in enumerate(edges):
-            if entry is None or entry[2] != 0:
-                continue
-            u, v, _label = entry
-            for leaf, other in ((u, v), (v, u)):
-                live = [x for x in rotation[leaf] if x is not None]
-                if len(live) == 1 and live[0][0] == idx:
-                    rotation[leaf] = []
-                    rotation[other] = [
-                        None if (x is not None and x[0] == idx) else x
-                        for x in rotation[other]
-                    ]
-                    edges[idx] = None
-                    changed = True
-                    break
-            if changed:
-                break
-    keep = [i for i, e in enumerate(edges) if e is not None]
-    remap = {old: new for new, old in enumerate(keep)}
-    vert_keep = [
-        v for v in range(len(rotation)) if any(x is not None for x in rotation[v])
-    ]
-    if not vert_keep:
-        vert_keep = [0]
-    vmap = {old: new for new, old in enumerate(vert_keep)}
-    new_edges = tuple(
-        (vmap[edges[i][0]], vmap[edges[i][1]], edges[i][2]) for i in keep
-    )
-    new_rotation = tuple(
-        tuple(
-            (remap[ei], end)
-            for (ei, end) in [x for x in rotation[v] if x is not None]
-        )
-        for v in vert_keep
-    )
-    return PlaneTree(new_edges, new_rotation)
-
-
-def pad_to_girth(tree: PlaneTree, girth: int) -> PlaneTree:
-    """Add zero-labeled exterior edges until the leaf count equals girth."""
-    edges = [tuple(e) for e in tree.edges]
-    rotation = [list(r) for r in tree.rotation]
-    while sum(1 for v in range(len(rotation)) if len(rotation[v]) == 1) < girth:
-        # attach a fresh leaf at the first vertex of valence 2
-        target = next(
-            (v for v in range(len(rotation)) if len(rotation[v]) == 2), None
-        )
-        if target is None:
-            target = 0
-        new_edge = len(edges)
-        new_vertex = len(rotation)
-        edges.append((target, new_vertex, 0))
-        rotation[target].append((new_edge, 0))
-        rotation.append([(new_edge, 1)])
-    return PlaneTree(tuple(edges), tuple(tuple(r) for r in rotation))

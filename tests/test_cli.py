@@ -81,8 +81,8 @@ def test_eval_output_parses_back(capsys):
 
 
 # sha256 of stdout, recorded while every product still ran the schoolbook
-# loop; these brackets multiply polynomials of hundreds of terms, so they
-# pin the Kronecker path end to end.
+# loop; these brackets have hundreds of terms, so they pin the closed forms'
+# big-integer evaluation end to end.
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -169,6 +169,17 @@ def test_malformed_pd_json_exits_2(tmp_path, capsys, text):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize("text", ["[1,2]", "[[1,2,3,4]]"])
+def test_json_list_pd_file_gets_the_json_error(tmp_path, capsys, text):
+    path = tmp_path / "list.pd"
+    path.write_text(text + "\n")
+    code = main(["girth", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: PD JSON must be an object with a 'crossings' list\n"
 
 
 def test_large_non_pd_file_gets_a_short_error(tmp_path, capsys):

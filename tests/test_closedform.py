@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +30,7 @@ from knotpair.closedform import (
     sym_s,
 )
 from knotpair.diagram import pd_from_rep
-from knotpair.laurent import LaurentPoly, chebyshev_U, lp_extremes
+from knotpair.laurent import LaurentPoly, lp_extremes, unpack
 from knotpair.oracle import bracket_state_sum, conway_fox
 from knotpair.reps import Girth2Rep, Girth3Rep
 
@@ -270,13 +271,40 @@ def test_row_swap_difference_antisymmetry():
 
 
 def test_chebyshev_vs_nabla_degree():
+    # nabla_(n+1)(z) = i^n U_n(-zi/2) has the degree n of U_n, leading 1
     for n in range(9):
-        assert lp_extremes(chebyshev_U(n))[1] == n
+        nab = nabla_same(n + 1)
+        assert lp_extremes(nab)[1] == n and nab.coeff(n) == 1
 
 
 # ---------------------------------------------------------------------------
 # The brackets by one evaluation against the Laurent-assembled formulas they
-# replaced, kept here verbatim as references.
+# replaced, kept here as references.  Their large products go through one
+# big-integer product, which keeps the grids below fast.
+
+
+def packed_product(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
+    """x * y by one big-integer product, decoded by ``laurent.unpack``.
+
+    Each operand packs as sum(c << (8 * width * i)), slot i holding the
+    coefficient of exponent low + i * stride; a product coefficient is a sum
+    of at most min(len x, len y) products, so ``width`` bounds it with one
+    bit to spare for the sign.
+    """
+    if x.is_zero() or y.is_zero():
+        return LaurentPoly.zero(x.tag)
+    lx, ly = x.min_exp(), y.min_exp()
+    stride = gcd(*(e - lx for e, _ in x.terms), *(e - ly for e, _ in y.terms)) or 1
+    top = max(abs(c) for _, c in x.terms) * max(abs(c) for _, c in y.terms)
+    width = (top * min(len(x.terms), len(y.terms))).bit_length() // 8 + 1
+
+    def pack(p: LaurentPoly, low: int) -> int:
+        return sum(c << (8 * width * ((e - low) // stride)) for e, c in p.terms)
+
+    slots = (x.max_exp() - lx + y.max_exp() - ly) // stride + 1
+    return LaurentPoly.from_terms(
+        unpack(pack(x, lx) * pack(y, ly), width, slots, lx + ly, stride), x.tag
+    )
 
 
 def _ref_bracket_double_twist(p: int, q: int) -> LaurentPoly:
@@ -284,7 +312,7 @@ def _ref_bracket_double_twist(p: int, q: int) -> LaurentPoly:
     sp, sq = s_poly(p), s_poly(q)
     return (
         loop_value() * (sp.shift(-q) + sq.shift(-p))
-        + sp * sq
+        + packed_product(sp, sq)
         + LaurentPoly.monomial(1, -p - q, "A")
     )
 
@@ -293,12 +321,12 @@ def _ref_row_sym(triple, s):
     """S^0..S^3 of a label triple, given the triple's S polynomials."""
     p, q, r = triple
     sp, sq, sr = s
-    spq = sp * sq
+    spq = packed_product(sp, sq)
     return (
         LaurentPoly.monomial(1, -p - q - r, "A"),
         sp.shift(-q - r) + sq.shift(-p - r) + sr.shift(-p - q),
-        spq.shift(-r) + (sp * sr).shift(-q) + (sq * sr).shift(-p),
-        spq * sr,
+        spq.shift(-r) + packed_product(sp, sr).shift(-q) + packed_product(sq, sr).shift(-p),
+        packed_product(spq, sr),
     )
 
 
@@ -313,11 +341,11 @@ def _ref_bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
     b0, b1, b2, b3 = _ref_row_sym(bot, (sa, sb, sc))
 
     def cross(sx: LaurentPoly, sy: LaurentPoly, rest: int) -> LaurentPoly:
-        return (sx * sy).shift(rest)
+        return packed_product(sx, sy).shift(rest)
 
     blk0 = (
-        t0 * b0
-        + t2 * b2
+        packed_product(t0, b0)
+        + packed_product(t2, b2)
         + cross(sp, sa, -q - r - b - c)
         + cross(sp, sc, -q - r - a - b)
         + cross(sq, sa, -p - r - b - c)
@@ -325,18 +353,25 @@ def _ref_bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
         + cross(sr, sb, -p - q - a - c)
         + cross(sr, sc, -p - q - a - b)
     )
-    blk1 = t1 * b0 + t0 * b1 + t2 * b1 + t1 * b2 + t3 * b2 + t2 * b3
+    blk1 = (
+        packed_product(t1, b0)
+        + packed_product(t0, b1)
+        + packed_product(t2, b1)
+        + packed_product(t1, b2)
+        + packed_product(t3, b2)
+        + packed_product(t2, b3)
+    )
     blk2 = (
-        t2 * b0
-        + t0 * b2
-        + t3 * b1
-        + t1 * b3
-        + t3 * b3
+        packed_product(t2, b0)
+        + packed_product(t0, b2)
+        + packed_product(t3, b1)
+        + packed_product(t1, b3)
+        + packed_product(t3, b3)
         + cross(sp, sb, -q - r - a - c)
         + cross(sq, sc, -p - r - a - b)
         + cross(sr, sa, -p - q - b - c)
     )
-    blk3 = t3 * b0 + t0 * b3
+    blk3 = packed_product(t3, b0) + packed_product(t0, b3)
     return blk0 + blk1 * d + blk2 * d**2 + blk3 * d**3
 
 

@@ -18,7 +18,6 @@ from knotpair.girth import (
     TaitDecomposition,
     _is_spanning_tree,
     _tree_girths,
-    contour_girth,
     decompose,
     decompositions_of_girth,
     diagram_girth,
@@ -229,8 +228,8 @@ def test_shading_one_trees_are_complements_of_shading_zero_trees():
     for pd in pds:
         shades = checkerboard(pd)
         black, white = tait_graph(pd, shades[0]), tait_graph(pd, shades[1])
-        girth0 = {t: contour_girth(black, t) for t in spanning_trees(black)}
-        girth1 = {t: contour_girth(white, t) for t in spanning_trees(white)}
+        girth0 = {t: tree_contour(black, t).girth() for t in spanning_trees(black)}
+        girth1 = {t: tree_contour(white, t).girth() for t in spanning_trees(white)}
         assert len(girth0) == len(girth1), pd
         for t, g in girth1.items():
             complement = tuple(ei for ei in range(pd.n()) if ei not in t)

@@ -7,25 +7,20 @@ from math import comb
 import pytest
 
 from knotpair.laurent import (
-    KRONECKER_MIN_TERMS,
     MAX_EXPONENT,
     LaurentPoly,
     RationalLaurent,
     TagMismatchError,
-    chebyshev_U,
-    chebyshev_U_explicit,
     jones_from_bracket,
     jones_span,
     jones_span_inclusive,
     jones_to_text,
-    lp_arith,
-    lp_derivative_at_one,
     lp_extremes,
-    lp_invert_variable,
     poly_from_text,
     poly_to_text,
+    unpack,
 )
-from knotpair.laurent import _kronecker_product, _pack, unpack
+from test_closedform import packed_product
 
 
 def P(d, tag="A"):
@@ -39,11 +34,11 @@ def test_zero_has_no_stored_coefficients():
 
 def test_basic_arith_examples():
     a = P({1: 1, -1: 1})
-    assert lp_arith("add", a, P({-1: -1})) == P({1: 1})
-    assert lp_arith("mul", P({}), a) == P({})
-    assert lp_arith("mul", P({0: 1, 4: -1}), P({0: 1, 4: 1})) == P({0: 1, 8: -1})
-    assert lp_arith("neg", a) == P({1: -1, -1: -1})
-    assert lp_arith("scale", a, 3) == P({1: 3, -1: 3})
+    assert a + P({-1: -1}) == P({1: 1})
+    assert P({}) * a == P({})
+    assert P({0: 1, 4: -1}) * P({0: 1, 4: 1}) == P({0: 1, 8: -1})
+    assert -a == P({1: -1, -1: -1})
+    assert a * 3 == P({1: 3, -1: 3})
 
 
 def test_tag_mismatch_is_usage_error():
@@ -73,11 +68,11 @@ def test_invert_variable_involution_and_homomorphism():
     for _ in range(200):
         x = P({rng.randint(-15, 15): rng.randint(-5, 5) for _ in range(4)})
         y = P({rng.randint(-15, 15): rng.randint(-5, 5) for _ in range(4)})
-        assert lp_invert_variable(lp_invert_variable(x)) == x
-        assert lp_invert_variable(x * y) == lp_invert_variable(x) * lp_invert_variable(y)
-        assert lp_invert_variable(x + y) == lp_invert_variable(x) + lp_invert_variable(y)
-    assert lp_invert_variable(P({1: 1})) == P({-1: 1})
-    assert lp_invert_variable(P({0: 1, 4: -1})) == P({0: 1, -4: -1})
+        assert x.invert_variable().invert_variable() == x
+        assert (x * y).invert_variable() == x.invert_variable() * y.invert_variable()
+        assert (x + y).invert_variable() == x.invert_variable() + y.invert_variable()
+    assert P({1: 1}).invert_variable() == P({-1: 1})
+    assert P({0: 1, 4: -1}).invert_variable() == P({0: 1, -4: -1})
 
 
 def test_extremes():
@@ -85,22 +80,6 @@ def test_extremes():
     assert lp_extremes(P({0: 3})) == (0, 0, 0)
     with pytest.raises(ValueError):
         lp_extremes(P({}))
-
-
-def test_derivative_at_one():
-    assert lp_derivative_at_one(P({4: 1})) == 4
-    assert lp_derivative_at_one(P({0: 1, 8: -1})) == -8  # 1 - A^(4q), q = 2
-
-
-def test_chebyshev_initial_values_and_recursion():
-    assert chebyshev_U(0) == LaurentPoly.one("x")
-    assert chebyshev_U(1) == LaurentPoly.monomial(2, 1, "x")
-    assert chebyshev_U(2) == LaurentPoly.from_dict({2: 4, 0: -1}, "x")
-
-
-def test_chebyshev_explicit_sum_formula():
-    for n in range(13):
-        assert chebyshev_U(n) == chebyshev_U_explicit(n)
 
 
 def test_jones_from_bracket_substitution():
@@ -181,7 +160,7 @@ def schoolbook(x, y):
     return P(out, x.tag)
 
 
-def test_mul_equals_schoolbook_across_the_kronecker_boundary():
+def test_mul_equals_the_packed_reference_product():
     rng = random.Random(2009)
 
     def rand_poly():
@@ -198,25 +177,14 @@ def test_mul_equals_schoolbook_across_the_kronecker_boundary():
             coeffs[e] = rng.randint(-bound, bound)
         return P(coeffs)
 
-    packed = sparse = 0
     for _ in range(1500):
         x, y = rand_poly(), rand_poly()
-        ref = schoolbook(x, y)
-        assert x * y == ref
-        if min(len(x.terms), len(y.terms)) >= KRONECKER_MIN_TERMS:
-            items = _kronecker_product(x.terms, y.terms)
-            if items is None:
-                sparse += 1
-            else:
-                assert items == ref.terms
-                packed += 1
-    assert packed > 150 and sparse > 150
+        assert x * y == packed_product(x, y)
 
 
 def test_mul_edge_cases():
     x = LaurentPoly.var()
     big = P({4 * i - 37: (-1) ** i * (i + 1) for i in range(40)})
-    assert len(big.terms) >= KRONECKER_MIN_TERMS
     assert big * LaurentPoly.zero() == LaurentPoly.zero()
     assert LaurentPoly.zero() * big == LaurentPoly.zero()
     assert big * LaurentPoly.monomial(-3, 5) == schoolbook(big, LaurentPoly.monomial(-3, 5))
@@ -224,12 +192,10 @@ def test_mul_edge_cases():
     assert big * big == schoolbook(big, big)
     # every odd coefficient of (1 + x)^20 (1 - x)^20 cancels to zero
     plus, minus = (1 + x) ** 20, (1 - x) ** 20
-    assert _kronecker_product(plus.terms, minus.terms) is not None
     assert plus * minus == P({2 * k: (-1) ** k * comb(20, k) for k in range(21)})
     # stride 4 in both operands, exponents 2 and 1 mod 4
     s = P({4 * i - 2: (-1) ** i for i in range(30)})
     t = P({4 * i + 1: 1 for i in range(25)})
-    assert _kronecker_product(s.terms, t.terms) is not None
     assert s * t == schoolbook(s, t)
 
 
@@ -238,18 +204,16 @@ def test_mul_overflow_raises_on_both_paths():
         P({MAX_EXPONENT: 1, 0: 1}) * P({1: 1, 0: 1})
     top = P({MAX_EXPONENT - i: 1 for i in range(20)})
     low = P({i: 1 for i in range(20)})
-    assert _kronecker_product(top.terms, low.terms) is not None
     with pytest.raises(OverflowError, match=f"exponent {MAX_EXPONENT + 1} "):
         top * low
     with pytest.raises(OverflowError, match=f"exponent {-MAX_EXPONENT - 19} "):
-        lp_invert_variable(top) * lp_invert_variable(low)
+        top.invert_variable() * low.invert_variable()
     with pytest.raises(OverflowError, match=f"exponent {MAX_EXPONENT + 1} "):
         LaurentPoly.from_dict({MAX_EXPONENT + 1: 1, MAX_EXPONENT + 5: 1})
 
 
 def test_sparse_product_stays_off_kronecker():
     p = P({**{i: i + 1 for i in range(20)}, 2**40: 1})
-    assert _kronecker_product(p.terms, p.terms) is None
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -263,6 +227,11 @@ def test_sparse_product_stays_off_kronecker():
     assert peak < 2**20
 
 
+def pack(dense, width):
+    """sum(c * 2^(8 * width * i)) over the slots."""
+    return sum(c << (8 * width * i) for i, c in enumerate(dense))
+
+
 def test_unpack_round_trips_signed_slots():
     rng = random.Random(1009)
     for width in (1, 2, 3, 8, 17):
@@ -273,7 +242,7 @@ def test_unpack_round_trips_signed_slots():
             if rng.random() < 0.3:
                 dense[0] = dense[-1] = 0  # zero slots at both ends
             expect = tuple((i, c) for i, c in enumerate(dense) if c)
-            value = _pack(dense, width)
+            value = pack(dense, width)
             assert unpack(value, width, n, 0, 1) == expect
             # a spare slot on top reads as zero
             assert unpack(value, width, n + 1, 0, 1) == expect
@@ -290,4 +259,4 @@ def test_unpack_single_slot_and_extremes():
             assert unpack(c, width, 1, 7, 4) == ((7, c),)
         assert unpack(0, width, 1, 7, 4) == ()
         dense = [top, -top, -top, top]
-        assert unpack(_pack(dense, width), width, 4, 0, 1) == tuple(enumerate(dense))
+        assert unpack(pack(dense, width), width, 4, 0, 1) == tuple(enumerate(dense))

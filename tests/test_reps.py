@@ -9,16 +9,11 @@ from knotpair.reps import (
     Girth1Rep,
     Girth2Rep,
     Girth3Rep,
-    PlaneTree,
     _g3_key,
     canonicalize,
     d3_orbit,
     mirror,
-    pad_to_girth,
     parse_rep,
-    rep_from_json,
-    rep_to_json,
-    strip_zero_exterior,
 )
 
 
@@ -36,7 +31,6 @@ def test_parse_examples():
 def test_parse_round_trip_through_rendering():
     for rep in (Girth1Rep(-5), Girth2Rep(3, -2), Girth3Rep((1, 0, -2), (3, -1, 0))):
         assert parse_rep(str(rep)) == rep
-        assert rep_from_json(rep_to_json(rep)) == rep
 
 
 def test_parse_rejects_malformed():
@@ -121,27 +115,6 @@ def test_canonicalize_matches_oracle_jones_for_girth2():
             canon = canonicalize(rep).rep
             multi = components(pd_from_rep(rep)) > 1
             assert jones_equal(jones(rep), jones(canon), unit_shift=multi), (p, q)
-
-
-def _y_tree(labels):
-    edges = tuple((3, i, labels[i]) for i in range(3))
-    rotation = (
-        ((0, 1),),
-        ((1, 1),),
-        ((2, 1),),
-        ((0, 0), (1, 0), (2, 0)),
-    )
-    return PlaneTree(edges, rotation)
-
-
-def test_strip_and_pad_zero_exterior_edges():
-    tree = _y_tree([2, 3, 0])
-    stripped = strip_zero_exterior(tree)
-    assert len(stripped.edges) == 2
-    padded = pad_to_girth(stripped, 3)
-    assert len(padded.leaves()) == 3
-    labels = sorted(label for _, _, label in padded.edges)
-    assert labels == [0, 2, 3]
 
 
 def test_g3_key_table_matches_orbit_minimum():

@@ -126,6 +126,8 @@ def _pin(fmt, girth, max_abs, digest):
     [
         _pin("csv", 2, 12, "796729674c2428d2cf8aed1195e938d6a63d9eea4da8bb3010fd2effa39e0211"),
         _pin("csv", 3, 2, "110926f4bd058053efda451cac9a8686ec3cd4070fb9c0fd281af4251477606d"),
+        # the first pin with labels of |x| = 3, whose reduced labels differ
+        _pin("csv", 3, 3, "9539e585500773509d32a755c5df00c1334d60883d2bb5b4e74a7e4b074f6c66"),
         _pin("jsonl", 2, 12, "8e527178b5c4ef8b91beed12ed4ba45c106ee2d8ca4b37091ff595cc2896acab"),
         _pin("jsonl", 3, 2, "443cb3b0208d4ab396dbed18531fda5f1ef86104fe57e7846fc266730ec11a43"),
     ],

@@ -82,12 +82,16 @@ def census_enumerate(
     values = _label_range(max_abs_label, even_only, positive_only)
     if girth == 3:
         # a labelling is canonical when it is the least of its wheel
-        # images, and the product runs in key order
-        return [
-            Girth3Rep(labels[:3], labels[3:])
-            for labels in itertools.product(values, repeat=6)
-            if g3_wheel_min(labels) == labels
-        ]
+        # images.  The wheel moves every position to the first, so such a
+        # labelling starts with its least label p, and the loops run in
+        # key order.
+        reps = []
+        for i, p in enumerate(values):
+            for rest in itertools.product(values[i:], repeat=5):
+                labels = (p,) + rest
+                if g3_wheel_min(labels) == labels:
+                    reps.append(Girth3Rep(labels[:3], labels[3:]))
+        return reps
     if girth != 2:
         raise ValueError("census enumerates girth 2 or 3")
     seen: dict[tuple, object] = {}

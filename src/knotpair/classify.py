@@ -147,29 +147,28 @@ class RepInvariants:
 def rep_invariants(rep) -> RepInvariants:
     """Exact invariants of a representation, all from closed forms.
 
-    A girth-3 rep reads its component count off the frozen parity-pattern
-    table (``g3table``), and a girth-3 knot its writhe too.  Its Conway
-    polynomial is the even formula when every label is even, and otherwise
-    the table's, up to ``oracle.CONWAY_CAP`` crossings, the domain the
-    Fox oracle answers on.  Every other rep reads its component count and
-    writhe off the reduced template of at most two crossings per twist
-    region (``diagram.components_and_writhe``), so a girth-3 knot builds no
-    template at all.  Every result passes ``check_identities`` or raises
-    ``AssertionError``.
+    A girth-3 rep, knot or link, reads its component count and writhe off
+    the frozen table of reduced labellings (``g3table``), so it builds no
+    template.  A girth-3 knot's Conway polynomial is the even formula when
+    every label is even, and otherwise the table's, up to
+    ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers on.
+    Every other rep reads its component count and writhe off the reduced
+    template of at most two crossings per twist region
+    (``diagram.components_and_writhe``).  Every result passes
+    ``check_identities`` or raises ``AssertionError``.
     """
     conway: LaurentPoly | None = None
-    comps = writhe = 0
     if isinstance(rep, Girth3Rep):
         from . import g3table  # frozen data: loaded on the first girth-3 rep
 
         labels = rep.top + rep.bottom
-        if g3table.components(labels) == 1:
-            comps, writhe = 1, g3table.writhe(labels)
+        comps, writhe = g3table.components(labels), g3table.writhe(labels)
+        if comps == 1:
             if all(x % 2 == 0 for x in labels):
                 conway = cf.conway_girth3_even(rep)
             elif sum(map(abs, labels)) <= oracle.CONWAY_CAP:
                 conway = g3table.conway(labels)
-    if not comps:
+    else:
         comps, writhe = components_and_writhe(rep)
     bracket = closed_bracket(rep)
     jones = jones_from_bracket(bracket, writhe)

@@ -1,42 +1,58 @@
 """Component count, writhe and Conway polynomial of a girth-3 template from
-its labels, by a frozen per-parity-pattern table.
+its labels, by a frozen table.
 
-A parity pattern is the 6-bit number with bit i the parity of label i of
-(p, q, r, a, b, c); zero counts as even.  A ladder connects its four ends
-by the parity of its label alone, so the pattern fixes the components: 36
-of the 64 patterns are knots (``COMPONENTS``).  A knot's orientation is
-unique up to reversing it, so in each region both strands run one way for
-the whole pattern, and every crossing of region i has the sign sigma_i
-times the sign of its label: writhe = sum sigma_i x_i.
+A reduced labelling replaces each label x of (p, q, r, a, b, c) by
+sign(x) * (1 if x is odd else 2), or 0.  A ladder's crossings all join the
+same two strands with one sign, and how the ladder connects its ends
+depends only on the parity of its label.  So the reduced labels fix the
+component count and, in the orientation ``orient`` gives the template,
+the sign of every crossing of region i: the direction sign d_i times the
+sign of its label.  Hence writhe = sum d_i x_i, for knots and links alike.  ``REDUCED`` holds
+the component count and the d_i of each of the 5^6 reduced labellings.
 
-With the other labels fixed, f(m) = nabla at label b_i + 2m of region i
-obeys f(m+1) = c f(m) - f(m-1), from the skein relation on one crossing of
-the region: c = 2 (``AFFINE``) where its strands run opposite ways, and
-c = z^2 + 2 (``FIBONACCI``) where they run the same way.  So nabla is fixed
-by its 64 values at the corners, each label at b_i or b_i + 2, with
-b_i = -1 for an odd label and 0 for an even one, and is extrapolated axis by
-axis from them.
+A parity pattern is the 6-bit number with bit i the parity of label i;
+zero counts as even.  The pattern fixes the components: 36 of the 64
+patterns are knots.  With the other labels fixed, f(m) = nabla at label
+b_i + 2m of region i obeys f(m+1) = c f(m) - f(m-1), from the skein
+relation on one crossing of the region: c = 2 (``AFFINE``) where its
+strands run opposite ways, and c = z^2 + 2 (``FIBONACCI``) where they run
+the same way.  So a knot's nabla is fixed by its 64 values at the
+corners, each label at b_i or b_i + 2, with b_i = -1 for an odd label and
+0 for an even one, and is extrapolated axis by axis from them.
 
-``g3table_data`` holds, per knot pattern, the kinds, the sigma_i and the 64
-corner polynomials, made by ``make_g3table`` from the templates and
-``oracle.conway_fox``.  This module imports nothing from ``oracle``.  The
-corners come from the oracle, so the independent checks are those that do
+``g3table_data`` holds the reduced entries and, per knot pattern, the
+kinds and the 64 corner polynomials, made by ``make_g3table`` from the
+reduced templates, ``orient`` and ``oracle.conway_fox``.  This module
+imports nothing from ``oracle``.  The independent checks are those that do
 not read the table's own data: tests/test_g3table.py regenerates the table
-and compares components and writhe with ``orient`` and the extrapolated
-polynomial with Fox off the corners (a grid over every knot pattern with
-shifts of -4..+4, and a property test), and ``classify.check_identities``
-ties each value to the bracket through the determinant.
+and compares components and writhe with ``orient`` on full templates and
+the extrapolated polynomial with Fox off the corners (a grid over every
+knot pattern with shifts of -4..+4, and a property test);
+tests/test_diagram.py compares components and writhe with the full
+template on a grid and a property test; and ``classify.check_identities``
+ties each value to the bracket.
 """
 
 from __future__ import annotations
 
 import functools
 
-from .g3table_data import COMPONENTS, KNOTS
+from .g3table_data import KNOTS, REDUCED
 from .laurent import LaurentPoly
 
 AFFINE = "A"
 FIBONACCI = "F"
+
+_ENTRIES = bytes.fromhex(REDUCED)
+
+
+def _index(labels) -> int:
+    """sum (r_i + 2) 5^i over the reduced labels r_i of ``labels``."""
+    index = 0
+    for x in reversed(labels):
+        r = 2 - (x & 1) if x else 0
+        index = 5 * index + 2 + (r if x > 0 else -r)
+    return index
 
 
 def _pattern(labels: tuple[int, ...]) -> int:
@@ -49,13 +65,14 @@ def base_label(pattern: int, i: int) -> int:
 
 
 def components(labels: tuple[int, ...]) -> int:
-    return COMPONENTS[_pattern(labels)]
+    """Component count of the template of a girth-3 labelling."""
+    return _ENTRIES[_index(labels)] >> 6
 
 
 def writhe(labels: tuple[int, ...]) -> int:
-    """Writhe of the oriented template of a girth-3 knot."""
-    _, sigma, _ = KNOTS[_pattern(labels)]
-    return sum(s * x for s, x in zip(sigma, labels))
+    """Writhe of the template of a girth-3 labelling, oriented by ``orient``."""
+    entry = _ENTRIES[_index(labels)]
+    return sum(-x if entry >> i & 1 else x for i, x in enumerate(labels))
 
 
 def conway(labels: tuple[int, ...]) -> LaurentPoly:
@@ -91,7 +108,7 @@ def conway(labels: tuple[int, ...]) -> LaurentPoly:
 @functools.cache
 def _corners(pattern: int) -> tuple[tuple[int, ...], ...]:
     """The 64 corner polynomials of a knot pattern, decoded on first use."""
-    return tuple(tuple(map(int, c.split(","))) for c in KNOTS[pattern][2].split())
+    return tuple(tuple(map(int, c.split(","))) for c in KNOTS[pattern][1].split())
 
 
 def _along(f0, f1, m: int, fib: bool):

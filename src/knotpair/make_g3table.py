@@ -1,40 +1,46 @@
-"""Build the frozen girth-3 parity-pattern table ``g3table_data.py``.
+"""Build the frozen girth-3 table ``g3table_data.py``.
 
 Run from the root of a checkout after any change to the templates or the
 oracles (tests/test_g3table.py fails until the shipped table matches):
 
     PYTHONPATH=src python -m knotpair.make_g3table
 
-A parity pattern is the 6-bit number with bit i the parity of label i of
-(p, q, r, a, b, c).  For every pattern the oriented template of its
-reduced labels (1 for odd, 2 for even, all positive) gives the component
-count.  For each of the knot patterns it also gives each region's writhe
-sign, the sign of the region's first crossing, and ``conway_fox`` gives the
-64 corner Conway polynomials and each region's kind (``g3table``).
+A reduced labelling replaces each label x of (p, q, r, a, b, c) by
+sign(x) * (1 if x is odd else 2), or 0.  For each of the 5^6 reduced
+labellings, the oriented reduced template (``diagram._reduced_reading``)
+gives the component count and each region's direction sign d_i, the sign
+of the region's first crossing times the sign of its label.  A parity
+pattern is the 6-bit number with bit i the parity of label i.  For each
+knot pattern, ``conway_fox`` gives the 64 corner Conway polynomials and
+each region's kind (``g3table``).
 """
 
 from __future__ import annotations
 
 import os
 
-from .diagram import _ladder_labels, orient, pd_from_rep
-from .g3table import AFFINE, FIBONACCI, _next, base_label
+from .diagram import _ladder_labels, _reduced_reading, pd_from_rep
+from .g3table import AFFINE, FIBONACCI, _index, _next, base_label
 from .oracle import conway_fox
 from .reps import Girth3Rep
 
-HEADER = '''"""Frozen girth-3 parity-pattern table; see ``g3table``.
+HEADER = '''"""Frozen girth-3 table; see ``g3table``.
 
 Generated by ``python -m knotpair.make_g3table`` from the templates and
 ``oracle.conway_fox``; do not edit by hand.
 
-``COMPONENTS[pattern]`` is the component count of a parity pattern.
-``KNOTS[pattern]`` is (kinds, sigma, corners) for a knot pattern: the
-kind of each region, A(ffine) or F(ibonacci); each region's writhe sign;
-and the 64 corner polynomials, corner c having label b_i + 2 for each bit
-i set in c and b_i otherwise.  The corners are split by spaces, and each
-lists its z^0, z^2, ... coefficients split by commas.
+``REDUCED`` holds two hex digits per reduced labelling r, at index
+sum (r_i + 2) 5^i: the byte 64 * components + sum of 2^i over the regions
+i with direction sign d_i = -1.  ``KNOTS[pattern]`` is (kinds, corners)
+for a knot parity pattern: the kind of each region, A(ffine) or
+F(ibonacci), and the 64 corner polynomials, corner c having label b_i + 2
+for each bit i set in c and b_i otherwise.  The corners are split by
+spaces, and each lists its z^0, z^2, ... coefficients split by commas.
 """
 '''
+
+# label indices of (p, q, r, a, b, c) in the order of the template's ladders
+LADDERS = _ladder_labels(Girth3Rep((0, 1, 2), (3, 4, 5)))
 
 
 def _rep(labels) -> Girth3Rep:
@@ -59,14 +65,8 @@ def _kind(below, f0, f1) -> str:
     raise AssertionError(f"no two-term recurrence fits {below}, {f0}, {f1}")
 
 
-def _knot_entry(pattern: int, signs: tuple[int, ...], small: list[int]):
+def _knot_entry(pattern: int):
     base = [base_label(pattern, i) for i in range(6)]
-    sigma = [0] * 6
-    first = 0
-    ladders = _ladder_labels(_rep(range(6)))  # label indices in crossing order
-    for i in ladders:
-        sigma[i] = signs[first]
-        first += small[i]
     corners = tuple(
         _conway_coeffs([base[i] + 2 * (corner >> i & 1) for i in range(6)])
         for corner in range(64)
@@ -76,33 +76,45 @@ def _knot_entry(pattern: int, signs: tuple[int, ...], small: list[int]):
         below = list(base)
         below[i] -= 2
         kinds += _kind(_conway_coeffs(below), corners[0], corners[1 << i])
-    return kinds, tuple(sigma), corners
+    return kinds, corners
 
 
-def build_table() -> tuple[tuple[int, ...], dict]:
-    """(component count per pattern, {knot pattern: (kinds, sigma, corners)})."""
-    components = []
+def _reduced_entry(reduced: tuple[int, ...]) -> int:
+    """64 * components + sum of 2^i over the regions i with d_i = -1."""
+    comps, signs = _reduced_reading(_rep(reduced))
+    entry = comps << 6
+    for i, s in zip(LADDERS, signs):
+        if s * reduced[i] < 0:
+            entry |= 1 << i
+    return entry
+
+
+def build_table() -> tuple[bytes, dict]:
+    """(one entry per reduced labelling, {knot pattern: (kinds, corners)})."""
+    entries = bytes(
+        _reduced_entry(tuple(index // 5**i % 5 - 2 for i in range(6)))
+        for index in range(5**6)
+    )
     knots = {}
     for pattern in range(64):
+        # the components depend on the parities alone
         small = [1 if pattern >> i & 1 else 2 for i in range(6)]
-        ori = orient(pd_from_rep(_rep(small)))
-        components.append(ori.n_components)
-        if ori.n_components == 1:
-            knots[pattern] = _knot_entry(pattern, ori.signs, small)
-    return tuple(components), knots
+        if entries[_index(small)] >> 6 == 1:
+            knots[pattern] = _knot_entry(pattern)
+    return entries, knots
 
 
 def render(table) -> str:
-    """The text of ``g3table_data.py``.  The corner polynomials are one
-    string per pattern, corners split by spaces and coefficients by commas:
-    a module of int and tuple literals costs megabytes to compile."""
-    components, knots = table
-    lines = [HEADER, "COMPONENTS = ("]
-    for start in range(0, 64, 16):
-        lines.append("    " + " ".join(f"{c}," for c in components[start:start + 16]))
+    """The text of ``g3table_data.py``.  The entries and the corner
+    polynomials are strings, split by lines: a module of int and tuple
+    literals costs megabytes to compile."""
+    entries, knots = table
+    text = entries.hex()
+    lines = [HEADER, "REDUCED = ("]
+    lines += [f'    "{text[start:start + 100]}"' for start in range(0, len(text), 100)]
     lines += [")", "", "KNOTS = {"]
-    for pattern, (kinds, sigma, corners) in knots.items():
-        lines.append(f"    {pattern}: ({kinds!r}, {sigma!r},")
+    for pattern, (kinds, corners) in knots.items():
+        lines.append(f"    {pattern}: ({kinds!r},")
         for start in range(0, 64, 16):
             text = " ".join(",".join(map(str, c)) for c in corners[start:start + 16])
             lines.append(f'        "{text} "')

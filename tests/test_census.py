@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from knotpair.census import (
+    _label_range,
     build_record,
     census_csv,
     census_enumerate,
@@ -17,7 +18,14 @@ from knotpair.classify import compare
 from knotpair.diagram import pd_from_rep
 from knotpair.laurent import poly_to_text
 from knotpair.oracle import conway_fox
-from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize, d3_orbit
+from knotpair.reps import (
+    Girth1Rep,
+    Girth2Rep,
+    Girth3Rep,
+    canonicalize,
+    d3_orbit,
+    g3_wheel_min,
+)
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
 
@@ -51,6 +59,22 @@ def test_enumerate_girth3_is_one_canonical_rep_per_key(even_only, positive_only)
         seen.setdefault(canon.key, canon.rep)
     want = [seen[k] for k in sorted(seen)]
     assert census_enumerate(3, 2, even_only, positive_only) == want
+
+
+@pytest.mark.parametrize("max_abs", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "even_only, positive_only",
+    [(False, False), (True, False), (False, True), (True, True)],
+)
+def test_enumerate_girth3_equals_the_wheel_min_filter(max_abs, even_only, positive_only):
+    # the reference tests every labelling against its 12 wheel images
+    values = _label_range(max_abs, even_only, positive_only)
+    want = [
+        Girth3Rep(labels[:3], labels[3:])
+        for labels in itertools.product(values, repeat=6)
+        if g3_wheel_min(labels) == labels
+    ]
+    assert census_enumerate(3, max_abs, even_only, positive_only) == want
 
 
 def test_enumerate_budget():
@@ -191,4 +215,19 @@ def test_girth3_census_calls_no_fox(monkeypatch, tmp_path):
     out = tmp_path / "census.csv"
     assert cli.main(["census", "--girth", "3", "--max", "2", "--output", str(out)]) == 0
     assert out.read_text().count("\n") == 1 + len(census_enumerate(3, 2))
+    assert calls == []
+
+
+def test_girth3_census_builds_no_template(monkeypatch, tmp_path):
+    # knots and links alike read the frozen table; --max 3 has labels of
+    # |x| = 3, whose reduced labels differ from their own
+    from knotpair import cli, diagram
+
+    calls = []
+    real = diagram.pd_from_rep
+    monkeypatch.setattr(diagram, "pd_from_rep", lambda rep: calls.append(rep) or real(rep))
+    diagram._reduced_reading.cache_clear()
+    out = tmp_path / "census.csv"
+    assert cli.main(["census", "--girth", "3", "--max", "3", "--output", str(out)]) == 0
+    assert out.read_text().count("\n") == 1 + len(census_enumerate(3, 3))
     assert calls == []

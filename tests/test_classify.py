@@ -230,9 +230,11 @@ def test_verdict_json_round_trip():
 
 
 def spy_on_templates(monkeypatch):
-    """Record (rep, crossing count) for every template ``pd_from_rep`` builds."""
+    """Record (rep, crossing count) for every template ``pd_from_rep`` builds,
+    with the cache of reduced readings emptied first."""
     from knotpair import census, diagram
 
+    diagram._reduced_reading.cache_clear()
     built = []
     build = diagram.pd_from_rep
 
@@ -257,22 +259,29 @@ def spy_on_templates(monkeypatch):
 )
 def test_rep_invariants_builds_only_small_templates(monkeypatch, rep):
     built = spy_on_templates(monkeypatch)
-    inv = rep_invariants(rep)
-    if isinstance(rep, Girth3Rep) and inv.components == 1:
-        # a girth-3 knot reads everything off the frozen table
+    rep_invariants(rep)
+    if isinstance(rep, Girth3Rep):
+        # a girth-3 knot or link reads everything off the frozen table
         assert built == []
     else:
         assert len(built) == 1 and built[0][1] <= 12, built
+    rep_invariants(rep)
+    assert len(built) <= 1, "a reduced template is built once per process"
 
 
 def test_census_builds_at_most_one_template_per_rep(monkeypatch):
     from knotpair.census import census_enumerate, dedup_census
+    from knotpair.diagram import _reduced_rep
 
-    reps = census_enumerate(3, 2)
+    g3 = census_enumerate(3, 2)
+    g2 = census_enumerate(2, 12)
     built = spy_on_templates(monkeypatch)
-    records = dedup_census(reps)
+    records = dedup_census(g3)
     links = [rec.rep for cls in records for rec in cls.members if rec.components > 1]
-    # knots build none; labels of size at most 2 are their own reduced
-    # labels, so each link builds exactly its own template
-    assert 0 < len(links) < len(reps)
-    assert Counter(rep for rep, _ in built) == Counter(links)
+    # knots and links alike read the frozen table
+    assert 0 < len(links) < len(g3)
+    assert built == []
+    # a girth-1 or girth-2 rep builds the template of its reduced rep, once
+    dedup_census(g2)
+    small = {_reduced_rep(rep) for rep in g2}
+    assert Counter(rep for rep, _ in built) == Counter(small)

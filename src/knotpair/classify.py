@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 from . import closedform as cf
 from . import oracle
-from .diagram import components_and_writhe
 from .laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from .reps import (
     Girth1Rep,
@@ -147,37 +146,40 @@ class RepInvariants:
 def rep_invariants(rep) -> RepInvariants:
     """Exact invariants of a representation, all from closed forms.
 
-    A girth-3 rep, knot or link, reads its component count and writhe off
-    the frozen table of reduced labellings (``g3table``), so it builds no
-    template.  A girth-3 knot's Conway polynomial is the even formula when
-    every label is even, and otherwise the table's, up to
-    ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers on.
-    Every other rep reads its component count and writhe off the reduced
-    template of at most two crossings per twist region
-    (``diagram.components_and_writhe``).  Every result passes
-    ``check_identities`` or raises ``AssertionError``.
+    No rep builds a template.  A girth-1 rep K(p) is a knot of p crossings
+    of sign -sign(p) when p is odd (``GIRTH1_HANDEDNESS`` = 1), and
+    otherwise two components that every crossing joins, which ``orient``
+    makes -1.  A girth-2 rep K(p, q), whose template is that of the
+    girth-3 labelling (p, 0, 0, q, 0, 0), and a girth-3 rep, knot or link,
+    read their component count and writhe off the frozen table of reduced
+    labellings (``g3table``).  A girth-3 knot's Conway polynomial is the
+    even formula when every label is even, and otherwise the table's, up
+    to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers
+    on.  Every result passes ``check_identities`` or raises
+    ``AssertionError``.
     """
+    bracket = closed_bracket(rep)
     conway: LaurentPoly | None = None
-    if isinstance(rep, Girth3Rep):
-        from . import g3table  # frozen data: loaded on the first girth-3 rep
-
-        labels = rep.top + rep.bottom
-        comps, writhe = g3table.components(labels), g3table.writhe(labels)
+    if isinstance(rep, Girth1Rep):
+        comps, writhe = (1, -rep.p) if rep.p % 2 else (2, -abs(rep.p))
         if comps == 1:
-            if all(x % 2 == 0 for x in labels):
+            conway = cf.conway_single_twist(rep.p)
+    else:
+        from . import g3table  # frozen data: loaded on first use
+
+        if isinstance(rep, Girth2Rep):
+            labels = (rep.p, 0, 0, rep.q, 0, 0)
+        else:
+            labels = rep.top + rep.bottom
+        comps, writhe = g3table.components_and_writhe(labels)
+        if comps == 1:
+            if isinstance(rep, Girth2Rep):
+                conway = cf.conway_double_twist(rep.p, rep.q)
+            elif all(x % 2 == 0 for x in labels):
                 conway = cf.conway_girth3_even(rep)
             elif sum(map(abs, labels)) <= oracle.CONWAY_CAP:
                 conway = g3table.conway(labels)
-    else:
-        comps, writhe = components_and_writhe(rep)
-    bracket = closed_bracket(rep)
     jones = jones_from_bracket(bracket, writhe)
-    if isinstance(rep, Girth1Rep):
-        if rep.p % 2 != 0:
-            conway = cf.conway_single_twist(rep.p)
-    elif isinstance(rep, Girth2Rep):
-        if comps == 1:
-            conway = cf.conway_double_twist(rep.p, rep.q)
     check_identities(comps, conway, jones)
     return RepInvariants(comps, conway, bracket, jones, writhe)
 

@@ -278,12 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=int, required=True)
     p.add_argument("--even", action="store_true")
     p.add_argument("--positive", action="store_true")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="ignored: the census always runs in one process",
-    )
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_census)

@@ -13,7 +13,6 @@ agrees with the state-sum oracle on the grid |p|,|q| <= 3.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import re
@@ -647,68 +646,3 @@ def pd_from_rep(rep) -> PDCode:
         return star_pair_pd(list(rep.top), list(rep.bottom))
     raise TypeError(f"cannot build a diagram from {rep!r}")
 
-
-def _ladder_labels(rep) -> tuple[int, ...]:
-    """The labels of a representation in the order ``pd_from_rep`` emits
-    their ladders (``star_pair_pd`` alternates inner and outer; the two
-    zero ladders of the girth-2 template are left out)."""
-    if isinstance(rep, Girth1Rep):
-        return (rep.p,)
-    if isinstance(rep, Girth2Rep):
-        return (rep.p, rep.q)
-    if isinstance(rep, Girth3Rep):
-        (p, q, r), (a, b, c) = rep.top, rep.bottom
-        return (p, a, q, b, r, c)
-    raise TypeError(f"cannot build a diagram from {rep!r}")
-
-
-def _reduce_label(x: int) -> int:
-    if x == 0:
-        return 0
-    return (1 if x % 2 else 2) * (1 if x > 0 else -1)
-
-
-def _reduced_rep(rep):
-    """The girth-1 or girth-2 representation with each label x replaced by
-    sign(x) * (1 if x is odd else 2): at most two crossings per ladder.
-    Girth-3 reps read the reduced readings off ``g3table``."""
-    if isinstance(rep, Girth1Rep):
-        return Girth1Rep(_reduce_label(rep.p))
-    if isinstance(rep, Girth2Rep):
-        return Girth2Rep(_reduce_label(rep.p), _reduce_label(rep.q))
-    raise TypeError(f"no reduced template for {rep!r}")
-
-
-def components_and_writhe(rep) -> tuple[int, int]:
-    """Component count and writhe of ``orient(pd_from_rep(rep))`` for a
-    girth-1 or girth-2 rep, read off the template of ``_reduced_rep(rep)``.
-
-    A ladder's crossings all join the same two strands with one sign, and
-    how the ladder connects its ends depends only on the parity of its
-    label.  So ``orient``'s one-pass grouping depends only on which
-    ladders are nonempty, their order, their parities and their first
-    crossings, and the reduced template has all of these.  The writhe is
-    the sum over the ladders of |x| times the sign of the ladder's first
-    crossing in the reduced template.  The reading of each reduced rep is
-    cached, so a process builds at most one reduced template per reduced
-    rep.  Girth-3 reps read the same values off the frozen table
-    ``g3table``, which ``make_g3table`` builds from ``_reduced_reading`` of
-    the 5^6 reduced girth-3 reps.  tests/test_diagram.py checks both
-    values against the full template.
-    """
-    comps, signs = _reduced_reading(_reduced_rep(rep))
-    return comps, sum(s * abs(x) for s, x in zip(signs, _ladder_labels(rep)))
-
-
-@functools.cache
-def _reduced_reading(small) -> tuple[int, tuple[int, ...]]:
-    """Component count of the template of a reduced rep, and the sign of
-    each ladder's first crossing (0 for an empty ladder) in
-    ``_ladder_labels`` order."""
-    ori = orient(pd_from_rep(small))
-    signs = []
-    first = 0
-    for y in _ladder_labels(small):
-        signs.append(ori.signs[first] if y else 0)
-        first += abs(y)
-    return ori.n_components, tuple(signs)

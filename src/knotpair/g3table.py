@@ -7,8 +7,10 @@ same two strands with one sign, and how the ladder connects its ends
 depends only on the parity of its label.  So the reduced labels fix the
 component count and, in the orientation ``orient`` gives the template,
 the sign of every crossing of region i: the direction sign d_i times the
-sign of its label.  Hence writhe = sum d_i x_i, for knots and links alike.  ``REDUCED`` holds
-the component count and the d_i of each of the 5^6 reduced labellings.
+sign of its label.  Hence writhe = sum d_i x_i, for knots and links alike.
+``REDUCED`` holds the component count and the d_i of each of the 5^6
+reduced labellings.  The girth-2 template K(p, q) is the template of the
+labelling (p, 0, 0, q, 0, 0), so girth-2 reps read the same entries.
 
 A parity pattern is the 6-bit number with bit i the parity of label i;
 zero counts as even.  The pattern fixes the components: 36 of the 64
@@ -28,7 +30,8 @@ not read the table's own data: tests/test_g3table.py regenerates the table
 and compares components and writhe with ``orient`` on full templates and
 the extrapolated polynomial with Fox off the corners (a grid over every
 knot pattern with shifts of -4..+4, and a property test);
-tests/test_diagram.py compares components and writhe with the full
+tests/test_diagram.py pins the girth-2 identity and compares the
+components and writhe that ``classify.rep_invariants`` reads with the full
 template on a grid and a property test; and ``classify.check_identities``
 ties each value to the bracket.
 """
@@ -64,15 +67,11 @@ def base_label(pattern: int, i: int) -> int:
     return -(pattern >> i & 1)
 
 
-def components(labels: tuple[int, ...]) -> int:
-    """Component count of the template of a girth-3 labelling."""
-    return _ENTRIES[_index(labels)] >> 6
-
-
-def writhe(labels: tuple[int, ...]) -> int:
-    """Writhe of the template of a girth-3 labelling, oriented by ``orient``."""
+def components_and_writhe(labels: tuple[int, ...]) -> tuple[int, int]:
+    """Component count and writhe of the template of a girth-3 labelling,
+    oriented by ``orient``."""
     entry = _ENTRIES[_index(labels)]
-    return sum(-x if entry >> i & 1 else x for i, x in enumerate(labels))
+    return entry >> 6, sum(-x if entry >> i & 1 else x for i, x in enumerate(labels))
 
 
 def conway(labels: tuple[int, ...]) -> LaurentPoly:

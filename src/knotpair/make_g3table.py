@@ -7,19 +7,19 @@ oracles (tests/test_g3table.py fails until the shipped table matches):
 
 A reduced labelling replaces each label x of (p, q, r, a, b, c) by
 sign(x) * (1 if x is odd else 2), or 0.  For each of the 5^6 reduced
-labellings, the oriented reduced template (``diagram._reduced_reading``)
-gives the component count and each region's direction sign d_i, the sign
-of the region's first crossing times the sign of its label.  A parity
-pattern is the 6-bit number with bit i the parity of label i.  For each
-knot pattern, ``conway_fox`` gives the 64 corner Conway polynomials and
-each region's kind (``g3table``).
+labellings, ``orient`` of the reduced template gives the component count
+and each region's direction sign d_i, the sign of the region's first
+crossing times the sign of its label.  A parity pattern is the 6-bit
+number with bit i the parity of label i.  For each knot pattern,
+``conway_fox`` gives the 64 corner Conway polynomials and each region's
+kind (``g3table``).
 """
 
 from __future__ import annotations
 
 import os
 
-from .diagram import _ladder_labels, _reduced_reading, pd_from_rep
+from .diagram import orient, pd_from_rep
 from .g3table import AFFINE, FIBONACCI, _index, _next, base_label
 from .oracle import conway_fox
 from .reps import Girth3Rep
@@ -39,8 +39,9 @@ spaces, and each lists its z^0, z^2, ... coefficients split by commas.
 """
 '''
 
-# label indices of (p, q, r, a, b, c) in the order of the template's ladders
-LADDERS = _ladder_labels(Girth3Rep((0, 1, 2), (3, 4, 5)))
+# label indices of (p, q, r, a, b, c) in the order of the template's
+# ladders: ``star_pair_pd`` emits inner and outer ladders alternately
+LADDERS = (0, 3, 1, 4, 2, 5)
 
 
 def _rep(labels) -> Girth3Rep:
@@ -81,11 +82,13 @@ def _knot_entry(pattern: int):
 
 def _reduced_entry(reduced: tuple[int, ...]) -> int:
     """64 * components + sum of 2^i over the regions i with d_i = -1."""
-    comps, signs = _reduced_reading(_rep(reduced))
-    entry = comps << 6
-    for i, s in zip(LADDERS, signs):
-        if s * reduced[i] < 0:
+    ori = orient(pd_from_rep(_rep(reduced)))
+    entry = ori.n_components << 6
+    first = 0  # the index of the region's first crossing
+    for i in LADDERS:
+        if reduced[i] and ori.signs[first] * reduced[i] < 0:
             entry |= 1 << i
+        first += abs(reduced[i])
     return entry
 
 

@@ -221,12 +221,15 @@ def test_girth3_census_calls_no_fox(monkeypatch, tmp_path):
 def test_girth3_census_builds_no_template(monkeypatch, tmp_path):
     # knots and links alike read the frozen table; --max 3 has labels of
     # |x| = 3, whose reduced labels differ from their own
-    from knotpair import cli, diagram
+    from knotpair import census, cli, diagram
 
     calls = []
-    real = diagram.pd_from_rep
-    monkeypatch.setattr(diagram, "pd_from_rep", lambda rep: calls.append(rep) or real(rep))
-    diagram._reduced_reading.cache_clear()
+    for name in ("pd_from_rep", "orient"):
+        real = getattr(diagram, name)
+        for module in (census, diagram):
+            monkeypatch.setattr(
+                module, name, lambda arg, real=real: calls.append(arg) or real(arg)
+            )
     out = tmp_path / "census.csv"
     assert cli.main(["census", "--girth", "3", "--max", "3", "--output", str(out)]) == 0
     assert out.read_text().count("\n") == 1 + len(census_enumerate(3, 3))

@@ -1,7 +1,6 @@
 import itertools
 import random
 import time
-from collections import Counter
 
 import pytest
 
@@ -230,22 +229,22 @@ def test_verdict_json_round_trip():
 
 
 def spy_on_templates(monkeypatch):
-    """Record (rep, crossing count) for every template ``pd_from_rep`` builds,
-    with the cache of reduced readings emptied first."""
-    from knotpair import census, diagram
+    """Record every call of ``pd_from_rep`` and of ``orient``, in each module
+    that imports them, as (function name, argument)."""
+    from knotpair import census, cli, diagram, oracle
 
-    diagram._reduced_reading.cache_clear()
-    built = []
-    build = diagram.pd_from_rep
+    calls = []
+    for name in ("pd_from_rep", "orient"):
+        real = getattr(diagram, name)
 
-    def spy(rep):
-        pd = build(rep)
-        built.append((rep, pd.n()))
-        return pd
+        def spy(arg, name=name, real=real):
+            calls.append((name, arg))
+            return real(arg)
 
-    for module in (census, diagram):
-        monkeypatch.setattr(module, "pd_from_rep", spy)
-    return built
+        for module in (census, cli, diagram, oracle):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -258,30 +257,26 @@ def spy_on_templates(monkeypatch):
     ],
 )
 def test_rep_invariants_builds_only_small_templates(monkeypatch, rep):
-    built = spy_on_templates(monkeypatch)
+    # a girth-2 or girth-3 rep, knot or link, reads the frozen table, and
+    # K(p) the parity of p: no rep builds or orients a template
+    calls = spy_on_templates(monkeypatch)
     rep_invariants(rep)
-    if isinstance(rep, Girth3Rep):
-        # a girth-3 knot or link reads everything off the frozen table
-        assert built == []
-    else:
-        assert len(built) == 1 and built[0][1] <= 12, built
-    rep_invariants(rep)
-    assert len(built) <= 1, "a reduced template is built once per process"
+    assert calls == []
 
 
-def test_census_builds_at_most_one_template_per_rep(monkeypatch):
+def test_census_builds_at_most_one_template_per_rep(monkeypatch, tmp_path):
+    from knotpair import cli
     from knotpair.census import census_enumerate, dedup_census
-    from knotpair.diagram import _reduced_rep
 
     g3 = census_enumerate(3, 2)
     g2 = census_enumerate(2, 12)
-    built = spy_on_templates(monkeypatch)
-    records = dedup_census(g3)
-    links = [rec.rep for cls in records for rec in cls.members if rec.components > 1]
-    # knots and links alike read the frozen table
-    assert 0 < len(links) < len(g3)
-    assert built == []
-    # a girth-1 or girth-2 rep builds the template of its reduced rep, once
-    dedup_census(g2)
-    small = {_reduced_rep(rep) for rep in g2}
-    assert Counter(rep for rep, _ in built) == Counter(small)
+    calls = spy_on_templates(monkeypatch)
+    for reps in (g3, g2):
+        records = dedup_census(reps)
+        links = [rec.rep for cls in records for rec in cls.members if rec.components > 1]
+        # knots and links alike read the frozen table
+        assert 0 < len(links) < len(reps)
+    out = tmp_path / "census.csv"
+    assert cli.main(["census", "--girth", "2", "--max", "12", "--output", str(out)]) == 0
+    assert out.read_text().count("\n") == 1 + len(g2)
+    assert calls == []

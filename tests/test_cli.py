@@ -296,6 +296,15 @@ def test_usage_errors_take_the_one_line_path(capsys):
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+def test_census_jobs_is_a_usage_error(capsys):
+    # the option was ignored, and is gone
+    assert main(["census", "--girth", "2", "--max", "3", "--jobs", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 _fuzz_label = st.integers(-1500, 1500)
 _well_formed_rep = st.one_of(
     st.builds("({})".format, _fuzz_label),

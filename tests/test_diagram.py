@@ -6,14 +6,13 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotpair import g3table
+from knotpair.classify import rep_invariants
 from knotpair.diagram import (
     InvalidPDError,
     PDCode,
     _trace_components,
     braid_closure_pd,
     checkerboard,
-    components_and_writhe,
     orient,
     pd_from_json,
     pd_from_rep,
@@ -305,7 +304,15 @@ def test_orient_is_not_exponential_in_components():
 
 
 # ---------------------------------------------------------------------------
-# writhe and components from the reduced template and the girth-3 table
+# writhe and components from the table of reduced labellings
+
+
+def test_girth2_template_is_a_girth3_template():
+    # the girth-2 reading of ``rep_invariants`` rests on this identity
+    for p, q in itertools.product(range(-12, 13), repeat=2):
+        assert pd_from_rep(Girth2Rep(p, q)) == pd_from_rep(
+            Girth3Rep((p, 0, 0), (q, 0, 0))
+        ), (p, q)
 
 
 def full_template_components_and_writhe(rep):
@@ -314,12 +321,10 @@ def full_template_components_and_writhe(rep):
 
 
 def table_components_and_writhe(rep):
-    """What ``classify.rep_invariants`` reads: the frozen table for a
-    girth-3 rep, the reduced template for the others."""
-    if isinstance(rep, Girth3Rep):
-        labels = rep.top + rep.bottom
-        return g3table.components(labels), g3table.writhe(labels)
-    return components_and_writhe(rep)
+    """What ``classify.rep_invariants`` reads, with no template: the frozen
+    table for a girth-2 or girth-3 rep, the parity of p for K(p)."""
+    inv = rep_invariants(rep)
+    return inv.components, inv.writhe
 
 
 def test_reduced_template_matches_full_template_on_grids():

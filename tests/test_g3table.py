@@ -37,8 +37,8 @@ def test_components_and_writhe_match_orient():
     for _ in range(600):
         labels = tuple(rng.randint(-3, 3) for _ in range(6))
         ori = orient(pd_from_rep(_rep(labels)))
-        assert g3table.components(labels) == ori.n_components, labels
-        assert g3table.writhe(labels) == ori.writhe, labels
+        expected = ori.n_components, ori.writhe
+        assert g3table.components_and_writhe(labels) == expected, labels
         knots += ori.n_components == 1
     assert 200 < knots < 400
 
@@ -80,7 +80,7 @@ def test_all_even_pattern_matches_the_even_formula():
 )
 def test_import_leaves_module_unloaded(module, absent):
     # the table and the closed forms read nothing from the oracle, and the
-    # CLI loads the table only when a girth-3 rep needs it
+    # CLI loads the table only when a girth-2 or girth-3 rep needs it
     code = f"import sys, {module}; assert {absent!r} not in sys.modules"
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)

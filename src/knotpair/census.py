@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 import itertools
 import json
 import os
@@ -29,17 +28,19 @@ from .tables import (
 
 G2_BUDGET = 12
 G3_BUDGET = 6
+FIELDS = ("rep", "girth", "components", "conway", "jones", "span", "class_id", "verdict")
 
 
 @dataclass(frozen=True)
 class InvariantRecord:
-    """What the census prints of one representation.
+    """What the census prints of one class of representations.
 
     ``conway`` and ``jones`` are the polynomials' text, formatted once;
-    ``conway`` is "" where no Conway value is available.
+    ``conway`` is "" where no Conway value is available.  The first three
+    fields are the class key, and the Jones text determines ``span``, so
+    every member of a class has the same record.
     """
 
-    rep: object
     components: int
     conway: str
     jones: str
@@ -55,7 +56,6 @@ def build_record(rep) -> InvariantRecord:
     if inv.conway is not None and inv.components == 1:
         assert inv.conway.coeff(0) == 1
     return InvariantRecord(
-        rep=rep,
         components=inv.components,
         conway=poly_to_text(inv.conway) if inv.conway is not None else "",
         jones=jones_to_text(inv.jones),
@@ -79,6 +79,8 @@ def census_enumerate(
         raise ValueError(f"girth-2 label budget is {G2_BUDGET}")
     if girth == 3 and max_abs_label > G3_BUDGET:
         raise ValueError(f"girth-3 label budget is {G3_BUDGET}")
+    if max_abs_label < 0:
+        raise ValueError("the label bound is negative")
     values = _label_range(max_abs_label, even_only, positive_only)
     if girth == 3:
         # a labelling is canonical when it is the least of its wheel
@@ -103,53 +105,52 @@ def census_enumerate(
 
 
 def _label_range(max_abs: int, even_only: bool, positive_only: bool) -> list[int]:
-    lo = 1 if positive_only else -max_abs
-    values = [v for v in range(lo, max_abs + 1)]
-    if even_only:
-        values = [v for v in values if v % 2 == 0 and (v != 0 or not positive_only)]
-    if positive_only:
-        values = [v for v in values if v > 0]
-    return values
+    return [
+        v
+        for v in range(1 if positive_only else -max_abs, max_abs + 1)
+        if not even_only or v % 2 == 0
+    ]
 
 
 @dataclass(frozen=True)
 class CensusClass:
     class_id: str
-    key: tuple
-    members: tuple
+    record: InvariantRecord  # the class head's, the same for every member
+    members: tuple  # representations, head first
     verdicts: tuple  # classify verdict tag per non-representative member
 
 
 def dedup_census(reps: list):
     """Group representations by (components, Conway, Jones).
 
-    Every member after the first gets a verdict against the class
-    representative: EqualBySymmetry when the two share a canonical key,
-    Unresolved otherwise.  Those are the only answers classify.compare can
-    give inside a class (see below), so it is not called.
+    Each class keeps the record of its first member; a later member adds
+    only its rep.  Every member after the first gets a verdict against the
+    class representative: EqualBySymmetry when the two share a canonical
+    key, Unresolved otherwise.  Those are the only answers classify.compare
+    can give inside a class (see below), so it is not called.
     """
-    records = [build_record(r) for r in reps]
-    groups: dict[tuple, list[InvariantRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.class_key(), []).append(rec)
+    groups: dict[tuple, tuple[InvariantRecord, list]] = {}
+    for rep in reps:
+        rec = build_record(rep)
+        groups.setdefault(rec.class_key(), (rec, []))[1].append(rep)
     classes = []
     for idx, key in enumerate(sorted(groups)):
-        members = groups[key]
+        record, members = groups[key]
         # Members share components, Conway and Jones by construction, so
         # compare(head, m) without mirrors finds no separating invariant:
         # it answers EqualBySymmetry on identical canonical keys and
         # Unresolved otherwise.
-        head = canonicalize(members[0].rep).key
+        head = canonicalize(members[0]).key
         verdicts = tuple(
             classify.EQUAL_BY_SYMMETRY
-            if canonicalize(m.rep).key == head
+            if canonicalize(m).key == head
             else classify.UNRESOLVED
             for m in members[1:]
         )
         classes.append(
             CensusClass(
                 class_id=f"c{idx:04d}",
-                key=key,
+                record=record,
                 members=tuple(members),
                 verdicts=verdicts,
             )
@@ -157,54 +158,39 @@ def dedup_census(reps: list):
     return classes
 
 
-def census_jsonl(classes) -> str:
-    """JSON-lines form of the census, one record per line."""
-    lines = []
+def _rows(classes):
+    """The ``FIELDS`` of each census row, class by class, head first."""
     for cls in classes:
-        for i, rec in enumerate(cls.members):
-            lines.append(
-                json.dumps(
-                    {
-                        "rep": str(rec.rep),
-                        "girth": rec.rep.girth(),
-                        "components": rec.components,
-                        "conway": rec.conway or None,
-                        "jones": rec.jones,
-                        "span": str(rec.span),
-                        "class_id": cls.class_id,
-                        "verdict": None if i == 0 else cls.verdicts[i - 1],
-                        # every census value comes from a closed form, the
-                        # girth-3 knot Conway polynomial from ``g3table``
-                        "source": "closed_form",
-                    }
-                )
+        rec = cls.record
+        for rep, verdict in zip(cls.members, (None,) + cls.verdicts):
+            yield (
+                str(rep),
+                rep.girth(),
+                rec.components,
+                rec.conway,
+                rec.jones,
+                str(rec.span),
+                cls.class_id,
+                verdict,
             )
-    return "\n".join(lines) + "\n"
 
 
-def census_csv(classes) -> str:
-    """Deterministic CSV: rep, girth, components, conway, jones, span, class, verdict."""
-    out = io.StringIO()
+def census_jsonl(classes, out) -> None:
+    """Write the census to the text stream ``out`` as JSON lines, one per rep."""
+    for row in _rows(classes):
+        entry = dict(zip(FIELDS, row))
+        entry["conway"] = entry["conway"] or None
+        # every census value comes from a closed form, the girth-3 knot
+        # Conway polynomial from ``g3table``
+        entry["source"] = "closed_form"
+        out.write(json.dumps(entry) + "\n")
+
+
+def census_csv(classes, out) -> None:
+    """Write the deterministic CSV of ``FIELDS`` to the text stream ``out``."""
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["rep", "girth", "components", "conway", "jones", "span", "class_id", "verdict"]
-    )
-    for cls in classes:
-        for i, rec in enumerate(cls.members):
-            verdict = "" if i == 0 else cls.verdicts[i - 1]
-            writer.writerow(
-                [
-                    str(rec.rep),
-                    rec.rep.girth(),
-                    rec.components,
-                    rec.conway,
-                    rec.jones,
-                    str(rec.span),
-                    cls.class_id,
-                    verdict,
-                ]
-            )
-    return out.getvalue()
+    writer.writerow(FIELDS)
+    writer.writerows(_rows(classes))  # the head's verdict, None, is written empty
 
 
 # ---------------------------------------------------------------------------

@@ -126,17 +126,14 @@ def cmd_census(args) -> int:
         positive_only=args.positive,
     )
     classes = census.dedup_census(reps)
-    if args.format == "jsonl":
-        text = census.census_jsonl(classes)
-    else:
-        text = census.census_csv(classes)
+    write = census.census_jsonl if args.format == "jsonl" else census.census_csv
     if args.output:
         with open(args.output, "w") as f:
-            f.write(text)
+            write(classes, f)
         print(f"{len(classes)} classes, {sum(len(c.members) for c in classes)} reps "
               f"-> {args.output}")
     else:
-        sys.stdout.write(text)
+        write(classes, sys.stdout)
     return 0
 
 

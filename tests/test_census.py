@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import io
 import itertools
 
 import pytest
@@ -86,9 +87,10 @@ def test_enumerate_budget():
 
 def test_census_determinism():
     reps = census_enumerate(2, 6, even_only=True, positive_only=True)
-    a = census_csv(dedup_census(reps))
-    b = census_csv(dedup_census(list(reps)))
-    assert a == b
+    a, b = io.StringIO(), io.StringIO()
+    census_csv(dedup_census(reps), a)
+    census_csv(dedup_census(list(reps)), b)
+    assert a.getvalue() == b.getvalue()
 
 
 def test_even_positive_census_classes_are_multisets():
@@ -126,9 +128,9 @@ def test_dedup_verdicts_match_compare():
     classes = dedup_census(reps)
     checked = set()
     for cls in classes:
-        head = cls.members[0].rep
-        for rec, verdict in zip(cls.members[1:], cls.verdicts):
-            assert verdict == compare(head, rec.rep).tag, (head, rec.rep)
+        head = cls.members[0]
+        for rep, verdict in zip(cls.members[1:], cls.verdicts):
+            assert verdict == compare(head, rep).tag, (head, rep)
             checked.add(verdict)
     assert checked == {"EqualBySymmetry", "Unresolved"}
 
@@ -145,21 +147,42 @@ def _pin(fmt, girth, max_abs, digest):
     return pytest.param(fmt, girth, max_abs, digest, id=f"{prefix}{girth}-{max_abs}-{digest}")
 
 
+# census --girth 2 --max 12, pinned for both writers and both streams
+G2_MAX12 = {
+    "csv": "796729674c2428d2cf8aed1195e938d6a63d9eea4da8bb3010fd2effa39e0211",
+    "jsonl": "8e527178b5c4ef8b91beed12ed4ba45c106ee2d8ca4b37091ff595cc2896acab",
+}
+
+
 @pytest.mark.parametrize(
     "fmt, girth, max_abs, digest",
     [
-        _pin("csv", 2, 12, "796729674c2428d2cf8aed1195e938d6a63d9eea4da8bb3010fd2effa39e0211"),
+        _pin("csv", 2, 12, G2_MAX12["csv"]),
         _pin("csv", 3, 2, "110926f4bd058053efda451cac9a8686ec3cd4070fb9c0fd281af4251477606d"),
         # the first pin with labels of |x| = 3, whose reduced labels differ
         _pin("csv", 3, 3, "9539e585500773509d32a755c5df00c1334d60883d2bb5b4e74a7e4b074f6c66"),
-        _pin("jsonl", 2, 12, "8e527178b5c4ef8b91beed12ed4ba45c106ee2d8ca4b37091ff595cc2896acab"),
+        _pin("jsonl", 2, 12, G2_MAX12["jsonl"]),
         _pin("jsonl", 3, 2, "443cb3b0208d4ab396dbed18531fda5f1ef86104fe57e7846fc266730ec11a43"),
     ],
 )
 def test_census_csv_is_byte_identical(fmt, girth, max_abs, digest):
     write = {"csv": census_csv, "jsonl": census_jsonl}[fmt]
-    text = write(_census_classes(girth, max_abs))
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    out = io.StringIO()
+    write(_census_classes(girth, max_abs), out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_census_stdout_equals_the_output_file(fmt, capsys, tmp_path):
+    from knotpair import cli
+
+    argv = ["census", "--girth", "2", "--max", "12", "--format", fmt]
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    path = tmp_path / f"census.{fmt}"
+    assert cli.main(argv + ["--output", str(path)]) == 0
+    assert path.read_bytes() == stdout.encode()
+    assert hashlib.sha256(stdout.encode()).hexdigest() == G2_MAX12[fmt]
 
 
 def test_record_fields():

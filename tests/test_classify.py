@@ -272,8 +272,8 @@ def test_census_builds_at_most_one_template_per_rep(monkeypatch, tmp_path):
     g2 = census_enumerate(2, 12)
     calls = spy_on_templates(monkeypatch)
     for reps in (g3, g2):
-        records = dedup_census(reps)
-        links = [rec.rep for cls in records for rec in cls.members if rec.components > 1]
+        classes = dedup_census(reps)
+        links = [rep for cls in classes for rep in cls.members if cls.record.components > 1]
         # knots and links alike read the frozen table
         assert 0 < len(links) < len(reps)
     out = tmp_path / "census.csv"

@@ -305,6 +305,16 @@ def test_census_jobs_is_a_usage_error(capsys):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+@pytest.mark.parametrize("girth", ["2", "3"])
+def test_census_negative_max_is_a_usage_error(capsys, girth):
+    # a negative bound used to print only the header and exit 0
+    assert main(["census", "--girth", girth, "--max", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
 _fuzz_label = st.integers(-1500, 1500)
 _well_formed_rep = st.one_of(
     st.builds("({})".format, _fuzz_label),

@@ -87,14 +87,18 @@ def test_import_leaves_module_unloaded(module, absent):
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_package_imports_only_the_standard_library():
+def _package_modules():
+    """(file name, ast) of each module of the package."""
     pkg = os.path.dirname(g3table.__file__)
-    outside = []
     for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(pkg, name)) as f:
-            tree = ast.parse(f.read(), name)
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as f:
+                yield name, ast.parse(f.read(), name)
+
+
+def test_package_imports_only_the_standard_library():
+    outside = []
+    for name, tree in _package_modules():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 roots = [alias.name.split(".")[0] for alias in node.names]
@@ -104,3 +108,21 @@ def test_package_imports_only_the_standard_library():
                 continue
             outside += [(name, r) for r in roots if r not in sys.stdlib_module_names]
     assert outside == []
+
+
+def test_package_reads_every_name_it_imports():
+    unused = []
+    for name, tree in _package_modules():
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [(name, n) for n in sorted(imported - read)]
+    assert unused == []

@@ -11,13 +11,19 @@ The walk also yields the interleaving of the two trees' dash classes
 around the boundary circle, which is what lets a girth-3 decomposition be
 read back as a label wheel (p a q b r c).
 
-The girth search visits every spanning tree but walks no contour.  The
-walk arrives once by each tree-edge end and then sweeps the rotation at
-that vertex to the next tree end, so a sector is nonempty exactly when
-the rotation turns from a tree edge straight to a non-tree edge.  Counting
-those turns costs O(V) per tree; the trees themselves come from a
-backtracking enumeration, not from filtering every (V-1)-edge subset.  Only
-the witness is walked, and its walked girth must equal the searched one.
+The girth search walks no contour.  The walk arrives once by each
+tree-edge end and then sweeps the rotation at that vertex to the next tree
+end, so a sector is nonempty exactly when the rotation turns from a tree
+edge straight to a non-tree edge: the girth of a tree is its number of such
+turns.  The trees come from a backtracking search over the edges in index
+order, each edge tried in before it is left out, so they come in
+lexicographic order.  A turn is settled once both of its edges are decided,
+and no later decision unsettles it, so the settled turns bound the girth of
+every tree a branch can still reach.  The search cuts a branch once that
+bound passes a cap.  Looking for the least girth, it lowers the cap below
+each girth it finds, so the last tree it finds is the least tree of least
+girth: the witness a full enumeration would pick.  Only the witness is
+walked, and its walked girth must equal the searched one.
 """
 
 from __future__ import annotations
@@ -70,8 +76,17 @@ def _is_spanning_tree(n_vertices: int, endpoints: list[tuple[int, int]]) -> bool
     return merges == n_vertices - 1
 
 
-def spanning_trees(tait: TaitGraph):
-    """All spanning trees as sorted tuples of edge indices, lexicographic.
+def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
+    """Yield (girth, tree) for the spanning trees of girth at most ``cap``.
+
+    Trees are sorted tuples of edge indices and come in lexicographic order.
+    The girth is the number of turns (a, b), consecutive entries of one
+    rotation, from a tree edge a to a non-tree edge b; it equals
+    ``tree_contour(tait, tree).girth()`` (see the module docstring).  With
+    ``descend`` each tree yielded lowers the cap to one below its girth, so
+    the girths fall strictly and the last tree yielded is the least tree of
+    least girth; the first tree always comes when ``cap`` is at least the
+    2(V - 1) turns out of the tree edges.
 
     Backtracking over the non-loop edges in index order, each edge tried in
     before it is left out, lists the trees in the order
@@ -79,25 +94,53 @@ def spanning_trees(tait: TaitGraph):
     path compression keeps the chosen edges a forest and is rolled back one
     edge at a time.  An edge is left out only if the edges after it can
     still join the forest's parts (the bridge test of Gabow and Myers), so
-    no branch is a dead end: between two trees the search takes back at
-    most V - 1 edges and tests each in O(V + E).
+    no branch dead-ends for want of edges.  Each decision settles the turns
+    between its edge and the edges decided before it (a self-loop is never
+    a tree edge, so it counts as decided from the start); the count of
+    settled turns that go from a tree edge to a non-tree edge never falls
+    down a branch, and the branch is cut once it passes the cap.
     """
     n = tait.n_vertices
-    if n == 1:
-        yield ()
-        return
     edges = [(ei, e.v1, e.v2) for ei, e in enumerate(tait.edges) if e.v1 != e.v2]
+    m = len(edges)
+    pos = {ei: i for i, (ei, _, _) in enumerate(edges)}
+    # the turns each decision settles: taking the edge in settles its turns
+    # to edges already decided (girth +1 per one left out), leaving it out
+    # settles the turns into it from edges already decided (+1 per tree edge)
+    settle_in: list[list[int]] = [[] for _ in edges]
+    settle_out: list[list[int]] = [[] for _ in edges]
+    for entries in tait.rotation:
+        for p, (a, _end) in enumerate(entries):
+            b = entries[(p + 1) % len(entries)][0]
+            if a not in pos or a == b:
+                continue  # can never go from a tree edge to a non-tree edge
+            if pos.get(b, -1) < pos[a]:
+                settle_in[pos[a]].append(b)
+            else:
+                settle_out[pos[b]].append(a)
+    in_tree = [False] * len(tait.edges)
     parent = list(range(n))
     size = [1] * n
     tree: list[int] = []
-    undo: list[tuple[int, int]] = []  # per tree edge: next position, hung root
+    # per tree edge: its position, the root it hung, the bound before it
+    undo: list[tuple[int, int, int]] = []
+    bound = 0  # settled turns from a tree edge to a non-tree edge
     i = 0
     while True:
-        if len(tree) == n - 1:
-            yield tuple(tree)
-        elif i < len(edges):
+        if bound > cap:
+            pass  # cut the branch
+        elif len(tree) == n - 1:
+            # the edges left are all out; they settle the remaining turns
+            girth = bound
+            for j in range(i, m):
+                for a in settle_out[j]:
+                    girth += in_tree[a]
+            if girth <= cap:
+                yield girth, tuple(tree)
+                if descend:
+                    cap = girth - 1
+        elif i < m:
             ei, u, v = edges[i]
-            i += 1
             while parent[u] != u:
                 u = parent[u]
             while parent[v] != v:
@@ -108,18 +151,28 @@ def spanning_trees(tait: TaitGraph):
                 parent[u] = v
                 size[v] += size[u]
                 tree.append(ei)
-                undo.append((i, u))
+                in_tree[ei] = True
+                undo.append((i, u, bound))
+                for b in settle_in[i]:
+                    bound += not in_tree[b]
+            else:
+                for a in settle_out[i]:
+                    bound += in_tree[a]
+            i += 1
             continue
         # take back the last tree edge and go on without it, if that can
-        # still end in a tree
+        # still end in a tree within the cap
         while True:
             if not tree:
                 return
-            tree.pop()
-            i, u = undo.pop()
+            in_tree[tree.pop()] = False
+            i, u, bound = undo.pop()
             size[parent[u]] -= size[u]
             parent[u] = u
-            if _can_join(n - len(tree), parent[:], edges, i):
+            for a in settle_out[i]:
+                bound += in_tree[a]
+            i += 1
+            if bound <= cap and _can_join(n - len(tree), parent[:], edges, i):
                 break
 
 
@@ -402,6 +455,7 @@ def decompose(pd: PDCode, shading_index: int, tree: tuple[int, ...]) -> TaitDeco
     shades = checkerboard(pd)
     black = tait_graph(pd, shades[shading_index])
     white = tait_graph(pd, shades[1 - shading_index])
+    _reject_unreduced(black, white)
     return _decompose(pd, shading_index, tree, black, white)
 
 
@@ -412,9 +466,8 @@ def _decompose(
     black: TaitGraph,
     white: TaitGraph,
 ) -> TaitDecomposition:
-    """``decompose`` on Tait graphs already built: ``black`` of the chosen
-    shading, ``white`` of the other."""
-    _reject_unreduced(black, white)
+    """``decompose`` on Tait graphs already built and checked reduced:
+    ``black`` of the chosen shading, ``white`` of the other."""
     tree = tuple(sorted(tree))
     if not _is_spanning_tree(
         black.n_vertices, [black.endpoints(ei) for ei in tree]
@@ -520,39 +573,15 @@ def _class_edge(red: ReducedTree, vertex: int):
 
 
 def _tait_graphs(pd: PDCode) -> tuple[TaitGraph, TaitGraph]:
-    """The shading-0 and shading-1 Tait graphs of a reduced diagram."""
+    """The shading-0 and shading-1 Tait graphs of a reduced diagram; an
+    unreduced one is refused before any tree is searched."""
     shades = checkerboard(pd)
     black = tait_graph(pd, shades[0])
     white = tait_graph(pd, shades[1])
     if black.n_vertices == 1 or white.n_vertices == 1:
         raise ValueError("single-vertex Tait graph: diagram is not reduced")
+    _reject_unreduced(black, white)
     return black, white
-
-
-def _tree_girths(black: TaitGraph):
-    """Yield (girth, tree) for every spanning tree of ``black``.
-
-    The girth is counted without walking the contour.  The walk enters one
-    sector after each tree-edge end: arriving at v by the tree end at
-    position p of ``black.rotation[v]``, it sweeps p + 1, p + 2, ... up to
-    the next tree end.  That sector holds a dash exactly when the entry at
-    p + 1 is a non-tree end, and the walk arrives by every tree end once.
-    So the girth of T is the number of turns (a, b), consecutive entries
-    of one rotation, that go from a tree edge a to a non-tree edge b, and
-    equals ``tree_contour(black, T).girth()``.  The turns out of each edge
-    are listed once per graph, two per non-loop edge.
-    """
-    turns: list[list[int]] = [[] for _ in black.edges]
-    for entries in black.rotation:
-        for p, (a, _end) in enumerate(entries):
-            turns[a].append(entries[(p + 1) % len(entries)][0])
-    for tree in spanning_trees(black):
-        tree_set = set(tree)
-        girth = 0
-        for a in tree:
-            b1, b2 = turns[a]
-            girth += (b1 not in tree_set) + (b2 not in tree_set)
-        yield girth, tree
 
 
 def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
@@ -562,8 +591,9 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
     lexicographically least shading-0 tree attaining the minimum.  The
     shading-1 trees are the complements of these with the same girth (see
     ``decompositions_of_girth``), so they cannot lower it.  The search
-    counts girths locally (``_tree_girths``); the witness's girth comes
-    from walking its contour, and the two must agree.
+    (``spanning_trees`` with ``descend``) counts girths locally and cuts
+    every branch that cannot beat the best girth found; the witness's girth
+    comes from walking its contour, and the two must agree.
     """
     if pd.n() == 0:
         return 2, None  # degenerate circle: girth-2 report with labels (0,0)
@@ -575,7 +605,8 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
             f"(about {est} decompositions)"
         )
     black, white = _tait_graphs(pd)
-    girth, tree = min(_tree_girths(black))
+    for girth, tree in spanning_trees(black, 2 * black.n_vertices, descend=True):
+        pass  # each tree found beats the one before
     witness = _decompose(pd, 0, tree, black, white)
     if witness.girth != girth:
         raise AssertionError(
@@ -592,10 +623,11 @@ def decompositions_of_girth(pd: PDCode, target: int):
     diagram, seen from either side, and ``decompose`` asserts that both
     sides count the same girth.  So each shading-1 decomposition is a
     shading-0 one with T and T' swapped: searching shading 0 alone finds
-    every girth and every canonical representation the other would.
+    every girth and every canonical representation the other would.  The
+    search cuts every branch whose settled turns pass the target.
     """
     black, white = _tait_graphs(pd)
-    for girth, tree in _tree_girths(black):
+    for girth, tree in spanning_trees(black, target):
         if girth == target:
             yield _decompose(pd, 0, tree, black, white)
 

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Girth1Rep:
     p: int
 
@@ -28,7 +28,7 @@ class Girth1Rep:
         return f"({self.p})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Girth2Rep:
     p: int
     q: int
@@ -40,7 +40,7 @@ class Girth2Rep:
         return f"({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Girth3Rep:
     top: tuple[int, int, int]
     bottom: tuple[int, int, int]
@@ -54,7 +54,7 @@ class Girth3Rep:
         return f"[{t} / {b}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlaneTree:
     """A labeled tree with a rotation system.
 
@@ -67,7 +67,7 @@ class PlaneTree:
     rotation: tuple[tuple[tuple[int, int], ...], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TreePairRep:
     inside: PlaneTree
     outside: PlaneTree
@@ -156,7 +156,7 @@ def d3_orbit(r: Girth3Rep) -> set[Girth3Rep]:
     return seen
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalRep:
     rep: object
     key: tuple

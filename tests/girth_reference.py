@@ -1,0 +1,76 @@
+"""The full spanning-tree enumeration, kept as the reference for the pruned
+girth search in ``knotpair.girth.spanning_trees``.
+
+``reference_trees`` visits every spanning tree, in lexicographic order, and
+``reference_girths`` counts each one's girth from the rotation turns.  The
+least (girth, tree) pair is the witness the pruned search must find.
+"""
+
+from knotpair.girth import _can_join
+
+
+def reference_trees(tait):
+    """All spanning trees as sorted tuples of edge indices, lexicographic.
+
+    Backtracking over the non-loop edges in index order, each edge tried in
+    before it is left out, with a union-find rolled back one edge at a time
+    and the bridge test before an edge is left out.
+    """
+    n = tait.n_vertices
+    if n == 1:
+        yield ()
+        return
+    edges = [(ei, e.v1, e.v2) for ei, e in enumerate(tait.edges) if e.v1 != e.v2]
+    parent = list(range(n))
+    size = [1] * n
+    tree = []
+    undo = []  # per tree edge: next position, hung root
+    i = 0
+    while True:
+        if len(tree) == n - 1:
+            yield tuple(tree)
+        elif i < len(edges):
+            ei, u, v = edges[i]
+            i += 1
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u != v:
+                if size[u] > size[v]:
+                    u, v = v, u
+                parent[u] = v
+                size[v] += size[u]
+                tree.append(ei)
+                undo.append((i, u))
+            continue
+        while True:
+            if not tree:
+                return
+            tree.pop()
+            i, u = undo.pop()
+            size[parent[u]] -= size[u]
+            parent[u] = u
+            if _can_join(n - len(tree), parent[:], edges, i):
+                break
+
+
+def reference_girths(tait):
+    """Yield (girth, tree) for every spanning tree: the girth is the number
+    of rotation turns from a tree edge to a non-tree edge."""
+    turns = [[] for _ in tait.edges]
+    for entries in tait.rotation:
+        for p, (a, _end) in enumerate(entries):
+            turns[a].append(entries[(p + 1) % len(entries)][0])
+    for tree in reference_trees(tait):
+        tree_set = set(tree)
+        girth = 0
+        for a in tree:
+            b1, b2 = turns[a]
+            girth += (b1 not in tree_set) + (b2 not in tree_set)
+        yield girth, tree
+
+
+def reference_least(tait):
+    """The least girth and the lexicographically least tree attaining it."""
+    return min(reference_girths(tait))

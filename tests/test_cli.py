@@ -149,6 +149,36 @@ def test_girth_budget_refusal(tmp_path, capsys):
     assert code == 2
 
 
+def test_girth_with_a_lifted_budget_finds_the_reference_witness(tmp_path, capsys):
+    from girth_reference import reference_least
+    from knotpair.diagram import checkerboard, pd_to_json, tait_graph
+
+    pd = pd_from_rep(Girth3Rep((6, 6, 6), (6, 6, 6)))
+    path = tmp_path / "dense.pd.json"
+    path.write_text(pd_to_json(pd))
+    code, out = run(
+        capsys, "girth", str(path), "--budget-crossings", "36", "--format", "json"
+    )
+    assert code == 0
+    result = json.loads(out)
+    girth, tree = reference_least(tait_graph(pd, checkerboard(pd)[0]))
+    assert result["girth"] == girth == 3
+    assert result["witness"]["tree_crossings"] == list(tree)
+
+
+def test_unreduced_diagram_is_refused_in_one_line(tmp_path, capsys):
+    from knotpair.diagram import pd_to_json
+
+    path = tmp_path / "kink.pd.json"
+    path.write_text(pd_to_json(pd_from_rep(Girth3Rep((0, 0, 1), (1, 0, 0)))))
+    assert main(["girth", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        "error: diagram is not reduced: black graph has a valence-1 vertex "
+        "(nugatory crossing)\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -1,8 +1,10 @@
 import hashlib
 import itertools
+import random
 from importlib import resources
 
 import pytest
+from girth_reference import reference_girths, reference_least, reference_trees
 
 from knotpair.classify import jones_equal
 from knotpair.cli import main
@@ -17,7 +19,6 @@ from knotpair.girth import (
     BudgetError,
     TaitDecomposition,
     _is_spanning_tree,
-    _tree_girths,
     decompose,
     decompositions_of_girth,
     diagram_girth,
@@ -48,7 +49,7 @@ def test_spanning_tree_enumeration_matches_matrix_tree_count():
         pd = pd_from_rep(rep)
         for shading in checkerboard(pd):
             g = tait_graph(pd, shading)
-            assert sum(1 for _ in spanning_trees(g)) == tree_count(g)
+            assert sum(1 for _ in reference_trees(g)) == tree_count(g)
 
 
 def test_decompose_rejects_non_spanning_sets():
@@ -62,7 +63,7 @@ def test_decompose_invariants():
     shades = checkerboard(pd)
     for si in (0, 1):
         g = tait_graph(pd, shades[si])
-        for tree in spanning_trees(g):
+        for tree in reference_trees(g):
             d = decompose(pd, si, tree)
             # |T| + |T'| equals the crossing count
             assert len(d.tree) + len(d.dual_tree) == pd.n()
@@ -228,8 +229,8 @@ def test_shading_one_trees_are_complements_of_shading_zero_trees():
     for pd in pds:
         shades = checkerboard(pd)
         black, white = tait_graph(pd, shades[0]), tait_graph(pd, shades[1])
-        girth0 = {t: tree_contour(black, t).girth() for t in spanning_trees(black)}
-        girth1 = {t: tree_contour(white, t).girth() for t in spanning_trees(white)}
+        girth0 = {t: tree_contour(black, t).girth() for t in reference_trees(black)}
+        girth1 = {t: tree_contour(white, t).girth() for t in reference_trees(white)}
         assert len(girth0) == len(girth1), pd
         for t, g in girth1.items():
             complement = tuple(ei for ei in range(pd.n()) if ei not in t)
@@ -272,22 +273,105 @@ def _subset_filter_trees(tait):
     ]
 
 
-def test_backtracking_trees_and_turn_girths_match_the_subset_filter_and_walk():
-    pds = [pd_from_json(f.read_text()) for f in _fixture_files()]
-    pds += [pd_from_rep(rep) for rep in DUALITY_TEMPLATES]
-    graphs = [tait_graph(pd, shading) for pd in pds for shading in checkerboard(pd)]
+def _self_loop_graph():
     # a Tait graph with a self-loop and parallel edges
     pd = pd_from_rep(Girth3Rep((1, 2, 0), (0, 1, 0)))
     g = tait_graph(pd, checkerboard(pd)[1])
     assert any(e.v1 == e.v2 for e in g.edges)
     pairs = [frozenset(g.endpoints(ei)) for ei in range(len(g.edges))]
     assert len(set(pairs)) < len(pairs)
-    graphs.append(g)
+    return g
+
+
+def test_backtracking_trees_and_turn_girths_match_the_subset_filter_and_walk():
+    # the reference enumeration against the subset filter and the walk
+    pds = [pd_from_json(f.read_text()) for f in _fixture_files()]
+    pds += [pd_from_rep(rep) for rep in DUALITY_TEMPLATES]
+    graphs = [tait_graph(pd, shading) for pd in pds for shading in checkerboard(pd)]
+    graphs.append(_self_loop_graph())
     for g in graphs:
-        trees = list(spanning_trees(g))
+        trees = list(reference_trees(g))
         assert trees == _subset_filter_trees(g)
         assert len(trees) == tree_count(g)
-        girths = list(_tree_girths(g))
+        girths = list(reference_girths(g))
         assert [t for _, t in girths] == trees
         for girth, tree in girths:
             assert girth == tree_contour(g, tree).girth(), tree
+
+
+def _sampled_templates(count, seed=15):
+    # girth-2 and girth-3 templates of 10 to 16 crossings, random label
+    # sizes and signs: every label nonzero keeps the template reduced
+    rng = random.Random(seed)
+    reps = []
+    for k in range(count):
+        parts = 2 if k % 2 else 6
+        n = rng.randint(10, 16)
+        cuts = sorted(rng.sample(range(1, n), parts - 1))
+        labels = [rng.choice((-1, 1)) * (b - a) for a, b in zip((0, *cuts), (*cuts, n))]
+        if parts == 2:
+            reps.append(Girth2Rep(*labels))
+        else:
+            reps.append(Girth3Rep(tuple(labels[:3]), tuple(labels[3:])))
+    return reps
+
+
+def _search_diagrams():
+    pds = [pd_from_json(f.read_text()) for f in _fixture_files()]
+    pds += [pd_from_rep(rep) for rep in DUALITY_TEMPLATES + _sampled_templates(24)]
+    pds += [braid_closure_pd([1, -2] * k, 3) for k in range(2, 9)]
+    return pds
+
+
+def test_pruned_search_finds_the_reference_girth_and_witness():
+    pds = _search_diagrams()
+    assert {pd.n() for pd in pds} >= set(range(10, 17))
+    graphs = [tait_graph(pd, shading) for pd in pds for shading in checkerboard(pd)]
+    graphs.append(_self_loop_graph())
+    for g in graphs:
+        found = list(spanning_trees(g, 2 * g.n_vertices, descend=True))
+        assert found, g
+        girths = [girth for girth, _ in found]
+        assert girths == sorted(set(girths), reverse=True)
+        assert found[-1] == reference_least(g)
+        for target in (2, 3):
+            assert [t for girth, t in spanning_trees(g, target) if girth == target] == [
+                t for girth, t in reference_girths(g) if girth == target
+            ]
+    for pd in pds:
+        black = tait_graph(pd, checkerboard(pd)[0])
+        g, witness = diagram_girth(pd, budget=pd.n())
+        assert (g, witness.tree) == reference_least(black)
+        for target in (2, 3):
+            assert [d.tree for d in decompositions_of_girth(pd, target)] == [
+                t for girth, t in reference_girths(black) if girth == target
+            ]
+
+
+def test_pruned_search_cuts_the_dense_template_to_a_few_trees():
+    pd = pd_from_rep(Girth3Rep((6, 6, 6), (6, 6, 6)))
+    black = tait_graph(pd, checkerboard(pd)[0])
+    found = list(spanning_trees(black, 2 * black.n_vertices, descend=True))
+    assert found[-1] == reference_least(black)
+    assert found[-1][0] == 3
+    assert len(found) < tree_count(black) // 1000
+
+
+def test_unreduced_diagram_is_refused_before_the_search(monkeypatch):
+    import knotpair.girth as girth_module
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return spanning_trees(*args, **kwargs)
+
+    monkeypatch.setattr(girth_module, "spanning_trees", spy)
+    pd = pd_from_rep(Girth3Rep((0, 0, 1), (1, 0, 0)))
+    with pytest.raises(ValueError, match="valence-1 vertex"):
+        diagram_girth(pd)
+    with pytest.raises(ValueError, match="valence-1 vertex"):
+        next(decompositions_of_girth(pd, 2))
+    assert calls == []
+    diagram_girth(pd_from_rep(Girth2Rep(2, -2)))
+    assert len(calls) == 1

@@ -31,57 +31,61 @@ def _read_pd(path: str):
 
 
 def cmd_eval(args) -> int:
-    rep = parse_rep(args.rep)
-    results: dict[str, dict] = {}
+    """Print one invariant of a representation, by closed form, by oracle,
+    or by both with AGREE or DISAGREE.
 
-    def method_values(method: str) -> dict:
-        if method == "closed":
-            inv = classify.rep_invariants(rep)
-            bracket, conway, jones = inv.bracket, inv.conway, inv.jones
-        else:
-            pd = pd_from_rep(rep)
-            ori = orient(pd)
-            bracket = oracle.bracket_state_sum(pd, cap=args.budget_crossings)
-            conway = (
+    The oracle path builds the template once; the template carries its
+    orientation (``diagram.PDCode``).  It refuses a template over
+    ``--budget-crossings`` before any oracle runs, then runs only the
+    oracle its invariant needs: Fox calculus for ``conway`` (on knots; a
+    link has no value), the state sum for the rest.
+    """
+    rep = parse_rep(args.rep)
+
+    def closed_text() -> str:
+        inv = classify.rep_invariants(rep)
+        if args.invariant == "conway":
+            return _conway_text(inv.conway)
+        if args.invariant == "bracket":
+            return poly_to_text(inv.bracket)
+        return jones_text(inv.jones)
+
+    def oracle_text() -> str:
+        pd = pd_from_rep(rep)
+        oracle.check_cap(pd, args.budget_crossings)
+        if args.invariant == "conway":
+            return _conway_text(
                 oracle.conway_fox(pd, cap=args.budget_crossings)
-                if ori.n_components == 1
+                if orient(pd).n_components == 1
                 else None
             )
-            jones = jones_from_bracket(bracket, ori.writhe)
-        return {
-            "bracket": bracket,
-            "conway": conway,
-            "jones": jones,
-            "span": jones_span_inclusive(jones),
-        }
+        bracket = oracle.bracket_state_sum(pd, cap=args.budget_crossings)
+        if args.invariant == "bracket":
+            return poly_to_text(bracket)
+        return jones_text(jones_from_bracket(bracket, orient(pd).writhe))
+
+    def jones_text(jones) -> str:
+        if args.invariant == "span":
+            return str(jones_span_inclusive(jones))
+        return jones_to_text(jones)
 
     methods = ["closed", "oracle"] if args.method == "both" else [args.method]
-    for m in methods:
-        results[m] = method_values(m)
-
-    def fmt(vals: dict) -> str:
-        if args.invariant == "conway":
-            c = vals["conway"]
-            return poly_to_text(c) if c is not None else "(not available)"
-        if args.invariant == "bracket":
-            return poly_to_text(vals["bracket"])
-        if args.invariant == "jones":
-            return jones_to_text(vals["jones"])
-        if args.invariant == "span":
-            return str(vals["span"])
-        raise ValueError(args.invariant)
-
+    results = {m: closed_text() if m == "closed" else oracle_text() for m in methods}
     if args.format == "json":
-        print(json.dumps({m: fmt(v) for m, v in results.items()}))
+        print(json.dumps(results))
     else:
         for m in methods:
             prefix = f"{m}: " if len(methods) > 1 else ""
-            print(prefix + fmt(results[m]))
+            print(prefix + results[m])
     if len(methods) == 2:
-        agree = fmt(results["closed"]) == fmt(results["oracle"])
+        agree = results["closed"] == results["oracle"]
         print("AGREE" if agree else "DISAGREE")
         return 0 if agree else 1
     return 0
+
+
+def _conway_text(conway) -> str:
+    return poly_to_text(conway) if conway is not None else "(not available)"
 
 
 def cmd_compare(args) -> int:

@@ -2,8 +2,10 @@
 
 PD convention used throughout: each crossing is a 4-tuple of arc ids listed
 counterclockwise; slots 0 and 2 carry the under-strand, slots 1 and 3 the
-over-strand.  After construction, tuples are rotated so that slot 0 is the
-incoming under-strand end with respect to the chosen orientation.
+over-strand.  A template's arcs are numbered along its components, and
+each crossing is turned so that slot 0 is an under-strand end: the
+outgoing one in the orientation ``orient`` gives the template (see
+``DiagramBuilder.build``).
 
 Twist-region handedness constants at the bottom of this module were frozen
 by the calibration suite (tests/test_calibration.py): they are the unique
@@ -16,17 +18,27 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from .reps import Girth1Rep, Girth2Rep, Girth3Rep
 
 
 @dataclass(frozen=True)
 class PDCode:
-    """Crossing list plus a count of crossing-free circles."""
+    """Crossing list plus a count of crossing-free circles.
+
+    A code made by ``DiagramBuilder.build`` keeps ``orient`` of itself in
+    ``orientation``, so that ``orient`` hands it back without tracing the
+    strands again.  Only the builder sets it; equality and hashing ignore
+    it, and every other code has None.
+    """
 
     crossings: tuple[tuple[int, int, int, int], ...]
     free_loops: int = 0
+    orientation: Orientation | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def n(self) -> int:
         return len(self.crossings)
@@ -53,7 +65,7 @@ def validate_pd(pd: PDCode) -> None:
         raise InvalidPDError(f"arcs not appearing exactly twice: {bad}")
     n = pd.n()
     if n:
-        f = len(regions(PDCode(pd.crossings, 0)))
+        f = len(_region_cycles(pd))
         if f != n + 2:
             raise InvalidPDError(
                 f"region count {f} violates Euler formula (expected {n + 2}); "
@@ -107,14 +119,26 @@ def pd_from_text(text: str) -> PDCode:
 
 # ---------------------------------------------------------------------------
 # strand tracing and orientation
+#
+# A port is a crossing slot, numbered 4 * crossing + slot, so the port
+# across the crossing from port p is p ^ 2.
 
 
-def _occurrences(pd: PDCode) -> dict[int, list[tuple[int, int]]]:
-    occ: dict[int, list[tuple[int, int]]] = {}
-    for ci, cr in enumerate(pd.crossings):
-        for slot, a in enumerate(cr):
-            occ.setdefault(a, []).append((ci, slot))
-    return occ
+def _other_end(arcs: Iterable[object]) -> list[int]:
+    """``other[p]``: the port at the other end of port p's arc, from the
+    arc at each port in port order."""
+    other: list[int] = []
+    first: dict[object, int] = {}
+    for port, a in enumerate(arcs):
+        other.append(port)
+        q = first.pop(a, None)
+        if q is None:
+            first[a] = port
+        else:
+            other[port], other[q] = q, port
+    if first:
+        raise InvalidPDError(f"arcs not appearing exactly twice: {sorted(first)}")
+    return other
 
 
 @dataclass(frozen=True)
@@ -132,34 +156,35 @@ class Orientation:
     writhe: int
 
 
-def _trace_components(pd: PDCode) -> list[list[tuple[int, int]]]:
-    """Split the port set into strand cycles.
+def _orientation(incoming: list[bool], n_components: int) -> Orientation:
+    """The Orientation of a diagram from its per-port ``incoming`` flags."""
+    rows = tuple(tuple(incoming[p:p + 4]) for p in range(0, len(incoming), 4))
+    signs = tuple(1 if row[0] != row[1] else -1 for row in rows)
+    return Orientation(rows, n_components, signs, sum(signs))
 
-    Each cycle is the list of (crossing, slot) ports in traversal order,
-    alternating exit-port, entry-port, exit-port, ... along the strand.
+
+def _trace_components(other: list[int]) -> list[list[int]]:
+    """Split the ports into strand cycles.
+
+    Each cycle is the list of ports in traversal order, alternating
+    exit-port, entry-port, exit-port, ... along the strand, and starts at
+    its lowest port.
     """
-    occ = _occurrences(pd)
-    visited: set[tuple[int, int]] = set()
-    cycles: list[list[tuple[int, int]]] = []
-    for ci in range(pd.n()):
-        for slot in range(4):
-            start = (ci, slot)
-            if start in visited:
-                continue
-            cycle = []
-            cur = start  # treated as an exit port
-            while True:
-                cycle.append(cur)
-                visited.add(cur)
-                a = pd.crossings[cur[0]][cur[1]]
-                pair = occ[a]
-                nxt = pair[0] if pair[1] == cur else pair[1]
-                cycle.append(nxt)
-                visited.add(nxt)
-                cur = (nxt[0], (nxt[1] + 2) % 4)
-                if cur == start:
-                    break
-            cycles.append(cycle)
+    visited = [False] * len(other)
+    cycles: list[list[int]] = []
+    for start in range(len(other)):
+        if visited[start]:
+            continue
+        cycle = []
+        cur = start  # treated as an exit port
+        while True:
+            nxt = other[cur]
+            cycle += (cur, nxt)
+            visited[cur] = visited[nxt] = True
+            cur = nxt ^ 2
+            if cur == start:
+                break
+        cycles.append(cycle)
     return cycles
 
 
@@ -181,22 +206,38 @@ def orient(pd: PDCode) -> Orientation:
     the least possible given those before it.  What stays free is one
     direction per final group, which no sign reads, and the least choice
     keeps each group's lowest component as traced.
+
+    A code from ``DiagramBuilder.build`` carries this orientation already
+    (see ``PDCode``), and it is handed back as it is.
     """
-    cycles = _trace_components(pd)
-    n = pd.n()
-    comp_of_port = {port: k for k, cyc in enumerate(cycles) for port in cyc}
+    if pd.orientation is not None:
+        return pd.orientation
+    incoming, traced = _orient_ports(_other_end(itertools.chain(*pd.crossings)))
+    return _orientation(incoming, traced + pd.free_loops)
+
+
+def _orient_ports(other: list[int]) -> tuple[list[bool], int]:
+    """``orient``'s ``incoming`` flag per port, and the number of strand
+    cycles, from the arc ends of a diagram."""
+    cycles = _trace_components(other)
+    comp = [0] * len(other)
     # even positions of a traced cycle are exits, odd positions are entries
-    traced_in = {port: idx % 2 == 1 for cyc in cycles for idx, port in enumerate(cyc)}
+    traced_in = [False] * len(other)
+    for k, cyc in enumerate(cycles):
+        for port in cyc:
+            comp[port] = k
+        for port in cyc[1::2]:
+            traced_in[port] = True
 
     group = list(range(len(cycles)))  # the lowest component of each group
     flipped = [False] * len(cycles)
-    for ci in range(n):
-        a, b = comp_of_port[(ci, 0)], comp_of_port[(ci, 1)]
+    for under in range(0, len(other), 4):
+        a, b = comp[under], comp[under + 1]
         if group[a] == group[b]:
             continue
         # reverse the higher group if the crossing would otherwise be +1
-        toggle = (traced_in[(ci, 0)] != flipped[a]) != (
-            traced_in[(ci, 1)] != flipped[b]
+        toggle = (traced_in[under] != flipped[a]) != (
+            traced_in[under + 1] != flipped[b]
         )
         keep, merged = sorted((group[a], group[b]))
         for c, g in enumerate(group):
@@ -204,24 +245,31 @@ def orient(pd: PDCode) -> Orientation:
                 group[c] = keep
                 flipped[c] ^= toggle
 
-    incoming = tuple(
-        tuple(
-            traced_in[(ci, slot)] != flipped[comp_of_port[(ci, slot)]]
-            for slot in range(4)
-        )
-        for ci in range(n)
-    )
-    signs = tuple(1 if row[0] != row[1] else -1 for row in incoming)
-    return Orientation(
-        incoming=incoming,
-        n_components=len(cycles) + pd.free_loops,
-        signs=signs,
-        writhe=sum(signs),
-    )
+    incoming = [traced_in[p] != flipped[comp[p]] for p in range(len(other))]
+    return incoming, len(cycles)
 
 
 # ---------------------------------------------------------------------------
 # regions and checkerboard coloring
+
+
+def _region_cycles(pd: PDCode) -> list[list[int]]:
+    """Complementary regions as cycles of corners, corner 4 * ci + k sitting
+    between slots k and k+1 of crossing ci; see ``regions``."""
+    other = _other_end(itertools.chain(*pd.crossings))
+    visited = [False] * len(other)
+    out: list[list[int]] = []
+    for start in range(len(other)):
+        if visited[start]:
+            continue
+        corners = []
+        cur = start  # arriving into a crossing at this slot
+        while not visited[cur]:
+            visited[cur] = True
+            corners.append(cur)
+            cur = other[cur + 1 if cur % 4 != 3 else cur - 3]
+        out.append(corners)
+    return out
 
 
 def regions(pd: PDCode) -> list[tuple[tuple[int, int], ...]]:
@@ -233,24 +281,7 @@ def regions(pd: PDCode) -> list[tuple[tuple[int, int], ...]]:
     """
     if pd.free_loops:
         raise InvalidPDError("region trace undefined with free loops present")
-    occ = _occurrences(pd)
-    visited: set[tuple[int, int]] = set()
-    out: list[tuple[tuple[int, int], ...]] = []
-    for ci in range(pd.n()):
-        for slot in range(4):
-            if (ci, slot) in visited:
-                continue
-            corners = []
-            cur = (ci, slot)  # arriving into cur[0] via slot cur[1]
-            while cur not in visited:
-                visited.add(cur)
-                corners.append(cur)
-                out_slot = (cur[1] + 1) % 4
-                a = pd.crossings[cur[0]][out_slot]
-                pair = occ[a]
-                cur = pair[0] if pair[1] == (cur[0], out_slot) else pair[1]
-            out.append(tuple(corners))
-    return out
+    return [tuple(divmod(c, 4) for c in corners) for corners in _region_cycles(pd)]
 
 
 @dataclass(frozen=True)
@@ -379,14 +410,21 @@ def tait_graph(pd: PDCode, shading: ShadedRegions) -> TaitGraph:
 class DiagramBuilder:
     """Assemble a PD code from crossings over symbolic endpoints.
 
-    Every symbolic point must be used exactly twice, either as a crossing
-    port or in a `connect` junction.  Chains of junctions between ports
-    become arcs; junction cycles touching no crossing become free loops.
+    Endpoints are the ints ``point`` hands out.  Every point must be used
+    exactly twice, either as a crossing port or in a `connect` junction.
+    Chains of junctions between ports become arcs; junction cycles
+    touching no crossing become free loops.
     """
 
     def __init__(self) -> None:
-        self.crossings: list[tuple[object, object, object, object]] = []
-        self.joins: list[tuple[object, object]] = []
+        self.crossings: list[tuple[int, int, int, int]] = []
+        self.joins: list[tuple[int, int]] = []
+        self.n_points = 0
+
+    def point(self) -> int:
+        """A fresh endpoint."""
+        self.n_points += 1
+        return self.n_points - 1
 
     def add_crossing(self, a, b, c, d) -> None:
         """Register a crossing; (a,b,c,d) counterclockwise, under = a,c."""
@@ -398,106 +436,81 @@ class DiagramBuilder:
         self.joins.append((p, q))
 
     def build(self) -> PDCode:
-        uses: dict[object, list[tuple]] = {}
-        for ci, cr in enumerate(self.crossings):
-            for slot, p in enumerate(cr):
-                uses.setdefault(p, []).append(("port", ci, slot))
-        for ji, (p, q) in enumerate(self.joins):
-            uses.setdefault(p, []).append(("join", ji, 0))
-            uses.setdefault(q, []).append(("join", ji, 1))
-        for p, u in uses.items():
-            if len(u) != 2:
-                raise ValueError(f"point {p!r} used {len(u)} times (need 2)")
+        """The PD code, carrying ``orient`` of itself (see ``PDCode``).
 
-        # walk from each port through join chains to the opposite port
-        arc_of_port: dict[tuple[int, int], int] = {}
-        consumed: set[object] = set()
-        arc_count = 0
-        for ci, cr in enumerate(self.crossings):
-            for slot, p in enumerate(cr):
-                if (ci, slot) in arc_of_port:
-                    continue
-                arc_id = arc_count
-                arc_count += 1
-                arc_of_port[(ci, slot)] = arc_id
-                prev_use = ("port", ci, slot)
-                point = p
-                while True:
-                    consumed.add(point)
-                    u1, u2 = uses[point]
-                    use = u2 if u1 == prev_use else u1
-                    if use[0] == "port":
-                        arc_of_port[(use[1], use[2])] = arc_id
-                        break
-                    ji, side = use[1], use[2]
-                    point = self.joins[ji][1 - side]
-                    prev_use = ("join", ji, 1 - side)
+        The arcs are numbered 1..2n along each component, in the
+        orientation ``orient`` gives the assembled diagram, and each
+        crossing is turned so that slot 0 is its incoming under-strand end.
+        ``validate_pd`` checks the result.
 
-        free_loops = 0
-        for p in uses:
-            if p in consumed:
-                continue
-            # pure join cycle
-            loop_points = []
-            point = p
-            prev_use = None
-            while point not in loop_points:
-                loop_points.append(point)
-                u1, u2 = uses[point]
-                use = u2 if u1 == prev_use else u1
-                ji, side = use[1], use[2]
-                prev_use = ("join", ji, 1 - side)
-                point = self.joins[ji][1 - side]
-            consumed.update(loop_points)
-            free_loops += 1
+        ``orient`` of the result is that orientation reversed, so the
+        result carries it without tracing the strands again.  ``orient`` keeps
+        its first traced component as traced, from port 0 of crossing 0,
+        which is thus an exit of the assembled diagram.  Crossing 0 is
+        turned, so its slot 0 in the result is the under-strand's other end,
+        an entry, and ``orient`` of the result reverses that component.
+        ``validate_pd`` passes only connected diagrams, where crossings tie
+        the direction of every component to it, so every component is
+        reversed.  Reversal keeps every sign.
+        """
+        parent = list(range(self.n_points))
 
-        raw = PDCode(
-            tuple(
-                tuple(arc_of_port[(ci, slot)] for slot in range(4))
-                for ci in range(len(self.crossings))
-            ),
-            free_loops,
-        )
-        return _renumber_along_orientation(raw)
+        def find(p: int) -> int:
+            while parent[p] != p:
+                parent[p] = parent[parent[p]]
+                p = parent[p]
+            return p
 
+        uses = [0] * self.n_points
+        for p, q in self.joins:
+            uses[p] += 1
+            uses[q] += 1
+            parent[find(p)] = find(q)
+        for cr in self.crossings:
+            for p in cr:
+                uses[p] += 1
+        for p, k in enumerate(uses):
+            if k != 2:
+                raise ValueError(f"point {p!r} used {k} times (need 2)")
 
-def _renumber_along_orientation(pd: PDCode) -> PDCode:
-    """Relabel arcs 1..2n along each oriented component, then rotate each
-    crossing tuple so slot 0 is the incoming under-strand end."""
-    if pd.n() == 0:
-        return pd
-    ori = orient(pd)
-    occ = _occurrences(pd)
-    new_id: dict[int, int] = {}
-    next_id = 1
-    seen_ports: set[tuple[int, int]] = set()
-    for ci in range(pd.n()):
-        for slot in range(4):
-            start = (ci, slot)
-            if start in seen_ports or ori.incoming[ci][slot]:
+        # ports whose points are joined lie on one arc; a class of joined
+        # points with no port is a free loop
+        n = len(self.crossings)
+        root = [find(p) for p in range(self.n_points)]
+        other = _other_end(root[p] for cr in self.crossings for p in cr)
+        free_loops = len(set(root)) - 2 * n
+        incoming, traced = _orient_ports(other)
+
+        label = [0] * (4 * n)
+        next_id = 1
+        for start in range(4 * n):
+            if label[start] or incoming[start]:
                 continue
             cur = start
             while True:
-                seen_ports.add(cur)
-                a = pd.crossings[cur[0]][cur[1]]
-                if a not in new_id:
-                    new_id[a] = next_id
-                    next_id += 1
-                pair = occ[a]
-                entry = pair[0] if pair[1] == cur else pair[1]
-                seen_ports.add(entry)
-                cur = (entry[0], (entry[1] + 2) % 4)
+                end = other[cur]
+                label[cur] = label[end] = next_id
+                next_id += 1
+                cur = end ^ 2
                 if cur == start:
                     break
-    crossings = []
-    for ci, cr in enumerate(pd.crossings):
-        rot = 0 if ori.incoming[ci][0] else 2
-        crossings.append(
-            tuple(new_id[cr[(rot + j) % 4]] for j in range(4))
+        crossings = []
+        reversed_in = []
+        for u in range(0, 4 * n, 4):
+            if incoming[u]:
+                crossings.append((label[u], label[u + 1], label[u + 2], label[u + 3]))
+                over_in = incoming[u + 1]
+            else:
+                crossings.append((label[u + 2], label[u + 3], label[u], label[u + 1]))
+                over_in = incoming[u + 3]
+            reversed_in += (False, not over_in, True, over_in)
+        pd = PDCode(tuple(crossings), free_loops)
+        validate_pd(pd)
+        # the one field set after construction, by the builder alone
+        object.__setattr__(
+            pd, "orientation", _orientation(reversed_in, traced + free_loops)
         )
-    out = PDCode(tuple(crossings), pd.free_loops)
-    validate_pd(out)
-    return out
+        return pd
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +522,6 @@ def _renumber_along_orientation(pd: PDCode) -> PDCode:
 INSIDE_HANDEDNESS = 1
 OUTSIDE_HANDEDNESS = -1
 GIRTH1_HANDEDNESS = 1
-
-_counter = itertools.count()
-
-
-def _pt(label: str) -> tuple:
-    return (label, next(_counter))
 
 
 def _ladder(
@@ -541,18 +548,15 @@ def _ladder(
         b.connect(top_right, bot_right)
         return
     h = positive_handedness if label > 0 else -positive_handedness
-    prev_l, prev_r = top_left, top_right
+    # consecutive crossings share the endpoints between them
+    nw, ne = top_left, top_right
     for k in range(n):
-        nw, ne, sw, se = (_pt("nw"), _pt("ne"), _pt("sw"), _pt("se"))
-        b.connect(prev_l, nw)
-        b.connect(prev_r, ne)
+        sw, se = (b.point(), b.point()) if k < n - 1 else (bot_left, bot_right)
         tup = (ne, nw, sw, se) if h == 1 else (nw, sw, se, ne)
         if reflected:
             tup = (tup[0], tup[3], tup[2], tup[1])
         b.add_crossing(*tup)
-        prev_l, prev_r = sw, se
-    b.connect(prev_l, bot_left)
-    b.connect(prev_r, bot_right)
+        nw, ne = sw, se
 
 
 def star_pair_pd(inner: list[int], outer: list[int]) -> PDCode:
@@ -567,12 +571,9 @@ def star_pair_pd(inner: list[int], outer: list[int]) -> PDCode:
     if len(outer) != g or g < 2:
         raise ValueError("need equal-length label lists, at least two sectors")
     b = DiagramBuilder()
-    y = [_pt(f"y{i}") for i in range(g)]
-    z = [_pt(f"z{i}") for i in range(g)]
-    in_cw = [_pt(f"icw{i}") for i in range(g)]
-    in_ccw = [_pt(f"iccw{i}") for i in range(g)]
-    out_y = [_pt(f"oy{i}") for i in range(g)]
-    out_z = [_pt(f"oz{i}") for i in range(g)]
+    y, z, in_cw, in_ccw, out_y, out_z = (
+        [b.point() for _ in range(g)] for _ in range(6)
+    )
     for i in range(g):
         _ladder(
             b, inner[i], z[(i - 1) % g], y[i], in_cw[i], in_ccw[i], INSIDE_HANDEDNESS
@@ -590,7 +591,7 @@ def star_pair_pd(inner: list[int], outer: list[int]) -> PDCode:
 def torus2_pd(p: int) -> PDCode:
     """The closed single twist region K(p): braid closure of two strands."""
     b = DiagramBuilder()
-    tl, tr, bl, br = _pt("tl"), _pt("tr"), _pt("bl"), _pt("br")
+    tl, tr, bl, br = b.point(), b.point(), b.point(), b.point()
     _ladder(b, p, tl, tr, bl, br, GIRTH1_HANDEDNESS)
     b.connect(tl, bl)
     b.connect(tr, br)
@@ -604,8 +605,8 @@ def pretzel_pd(e1: int, e2: int, e3: int) -> PDCode:
     handedness convention here follows the inside-tree convention.
     """
     b = DiagramBuilder()
-    tops = [(_pt(f"t{i}l"), _pt(f"t{i}r")) for i in range(3)]
-    bots = [(_pt(f"b{i}l"), _pt(f"b{i}r")) for i in range(3)]
+    tops = [(b.point(), b.point()) for i in range(3)]
+    bots = [(b.point(), b.point()) for i in range(3)]
     for i, e in enumerate((e1, e2, e3)):
         _ladder(b, e, tops[i][0], tops[i][1], bots[i][0], bots[i][1], INSIDE_HANDEDNESS)
     for i in range(3):
@@ -617,13 +618,13 @@ def pretzel_pd(e1: int, e2: int, e3: int) -> PDCode:
 def braid_closure_pd(word: list[int], strands: int) -> PDCode:
     """Trace closure of a braid word; letter +-i crosses strands i, i+1."""
     b = DiagramBuilder()
-    start = [_pt(f"s{i}") for i in range(strands)]
+    start = [b.point() for i in range(strands)]
     cur = list(start)
     for letter in word:
         i = abs(letter) - 1
         if not 0 <= i < strands - 1:
             raise ValueError(f"letter {letter} out of range for {strands} strands")
-        nw, ne, sw, se = _pt("nw"), _pt("ne"), _pt("sw"), _pt("se")
+        nw, ne, sw, se = b.point(), b.point(), b.point(), b.point()
         b.connect(cur[i], nw)
         b.connect(cur[i + 1], ne)
         if letter > 0:
@@ -645,4 +646,3 @@ def pd_from_rep(rep) -> PDCode:
     if isinstance(rep, Girth3Rep):
         return star_pair_pd(list(rep.top), list(rep.bottom))
     raise TypeError(f"cannot build a diagram from {rep!r}")
-

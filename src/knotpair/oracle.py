@@ -8,7 +8,8 @@ alike are added up as they go, so the work follows the number of such
 joinings, not 2^n, but the sum is still over every state.  The Conway
 oracle goes through the Wirtinger presentation and Fox derivatives.
 
-Both read nothing but the PD code and share no code with the closed
+Both read nothing but the PD code, and Fox calculus the orientation that
+``diagram.orient`` derives from it.  They share no code with the closed
 forms: the sweep knows nothing of twist regions, trees or labels, and
 takes no polynomial from ``closedform``.  They exist to verify the closed
 forms, so a fault in a closed form cannot hide in them.
@@ -39,6 +40,14 @@ def writhe(pd: PDCode) -> int:
 # Kauffman bracket state sum
 
 
+def check_cap(pd: PDCode, cap: int) -> None:
+    """Refuse a diagram of more than ``cap`` crossings, as the state sum does."""
+    if pd.n() > cap:
+        raise OracleSizeError(
+            f"{pd.n()} crossings exceeds the state-sum cap of {cap} crossings"
+        )
+
+
 def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     """Sum A^(#A - #B) * delta^(loops - 1) over all smoothing states.
 
@@ -61,11 +70,8 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     most 10 pairings of at most 8 open arcs, so the work grows about as
     n^2 (each pairing's polynomial has O(n) terms), not as 2^n.
     """
+    check_cap(pd, cap)
     n = pd.n()
-    if n > cap:
-        raise OracleSizeError(
-            f"{n} crossings exceeds the state-sum cap of {cap} crossings"
-        )
     if n == 0:
         if pd.free_loops == 0:
             raise ValueError("empty diagram has no bracket")
@@ -225,6 +231,9 @@ def _delta_power(k: int) -> LaurentPoly:
 
 def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
     """Conway polynomial of a knot diagram.
+
+    The orientation is ``orient(pd)``, which a template carries from its
+    build, so a template is not traced again here.
 
     Pipeline: Wirtinger presentation -> Fox derivative matrix over Z[t] ->
     Alexander polynomial (determinant of a first minor, evaluated at

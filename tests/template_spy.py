@@ -1,0 +1,36 @@
+"""A spy on everything that builds a template diagram or traces an
+orientation."""
+
+from knotpair import census, classify, cli, diagram, oracle
+
+
+def spy_on_templates(monkeypatch):
+    """Record, as (name, argument), every call of:
+
+    - ``pd_from_rep`` and ``orient``, in each module that imports them;
+    - ``DiagramBuilder.build`` ("build", the builder), which every template
+      diagram goes through, whatever function asked for it;
+    - ``_orient_ports`` ("trace", the arc ends), the tracing of an
+      orientation, which ``build`` runs once and ``orient`` runs on a code
+      that carries no orientation from a build.
+    """
+    calls = []
+    for name in ("pd_from_rep", "orient"):
+        real = getattr(diagram, name)
+
+        def spy(arg, name=name, real=real):
+            calls.append((name, arg))
+            return real(arg)
+
+        for module in (census, classify, cli, diagram, oracle):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy)
+
+    build, trace = diagram.DiagramBuilder.build, diagram._orient_ports
+    monkeypatch.setattr(
+        diagram.DiagramBuilder, "build", lambda b: calls.append(("build", b)) or build(b)
+    )
+    monkeypatch.setattr(
+        diagram, "_orient_ports", lambda other: calls.append(("trace", other)) or trace(other)
+    )
+    return calls

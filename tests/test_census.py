@@ -29,6 +29,8 @@ from knotpair.reps import (
 )
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
+from template_spy import spy_on_templates
+
 
 def test_enumerate_even_positive_girth2():
     reps = census_enumerate(2, 4, even_only=True, positive_only=True)
@@ -244,15 +246,9 @@ def test_girth3_census_calls_no_fox(monkeypatch, tmp_path):
 def test_girth3_census_builds_no_template(monkeypatch, tmp_path):
     # knots and links alike read the frozen table; --max 3 has labels of
     # |x| = 3, whose reduced labels differ from their own
-    from knotpair import census, cli, diagram
+    from knotpair import cli
 
-    calls = []
-    for name in ("pd_from_rep", "orient"):
-        real = getattr(diagram, name)
-        for module in (census, diagram):
-            monkeypatch.setattr(
-                module, name, lambda arg, real=real: calls.append(arg) or real(arg)
-            )
+    calls = spy_on_templates(monkeypatch)
     out = tmp_path / "census.csv"
     assert cli.main(["census", "--girth", "3", "--max", "3", "--output", str(out)]) == 0
     assert out.read_text().count("\n") == 1 + len(census_enumerate(3, 3))

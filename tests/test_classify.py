@@ -26,6 +26,8 @@ from knotpair.laurent import LaurentPoly, jones_span_inclusive
 from knotpair.oracle import bracket_state_sum, conway_fox, components
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, d3_orbit, mirror
 
+from template_spy import spy_on_templates
+
 
 def test_bracket_single_twist_matches_oracle():
     for p in range(-6, 7):
@@ -226,25 +228,6 @@ def test_verdict_json_round_trip():
     v = classify_girth2_even(2, 8, 4, 4)
     obj = json.loads(json.dumps(v.to_json_dict()))
     assert obj["verdict"] == DISTINCT_BY_JONES
-
-
-def spy_on_templates(monkeypatch):
-    """Record every call of ``pd_from_rep`` and of ``orient``, in each module
-    that imports them, as (function name, argument)."""
-    from knotpair import census, cli, diagram, oracle
-
-    calls = []
-    for name in ("pd_from_rep", "orient"):
-        real = getattr(diagram, name)
-
-        def spy(arg, name=name, real=real):
-            calls.append((name, arg))
-            return real(arg)
-
-        for module in (census, cli, diagram, oracle):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, spy)
-    return calls
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from knotpair.classify import rep_invariants
 from knotpair.diagram import (
     InvalidPDError,
     PDCode,
+    _other_end,
     _trace_components,
     braid_closure_pd,
     checkerboard,
@@ -182,7 +183,8 @@ def orient_by_search(pd):
 
     Returns (incoming, n_components, signs, writhe) as ``orient`` does.
     """
-    cycles = _trace_components(pd)
+    other = _other_end(itertools.chain(*pd.crossings))
+    cycles = [[divmod(p, 4) for p in cyc] for cyc in _trace_components(other)]
     n = pd.n()
 
     comp_of_port: dict[tuple[int, int], int] = {}
@@ -230,7 +232,7 @@ def orient_by_search(pd):
 
 
 def assert_orient_matches_search(pd):
-    ori = orient(pd)
+    ori = orient(PDCode(pd.crossings, pd.free_loops))  # traced, not carried
     got = (ori.incoming, ori.n_components, ori.signs, ori.writhe)
     assert got == orient_by_search(pd), pd
 
@@ -294,13 +296,52 @@ def test_orient_equals_flip_search_property(strands, extra, seed):
 def test_orient_is_not_exponential_in_components():
     # closure of s1^2 s2^2 ... s39^2: a chain of 40 unknots; the search
     # would try 2^39 direction choices
-    pd = braid_closure_pd([i for i in range(1, 40) for _ in range(2)], 40)
+    closure = braid_closure_pd([i for i in range(1, 40) for _ in range(2)], 40)
+    pd = PDCode(closure.crossings)  # traced, not carried from the build
     t0 = time.perf_counter()
     ori = orient(pd)
     assert time.perf_counter() - t0 < 1.0
     assert ori.n_components == 40
     # both crossings of a clasp share their sign, and the first is made -1
     assert ori.signs == (-1,) * 78
+
+
+# ---------------------------------------------------------------------------
+# the orientation a built code carries is ``orient`` of it, field for field
+
+
+def assert_carries_orient(pd):
+    traced = PDCode(pd.crossings, pd.free_loops)
+    assert traced == pd and traced.orientation is None
+    assert pd.orientation == orient(traced), pd
+
+
+def test_template_orientation_is_orient_on_reduced_templates():
+    for labels in itertools.product(range(-2, 3), repeat=6):
+        assert_carries_orient(pd_from_rep(Girth3Rep(labels[:3], labels[3:])))
+
+
+def test_template_orientation_is_orient_on_full_templates():
+    reps = [Girth1Rep(p) for p in range(-12, 13)]
+    reps += [Girth2Rep(p, q) for p in range(-8, 9) for q in range(-8, 9)]
+    rng = random.Random(20261018)
+    for _ in range(400):
+        labels = [rng.randint(-9, 9) for _ in range(6)]
+        reps.append(Girth3Rep(tuple(labels[:3]), tuple(labels[3:])))
+    links = 0
+    for rep in reps:
+        pd = pd_from_rep(rep)
+        assert_carries_orient(pd)
+        links += pd.orientation.n_components > 1
+    assert links >= 0.3 * len(reps), (links, len(reps))
+
+
+def test_reference_diagrams_carry_orient():
+    pds = [pretzel_pd(*e) for e in itertools.product(range(-3, 4), repeat=3)]
+    rng = random.Random(2026)
+    pds += [random_braid_closure(rng, rng.randint(2, 8), rng.randint(0, 8)) for _ in range(300)]
+    for pd in pds:
+        assert_carries_orient(pd)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ import os
 import pytest
 
 from knotpair.cli import main
+from knotpair.diagram import orient, pd_from_rep
+from knotpair.reps import parse_rep
+from template_spy import spy_on_templates
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "oracle_path_golden.json")
 
@@ -76,3 +79,91 @@ def test_eval_oracle_path_matches_golden(rep):
 @pytest.mark.parametrize("argv", OTHER_COMMANDS, ids=" ".join)
 def test_other_oracle_commands_match_golden(argv):
     assert capture(argv) == _golden()[" ".join(argv)]
+
+
+# ---------------------------------------------------------------------------
+# the budget is checked before any oracle runs
+
+# (rep, crossings): a girth-2 knot, girth-2 and girth-1 links
+OVER_THE_CAP = (("(13,12)", 25), ("(13,13)", 26), ("(26)", 26))
+
+
+@pytest.mark.parametrize("rep, n", OVER_THE_CAP)
+@pytest.mark.parametrize("invariant", INVARIANTS)
+@pytest.mark.parametrize("method", ("oracle", "both"))
+def test_over_the_cap_is_refused_before_any_oracle(monkeypatch, rep, n, invariant, method):
+    from knotpair import oracle
+
+    ran = []
+    for name in ("bracket_state_sum", "conway_fox"):
+        monkeypatch.setattr(oracle, name, lambda *a, name=name, **k: ran.append(name))
+    got = capture(["eval", rep, invariant, "--method", method])
+    assert (got["code"], got["stdout"]) == (2, "")
+    assert got["stderr"] == f"error: {n} crossings exceeds the state-sum cap of 24 crossings\n"
+    assert ran == []
+
+
+@pytest.mark.parametrize("invariant", INVARIANTS)
+def test_budget_option_sets_the_cap(invariant):
+    rep = "[-2 -3 -2 / -1 -1 7]"  # a 16-crossing knot
+    got = capture(["eval", rep, invariant, "--method", "oracle", "--budget-crossings", "15"])
+    assert got["code"] == 2
+    assert got["stderr"] == "error: 16 crossings exceeds the state-sum cap of 15 crossings\n"
+    got = capture(["eval", rep, invariant, "--method", "oracle", "--budget-crossings", "16"])
+    assert got["code"] == 0 and got["stderr"] == ""
+
+
+# ---------------------------------------------------------------------------
+# the work each command does
+
+
+def spy_on_oracles(monkeypatch):
+    from knotpair import oracle
+
+    calls = []
+    for name in ("bracket_state_sum", "conway_fox"):
+        real = getattr(oracle, name)
+
+        def spy(*args, name=name, real=real, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("rep", ("[-2 -3 -2 / -1 -1 7]", "[3 1 1 / -4 5 -1]", "(3)", "(4)"))
+@pytest.mark.parametrize("invariant", INVARIANTS)
+@pytest.mark.parametrize("method", ("oracle", "both"))
+def test_eval_runs_only_the_oracle_its_invariant_needs(monkeypatch, rep, invariant, method):
+    knot = orient(pd_from_rep(parse_rep(rep))).n_components == 1
+    oracles = spy_on_oracles(monkeypatch)
+    calls = spy_on_templates(monkeypatch)
+    assert capture(["eval", rep, invariant, "--method", method])["code"] == 0
+    # one build, and no orientation traced but the one the build carries
+    names = [name for name, _ in calls]
+    assert [arg for name, arg in calls if name == "pd_from_rep"] == [parse_rep(rep)]
+    assert names.count("build") == names.count("trace") == 1
+    if invariant != "conway":
+        assert oracles == ["bracket_state_sum"]
+    elif knot:
+        assert oracles == ["conway_fox"]
+    else:
+        assert oracles == []  # a link has no Conway value to check
+
+
+def test_verify_table_orients_each_template_and_fixture_once(monkeypatch):
+    from knotpair import census
+
+    calls = spy_on_templates(monkeypatch)
+    results = census.verify_table(apply_errata=True)
+    checked = [r for r in results if r.status in ("PASS", "FAIL")]
+    assert len(checked) == 18
+    names = [name for name, _ in calls]
+    built = [arg for name, arg in calls if name == "pd_from_rep"]
+    assert built == [parse_rep(r.rep_text) for r in checked]
+    assert names.count("build") == len(checked)
+    # one trace in each template's build, one of each fixture
+    assert names.count("trace") == 2 * len(checked)
+    fixtures = [arg for name, arg in calls if name == "orient" and arg.orientation is None]
+    assert len(set(fixtures)) == len(checked)

@@ -71,7 +71,8 @@ def census_enumerate(
 ) -> list:
     """Canonical representatives with labels bounded by max_abs_label.
 
-    Exactly one representative per canonical key, in key order.  Girth-2
+    Exactly one representative per canonical key, in key order, and each
+    is its own canonical form (``canonicalize(rep).rep == rep``).  Girth-2
     pairs whose canonical form collapses to a single twist region are
     reported through their Girth1Rep canonical form.
     """
@@ -114,55 +115,47 @@ def _label_range(max_abs: int, even_only: bool, positive_only: bool) -> list[int
 
 @dataclass(frozen=True)
 class CensusClass:
+    """The census reps of one class key: canonical, with distinct canonical
+    keys, so each member after the head is Unresolved against it (see
+    ``dedup_census``)."""
+
     class_id: str
     record: InvariantRecord  # the class head's, the same for every member
     members: tuple  # representations, head first
-    verdicts: tuple  # classify verdict tag per non-representative member
 
 
-def dedup_census(reps: list):
-    """Group representations by (components, Conway, Jones).
+def dedup_census(
+    girth: int,
+    max_abs_label: int,
+    even_only: bool = False,
+    positive_only: bool = False,
+) -> list:
+    """Group the reps of ``census_enumerate`` by (components, Conway, Jones).
 
     Each class keeps the record of its first member; a later member adds
-    only its rep.  Every member after the first gets a verdict against the
-    class representative: EqualBySymmetry when the two share a canonical
-    key, Unresolved otherwise.  Those are the only answers classify.compare
-    can give inside a class (see below), so it is not called.
+    only its rep.  The reps are canonical with distinct keys, and members
+    share components, Conway and Jones, so ``classify.compare(head, m)``
+    finds neither a shared key nor a separating invariant: it answers
+    Unresolved, the verdict ``_rows`` writes for every member after the
+    head.  Enumerating here keeps any other input out.
     """
     groups: dict[tuple, tuple[InvariantRecord, list]] = {}
-    for rep in reps:
+    for rep in census_enumerate(girth, max_abs_label, even_only, positive_only):
         rec = build_record(rep)
         groups.setdefault(rec.class_key(), (rec, []))[1].append(rep)
-    classes = []
-    for idx, key in enumerate(sorted(groups)):
-        record, members = groups[key]
-        # Members share components, Conway and Jones by construction, so
-        # compare(head, m) without mirrors finds no separating invariant:
-        # it answers EqualBySymmetry on identical canonical keys and
-        # Unresolved otherwise.
-        head = canonicalize(members[0]).key
-        verdicts = tuple(
-            classify.EQUAL_BY_SYMMETRY
-            if canonicalize(m).key == head
-            else classify.UNRESOLVED
-            for m in members[1:]
-        )
-        classes.append(
-            CensusClass(
-                class_id=f"c{idx:04d}",
-                record=record,
-                members=tuple(members),
-                verdicts=verdicts,
-            )
-        )
-    return classes
+    return [
+        CensusClass(f"c{idx:04d}", record, tuple(members))
+        for idx, (record, members) in enumerate(groups[k] for k in sorted(groups))
+    ]
 
 
 def _rows(classes):
-    """The ``FIELDS`` of each census row, class by class, head first."""
+    """The ``FIELDS`` of each census row, class by class, head first; the
+    head's verdict is None, written empty (null in JSON lines)."""
     for cls in classes:
         rec = cls.record
-        for rep, verdict in zip(cls.members, (None,) + cls.verdicts):
+        verdict = None
+        for rep in cls.members:
             yield (
                 str(rep),
                 rep.girth(),
@@ -173,6 +166,7 @@ def _rows(classes):
                 cls.class_id,
                 verdict,
             )
+            verdict = classify.UNRESOLVED
 
 
 def census_jsonl(classes, out) -> None:
@@ -190,7 +184,7 @@ def census_csv(classes, out) -> None:
     """Write the deterministic CSV of ``FIELDS`` to the text stream ``out``."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(FIELDS)
-    writer.writerows(_rows(classes))  # the head's verdict, None, is written empty
+    writer.writerows(_rows(classes))
 
 
 # ---------------------------------------------------------------------------

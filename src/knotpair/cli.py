@@ -11,7 +11,7 @@ import random
 import sys
 
 from . import census, classify, closedform, girth, oracle
-from .diagram import pd_from_json, pd_from_rep, pd_from_text, orient
+from .diagram import pd_from_json, pd_from_rep, pd_from_text, orient, template_crossings
 from .laurent import (
     LaurentPoly,
     jones_from_bracket,
@@ -34,11 +34,12 @@ def cmd_eval(args) -> int:
     """Print one invariant of a representation, by closed form, by oracle,
     or by both with AGREE or DISAGREE.
 
-    The oracle path builds the template once; the template carries its
-    orientation (``diagram.PDCode``).  It refuses a template over
-    ``--budget-crossings`` before any oracle runs, then runs only the
-    oracle its invariant needs: Fox calculus for ``conway`` (on knots; a
-    link has no value), the state sum for the rest.
+    The oracle path refuses a template over ``--budget-crossings`` before
+    building it, by its crossing count read off the labels.  Otherwise it
+    builds the template once; the template carries its orientation
+    (``diagram.PDCode``).  It then runs only the oracle its invariant
+    needs: Fox calculus for ``conway`` (on knots; a link has no value),
+    the state sum for the rest.
     """
     rep = parse_rep(args.rep)
 
@@ -51,8 +52,8 @@ def cmd_eval(args) -> int:
         return jones_text(inv.jones)
 
     def oracle_text() -> str:
+        oracle.check_cap(template_crossings(rep), args.budget_crossings)
         pd = pd_from_rep(rep)
-        oracle.check_cap(pd, args.budget_crossings)
         if args.invariant == "conway":
             return _conway_text(
                 oracle.conway_fox(pd, cap=args.budget_crossings)
@@ -123,13 +124,7 @@ def cmd_girth(args, emit_rep: bool = False) -> int:
 
 
 def cmd_census(args) -> int:
-    reps = census.census_enumerate(
-        girth=args.girth,
-        max_abs_label=args.max,
-        even_only=args.even,
-        positive_only=args.positive,
-    )
-    classes = census.dedup_census(reps)
+    classes = census.dedup_census(args.girth, args.max, args.even, args.positive)
     write = census.census_jsonl if args.format == "jsonl" else census.census_csv
     if args.output:
         with open(args.output, "w") as f:

@@ -646,3 +646,18 @@ def pd_from_rep(rep) -> PDCode:
     if isinstance(rep, Girth3Rep):
         return star_pair_pd(list(rep.top), list(rep.bottom))
     raise TypeError(f"cannot build a diagram from {rep!r}")
+
+
+def template_crossings(rep) -> int:
+    """The crossing count of ``pd_from_rep(rep)``, without building it.
+
+    A ladder of label x has |x| crossings, and the template is its
+    ladders joined up, so the count is the sum of the label sizes.
+    """
+    if isinstance(rep, Girth1Rep):
+        return abs(rep.p)
+    if isinstance(rep, Girth2Rep):
+        return abs(rep.p) + abs(rep.q)
+    if isinstance(rep, Girth3Rep):
+        return sum(map(abs, rep.top + rep.bottom))
+    raise TypeError(f"cannot build a diagram from {rep!r}")

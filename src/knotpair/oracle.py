@@ -40,11 +40,11 @@ def writhe(pd: PDCode) -> int:
 # Kauffman bracket state sum
 
 
-def check_cap(pd: PDCode, cap: int) -> None:
-    """Refuse a diagram of more than ``cap`` crossings, as the state sum does."""
-    if pd.n() > cap:
+def check_cap(n: int, cap: int) -> None:
+    """Refuse a diagram of ``n`` > ``cap`` crossings, as the state sum does."""
+    if n > cap:
         raise OracleSizeError(
-            f"{pd.n()} crossings exceeds the state-sum cap of {cap} crossings"
+            f"{n} crossings exceeds the state-sum cap of {cap} crossings"
         )
 
 
@@ -70,8 +70,8 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     most 10 pairings of at most 8 open arcs, so the work grows about as
     n^2 (each pairing's polynomial has O(n) terms), not as 2^n.
     """
-    check_cap(pd, cap)
     n = pd.n()
+    check_cap(n, cap)
     if n == 0:
         if pd.free_loops == 0:
             raise ValueError("empty diagram has no bracket")

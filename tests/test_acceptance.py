@@ -109,7 +109,7 @@ def test_criterion_06_jones_span_law():
 def test_criterion_07_theorem_census_fifteen_classes():
     t0 = time.time()
     reps = census_enumerate(2, 10, even_only=True, positive_only=True)
-    classes = dedup_census(reps)
+    classes = dedup_census(2, 10, even_only=True, positive_only=True)
     assert len(classes) == 15
     multisets = {tuple(sorted((r.p, r.q))) for r in reps}
     assert len(multisets) == 15

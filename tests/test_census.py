@@ -1,7 +1,9 @@
+import csv
 import functools
 import hashlib
 import io
 import itertools
+import sys
 
 import pytest
 
@@ -26,6 +28,7 @@ from knotpair.reps import (
     canonicalize,
     d3_orbit,
     g3_wheel_min,
+    parse_rep,
 )
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
@@ -80,6 +83,21 @@ def test_enumerate_girth3_equals_the_wheel_min_filter(max_abs, even_only, positi
     assert census_enumerate(3, max_abs, even_only, positive_only) == want
 
 
+@pytest.mark.parametrize("max_abs", range(13))
+@pytest.mark.parametrize(
+    "even_only, positive_only",
+    [(False, False), (True, False), (False, True), (True, True)],
+)
+def test_enumerate_girth2_reps_are_canonical_in_key_order(max_abs, even_only, positive_only):
+    # the census verdicts rest on this: no rep shares another's key
+    keys = []
+    for rep in census_enumerate(2, max_abs, even_only, positive_only):
+        canon = canonicalize(rep)
+        assert canon.rep == rep
+        keys.append(canon.key)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_enumerate_budget():
     with pytest.raises(ValueError):
         census_enumerate(2, 13)
@@ -88,10 +106,9 @@ def test_enumerate_budget():
 
 
 def test_census_determinism():
-    reps = census_enumerate(2, 6, even_only=True, positive_only=True)
     a, b = io.StringIO(), io.StringIO()
-    census_csv(dedup_census(reps), a)
-    census_csv(dedup_census(list(reps)), b)
+    census_csv(dedup_census(2, 6, even_only=True, positive_only=True), a)
+    census_csv(dedup_census(2, 6, even_only=True, positive_only=True), b)
     assert a.getvalue() == b.getvalue()
 
 
@@ -99,7 +116,7 @@ def test_even_positive_census_classes_are_multisets():
     # fifteen classes for labels in {2,4,6,8,10}
     reps = census_enumerate(2, 10, even_only=True, positive_only=True)
     assert len(reps) == 15
-    classes = dedup_census(reps)
+    classes = dedup_census(2, 10, even_only=True, positive_only=True)
     assert len(classes) == 15
     assert all(len(c.members) == 1 for c in classes)
 
@@ -109,38 +126,38 @@ def test_collision_example_conway_only():
     reps = [Girth2Rep(2, 8), Girth2Rep(4, 4)]
     recs = [build_record(r) for r in reps]
     assert recs[0].conway == recs[1].conway
-    classes = dedup_census(reps)
-    assert len(classes) == 2
+    heads = [cls.members[0] for cls in dedup_census(2, 8, True, True)]
+    assert set(reps) <= set(heads)
 
 
 def test_d3_orbit_collapses_to_one_class():
-    members = sorted(
-        d3_orbit(Girth3Rep((2, 4, 6), (2, 2, 4))),
-        key=lambda r: r.top + r.bottom,
-    )
-    classes = dedup_census(list(members))
-    assert len(classes) == 1
-    assert set(classes[0].verdicts) <= {"EqualBySymmetry"}
-
-
-def test_dedup_verdicts_match_compare():
-    reps = census_enumerate(2, 12) + sorted(
-        d3_orbit(Girth3Rep((2, 4, 6), (2, 2, 4))), key=lambda r: r.top + r.bottom
-    )
-    classes = dedup_census(reps)
-    checked = set()
-    for cls in classes:
-        head = cls.members[0]
-        for rep, verdict in zip(cls.members[1:], cls.verdicts):
-            assert verdict == compare(head, rep).tag, (head, rep)
-            checked.add(verdict)
-    assert checked == {"EqualBySymmetry", "Unresolved"}
+    # the members of a wheel orbit share one record, so one class key
+    orbit = d3_orbit(Girth3Rep((2, 4, 6), (2, 2, 4)))
+    assert len(orbit) > 1
+    assert len({build_record(rep) for rep in orbit}) == 1
 
 
 @functools.cache
 def _census_classes(girth, max_abs):
     # both formats of one census are written from the same classes
-    return dedup_census(census_enumerate(girth, max_abs))
+    return dedup_census(girth, max_abs)
+
+
+def test_dedup_verdicts_match_compare():
+    for girth, max_abs in ((2, 12), (3, 2)):
+        out = io.StringIO()
+        census_csv(_census_classes(girth, max_abs), out)
+        out.seek(0)
+        heads, members = {}, 0
+        for row in csv.DictReader(out):
+            rep = parse_rep(row["rep"])
+            head = heads.setdefault(row["class_id"], rep)
+            if head is rep:
+                assert row["verdict"] == ""
+            else:
+                assert row["verdict"] == compare(head, rep).tag, (head, rep)
+                members += 1
+        assert members > 0
 
 
 def _pin(fmt, girth, max_abs, digest):
@@ -253,3 +270,26 @@ def test_girth3_census_builds_no_template(monkeypatch, tmp_path):
     assert cli.main(["census", "--girth", "3", "--max", "3", "--output", str(out)]) == 0
     assert out.read_text().count("\n") == 1 + len(census_enumerate(3, 3))
     assert calls == []
+
+
+@pytest.mark.parametrize("girth, max_abs, pairs", [(3, 2, 0), (2, 12, 25 * 25)])
+def test_census_canonicalizes_no_member(monkeypatch, tmp_path, girth, max_abs, pairs):
+    # the census verdicts follow from the enumeration: the girth-3 one takes
+    # the wheel minima directly, the girth-2 one canonicalises each label
+    # pair once, and nothing canonicalises a class head or member
+    from knotpair import cli, reps
+
+    calls = []
+    real = reps.canonicalize
+
+    def spy(rep):
+        calls.append(rep)
+        return real(rep)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("knotpair") and getattr(module, "canonicalize", None) is real:
+            monkeypatch.setattr(module, "canonicalize", spy)
+    out = tmp_path / "census.csv"
+    argv = ["census", "--girth", str(girth), "--max", str(max_abs), "--output", str(out)]
+    assert cli.main(argv) == 0
+    assert len(calls) == pairs

@@ -23,6 +23,7 @@ from knotpair.diagram import (
     regions,
     star_pair_pd,
     tait_graph,
+    template_crossings,
     torus2_pd,
     validate_pd,
 )
@@ -61,6 +62,18 @@ def test_crossing_count_is_label_sum():
         (Girth3Rep((2, 1, 0), (0, -1, -1)), 5),
     ]:
         assert pd_from_rep(rep).n() == n
+
+
+def test_template_crossings_counts_the_built_template():
+    # the oracle budget is checked on this count before any build
+    grid = [Girth1Rep(p) for p in range(-4, 5)]
+    grid += [Girth2Rep(p, q) for p, q in itertools.product(range(-3, 4), repeat=2)]
+    grid += [
+        Girth3Rep(labels[:3], labels[3:])
+        for labels in itertools.product((-2, 0, 1), repeat=6)
+    ]
+    for rep in grid:
+        assert template_crossings(rep) == pd_from_rep(rep).n(), rep
 
 
 def test_component_parity_girth2():

@@ -97,10 +97,21 @@ def test_over_the_cap_is_refused_before_any_oracle(monkeypatch, rep, n, invarian
     ran = []
     for name in ("bracket_state_sum", "conway_fox"):
         monkeypatch.setattr(oracle, name, lambda *a, name=name, **k: ran.append(name))
+    built = spy_on_templates(monkeypatch)
     got = capture(["eval", rep, invariant, "--method", method])
     assert (got["code"], got["stdout"]) == (2, "")
     assert got["stderr"] == f"error: {n} crossings exceeds the state-sum cap of 24 crossings\n"
-    assert ran == []
+    assert ran == [] and built == []
+
+
+@pytest.mark.parametrize("rep, n", (("(200000,0)", 200000), ("[100000 0 0 / 0 0 0]", 100000)))
+def test_a_large_template_is_refused_unbuilt(monkeypatch, rep, n):
+    # the count comes off the labels, so the refusal takes no time
+    built = spy_on_templates(monkeypatch)
+    got = capture(["eval", rep, "bracket", "--method", "oracle"])
+    assert (got["code"], got["stdout"]) == (2, "")
+    assert got["stderr"] == f"error: {n} crossings exceeds the state-sum cap of 24 crossings\n"
+    assert built == []
 
 
 @pytest.mark.parametrize("invariant", INVARIANTS)

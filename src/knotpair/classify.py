@@ -18,6 +18,7 @@ from .reps import (
     canonicalize,
     d3_orbit,
     mirror,
+    template_crossings,
 )
 
 EQUAL_BY_SYMMETRY = "EqualBySymmetry"
@@ -25,6 +26,13 @@ DISTINCT_BY_CONWAY = "DistinctByConway"
 DISTINCT_BY_JONES = "DistinctByJones"
 NECESSARY_CONDITION_FAILS = "NecessaryConditionFails"
 UNRESOLVED = "Unresolved"
+
+# The largest template, in crossings, whose invariants ``rep_invariants``
+# computes.  Their cost grows faster than the crossing count: on a shared
+# 2-vCPU Xeon, girth-1 and balanced girth-3 reps of 20000 crossings take
+# 0.7-0.9 s and of 30000 1.3-1.6 s, and a 1500000-crossing girth-2 rep
+# 6.7 s and 540 MB, so a larger rep is refused rather than computed.
+CLOSED_CAP = 20000
 
 
 @dataclass(frozen=True)
@@ -156,8 +164,15 @@ def rep_invariants(rep) -> RepInvariants:
     even formula when every label is even, and otherwise the table's, up
     to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers
     on.  Every result passes ``check_identities`` or raises
-    ``AssertionError``.
+    ``AssertionError``.  A rep whose template has more than
+    ``CLOSED_CAP`` crossings is refused with ``ValueError`` before any
+    evaluation; the count comes off its labels.
     """
+    n = template_crossings(rep)
+    if n > CLOSED_CAP:
+        raise ValueError(
+            f"{n} crossings exceeds the closed-form cap of {CLOSED_CAP} crossings"
+        )
     bracket = closed_bracket(rep)
     conway: LaurentPoly | None = None
     if isinstance(rep, Girth1Rep):

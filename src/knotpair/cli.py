@@ -6,12 +6,13 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 
 from . import census, classify, closedform, girth, oracle
-from .diagram import pd_from_json, pd_from_rep, pd_from_text, orient, template_crossings
+from .diagram import pd_from_json, pd_from_rep, pd_from_text, orient
 from .laurent import (
     LaurentPoly,
     jones_from_bracket,
@@ -19,7 +20,7 @@ from .laurent import (
     jones_to_text,
     poly_to_text,
 )
-from .reps import Girth2Rep, Girth3Rep, parse_rep
+from .reps import Girth2Rep, Girth3Rep, parse_rep, template_crossings
 
 
 def _read_pd(path: str):
@@ -231,7 +232,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message} (see {self.prog} -h)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the rest of the process.
+
+    Parsing leaves it unchanged, so every command shares it; callers must
+    not change it either.
+    """
     parser = _Parser(
         prog="knotpair",
         description="Exact invariants and girth decompositions of tree-pair knots",

@@ -65,7 +65,7 @@ def validate_pd(pd: PDCode) -> None:
         raise InvalidPDError(f"arcs not appearing exactly twice: {bad}")
     n = pd.n()
     if n:
-        f = len(_region_cycles(pd))
+        f = len(regions(pd))
         if f != n + 2:
             raise InvalidPDError(
                 f"region count {f} violates Euler formula (expected {n + 2}); "
@@ -250,12 +250,17 @@ def _orient_ports(other: list[int]) -> tuple[list[bool], int]:
 
 
 # ---------------------------------------------------------------------------
-# regions and checkerboard coloring
+# regions, checkerboard coloring and Tait graphs
+#
+# A corner is numbered 4 * crossing + k and sits between slots k and k+1.
 
 
-def _region_cycles(pd: PDCode) -> list[list[int]]:
-    """Complementary regions as cycles of corners, corner 4 * ci + k sitting
-    between slots k and k+1 of crossing ci; see ``regions``."""
+def regions(pd: PDCode) -> list[list[int]]:
+    """Complementary regions as cycles of corners.
+
+    The walk keeps the region on the left of the traversal direction;
+    every corner belongs to exactly one region.  Free loops are ignored.
+    """
     other = _other_end(itertools.chain(*pd.crossings))
     visited = [False] * len(other)
     out: list[list[int]] = []
@@ -272,82 +277,46 @@ def _region_cycles(pd: PDCode) -> list[list[int]]:
     return out
 
 
-def regions(pd: PDCode) -> list[tuple[tuple[int, int], ...]]:
-    """Complementary regions as cycles of corners.
-
-    Corner (ci, k) sits between slots k and k+1 of crossing ci.  The walk
-    keeps the region on the left of the traversal direction; every corner
-    belongs to exactly one region.
-    """
+def checkerboard(pd: PDCode) -> tuple[list[list[int]], list[list[int]]]:
+    """Both proper 2-colorings of the complementary regions, each given by
+    the corner cycles of its black regions, in ``regions`` order."""
     if pd.free_loops:
         raise InvalidPDError("region trace undefined with free loops present")
-    return [tuple(divmod(c, 4) for c in corners) for corners in _region_cycles(pd)]
-
-
-@dataclass(frozen=True)
-class ShadedRegions:
-    """A checkerboard coloring: region corner-cycles plus a color per region."""
-
-    region_corners: tuple[tuple[tuple[int, int], ...], ...]
-    colors: tuple[str, ...]  # 'black' / 'white'
-
-    def region_of(self) -> dict[tuple[int, int], int]:
-        return {
-            corner: ri
-            for ri, corners in enumerate(self.region_corners)
-            for corner in corners
-        }
-
-
-def checkerboard(pd: PDCode) -> tuple[ShadedRegions, ShadedRegions]:
-    """Both proper 2-colorings of the complementary regions."""
-    regs = regions(pd)
-    region_of: dict[tuple[int, int], int] = {}
-    for ri, corners in enumerate(regs):
+    cycles = regions(pd)
+    region_of = [0] * (4 * pd.n())
+    for ri, corners in enumerate(cycles):
         for c in corners:
             region_of[c] = ri
-    adj: dict[int, set[int]] = {ri: set() for ri in range(len(regs))}
-    for ci in range(pd.n()):
-        for k in range(4):
-            r1 = region_of[(ci, k)]
-            r2 = region_of[(ci, (k + 1) % 4)]
-            adj[r1].add(r2)
-            adj[r2].add(r1)
-    color = {0: 0}
+    # the walk leaves corner c along slot k+1, whose far side holds
+    # corner k+1: so these regions are all the neighbours of c's region
+    color = [-1] * len(cycles)
+    color[0] = 0
     queue = [0]
     while queue:
         r = queue.pop()
-        for s in adj[r]:
-            if s not in color:
+        for c in cycles[r]:
+            s = region_of[c + 1 if c % 4 != 3 else c - 3]
+            if color[s] < 0:
                 color[s] = 1 - color[r]
                 queue.append(s)
             elif color[s] == color[r]:
                 raise InvalidPDError("regions are not checkerboard colorable")
-    if len(color) != len(regs):
+    if -1 in color:
         raise InvalidPDError("region adjacency is disconnected")
-    regs_t = tuple(regs)
-    a = ShadedRegions(
-        regs_t, tuple("black" if color[r] == 0 else "white" for r in range(len(regs)))
+    return tuple(
+        [corners for corners, col in zip(cycles, color) if col == shade]
+        for shade in (0, 1)
     )
-    b = ShadedRegions(
-        regs_t, tuple("white" if color[r] == 0 else "black" for r in range(len(regs)))
-    )
-    return a, b
-
-
-# ---------------------------------------------------------------------------
-# Tait graphs
 
 
 @dataclass(frozen=True)
 class TaitEdge:
-    crossing: int
-    v1: int  # tait vertex at black corner k0
-    v2: int  # tait vertex at black corner k0 + 2
-    k0: int  # 0 or 1: first black corner slot index
-    sign: int  # +1 if black corners are {1,3}, else -1 (raw convention)
-    white1: int  # region index at corner k0 + 1
-    white2: int  # region index at corner k0 + 3
+    """The Tait edge of one crossing, whose index it shares: it joins the
+    vertex at black corner k0 (end 0) to the one at k0 + 2 (end 1)."""
+
+    v1: int
+    v2: int
+    k0: int  # 0 or 1
 
 
 @dataclass(frozen=True)
@@ -355,52 +324,35 @@ class TaitGraph:
     """Checkerboard graph with a rotation system.
 
     ``rotation[v]`` lists (edge_index, end) around vertex v in the cyclic
-    order induced by the region boundary walk; end 0 refers to the corner
-    k0 of the crossing, end 1 to corner k0+2.
+    order of its region's corners; end 0 refers to the corner k0 of the
+    crossing, end 1 to corner k0+2.
     """
 
     n_vertices: int
     edges: tuple[TaitEdge, ...]
     rotation: tuple[tuple[tuple[int, int], ...], ...]
-    black_regions: tuple[int, ...]  # region index per tait vertex
-    shading: ShadedRegions
 
     def endpoints(self, ei: int) -> tuple[int, int]:
         e = self.edges[ei]
         return e.v1, e.v2
 
 
-def tait_graph(pd: PDCode, shading: ShadedRegions) -> TaitGraph:
-    region_of = shading.region_of()
-    black = [
-        ri for ri, col in enumerate(shading.colors) if col == "black"
-    ]
-    vertex_of_region = {ri: vi for vi, ri in enumerate(black)}
-    edges: list[TaitEdge] = []
-    end_of_corner: dict[tuple[int, int], tuple[int, int]] = {}
-    for ci in range(pd.n()):
-        k0 = 0 if shading.colors[region_of[(ci, 0)]] == "black" else 1
-        r1 = region_of[(ci, k0)]
-        r2 = region_of[(ci, (k0 + 2) % 4)]
-        w1 = region_of[(ci, (k0 + 1) % 4)]
-        w2 = region_of[(ci, (k0 + 3) % 4)]
-        sign = 1 if k0 == 1 else -1
-        ei = len(edges)
-        edges.append(
-            TaitEdge(ci, vertex_of_region[r1], vertex_of_region[r2], k0, sign, w1, w2)
-        )
-        end_of_corner[(ci, k0)] = (ei, 0)
-        end_of_corner[(ci, (k0 + 2) % 4)] = (ei, 1)
-    rotation = []
-    for ri in black:
-        rotation.append(tuple(end_of_corner[c] for c in shading.region_corners[ri]))
-    return TaitGraph(
-        n_vertices=len(black),
-        edges=tuple(edges),
-        rotation=tuple(rotation),
-        black_regions=tuple(black),
-        shading=shading,
+def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:
+    """The Tait graph of one shading from ``checkerboard``: a vertex per
+    black region, an edge per crossing.  A crossing's black corners are
+    k0 and k0 + 2, so corner c is end (c >> 1) & 1 of its edge."""
+    vertex_of = [-1] * (4 * pd.n())
+    for v, corners in enumerate(black):
+        for c in corners:
+            vertex_of[c] = v
+    edges = []
+    for c in range(0, 4 * pd.n(), 4):
+        k0 = 0 if vertex_of[c] >= 0 else 1
+        edges.append(TaitEdge(vertex_of[c + k0], vertex_of[c + k0 + 2], k0))
+    rotation = tuple(
+        tuple((c >> 2, (c >> 1) & 1) for c in corners) for corners in black
     )
+    return TaitGraph(len(black), tuple(edges), rotation)
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +599,3 @@ def pd_from_rep(rep) -> PDCode:
         return star_pair_pd(list(rep.top), list(rep.bottom))
     raise TypeError(f"cannot build a diagram from {rep!r}")
 
-
-def template_crossings(rep) -> int:
-    """The crossing count of ``pd_from_rep(rep)``, without building it.
-
-    A ladder of label x has |x| crossings, and the template is its
-    ladders joined up, so the count is the sum of the label sizes.
-    """
-    if isinstance(rep, Girth1Rep):
-        return abs(rep.p)
-    if isinstance(rep, Girth2Rep):
-        return abs(rep.p) + abs(rep.q)
-    if isinstance(rep, Girth3Rep):
-        return sum(map(abs, rep.top + rep.bottom))
-    raise TypeError(f"cannot build a diagram from {rep!r}")

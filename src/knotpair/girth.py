@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .diagram import PDCode, TaitEdge, TaitGraph, checkerboard, tait_graph
+from .diagram import PDCode, TaitGraph, checkerboard, tait_graph
 from .oracle import _bareiss_det
 from .reps import Girth2Rep, Girth3Rep, PlaneTree, TreePairRep
 
@@ -214,84 +214,54 @@ def tree_count(tait: TaitGraph) -> int:
 
 
 @dataclass(frozen=True)
-class Sector:
-    vertex: int
-    dashes: tuple[tuple[int, int], ...]  # non-tree (edge, end) items, in order
-    entered_by: tuple[int, int]  # tree (edge, end) whose traversal precedes
-
-
-@dataclass(frozen=True)
-class Traversal:
-    edge: int
-    from_vertex: int
-    faced_corner: int  # absolute corner index at the crossing
-
-
-@dataclass(frozen=True)
 class Contour:
-    """Ribbon boundary of a tree: alternating sectors and edge traversals."""
+    """The nonempty sectors of a tree's ribbon boundary, in walk order.
 
-    sectors: tuple[Sector, ...]
-    traversals: tuple[tuple[Traversal, ...], ...]  # gap after sectors[i]
+    Per sector: the vertex it lies at, its non-tree (edge, end) items in
+    rotation order, and the tree (edge, end) the walk leaves it by.
+    """
+
+    vertices: tuple[int, ...]
+    dashes: tuple[tuple[tuple[int, int], ...], ...]
+    exits: tuple[tuple[int, int], ...]
 
     def girth(self) -> int:
-        return sum(1 for s in self.sectors if s.dashes)
+        return len(self.dashes)
 
 
 def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
+    """Walk the ribbon boundary of a spanning tree from its first edge.
+
+    Arriving at a vertex by one tree-edge end, the walk sweeps the rotation
+    to the next tree-edge end and leaves by it.  Each step is invertible,
+    so the walk comes back to its start.
+    """
     tree_set = set(tree)
     if not tree_set:
         raise ValueError("contour of an edgeless tree is undefined")
     rot = tait.rotation
-    tree_pos: dict[int, list[int]] = {}
-    for v in range(tait.n_vertices):
-        tree_pos[v] = [
-            i for i, (ei, _end) in enumerate(rot[v]) if ei in tree_set
-        ]
-        if not tree_pos[v]:
-            raise ValueError(f"edge set does not span vertex {v}")
-
-    # start: first tree edge, traversed from its v1 side
     start_edge = min(tree_set)
-    e0 = tait.edges[start_edge]
-    state = (e0.v2, start_edge, 1)  # arrived at v2 via end 1
-    start_state = state
-    sectors: list[Sector] = []
-    gaps: list[list[Traversal]] = []
-    current_gap = [
-        Traversal(start_edge, e0.v1, (_corner(e0, 0) + FLANK) % 4)
-    ]
-    guard = 0
+    state = start = (tait.edges[start_edge].v2, start_edge, 1)  # arrived at v2
+    vertices, dashes, exits = [], [], []
     while True:
-        guard += 1
-        if guard > 8 * (len(tait.edges) + 1) * 4:
-            raise RuntimeError("contour walk failed to close")
         v, ei, end = state
         entries = rot[v]
         npos = len(entries)
-        arrival_pos = entries.index((ei, end))
-        # sweep the sector counterclockwise until the next tree end
-        dashes = []
-        pos = (arrival_pos + 1) % npos
+        pos = (entries.index((ei, end)) + 1) % npos
+        swept = []
         while entries[pos][0] not in tree_set:
-            dashes.append(entries[pos])
+            swept.append(entries[pos])
             pos = (pos + 1) % npos
-        sectors.append(
-            Sector(vertex=v, dashes=tuple(dashes), entered_by=(ei, end))
-        )
-        gaps.append(current_gap)
-        # depart along the tree end at pos
         dep_edge, dep_end = entries[pos]
-        faced = (_corner(tait.edges[dep_edge], dep_end) + FLANK) % 4
-        current_gap = [Traversal(dep_edge, v, faced)]
+        if swept:
+            vertices.append(v)
+            dashes.append(tuple(swept))
+            exits.append((dep_edge, dep_end))
         next_v, next_end = _other(tait, dep_edge, dep_end)
         state = (next_v, dep_edge, next_end)
-        if state == start_state:
+        if state == start:
             break
-    # each gap of separating traversals precedes the sector it leads into;
-    # re-associate so traversals[i] follows sectors[i]
-    gap_after = gaps[1:] + [current_gap]
-    return Contour(tuple(sectors), tuple(tuple(g) for g in gap_after))
+    return Contour(tuple(vertices), tuple(dashes), tuple(exits))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +271,6 @@ def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
 @dataclass(frozen=True)
 class ReducedEdge:
     label: int
-    crossings: tuple[int, ...]  # merged tait edge ids (= crossing ids)
     v1: int
     v2: int
     mixed_signs: bool
@@ -317,15 +286,18 @@ class ReducedTree:
 def reduce_tree(
     tait: TaitGraph, tree: tuple[int, ...], label_sign: int
 ) -> ReducedTree:
-    """Suppress dash-free valence-2 vertices, merging labels algebraically."""
+    """Suppress dash-free valence-2 vertices, merging labels algebraically.
+
+    A crossing's raw sign is +1 when its black corners are {1, 3}, i.e.
+    when k0 = 1, and -1 otherwise; ``label_sign`` turns it into a label.
+    """
     tree_set = set(tree)
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(tait.n_vertices)}
     dashes_at = {v: 0 for v in range(tait.n_vertices)}
     for v in range(tait.n_vertices):
         for ei, end in tait.rotation[v]:
             if ei in tree_set:
-                if (ei, end) not in adj[v]:
-                    adj[v].append((ei, end))
+                adj[v].append((ei, end))
             else:
                 dashes_at[v] += 1
 
@@ -339,17 +311,15 @@ def reduce_tree(
         # a cycle-free chain must keep at least its two end vertices
         raise ValueError("tree reduced to nothing; diagram is not reduced")
 
-    edge_sign = {ei: label_sign * tait.edges[ei].sign for ei in tree_set}
-    visited_dir: set[tuple[int, int]] = set()
     reduced_edges: list[ReducedEdge] = []
+    # each end of a reduced edge: the tree (edge, end) it starts from
     edge_slot: dict[tuple[int, int], tuple[int, int]] = {}
     for v in kept:
         for ei, end in adj[v]:
-            if (ei, end) in visited_dir:
+            if (ei, end) in edge_slot:
                 continue
             # walk through suppressed vertices
             chain = [ei]
-            visited_dir.add((ei, end))
             cur_v, cur_end = _other(tait, ei, end)
             while cur_v in suppressible:
                 (e2, end2) = next(
@@ -357,27 +327,24 @@ def reduce_tree(
                 )
                 chain.append(e2)
                 cur_v, cur_end = _other(tait, e2, end2)
-            visited_dir.add((chain[-1], cur_end))
-            signs = [edge_sign[e2] for e2 in chain]
-            redge = ReducedEdge(
-                label=sum(signs),
-                crossings=tuple(chain),
-                v1=v,
-                v2=cur_v,
-                mixed_signs=len({s > 0 for s in signs}) > 1,
+            signs = [
+                label_sign if tait.edges[e2].k0 else -label_sign for e2 in chain
+            ]
+            edge_slot[(ei, end)] = (len(reduced_edges), 0)
+            edge_slot[(chain[-1], cur_end)] = (len(reduced_edges), 1)
+            reduced_edges.append(
+                ReducedEdge(
+                    label=sum(signs),
+                    v1=v,
+                    v2=cur_v,
+                    mixed_signs=len({s > 0 for s in signs}) > 1,
+                )
             )
-            idx = len(reduced_edges)
-            reduced_edges.append(redge)
-            edge_slot[(chain[0], _port_end(tait, chain[0], v))] = (idx, 0)
-            edge_slot[(chain[-1], _port_end(tait, chain[-1], cur_v))] = (idx, 1)
 
-    rotation = {}
-    for v in kept:
-        items = []
-        for ei, end in tait.rotation[v]:
-            if ei in tree_set and (ei, end) in edge_slot:
-                items.append(edge_slot[(ei, end)])
-        rotation[v] = tuple(items)
+    rotation = {
+        v: tuple(edge_slot[x] for x in tait.rotation[v] if x in edge_slot)
+        for v in kept
+    }
     return ReducedTree(tuple(kept), tuple(reduced_edges), rotation)
 
 
@@ -386,18 +353,10 @@ def _other(tait: TaitGraph, ei: int, end: int) -> tuple[int, int]:
     return (e.v2, 1) if end == 0 else (e.v1, 0)
 
 
-def _corner(e: TaitEdge, end: int) -> int:
-    """Absolute corner index, at its crossing, of one end of a Tait edge."""
-    return e.k0 if end == 0 else (e.k0 + 2) % 4
-
-
-def _port_end(tait: TaitGraph, ei: int, v: int) -> int:
-    e = tait.edges[ei]
-    if e.v1 == v:
-        return 0
-    if e.v2 == v:
-        return 1
-    raise ValueError("edge not incident to vertex")
+def _corner(tait: TaitGraph, ei: int, end: int, turn: int = 0) -> int:
+    """The corner, numbered 4 * crossing + slot, at one end of a Tait edge,
+    turned ``turn`` slots counterclockwise."""
+    return 4 * ei + (tait.edges[ei].k0 + 2 * end + turn) % 4
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +373,6 @@ class TaitDecomposition:
     the girth are recorded.
     """
 
-    pd: PDCode
     shading_index: int  # 0 or 1, into checkerboard(pd)
     tree: tuple[int, ...]
     dual_tree: tuple[int, ...]
@@ -449,86 +407,73 @@ class TaitDecomposition:
 
 
 def decompose(pd: PDCode, shading_index: int, tree: tuple[int, ...]) -> TaitDecomposition:
-    """Build the decomposition for a spanning tree of the chosen shading."""
+    """Build the decomposition for a spanning tree of the chosen shading.
+
+    Refuses a diagram with free loops, an unreduced one, and an edge set
+    that is not a spanning tree, with ``ValueError``.
+    """
     if pd.free_loops:
         raise ValueError("decompositions need a crossing diagram (no free loops)")
     shades = checkerboard(pd)
     black = tait_graph(pd, shades[shading_index])
     white = tait_graph(pd, shades[1 - shading_index])
     _reject_unreduced(black, white)
-    return _decompose(pd, shading_index, tree, black, white)
+    tree = tuple(sorted(tree))
+    if not _is_spanning_tree(black.n_vertices, [black.endpoints(ei) for ei in tree]):
+        raise ValueError("edge set is not a spanning tree of the Tait graph")
+    return _decompose(shading_index, tree, black, white)
 
 
 def _decompose(
-    pd: PDCode,
     shading_index: int,
     tree: tuple[int, ...],
     black: TaitGraph,
     white: TaitGraph,
 ) -> TaitDecomposition:
     """``decompose`` on Tait graphs already built and checked reduced:
-    ``black`` of the chosen shading, ``white`` of the other."""
-    tree = tuple(sorted(tree))
-    if not _is_spanning_tree(
-        black.n_vertices, [black.endpoints(ei) for ei in tree]
-    ) or len(tree) != black.n_vertices - 1:
-        raise ValueError("edge set is not a spanning tree of the Tait graph")
+    ``black`` of the chosen shading, ``white`` of the other, and a sorted
+    spanning tree of ``black``."""
     tree_set = set(tree)
     dual_tree = tuple(ei for ei in range(len(white.edges)) if ei not in tree_set)
 
     c_black = tree_contour(black, tree)
     c_white = tree_contour(white, dual_tree)
-    g_black = c_black.girth()
-    g_white = c_white.girth()
-    if g_black != g_white:
+    if c_black.girth() != c_white.girth():
         raise AssertionError(
-            f"girth mismatch between the two sides: {g_black} vs {g_white}"
+            f"girth mismatch between the two sides: {c_black.girth()} vs {c_white.girth()}"
         )
 
     red_black = reduce_tree(black, tree, LABEL_SIGN_BLACK)
     red_white = reduce_tree(white, dual_tree, LABEL_SIGN_WHITE)
 
-    # boundary block structure: A classes in contour order, each followed by
-    # the dual class faced by the first traversal of the following gap
-    a_sectors = []
-    b_classes = []
-    sectors = list(c_black.sectors)
-    gaps = list(c_black.traversals)
-    white_classes = [s for s in c_white.sectors if s.dashes]
-    white_class_of = _dual_class_lookup(white, white_classes)
-    order = [i for i, s in enumerate(sectors) if s.dashes]
-    for i in order:
-        a_sectors.append(sectors[i])
-        # gather traversals from this sector up to the next nonempty one
-        trav: list[Traversal] = list(gaps[i])
-        k = i
-        while not sectors[(k + 1) % len(sectors)].dashes:
-            k = (k + 1) % len(sectors)
-            trav.extend(gaps[k])
-            if k == i:
-                break
-        first = trav[0]
-        b_classes.append(white_class_of[(first.edge, first.faced_corner)])
-
+    # boundary block structure: each A class in contour order is followed
+    # by the dual class whose dash holds the corner that the traversal
+    # leaving it faces
+    white_class_of = {
+        _corner(white, ei, end): k
+        for k, dashes in enumerate(c_white.dashes)
+        for ei, end in dashes
+    }
+    b_classes = [
+        white_class_of[_corner(black, ei, end, FLANK)] for ei, end in c_black.exits
+    ]
     blocks = tuple(
-        (("A", tuple(s.dashes)), ("B", b_classes[i]))
-        for i, s in enumerate(a_sectors)
+        (("A", dashes), ("B", bc)) for dashes, bc in zip(c_black.dashes, b_classes)
     )
-    black_edges = tuple(_class_edge(red_black, s.vertex) for s in a_sectors)
+    black_edges = tuple(_class_edge(red_black, v) for v in c_black.vertices)
     white_edges = tuple(
-        _class_edge(red_white, white_classes[bc].vertex) for bc in b_classes
+        _class_edge(red_white, c_white.vertices[bc]) for bc in b_classes
     )
     mixed = any(e.mixed_signs for e in red_black.edges) or any(
         e.mixed_signs for e in red_white.edges
     )
     return TaitDecomposition(
-        pd=pd,
         shading_index=shading_index,
         tree=tree,
         dual_tree=dual_tree,
         reduced_black=red_black,
         reduced_white=red_white,
-        girth=g_black,
+        girth=c_black.girth(),
         blocks=blocks,
         black_class_edges=black_edges,
         white_class_edges=white_edges,
@@ -550,18 +495,6 @@ def _reject_unreduced(black: TaitGraph, white: TaitGraph) -> None:
                 f"diagram is not reduced: {name} graph has a valence-1 vertex "
                 "(nugatory crossing)"
             )
-
-
-def _dual_class_lookup(
-    white: TaitGraph, classes: list[Sector]
-) -> dict[tuple[int, int], int]:
-    """Map (crossing, absolute white corner) -> index of the dual dash class."""
-    lookup: dict[tuple[int, int], int] = {}
-    for cls_idx, s in enumerate(classes):
-        for ei, end in s.dashes:
-            e = white.edges[ei]
-            lookup[(e.crossing, _corner(e, end))] = cls_idx
-    return lookup
 
 
 def _class_edge(red: ReducedTree, vertex: int):
@@ -607,7 +540,7 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
     black, white = _tait_graphs(pd)
     for girth, tree in spanning_trees(black, 2 * black.n_vertices, descend=True):
         pass  # each tree found beats the one before
-    witness = _decompose(pd, 0, tree, black, white)
+    witness = _decompose(0, tree, black, white)
     if witness.girth != girth:
         raise AssertionError(
             f"searched girth {girth} but the witness contour counts {witness.girth}"
@@ -629,7 +562,7 @@ def decompositions_of_girth(pd: PDCode, target: int):
     black, white = _tait_graphs(pd)
     for girth, tree in spanning_trees(black, target):
         if girth == target:
-            yield _decompose(pd, 0, tree, black, white)
+            yield _decompose(0, tree, black, white)
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,22 @@ def mirror(rep):
     raise TypeError(f"cannot mirror {rep!r}")
 
 
+def template_crossings(rep) -> int:
+    """The crossing count of the rep's template diagram
+    (``diagram.pd_from_rep``), without building it.
+
+    A ladder of label x has |x| crossings, and the template is its
+    ladders joined up, so the count is the sum of the label sizes.
+    """
+    if isinstance(rep, Girth1Rep):
+        return abs(rep.p)
+    if isinstance(rep, Girth2Rep):
+        return abs(rep.p) + abs(rep.q)
+    if isinstance(rep, Girth3Rep):
+        return sum(map(abs, rep.top + rep.bottom))
+    raise TypeError(f"cannot build a diagram from {rep!r}")
+
+
 # ---------------------------------------------------------------------------
 # symmetries of the girth-3 wheel
 #

@@ -4,7 +4,9 @@ import io
 import json
 import os
 import random
+import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -310,6 +312,86 @@ def test_eval_of_a_long_twist_region_exits_0(capsys, rep, invariant):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.err == "" and captured.out.strip()
+
+
+# each of these took tens of seconds and hundreds of megabytes before the
+# closed forms were capped; a `compare` evaluates both of its reps
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["eval", "[1500 1500 1500 / 1500 1500 1500000]", "jones"], 1507500),
+        (["eval", "(1500,1500000)", "jones"], 1501500),
+        (["compare", "(1500,1500000)", "(2,-3)"], 1501500),
+        (["eval", "(10000,10001)", "span"], 20001),
+    ],
+)
+def test_closed_evaluation_over_the_cap_is_refused_unevaluated(monkeypatch, capsys, argv, n):
+    from knotpair import classify
+
+    evaluated = []
+    monkeypatch.setattr(classify, "closed_bracket", evaluated.append)
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == "" and evaluated == []
+    assert captured.err == (
+        f"error: {n} crossings exceeds the closed-form cap of 20000 crossings\n"
+    )
+
+
+def test_closed_evaluation_at_the_cap_answers(capsys):
+    from knotpair.classify import CLOSED_CAP
+
+    code, out = run(capsys, "eval", "(10000,10000)", "span")
+    assert code == 0 and out == f"{CLOSED_CAP}\n"
+
+
+def test_one_process_parses_like_separate_ones():
+    # the parser is built once per process and reused: a usage error, a
+    # command and another usage error print what each prints on its own
+    commands = [
+        ["eval", "(3)"],
+        ["eval", "(2,-3)", "jones"],
+        ["census", "--girth", "4", "--max", "1"],
+    ]
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def alone(argv):
+        r = subprocess.run(
+            [sys.executable, "-m", "knotpair.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        return [r.returncode, r.stdout, r.stderr]
+
+    script = """if True:
+        import argparse, contextlib, io, json, sys
+        init = argparse.ArgumentParser.__init__
+        built = []
+        def counting(self, *a, **k):
+            built.append(1)
+            init(self, *a, **k)
+        argparse.ArgumentParser.__init__ = counting
+        from knotpair.cli import main
+        results, counts = [], [len(built)]
+        for argv in json.loads(sys.argv[1]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            results.append([code, out.getvalue(), err.getvalue()])
+            counts.append(len(built))
+        print(json.dumps([results, counts]))
+    """
+    r = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    results, counts = json.loads(r.stdout)
+    assert results == [alone(argv) for argv in commands]
+    assert [code for code, _, _ in results] == [2, 0, 2]
+    # importing builds nothing; the first command builds the parsers, once
+    assert counts[0] == 0 and counts[1] == counts[2] == counts[3] > 1
 
 
 def test_usage_errors_take_the_one_line_path(capsys):

@@ -23,13 +23,12 @@ from knotpair.diagram import (
     regions,
     star_pair_pd,
     tait_graph,
-    template_crossings,
     torus2_pd,
     validate_pd,
 )
 from knotpair.oracle import bracket_state_sum, components, writhe
 from knotpair.laurent import jones_from_bracket
-from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize
+from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize, template_crossings
 
 
 def jones(pd):
@@ -65,7 +64,8 @@ def test_crossing_count_is_label_sum():
 
 
 def test_template_crossings_counts_the_built_template():
-    # the oracle budget is checked on this count before any build
+    # the oracle and closed-form budgets are checked on this count before
+    # any build or evaluation
     grid = [Girth1Rep(p) for p in range(-4, 5)]
     grid += [Girth2Rep(p, q) for p, q in itertools.product(range(-3, 4), repeat=2)]
     grid += [
@@ -111,11 +111,10 @@ def test_regions_satisfy_euler():
 def test_checkerboard_trefoil_counts():
     pd = pd_from_rep(Girth1Rep(3))
     a, b = checkerboard(pd)
-    assert len(a.region_corners) == 5
-    blacks = a.colors.count("black")
-    assert {blacks, 5 - blacks} == {2, 3}
-    assert set(a.colors) == {"black", "white"}
-    assert [c == "black" for c in a.colors] == [c == "white" for c in b.colors]
+    # each shading lists its black regions; the other's are its white ones
+    assert len(regions(pd)) == 5
+    assert {len(a), len(b)} == {2, 3}
+    assert sorted(a + b) == sorted(regions(pd))
 
 
 def test_tait_graph_trefoil_theta():

@@ -1,11 +1,14 @@
+import ast
 import hashlib
 import itertools
+import os
 import random
 from importlib import resources
 
 import pytest
 from girth_reference import reference_girths, reference_least, reference_trees
 
+import knotpair
 from knotpair.classify import jones_equal
 from knotpair.cli import main
 from knotpair.diagram import (
@@ -375,3 +378,38 @@ def test_unreduced_diagram_is_refused_before_the_search(monkeypatch):
     assert calls == []
     diagram_girth(pd_from_rep(Girth2Rep(2, -2)))
     assert len(calls) == 1
+
+
+def test_every_dataclass_field_of_the_diagram_and_girth_layers_is_read():
+    # a field nothing reads is data carried for no one: each field declared
+    # in a dataclass of diagram.py or girth.py must be read as an attribute
+    # somewhere in the package
+    pkg = os.path.dirname(knotpair.__file__)
+    trees = {}
+    for name in os.listdir(pkg):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name)) as f:
+                trees[name] = ast.parse(f.read(), name)
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+    def is_dataclass(node):
+        return any(
+            (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+            for d in node.decorator_list
+        )
+
+    fields = [
+        (name, cls.name, stmt.target.id)
+        for name in ("diagram.py", "girth.py")
+        for cls in ast.walk(trees[name])
+        if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+    ]
+    assert len(fields) >= 20
+    assert [f for f in fields if f[2] not in read] == []

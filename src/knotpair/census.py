@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import os
+import pathlib
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -199,20 +199,19 @@ class TableResult:
     detail: str = ""
 
 
-def _fixture_pd(name: str, fixtures_dir: str | None):
-    fname = fixture_filename(name)
-    if fixtures_dir is not None:
-        path = os.path.join(fixtures_dir, fname)
-        if not os.path.exists(path):
-            return None
-        with open(path) as f:
-            return pd_from_json(f.read())
-    ref = (
-        resources.files("knotpair").joinpath("fixtures").joinpath("rolfsen").joinpath(fname)
-    )
-    if not ref.is_file():
-        return None
-    return pd_from_json(ref.read_text())
+def _fixture_files(fixtures_dir: str | None) -> dict:
+    """File name -> file of every reference fixture, listed once.
+
+    ``fixtures_dir`` overrides the shipped fixtures; a missing directory
+    holds none.
+    """
+    if fixtures_dir is None:
+        root = resources.files("knotpair").joinpath("fixtures").joinpath("rolfsen")
+    else:
+        root = pathlib.Path(fixtures_dir)
+        if not root.is_dir():
+            return {}
+    return {f.name: f for f in root.iterdir()}
 
 
 def verify_table(
@@ -227,6 +226,7 @@ def verify_table(
     up to mirror (and up to orientation units t^(3k) for links).  Entries
     without a fixture are skipped with a notice.
     """
+    files = _fixture_files(fixtures_dir)
     results = []
     for name, rep_text in ROLFSEN_TABLE:
         if max_crossings is not None and crossing_number(name) > max_crossings:
@@ -241,12 +241,13 @@ def verify_table(
             rep_text = TABLE_ERRATA[name]
             note = "erratum applied; "
 
-        ref = _fixture_pd(name, fixtures_dir)
-        if ref is None:
+        ref_file = files.get(fixture_filename(name))
+        if ref_file is None:
             results.append(
                 TableResult(name, rep_text, "SKIP", "no reference fixture shipped")
             )
             continue
+        ref = pd_from_json(ref_file.read_text())
         rep = parse_rep(rep_text)
         pd = pd_from_rep(rep)
         ori_rep, ori_ref = orient(pd), orient(ref)

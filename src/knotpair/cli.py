@@ -200,14 +200,16 @@ def cmd_selftest(args) -> int:
             tuple(2 * rng.randint(1, 5) for _ in range(3)),
             tuple(2 * rng.randint(1, 5) for _ in range(3)),
         )
+        conway = closedform.conway_girth3_even(rep)
+        bracket = closedform.bracket_girth3(rep)
         for perm in ("swap_ab", "swap_bc", "swap_ac", "cycle_cab", "cycle_bca"):
+            other = closedform.permute_bottom(rep, perm)
             if closedform.conway_diff(rep, perm) != (
-                closedform.conway_girth3_even(rep)
-                - closedform.conway_girth3_even(closedform.permute_bottom(rep, perm))
+                conway - closedform.conway_girth3_even(other)
             ):
                 ok = False
-            if closedform.bracket_diff(rep, perm) != closedform.bracket_diff_formula(
-                rep, perm
+            if closedform.bracket_diff_formula(rep, perm) != (
+                bracket - closedform.bracket_girth3(other)
             ):
                 ok = False
     check("difference formulas (20 random even-positive reps)", ok)

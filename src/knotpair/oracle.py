@@ -236,9 +236,9 @@ def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
     build, so a template is not traced again here.
 
     Pipeline: Wirtinger presentation -> Fox derivative matrix over Z[t] ->
-    Alexander polynomial (determinant of a first minor, evaluated at
-    integer points and interpolated exactly) -> symmetric normalization
-    with Delta(1) = 1 -> substitution z^2 = t - 2 + 1/t.
+    Alexander polynomial (determinant of a first minor, by ``_alexander``)
+    -> symmetric normalization with Delta(1) = 1 -> substitution
+    z^2 = t - 2 + 1/t.
     """
     n = pd.n()
     if n > cap:
@@ -299,26 +299,52 @@ def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
         rows.append(row)
 
     # delete the last relation and the last generator column
-    dim = n - 1
-    if dim == 0:
-        delta = {0: 1}
-    else:
-        points = list(range(2, 2 + n))
-        values = []
-        for t0 in points:
-            # each row has at most three nonzero entries: fill only those
-            mat = [[0] * dim for _ in range(dim)]
-            for i in range(dim):
-                for j, cell in rows[i].items():
-                    if j < dim:
-                        mat[i][j] = sum(c * t0**e for e, c in cell.items())
-            values.append(_bareiss_det(mat))
-        coeffs = _interpolate_integer_poly(points, values)
-        delta = {e: c for e, c in enumerate(coeffs) if c != 0}
-        if not delta:
-            raise ValueError("vanishing Alexander determinant on a knot diagram")
-
+    minor = [{j: cell for j, cell in row.items() if j < n - 1} for row in rows[:-1]]
+    delta = _alexander(minor)
+    if not delta:
+        raise ValueError("vanishing Alexander determinant on a knot diagram")
     return _normalize_alexander_to_conway(delta)
+
+
+def _alexander(minor: list[dict[int, dict[int, int]]]) -> dict[int, int]:
+    """det of a square matrix over Z[t], read off one integer determinant.
+
+    ``minor`` has one dict per row, column -> {exponent: coefficient},
+    with exponents 0 and 1.  Returns exponent -> coefficient, zeros left
+    out.
+
+    Bound.  Let |p| be the sum of |coefficients| of p in Z[t], so that
+    |p + q| <= |p| + |q| and |pq| <= |p| |q|.  A Fox row is t, -1, 1 - t
+    (or 1, -t, t - 1) on three generators, some maybe equal, so the |.| of
+    its entries sum to at most 4, and a deleted column only lowers that.
+    Expanding det over permutations s, |det| <= sum_s prod_i |M[i][s(i)]|
+    <= prod_i sum_j |M[i][j]| <= 4^dim, since the product multiplied out
+    holds every term of the sum.  So det = sum_{e <= dim} c_e t^e with
+    |c_e| <= 4^dim = 2^(k - 2) for k = 2 dim + 2.
+
+    Decode.  det(M(2^k)) = sum_e c_e 2^(k e), and every c_e lies in
+    [-2^(k - 1), 2^(k - 1)).  Such a signed base-2^k expansion is unique:
+    c_0 is the value's residue mod 2^k in that range, and the rest is the
+    expansion of (value - c_0) / 2^k.  Anything left after dim + 1 digits
+    means a row broke the bound.
+    """
+    dim = len(minor)
+    k = 2 * dim + 2
+    mat = [[0] * dim for _ in range(dim)]
+    for i, row in enumerate(minor):
+        for j, cell in row.items():
+            mat[i][j] = sum(c << k * e for e, c in cell.items())
+    value = _bareiss_det(mat)
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    delta = {}
+    for e in range(dim + 1):
+        c = ((value + half) & mask) - half
+        value = (value - c) >> k
+        if c:
+            delta[e] = c
+    if value:
+        raise ValueError("Alexander determinant exceeds its coefficient bound")
+    return delta
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -345,34 +371,6 @@ def _bareiss_det(m: list[list[int]]) -> int:
             m[i][k] = 0
         prev = pivot
     return sign * m[n - 1][n - 1]
-
-
-def _interpolate_integer_poly(points: list[int], values: list[int]) -> list[int]:
-    """Newton interpolation; the result must have integer coefficients.
-
-    For an integer polynomial at distinct integer points every divided
-    difference is an integer, so the table is built with exact integer
-    division, and a remainder means the data is not integral.  Expanding
-    the Newton form by Horner's rule then gives the coefficients, constant
-    term first.
-    """
-    k = len(points)
-    diffs = list(values)
-    for level in range(1, k):
-        for i in range(k - 1, level - 1, -1):
-            q, rem = divmod(diffs[i] - diffs[i - 1], points[i] - points[i - level])
-            if rem:
-                raise ValueError("interpolated Alexander polynomial is not integral")
-            diffs[i] = q
-    coeffs = [diffs[k - 1]]
-    for i in range(k - 2, -1, -1):
-        # coeffs <- coeffs * (x - points[i]) + diffs[i]
-        shifted = [0] + coeffs
-        for d, c in enumerate(coeffs):
-            shifted[d] -= points[i] * c
-        shifted[0] += diffs[i]
-        coeffs = shifted
-    return coeffs
 
 
 def _normalize_alexander_to_conway(delta: dict[int, int]) -> LaurentPoly:

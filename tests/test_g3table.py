@@ -76,11 +76,14 @@ def test_all_even_pattern_matches_the_even_formula():
         ("knotpair.g3table", "knotpair.oracle"),
         ("knotpair.cli", "knotpair.g3table"),
         ("knotpair.closedform", "knotpair.oracle"),
+        ("knotpair.oracle", "knotpair.closedform"),
+        ("knotpair.oracle", "knotpair.g3table"),
     ],
 )
 def test_import_leaves_module_unloaded(module, absent):
-    # the table and the closed forms read nothing from the oracle, and the
-    # CLI loads the table only when a girth-2 or girth-3 rep needs it
+    # the table and the closed forms read nothing from the oracle, nor the
+    # oracle from them, and the CLI loads the table only when a girth-2 or
+    # girth-3 rep needs it
     code = f"import sys, {module}; assert {absent!r} not in sys.modules"
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=src)
@@ -94,6 +97,21 @@ def _package_modules():
         if name.endswith(".py"):
             with open(os.path.join(pkg, name)) as f:
                 yield name, ast.parse(f.read(), name)
+
+
+def test_oracle_decodes_its_own_digits():
+    # the oracle reads its determinant's digits the way the closed forms
+    # read their products, but with its own loop, never ``laurent.unpack``
+    (tree,) = [tree for name, tree in _package_modules() if name == "oracle.py"]
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "_alexander" in names and "unpack" not in names
 
 
 def test_package_imports_only_the_standard_library():

@@ -178,10 +178,16 @@ def test_mixed_sign_merges_flagged():
 def test_pipeline_on_independent_reference_diagrams():
     # decompositions of externally sourced diagrams (arbitrary PD
     # conventions) still recover representations of the same knot
-    from knotpair.census import _fixture_pd
+    from knotpair.census import _fixture_files as census_fixtures
+    from knotpair.tables import fixture_filename
+
+    files = census_fixtures(None)
+
+    def fixture_pd(name):
+        return pd_from_json(files[fixture_filename(name)].read_text())
 
     for name in ["3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3", "7_4", "7_6"]:
-        pd = _fixture_pd(name, None)
+        pd = fixture_pd(name)
         g, witness = diagram_girth(pd)
         rec = rep_from_decomposition(witness)
         assert not isinstance(rec, TreePairRep), name
@@ -192,7 +198,7 @@ def test_pipeline_on_independent_reference_diagrams():
             mirror_ok=True,
         ), name
     # the figure-eight reference diagram recovers the table entry itself
-    pd = _fixture_pd("4_1", None)
+    pd = fixture_pd("4_1")
     _, witness = diagram_girth(pd)
     assert canonicalize(rep_from_decomposition(witness)).key == canonicalize(
         parse_rep("(2,-2)")

@@ -10,15 +10,18 @@ from knotpair.diagram import PDCode, pd_from_json, pd_from_rep, pd_from_text
 from knotpair.laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from knotpair.oracle import (
     OracleSizeError,
+    _alexander,
+    _bareiss_det,
     _divide_by_delta,
-    _interpolate_integer_poly,
     _sweep_order,
     bracket_state_sum,
     components,
     conway_fox,
     writhe,
 )
-from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep
+from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, parse_rep
+
+from fox_reference import _interpolate_integer_poly, conway_fox_reference
 
 
 def A(d):
@@ -175,25 +178,6 @@ def test_fixture_knot_8_18_not_required():
     assert nab.coeff(0) == 1
     assert poly_to_text(nab) == "1 + z^2 - z^4 - z^6"
     assert abs(sum(c * (-4) ** (e // 2) for e, c in nab.terms)) == 45
-
-
-def test_newton_interpolation_recovers_integer_polynomials():
-    rng = random.Random(7)
-    for degree in range(24):
-        for _ in range(3):
-            coeffs = [rng.randint(-10**6, 10**6) for _ in range(degree + 1)]
-            points = list(range(2, degree + 3))
-            values = [sum(c * x**e for e, c in enumerate(coeffs)) for x in points]
-            assert _interpolate_integer_poly(points, values) == coeffs
-
-
-def test_newton_interpolation_rejects_non_integral_data():
-    # x(x - 1)/2 takes integer values everywhere but is not integral
-    points = [2, 3, 4]
-    with pytest.raises(ValueError):
-        _interpolate_integer_poly(points, [x * (x - 1) // 2 for x in points])
-    with pytest.raises(ValueError):
-        _interpolate_integer_poly([2, 4], [0, 1])  # slope 1/2
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +421,109 @@ def scrambled_small_diagrams(draw):
 @given(scrambled_small_diagrams())
 def test_sweep_equals_state_walk_on_scrambled_diagrams(pd):
     assert bracket_state_sum(pd) == bracket_state_sum_dfs(pd)
+
+
+# ---------------------------------------------------------------------------
+# Fox calculus by one determinant against the n-point reference
+
+
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        ("[3 2 7 / 1 4 9]", 26),
+        ("[7 4 9 / 5 6 9]", 40),
+        ("[11 6 13 / 7 8 15]", 60),
+        ("[15 10 17 / 11 12 15]", 80),
+    ],
+    ids=["26", "40", "60", "80"],
+)
+def test_fox_equals_the_reference_on_large_knots(text, n):
+    pd = pd_from_rep(parse_rep(text))
+    assert pd.n() == n and components(pd) == 1
+    assert conway_fox(pd, cap=n) == conway_fox_reference(pd)
+
+
+def test_fox_equals_the_reference_on_the_knot_fixtures():
+    knots = [(name, pd) for name, pd in fixture_pds() if components(pd) == 1]
+    assert len(knots) == 14
+    for name, pd in knots:
+        assert conway_fox(pd) == conway_fox_reference(pd), name
+
+
+def test_fox_equals_the_reference_on_a_seeded_girth3_grid():
+    rng = random.Random(19)
+    knots = set()
+    while len(knots) < 120:
+        labels = tuple(rng.randint(-5, 5) for _ in range(6))
+        pd = pd_from_rep(Girth3Rep(labels[:3], labels[3:]))
+        if labels not in knots and components(pd) == 1:
+            assert conway_fox(pd, cap=pd.n()) == conway_fox_reference(pd), labels
+            knots.add(labels)
+
+
+def test_alexander_decodes_coefficients_at_the_bound():
+    # entries +-4 and +-4t on a permuted diagonal: the determinant is one
+    # monomial of coefficient +-4^dim, the largest the bound allows
+    rng = random.Random(4)
+    for dim in range(1, 9):
+        for _ in range(40):
+            perm = rng.sample(range(dim), dim)
+            cells = [(rng.randint(0, 1), rng.choice((4, -4))) for _ in range(dim)]
+            minor = [{perm[i]: {e: c}} for i, (e, c) in enumerate(cells)]
+            inversions = sum(
+                perm[i] > perm[j] for i in range(dim) for j in range(i + 1, dim)
+            )
+            sign = (-1) ** inversions * (-1) ** sum(c < 0 for _, c in cells)
+            degree = sum(e for e, _ in cells)
+            assert _alexander(minor) == {degree: sign * 4**dim}, minor
+
+
+def test_alexander_equals_interpolation_on_random_minors():
+    # rows of up to three entries with L1 norm at most 4, like Fox rows
+    rng = random.Random(8)
+    for dim in range(1, 11):
+        for _ in range(20):
+            minor = []
+            for _ in range(dim):
+                row: dict[int, dict[int, int]] = {}
+                for _ in range(rng.randint(1, 4)):
+                    cell = row.setdefault(rng.randrange(dim), {})
+                    e = rng.randint(0, 1)
+                    cell[e] = cell.get(e, 0) + rng.choice((1, -1))
+                minor.append(row)
+            points = list(range(2, dim + 3))
+            values = []
+            for t0 in points:
+                mat = [[0] * dim for _ in range(dim)]
+                for i, row in enumerate(minor):
+                    for j, cell in row.items():
+                        mat[i][j] = sum(c * t0**e for e, c in cell.items())
+                values.append(_bareiss_det(mat))
+            coeffs = _interpolate_integer_poly(points, values)
+            assert _alexander(minor) == {e: c for e, c in enumerate(coeffs) if c}
+
+
+def test_alexander_refuses_a_determinant_past_the_bound():
+    with pytest.raises(ValueError):
+        _alexander([{0: {1: 200}}])  # a row of L1 norm 200
+    with pytest.raises(ValueError):
+        _alexander([{0: {2: 1}}])  # degree 2 in a 1 x 1 minor
+
+
+def test_newton_interpolation_recovers_integer_polynomials():
+    rng = random.Random(7)
+    for degree in range(24):
+        for _ in range(3):
+            coeffs = [rng.randint(-10**6, 10**6) for _ in range(degree + 1)]
+            points = list(range(2, degree + 3))
+            values = [sum(c * x**e for e, c in enumerate(coeffs)) for x in points]
+            assert _interpolate_integer_poly(points, values) == coeffs
+
+
+def test_newton_interpolation_rejects_non_integral_data():
+    # x(x - 1)/2 takes integer values everywhere but is not integral
+    points = [2, 3, 4]
+    with pytest.raises(ValueError):
+        _interpolate_integer_poly(points, [x * (x - 1) // 2 for x in points])
+    with pytest.raises(ValueError):
+        _interpolate_integer_poly([2, 4], [0, 1])  # slope 1/2

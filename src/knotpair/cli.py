@@ -33,7 +33,7 @@ def _read_pd(path: str):
 
 def cmd_eval(args) -> int:
     """Print one invariant of a representation, by closed form, by oracle,
-    or by both with AGREE or DISAGREE.
+    or by both with AGREE or DISAGREE (in JSON, an ``agree`` field).
 
     The oracle path refuses a template over ``--budget-crossings`` before
     building it, by its crossing count read off the labels.  Otherwise it
@@ -73,17 +73,17 @@ def cmd_eval(args) -> int:
 
     methods = ["closed", "oracle"] if args.method == "both" else [args.method]
     results = {m: closed_text() if m == "closed" else oracle_text() for m in methods}
+    both = len(methods) == 2
+    agree = not both or results["closed"] == results["oracle"]
     if args.format == "json":
-        print(json.dumps(results))
+        print(json.dumps(dict(results, agree=agree) if both else results))
     else:
         for m in methods:
-            prefix = f"{m}: " if len(methods) > 1 else ""
+            prefix = f"{m}: " if both else ""
             print(prefix + results[m])
-    if len(methods) == 2:
-        agree = results["closed"] == results["oracle"]
-        print("AGREE" if agree else "DISAGREE")
-        return 0 if agree else 1
-    return 0
+        if both:
+            print("AGREE" if agree else "DISAGREE")
+    return 0 if agree else 1
 
 
 def _conway_text(conway) -> str:
@@ -109,7 +109,10 @@ def cmd_girth(args, emit_rep: bool = False) -> int:
     pd = _read_pd(args.pd_file)
     g, witness = girth.diagram_girth(pd, budget=args.budget_crossings)
     if witness is None:
-        print(f"girth 2 (degenerate crossing-free diagram, labels (0,0))")
+        if args.format == "json":
+            print(json.dumps({"girth": g, "witness": None}))
+        else:
+            print("girth 2 (degenerate crossing-free diagram, labels (0,0))")
         return 0
     if args.format == "json":
         out = {"girth": g, "witness": witness.summary()}

@@ -373,6 +373,8 @@ def poly_from_text(text: str, tag: str | None = None, exp_denom: int = 1) -> Lau
             if m.group("exp") is not None:
                 exp = Fraction(int(m.group("exp")))
             elif m.group("num") is not None:
+                if int(m.group("den")) == 0:
+                    raise ValueError(f"zero exponent denominator at position {pos}")
                 exp = Fraction(int(m.group("num")), int(m.group("den")))
             else:
                 exp = Fraction(1)
@@ -382,6 +384,8 @@ def poly_from_text(text: str, tag: str | None = None, exp_denom: int = 1) -> Lau
         if scaled.denominator != 1:
             raise ValueError(f"exponent {exp} not representable with denominator {exp_denom}")
         e = int(scaled)
+        if abs(e) > MAX_EXPONENT:
+            raise ValueError(f"exponent out of range at position {pos}")
         coeffs[e] = coeffs.get(e, 0) + sign * coeff
         pos = m.end()
         first = False

@@ -5,8 +5,11 @@ states contributes A^(#A - #B) * delta^(loops - 1).  It is summed by a
 frontier sweep, crossing by crossing (the simplest case of Bar-Natan's
 tangle sweep, arXiv:math/0606318): states that join the open arc ends
 alike are added up as they go, so the work follows the number of such
-joinings, not 2^n, but the sum is still over every state.  The Conway
-oracle goes through the Wirtinger presentation and Fox derivatives.
+joinings, not 2^n, but the sum is still over every state.  A pairing is
+kept as a partner map from each open arc to the open arc at the other end
+of its strand, and smoothing a crossing joins two pairs of strand ends in
+that map.  The Conway oracle goes through the Wirtinger presentation and
+Fox derivatives.
 
 Both read nothing but the PD code, and Fox calculus the orientation that
 ``diagram.orient`` derives from it.  They share no code with the closed
@@ -57,13 +60,17 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     with one end at a smoothed crossing and the other at an unsmoothed one
     is open.  Every state of the smoothed crossings has the same open arcs.
     Its strands join them in pairs, and its other strands have closed into
-    loops.  The frontier maps each such pairing to the sum of
-    A^(#A - #B) * delta^loops over the states that make it.  States with
-    the same pairing behave alike at every crossing still to come.  So the
-    next crossing sends each pairing to two, one per smoothing, without
-    looking at the states inside it.  At the end one empty pairing is
-    left, holding the sum over all 2^n states of A^(#A - #B) * delta^loops.
-    The free loops are multiplied in, and one delta is divided out.
+    loops.  The frontier maps each such pairing, as the sorted items of its
+    partner map (open arc -> open arc at the other end of its strand), to
+    the sum of A^(#A - #B) * delta^loops over the states that make it.
+    States with the same pairing behave alike at every crossing still to
+    come.  So the next crossing sends each pairing to two, one per
+    smoothing, without looking at the states inside it: smoothing A joins
+    the strand ends at slots 0 and 1, and at 2 and 3; B joins 0 and 3, and
+    1 and 2.  Each join (``_join``) either pairs two far ends or closes a
+    loop.  At the end one empty pairing is left, holding the sum over all
+    2^n states of A^(#A - #B) * delta^loops.  The free loops are
+    multiplied in, and one delta is divided out.
 
     No state is dropped: the sweep only groups the terms of the sum.  On
     the tree-pair templates and the table fixtures the frontier held at
@@ -77,94 +84,41 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
             raise ValueError("empty diagram has no bracket")
         return _delta_power(pd.free_loops - 1)
 
-    frontier: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    open_arcs: tuple[int, ...] = ()
+    frontier: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
     for ci in _sweep_order(pd):
-        frontier, open_arcs = _smooth(pd.crossings[ci], open_arcs, frontier)
+        a, b, c, d = pd.crossings[ci]
+        nxt: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+        for key, value in frontier.items():
+            # smoothing A joins slots (0,1),(2,3); B joins (0,3),(1,2)
+            for step, (w, x, y, z) in ((1, (a, b, c, d)), (-1, (a, d, b, c))):
+                partner = dict(key)
+                loops = _join(partner, w, x) + _join(partner, y, z)
+                target = nxt.setdefault(tuple(sorted(partner.items())), {})
+                for de, dc in _delta_power(loops).terms:
+                    de += step
+                    for e, coeff in value.items():
+                        target[e + de] = target.get(e + de, 0) + coeff * dc
+        frontier = nxt
     (total,) = frontier.values()
     summed = LaurentPoly.from_dict(total, "A") * _delta_power(pd.free_loops)
     return _divide_by_delta(summed)
 
 
-def _smooth(
-    cr: tuple[int, int, int, int],
-    open_arcs: tuple[int, ...],
-    frontier: dict[tuple[int, ...], dict[int, int]],
-) -> tuple[dict[tuple[int, ...], dict[int, int]], tuple[int, ...]]:
-    """Smooth one more crossing both ways in every pairing of the frontier.
+def _join(partner: dict[int, int], x: int, y: int) -> int:
+    """Join the strand ends on arcs x and y; return the loops this closes.
 
-    A pairing is the tuple of partners of ``open_arcs``, in that (sorted)
-    order.  Returns the new frontier and its open arcs.
+    ``partner`` maps each open arc to the open arc at the other end of its
+    strand.  An arc with no smoothed end yet is its own strand: it stands
+    for itself.  Joining x to y retires them and pairs their far ends, or,
+    when y is x's far end, closes the strand into a loop.
     """
-    closing = set(open_arcs).intersection(cr)
-    new = {a for a in cr if a not in closing and cr.count(a) == 1}
-    kept = [a for a in open_arcs if a not in closing]
-    after = tuple(sorted(kept + list(new)))
-    # where each slot's strand goes outside the crossing: slot_to[s] is the
-    # slot it comes back in at, or arc_to[s] the arc, open after this
-    # crossing, it ends on; only the closing arcs depend on the pairing
-    kink_to: list[int | None] = [None] * 4
-    new_arc: list[int | None] = [None] * 4
-    for s, a in enumerate(cr):
-        if a in new:
-            new_arc[s] = a
-        elif a not in closing:  # a kink: both ends of a are at this crossing
-            kink_to[s] = next(t for t in range(4) if t != s and cr[t] == a)
-
-    nxt: dict[tuple[int, ...], dict[int, int]] = {}
-    for key, value in frontier.items():
-        partner = dict(zip(open_arcs, key))
-        slot_to, arc_to = kink_to[:], new_arc[:]
-        for s, a in enumerate(cr):
-            if a in closing:
-                b = partner[a]
-                if b in closing:
-                    slot_to[s] = cr.index(b)
-                else:
-                    arc_to[s] = b
-        # smoothing A joins slots (0,1),(2,3); B joins (0,3),(1,2)
-        for step, inner in ((1, (1, 0, 3, 2)), (-1, (3, 2, 1, 0))):
-            joined = {a: partner[a] for a in kept}
-            seen = [False] * 4
-            for s in range(4):
-                if arc_to[s] is not None and not seen[s]:
-                    u = _walk(s, inner, slot_to, arc_to, seen)
-                    joined[arc_to[s]], joined[arc_to[u]] = arc_to[u], arc_to[s]
-            loops = 0
-            for s in range(4):
-                if not seen[s]:
-                    _walk(s, inner, slot_to, arc_to, seen)
-                    loops += 1
-            target = nxt.setdefault(tuple(joined[a] for a in after), {})
-            for de, dc in _delta_power(loops).terms:
-                de += step
-                for e, c in value.items():
-                    target[e + de] = target.get(e + de, 0) + c * dc
-    return nxt, after
-
-
-def _walk(
-    s: int,
-    inner: tuple[int, int, int, int],
-    slot_to: list[int | None],
-    arc_to: list[int | None],
-    seen: list[bool],
-) -> int:
-    """Follow the strand that enters the crossing at slot s, marking slots.
-
-    Returns the slot where it leaves on an open arc, or s when it closes
-    into a loop.
-    """
-    t = s
-    while True:
-        seen[t] = True
-        u = inner[t]
-        seen[u] = True
-        if arc_to[u] is not None:
-            return u
-        t = slot_to[u]
-        if t == s:
-            return s
+    ex = partner.pop(x, x)
+    if ex == y:  # the strand closes (or a kink arc meets itself)
+        partner.pop(y, None)
+        return 1
+    ey = partner.pop(y, y)
+    partner[ex], partner[ey] = ey, ex
+    return 0
 
 
 def _sweep_order(pd: PDCode) -> list[int]:
@@ -390,31 +344,19 @@ def _normalize_alexander_to_conway(delta: dict[int, int]) -> LaurentPoly:
         if sym.get(-e) != c:
             raise ValueError("Alexander polynomial failed symmetry check")
 
-    # rewrite a_0 + sum a_i (t^i + t^-i) as a polynomial in y = t + 1/t,
-    # then substitute y = z^2 + 2
-    m = max(sym)
-    p_prev = {0: 2}  # t^0 + t^0
-    p_cur = {1: 1}  # y
-    y_polys = [p_prev, p_cur]
-    for _ in range(2, m + 1):
-        nxt: dict[int, int] = {}
-        for e, c in y_polys[-1].items():
-            nxt[e + 1] = nxt.get(e + 1, 0) + c
-        for e, c in y_polys[-2].items():
-            nxt[e] = nxt.get(e, 0) - c
-        y_polys.append(nxt)
-    in_y: dict[int, int] = {0: sym.get(0, 0)}
-    for i in range(1, m + 1):
-        ai = sym.get(i, 0)
-        if ai == 0:
-            continue
-        for e, c in y_polys[i].items():
-            in_y[e] = in_y.get(e, 0) + ai * c
-
-    z2_plus_2 = LaurentPoly.from_dict({2: 1, 0: 2}, "z")
-    result = LaurentPoly.zero("z")
-    for e, c in in_y.items():
-        result = result + c * (z2_plus_2**e)
-    if result.coeff(0) != 1:
+    # a_0 + sum a_i w_i with w_i = t^i + t^-i, as coefficient lists in
+    # s = z^2 = t - 2 + 1/t: w_0 = 2, w_1 = s + 2, w_(i+1) = (s + 2) w_i - w_(i-1)
+    in_s = [sym.get(0, 0)] + [0] * half
+    prev, cur = [2], [2, 1]
+    for i in range(1, half + 1):
+        for j, c in enumerate(cur):
+            in_s[j] += sym.get(i, 0) * c
+        nxt = [2 * c for c in cur] + [0]
+        for j, c in enumerate(cur):
+            nxt[j + 1] += c
+        for j, c in enumerate(prev):
+            nxt[j] -= c
+        prev, cur = cur, nxt
+    if in_s[0] != 1:
         raise ValueError("Conway normalization failed: constant term != 1")
-    return result
+    return LaurentPoly.from_dict({2 * j: c for j, c in enumerate(in_s)}, "z")

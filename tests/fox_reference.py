@@ -4,14 +4,17 @@ reference for ``knotpair.oracle.conway_fox``.
 ``conway_fox_reference`` builds the same Wirtinger presentation and Fox
 matrix, but takes the Alexander determinant at the n integer points
 t = 2, ..., n + 1, each by a dense Bareiss determinant, and recovers the
-polynomial by exact Newton interpolation.  It shares only the Bareiss
-determinant and the final normalization with the oracle, so a fault in the
-oracle's one-point evaluation or its digit decode cannot hide in it.
+polynomial by exact Newton interpolation.  Its normalization to Conway
+form rewrites the Alexander polynomial in y = t + 1/t and substitutes
+y = z^2 + 2 by polynomial products.  It shares only the Bareiss
+determinant with the oracle, so a fault in the oracle's one-point
+evaluation, its digit decode or its recurrence for the Conway coefficients
+cannot hide in it.
 """
 
 from knotpair.diagram import PDCode, orient
 from knotpair.laurent import LaurentPoly
-from knotpair.oracle import _bareiss_det, _normalize_alexander_to_conway
+from knotpair.oracle import _bareiss_det
 
 
 def conway_fox_reference(pd: PDCode) -> LaurentPoly:
@@ -127,3 +130,50 @@ def _interpolate_integer_poly(points: list[int], values: list[int]) -> list[int]
         shifted[0] += diffs[i]
         coeffs = shifted
     return coeffs
+
+
+def _normalize_alexander_to_conway(delta: dict[int, int]) -> LaurentPoly:
+    shift = min(delta)
+    poly = {e - shift: c for e, c in delta.items()}
+    at_one = sum(poly.values())
+    if at_one not in (1, -1):
+        raise ValueError(f"Alexander polynomial evaluates to {at_one} at 1")
+    if at_one == -1:
+        poly = {e: -c for e, c in poly.items()}
+    deg = max(poly)
+    if deg % 2 != 0:
+        raise ValueError("asymmetric Alexander polynomial on a knot")
+    half = deg // 2
+    sym = {e - half: c for e, c in poly.items()}
+    for e, c in sym.items():
+        if sym.get(-e) != c:
+            raise ValueError("Alexander polynomial failed symmetry check")
+
+    # rewrite a_0 + sum a_i (t^i + t^-i) as a polynomial in y = t + 1/t,
+    # then substitute y = z^2 + 2
+    m = max(sym)
+    p_prev = {0: 2}  # t^0 + t^0
+    p_cur = {1: 1}  # y
+    y_polys = [p_prev, p_cur]
+    for _ in range(2, m + 1):
+        nxt: dict[int, int] = {}
+        for e, c in y_polys[-1].items():
+            nxt[e + 1] = nxt.get(e + 1, 0) + c
+        for e, c in y_polys[-2].items():
+            nxt[e] = nxt.get(e, 0) - c
+        y_polys.append(nxt)
+    in_y: dict[int, int] = {0: sym.get(0, 0)}
+    for i in range(1, m + 1):
+        ai = sym.get(i, 0)
+        if ai == 0:
+            continue
+        for e, c in y_polys[i].items():
+            in_y[e] = in_y.get(e, 0) + ai * c
+
+    z2_plus_2 = LaurentPoly.from_dict({2: 1, 0: 2}, "z")
+    result = LaurentPoly.zero("z")
+    for e, c in in_y.items():
+        result = result + c * (z2_plus_2**e)
+    if result.coeff(0) != 1:
+        raise ValueError("Conway normalization failed: constant term != 1")
+    return result

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from knotpair.cli import main
 from knotpair.diagram import orient, pd_from_rep
 from knotpair.laurent import poly_from_text
-from knotpair.reps import Girth3Rep
+from knotpair.reps import Girth2Rep, Girth3Rep
 
 
 def run(capsys, *argv):
@@ -451,25 +452,90 @@ def _mangled_rep(draw):
     return "".join(text)
 
 
+def _main_quietly(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one command."""
+    # hypothesis raises the recursion limit while a test runs; the CLI runs
+    # with the interpreter's default of 1000 frames
+    limit = sys.getrecursionlimit()
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        sys.setrecursionlimit(1000)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_input_contract(code: int, out: str, err: str) -> None:
+    """Exit 0 with nothing on stderr, or exit 2 with one ``error:`` line."""
+    assert code in (0, 2), (code, out, err)
+    lines = err.splitlines()
+    if code == 2:
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error: "), err
+    else:
+        assert lines == []
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.one_of(_well_formed_rep, _mangled_rep()),
     st.sampled_from(["conway", "bracket", "jones", "span"]),
 )
 def test_eval_input_contract(text, invariant):
-    # hypothesis raises the recursion limit while a test runs; the CLI runs
-    # with the interpreter's default of 1000 frames
-    limit = sys.getrecursionlimit()
-    err = io.StringIO()
-    try:
-        sys.setrecursionlimit(1000)
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(["eval", text, invariant])
-    finally:
-        sys.setrecursionlimit(limit)
-    assert code in (0, 2), (text, code)
-    lines = err.getvalue().splitlines()
-    if code == 2:
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+    _assert_input_contract(*_main_quietly(["eval", text, invariant]))
+
+
+@st.composite
+def _mutated_template(draw):
+    """Crossings and free loops of a small template, mutated 0 to 3 times."""
+    label = st.integers(-3, 3)
+    if draw(st.booleans()):
+        rep = Girth2Rep(draw(label), draw(label))
     else:
-        assert lines == []
+        rep = Girth3Rep(tuple(draw(label) for _ in range(3)), tuple(draw(label) for _ in range(3)))
+    crossings = [list(c) for c in pd_from_rep(rep).crossings]
+    free_loops = 0
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("relabel", "swap", "rotate", "delete", "copy", "loops")))
+        if kind == "loops":
+            free_loops = draw(st.integers(0, 2))
+            continue
+        if not crossings:
+            continue
+        i = draw(st.integers(0, len(crossings) - 1))
+        if kind == "relabel":
+            crossings[i][draw(st.integers(0, 3))] = draw(st.integers(-2, 2 * len(crossings) + 2))
+        elif kind == "swap":
+            s, t = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+            crossings[i][s], crossings[i][t] = crossings[i][t], crossings[i][s]
+        elif kind == "rotate":
+            crossings[i] = crossings[i][1:] + crossings[i][:1]
+        elif kind == "delete":
+            del crossings[i]
+        else:
+            crossings.insert(draw(st.integers(0, len(crossings))), list(crossings[i]))
+    return crossings, free_loops
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    _mutated_template(),
+    st.sampled_from(("json", "text")),
+    st.sampled_from(("girth", "decompose")),
+    st.sampled_from(("text", "json")),
+)
+def test_girth_input_contract(diagram, pd_form, command, fmt):
+    crossings, free_loops = diagram
+    if pd_form == "json":
+        text = json.dumps({"crossings": crossings, "free_loops": free_loops})
+    else:
+        text = " ".join("X({},{},{},{})".format(*c) for c in crossings) + "\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.pd")
+        with open(path, "w") as f:
+            f.write(text)
+        code, out, err = _main_quietly([command, path, "--format", fmt])
+    _assert_input_contract(code, out, err)
+    if code == 0 and fmt == "json":
+        json.loads(out)  # one JSON document

@@ -6,7 +6,9 @@ the Tait graph and contour code was slimmed down, so any change to what
 these commands print shows up here.  The inputs are the shipped fixtures,
 seeded girth-2 and girth-3 templates and braid closures of 10 to 16
 crossings, and six diagrams the commands refuse or treat specially; they
-are stored verbatim, and ``golden_inputs`` says how they were made.
+are stored verbatim, and ``golden_inputs`` says how they were made.  The
+two JSON results of "free loops only" were taken again when a crossing-free
+diagram got a JSON answer.
 """
 
 import contextlib
@@ -131,6 +133,12 @@ def test_golden_covers_every_kind_of_outcome():
             assert r["stdout"] == "" and len(lines) == 1 and lines[0].startswith("error: ")
         else:
             assert lines == []
+
+
+def test_every_json_stdout_is_one_json_document():
+    results = [r for case in _golden() for r in case["results"]]
+    parsed = [json.loads(r["stdout"]) for r in results if r["format"] == "json" and r["code"] == 0]
+    assert parsed and all("girth" in result for result in parsed)
 
 
 @pytest.mark.parametrize("case", _golden(), ids=lambda case: case["name"])

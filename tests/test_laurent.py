@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotpair.laurent import (
     MAX_EXPONENT,
@@ -138,6 +139,49 @@ def test_parse_error_reports_position():
         poly_from_text("A^2 + + 3")
     with pytest.raises(ValueError):
         poly_from_text("A^2 z")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("A^(1/0)", "zero exponent denominator at position 0"),
+        ("1 + A^(3/0)", "zero exponent denominator at position 2"),
+        ("A^99999999999999999999", "exponent out of range at position 0"),
+        ("2 - A^-4611686018427387905", "exponent out of range at position 2"),
+    ],
+)
+def test_parse_error_of_an_impossible_exponent_reports_position(text, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        poly_from_text(text)
+
+
+_poly_text_char = st.sampled_from(list("Azt^()/+- 0123456789") + ["99999999999999999999"])
+
+
+@st.composite
+def _poly_text(draw):
+    """Canonical text of a polynomial, mutated, or text made up of its characters."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(_poly_text_char, max_size=30)))
+    exps = st.integers(-40, 40) | st.sampled_from([MAX_EXPONENT, -MAX_EXPONENT])
+    coeffs = draw(st.dictionaries(exps, st.integers(-99, 99), max_size=6))
+    tag = draw(st.sampled_from(["A", "z", "t"]))
+    poly = P(coeffs, tag)
+    text = list(jones_to_text(poly) if tag == "t" else poly_to_text(poly))
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        text.insert(pos, draw(_poly_text_char))
+    return "".join(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_text(), st.sampled_from([None, "A", "t"]), st.sampled_from([1, 4]))
+def test_poly_from_text_returns_a_polynomial_or_raises_value_error(text, tag, exp_denom):
+    try:
+        result = poly_from_text(text, tag, exp_denom)
+    except ValueError:
+        return
+    assert isinstance(result, LaurentPoly)
 
 
 def test_jones_text_round_trip_quarter_powers():

@@ -13,6 +13,8 @@ from knotpair.oracle import (
     _alexander,
     _bareiss_det,
     _divide_by_delta,
+    _join,
+    _normalize_alexander_to_conway,
     _sweep_order,
     bracket_state_sum,
     components,
@@ -21,6 +23,7 @@ from knotpair.oracle import (
 )
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, parse_rep
 
+import fox_reference
 from fox_reference import _interpolate_integer_poly, conway_fox_reference
 
 
@@ -387,6 +390,24 @@ def test_sweep_is_polynomial_on_large_templates(rep):
     assert got == bracket_girth3(rep)
 
 
+@pytest.mark.parametrize(
+    "partner, x, y, loops, after",
+    [
+        ({}, 1, 2, 0, {1: 2, 2: 1}),  # two new arcs pair up
+        ({5: 6, 6: 5}, 3, 3, 1, {5: 6, 6: 5}),  # a kink arc meets itself
+        ({1: 2, 2: 1}, 1, 3, 0, {2: 3, 3: 2}),  # open + new
+        ({1: 2, 2: 1}, 3, 1, 0, {2: 3, 3: 2}),  # new + open
+        ({1: 2, 2: 1, 3: 4, 4: 3}, 2, 1, 1, {3: 4, 4: 3}),  # open + open closes
+        ({1: 2, 2: 1, 3: 4, 4: 3}, 1, 3, 0, {2: 4, 4: 2}),  # open + open merges
+    ],
+    ids=["new-new", "kink", "open-new", "new-open", "open-open-loop", "open-open-merge"],
+)
+def test_join(partner, x, y, loops, after):
+    partner = dict(partner)
+    assert _join(partner, x, y) == loops
+    assert partner == after
+
+
 def test_divide_by_delta_is_exact_or_refuses():
     delta = A({2: -1, -2: -1})
     rng = random.Random(9)
@@ -508,6 +529,27 @@ def test_alexander_refuses_a_determinant_past_the_bound():
         _alexander([{0: {1: 200}}])  # a row of L1 norm 200
     with pytest.raises(ValueError):
         _alexander([{0: {2: 1}}])  # degree 2 in a 1 x 1 minor
+
+
+def test_conway_normalization_equals_the_reference():
+    # symmetric a_0 + sum a_i (t^i + t^-i) with Delta(1) = +-1, shifted and signed
+    rng = random.Random(21)
+    for half in range(10):
+        for _ in range(30):
+            a = [rng.randint(-50, 50) for _ in range(half)]
+            a0 = rng.choice((1, -1)) - 2 * sum(a)
+            sym = {0: a0, **{i + 1: c for i, c in enumerate(a)}}
+            sym.update({-e: c for e, c in sym.items()})
+            shift, sign = rng.randint(-5, 5), rng.choice((1, -1))
+            delta = {e + half + shift: sign * c for e, c in sym.items() if c}
+            want = fox_reference._normalize_alexander_to_conway(delta)
+            assert _normalize_alexander_to_conway(delta) == want, delta
+    # Delta(1) = 3, an asymmetric polynomial and one of odd degree
+    for delta in ({0: 3}, {0: 1, 1: 1, 2: -1}, {0: 2, 1: -1}):
+        for normalize in (_normalize_alexander_to_conway,
+                          fox_reference._normalize_alexander_to_conway):
+            with pytest.raises(ValueError):
+                normalize(delta)
 
 
 def test_newton_interpolation_recovers_integer_polynomials():

@@ -3,7 +3,9 @@ and `selftest`.
 
 ``oracle_path_golden.json`` holds stdout, stderr and the exit code of each
 command below, captured before the oracle path was reorganised, so any
-change to what these commands print shows up here.
+change to what these commands print shows up here.  The `--method both
+--format json` entries were taken again when that output became one JSON
+object with an ``agree`` field.
 """
 
 import contextlib
@@ -67,6 +69,28 @@ def _golden() -> dict:
 
 def test_golden_covers_every_command():
     assert sorted(_golden()) == sorted(" ".join(argv) for argv in all_commands())
+
+
+def test_every_json_stdout_is_one_json_document():
+    entries = [e for e in _golden().values() if "json" in e["argv"] and e["code"] == 0]
+    assert len(entries) == 2 * len(INVARIANTS) * len(REPS)
+    for entry in entries:
+        result = json.loads(entry["stdout"])
+        if "both" in entry["argv"]:
+            assert result["agree"] is True, entry["argv"]
+
+
+def test_eval_both_in_json_reports_a_disagreement_and_exits_1(monkeypatch):
+    from knotpair import oracle
+
+    monkeypatch.setattr(oracle, "bracket_state_sum", lambda *a, **k: oracle.LaurentPoly.zero())
+    got = capture(["eval", "(2,-3)", "bracket", "--method", "both", "--format", "json"])
+    assert got["code"] == 1 and got["stderr"] == ""
+    assert json.loads(got["stdout"]) == {
+        "closed": capture(["eval", "(2,-3)", "bracket"])["stdout"].strip(),
+        "oracle": "0",
+        "agree": False,
+    }
 
 
 @pytest.mark.parametrize("rep", REPS)

@@ -42,9 +42,6 @@ from __future__ import annotations
 from .laurent import LaurentPoly, unpack
 from .reps import Girth3Rep
 
-SAME_DIRECTION = "same_direction"
-OPPOSITE_DIRECTIONS = "opposite_directions"
-
 _Z = "z"
 _A = "A"
 
@@ -85,15 +82,9 @@ def nabla_same(p: int) -> LaurentPoly:
     return LaurentPoly.from_terms(tuple(reversed(terms)), _Z)
 
 
-def conway_single_twist(p: int, case: str = SAME_DIRECTION) -> LaurentPoly:
-    """Conway polynomial of K(p) for either orientation convention."""
-    if case == SAME_DIRECTION:
-        return nabla_same(p)
-    if case == OPPOSITE_DIRECTIONS:
-        if p % 2 != 0:
-            raise ValueError("opposite directions require an even twist count")
-        return _z(abs(p) // 2)  # sign(p) * (p/2) z
-    raise ValueError(f"unknown orientation case {case!r}")
+def conway_single_twist(p: int) -> LaurentPoly:
+    """Conway polynomial of K(p), its two strands run in the same direction."""
+    return nabla_same(p)
 
 
 def conway_double_twist(p: int, q: int) -> LaurentPoly:

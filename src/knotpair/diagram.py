@@ -43,10 +43,6 @@ class PDCode:
     def n(self) -> int:
         return len(self.crossings)
 
-    def arcs(self) -> list[int]:
-        seen = sorted({a for cr in self.crossings for a in cr})
-        return seen
-
 
 class InvalidPDError(ValueError):
     pass
@@ -71,13 +67,6 @@ def validate_pd(pd: PDCode) -> None:
                 f"region count {f} violates Euler formula (expected {n + 2}); "
                 "the code does not describe a planar diagram"
             )
-
-
-def pd_to_json(pd: PDCode) -> str:
-    obj: dict = {"crossings": [list(c) for c in pd.crossings]}
-    if pd.free_loops:
-        obj["free_loops"] = pd.free_loops
-    return json.dumps(obj)
 
 
 def pd_from_json(text: str) -> PDCode:
@@ -547,45 +536,6 @@ def torus2_pd(p: int) -> PDCode:
     _ladder(b, p, tl, tr, bl, br, GIRTH1_HANDEDNESS)
     b.connect(tl, bl)
     b.connect(tr, br)
-    return b.build()
-
-
-def pretzel_pd(e1: int, e2: int, e3: int) -> PDCode:
-    """Reference (e1,e2,e3) pretzel: three vertical twist regions closed up.
-
-    Used only as an independent anchor for template calibration; the
-    handedness convention here follows the inside-tree convention.
-    """
-    b = DiagramBuilder()
-    tops = [(b.point(), b.point()) for i in range(3)]
-    bots = [(b.point(), b.point()) for i in range(3)]
-    for i, e in enumerate((e1, e2, e3)):
-        _ladder(b, e, tops[i][0], tops[i][1], bots[i][0], bots[i][1], INSIDE_HANDEDNESS)
-    for i in range(3):
-        b.connect(tops[i][1], tops[(i + 1) % 3][0])
-        b.connect(bots[i][1], bots[(i + 1) % 3][0])
-    return b.build()
-
-
-def braid_closure_pd(word: list[int], strands: int) -> PDCode:
-    """Trace closure of a braid word; letter +-i crosses strands i, i+1."""
-    b = DiagramBuilder()
-    start = [b.point() for i in range(strands)]
-    cur = list(start)
-    for letter in word:
-        i = abs(letter) - 1
-        if not 0 <= i < strands - 1:
-            raise ValueError(f"letter {letter} out of range for {strands} strands")
-        nw, ne, sw, se = b.point(), b.point(), b.point(), b.point()
-        b.connect(cur[i], nw)
-        b.connect(cur[i + 1], ne)
-        if letter > 0:
-            b.add_crossing(ne, nw, sw, se)
-        else:
-            b.add_crossing(nw, sw, se, ne)
-        cur[i], cur[i + 1] = sw, se
-    for i in range(strands):
-        b.connect(cur[i], start[i])
     return b.build()
 
 

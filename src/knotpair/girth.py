@@ -521,9 +521,12 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
     """Minimum girth over all spanning trees of the shading-0 Tait graph.
 
     Returns (girth, witness decomposition); the witness is the
-    lexicographically least shading-0 tree attaining the minimum.  The
-    shading-1 trees are the complements of these with the same girth (see
-    ``decompositions_of_girth``), so they cannot lower it.  The search
+    lexicographically least shading-0 tree attaining the minimum.  A
+    spanning tree T of one Tait graph and the complementary spanning tree
+    T' of the other (its planar dual) give one splitting of the diagram,
+    seen from either side, and ``_decompose`` asserts that both sides count
+    the same girth.  So each shading-1 tree is the complement of a
+    shading-0 one with the same girth, and cannot lower it.  The search
     (``spanning_trees`` with ``descend``) counts girths locally and cuts
     every branch that cannot beat the best girth found; the witness's girth
     comes from walking its contour, and the two must agree.
@@ -546,23 +549,6 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
             f"searched girth {girth} but the witness contour counts {witness.girth}"
         )
     return girth, witness
-
-
-def decompositions_of_girth(pd: PDCode, target: int):
-    """Yield every shading-0 decomposition attaining the target girth.
-
-    A spanning tree T of one Tait graph and the complementary spanning
-    tree T' of the other (its planar dual) give one splitting of the
-    diagram, seen from either side, and ``decompose`` asserts that both
-    sides count the same girth.  So each shading-1 decomposition is a
-    shading-0 one with T and T' swapped: searching shading 0 alone finds
-    every girth and every canonical representation the other would.  The
-    search cuts every branch whose settled turns pass the target.
-    """
-    black, white = _tait_graphs(pd)
-    for girth, tree in spanning_trees(black, target):
-        if girth == target:
-            yield _decompose(0, tree, black, white)
 
 
 # ---------------------------------------------------------------------------

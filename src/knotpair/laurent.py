@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-import re
 
 # Exponents are kept inside a 64-bit-ish window so that a runaway
 # computation fails loudly instead of silently chewing memory.
@@ -74,10 +73,6 @@ class LaurentPoly:
     @staticmethod
     def monomial(coeff: int, exp: int, tag: str = "A") -> "LaurentPoly":
         return LaurentPoly.from_dict({exp: coeff}, tag)
-
-    @staticmethod
-    def var(tag: str = "A") -> "LaurentPoly":
-        return LaurentPoly(((1, 1),), tag)
 
     # -- basic queries -----------------------------------------------------
 
@@ -183,13 +178,6 @@ class LaurentPoly:
     def retag(self, tag: str) -> "LaurentPoly":
         return LaurentPoly(self.terms, tag)
 
-    def evaluate(self, x: "Fraction | int") -> Fraction:
-        """Exact evaluation at a nonzero rational point."""
-        x = Fraction(x)
-        if x == 0 and self.terms and self.terms[0][0] < 0:
-            raise ZeroDivisionError("negative exponent at x = 0")
-        return sum((Fraction(c) * x**e for e, c in self.terms), Fraction(0))
-
     def __str__(self) -> str:
         return poly_to_text(self)
 
@@ -261,40 +249,6 @@ def jones_span_inclusive(jones: LaurentPoly) -> Fraction:
     return jones_span(jones) + 1
 
 
-@dataclass(frozen=True)
-class RationalLaurent:
-    """A formal quotient of Laurent polynomials, never auto-reduced."""
-
-    numerator: LaurentPoly
-    denominator: LaurentPoly
-
-    def __post_init__(self) -> None:
-        if self.denominator.is_zero():
-            raise ZeroDivisionError("denominator is the zero polynomial")
-        if self.numerator.tag != self.denominator.tag:
-            raise TagMismatchError("numerator/denominator tag mismatch")
-
-    def equals(self, other: "RationalLaurent | LaurentPoly") -> bool:
-        """Cross-multiplication equality."""
-        if isinstance(other, LaurentPoly):
-            other = RationalLaurent(other, LaurentPoly.one(other.tag))
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def __add__(self, other: "RationalLaurent") -> "RationalLaurent":
-        return RationalLaurent(
-            self.numerator * other.denominator + other.numerator * self.denominator,
-            self.denominator * other.denominator,
-        )
-
-    def __mul__(self, other: "RationalLaurent") -> "RationalLaurent":
-        return RationalLaurent(
-            self.numerator * other.numerator, self.denominator * other.denominator
-        )
-
-    def __neg__(self) -> "RationalLaurent":
-        return RationalLaurent(-self.numerator, self.denominator)
-
-
 # ---------------------------------------------------------------------------
 # canonical text form
 
@@ -332,62 +286,3 @@ def poly_to_text(p: LaurentPoly, exp_denom: int = 1) -> str:
 def jones_to_text(p: LaurentPoly) -> str:
     """Render a Jones polynomial held in quarter powers of t."""
     return poly_to_text(p, exp_denom=4)
-
-
-_TERM_RE = re.compile(
-    r"""\s*(?P<sign>[+-])?\s*
-        (?P<coeff>\d+)?\s*
-        (?:(?P<var>[A-Za-z])
-           (?:\^(?:(?P<exp>-?\d+)|\((?P<num>-?\d+)/(?P<den>\d+)\)))?
-        )?\s*""",
-    re.VERBOSE,
-)
-
-
-def poly_from_text(text: str, tag: str | None = None, exp_denom: int = 1) -> LaurentPoly:
-    """Parse the canonical text form back into a polynomial.
-
-    Raises ValueError with the offending position on malformed input.
-    """
-    coeffs: dict[int, int] = {}
-    pos = 0
-    text = text.strip()
-    if text == "0":
-        return LaurentPoly.zero(tag or "A")
-    seen_var = None
-    first = True
-    while pos < len(text):
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos or (m.group("coeff") is None and m.group("var") is None):
-            raise ValueError(f"cannot parse polynomial at position {pos}: {text[pos:]!r}")
-        if not first and m.group("sign") is None:
-            raise ValueError(f"missing +/- between terms at position {pos}")
-        sign = -1 if m.group("sign") == "-" else 1
-        coeff = int(m.group("coeff")) if m.group("coeff") else 1
-        var = m.group("var")
-        if var is not None:
-            if seen_var is None:
-                seen_var = var
-            elif seen_var != var:
-                raise ValueError(f"mixed variables {seen_var!r} and {var!r}")
-            if m.group("exp") is not None:
-                exp = Fraction(int(m.group("exp")))
-            elif m.group("num") is not None:
-                if int(m.group("den")) == 0:
-                    raise ValueError(f"zero exponent denominator at position {pos}")
-                exp = Fraction(int(m.group("num")), int(m.group("den")))
-            else:
-                exp = Fraction(1)
-        else:
-            exp = Fraction(0)
-        scaled = exp * exp_denom
-        if scaled.denominator != 1:
-            raise ValueError(f"exponent {exp} not representable with denominator {exp_denom}")
-        e = int(scaled)
-        if abs(e) > MAX_EXPONENT:
-            raise ValueError(f"exponent out of range at position {pos}")
-        coeffs[e] = coeffs.get(e, 0) + sign * coeff
-        pos = m.end()
-        first = False
-    result_tag = tag if tag is not None else (seen_var or "A")
-    return LaurentPoly.from_dict(coeffs, result_tag)

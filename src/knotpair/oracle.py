@@ -31,14 +31,6 @@ class OracleSizeError(ValueError):
     pass
 
 
-def components(pd: PDCode) -> int:
-    return orient(pd).n_components
-
-
-def writhe(pd: PDCode) -> int:
-    return orient(pd).writhe
-
-
 # ---------------------------------------------------------------------------
 # Kauffman bracket state sum
 

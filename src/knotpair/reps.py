@@ -176,7 +176,6 @@ def d3_orbit(r: Girth3Rep) -> set[Girth3Rep]:
 class CanonicalRep:
     rep: object
     key: tuple
-    degenerate: bool = False
 
 
 # The wheel symmetries as position permutations of (p q r a b c): the orbit
@@ -202,20 +201,19 @@ def canonicalize(rep) -> CanonicalRep:
 
     Girth 2 pairs are sorted and have +-1 labels absorbed into the other
     twist region (repeatedly); a pair that collapses to a single region is
-    returned as a Girth1Rep carrying a ``degenerate`` marker rather than
-    being silently merged with the genuine single-twist family.
+    returned as a Girth1Rep.
     Girth 3 keys are the lexicographic minimum over the symmetry orbit.
     """
     if isinstance(rep, Girth1Rep):
-        return CanonicalRep(rep, ("g1", rep.p), degenerate=abs(rep.p) <= 1)
+        return CanonicalRep(rep, ("g1", rep.p))
     if isinstance(rep, Girth2Rep):
         p, q = sorted((rep.p, rep.q))
         if abs(q) == 1:
             merged = p - q
-            return CanonicalRep(Girth1Rep(merged), ("g1", merged), degenerate=True)
+            return CanonicalRep(Girth1Rep(merged), ("g1", merged))
         if abs(p) == 1:
             merged = q - p
-            return CanonicalRep(Girth1Rep(merged), ("g1", merged), degenerate=True)
+            return CanonicalRep(Girth1Rep(merged), ("g1", merged))
         return CanonicalRep(Girth2Rep(p, q), ("g2", p, q))
     if isinstance(rep, Girth3Rep):
         key = _g3_key(rep)

@@ -4,9 +4,12 @@ girth search in ``knotpair.girth.spanning_trees``.
 ``reference_trees`` visits every spanning tree, in lexicographic order, and
 ``reference_girths`` counts each one's girth from the rotation turns.  The
 least (girth, tree) pair is the witness the pruned search must find.
+``decompositions_of_girth`` lists every decomposition of a given girth, not
+just the witness.
 """
 
-from knotpair.girth import _can_join
+from knotpair import girth
+from knotpair.girth import _can_join, _decompose, _tait_graphs
 
 
 def reference_trees(tait):
@@ -74,3 +77,17 @@ def reference_girths(tait):
 def reference_least(tait):
     """The least girth and the lexicographically least tree attaining it."""
     return min(reference_girths(tait))
+
+
+def decompositions_of_girth(pd, target):
+    """Yield every shading-0 decomposition attaining the target girth.
+
+    Searching shading 0 alone finds every girth and every canonical
+    representation shading 1 would (see ``girth.diagram_girth``).  The
+    search cuts every branch whose settled turns pass the target; it is
+    looked up on the module, so a test can watch it.
+    """
+    black, white = _tait_graphs(pd)
+    for g, tree in girth.spanning_trees(black, target):
+        if g == target:
+            yield _decompose(0, tree, black, white)

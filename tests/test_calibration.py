@@ -11,14 +11,16 @@ import pytest
 import knotpair.diagram as diagram
 import knotpair.girth as girth_mod
 from knotpair.closedform import bracket_double_twist, bracket_girth3, loop_value
-from knotpair.diagram import pd_from_rep, pretzel_pd, star_pair_pd, torus2_pd
+from knotpair.diagram import orient, pd_from_rep, star_pair_pd, torus2_pd
 from knotpair.laurent import LaurentPoly, jones_from_bracket
-from knotpair.oracle import bracket_state_sum, writhe
+from knotpair.oracle import bracket_state_sum
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize
+
+from diagram_builders import pretzel_pd
 
 
 def jones(pd):
-    return jones_from_bracket(bracket_state_sum(pd), writhe(pd))
+    return jones_from_bracket(bracket_state_sum(pd), orient(pd).writhe)
 
 
 def test_frozen_constants():
@@ -76,9 +78,9 @@ def test_girth1_closure_calibration():
 def test_writhe_convention_matches_label_sums():
     for p in range(2, 6, 2):
         for q in range(2, 6, 2):
-            assert writhe(pd_from_rep(Girth2Rep(p, q))) == p + q
+            assert orient(pd_from_rep(Girth2Rep(p, q))).writhe == p + q
     for rep in (Girth3Rep((2, 2, 2), (2, 2, 2)), Girth3Rep((2, 4, 6), (2, 2, 4))):
-        assert writhe(pd_from_rep(rep)) == sum(rep.top) + sum(rep.bottom)
+        assert orient(pd_from_rep(rep)).writhe == sum(rep.top) + sum(rep.bottom)
 
 
 def test_girth3_template_matches_closed_bracket():
@@ -112,7 +114,8 @@ def test_pretzel_anchor():
 
 
 def test_figure2_wheel_recovery_pins_flank_and_label_signs():
-    from knotpair.girth import decompositions_of_girth, diagram_girth, rep_from_decomposition
+    from girth_reference import decompositions_of_girth
+    from knotpair.girth import diagram_girth, rep_from_decomposition
 
     rep = Girth3Rep((0, 2, 2), (0, -1, -1))
     target = canonicalize(rep).key

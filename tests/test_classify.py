@@ -23,7 +23,7 @@ from knotpair.classify import (
 )
 from knotpair.diagram import pd_from_rep, torus2_pd
 from knotpair.laurent import LaurentPoly, jones_span_inclusive
-from knotpair.oracle import bracket_state_sum, conway_fox, components
+from knotpair.oracle import bracket_state_sum, conway_fox
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, d3_orbit, mirror
 
 from template_spy import spy_on_templates
@@ -193,11 +193,11 @@ def test_compare_consistency_with_oracle_small_grid():
     # oracle invariants agree, and never claims symmetry when Jones differ
     from knotpair.classify import jones_equal
     from knotpair.laurent import jones_from_bracket
-    from knotpair.oracle import writhe
+    from knotpair.diagram import orient
 
     def oracle_jones(rep):
         pd = pd_from_rep(rep)
-        return jones_from_bracket(bracket_state_sum(pd), writhe(pd))
+        return jones_from_bracket(bracket_state_sum(pd), orient(pd).writhe)
 
     reps = [
         Girth2Rep(p, q) for p, q in itertools.product((2, 4), repeat=2)

@@ -11,10 +11,10 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from poly_text import poly_from_text
 
 from knotpair.cli import main
 from knotpair.diagram import orient, pd_from_rep
-from knotpair.laurent import poly_from_text
 from knotpair.reps import Girth2Rep, Girth3Rep
 
 
@@ -129,7 +129,8 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_girth_and_decompose(tmp_path, capsys):
-    from knotpair.diagram import pd_from_rep, pd_to_json
+    from diagram_builders import pd_to_json
+    from knotpair.diagram import pd_from_rep
     from knotpair.reps import Girth3Rep
 
     pd = pd_from_rep(Girth3Rep((0, 2, 2), (0, -1, -1)))
@@ -142,7 +143,8 @@ def test_girth_and_decompose(tmp_path, capsys):
 
 
 def test_girth_budget_refusal(tmp_path, capsys):
-    from knotpair.diagram import pd_from_rep, pd_to_json
+    from diagram_builders import pd_to_json
+    from knotpair.diagram import pd_from_rep
     from knotpair.reps import Girth2Rep
 
     pd = pd_from_rep(Girth2Rep(9, 9))
@@ -154,7 +156,8 @@ def test_girth_budget_refusal(tmp_path, capsys):
 
 def test_girth_with_a_lifted_budget_finds_the_reference_witness(tmp_path, capsys):
     from girth_reference import reference_least
-    from knotpair.diagram import checkerboard, pd_to_json, tait_graph
+    from diagram_builders import pd_to_json
+    from knotpair.diagram import checkerboard, tait_graph
 
     pd = pd_from_rep(Girth3Rep((6, 6, 6), (6, 6, 6)))
     path = tmp_path / "dense.pd.json"
@@ -170,7 +173,7 @@ def test_girth_with_a_lifted_budget_finds_the_reference_witness(tmp_path, capsys
 
 
 def test_unreduced_diagram_is_refused_in_one_line(tmp_path, capsys):
-    from knotpair.diagram import pd_to_json
+    from diagram_builders import pd_to_json
 
     path = tmp_path / "kink.pd.json"
     path.write_text(pd_to_json(pd_from_rep(Girth3Rep((0, 0, 1), (1, 0, 0)))))
@@ -279,7 +282,7 @@ def test_verify_table_fixtures_dir_override(tmp_path, capsys):
 def test_verify_table_refuses_a_many_component_fixture_in_one_line(tmp_path, capsys):
     # a chain of 30 unknots as the trefoil's fixture: orienting it must not
     # try 2^29 directions, and its 58 crossings exceed the state-sum cap
-    from knotpair.diagram import braid_closure_pd, pd_to_json
+    from diagram_builders import braid_closure_pd, pd_to_json
 
     chain = braid_closure_pd([i for i in range(1, 30) for _ in range(2)], 30)
     (tmp_path / "3_1.pd.json").write_text(pd_to_json(chain))

@@ -5,10 +5,9 @@ from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from poly_text import evaluate
 
 from knotpair.closedform import (
-    OPPOSITE_DIRECTIONS,
-    SAME_DIRECTION,
     bracket_diff,
     bracket_diff_formula,
     bracket_double_twist,
@@ -46,12 +45,8 @@ def A(d):
 
 
 def test_conway_single_twist_examples():
-    assert conway_single_twist(1, SAME_DIRECTION) == Z({0: 1})
-    assert conway_single_twist(4, OPPOSITE_DIRECTIONS) == Z({1: 2})
-    assert conway_single_twist(3, SAME_DIRECTION) == Z({2: 1, 0: 1})
-    assert conway_single_twist(-4, OPPOSITE_DIRECTIONS) == Z({1: 2})
-    with pytest.raises(ValueError):
-        conway_single_twist(3, OPPOSITE_DIRECTIONS)
+    assert conway_single_twist(1) == Z({0: 1})
+    assert conway_single_twist(3) == Z({2: 1, 0: 1})
 
 
 def test_nabla_sign_extension():
@@ -85,8 +80,8 @@ def test_nabla_at_one_is_fibonacci_without_recursion_depth():
     fib = [0, 1]
     while len(fib) <= 1500:
         fib.append(fib[-1] + fib[-2])
-    assert nabla_same(1500).evaluate(1) == fib[1500]
-    assert nabla_same(-1500).evaluate(1) == -fib[1500]
+    assert evaluate(nabla_same(1500), 1) == fib[1500]
+    assert evaluate(nabla_same(-1500), 1) == -fib[1500]
 
 
 def test_nabla_matches_chebyshev_closed_form_at_rational_points():
@@ -103,7 +98,7 @@ def test_nabla_matches_chebyshev_closed_form_at_rational_points():
                 comb(p, 2 * m + 1) * (t / 2) ** (p - 1 - 2 * m) * (t * t / 4 + 1) ** m
                 for m in range((p - 1) // 2 + 1)
             )
-            assert nabla_same(p).evaluate(t) == expected, (p, t)
+            assert evaluate(nabla_same(p), t) == expected, (p, t)
 
 
 def test_conway_double_twist_examples():

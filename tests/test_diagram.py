@@ -12,27 +12,26 @@ from knotpair.diagram import (
     PDCode,
     _other_end,
     _trace_components,
-    braid_closure_pd,
     checkerboard,
     orient,
     pd_from_json,
     pd_from_rep,
     pd_from_text,
-    pd_to_json,
-    pretzel_pd,
     regions,
     star_pair_pd,
     tait_graph,
     torus2_pd,
     validate_pd,
 )
-from knotpair.oracle import bracket_state_sum, components, writhe
+from knotpair.oracle import bracket_state_sum
 from knotpair.laurent import jones_from_bracket
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize, template_crossings
 
+from diagram_builders import braid_closure_pd, pd_to_json, pretzel_pd
+
 
 def jones(pd):
-    return jones_from_bracket(bracket_state_sum(pd), writhe(pd))
+    return jones_from_bracket(bracket_state_sum(pd), orient(pd).writhe)
 
 
 def test_pd_json_and_text_round_trip():
@@ -82,7 +81,7 @@ def test_component_parity_girth2():
         for q in range(-3, 4):
             pd = pd_from_rep(Girth2Rep(p, q))
             expect = 2 if (p % 2 and q % 2) else 1
-            assert components(pd) == expect, (p, q)
+            assert orient(pd).n_components == expect, (p, q)
 
 
 def test_all_even_girth3_is_a_knot():
@@ -91,7 +90,7 @@ def test_all_even_girth3_is_a_knot():
 
     for labels in itertools.product((-4, -2, 0, 2, 4), repeat=6):
         pd = pd_from_rep(Girth3Rep(labels[:3], labels[3:]))
-        assert components(pd) == 1, labels
+        assert orient(pd).n_components == 1, labels
 
 
 def test_degenerate_zero_label_templates():
@@ -99,7 +98,7 @@ def test_degenerate_zero_label_templates():
     assert pd.n() == 0 and pd.free_loops == 1
     assert jones(pd) == jones(pd_from_rep(Girth1Rep(1)))
     # K(0) is the two-component closure of an empty twist region
-    assert components(pd_from_rep(Girth1Rep(0))) == 2
+    assert orient(pd_from_rep(Girth1Rep(0))).n_components == 2
 
 
 def test_regions_satisfy_euler():
@@ -156,14 +155,14 @@ def test_orientation_writhe_mirror_antisymmetry():
         pd = pd_from_rep(rep)
         from knotpair.reps import mirror
 
-        assert writhe(pd) == -writhe(pd_from_rep(mirror(rep)))
+        assert orient(pd).writhe == -orient(pd_from_rep(mirror(rep))).writhe
 
 
 def test_braid_closure_8_18():
     # closure of (s1 s2^-1)^4; determinant 45 and span 8 certify the knot
     pd = braid_closure_pd([1, -2, 1, -2, 1, -2, 1, -2], 3)
     assert pd.n() == 8
-    assert components(pd) == 1
+    assert orient(pd).n_components == 1
     from knotpair.oracle import conway_fox
     from knotpair.laurent import jones_span_inclusive
 

@@ -21,8 +21,10 @@ from importlib import resources
 import pytest
 
 from knotpair.cli import main
-from knotpair.diagram import InvalidPDError, braid_closure_pd, pd_from_rep, pd_to_json
+from knotpair.diagram import InvalidPDError, pd_from_rep
 from knotpair.reps import Girth2Rep, Girth3Rep
+
+from diagram_builders import braid_closure_pd, pd_to_json
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "girth_golden.json")
 

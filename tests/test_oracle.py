@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from knotpair.closedform import bracket_girth3
-from knotpair.diagram import PDCode, pd_from_json, pd_from_rep, pd_from_text
+from knotpair.diagram import PDCode, orient, pd_from_json, pd_from_rep, pd_from_text
 from knotpair.laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from knotpair.oracle import (
     OracleSizeError,
@@ -17,14 +17,13 @@ from knotpair.oracle import (
     _normalize_alexander_to_conway,
     _sweep_order,
     bracket_state_sum,
-    components,
     conway_fox,
-    writhe,
 )
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, parse_rep
 
 import fox_reference
 from fox_reference import _interpolate_integer_poly, conway_fox_reference
+from diagram_builders import braid_closure_pd
 
 
 def A(d):
@@ -36,7 +35,7 @@ def Z(d):
 
 
 def jones(pd):
-    return jones_from_bracket(bracket_state_sum(pd), writhe(pd))
+    return jones_from_bracket(bracket_state_sum(pd), orient(pd).writhe)
 
 
 def add_kink(pd: PDCode, positive: bool) -> PDCode:
@@ -112,19 +111,19 @@ def test_jones_invariant_under_reidemeister_one():
 
 
 def test_writhe_values():
-    assert writhe(pd_from_rep(Girth1Rep(0))) == 0
-    assert abs(writhe(pd_from_rep(Girth3Rep((2, 2, 2), (2, 2, 2))))) == 12
+    assert orient(pd_from_rep(Girth1Rep(0))).writhe == 0
+    assert abs(orient(pd_from_rep(Girth3Rep((2, 2, 2), (2, 2, 2)))).writhe) == 12
     for rep in (Girth2Rep(2, 4), Girth3Rep((2, 4, 2), (2, 2, 6))):
         pd = pd_from_rep(rep)
-        assert writhe(pd) == sum(
+        assert orient(pd).writhe == sum(
             rep.top + rep.bottom if isinstance(rep, Girth3Rep) else (rep.p, rep.q)
         )
 
 
 def test_components_examples():
-    assert components(pd_from_rep(Girth2Rep(2, 2))) == 1
-    assert components(pd_from_rep(Girth1Rep(2))) == 2  # Hopf-type link
-    assert components(PDCode((), 1)) == 1
+    assert orient(pd_from_rep(Girth2Rep(2, 2))).n_components == 1
+    assert orient(pd_from_rep(Girth1Rep(2))).n_components == 2  # Hopf-type link
+    assert orient(PDCode((), 1)).n_components == 1
 
 
 def test_conway_unknot_and_small_examples():
@@ -174,8 +173,6 @@ def test_skein_relation_across_even_twist_family():
 def test_fixture_knot_8_18_not_required():
     # the paper leaves 8_18 without a representation; the oracle still
     # handles its standard braid-closure diagram
-    from knotpair.diagram import braid_closure_pd
-
     pd = braid_closure_pd([1, -2] * 4, 3)
     nab = conway_fox(pd)
     assert nab.coeff(0) == 1
@@ -284,7 +281,7 @@ def _dfs_delta_power(k: int) -> LaurentPoly:
 def scramble(pd: PDCode, rng: random.Random) -> PDCode:
     """The same diagram with arcs renamed, crossings reordered and some
     crossings half-turned (a half turn keeps the under-strand in slots 0, 2)."""
-    arcs = pd.arcs()
+    arcs = sorted({a for c in pd.crossings for a in c})
     rename = dict(zip(arcs, rng.sample(range(-len(arcs), 3 * len(arcs)), len(arcs))))
     crossings = [tuple(rename[a] for a in c) for c in pd.crossings]
     rng.shuffle(crossings)
@@ -339,7 +336,7 @@ def test_sweep_equals_state_walk_on_random_girth3_templates():
         pds.append(pd)
     for pd in pds:
         assert pd.n() <= 14
-        kinds["link"] += components(pd) > 1
+        kinds["link"] += orient(pd).n_components > 1
         kinds["free loops"] += pd.free_loops > 0
         kinds["kink"] += any(len(set(c)) < 4 for c in pd.crossings)
         assert bracket_state_sum(pd) == bracket_state_sum_dfs(pd), pd
@@ -460,12 +457,12 @@ def test_sweep_equals_state_walk_on_scrambled_diagrams(pd):
 )
 def test_fox_equals_the_reference_on_large_knots(text, n):
     pd = pd_from_rep(parse_rep(text))
-    assert pd.n() == n and components(pd) == 1
+    assert pd.n() == n and orient(pd).n_components == 1
     assert conway_fox(pd, cap=n) == conway_fox_reference(pd)
 
 
 def test_fox_equals_the_reference_on_the_knot_fixtures():
-    knots = [(name, pd) for name, pd in fixture_pds() if components(pd) == 1]
+    knots = [(name, pd) for name, pd in fixture_pds() if orient(pd).n_components == 1]
     assert len(knots) == 14
     for name, pd in knots:
         assert conway_fox(pd) == conway_fox_reference(pd), name
@@ -477,7 +474,7 @@ def test_fox_equals_the_reference_on_a_seeded_girth3_grid():
     while len(knots) < 120:
         labels = tuple(rng.randint(-5, 5) for _ in range(6))
         pd = pd_from_rep(Girth3Rep(labels[:3], labels[3:]))
-        if labels not in knots and components(pd) == 1:
+        if labels not in knots and orient(pd).n_components == 1:
             assert conway_fox(pd, cap=pd.n()) == conway_fox_reference(pd), labels
             knots.add(labels)
 

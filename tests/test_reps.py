@@ -2,9 +2,9 @@ import itertools
 
 import pytest
 
-from knotpair.diagram import pd_from_rep
+from knotpair.diagram import orient, pd_from_rep
 from knotpair.laurent import jones_from_bracket
-from knotpair.oracle import bracket_state_sum, writhe
+from knotpair.oracle import bracket_state_sum
 from knotpair.reps import (
     Girth1Rep,
     Girth2Rep,
@@ -19,7 +19,7 @@ from knotpair.reps import (
 
 def jones(rep):
     pd = pd_from_rep(rep)
-    return jones_from_bracket(bracket_state_sum(pd), writhe(pd))
+    return jones_from_bracket(bracket_state_sum(pd), orient(pd).writhe)
 
 
 def test_parse_examples():
@@ -88,10 +88,10 @@ def test_canonicalize_girth2_examples():
     assert canonicalize(Girth2Rep(3, -2)).key == canonicalize(Girth2Rep(-2, 3)).key
     c = canonicalize(Girth2Rep(2, -1))
     assert c.rep == Girth1Rep(3)
-    assert c.degenerate
+    assert c.key == ("g1", 3)
     c = canonicalize(Girth2Rep(2, 1))
     assert c.rep == Girth1Rep(1)
-    assert c.degenerate
+    assert c.key == ("g1", 1)
 
 
 def test_canonicalize_idempotent_and_orbit_constant():
@@ -107,13 +107,12 @@ def test_canonicalize_matches_oracle_jones_for_girth2():
     # the reductions are isotopies; for two-component links the Jones
     # polynomial is compared up to orientation units t^(3k)
     from knotpair.classify import jones_equal
-    from knotpair.oracle import components
 
     for p in range(-6, 7):
         for q in range(-6, 7):
             rep = Girth2Rep(p, q)
             canon = canonicalize(rep).rep
-            multi = components(pd_from_rep(rep)) > 1
+            multi = orient(pd_from_rep(rep)).n_components > 1
             assert jones_equal(jones(rep), jones(canon), unit_shift=multi), (p, q)
 
 

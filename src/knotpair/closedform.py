@@ -334,9 +334,12 @@ def bracket_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:
     return bracket_girth3(rep) - bracket_girth3(other)
 
 
+_DIFF_FACTOR = LaurentPoly.one(_A) - loop_value() ** 2
+
+
 def diff_factor() -> LaurentPoly:
     """1 - (-A^2 - A^(-2))^2, the common factor of the bracket differences."""
-    return LaurentPoly.one(_A) - loop_value() ** 2
+    return _DIFF_FACTOR
 
 
 def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:

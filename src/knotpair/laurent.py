@@ -5,7 +5,12 @@ polynomials in quarter powers of t) is built on the `LaurentPoly` type
 defined here.  Coefficients and exponents are plain Python integers; no
 floating point ever enters an invariant computation.
 
-Multiplication is the schoolbook double loop over every pair of terms.
+Each operation passes over the terms once where it can.  A product with a
+one-term operand, such as the writhe normalisation in
+``jones_from_bracket``, shifts and scales the other operand's tuple, which
+stays sorted; every other product is the schoolbook double loop over all
+pairs of terms into a dict.  Sums and differences merge into a dict too, and
+``from_dict`` sorts its items in C.
 
 ``unpack`` decodes a polynomial packed into one Python int, coefficient c_i
 in the 8*width-bit slot i, as sum(c_i * 2^(8 * width * i)).  The closed-form
@@ -20,7 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
 from math import gcd
+from operator import sub
 
 # Exponents are kept inside a 64-bit-ish window so that a runaway
 # computation fails loudly instead of silently chewing memory.
@@ -48,8 +55,9 @@ class LaurentPoly:
 
     @staticmethod
     def from_dict(coeffs: dict[int, int], tag: str = "A") -> "LaurentPoly":
-        items = tuple(sorted((e, c) for e, c in coeffs.items() if c != 0))
-        return LaurentPoly.from_terms(items, tag)
+        if 0 in coeffs.values():
+            coeffs = {e: c for e, c in coeffs.items() if c}
+        return LaurentPoly.from_terms(tuple(sorted(coeffs.items())), tag)
 
     @staticmethod
     def from_terms(items: tuple[tuple[int, int], ...], tag: str = "A") -> "LaurentPoly":
@@ -111,8 +119,9 @@ class LaurentPoly:
             return NotImplemented
         self._check_tag(other)
         out = dict(self.terms)
+        get = out.get
         for e, c in other.terms:
-            out[e] = out.get(e, 0) + c
+            out[e] = get(e, 0) + c
         return LaurentPoly.from_dict(out, self.tag)
 
     __radd__ = __add__
@@ -123,15 +132,24 @@ class LaurentPoly:
     def __sub__(self, other: "int | LaurentPoly") -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.constant(other, self.tag)
-        return self + (-other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        self._check_tag(other)
+        out = dict(self.terms)
+        get = out.get
+        for e, c in other.terms:
+            out[e] = get(e, 0) - c
+        return LaurentPoly.from_dict(out, self.tag)
 
     def __rsub__(self, other: "int | LaurentPoly") -> "LaurentPoly":
         return (-self) + other
 
     def __mul__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        """Product by the schoolbook loop.
+        """Product: a shift when an operand has one term, else the schoolbook loop.
 
-        Raises ``OverflowError`` naming the first product exponent past
+        A one-term operand m x^k turns each term (e, c) of the other into
+        (e + k, c m) in one pass, which keeps the order.  Raises
+        ``OverflowError`` naming the first product exponent past
         ``MAX_EXPONENT``.
         """
         if isinstance(other, int):
@@ -141,11 +159,18 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_tag(other)
+        terms, other_terms = self.terms, other.terms
+        if len(terms) == 1:
+            terms, other_terms = other_terms, terms
+        if len(other_terms) == 1:
+            (k, m), = other_terms
+            return LaurentPoly.from_terms(tuple([(e + k, c * m) for e, c in terms]), self.tag)
         out: dict[int, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
+        get = out.get
+        for e1, c1 in terms:
+            for e2, c2 in other_terms:
                 e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
+                out[e] = get(e, 0) + c1 * c2
         return LaurentPoly.from_dict(out, self.tag)
 
     __rmul__ = __mul__
@@ -200,10 +225,11 @@ def unpack(value: int, width: int, slots: int,
     """
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     data = (value + bias).to_bytes(slots * width, "little")
-    values = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    half = 1 << (8 * width - 1)
+    # zip over one iterator cuts the bytes into width-byte tuples
+    values = map(int.from_bytes, zip(*[iter(data)] * width), repeat("little"))
+    coeffs = list(map(sub, values, repeat(1 << (8 * width - 1))))
     exps = range(low, low + slots * stride, stride)
-    return tuple((e, v - half) for e, v in zip(exps, values) if v != half)
+    return tuple(compress(zip(exps, coeffs), coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -257,30 +283,32 @@ def poly_to_text(p: LaurentPoly, exp_denom: int = 1) -> str:
     """Canonical rendering: terms sorted by ascending exponent.
 
     ``exp_denom`` divides displayed exponents (4 for Jones quarter powers);
-    fractional exponents render as e.g. ``t^(1/2)``.
+    fractional exponents render as e.g. ``t^(1/2)``.  Each term is one
+    f-string such as " + 3t^2" or " - t"; once the terms are joined, the
+    first one's " + " becomes "" and its " - " becomes "-".
     """
     if p.is_zero():
         return "0"
     var = p.tag
     parts: list[str] = []
+    append = parts.append
     for e, c in p.terms:
-        whole, rest = divmod(e, exp_denom)
+        sign = " + "
+        if c < 0:
+            sign, c = " - ", -c
         if e == 0:
-            body = str(abs(c))
+            append(f"{sign}{c}")
+            continue
+        mag = "" if c == 1 else c
+        if e == exp_denom:
+            append(f"{sign}{mag}{var}")
+        elif e % exp_denom:
+            g = gcd(e, exp_denom)
+            append(f"{sign}{mag}{var}^({e // g}/{exp_denom // g})")
         else:
-            mag = "" if abs(c) == 1 else str(abs(c))
-            if rest:
-                g = gcd(rest, exp_denom)
-                body = f"{mag}{var}^({e // g}/{exp_denom // g})"
-            elif whole == 1:
-                body = f"{mag}{var}"
-            else:
-                body = f"{mag}{var}^{whole}"
-        if not parts:
-            parts.append(("-" if c < 0 else "") + body)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + body)
-    return " ".join(parts)
+            append(f"{sign}{mag}{var}^{e // exp_denom}")
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def jones_to_text(p: LaurentPoly) -> str:

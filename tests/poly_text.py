@@ -2,11 +2,14 @@
 
 No command reads polynomial text: the CLI prints polynomials with
 ``knotpair.laurent.poly_to_text`` and the tests parse that output with
-``poly_from_text`` here.  ``evaluate`` checks closed forms at rational points.
+``poly_from_text`` here.  ``reference_text`` is the term-by-term renderer
+that ``poly_to_text`` must match.  ``evaluate`` checks closed forms at
+rational points.
 """
 
 import re
 from fractions import Fraction
+from math import gcd
 
 from knotpair.laurent import MAX_EXPONENT, LaurentPoly
 
@@ -88,3 +91,29 @@ def evaluate(p: LaurentPoly, x: "Fraction | int") -> Fraction:
     if x == 0 and p.terms and p.terms[0][0] < 0:
         raise ZeroDivisionError("negative exponent at x = 0")
     return sum((Fraction(c) * x**e for e, c in p.terms), Fraction(0))
+
+
+def reference_text(p: LaurentPoly, exp_denom: int = 1) -> str:
+    """The canonical text built term by term, with a ``divmod`` per exponent."""
+    if p.is_zero():
+        return "0"
+    var = p.tag
+    parts: list[str] = []
+    for e, c in p.terms:
+        whole, rest = divmod(e, exp_denom)
+        if e == 0:
+            body = str(abs(c))
+        else:
+            mag = "" if abs(c) == 1 else str(abs(c))
+            if rest:
+                g = gcd(rest, exp_denom)
+                body = f"{mag}{var}^({e // g}/{exp_denom // g})"
+            elif whole == 1:
+                body = f"{mag}{var}"
+            else:
+                body = f"{mag}{var}^{whole}"
+        if not parts:
+            parts.append(("-" if c < 0 else "") + body)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(parts)

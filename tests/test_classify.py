@@ -83,6 +83,37 @@ def test_check_identities_evaluates_knot_jones_at_a_cube_root_of_unity():
     check_identities(1, None, rep_invariants(Girth2Rep(2, -3)).jones)
 
 
+def test_check_identities_rejects_a_wrong_value_at_one():
+    # t + t^2 has V(1) = 2, not (-2)^0
+    with pytest.raises(AssertionError, match=r"^V\(1\) = 2 for a 1-component diagram$"):
+        check_identities(1, None, LaurentPoly.from_dict({4: 1, 8: 1}, "t"))
+    # a two-component link needs V(1) = -2
+    with pytest.raises(AssertionError, match=r"^V\(1\) = 1 for a 2-component diagram$"):
+        check_identities(2, None, LaurentPoly.from_dict({2: 1}, "t"))
+
+
+def test_check_identities_rejects_fractional_powers_of_a_knot():
+    # t^(1/2) has V(1) = 1; t^(1/4) - t^(25/4) + t^(1/2) has V(1) = 1 with
+    # its fractional residues cancelling
+    for jones in ({2: 1}, {1: 1, 25: -1, 2: 1}):
+        with pytest.raises(AssertionError, match=r"^knot Jones in fractional powers of t$"):
+            check_identities(1, None, LaurentPoly.from_dict(jones, "t"))
+
+
+def test_check_identities_rejects_odd_conway_powers():
+    jones = rep_invariants(Girth2Rep(2, -3)).jones
+    with pytest.raises(AssertionError, match=r"^knot Conway in odd powers of z$"):
+        check_identities(1, LaurentPoly.from_dict({0: 1, 1: 1}, "z"), jones)
+
+
+def test_check_identities_compares_the_determinants():
+    # the trefoil's |V(-1)| = 3 against the unknot's nabla = 1
+    trefoil = rep_invariants(Girth1Rep(3))
+    check_identities(1, trefoil.conway, trefoil.jones)
+    with pytest.raises(AssertionError, match=r"^\|V\(-1\)\| = 3 but \|nabla\(2i\)\| = 1$"):
+        check_identities(1, LaurentPoly.one("z"), trefoil.jones)
+
+
 def test_classify_girth2_even_examples():
     v = classify_girth2_even(2, 8, 4, 4)
     assert v.tag == DISTINCT_BY_JONES

@@ -85,24 +85,35 @@ def test_eval_output_parses_back(capsys):
 
 # sha256 of stdout, recorded while every product still ran the schoolbook
 # loop; these brackets have hundreds of terms, so they pin the closed forms'
-# big-integer evaluation end to end.
+# big-integer evaluation end to end.  The last four, recorded before the
+# single-term product became a shift and the renderer a one-pass loop, pin
+# the text of half-integer Jones exponents (a girth-3 link and an odd/odd
+# girth-2 link), a compare's Jones evidence and a JSON bracket.
 @pytest.mark.parametrize(
     "argv, digest",
     [
-        (("[40 50 60 / 30 20 10]", "jones"),
+        (("eval", "[40 50 60 / 30 20 10]", "jones"),
          "62e48a66956f0eba40c188cc6def53da69e120c9273dbd6a5bd0d9b81de3b8f5"),
-        (("(1000,1000)", "bracket"),
+        (("eval", "(1000,1000)", "bracket"),
          "8206ed436703409e8397b8f65b7fb05dd4bde9cd4e2f93ed219b4f9b51f1eb33"),
-        (("[-300 211 97 / 150 -64 288]", "bracket"),
+        (("eval", "[-300 211 97 / 150 -64 288]", "bracket"),
          "d817b570253896cd27b37ddce6ff414a8a14380032676ed5adc7d8629acd333e"),
-        (("[-300 211 97 / 150 -64 288]", "span"),
+        (("eval", "[-300 211 97 / 150 -64 288]", "span"),
          "ca1144ed9f3aa0bf799043d185aa306dfc74e468d61ae6e12465a48c966bb4bf"),
-        (("[297 -283 301 / -276 305 -299]", "bracket"),
+        (("eval", "[297 -283 301 / -276 305 -299]", "bracket"),
          "aadb283ed45e4c52936ffaffb1951aa1967f8df9a0a438c5ab6490707eb5d4be"),
+        (("eval", "[241 -150 160 / 130 -120 111]", "jones"),
+         "cc1705a76b21339f84c4e8016d51749e0597c086943692f4ae33390d9a5a6476"),
+        (("eval", "(31,-17)", "jones"),
+         "837b915ba152c554d85dbdd9e7fc6e53467fa24b4b943d979f6cb2e432869bfa"),
+        (("compare", "[41 51 60 / 30 20 10]", "[41 51 60 / 10 20 30]"),
+         "602e448ffe28f62f176b7f8206b1a3db0e982e98e09b1c2c077fac7e87939245"),
+        (("eval", "[61 -47 52 / -38 70 29]", "bracket", "--format", "json"),
+         "d9606ec865784d0e3e1950cbf9d036db6ee658bfc00a773d9a393045a244aa02"),
     ],
 )
 def test_eval_large_labels_pinned(capsys, argv, digest):
-    code, out = run(capsys, "eval", *argv)
+    code, out = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

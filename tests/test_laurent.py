@@ -19,7 +19,7 @@ from knotpair.laurent import (
     poly_to_text,
     unpack,
 )
-from poly_text import poly_from_text
+from poly_text import poly_from_text, reference_text
 from test_closedform import packed_product
 
 
@@ -30,6 +30,7 @@ def P(d, tag="A"):
 def test_zero_has_no_stored_coefficients():
     assert P({3: 0, -2: 0}).terms == ()
     assert P({}).is_zero()
+    assert P({-3: 0, 2: 5, 7: 0, -9: -1}).terms == ((-9, -1), (2, 5))
 
 
 def test_basic_arith_examples():
@@ -44,6 +45,13 @@ def test_basic_arith_examples():
 def test_tag_mismatch_is_usage_error():
     with pytest.raises(TagMismatchError):
         P({1: 1}, "A") + P({1: 1}, "z")
+    with pytest.raises(TagMismatchError):
+        P({1: 1}, "A") - P({1: 1}, "z")
+    mono, poly = P({1: 1}, "A"), P({0: 1, 4: -1}, "t")
+    with pytest.raises(TagMismatchError):
+        mono * poly
+    with pytest.raises(TagMismatchError):
+        poly * mono
 
 
 def test_ring_axioms_randomized():
@@ -237,6 +245,14 @@ def test_mul_overflow_names_the_first_exponent_out_of_range():
         top.invert_variable() * low.invert_variable()
     with pytest.raises(OverflowError, match=f"exponent {MAX_EXPONENT + 1} "):
         LaurentPoly.from_dict({MAX_EXPONENT + 1: 1, MAX_EXPONENT + 5: 1})
+    # one-term operands, in both orders
+    top = P({MAX_EXPONENT - 2: 1, MAX_EXPONENT: 5, -4: 1})
+    with pytest.raises(OverflowError, match=f"^exponent {MAX_EXPONENT + 1} out of range$"):
+        top * P({1: 3})
+    with pytest.raises(OverflowError, match=f"^exponent {MAX_EXPONENT + 1} out of range$"):
+        P({1: -1}) * top
+    with pytest.raises(OverflowError, match=f"^exponent {-MAX_EXPONENT - 1} out of range$"):
+        top.invert_variable() * P({-1: 1})
 
 
 def test_sparse_product_is_fast_and_small():
@@ -291,3 +307,49 @@ def test_unpack_single_slot_and_extremes():
         assert unpack(0, width, 1, 7, 4) == ()
         dense = [top, -top, -top, top]
         assert unpack(pack(dense, width), width, 4, 0, 1) == tuple(enumerate(dense))
+
+
+def test_single_term_product_equals_the_packed_reference_product():
+    rng = random.Random(4099)
+    for _ in range(600):
+        bound = rng.choice([1, 2**8, 2**64, 2**200])
+        n = rng.randint(0, 40)
+        base, stride = rng.randint(-500, 500), rng.choice([1, 2, 4])
+        x = P({base + stride * i: rng.randint(-bound, bound) for i in range(n)})
+        c = rng.choice([1, -1, rng.randint(-bound, bound) or 1])
+        mono = LaurentPoly.monomial(c, rng.randint(-300, 300))
+        assert mono * x == packed_product(mono, x)
+        assert x * mono == packed_product(x, mono)
+    one = LaurentPoly.one()
+    assert one * one == one
+    assert LaurentPoly.monomial(2**200, 3) * LaurentPoly.monomial(-(2**200), -3) == P({0: -(2**400)})
+
+
+def test_sub_equals_adding_the_negation():
+    rng = random.Random(77)
+
+    def rand_poly():
+        return P({rng.randint(-12, 12): rng.randint(-5, 5) for _ in range(rng.randint(0, 8))})
+
+    for _ in range(500):
+        x, y = rand_poly(), rand_poly()
+        assert x - y == x + (-y)
+        assert x - x == LaurentPoly.zero()
+        k = rng.randint(-3, 3)
+        assert x - k == x + LaurentPoly.constant(-k)
+        assert k - x == LaurentPoly.constant(k) + (-x)
+
+
+def test_poly_to_text_equals_the_reference_renderer():
+    rng = random.Random(31337)
+    for _ in range(1500):
+        bound = rng.choice([1, 2, 9, 2**70])
+        poly = P(
+            {rng.randint(-30, 30): rng.randint(-bound, bound) for _ in range(rng.randint(0, 12))},
+            rng.choice(["A", "z", "t"]),
+        )
+        for exp_denom in (1, 2, 4):
+            assert poly_to_text(poly, exp_denom) == reference_text(poly, exp_denom)
+    for poly in (P({0: -1}), P({0: 1}), P({1: -1, 4: 1, -4: -7}), P({2: 1, -2: -1}, "t")):
+        for exp_denom in (1, 2, 4):
+            assert poly_to_text(poly, exp_denom) == reference_text(poly, exp_denom)

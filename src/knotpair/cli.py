@@ -121,7 +121,7 @@ def cmd_girth(args, emit_rep: bool = False) -> int:
         print(json.dumps(out))
     else:
         print(f"girth {g}")
-        print(f"witness: {witness.to_json()}")
+        print(f"witness: {json.dumps(witness.summary())}")
         if emit_rep:
             print(f"rep: {girth.rep_from_decomposition(witness)}")
     return 0

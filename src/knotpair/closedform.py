@@ -58,8 +58,8 @@ def loop_value() -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # Conway polynomials
 
-def nabla_same(p: int) -> LaurentPoly:
-    """Conway polynomial of the closed twist region with parallel strands.
+def conway_single_twist(p: int) -> LaurentPoly:
+    """Conway polynomial of K(p), its two strands run in the same direction.
 
     The solution of the skein recursion nabla_p = z nabla_{p-1} +
     nabla_{p-2} from nabla_0 = 0, nabla_1 = 1, written out by its
@@ -69,12 +69,10 @@ def nabla_same(p: int) -> LaurentPoly:
     negative p the value is nabla_{|p|} when p is odd and -nabla_{|p|}
     when p is even.
     """
-    if p < 0:
-        v = nabla_same(-p)
-        return v if p % 2 else -v
+    c = -1 if p < 0 and p % 2 == 0 else 1
+    p = abs(p)
     n = p - 1
     terms = []
-    c = 1
     for k in range((p + 1) // 2):
         if k:
             c = c * (n - 2 * k + 2) * (n - 2 * k + 1) // (k * (n - k + 1))
@@ -82,16 +80,12 @@ def nabla_same(p: int) -> LaurentPoly:
     return LaurentPoly.from_terms(tuple(reversed(terms)), _Z)
 
 
-def conway_single_twist(p: int) -> LaurentPoly:
-    """Conway polynomial of K(p), its two strands run in the same direction."""
-    return nabla_same(p)
-
-
 def conway_double_twist(p: int, q: int) -> LaurentPoly:
     """Conway polynomial of the double twist diagram K(p,q).
 
     Even/even labels give (pq/4) z^2 + 1; an odd label is rotated into the
-    q slot and handled by the twist expansion over nabla.  For odd/odd
+    q slot and handled by the twist expansion over the single-twist
+    values nabla_p = ``conway_single_twist(p)``.  For odd/odd
     pairs the diagram is a two-component link and the value refers to the
     orientation with parallel p-strands.
     """
@@ -100,7 +94,9 @@ def conway_double_twist(p: int, q: int) -> LaurentPoly:
     if q % 2 == 0:
         p, q = q, p
     # q odd now
-    return nabla_same(p - 1) - ((q - 1) // 2) * (_z() * nabla_same(p))
+    return conway_single_twist(p - 1) - ((q - 1) // 2) * (
+        _z() * conway_single_twist(p)
+    )
 
 
 def conway_girth3_even(rep: Girth3Rep) -> LaurentPoly:
@@ -151,32 +147,53 @@ def conway_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:
     Transpositions give the product forms (p-r)(a-b)(z/2)^2 etc.; the two
     3-cycles give +-det(top / permuted bottom / ones) (z/2)^2.
     """
-    p, q, r = rep.top
-    a, b, c = rep.bottom
     if perm == "identity":
         return LaurentPoly.zero(_Z)
-    if perm == "swap_ab":
-        coeff = (p - r) * (a - b)
-    elif perm == "swap_bc":
-        coeff = (p - q) * (c - b)
-    elif perm == "swap_ac":
-        coeff = (q - r) * (a - c)
-    elif perm == "cycle_cab":
-        coeff = _det3_int((p, q, r), (c, a, b))
-    elif perm == "cycle_bca":
-        coeff = -_det3_int((p, q, r), (a, b, c))
-    else:
+    coeff = _perm_core(rep, perm, int)
+    if coeff is None:
         raise ValueError(f"unknown bottom permutation {perm!r}")
     if coeff % 4 != 0:
         raise ValueError("difference coefficient must be divisible by 4")
     return LaurentPoly.from_dict({2: coeff // 4}, _Z)
 
 
-def _det3_int(row1: tuple[int, int, int], row2: tuple[int, int, int]) -> int:
-    """det of (row1 / row2 / 1 1 1)."""
-    p, q, r = row1
-    x, y, z = row2
+def _perm_core(rep: Girth3Rep, perm: str, f):
+    """The core both difference formulas share, over f of the labels.
+
+    A transposition gives a product of two differences, a 3-cycle
+    +-_det3; any other name gives None.  f is ``int`` for the Conway
+    difference and ``s_hat`` for the bracket one, and it is evaluated only
+    at the labels the formula reads.
+    """
+    p, q, r = rep.top
+    a, b, c = rep.bottom
+    if perm == "swap_ab":
+        return (f(p) - f(r)) * (f(a) - f(b))
+    if perm == "swap_bc":
+        return (f(p) - f(q)) * (f(c) - f(b))
+    if perm == "swap_ac":
+        return (f(q) - f(r)) * (f(a) - f(c))
+    if perm == "cycle_cab":
+        return _det3((p, q, r), (c, a, b), f)
+    if perm == "cycle_bca":
+        return -_det3((p, q, r), (a, b, c), f)
+    return None
+
+
+def _det3(row1: tuple[int, int, int], row2: tuple[int, int, int], f):
+    """det of (f over row1 / f over row2 / 1 1 1)."""
+    p, q, r = map(f, row1)
+    x, y, z = map(f, row2)
     return p * (y - z) - q * (x - z) + r * (x - y)
+
+
+def _cycle_det(rep: Girth3Rep, perm: str, f):
+    """det of (f over top / f over the bottom / 1 1 1), the bottom turned
+    by cycle_cab and left as it is by cycle_bca, whose core is its negative."""
+    if perm not in ("cycle_cab", "cycle_bca"):
+        raise ValueError(f"not a 3-cycle: {perm!r}")
+    core = _perm_core(rep, perm, f)
+    return core if perm == "cycle_cab" else -core
 
 
 # ---------------------------------------------------------------------------
@@ -348,47 +365,20 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
     Transpositions give (S_x A^x - S_y A^y) products; the 3-cycles give
     the determinant with rows (S_p A^p ...), (permuted S A powers), ones.
     """
-    p, q, r = rep.top
-    a, b, c = rep.bottom
-    w = sum(rep.top) + sum(rep.bottom)
-    aw = LaurentPoly.monomial(1, -w, _A)
-    if perm == "swap_ab":
-        core = (s_hat(p) - s_hat(r)) * (s_hat(a) - s_hat(b))
-    elif perm == "swap_bc":
-        core = (s_hat(p) - s_hat(q)) * (s_hat(c) - s_hat(b))
-    elif perm == "swap_ac":
-        core = (s_hat(q) - s_hat(r)) * (s_hat(a) - s_hat(c))
-    elif perm == "cycle_cab":
-        core = _shat_det((p, q, r), (c, a, b))
-    elif perm == "cycle_bca":
-        core = -_shat_det((p, q, r), (a, b, c))
-    elif perm == "identity":
+    if perm == "identity":
         return LaurentPoly.zero(_A)
-    else:
+    core = _perm_core(rep, perm, s_hat)
+    if core is None:
         raise ValueError(f"no closed difference form for {perm!r}")
-    return aw * core * diff_factor()
-
-
-def _shat_det(row1: tuple[int, int, int], row2: tuple[int, int, int]) -> LaurentPoly:
-    """det of ((S_x A^x for row1) / (S_y A^y for row2) / (1 1 1))."""
-    p, q, r = (s_hat(x) for x in row1)
-    x, y, z = (s_hat(v) for v in row2)
-    return p * (y - z) - q * (x - z) + r * (x - y)
+    w = sum(rep.top) + sum(rep.bottom)
+    return LaurentPoly.monomial(1, -w, _A) * core * diff_factor()
 
 
 def shat_cycle_det(rep: Girth3Rep, perm: str) -> LaurentPoly:
     """The S-determinant obstruction for a 3-cycle of the bottom labels."""
-    if perm == "cycle_cab":
-        return _shat_det(rep.top, BOTTOM_PERMS[perm](*rep.bottom))
-    if perm == "cycle_bca":
-        return _shat_det(rep.top, rep.bottom)
-    raise ValueError(f"not a 3-cycle: {perm!r}")
+    return _cycle_det(rep, perm, s_hat)
 
 
 def int_cycle_det(rep: Girth3Rep, perm: str) -> int:
     """The integer determinant controlling the Conway difference of a 3-cycle."""
-    if perm == "cycle_cab":
-        return _det3_int(rep.top, BOTTOM_PERMS[perm](*rep.bottom))
-    if perm == "cycle_bca":
-        return _det3_int(rep.top, rep.bottom)
-    raise ValueError(f"not a 3-cycle: {perm!r}")
+    return _cycle_det(rep, perm, int)

@@ -91,17 +91,19 @@ def pd_from_json(text: str) -> PDCode:
 
 
 _X_RE = re.compile(r"X\(\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+# the longest run of X(...) terms with only whitespace and commas around them
+_TERMS_RE = re.compile(rf"(?:[\s,]*{_X_RE.pattern})*[\s,]*")
 
 
 def pd_from_text(text: str) -> PDCode:
-    """Read the flat `X(a,b,c,d) X(e,f,g,h) ...` form."""
-    crossings = [tuple(int(g) for g in m.groups()) for m in _X_RE.finditer(text)]
-    if not crossings and text.strip():
-        quoted = repr(text)
-        if len(quoted) > 60:
-            quoted = quoted[:60] + "..."
-        raise InvalidPDError(f"no X(...) terms found in {quoted}")
-    pd = PDCode(tuple(crossings))
+    """Read the flat `X(a,b,c,d) X(e,f,g,h) ...` form; any text but
+    whitespace and commas between the terms is refused with its position."""
+    pos = _TERMS_RE.match(text).end()
+    if pos < len(text):
+        raise InvalidPDError(
+            f"expected an X(a,b,c,d) term at position {pos}, found {text[pos:pos + 20]!r}"
+        )
+    pd = PDCode(tuple(tuple(int(g) for g in m.groups()) for m in _X_RE.finditer(text)))
     validate_pd(pd)
     return pd
 
@@ -320,10 +322,6 @@ class TaitGraph:
     n_vertices: int
     edges: tuple[TaitEdge, ...]
     rotation: tuple[tuple[tuple[int, int], ...], ...]
-
-    def endpoints(self, ei: int) -> tuple[int, int]:
-        e = self.edges[ei]
-        return e.v1, e.v2
 
 
 def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:

@@ -23,12 +23,12 @@ every tree a branch can still reach.  The search cuts a branch once that
 bound passes a cap.  Looking for the least girth, it lowers the cap below
 each girth it finds, so the last tree it finds is the least tree of least
 girth: the witness a full enumeration would pick.  Only the witness is
-walked, and its walked girth must equal the searched one.
+walked: ``decompose`` builds it on the two Tait graphs the search used, and
+its walked girth must equal the searched one.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .diagram import PDCode, TaitGraph, checkerboard, tait_graph
@@ -55,25 +55,6 @@ class BudgetError(ValueError):
 
 # ---------------------------------------------------------------------------
 # spanning trees
-
-
-def _is_spanning_tree(n_vertices: int, endpoints: list[tuple[int, int]]) -> bool:
-    parent = list(range(n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    merges = 0
-    for u, v in endpoints:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-        merges += 1
-    return merges == n_vertices - 1
 
 
 def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
@@ -402,37 +383,17 @@ class TaitDecomposition:
             "mixed_sign_merges": self.mixed_signs,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.summary())
 
-
-def decompose(pd: PDCode, shading_index: int, tree: tuple[int, ...]) -> TaitDecomposition:
-    """Build the decomposition for a spanning tree of the chosen shading.
-
-    Refuses a diagram with free loops, an unreduced one, and an edge set
-    that is not a spanning tree, with ``ValueError``.
-    """
-    if pd.free_loops:
-        raise ValueError("decompositions need a crossing diagram (no free loops)")
-    shades = checkerboard(pd)
-    black = tait_graph(pd, shades[shading_index])
-    white = tait_graph(pd, shades[1 - shading_index])
-    _reject_unreduced(black, white)
-    tree = tuple(sorted(tree))
-    if not _is_spanning_tree(black.n_vertices, [black.endpoints(ei) for ei in tree]):
-        raise ValueError("edge set is not a spanning tree of the Tait graph")
-    return _decompose(shading_index, tree, black, white)
-
-
-def _decompose(
+def decompose(
     shading_index: int,
     tree: tuple[int, ...],
     black: TaitGraph,
     white: TaitGraph,
 ) -> TaitDecomposition:
-    """``decompose`` on Tait graphs already built and checked reduced:
-    ``black`` of the chosen shading, ``white`` of the other, and a sorted
-    spanning tree of ``black``."""
+    """Build the decomposition for a sorted spanning tree of ``black``, the
+    Tait graph of shading ``shading_index``; ``white`` is the Tait graph of
+    the other shading.  Both are built and checked reduced beforehand
+    (``_tait_graphs``)."""
     tree_set = set(tree)
     dual_tree = tuple(ei for ei in range(len(white.edges)) if ei not in tree_set)
 
@@ -524,26 +485,33 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
     lexicographically least shading-0 tree attaining the minimum.  A
     spanning tree T of one Tait graph and the complementary spanning tree
     T' of the other (its planar dual) give one splitting of the diagram,
-    seen from either side, and ``_decompose`` asserts that both sides count
+    seen from either side, and ``decompose`` asserts that both sides count
     the same girth.  So each shading-1 tree is the complement of a
     shading-0 one with the same girth, and cannot lower it.  The search
     (``spanning_trees`` with ``descend``) counts girths locally and cuts
-    every branch that cannot beat the best girth found; the witness's girth
-    comes from walking its contour, and the two must agree.
+    every branch that cannot beat the best girth found; ``decompose``
+    builds the witness from the same two Tait graphs, and the girth its
+    contour walk counts must agree with the searched one.
+
+    A crossing-free diagram answers girth 2 with no witness when it is one
+    circle, the unknot read as K(0,0), and is refused otherwise.  A diagram
+    of more than ``budget`` crossings is refused before any shading is
+    built.
     """
     if pd.n() == 0:
-        return 2, None  # degenerate circle: girth-2 report with labels (0,0)
+        if pd.free_loops != 1:
+            raise ValueError(
+                f"a crossing-free diagram must be one circle, got {pd.free_loops} circles"
+            )
+        return 2, None  # the unknot: girth-2 report with labels (0,0)
     if pd.n() > budget:
-        # both shadings have the same number of trees (planar duality)
-        est = tree_count(tait_graph(pd, checkerboard(pd)[0]))
         raise BudgetError(
-            f"{pd.n()} crossings exceeds the spanning-tree budget of {budget} "
-            f"(about {est} decompositions)"
+            f"{pd.n()} crossings exceeds the spanning-tree budget of {budget}"
         )
     black, white = _tait_graphs(pd)
     for girth, tree in spanning_trees(black, 2 * black.n_vertices, descend=True):
         pass  # each tree found beats the one before
-    witness = _decompose(0, tree, black, white)
+    witness = decompose(0, tree, black, white)
     if witness.girth != girth:
         raise AssertionError(
             f"searched girth {girth} but the witness contour counts {witness.girth}"

@@ -233,15 +233,7 @@ def unpack(value: int, width: int, slots: int,
 
 
 # ---------------------------------------------------------------------------
-# extremes, spans and the Jones substitution
-
-
-def lp_extremes(x: LaurentPoly) -> tuple[int, int, int]:
-    """(min exponent, max exponent, span); rejects the zero polynomial."""
-    if x.is_zero():
-        raise ValueError("span of the zero polynomial is undefined")
-    lo, hi = x.min_exp(), x.max_exp()
-    return lo, hi, hi - lo
+# spans and the Jones substitution
 
 
 def jones_from_bracket(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
@@ -260,19 +252,16 @@ def jones_from_bracket(bracket: LaurentPoly, writhe: int) -> LaurentPoly:
     return normalized.retag("t")
 
 
-def jones_span(jones: LaurentPoly) -> Fraction:
-    """Exponent difference of a Jones polynomial measured in powers of t."""
-    _, _, span = lp_extremes(jones)
-    return Fraction(span, 4)
-
-
 def jones_span_inclusive(jones: LaurentPoly) -> Fraction:
     """Degree-count span: exponent difference in t plus one.
 
     This is the convention under which the double twist family satisfies
-    span = p + q; a one-term polynomial has inclusive span 1.
+    span = p + q; a one-term polynomial has inclusive span 1.  The zero
+    polynomial has no span and is refused with ``ValueError``.
     """
-    return jones_span(jones) + 1
+    if jones.is_zero():
+        raise ValueError("span of the zero polynomial is undefined")
+    return Fraction(jones.max_exp() - jones.min_exp(), 4) + 1
 
 
 # ---------------------------------------------------------------------------

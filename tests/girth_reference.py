@@ -5,11 +5,12 @@ girth search in ``knotpair.girth.spanning_trees``.
 ``reference_girths`` counts each one's girth from the rotation turns.  The
 least (girth, tree) pair is the witness the pruned search must find.
 ``decompositions_of_girth`` lists every decomposition of a given girth, not
-just the witness.
+just the witness, and ``decompose_pd`` builds the decomposition of any
+spanning tree of either shading.
 """
 
 from knotpair import girth
-from knotpair.girth import _can_join, _decompose, _tait_graphs
+from knotpair.girth import _can_join, _tait_graphs, decompose
 
 
 def reference_trees(tait):
@@ -90,4 +91,39 @@ def decompositions_of_girth(pd, target):
     black, white = _tait_graphs(pd)
     for g, tree in girth.spanning_trees(black, target):
         if g == target:
-            yield _decompose(0, tree, black, white)
+            yield decompose(0, tree, black, white)
+
+
+def is_spanning_tree(n_vertices, endpoints):
+    """Whether the (u, v) edges join ``n_vertices`` vertices into one tree,
+    by a union-find with path halving."""
+    parent = list(range(n_vertices))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    merges = 0
+    for u, v in endpoints:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+        merges += 1
+    return merges == n_vertices - 1
+
+
+def decompose_pd(pd, shading_index, tree):
+    """``girth.decompose`` of a spanning tree of either shading's Tait graph
+    of a reduced diagram; an edge set that is not a spanning tree is
+    refused with ``ValueError``."""
+    black, white = _tait_graphs(pd)
+    if shading_index:
+        black, white = white, black
+    tree = tuple(sorted(tree))
+    ends = [(black.edges[ei].v1, black.edges[ei].v2) for ei in tree]
+    if not is_spanning_tree(black.n_vertices, ends):
+        raise ValueError("edge set is not a spanning tree of the Tait graph")
+    return decompose(shading_index, tree, black, white)

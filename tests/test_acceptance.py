@@ -17,7 +17,6 @@ from knotpair.laurent import (
     LaurentPoly,
     jones_from_bracket,
     jones_span_inclusive,
-    lp_extremes,
 )
 from knotpair.reps import Girth2Rep, Girth3Rep, canonicalize, d3_orbit
 from knotpair.tables import TABLE_ERRATA

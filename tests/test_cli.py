@@ -165,6 +165,22 @@ def test_girth_budget_refusal(tmp_path, capsys):
     assert code == 2
 
 
+def test_girth_refuses_a_large_braid_closure_before_any_shading(tmp_path, capsys):
+    # counting its trees once took minutes at 2000 crossings
+    import time
+
+    from diagram_builders import braid_closure_pd, pd_to_json
+
+    path = tmp_path / "braid.pd.json"
+    path.write_text(pd_to_json(braid_closure_pd([1, -2] * 1000, 3)))
+    start = time.perf_counter()
+    assert main(["girth", str(path)]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 2000 crossings exceeds the spanning-tree budget of 16\n"
+
+
 def test_girth_with_a_lifted_budget_finds_the_reference_witness(tmp_path, capsys):
     from girth_reference import reference_least
     from diagram_builders import pd_to_json

@@ -20,7 +20,6 @@ from knotpair.closedform import (
     diff_factor,
     int_cycle_det,
     loop_value,
-    nabla_same,
     permute_bottom,
     s_hat,
     s_poly,
@@ -29,7 +28,7 @@ from knotpair.closedform import (
     sym_s,
 )
 from knotpair.diagram import pd_from_rep
-from knotpair.laurent import LaurentPoly, lp_extremes, unpack
+from knotpair.laurent import LaurentPoly, unpack
 from knotpair.oracle import bracket_state_sum, conway_fox
 from knotpair.reps import Girth2Rep, Girth3Rep
 
@@ -52,9 +51,9 @@ def test_conway_single_twist_examples():
 def test_nabla_sign_extension():
     for p in range(1, 9):
         if p % 2:
-            assert nabla_same(-p) == nabla_same(p)
+            assert conway_single_twist(-p) == conway_single_twist(p)
         else:
-            assert nabla_same(-p) == -nabla_same(p)
+            assert conway_single_twist(-p) == -conway_single_twist(p)
 
 
 def nabla_by_skein(p, memo={}):
@@ -73,15 +72,15 @@ def nabla_by_skein(p, memo={}):
 
 def test_nabla_equals_the_skein_recursion():
     for p in range(-60, 61):
-        assert nabla_same(p) == nabla_by_skein(p), p
+        assert conway_single_twist(p) == nabla_by_skein(p), p
 
 
 def test_nabla_at_one_is_fibonacci_without_recursion_depth():
     fib = [0, 1]
     while len(fib) <= 1500:
         fib.append(fib[-1] + fib[-2])
-    assert evaluate(nabla_same(1500), 1) == fib[1500]
-    assert evaluate(nabla_same(-1500), 1) == -fib[1500]
+    assert evaluate(conway_single_twist(1500), 1) == fib[1500]
+    assert evaluate(conway_single_twist(-1500), 1) == -fib[1500]
 
 
 def test_nabla_matches_chebyshev_closed_form_at_rational_points():
@@ -98,7 +97,7 @@ def test_nabla_matches_chebyshev_closed_form_at_rational_points():
                 comb(p, 2 * m + 1) * (t / 2) ** (p - 1 - 2 * m) * (t * t / 4 + 1) ** m
                 for m in range((p - 1) // 2 + 1)
             )
-            assert evaluate(nabla_same(p), t) == expected, (p, t)
+            assert evaluate(conway_single_twist(p), t) == expected, (p, t)
 
 
 def test_conway_double_twist_examples():
@@ -192,7 +191,7 @@ def test_bracket_double_twist_examples():
     for p in range(2, 7):
         for q in range(2, 7):
             b = bracket_double_twist(p, q)
-            lo, hi, _ = lp_extremes(b)
+            lo, hi = b.min_exp(), b.max_exp()
             assert lo == -(p + q) and b.coeff(lo) == -1
             assert hi == 3 * (p + q) - 4 and b.coeff(hi) == (-1) ** (p + q)
 
@@ -268,8 +267,8 @@ def test_row_swap_difference_antisymmetry():
 def test_chebyshev_vs_nabla_degree():
     # nabla_(n+1)(z) = i^n U_n(-zi/2) has the degree n of U_n, leading 1
     for n in range(9):
-        nab = nabla_same(n + 1)
-        assert lp_extremes(nab)[1] == n and nab.coeff(n) == 1
+        nab = conway_single_twist(n + 1)
+        assert nab.max_exp() == n and nab.coeff(n) == 1
 
 
 # ---------------------------------------------------------------------------

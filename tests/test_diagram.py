@@ -53,6 +53,41 @@ def test_validate_rejects_nonplanar_map():
         pd_from_text("X(1,4,5,2) X(3,6,4,1) X(5,2,6,3)")
 
 
+TREFOIL_TEXT = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
+
+
+def test_pd_text_between_terms_is_whitespace_or_commas():
+    trefoil = pd_from_text(TREFOIL_TEXT + "\n")
+    assert trefoil.n() == 3
+    assert pd_from_text(" X(1,4,2,5),X(3,6,4,1) ,\n X(5,2,6,3) ,") == trefoil
+    assert pd_from_text(" ,\n") == PDCode(())
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        (TREFOIL_TEXT + " junk X(7,8,9)", 33),
+        (TREFOIL_TEXT + " Y(7,7,8,8)", 33),
+        (TREFOIL_TEXT + " X(7,8,9)", 33),
+        ("junk " + TREFOIL_TEXT, 0),
+        ("X(1,4,2,5); " + TREFOIL_TEXT[11:], 10),
+    ],
+)
+def test_pd_text_with_unreadable_text_is_refused_at_its_position(tmp_path, capsys, text, position):
+    from knotpair.cli import main
+
+    with pytest.raises(InvalidPDError, match=f"at position {position},"):
+        pd_from_text(text)
+    path = tmp_path / "input.pd"
+    path.write_text(text)
+    for command in ("girth", "decompose"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: expected an X(a,b,c,d) term at position {position},")
+        assert len(captured.err.splitlines()) == 1
+
+
 def test_crossing_count_is_label_sum():
     for rep, n in [
         (Girth2Rep(3, -2), 5),

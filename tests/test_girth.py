@@ -6,7 +6,9 @@ from importlib import resources
 import pytest
 from diagram_builders import braid_closure_pd
 from girth_reference import (
+    decompose_pd,
     decompositions_of_girth,
+    is_spanning_tree,
     reference_girths,
     reference_least,
     reference_trees,
@@ -15,6 +17,7 @@ from girth_reference import (
 from knotpair.classify import jones_equal
 from knotpair.cli import main
 from knotpair.diagram import (
+    PDCode,
     checkerboard,
     orient,
     pd_from_json,
@@ -24,8 +27,6 @@ from knotpair.diagram import (
 from knotpair.girth import (
     BudgetError,
     TaitDecomposition,
-    _is_spanning_tree,
-    decompose,
     diagram_girth,
     rep_from_decomposition,
     spanning_trees,
@@ -60,7 +61,7 @@ def test_spanning_tree_enumeration_matches_matrix_tree_count():
 def test_decompose_rejects_non_spanning_sets():
     pd = pd_from_rep(Girth2Rep(2, -2))
     with pytest.raises(ValueError):
-        decompose(pd, 0, (0,))
+        decompose_pd(pd, 0, (0,))
 
 
 def test_decompose_invariants():
@@ -69,7 +70,7 @@ def test_decompose_invariants():
     for si in (0, 1):
         g = tait_graph(pd, shades[si])
         for tree in reference_trees(g):
-            d = decompose(pd, si, tree)
+            d = decompose_pd(pd, si, tree)
             # |T| + |T'| equals the crossing count
             assert len(d.tree) + len(d.dual_tree) == pd.n()
             # both sides count the same girth (asserted inside, re-check)
@@ -90,17 +91,38 @@ def test_diagram_girth_budget_refusal():
     pd = pd_from_rep(Girth2Rep(9, 9))
     with pytest.raises(BudgetError) as err:
         diagram_girth(pd, budget=16)
-    assert "decompositions" in str(err.value)
+    assert str(err.value) == "18 crossings exceeds the spanning-tree budget of 16"
 
 
-def test_budget_refusal_counts_the_trees_of_one_shading():
+def test_budget_refusal_builds_no_tait_graph(monkeypatch):
+    import knotpair.girth as girth_module
+
     pd = pd_from_rep(Girth2Rep(9, 9))
     shades = checkerboard(pd)
-    count = tree_count(tait_graph(pd, shades[0]))
-    assert count == tree_count(tait_graph(pd, shades[1]))
-    with pytest.raises(BudgetError) as err:
+    # both shadings have the same number of trees (planar duality)
+    assert tree_count(tait_graph(pd, shades[0])) == tree_count(tait_graph(pd, shades[1]))
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(girth_module, "checkerboard", spy("checkerboard", checkerboard))
+    monkeypatch.setattr(girth_module, "tait_graph", spy("tait_graph", tait_graph))
+    with pytest.raises(BudgetError):
         diagram_girth(pd, budget=16)
-    assert f"(about {count} decompositions)" in str(err.value)
+    assert calls == []
+    diagram_girth(pd, budget=18)
+    assert calls == ["checkerboard", "tait_graph", "tait_graph"]
+
+
+def test_crossing_free_diagram_answers_only_for_one_circle():
+    # one circle is test_diagram_girth_examples' K(0,0); K(0) is two circles
+    for pd in (pd_from_rep(Girth1Rep(0)), PDCode(()), PDCode((), 3)):
+        with pytest.raises(ValueError, match="must be one circle"):
+            diagram_girth(pd)
 
 
 def test_figure2_girth_three():
@@ -249,7 +271,7 @@ def test_shading_one_trees_are_complements_of_shading_zero_trees():
         for target in (2, 3):
             # what the search over both shadings recovered
             old = {
-                key(decompose(pd, si, t))
+                key(decompose_pd(pd, si, t))
                 for si, girths in ((0, girth0), (1, girth1))
                 for t, g in girths.items()
                 if g == target
@@ -280,7 +302,7 @@ def _subset_filter_trees(tait):
     return [
         combo
         for combo in itertools.combinations(ids, v - 1)
-        if _is_spanning_tree(v, [tait.endpoints(ei) for ei in combo])
+        if is_spanning_tree(v, [(tait.edges[ei].v1, tait.edges[ei].v2) for ei in combo])
     ]
 
 
@@ -289,7 +311,7 @@ def _self_loop_graph():
     pd = pd_from_rep(Girth3Rep((1, 2, 0), (0, 1, 0)))
     g = tait_graph(pd, checkerboard(pd)[1])
     assert any(e.v1 == e.v2 for e in g.edges)
-    pairs = [frozenset(g.endpoints(ei)) for ei in range(len(g.edges))]
+    pairs = [frozenset((e.v1, e.v2)) for e in g.edges]
     assert len(set(pairs)) < len(pairs)
     return g
 

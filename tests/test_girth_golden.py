@@ -7,8 +7,9 @@ these commands print shows up here.  The inputs are the shipped fixtures,
 seeded girth-2 and girth-3 templates and braid closures of 10 to 16
 crossings, and six diagrams the commands refuse or treat specially; they
 are stored verbatim, and ``golden_inputs`` says how they were made.  The
-two JSON results of "free loops only" were taken again when a crossing-free
-diagram got a JSON answer.
+four results of "free loops only" were taken again when a crossing-free
+diagram of other than one circle came to be refused, and those of "over
+budget (9,9)" when the budget refusal stopped counting the trees.
 """
 
 import contextlib

@@ -12,10 +12,8 @@ from knotpair.laurent import (
     LaurentPoly,
     TagMismatchError,
     jones_from_bracket,
-    jones_span,
     jones_span_inclusive,
     jones_to_text,
-    lp_extremes,
     poly_to_text,
     unpack,
 )
@@ -84,10 +82,16 @@ def test_invert_variable_involution_and_homomorphism():
 
 
 def test_extremes():
-    assert lp_extremes(P({-4: -1, 8: 1})) == (-4, 8, 12)
-    assert lp_extremes(P({0: 3})) == (0, 0, 0)
-    with pytest.raises(ValueError):
-        lp_extremes(P({}))
+    x = P({-4: -1, 8: 1})
+    assert (x.min_exp(), x.max_exp()) == (-4, 8)
+    assert (P({0: 3}).min_exp(), P({0: 3}).max_exp()) == (0, 0)
+    assert jones_span_inclusive(P({-4: -1, 8: 1}, "t")) == 4
+    assert jones_span_inclusive(P({0: 3}, "t")) == 1
+    for method in (P({}).min_exp, P({}).max_exp):
+        with pytest.raises(ValueError):
+            method()
+    with pytest.raises(ValueError, match="span of the zero polynomial is undefined"):
+        jones_span_inclusive(P({}, "t"))
 
 
 def test_jones_from_bracket_substitution():
@@ -95,7 +99,6 @@ def test_jones_from_bracket_substitution():
     j = jones_from_bracket(P({2: -1, -2: -1}), 0)
     assert j.tag == "t"
     assert jones_to_text(j) == "-t^(-1/2) - t^(1/2)"
-    assert jones_span(j) == 1
     assert jones_span_inclusive(j) == 2
 
 

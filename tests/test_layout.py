@@ -11,7 +11,8 @@ import os
 import knotpair
 
 PKG = os.path.dirname(knotpair.__file__)
-SPANS = os.path.join(os.path.dirname(__file__), "..", "perfbench", "spans.py")
+PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
+SPANS = os.path.join(PERFBENCH, "spans.py")
 
 # The paper's classification results, kept although no command prints them,
 # and the generator of the frozen girth-3 table.
@@ -43,12 +44,19 @@ def _package():
 
 def _roots():
     """``cli.main``, the kept names, and the (module, top-level name) of
-    each function perfbench wraps by name."""
+    each function perfbench wraps by name or imports from the package."""
     roots = [("cli", "main"), *KEPT]
     for stmt in _parse(SPANS).body:
         if isinstance(stmt, ast.Assign) and stmt.targets[0].id in ("TIMED", "COUNTED"):
             for _, module, attr in ast.literal_eval(stmt.value):
                 roots.append((module.rsplit(".", 1)[-1], attr.split(".")[0]))
+    for name in sorted(os.listdir(PERFBENCH)):
+        if not name.endswith(".py"):
+            continue
+        for node in ast.walk(_parse(os.path.join(PERFBENCH, name))):
+            if (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module or "").startswith("knotpair.")):
+                roots += [(node.module.rsplit(".", 1)[-1], a.name) for a in node.names]
     return roots
 
 
@@ -104,6 +112,15 @@ def test_every_definition_of_the_package_is_reached_from_a_command():
     # src/ holds what a command runs, the paper's results kept above, and
     # what perfbench wraps by name; anything else belongs under tests/
     assert _unreached(_package(), _roots()) == []
+
+
+def test_only_what_perfbench_names_is_kept_beside_the_commands():
+    # what perfbench alone keeps in src/: a change to the benchmark that
+    # stops naming these may delete them
+    assert _unreached(_package(), [("cli", "main"), *KEPT]) == [
+        ("closedform", "sym_s"),
+        ("girth", "tree_count"),
+    ]
 
 
 def test_the_reachability_guard_finds_a_definition_no_command_reaches():

@@ -152,10 +152,10 @@ def test_conway_properties_structural():
 
 def test_conway_same_direction_twist_chain():
     # odd closed twist chains realize the Conway ladder nabla_p
-    from knotpair.closedform import nabla_same
+    from knotpair.closedform import conway_single_twist
 
     for p in (1, 3, 5, 7, -3, -5):
-        assert conway_fox(pd_from_rep(Girth1Rep(p))) == nabla_same(p)
+        assert conway_fox(pd_from_rep(Girth1Rep(p))) == conway_single_twist(p)
 
 
 def test_skein_relation_across_even_twist_family():

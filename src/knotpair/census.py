@@ -5,10 +5,8 @@ from __future__ import annotations
 import csv
 import itertools
 import json
-import pathlib
-from dataclasses import dataclass
+import os
 from fractions import Fraction
-from importlib import resources
 
 from . import classify, oracle
 from .diagram import orient, pd_from_json, pd_from_rep
@@ -18,6 +16,7 @@ from .laurent import (
     jones_to_text,
     poly_to_text,
 )
+from .record import Record, set_field
 from .reps import Girth2Rep, Girth3Rep, canonicalize, g3_wheel_min, parse_rep
 from .tables import (
     ROLFSEN_TABLE,
@@ -31,8 +30,7 @@ G3_BUDGET = 6
 FIELDS = ("rep", "girth", "components", "conway", "jones", "span", "class_id", "verdict")
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(Record):
     """What the census prints of one class of representations.
 
     ``conway`` and ``jones`` are the polynomials' text, formatted once;
@@ -41,10 +39,26 @@ class InvariantRecord:
     every member of a class has the same record.
     """
 
-    components: int
-    conway: str
-    jones: str
-    span: Fraction
+    __slots__ = ("components", "conway", "jones", "span")
+
+    def __init__(self, components: int, conway: str, jones: str, span: Fraction) -> None:
+        set_field(self, "components", components)
+        set_field(self, "conway", conway)
+        set_field(self, "jones", jones)
+        set_field(self, "span", span)
+
+    def _key(self) -> tuple:
+        return (self.components, self.conway, self.jones, self.span)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.components, self.conway, self.jones, self.span) == (
+                other.components, other.conway, other.jones, other.span
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components, self.conway, self.jones, self.span))
 
     def class_key(self) -> tuple:
         return (self.components, self.conway, self.jones)
@@ -113,15 +127,22 @@ def _label_range(max_abs: int, even_only: bool, positive_only: bool) -> list[int
     ]
 
 
-@dataclass(frozen=True)
-class CensusClass:
+class CensusClass(Record):
     """The census reps of one class key: canonical, with distinct canonical
     keys, so each member after the head is Unresolved against it (see
     ``dedup_census``)."""
 
-    class_id: str
-    record: InvariantRecord  # the class head's, the same for every member
-    members: tuple  # representations, head first
+    # record: the class head's, the same for every member; members:
+    # representations, head first
+    __slots__ = ("class_id", "record", "members")
+
+    def __init__(self, class_id: str, record: InvariantRecord, members: tuple) -> None:
+        set_field(self, "class_id", class_id)
+        set_field(self, "record", record)
+        set_field(self, "members", members)
+
+    def _key(self) -> tuple:
+        return (self.class_id, self.record, self.members)
 
 
 def dedup_census(
@@ -191,27 +212,32 @@ def census_csv(classes, out) -> None:
 # Rolfsen table verification
 
 
-@dataclass(frozen=True)
-class TableResult:
-    name: str
-    rep_text: str | None
-    status: str  # PASS / FAIL / SKIP / ABSENT
-    detail: str = ""
+class TableResult(Record):
+    __slots__ = ("name", "rep_text", "status", "detail")
+
+    def __init__(self, name: str, rep_text: str | None, status: str, detail: str = "") -> None:
+        set_field(self, "name", name)
+        set_field(self, "rep_text", rep_text)
+        set_field(self, "status", status)  # PASS / FAIL / SKIP / ABSENT
+        set_field(self, "detail", detail)
+
+    def _key(self) -> tuple:
+        return (self.name, self.rep_text, self.status, self.detail)
 
 
 def _fixture_files(fixtures_dir: str | None) -> dict:
-    """File name -> file of every reference fixture, listed once.
+    """File name -> path of every reference fixture, listed once.
 
-    ``fixtures_dir`` overrides the shipped fixtures; a missing directory
-    holds none.
+    ``fixtures_dir`` overrides the fixtures shipped beside this module; a
+    missing directory holds none.
     """
     if fixtures_dir is None:
-        root = resources.files("knotpair").joinpath("fixtures").joinpath("rolfsen")
+        root = os.path.join(os.path.dirname(__file__), "fixtures", "rolfsen")
+    elif os.path.isdir(fixtures_dir):
+        root = fixtures_dir
     else:
-        root = pathlib.Path(fixtures_dir)
-        if not root.is_dir():
-            return {}
-    return {f.name: f for f in root.iterdir()}
+        return {}
+    return {name: os.path.join(root, name) for name in os.listdir(root)}
 
 
 def verify_table(
@@ -241,13 +267,14 @@ def verify_table(
             rep_text = TABLE_ERRATA[name]
             note = "erratum applied; "
 
-        ref_file = files.get(fixture_filename(name))
-        if ref_file is None:
+        ref_path = files.get(fixture_filename(name))
+        if ref_path is None:
             results.append(
                 TableResult(name, rep_text, "SKIP", "no reference fixture shipped")
             )
             continue
-        ref = pd_from_json(ref_file.read_text())
+        with open(ref_path) as f:
+            ref = pd_from_json(f.read())
         rep = parse_rep(rep_text)
         pd = pd_from_rep(rep)
         ori_rep, ori_ref = orient(pd), orient(ref)

@@ -6,11 +6,10 @@ A verdict never claims knot equivalence from invariant equality alone;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import closedform as cf
 from . import oracle
 from .laurent import LaurentPoly, jones_from_bracket, poly_to_text
+from .record import Record, set_field
 from .reps import (
     Girth1Rep,
     Girth2Rep,
@@ -35,16 +34,19 @@ UNRESOLVED = "Unresolved"
 CLOSED_CAP = 20000
 
 
-@dataclass(frozen=True)
-class Verdict:
-    tag: str
-    evidence: LaurentPoly | None = None
-    note: str = ""
+class Verdict(Record):
+    __slots__ = ("tag", "evidence", "note")
 
-    def __post_init__(self) -> None:
-        if self.tag in (DISTINCT_BY_CONWAY, DISTINCT_BY_JONES):
-            if self.evidence is None or self.evidence.is_zero():
+    def __init__(self, tag: str, evidence: LaurentPoly | None = None, note: str = "") -> None:
+        if tag in (DISTINCT_BY_CONWAY, DISTINCT_BY_JONES):
+            if evidence is None or evidence.is_zero():
                 raise ValueError("distinctness verdicts need nonzero evidence")
+        set_field(self, "tag", tag)
+        set_field(self, "evidence", evidence)
+        set_field(self, "note", note)
+
+    def _key(self) -> tuple:
+        return (self.tag, self.evidence, self.note)
 
     def to_json_dict(self) -> dict:
         out: dict = {"verdict": self.tag}
@@ -142,13 +144,35 @@ def row_swap_test(rep: Girth3Rep) -> Verdict:
 # general comparison
 
 
-@dataclass(frozen=True)
-class RepInvariants:
-    components: int
-    conway: LaurentPoly | None
-    bracket: LaurentPoly
-    jones: LaurentPoly
-    writhe: int
+class RepInvariants(Record):
+    __slots__ = ("components", "conway", "bracket", "jones", "writhe")
+
+    def __init__(
+        self,
+        components: int,
+        conway: LaurentPoly | None,
+        bracket: LaurentPoly,
+        jones: LaurentPoly,
+        writhe: int,
+    ) -> None:
+        set_field(self, "components", components)
+        set_field(self, "conway", conway)
+        set_field(self, "bracket", bracket)
+        set_field(self, "jones", jones)
+        set_field(self, "writhe", writhe)
+
+    def _key(self) -> tuple:
+        return (self.components, self.conway, self.bracket, self.jones, self.writhe)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.components, self.conway, self.bracket, self.jones, self.writhe) == (
+                other.components, other.conway, other.bracket, other.jones, other.writhe
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.components, self.conway, self.bracket, self.jones, self.writhe))
 
 
 def rep_invariants(rep) -> RepInvariants:

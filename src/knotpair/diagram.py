@@ -18,27 +18,33 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import sys
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
+from .record import Record, set_field
 from .reps import Girth1Rep, Girth2Rep, Girth3Rep
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(Record):
     """Crossing list plus a count of crossing-free circles.
 
     A code made by ``DiagramBuilder.build`` keeps ``orient`` of itself in
     ``orientation``, so that ``orient`` hands it back without tracing the
-    strands again.  Only the builder sets it; equality and hashing ignore
-    it, and every other code has None.
+    strands again.  Only the builder sets it; equality, hashing and repr
+    ignore it, and every other code has None.
     """
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    free_loops: int = 0
-    orientation: Orientation | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("crossings", "free_loops", "orientation")
+
+    def __init__(
+        self, crossings: tuple[tuple[int, int, int, int], ...], free_loops: int = 0
+    ) -> None:
+        set_field(self, "crossings", crossings)
+        set_field(self, "free_loops", free_loops)
+        set_field(self, "orientation", None)
+
+    def _key(self) -> tuple:
+        return (self.crossings, self.free_loops)
 
     def n(self) -> int:
         return len(self.crossings)
@@ -69,14 +75,41 @@ def validate_pd(pd: PDCode) -> None:
             )
 
 
+class _LongInt(str):
+    """The digits of a JSON integer that ``int`` refuses to convert, having
+    more than ``sys.get_int_max_str_digits()`` of them."""
+
+    def __repr__(self) -> str:
+        return f"<{len(self.lstrip('-'))}-digit integer>"
+
+
+def _json_int(digits: str) -> int | _LongInt:
+    try:
+        return int(digits)
+    except ValueError:
+        return _LongInt(digits)
+
+
 def pd_from_json(text: str) -> PDCode:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:
+        # an integer too long for int(): read again, keeping such integers
+        # as text, to say where it sits
+        obj = json.loads(text, parse_int=_json_int)
     if not isinstance(obj, dict):
         raise InvalidPDError("PD JSON must be an object with a 'crossings' list")
     crossings = obj.get("crossings")
     if not isinstance(crossings, list):
         raise InvalidPDError(f"'crossings' must be a list, got {crossings!r}")
-    for c in crossings:
+    for i, c in enumerate(crossings):
+        if isinstance(c, list) and any(type(a) is _LongInt for a in c):
+            raise InvalidPDError(
+                f"crossings[{i}] has an arc id of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            )
         # type() rather than isinstance(): JSON true/false are not arc ids
         if not (isinstance(c, list) and len(c) == 4 and all(type(a) is int for a in c)):
             raise InvalidPDError(f"crossing {c!r} is not a list of 4 integers")
@@ -103,7 +136,16 @@ def pd_from_text(text: str) -> PDCode:
         raise InvalidPDError(
             f"expected an X(a,b,c,d) term at position {pos}, found {text[pos:pos + 20]!r}"
         )
-    pd = PDCode(tuple(tuple(int(g) for g in m.groups()) for m in _X_RE.finditer(text)))
+    crossings = []
+    for m in _X_RE.finditer(text):
+        try:
+            crossings.append(tuple(int(g) for g in m.groups()))
+        except ValueError:
+            raise InvalidPDError(
+                f"the X term at position {m.start()} has an arc id of more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+    pd = PDCode(tuple(crossings))
     validate_pd(pd)
     return pd
 
@@ -132,8 +174,7 @@ def _other_end(arcs: Iterable[object]) -> list[int]:
     return other
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(Record):
     """Derived orientation data for a PD code.
 
     ``incoming[ci][slot]`` says whether the strand enters the crossing there;
@@ -141,10 +182,22 @@ class Orientation:
     counted in the PD's ``free_loops``.
     """
 
-    incoming: tuple[tuple[bool, bool, bool, bool], ...]
-    n_components: int
-    signs: tuple[int, ...]
-    writhe: int
+    __slots__ = ("incoming", "n_components", "signs", "writhe")
+
+    def __init__(
+        self,
+        incoming: tuple[tuple[bool, bool, bool, bool], ...],
+        n_components: int,
+        signs: tuple[int, ...],
+        writhe: int,
+    ) -> None:
+        set_field(self, "incoming", incoming)
+        set_field(self, "n_components", n_components)
+        set_field(self, "signs", signs)
+        set_field(self, "writhe", writhe)
+
+    def _key(self) -> tuple:
+        return (self.incoming, self.n_components, self.signs, self.writhe)
 
 
 def _orientation(incoming: list[bool], n_components: int) -> Orientation:
@@ -300,18 +353,30 @@ def checkerboard(pd: PDCode) -> tuple[list[list[int]], list[list[int]]]:
     )
 
 
-@dataclass(frozen=True)
-class TaitEdge:
+class TaitEdge(Record):
     """The Tait edge of one crossing, whose index it shares: it joins the
     vertex at black corner k0 (end 0) to the one at k0 + 2 (end 1)."""
 
-    v1: int
-    v2: int
-    k0: int  # 0 or 1
+    __slots__ = ("v1", "v2", "k0")
+
+    def __init__(self, v1: int, v2: int, k0: int) -> None:
+        set_field(self, "v1", v1)
+        set_field(self, "v2", v2)
+        set_field(self, "k0", k0)  # 0 or 1
+
+    def _key(self) -> tuple:
+        return (self.v1, self.v2, self.k0)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.v1, self.v2, self.k0) == (other.v1, other.v2, other.k0)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.v1, self.v2, self.k0))
 
 
-@dataclass(frozen=True)
-class TaitGraph:
+class TaitGraph(Record):
     """Checkerboard graph with a rotation system.
 
     ``rotation[v]`` lists (edge_index, end) around vertex v in the cyclic
@@ -319,9 +384,20 @@ class TaitGraph:
     crossing, end 1 to corner k0+2.
     """
 
-    n_vertices: int
-    edges: tuple[TaitEdge, ...]
-    rotation: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("n_vertices", "edges", "rotation")
+
+    def __init__(
+        self,
+        n_vertices: int,
+        edges: tuple[TaitEdge, ...],
+        rotation: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> None:
+        set_field(self, "n_vertices", n_vertices)
+        set_field(self, "edges", edges)
+        set_field(self, "rotation", rotation)
+
+    def _key(self) -> tuple:
+        return (self.n_vertices, self.edges, self.rotation)
 
 
 def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:
@@ -446,9 +522,7 @@ class DiagramBuilder:
         pd = PDCode(tuple(crossings), free_loops)
         validate_pd(pd)
         # the one field set after construction, by the builder alone
-        object.__setattr__(
-            pd, "orientation", _orientation(reversed_in, traced + free_loops)
-        )
+        set_field(pd, "orientation", _orientation(reversed_in, traced + free_loops))
         return pd
 
 

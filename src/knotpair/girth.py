@@ -29,10 +29,9 @@ its walked girth must equal the searched one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import PDCode, TaitGraph, checkerboard, tait_graph
 from .oracle import _bareiss_det
+from .record import Record, set_field
 from .reps import Girth2Rep, Girth3Rep, PlaneTree, TreePairRep
 
 # Sign giving twist-region labels from raw Tait signs; the white side is
@@ -194,17 +193,27 @@ def tree_count(tait: TaitGraph) -> int:
 # tree contour
 
 
-@dataclass(frozen=True)
-class Contour:
+class Contour(Record):
     """The nonempty sectors of a tree's ribbon boundary, in walk order.
 
     Per sector: the vertex it lies at, its non-tree (edge, end) items in
     rotation order, and the tree (edge, end) the walk leaves it by.
     """
 
-    vertices: tuple[int, ...]
-    dashes: tuple[tuple[tuple[int, int], ...], ...]
-    exits: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices", "dashes", "exits")
+
+    def __init__(
+        self,
+        vertices: tuple[int, ...],
+        dashes: tuple[tuple[tuple[int, int], ...], ...],
+        exits: tuple[tuple[int, int], ...],
+    ) -> None:
+        set_field(self, "vertices", vertices)
+        set_field(self, "dashes", dashes)
+        set_field(self, "exits", exits)
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.dashes, self.exits)
 
     def girth(self) -> int:
         return len(self.dashes)
@@ -249,19 +258,43 @@ def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
 # reduced trees
 
 
-@dataclass(frozen=True)
-class ReducedEdge:
-    label: int
-    v1: int
-    v2: int
-    mixed_signs: bool
+class ReducedEdge(Record):
+    __slots__ = ("label", "v1", "v2", "mixed_signs")
+
+    def __init__(self, label: int, v1: int, v2: int, mixed_signs: bool) -> None:
+        set_field(self, "label", label)
+        set_field(self, "v1", v1)
+        set_field(self, "v2", v2)
+        set_field(self, "mixed_signs", mixed_signs)
+
+    def _key(self) -> tuple:
+        return (self.label, self.v1, self.v2, self.mixed_signs)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.label, self.v1, self.v2, self.mixed_signs) == (
+                other.label, other.v1, other.v2, other.mixed_signs
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.v1, self.v2, self.mixed_signs))
 
 
-@dataclass(frozen=True)
-class ReducedTree:
-    vertices: tuple[int, ...]  # kept tait vertex ids
-    edges: tuple[ReducedEdge, ...]
-    rotation: dict  # kept vertex -> cyclic tuple of (reduced_edge_idx, end)
+class ReducedTree(Record):
+    # vertices: the kept Tait vertex ids; rotation: kept vertex -> cyclic
+    # tuple of (reduced edge index, end)
+    __slots__ = ("vertices", "edges", "rotation")
+
+    def __init__(
+        self, vertices: tuple[int, ...], edges: tuple[ReducedEdge, ...], rotation: dict
+    ) -> None:
+        set_field(self, "vertices", vertices)
+        set_field(self, "edges", edges)
+        set_field(self, "rotation", rotation)
+
+    def _key(self) -> tuple:
+        return (self.vertices, self.edges, self.rotation)
 
 
 def reduce_tree(
@@ -344,8 +377,7 @@ def _corner(tait: TaitGraph, ei: int, end: int, turn: int = 0) -> int:
 # decompositions
 
 
-@dataclass(frozen=True)
-class TaitDecomposition:
+class TaitDecomposition(Record):
     """One Heegaard decomposition of a diagram.
 
     ``tree`` lists the crossings inside the tree neighborhood; the
@@ -354,16 +386,56 @@ class TaitDecomposition:
     the girth are recorded.
     """
 
-    shading_index: int  # 0 or 1, into checkerboard(pd)
-    tree: tuple[int, ...]
-    dual_tree: tuple[int, ...]
-    reduced_black: ReducedTree
-    reduced_white: ReducedTree
-    girth: int
-    blocks: tuple  # cyclic ((('A', class), ('B', class)) ...) dash id lists
-    black_class_edges: tuple  # per A-class: (reduced edge idx or None)
-    white_class_edges: tuple  # per A-class: aligned white reduced edge idx
-    mixed_signs: bool
+    __slots__ = (
+        "shading_index",  # 0 or 1, into checkerboard(pd)
+        "tree",
+        "dual_tree",
+        "reduced_black",
+        "reduced_white",
+        "girth",
+        "blocks",  # cyclic ((('A', class), ('B', class)) ...) dash id lists
+        "black_class_edges",  # per A-class: (reduced edge idx or None)
+        "white_class_edges",  # per A-class: aligned white reduced edge idx
+        "mixed_signs",
+    )
+
+    def __init__(
+        self,
+        shading_index: int,
+        tree: tuple[int, ...],
+        dual_tree: tuple[int, ...],
+        reduced_black: ReducedTree,
+        reduced_white: ReducedTree,
+        girth: int,
+        blocks: tuple,
+        black_class_edges: tuple,
+        white_class_edges: tuple,
+        mixed_signs: bool,
+    ) -> None:
+        set_field(self, "shading_index", shading_index)
+        set_field(self, "tree", tree)
+        set_field(self, "dual_tree", dual_tree)
+        set_field(self, "reduced_black", reduced_black)
+        set_field(self, "reduced_white", reduced_white)
+        set_field(self, "girth", girth)
+        set_field(self, "blocks", blocks)
+        set_field(self, "black_class_edges", black_class_edges)
+        set_field(self, "white_class_edges", white_class_edges)
+        set_field(self, "mixed_signs", mixed_signs)
+
+    def _key(self) -> tuple:
+        return (
+            self.shading_index,
+            self.tree,
+            self.dual_tree,
+            self.reduced_black,
+            self.reduced_white,
+            self.girth,
+            self.blocks,
+            self.black_class_edges,
+            self.white_class_edges,
+            self.mixed_signs,
+        )
 
     def summary(self) -> dict:
         return {

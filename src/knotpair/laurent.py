@@ -23,11 +23,12 @@ cut into slots with ``to_bytes`` and the bias is taken off again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd
 from operator import sub
+
+from .record import Record, set_field
 
 # Exponents are kept inside a 64-bit-ish window so that a runaway
 # computation fails loudly instead of silently chewing memory.
@@ -38,8 +39,7 @@ class TagMismatchError(ValueError):
     """Binary operation on polynomials with different variable tags."""
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class LaurentPoly(Record):
     """A Laurent polynomial, stored as sorted (exponent, coefficient) pairs.
 
     ``terms`` never contains a zero coefficient; the zero polynomial has an
@@ -48,8 +48,22 @@ class LaurentPoly:
     and must agree between operands of binary ops.
     """
 
-    terms: tuple[tuple[int, int], ...]
-    tag: str = "A"
+    __slots__ = ("terms", "tag")
+
+    def __init__(self, terms: tuple[tuple[int, int], ...], tag: str = "A") -> None:
+        set_field(self, "terms", terms)
+        set_field(self, "tag", tag)
+
+    def _key(self) -> tuple:
+        return (self.terms, self.tag)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.terms, self.tag) == (other.terms, other.tag)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.tag))
 
     # -- constructors ------------------------------------------------------
 

@@ -14,12 +14,19 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
+import sys
+
+from .record import Record, set_field
 
 
-@dataclass(frozen=True, slots=True)
-class Girth1Rep:
-    p: int
+class Girth1Rep(Record):
+    __slots__ = ("p",)
+
+    def __init__(self, p: int) -> None:
+        set_field(self, "p", p)
+
+    def _key(self) -> tuple:
+        return (self.p,)
 
     def girth(self) -> int:
         return 1
@@ -28,10 +35,23 @@ class Girth1Rep:
         return f"({self.p})"
 
 
-@dataclass(frozen=True, slots=True)
-class Girth2Rep:
-    p: int
-    q: int
+class Girth2Rep(Record):
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: int, q: int) -> None:
+        set_field(self, "p", p)
+        set_field(self, "q", q)
+
+    def _key(self) -> tuple:
+        return (self.p, self.q)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.p, self.q) == (other.p, other.q)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q))
 
     def girth(self) -> int:
         return 2
@@ -40,10 +60,23 @@ class Girth2Rep:
         return f"({self.p},{self.q})"
 
 
-@dataclass(frozen=True, slots=True)
-class Girth3Rep:
-    top: tuple[int, int, int]
-    bottom: tuple[int, int, int]
+class Girth3Rep(Record):
+    __slots__ = ("top", "bottom")
+
+    def __init__(self, top: tuple[int, int, int], bottom: tuple[int, int, int]) -> None:
+        set_field(self, "top", top)
+        set_field(self, "bottom", bottom)
+
+    def _key(self) -> tuple:
+        return (self.top, self.bottom)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.top, self.bottom) == (other.top, other.bottom)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.top, self.bottom))
 
     def girth(self) -> int:
         return 3
@@ -54,8 +87,7 @@ class Girth3Rep:
         return f"[{t} / {b}]"
 
 
-@dataclass(frozen=True, slots=True)
-class PlaneTree:
+class PlaneTree(Record):
     """A labeled tree with a rotation system.
 
     ``edges[i] = (u, v, label)``; ``rotation[v]`` lists, in cyclic order
@@ -63,15 +95,30 @@ class PlaneTree:
     ``end`` is 0 for the u-side and 1 for the v-side of the edge.
     """
 
-    edges: tuple[tuple[int, int, int], ...]
-    rotation: tuple[tuple[tuple[int, int], ...], ...]
+    __slots__ = ("edges", "rotation")
+
+    def __init__(
+        self,
+        edges: tuple[tuple[int, int, int], ...],
+        rotation: tuple[tuple[tuple[int, int], ...], ...],
+    ) -> None:
+        set_field(self, "edges", edges)
+        set_field(self, "rotation", rotation)
+
+    def _key(self) -> tuple:
+        return (self.edges, self.rotation)
 
 
-@dataclass(frozen=True, slots=True)
-class TreePairRep:
-    inside: PlaneTree
-    outside: PlaneTree
-    girth_value: int
+class TreePairRep(Record):
+    __slots__ = ("inside", "outside", "girth_value")
+
+    def __init__(self, inside: PlaneTree, outside: PlaneTree, girth_value: int) -> None:
+        set_field(self, "inside", inside)
+        set_field(self, "outside", outside)
+        set_field(self, "girth_value", girth_value)
+
+    def _key(self) -> tuple:
+        return (self.inside, self.outside, self.girth_value)
 
     def girth(self) -> int:
         return self.girth_value
@@ -84,18 +131,33 @@ _G3_RE = re.compile(
 )
 
 
+def _labels(m: re.Match, notation: str) -> list[int]:
+    """The labels of a match of ``notation``, whose letters name them; a
+    label of more digits than ``int`` converts is refused by name."""
+    labels = []
+    for name, digits in zip(filter(str.isalpha, notation), m.groups()):
+        try:
+            labels.append(int(digits))
+        except ValueError:
+            raise ValueError(
+                f"label {name} of {notation} has more than "
+                f"{sys.get_int_max_str_digits()} digits"
+            ) from None
+    return labels
+
+
 def parse_rep(text: str):
     """Parse "(3)", "(2,-2)" or "[0 2 2 / 0 -1 -1]" notation."""
     s = text.strip()
     m = _G1_RE.match(s)
     if m:
-        return Girth1Rep(int(m.group(1)))
+        return Girth1Rep(*_labels(m, "(p)"))
     m = _G2_RE.match(s)
     if m:
-        return Girth2Rep(int(m.group(1)), int(m.group(2)))
+        return Girth2Rep(*_labels(m, "(p,q)"))
     m = _G3_RE.match(s)
     if m:
-        g = [int(m.group(i)) for i in range(1, 7)]
+        g = _labels(m, "[p q r / a b c]")
         return Girth3Rep((g[0], g[1], g[2]), (g[3], g[4], g[5]))
     raise ValueError(
         f"cannot parse representation {text!r} "
@@ -172,10 +234,15 @@ def d3_orbit(r: Girth3Rep) -> set[Girth3Rep]:
     return seen
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalRep:
-    rep: object
-    key: tuple
+class CanonicalRep(Record):
+    __slots__ = ("rep", "key")
+
+    def __init__(self, rep: object, key: tuple) -> None:
+        set_field(self, "rep", rep)
+        set_field(self, "key", key)
+
+    def _key(self) -> tuple:
+        return (self.rep, self.key)
 
 
 # The wheel symmetries as position permutations of (p q r a b c): the orbit

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 import time
 from importlib import resources
 
@@ -86,6 +87,39 @@ def test_pd_text_with_unreadable_text_is_refused_at_its_position(tmp_path, capsy
         assert captured.out == ""
         assert captured.err.startswith(f"error: expected an X(a,b,c,d) term at position {position},")
         assert len(captured.err.splitlines()) == 1
+
+
+def _overlong() -> str:
+    # one digit more than this interpreter's int() converts from text
+    return "1" * (sys.get_int_max_str_digits() + 1)
+
+
+def test_pd_text_with_an_overlong_arc_id_names_its_term(tmp_path, capsys):
+    text = f"X(1,4,2,5) X(3,{_overlong()},4,1) X(5,2,6,3)"
+    with pytest.raises(InvalidPDError) as err:
+        pd_from_text(text)
+    limit = sys.get_int_max_str_digits()
+    message = f"the X term at position 11 has an arc id of more than {limit} digits"
+    assert str(err.value) == message
+    path = tmp_path / "input.pd"
+    path.write_text(text)
+    from knotpair.cli import main
+
+    assert main(["girth", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_pd_json_with_an_overlong_arc_id_names_its_crossing():
+    trefoil = [[1, 4, 2, 5], [3, 6, 4, 1], [5, 2, 6, 3]]
+    rows = ", ".join(str(c) for c in trefoil[:2])
+    text = f'{{"crossings": [{rows}, [{_overlong()}, 2, 6, 3]]}}'
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(InvalidPDError, match=rf"^crossings\[2\] has an arc id of more than {limit} digits$"):
+        pd_from_json(text)
+    with pytest.raises(InvalidPDError, match=rf"'free_loops' .*, got <{limit + 1}-digit integer>$"):
+        pd_from_json(f'{{"crossings": {trefoil}, "free_loops": {_overlong()}}}')
+    # a number the code does not read is not converted
+    assert pd_from_json(f'{{"crossings": {trefoil}, "note": -{_overlong()}}}') == pd_from_text(TREFOIL_TEXT)
 
 
 def test_crossing_count_is_label_sum():

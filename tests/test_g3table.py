@@ -70,6 +70,13 @@ def test_all_even_pattern_matches_the_even_formula():
         assert g3table.conway(labels) == conway_girth3_even(_rep(labels)), labels
 
 
+def _import_leaves_unloaded(module, absent, *flags):
+    code = f"import sys, {module}; assert {absent!r} not in sys.modules"
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, *flags, "-c", code], check=True, env=env)
+
+
 @pytest.mark.parametrize(
     "module, absent",
     [
@@ -78,16 +85,23 @@ def test_all_even_pattern_matches_the_even_formula():
         ("knotpair.closedform", "knotpair.oracle"),
         ("knotpair.oracle", "knotpair.closedform"),
         ("knotpair.oracle", "knotpair.g3table"),
+        ("knotpair.cli", "dataclasses"),
+        ("knotpair.cli", "inspect"),
     ],
 )
 def test_import_leaves_module_unloaded(module, absent):
     # the table and the closed forms read nothing from the oracle, nor the
     # oracle from them, and the CLI loads the table only when a girth-2 or
-    # girth-3 rep needs it
-    code = f"import sys, {module}; assert {absent!r} not in sys.modules"
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+    # girth-3 rep needs it; no command pays for dataclasses or inspect at
+    # start-up
+    _import_leaves_unloaded(module, absent)
+
+
+@pytest.mark.parametrize("absent", ["importlib.resources", "pathlib"])
+def test_cli_import_without_site_leaves_module_unloaded(absent):
+    # the census finds its fixtures with os.path; site may load these
+    # modules itself (a .pth file can), so only -S shows what the CLI loads
+    _import_leaves_unloaded("knotpair.cli", absent, "-S")
 
 
 def _package_modules():

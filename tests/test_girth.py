@@ -208,7 +208,8 @@ def test_pipeline_on_independent_reference_diagrams():
     files = census_fixtures(None)
 
     def fixture_pd(name):
-        return pd_from_json(files[fixture_filename(name)].read_text())
+        with open(files[fixture_filename(name)]) as f:
+            return pd_from_json(f.read())
 
     for name in ["3_1", "4_1", "5_1", "5_2", "6_1", "6_2", "6_3", "7_4", "7_6"]:
         pd = fixture_pd(name)

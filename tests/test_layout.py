@@ -24,7 +24,7 @@ KEPT = (
     ("make_g3table", "main"),
 )
 
-# girth >= 4 ``decompose`` prints a TreePairRep through its dataclass repr,
+# girth >= 4 ``decompose`` prints a TreePairRep through its record repr,
 # pinned by tests/girth_golden.json, so these fields are read by no attribute
 UNREAD_FIELDS = {("reps.py", "TreePairRep", "inside"), ("reps.py", "TreePairRep", "outside")}
 
@@ -133,31 +133,36 @@ def test_the_reachability_guard_finds_a_definition_no_command_reaches():
     ]
 
 
-def test_every_dataclass_field_of_the_package_is_read():
-    # a field nothing reads is data carried for no one: each field declared
-    # in a dataclass of the package must be read as an attribute somewhere
-    # in the package
+def test_every_record_field_of_the_package_is_read():
+    # a field nothing reads is data carried for no one: each field a class
+    # of the package names in its __slots__ must be read as an attribute
+    # somewhere in the package, outside the methods that only store,
+    # compare or hash the fields
     trees = _package()
-    read = {
-        node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+    plumbing = {"__init__", "_key", "__eq__", "__hash__"}
 
-    def is_dataclass(node):
-        return any(
-            (d.func if isinstance(d, ast.Call) else d).id == "dataclass"
-            for d in node.decorator_list
-        )
+    def loads(node):
+        if isinstance(node, ast.FunctionDef) and node.name in plumbing:
+            return
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from loads(child)
+
+    read = {attr for tree in trees.values() for attr in loads(tree)}
+
+    def slots(cls):
+        for stmt in cls.body:
+            if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "__slots__":
+                return ast.literal_eval(stmt.value)
+        return ()
 
     fields = [
-        (f"{name}.py", cls.name, stmt.target.id)
+        (f"{name}.py", cls.name, field)
         for name, tree in trees.items()
         for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign)
+        if isinstance(cls, ast.ClassDef)
+        for field in slots(cls)
     ]
     assert len(fields) >= 60
     assert UNREAD_FIELDS <= set(fields)

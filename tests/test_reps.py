@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -26,6 +27,17 @@ def test_parse_examples():
     assert parse_rep("(3)") == Girth1Rep(3)
     assert parse_rep("(2,-2)") == Girth2Rep(2, -2)
     assert parse_rep("[0 2 2 / 0 -1 -1]") == Girth3Rep((0, 2, 2), (0, -1, -1))
+
+
+@pytest.mark.parametrize(
+    "template, notation, name",
+    [("({})", "(p)", "p"), ("(2,{})", "(p,q)", "q"), ("[1 2 3 / 4 -{} 6]", "[p q r / a b c]", "b")],
+)
+def test_parse_names_a_label_too_long_to_convert(template, notation, name):
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ValueError) as err:
+        parse_rep(template.format("7" * (limit + 1)))
+    assert str(err.value) == f"label {name} of {notation} has more than {limit} digits"
 
 
 def test_parse_round_trip_through_rendering():

@@ -9,6 +9,7 @@ import os
 from fractions import Fraction
 
 from . import classify, oracle
+from . import closedform as cf
 from .diagram import orient, pd_from_json, pd_from_rep
 from .laurent import (
     jones_from_bracket,
@@ -60,21 +61,29 @@ class InvariantRecord(Record):
     def __hash__(self) -> int:
         return hash((self.components, self.conway, self.jones, self.span))
 
-    def class_key(self) -> tuple:
-        return (self.components, self.conway, self.jones)
+
+def class_key(inv: classify.RepInvariants) -> tuple:
+    """(components, Conway text, Jones text) of a rep's invariants
+    (``classify.invariants_from_bracket``), the Conway text "" where no
+    value is available: the key the census groups by."""
+    conway = poly_to_text(inv.conway) if inv.conway is not None else ""
+    return (inv.components, conway, jones_to_text(inv.jones))
 
 
-def build_record(rep) -> InvariantRecord:
-    """Exact invariants of one representation, closed forms where they exist."""
-    inv = classify.rep_invariants(rep)
+def build_record(inv: classify.RepInvariants, key: tuple) -> InvariantRecord:
+    """The checked record of the class ``key`` = ``class_key(inv)``.
+
+    ``classify.check_identities`` and a knot's nabla(0) = 1 read only the
+    component count and the Conway and Jones polynomials, and the span only
+    the Jones polynomial.  ``poly_to_text`` is injective, so the key fixes
+    all three, and one call per key checks and records every member of the
+    class alike; a failure raises ``AssertionError``.
+    """
+    classify.check_identities(inv.components, inv.conway, inv.jones)
     if inv.conway is not None and inv.components == 1:
         assert inv.conway.coeff(0) == 1
-    return InvariantRecord(
-        components=inv.components,
-        conway=poly_to_text(inv.conway) if inv.conway is not None else "",
-        jones=jones_to_text(inv.jones),
-        span=jones_span_inclusive(inv.jones),
-    )
+    components, conway, jones = key
+    return InvariantRecord(components, conway, jones, jones_span_inclusive(inv.jones))
 
 
 def census_enumerate(
@@ -159,11 +168,22 @@ def dedup_census(
     finds neither a shared key nor a separating invariant: it answers
     Unresolved, the verdict ``_rows`` writes for every member after the
     head.  Enumerating here keeps any other input out.
+
+    ``build_record`` runs once per ``class_key``, on the class's first
+    member, and its record shares the key's strings.  The key is text, not
+    the polynomials' terms: a text takes a fraction of the memory of the
+    tuple of terms it renders, and every class keeps its key until the
+    census is written.
     """
+    bracket = cf.girth3_brackets(max_abs_label) if girth == 3 else classify.closed_bracket
     groups: dict[tuple, tuple[InvariantRecord, list]] = {}
     for rep in census_enumerate(girth, max_abs_label, even_only, positive_only):
-        rec = build_record(rep)
-        groups.setdefault(rec.class_key(), (rec, []))[1].append(rep)
+        inv = classify.invariants_from_bracket(rep, bracket(rep))
+        key = class_key(inv)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (build_record(inv, key), [])
+        group[1].append(rep)
     return [
         CensusClass(f"c{idx:04d}", record, tuple(members))
         for idx, (record, members) in enumerate(groups[k] for k in sorted(groups))

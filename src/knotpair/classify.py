@@ -176,7 +176,26 @@ class RepInvariants(Record):
 
 
 def rep_invariants(rep) -> RepInvariants:
-    """Exact invariants of a representation, all from closed forms.
+    """Exact invariants of a representation, all from closed forms:
+    ``invariants_from_bracket`` of its closed bracket.
+
+    Every result passes ``check_identities`` or raises ``AssertionError``.
+    A rep whose template has more than ``CLOSED_CAP`` crossings is refused
+    with ``ValueError`` before any evaluation; the count comes off its
+    labels.
+    """
+    n = template_crossings(rep)
+    if n > CLOSED_CAP:
+        raise ValueError(
+            f"{n} crossings exceeds the closed-form cap of {CLOSED_CAP} crossings"
+        )
+    inv = invariants_from_bracket(rep, closed_bracket(rep))
+    check_identities(inv.components, inv.conway, inv.jones)
+    return inv
+
+
+def invariants_from_bracket(rep, bracket: LaurentPoly) -> RepInvariants:
+    """The invariants of a representation around its closed bracket, unchecked.
 
     No rep builds a template.  A girth-1 rep K(p) is a knot of p crossings
     of sign -sign(p) when p is odd (``GIRTH1_HANDEDNESS`` = 1), and
@@ -187,17 +206,10 @@ def rep_invariants(rep) -> RepInvariants:
     labellings (``g3table``).  A girth-3 knot's Conway polynomial is the
     even formula when every label is even, and otherwise the table's, up
     to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers
-    on.  Every result passes ``check_identities`` or raises
-    ``AssertionError``.  A rep whose template has more than
-    ``CLOSED_CAP`` crossings is refused with ``ValueError`` before any
-    evaluation; the count comes off its labels.
+    on.  ``rep_invariants`` checks each result; the census checks each
+    distinct (components, Conway, Jones) once, the only values the checks
+    read.
     """
-    n = template_crossings(rep)
-    if n > CLOSED_CAP:
-        raise ValueError(
-            f"{n} crossings exceeds the closed-form cap of {CLOSED_CAP} crossings"
-        )
-    bracket = closed_bracket(rep)
     conway: LaurentPoly | None = None
     if isinstance(rep, Girth1Rep):
         comps, writhe = (1, -rep.p) if rep.p % 2 else (2, -abs(rep.p))
@@ -219,7 +231,6 @@ def rep_invariants(rep) -> RepInvariants:
             elif sum(map(abs, labels)) <= oracle.CONWAY_CAP:
                 conway = g3table.conway(labels)
     jones = jones_from_bracket(bracket, writhe)
-    check_identities(comps, conway, jones)
     return RepInvariants(comps, conway, bracket, jones, writhe)
 
 

@@ -40,12 +40,14 @@ def cmd_eval(args) -> int:
     builds the template once; the template carries its orientation
     (``diagram.PDCode``).  It then runs only the oracle its invariant
     needs: Fox calculus for ``conway`` (on knots; a link has no value),
-    the state sum for the rest.
+    the state sum for the rest.  ``--method both`` on a knot whose closed
+    Conway value is withheld, above ``oracle.CONWAY_CAP``, has nothing to
+    compare: it is refused after the budget check, before Fox runs.
     """
     rep = parse_rep(args.rep)
+    inv = classify.rep_invariants(rep) if args.method != "oracle" else None
 
     def closed_text() -> str:
-        inv = classify.rep_invariants(rep)
         if args.invariant == "conway":
             return _conway_text(inv.conway)
         if args.invariant == "bracket":
@@ -53,7 +55,14 @@ def cmd_eval(args) -> int:
         return jones_text(inv.jones)
 
     def oracle_text() -> str:
-        oracle.check_cap(template_crossings(rep), args.budget_crossings)
+        n = template_crossings(rep)
+        oracle.check_cap(n, args.budget_crossings)
+        if (args.invariant == "conway" and inv is not None
+                and inv.components == 1 and inv.conway is None):
+            raise ValueError(
+                f"{n} crossings exceeds CONWAY_CAP = {oracle.CONWAY_CAP}, the bound of "
+                "the closed Conway table: --method both has no closed value to compare"
+            )
         pd = pd_from_rep(rep)
         if args.invariant == "conway":
             return _conway_text(

@@ -231,7 +231,11 @@ def bracket_l1_bound(labels: tuple[int, ...]) -> int:
 
 
 def _slot_bits(labels: tuple[int, ...]) -> int:
-    """k, the least multiple of 8 with bracket_l1_bound(labels) < 2^(k-1)."""
+    """k, the least multiple of 8 with bracket_l1_bound(labels) < 2^(k-1).
+
+    The bound grows with each |label|, so the k of labels no larger in
+    absolute value is at most this one.
+    """
     return 8 * ((bracket_l1_bound(labels).bit_length() + 8) // 8)
 
 
@@ -288,14 +292,15 @@ def sym_s(k: int, triple: tuple[int, int, int]) -> LaurentPoly:
 
 
 def _row(
-    triple: tuple[int, int, int], k: int, d: int
+    triple: tuple[int, int, int], k: int
 ) -> tuple[int, int, tuple[int, int, int], int]:
     """One ring's values at y = 2^k, each times y^n for n the ring's negative sum.
 
     Returns (T, T2, singles, n): with t_i the elementary symmetric
-    functions of the ring's [x]_u, T = t1 + d t2 + d^2 t3 and
-    T2 = t2 + d t3; singles are the three terms of t1.
+    functions of the ring's [x]_u and d = -(1 + y), T = t1 + d t2 + d^2 t3
+    and T2 = t2 + d t3; singles are the three terms of t1.
     """
+    d = -((1 << k) + 1)
     (pp, np_), (pq, nq), (pr, nr) = (_q_int(x, k) for x in triple)
     n = np_ + nq + nr
     singles = (pp << k * (n - np_), pq << k * (n - nq), pr << k * (n - nr))
@@ -327,19 +332,54 @@ def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
         F1 = T B - anti - d^2 F2   (T B holds t1 b1 = adj + anti)
         F2 = T2 B2.
 
-    F is evaluated once at y = 2^k.
+    F is evaluated once at y = 2^k, k = ``_slot_bits`` of the labels
+    (``_from_rows``).
     """
     labels = rep.top + rep.bottom
     k = _slot_bits(labels)
+    return _from_rows(_row(rep.top, k), _row(rep.bottom, k), k, sum(labels))
+
+
+def _from_rows(top_row: tuple, bottom_row: tuple, k: int, w: int) -> LaurentPoly:
+    """The girth-3 bracket A^(-w) (F0 + y F1 + y^2 F2) of ``bracket_girth3``,
+    from the ``_row`` of its top and bottom rings at one slot width k.
+
+    w is the label sum.  Any k at or above ``_slot_bits`` of the labels
+    gives the same polynomial, so rows made at the k of a label bound serve
+    every labelling within it.
+    """
     d = -((1 << k) + 1)
-    top, top2, (p, q, r), nt = _row(rep.top, k, d)
-    bot, bot2, (a, b, c), nb = _row(rep.bottom, k, d)
+    top, top2, (p, q, r), nt = top_row
+    bot, bot2, (a, b, c), nb = bottom_row
     anti = p * b + q * c + r * a
     f2 = top2 * bot2
     f1 = top * bot - anti - d * d * f2
     f0 = (1 << k * (nt + nb)) + d * ((top << k * nb) + (bot << k * nt) + d * anti)
     value = f0 + (f1 << k) + (f2 << 2 * k)
-    return _decode(value, k, -sum(labels) - 4 * (nt + nb))
+    return _decode(value, k, -w - 4 * (nt + nb))
+
+
+def girth3_brackets(max_abs: int):
+    """``bracket_girth3`` of the girth-3 reps whose labels are at most
+    ``max_abs`` in absolute value, as a function of the rep.
+
+    Every bracket is evaluated at the slot width of the bound, which
+    decodes it as the rep's own width does (``_slot_bits``), so the row of
+    each label triple is made once and kept in a dict of this call.
+    """
+    k = _slot_bits((max(max_abs, 1),) * 6)
+    rows: dict[tuple, tuple] = {}
+
+    def row(triple: tuple) -> tuple:
+        found = rows.get(triple)
+        if found is None:
+            found = rows[triple] = _row(triple, k)
+        return found
+
+    def bracket(rep: Girth3Rep) -> LaurentPoly:
+        return _from_rows(row(rep.top), row(rep.bottom), k, sum(rep.top) + sum(rep.bottom))
+
+    return bracket
 
 
 def bracket_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:

@@ -282,12 +282,12 @@ class ReducedEdge(Record):
 
 
 class ReducedTree(Record):
-    # vertices: the kept Tait vertex ids; rotation: kept vertex -> cyclic
-    # tuple of (reduced edge index, end)
+    # vertices: the kept Tait vertex ids; rotation: per kept vertex, in the
+    # order of ``vertices``, the cyclic tuple of (reduced edge index, end)
     __slots__ = ("vertices", "edges", "rotation")
 
     def __init__(
-        self, vertices: tuple[int, ...], edges: tuple[ReducedEdge, ...], rotation: dict
+        self, vertices: tuple[int, ...], edges: tuple[ReducedEdge, ...], rotation: tuple
     ) -> None:
         set_field(self, "vertices", vertices)
         set_field(self, "edges", edges)
@@ -355,10 +355,9 @@ def reduce_tree(
                 )
             )
 
-    rotation = {
-        v: tuple(edge_slot[x] for x in tait.rotation[v] if x in edge_slot)
-        for v in kept
-    }
+    rotation = tuple(
+        tuple(edge_slot[x] for x in tait.rotation[v] if x in edge_slot) for v in kept
+    )
     return ReducedTree(tuple(kept), tuple(reduced_edges), rotation)
 
 
@@ -532,9 +531,10 @@ def _reject_unreduced(black: TaitGraph, white: TaitGraph) -> None:
 
 def _class_edge(red: ReducedTree, vertex: int):
     """Reduced edge index whose leaf hosts this class, or None (pad with 0)."""
-    rot = red.rotation.get(vertex, ())
-    if len(rot) == 1:
-        return rot[0][0]
+    if vertex in red.vertices:
+        rot = red.rotation[red.vertices.index(vertex)]
+        if len(rot) == 1:
+            return rot[0][0]
     return None
 
 
@@ -635,7 +635,4 @@ def _single_label(red: ReducedTree) -> int:
 def _as_plane_tree(red: ReducedTree) -> PlaneTree:
     vmap = {v: i for i, v in enumerate(red.vertices)}
     edges = tuple((vmap[e.v1], vmap[e.v2], e.label) for e in red.edges)
-    rotation = tuple(
-        tuple(red.rotation[v]) for v in red.vertices
-    )
-    return PlaneTree(edges, rotation)
+    return PlaneTree(edges, red.rotation)

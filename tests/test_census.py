@@ -7,19 +7,22 @@ import sys
 
 import pytest
 
+from knotpair import classify, closedform
 from knotpair.census import (
     _label_range,
     build_record,
     census_csv,
     census_enumerate,
     census_jsonl,
+    class_key,
     dedup_census,
     table_report,
     verify_table,
 )
-from knotpair.classify import compare
+from knotpair.classify import compare, rep_invariants
 from knotpair.diagram import pd_from_rep
-from knotpair.laurent import poly_to_text
+from knotpair.closedform import _slot_bits, bracket_girth3, girth3_brackets
+from knotpair.laurent import LaurentPoly, poly_to_text
 from knotpair.oracle import conway_fox
 from knotpair.reps import (
     Girth1Rep,
@@ -33,6 +36,11 @@ from knotpair.reps import (
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
 from template_spy import spy_on_templates
+
+
+def _record(rep):
+    inv = rep_invariants(rep)
+    return build_record(inv, class_key(inv))
 
 
 def test_enumerate_even_positive_girth2():
@@ -124,7 +132,7 @@ def test_even_positive_census_classes_are_multisets():
 def test_collision_example_conway_only():
     # K(2,8) and K(4,4) share the Conway polynomial but not the class key
     reps = [Girth2Rep(2, 8), Girth2Rep(4, 4)]
-    recs = [build_record(r) for r in reps]
+    recs = [_record(r) for r in reps]
     assert recs[0].conway == recs[1].conway
     heads = [cls.members[0] for cls in dedup_census(2, 8, True, True)]
     assert set(reps) <= set(heads)
@@ -134,13 +142,13 @@ def test_d3_orbit_collapses_to_one_class():
     # the members of a wheel orbit share one record, so one class key
     orbit = d3_orbit(Girth3Rep((2, 4, 6), (2, 2, 4)))
     assert len(orbit) > 1
-    assert len({build_record(rep) for rep in orbit}) == 1
+    assert len({_record(rep) for rep in orbit}) == 1
 
 
 @functools.cache
-def _census_classes(girth, max_abs):
+def _census_classes(girth, max_abs, even_only=False, positive_only=False):
     # both formats of one census are written from the same classes
-    return dedup_census(girth, max_abs)
+    return dedup_census(girth, max_abs, even_only, positive_only)
 
 
 def test_dedup_verdicts_match_compare():
@@ -160,10 +168,14 @@ def test_dedup_verdicts_match_compare():
         assert members > 0
 
 
-def _pin(fmt, girth, max_abs, digest):
-    # the CSV rows keep the ids they had before the format column
+def _pin(fmt, girth, max_abs, digest, flags=()):
+    # the CSV rows keep the ids they had before the format column, and the
+    # census without flags the ids it had before the flag pins
     prefix = "" if fmt == "csv" else f"{fmt}-"
-    return pytest.param(fmt, girth, max_abs, digest, id=f"{prefix}{girth}-{max_abs}-{digest}")
+    bound = "-".join((str(max_abs), *flags))
+    return pytest.param(
+        fmt, girth, max_abs, flags, digest, id=f"{prefix}{girth}-{bound}-{digest}"
+    )
 
 
 # census --girth 2 --max 12, pinned for both writers and both streams
@@ -174,7 +186,7 @@ G2_MAX12 = {
 
 
 @pytest.mark.parametrize(
-    "fmt, girth, max_abs, digest",
+    "fmt, girth, max_abs, flags, digest",
     [
         _pin("csv", 2, 12, G2_MAX12["csv"]),
         _pin("csv", 3, 2, "110926f4bd058053efda451cac9a8686ec3cd4070fb9c0fd281af4251477606d"),
@@ -182,13 +194,82 @@ G2_MAX12 = {
         _pin("csv", 3, 3, "9539e585500773509d32a755c5df00c1334d60883d2bb5b4e74a7e4b074f6c66"),
         _pin("jsonl", 2, 12, G2_MAX12["jsonl"]),
         _pin("jsonl", 3, 2, "443cb3b0208d4ab396dbed18531fda5f1ef86104fe57e7846fc266730ec11a43"),
+        # --even, --positive and both: the girth-3 slot width comes from the
+        # bound, whatever labels the flags keep
+        _pin("csv", 3, 4, "46bd9cc99badd08e24de67f79a8407288ed952a5bcc7fe2a6cbcb56d12b33001",
+             ("even",)),
+        _pin("csv", 3, 4, "2719d05d783dd6c9b1f24ddd5b92d5c4df072075915a1b2d977038cf3baab4bf",
+             ("positive",)),
+        _pin("csv", 3, 4, "70c35419f0e55e7ffd830ad40d904098fcfddf00c6e74fbced94bd760eeff107",
+             ("even", "positive")),
+        _pin("csv", 2, 12, "e158d89fe437a75c83f6a0843d0ffbcf7ff330c4165caf4374602b90c44b0889",
+             ("even",)),
+        _pin("csv", 2, 12, "2bf8032c724fe75a8181a3c4560afe7c765959ea932977715b87adb04c903f1a",
+             ("positive",)),
+        _pin("csv", 2, 12, "b6746b55dd5424b541550e217cf6f403a6af5af1862146bf402f35fa82feda4d",
+             ("even", "positive")),
     ],
 )
-def test_census_csv_is_byte_identical(fmt, girth, max_abs, digest):
+def test_census_csv_is_byte_identical(fmt, girth, max_abs, flags, digest):
     write = {"csv": census_csv, "jsonl": census_jsonl}[fmt]
     out = io.StringIO()
-    write(_census_classes(girth, max_abs), out)
+    write(_census_classes(girth, max_abs, "even" in flags, "positive" in flags), out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "max_abs, even_only, positive_only",
+    [(3, False, False), (2, False, False), (2, True, False), (2, False, True), (2, True, True)],
+)
+def test_the_census_slot_width_gives_each_reps_own_bracket(max_abs, even_only, positive_only):
+    # the census evaluates every girth-3 bracket at the slot width of its
+    # label bound, from label-triple rows it shares across reps
+    bracket = girth3_brackets(max_abs)
+    reps = census_enumerate(3, max_abs, even_only, positive_only)
+    census_k = _slot_bits((max_abs,) * 6)
+    widths = set()
+    for rep in reps:
+        widths.add(_slot_bits(rep.top + rep.bottom))
+        assert bracket(rep) == bracket_girth3(rep), rep
+    assert max(widths) <= census_k
+    assert min(widths) < census_k or len(reps) == 1
+
+
+@pytest.mark.parametrize("girth, max_abs", [(3, 2), (2, 12)])
+def test_each_members_record_is_built_from_its_own_invariants(girth, max_abs):
+    classes = _census_classes(girth, max_abs)
+    assert any(len(cls.members) > 1 for cls in classes)
+    for cls in classes:
+        for rep in cls.members:
+            assert _record(rep) == cls.record, rep
+
+
+def test_the_census_checks_the_identities_once_per_class(monkeypatch):
+    calls = []
+    real = classify.check_identities
+
+    def spy(comps, conway, jones):
+        calls.append((comps, conway, jones))
+        real(comps, conway, jones)
+
+    monkeypatch.setattr(classify, "check_identities", spy)
+    classes = dedup_census(3, 2)
+    assert len(calls) == len(set(calls)) == len(classes) < len(census_enumerate(3, 2))
+
+
+def test_a_failing_identity_stops_the_census(monkeypatch, tmp_path):
+    # one more z^2 moves nabla(2i) by -4, so |V(-1)| = |nabla(2i)| fails on
+    # the all-even knots of the census
+    from knotpair import cli
+
+    real = closedform.conway_girth3_even
+    monkeypatch.setattr(
+        closedform, "conway_girth3_even",
+        lambda rep: real(rep) + LaurentPoly.monomial(1, 2, "z"),
+    )
+    out = tmp_path / "census.csv"
+    with pytest.raises(AssertionError, match="nabla"):
+        cli.main(["census", "--girth", "3", "--max", "2", "--output", str(out)])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
@@ -205,14 +286,14 @@ def test_census_stdout_equals_the_output_file(fmt, capsys, tmp_path):
 
 
 def test_record_fields():
-    rec = build_record(Girth2Rep(2, 2))
+    rec = _record(Girth2Rep(2, 2))
     assert rec.components == 1
     assert rec.span == 4
     assert rec.conway == "1 + z^2"
     # the even closed form covers negative labels; odd labels read the
     # frozen parity-pattern table; both agree with Fox
     for rep in (Girth3Rep((2, 2, 2), (2, 2, -2)), Girth3Rep((1, 2, 0), (0, 0, 0))):
-        rec = build_record(rep)
+        rec = _record(rep)
         assert rec.components == 1
         assert rec.conway == poly_to_text(conway_fox(pd_from_rep(rep)))
 

@@ -67,6 +67,47 @@ def test_eval_both_agrees_on_girth3_knot_conway(capsys):
         checked += 1
 
 
+WITHHELD_KNOT = "[3 2 7 / 1 4 9]"  # 26 crossings, an odd label: no closed Conway
+
+
+def test_eval_both_refuses_a_withheld_closed_conway_before_fox(monkeypatch, capsys):
+    from knotpair import oracle
+
+    monkeypatch.setattr(oracle, "conway_fox", lambda *a, **k: pytest.fail("Fox ran"))
+    for fmt in ("text", "json"):
+        argv = ["eval", WITHHELD_KNOT, "conway", "--method", "both",
+                "--budget-crossings", "100", "--format", fmt]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 26 crossings exceeds CONWAY_CAP = 24, the bound of the closed "
+            "Conway table: --method both has no closed value to compare\n"
+        )
+    # the budget check comes first and keeps its message
+    assert main(["eval", WITHHELD_KNOT, "conway", "--method", "both"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 26 crossings exceeds the state-sum cap of 24 crossings\n"
+
+
+def test_eval_both_on_a_link_over_conway_cap_agrees_on_no_value(capsys):
+    code, out = run(capsys, "eval", "[3 3 7 / 1 3 9]", "conway", "--method", "both",
+                    "--budget-crossings", "100")
+    assert code == 0
+    assert out == "closed: (not available)\noracle: (not available)\nAGREE\n"
+
+
+def test_eval_both_exits_1_when_two_values_differ(monkeypatch, capsys):
+    from knotpair import oracle
+    from knotpair.laurent import LaurentPoly
+
+    monkeypatch.setattr(oracle, "conway_fox", lambda *a, **k: LaurentPoly.one("z"))
+    code, out = run(capsys, "eval", "(2,2)", "conway", "--method", "both")
+    assert code == 1
+    assert out == "closed: 1 + z^2\noracle: 1\nDISAGREE\n"
+
+
 def test_eval_oracle_over_the_cap_is_refused_in_one_line(capsys):
     code = main(["eval", "(13,12)", "bracket", "--method", "oracle"])
     captured = capsys.readouterr()

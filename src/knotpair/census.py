@@ -48,19 +48,6 @@ class InvariantRecord(Record):
         set_field(self, "jones", jones)
         set_field(self, "span", span)
 
-    def _key(self) -> tuple:
-        return (self.components, self.conway, self.jones, self.span)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.components, self.conway, self.jones, self.span) == (
-                other.components, other.conway, other.jones, other.span
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.components, self.conway, self.jones, self.span))
-
 
 def class_key(inv: classify.RepInvariants) -> tuple:
     """(components, Conway text, Jones text) of a rep's invariants
@@ -150,9 +137,6 @@ class CensusClass(Record):
         set_field(self, "record", record)
         set_field(self, "members", members)
 
-    def _key(self) -> tuple:
-        return (self.class_id, self.record, self.members)
-
 
 def dedup_census(
     girth: int,
@@ -241,22 +225,16 @@ class TableResult(Record):
         set_field(self, "status", status)  # PASS / FAIL / SKIP / ABSENT
         set_field(self, "detail", detail)
 
-    def _key(self) -> tuple:
-        return (self.name, self.rep_text, self.status, self.detail)
-
 
 def _fixture_files(fixtures_dir: str | None) -> dict:
     """File name -> path of every reference fixture, listed once.
 
     ``fixtures_dir`` overrides the fixtures shipped beside this module; a
-    missing directory holds none.
+    path that is not a directory raises ``OSError``.
     """
-    if fixtures_dir is None:
+    root = fixtures_dir
+    if root is None:
         root = os.path.join(os.path.dirname(__file__), "fixtures", "rolfsen")
-    elif os.path.isdir(fixtures_dir):
-        root = fixtures_dir
-    else:
-        return {}
     return {name: os.path.join(root, name) for name in os.listdir(root)}
 
 

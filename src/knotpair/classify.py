@@ -45,9 +45,6 @@ class Verdict(Record):
         set_field(self, "evidence", evidence)
         set_field(self, "note", note)
 
-    def _key(self) -> tuple:
-        return (self.tag, self.evidence, self.note)
-
     def to_json_dict(self) -> dict:
         out: dict = {"verdict": self.tag}
         if self.evidence is not None:
@@ -160,19 +157,6 @@ class RepInvariants(Record):
         set_field(self, "bracket", bracket)
         set_field(self, "jones", jones)
         set_field(self, "writhe", writhe)
-
-    def _key(self) -> tuple:
-        return (self.components, self.conway, self.bracket, self.jones, self.writhe)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.components, self.conway, self.bracket, self.jones, self.writhe) == (
-                other.components, other.conway, other.bracket, other.jones, other.writhe
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.components, self.conway, self.bracket, self.jones, self.writhe))
 
 
 def rep_invariants(rep) -> RepInvariants:

@@ -196,9 +196,6 @@ class Orientation(Record):
         set_field(self, "signs", signs)
         set_field(self, "writhe", writhe)
 
-    def _key(self) -> tuple:
-        return (self.incoming, self.n_components, self.signs, self.writhe)
-
 
 def _orientation(incoming: list[bool], n_components: int) -> Orientation:
     """The Orientation of a diagram from its per-port ``incoming`` flags."""
@@ -364,17 +361,6 @@ class TaitEdge(Record):
         set_field(self, "v2", v2)
         set_field(self, "k0", k0)  # 0 or 1
 
-    def _key(self) -> tuple:
-        return (self.v1, self.v2, self.k0)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.v1, self.v2, self.k0) == (other.v1, other.v2, other.k0)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.v1, self.v2, self.k0))
-
 
 class TaitGraph(Record):
     """Checkerboard graph with a rotation system.
@@ -395,9 +381,6 @@ class TaitGraph(Record):
         set_field(self, "n_vertices", n_vertices)
         set_field(self, "edges", edges)
         set_field(self, "rotation", rotation)
-
-    def _key(self) -> tuple:
-        return (self.n_vertices, self.edges, self.rotation)
 
 
 def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:

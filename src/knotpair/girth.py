@@ -212,9 +212,6 @@ class Contour(Record):
         set_field(self, "dashes", dashes)
         set_field(self, "exits", exits)
 
-    def _key(self) -> tuple:
-        return (self.vertices, self.dashes, self.exits)
-
     def girth(self) -> int:
         return len(self.dashes)
 
@@ -267,19 +264,6 @@ class ReducedEdge(Record):
         set_field(self, "v2", v2)
         set_field(self, "mixed_signs", mixed_signs)
 
-    def _key(self) -> tuple:
-        return (self.label, self.v1, self.v2, self.mixed_signs)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.label, self.v1, self.v2, self.mixed_signs) == (
-                other.label, other.v1, other.v2, other.mixed_signs
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.label, self.v1, self.v2, self.mixed_signs))
-
 
 class ReducedTree(Record):
     # vertices: the kept Tait vertex ids; rotation: per kept vertex, in the
@@ -292,9 +276,6 @@ class ReducedTree(Record):
         set_field(self, "vertices", vertices)
         set_field(self, "edges", edges)
         set_field(self, "rotation", rotation)
-
-    def _key(self) -> tuple:
-        return (self.vertices, self.edges, self.rotation)
 
 
 def reduce_tree(
@@ -421,20 +402,6 @@ class TaitDecomposition(Record):
         set_field(self, "black_class_edges", black_class_edges)
         set_field(self, "white_class_edges", white_class_edges)
         set_field(self, "mixed_signs", mixed_signs)
-
-    def _key(self) -> tuple:
-        return (
-            self.shading_index,
-            self.tree,
-            self.dual_tree,
-            self.reduced_black,
-            self.reduced_white,
-            self.girth,
-            self.blocks,
-            self.black_class_edges,
-            self.white_class_edges,
-            self.mixed_signs,
-        )
 
     def summary(self) -> dict:
         return {

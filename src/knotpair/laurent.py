@@ -54,17 +54,6 @@ class LaurentPoly(Record):
         set_field(self, "terms", terms)
         set_field(self, "tag", tag)
 
-    def _key(self) -> tuple:
-        return (self.terms, self.tag)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.terms, self.tag) == (other.terms, other.tag)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.terms, self.tag))
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -191,10 +180,7 @@ class LaurentPoly(Record):
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if n < 0:
-            if len(self.terms) == 1 and self.terms[0][1] in (1, -1):
-                e, c = self.terms[0]
-                return LaurentPoly.monomial(c, -e, self.tag) ** (-n)
-            raise ValueError("cannot invert a non-monomial Laurent polynomial")
+            raise ValueError(f"negative power {n} of a Laurent polynomial")
         result = LaurentPoly.one(self.tag)
         base = self
         while n:

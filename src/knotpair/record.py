@@ -3,12 +3,11 @@
 A record lists its fields in ``__slots__`` and sets them in its own
 ``__init__`` with ``object.__setattr__`` (bound once as ``set_field``),
 because its ``__setattr__`` and ``__delattr__`` refuse.  ``_key`` returns
-the compared fields as a tuple, in slot order.  Two records are equal when
+the slot values as a tuple, in slot order.  Two records are equal when
 they are of one class with equal keys, and a record hashes as its key
-does.  ``repr`` pairs the slots with the key, so a trailing slot outside
-the key is neither compared nor shown.  The classes built thousands of
-times per command define ``__eq__`` and ``__hash__`` over the same tuple
-themselves, without the ``_key`` call.
+does.  ``repr`` pairs the slots with the key.  Only ``PDCode`` overrides
+``_key``: it leaves out its trailing ``orientation`` slot, which is then
+neither compared nor shown.
 """
 
 from __future__ import annotations
@@ -19,6 +18,9 @@ set_field = object.__setattr__
 
 class Record:
     __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

@@ -25,9 +25,6 @@ class Girth1Rep(Record):
     def __init__(self, p: int) -> None:
         set_field(self, "p", p)
 
-    def _key(self) -> tuple:
-        return (self.p,)
-
     def girth(self) -> int:
         return 1
 
@@ -42,17 +39,6 @@ class Girth2Rep(Record):
         set_field(self, "p", p)
         set_field(self, "q", q)
 
-    def _key(self) -> tuple:
-        return (self.p, self.q)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.p, self.q) == (other.p, other.q)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
-
     def girth(self) -> int:
         return 2
 
@@ -66,17 +52,6 @@ class Girth3Rep(Record):
     def __init__(self, top: tuple[int, int, int], bottom: tuple[int, int, int]) -> None:
         set_field(self, "top", top)
         set_field(self, "bottom", bottom)
-
-    def _key(self) -> tuple:
-        return (self.top, self.bottom)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.top, self.bottom) == (other.top, other.bottom)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.top, self.bottom))
 
     def girth(self) -> int:
         return 3
@@ -105,9 +80,6 @@ class PlaneTree(Record):
         set_field(self, "edges", edges)
         set_field(self, "rotation", rotation)
 
-    def _key(self) -> tuple:
-        return (self.edges, self.rotation)
-
 
 class TreePairRep(Record):
     __slots__ = ("inside", "outside", "girth_value")
@@ -116,9 +88,6 @@ class TreePairRep(Record):
         set_field(self, "inside", inside)
         set_field(self, "outside", outside)
         set_field(self, "girth_value", girth_value)
-
-    def _key(self) -> tuple:
-        return (self.inside, self.outside, self.girth_value)
 
     def girth(self) -> int:
         return self.girth_value
@@ -240,9 +209,6 @@ class CanonicalRep(Record):
     def __init__(self, rep: object, key: tuple) -> None:
         set_field(self, "rep", rep)
         set_field(self, "key", key)
-
-    def _key(self) -> tuple:
-        return (self.rep, self.key)
 
 
 # The wheel symmetries as position permutations of (p q r a b c): the orbit

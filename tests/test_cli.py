@@ -347,6 +347,21 @@ def test_verify_table_fixtures_dir_override(tmp_path, capsys):
     assert "SKIP" in out
 
 
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_verify_table_fixtures_not_a_directory_exits_2(tmp_path, capsys, kind):
+    # a path that lists no directory is an error, not a table of SKIP rows
+    path = tmp_path / "fixtures"
+    if kind == "file":
+        path.write_text("{}")
+    code = main(["verify-table", "--fixtures", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert str(path) in lines[0]
+
+
 def test_verify_table_refuses_a_many_component_fixture_in_one_line(tmp_path, capsys):
     # a chain of 30 unknots as the trefoil's fixture: orienting it must not
     # try 2^29 directions, and its 58 crossings exceed the state-sum cap

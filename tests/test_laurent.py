@@ -237,6 +237,14 @@ def test_mul_edge_cases():
     assert s * t == packed_product(s, t)
 
 
+@pytest.mark.parametrize("n", [-1, -2, -7])
+@pytest.mark.parametrize("base", [LaurentPoly.monomial(1, 1), P({0: 1, 1: 1})])
+def test_a_negative_power_raises(base, n):
+    # a monomial is refused too: no command raises a polynomial to n < 0
+    with pytest.raises(ValueError, match=f"negative power {n} "):
+        base ** n
+
+
 def test_mul_overflow_names_the_first_exponent_out_of_range():
     with pytest.raises(OverflowError, match=f"exponent {MAX_EXPONENT + 1} "):
         P({MAX_EXPONENT: 1, 0: 1}) * P({1: 1, 0: 1})

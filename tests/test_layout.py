@@ -1,6 +1,7 @@
-"""What the package ships: every definition is run, every field is read.
+"""What the package ships: every definition is run, every field is read,
+and every record compares, hashes and prints through the one base.
 
-Both checks read the source with ``ast`` and run none of it.  Test
+The checks read the source with ``ast`` and run none of it.  Test
 references, builders and parsers live in ``tests/`` (``*_reference.py``,
 ``diagram_builders.py``, ``poly_text.py``), not in ``src/knotpair``.
 """
@@ -139,7 +140,7 @@ def test_every_record_field_of_the_package_is_read():
     # somewhere in the package, outside the methods that only store,
     # compare or hash the fields
     trees = _package()
-    plumbing = {"__init__", "_key", "__eq__", "__hash__"}
+    plumbing = {"__init__", "_key"}
 
     def loads(node):
         if isinstance(node, ast.FunctionDef) and node.name in plumbing:
@@ -167,3 +168,19 @@ def test_every_record_field_of_the_package_is_read():
     assert len(fields) >= 60
     assert UNREAD_FIELDS <= set(fields)
     assert [f for f in fields if f[2] not in read and f not in UNREAD_FIELDS] == []
+
+
+def test_records_compare_hash_and_print_through_the_base_alone():
+    # one equality for every record: ``Record`` keys on its slots in order,
+    # and only ``PDCode`` narrows the key (it leaves out ``orientation``)
+    own = sorted(
+        (cls.name, stmt.name)
+        for tree in _package().values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef)
+        and stmt.name in ("_key", "__eq__", "__hash__", "__repr__")
+    )
+    assert own == [("PDCode", "_key")]

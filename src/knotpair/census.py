@@ -12,13 +12,21 @@ from . import classify, oracle
 from . import closedform as cf
 from .diagram import orient, pd_from_json, pd_from_rep
 from .laurent import (
+    LaurentPoly,
     jones_from_bracket,
     jones_span_inclusive,
     jones_to_text,
     poly_to_text,
 )
 from .record import Record, set_field
-from .reps import Girth2Rep, Girth3Rep, canonicalize, g3_wheel_min, parse_rep
+from .reps import (
+    Girth2Rep,
+    canonicalize,
+    g3_wheel_minima,
+    parse_rep,
+    rep_from_labels,
+    rep_labels,
+)
 from .tables import (
     ROLFSEN_TABLE,
     TABLE_ERRATA,
@@ -36,8 +44,9 @@ class InvariantRecord(Record):
 
     ``conway`` and ``jones`` are the polynomials' text, formatted once;
     ``conway`` is "" where no Conway value is available.  The first three
-    fields are the class key, and the Jones text determines ``span``, so
-    every member of a class has the same record.
+    fields are the class's text key, which orders the classes, and the
+    Jones text determines ``span``, so every member of a class has the same
+    record.
     """
 
     __slots__ = ("components", "conway", "jones", "span")
@@ -49,28 +58,26 @@ class InvariantRecord(Record):
         set_field(self, "span", span)
 
 
-def class_key(inv: classify.RepInvariants) -> tuple:
-    """(components, Conway text, Jones text) of a rep's invariants
-    (``classify.invariants_from_bracket``), the Conway text "" where no
-    value is available: the key the census groups by."""
-    conway = poly_to_text(inv.conway) if inv.conway is not None else ""
-    return (inv.components, conway, jones_to_text(inv.jones))
-
-
-def build_record(inv: classify.RepInvariants, key: tuple) -> InvariantRecord:
-    """The checked record of the class ``key`` = ``class_key(inv)``.
+def build_record(
+    components: int, conway: LaurentPoly | None, jones: LaurentPoly
+) -> InvariantRecord:
+    """The checked record of the class of reps with these invariants.
 
     ``classify.check_identities`` and a knot's nabla(0) = 1 read only the
-    component count and the Conway and Jones polynomials, and the span only
-    the Jones polynomial.  ``poly_to_text`` is injective, so the key fixes
-    all three, and one call per key checks and records every member of the
-    class alike; a failure raises ``AssertionError``.
+    component count and the Conway and Jones polynomials, and the span and
+    the text only the Jones polynomial and the text of both, so one call
+    per class checks and records every member alike; a failure raises
+    ``AssertionError``.  The Conway text is "" where no value is available.
     """
-    classify.check_identities(inv.components, inv.conway, inv.jones)
-    if inv.conway is not None and inv.components == 1:
-        assert inv.conway.coeff(0) == 1
-    components, conway, jones = key
-    return InvariantRecord(components, conway, jones, jones_span_inclusive(inv.jones))
+    classify.check_identities(components, conway, jones)
+    if conway is not None and components == 1:
+        assert conway.coeff(0) == 1
+    return InvariantRecord(
+        components,
+        poly_to_text(conway) if conway is not None else "",
+        jones_to_text(jones),
+        jones_span_inclusive(jones),
+    )
 
 
 def census_enumerate(
@@ -86,6 +93,14 @@ def census_enumerate(
     pairs whose canonical form collapses to a single twist region are
     reported through their Girth1Rep canonical form.
     """
+    return [
+        rep_from_labels(labels)
+        for labels in _labellings(girth, max_abs_label, even_only, positive_only)
+    ]
+
+
+def _labellings(girth: int, max_abs_label: int, even_only: bool, positive_only: bool) -> list:
+    """The ``reps.rep_labels`` of the reps of ``census_enumerate``, in its order."""
     if girth == 2 and max_abs_label > G2_BUDGET:
         raise ValueError(f"girth-2 label budget is {G2_BUDGET}")
     if girth == 3 and max_abs_label > G3_BUDGET:
@@ -96,22 +111,21 @@ def census_enumerate(
     if girth == 3:
         # a labelling is canonical when it is the least of its wheel
         # images.  The wheel moves every position to the first, so such a
-        # labelling starts with its least label p, and the loops run in
-        # key order.
-        reps = []
+        # labelling starts with its least label p.  The labellings of one
+        # prefix (p, q) are filtered at once, in key order.
+        out = []
         for i, p in enumerate(values):
-            for rest in itertools.product(values[i:], repeat=5):
-                labels = (p,) + rest
-                if g3_wheel_min(labels) == labels:
-                    reps.append(Girth3Rep(labels[:3], labels[3:]))
-        return reps
+            rest = values[i:]
+            for q in rest:
+                out += g3_wheel_minima(list(itertools.product((p,), (q,), rest, rest, rest, rest)))
+        return out
     if girth != 2:
         raise ValueError("census enumerates girth 2 or 3")
-    seen: dict[tuple, object] = {}
+    seen: dict[tuple, tuple] = {}
     for p in values:
         for q in values:
             canon = canonicalize(Girth2Rep(p, q))
-            seen.setdefault(canon.key, canon.rep)
+            seen.setdefault(canon.key, rep_labels(canon.rep))
     return [seen[k] for k in sorted(seen)]
 
 
@@ -128,8 +142,8 @@ class CensusClass(Record):
     keys, so each member after the head is Unresolved against it (see
     ``dedup_census``)."""
 
-    # record: the class head's, the same for every member; members:
-    # representations, head first
+    # record: the same for every member; members: the ``reps.rep_labels``
+    # of the reps, head first
     __slots__ = ("class_id", "record", "members")
 
     def __init__(self, class_id: str, record: InvariantRecord, members: tuple) -> None:
@@ -146,31 +160,43 @@ def dedup_census(
 ) -> list:
     """Group the reps of ``census_enumerate`` by (components, Conway, Jones).
 
-    Each class keeps the record of its first member; a later member adds
-    only its rep.  The reps are canonical with distinct keys, and members
-    share components, Conway and Jones, so ``classify.compare(head, m)``
-    finds neither a shared key nor a separating invariant: it answers
+    The reps are canonical with distinct keys, and members share
+    components, Conway and Jones, so ``classify.compare(head, m)`` finds
+    neither a shared key nor a separating invariant: it answers
     Unresolved, the verdict ``_rows`` writes for every member after the
     head.  Enumerating here keeps any other input out.
 
-    ``build_record`` runs once per ``class_key``, on the class's first
-    member, and its record shares the key's strings.  The key is text, not
-    the polynomials' terms: a text takes a fraction of the memory of the
-    tuple of terms it renders, and every class keeps its key until the
-    census is written.
+    A rep is keyed by exact values, with no polynomial built from its
+    bracket and no text: its component count and Conway terms (None for a
+    link or past the cap) from ``classify.closed_invariants``, and the
+    integer key of its Jones polynomial at its writhe
+    (``closedform.census_jones``).  Equal keys mean equal polynomials, so
+    the classes are those of the text key.  Members stay label tuples.
+    Once every rep is keyed, each class decodes its Jones polynomial and
+    runs ``build_record`` once, and the classes are numbered in the order
+    of their records' text keys.
     """
-    bracket = cf.girth3_brackets(max_abs_label) if girth == 3 else classify.closed_bracket
-    groups: dict[tuple, tuple[InvariantRecord, list]] = {}
-    for rep in census_enumerate(girth, max_abs_label, even_only, positive_only):
-        inv = classify.invariants_from_bracket(rep, bracket(rep))
-        key = class_key(inv)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (build_record(inv, key), [])
-        group[1].append(rep)
+    jones_key, jones_of = cf.census_jones(girth, max_abs_label)
+    closed_invariants = classify.closed_invariants
+    groups: dict[tuple, list] = {}
+    for labels in _labellings(girth, max_abs_label, even_only, positive_only):
+        comps, writhe, conway = closed_invariants(labels)
+        key = (comps, None if conway is None else conway.terms, jones_key(labels, writhe))
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [labels]
+        else:
+            members.append(labels)
+    classes = []
+    while groups:  # each integer key is freed as its class's text is made
+        (comps, conway, jones), members = groups.popitem()
+        if conway is not None:
+            conway = LaurentPoly(conway, "z")
+        classes.append((build_record(comps, conway, jones_of(jones)), members))
+    classes.sort(key=lambda c: (c[0].components, c[0].conway, c[0].jones))
     return [
         CensusClass(f"c{idx:04d}", record, tuple(members))
-        for idx, (record, members) in enumerate(groups[k] for k in sorted(groups))
+        for idx, (record, members) in enumerate(classes)
     ]
 
 
@@ -180,7 +206,8 @@ def _rows(classes):
     for cls in classes:
         rec = cls.record
         verdict = None
-        for rep in cls.members:
+        for labels in cls.members:
+            rep = rep_from_labels(labels)
             yield (
                 str(rep),
                 rep.girth(),

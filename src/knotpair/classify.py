@@ -17,6 +17,7 @@ from .reps import (
     canonicalize,
     d3_orbit,
     mirror,
+    rep_labels,
     template_crossings,
 )
 
@@ -179,7 +180,21 @@ def rep_invariants(rep) -> RepInvariants:
 
 
 def invariants_from_bracket(rep, bracket: LaurentPoly) -> RepInvariants:
-    """The invariants of a representation around its closed bracket, unchecked.
+    """The invariants of a representation around its closed bracket, unchecked:
+    ``closed_invariants`` of its labels and the Jones polynomial.
+
+    ``rep_invariants`` checks each result; the census checks each distinct
+    (components, Conway, Jones) once, the only values the checks read.
+    """
+    comps, writhe, conway = closed_invariants(rep_labels(rep))
+    jones = jones_from_bracket(bracket, writhe)
+    return RepInvariants(comps, conway, bracket, jones, writhe)
+
+
+def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
+    """Component count, writhe and Conway polynomial of the rep with these
+    ``rep_labels``, the Conway polynomial None for a link or where no
+    closed value is available.
 
     No rep builds a template.  A girth-1 rep K(p) is a knot of p crossings
     of sign -sign(p) when p is odd (``GIRTH1_HANDEDNESS`` = 1), and
@@ -187,35 +202,30 @@ def invariants_from_bracket(rep, bracket: LaurentPoly) -> RepInvariants:
     makes -1.  A girth-2 rep K(p, q), whose template is that of the
     girth-3 labelling (p, 0, 0, q, 0, 0), and a girth-3 rep, knot or link,
     read their component count and writhe off the frozen table of reduced
-    labellings (``g3table``).  A girth-3 knot's Conway polynomial is the
-    even formula when every label is even, and otherwise the table's, up
-    to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers
-    on.  ``rep_invariants`` checks each result; the census checks each
-    distinct (components, Conway, Jones) once, the only values the checks
-    read.
+    labellings (``g3table``).  A girth-1 or girth-2 knot's Conway
+    polynomial is its twist formula.  A girth-3 knot's is the even formula
+    when every label is even, and otherwise the table's, up to
+    ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers on.
     """
-    conway: LaurentPoly | None = None
-    if isinstance(rep, Girth1Rep):
-        comps, writhe = (1, -rep.p) if rep.p % 2 else (2, -abs(rep.p))
-        if comps == 1:
-            conway = cf.conway_single_twist(rep.p)
-    else:
-        from . import g3table  # frozen data: loaded on first use
+    if len(labels) == 1:
+        (p,) = labels
+        if p % 2:
+            return 1, -p, cf.conway_single_twist(p)
+        return 2, -abs(p), None
+    from . import g3table  # frozen data: loaded on first use
 
-        if isinstance(rep, Girth2Rep):
-            labels = (rep.p, 0, 0, rep.q, 0, 0)
-        else:
-            labels = rep.top + rep.bottom
-        comps, writhe = g3table.components_and_writhe(labels)
-        if comps == 1:
-            if isinstance(rep, Girth2Rep):
-                conway = cf.conway_double_twist(rep.p, rep.q)
-            elif all(x % 2 == 0 for x in labels):
-                conway = cf.conway_girth3_even(rep)
-            elif sum(map(abs, labels)) <= oracle.CONWAY_CAP:
-                conway = g3table.conway(labels)
-    jones = jones_from_bracket(bracket, writhe)
-    return RepInvariants(comps, conway, bracket, jones, writhe)
+    if len(labels) == 2:
+        p, q = labels
+        comps, writhe = g3table.components_and_writhe((p, 0, 0, q, 0, 0))
+        return comps, writhe, cf.conway_double_twist(p, q) if comps == 1 else None
+    comps, writhe = g3table.components_and_writhe(labels)
+    conway = None
+    if comps == 1:
+        if all(x % 2 == 0 for x in labels):
+            conway = cf.conway_girth3_even(Girth3Rep(labels[:3], labels[3:]))
+        elif sum(map(abs, labels)) <= oracle.CONWAY_CAP:
+            conway = g3table.conway(labels)
+    return comps, writhe, conway
 
 
 def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly) -> None:
@@ -268,23 +278,12 @@ def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly)
 def closed_bracket(rep) -> LaurentPoly:
     """Closed-form Kauffman bracket for any girth <= 3 representation."""
     if isinstance(rep, Girth1Rep):
-        return bracket_single_twist(rep.p)
+        return cf.bracket_single_twist(rep.p)
     if isinstance(rep, Girth2Rep):
         return cf.bracket_double_twist(rep.p, rep.q)
     if isinstance(rep, Girth3Rep):
         return cf.bracket_girth3(rep)
     raise TypeError(f"no closed bracket for {rep!r}")
-
-
-def bracket_single_twist(p: int) -> LaurentPoly:
-    """Bracket of the closed twist region: <K(p)> = A^-p (delta + s_p).
-
-    That is delta A^-p + S_p, linear in |p|; s_p = S_p A^p as in
-    ``closedform``.  Verified against the state-sum oracle and against the
-    one-crossing recurrence <K(p)> = A^-1 <K(p-1)> + A (-A^3)^(p-1),
-    <K(0)> = delta.
-    """
-    return cf.loop_value().shift(-p) + cf.s_poly(p)
 
 
 def jones_equal(

@@ -30,11 +30,16 @@ cut into coefficients once:
 * **Slot width.** Expanded, the girth-3 formula is 64 products of at most
   six S's times delta^m with m <= 3.  Since ||S_x||_1 = |x| and
   ||delta||_1 = 2, ||bracket||_1 <= 512 prod max(1, |x|); the girth-2
-  formula has four products with at most one delta, so 8 prod max(1, |x|)
-  (``bracket_l1_bound``).  k is the least multiple of 8 with the bound
-  below 2^(k-1), so every coefficient of y^N F, which are those of the
-  bracket, fits a k-bit slot with the sign bit to spare, and
+  formula has four products with at most one delta, so 8 prod max(1, |x|),
+  and the girth-1 bracket delta A^-p + S_p has ||.||_1 <= 2 + |p| <=
+  8 max(1, |p|) (``bracket_l1_bound``).  k is the least multiple of 8 with
+  the bound below 2^(k-1), so every coefficient of y^N F, which are those
+  of the bracket, fits a k-bit slot with the sign bit to spare, and
   ``laurent.unpack`` reads them off with one biased cut.
+* **The census key.** ``census_jones`` packs every bracket of one census
+  at one slot width and keys its Jones polynomial by two integers
+  (argued there), so a rep of the census costs int arithmetic alone and
+  only a class decodes a polynomial.
 """
 
 from __future__ import annotations
@@ -249,10 +254,27 @@ def _q_int(x: int, k: int) -> tuple[int, int]:
     return num // ((1 << k) + 1), max(-x, 0)
 
 
-def _decode(value: int, k: int, low: int) -> LaurentPoly:
-    """The bracket whose y^j coefficient (exponent low + 4j) is slot j of value."""
+def _decode(value: int, low: int, k: int, tag: str = _A) -> LaurentPoly:
+    """The polynomial whose exponent low + 4j has slot j of value as its coefficient."""
     slots = abs(value).bit_length() // k + 1
-    return LaurentPoly.from_terms(unpack(value, k // 8, slots, low, 4), _A)
+    return LaurentPoly.from_terms(unpack(value, k // 8, slots, low, 4), tag)
+
+
+def bracket_single_twist(p: int) -> LaurentPoly:
+    """Bracket of the closed twist region: <K(p)> = A^-p (delta + s_p).
+
+    That is delta A^-p + S_p, linear in |p|.  Verified against the
+    state-sum oracle and against the one-crossing recurrence
+    <K(p)> = A^-1 <K(p-1)> + A (-A^3)^(p-1), <K(0)> = delta.
+    """
+    k = _slot_bits((p,))
+    return _decode(*_single_twist_value(p, k), k)
+
+
+def _single_twist_value(p: int, k: int) -> tuple[int, int]:
+    """(value, low): <K(p)> = A^(-p-2) (y [p]_u - (1 + y)), times y^n at y = 2^k."""
+    pp, n = _q_int(p, k)
+    return (pp << k) - (((1 << k) + 1) << k * n), -p - 2 - 4 * n
 
 
 def bracket_double_twist(p: int, q: int) -> LaurentPoly:
@@ -262,6 +284,12 @@ def bracket_double_twist(p: int, q: int) -> LaurentPoly:
     at y = 2^k (module docstring): the s_p s_q term carries y^1.
     """
     k = _slot_bits((p, q))
+    return _decode(*_double_twist_value(p, q, k), k)
+
+
+def _double_twist_value(p: int, q: int, k: int) -> tuple[int, int]:
+    """(value, low) of <K(p,q)> at y = 2^k: its coefficients are the slots
+    of value, the first at exponent low."""
     (pp, np_), (pq, nq) = _q_int(p, k), _q_int(q, k)
     d = -((1 << k) + 1)
     value = (
@@ -269,7 +297,7 @@ def bracket_double_twist(p: int, q: int) -> LaurentPoly:
         + d * ((pp << k * nq) + (pq << k * np_))
         + (pp * pq << k)
     )
-    return _decode(value, k, -p - q - 4 * (np_ + nq))
+    return value, -p - q - 4 * (np_ + nq)
 
 
 def sym_s(k: int, triple: tuple[int, int, int]) -> LaurentPoly:
@@ -333,20 +361,22 @@ def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
         F2 = T2 B2.
 
     F is evaluated once at y = 2^k, k = ``_slot_bits`` of the labels
-    (``_from_rows``).
+    (``_girth3_value``).
     """
     labels = rep.top + rep.bottom
     k = _slot_bits(labels)
-    return _from_rows(_row(rep.top, k), _row(rep.bottom, k), k, sum(labels))
+    return _decode(*_girth3_value(_row(rep.top, k), _row(rep.bottom, k), k, sum(labels)), k)
 
 
-def _from_rows(top_row: tuple, bottom_row: tuple, k: int, w: int) -> LaurentPoly:
-    """The girth-3 bracket A^(-w) (F0 + y F1 + y^2 F2) of ``bracket_girth3``,
-    from the ``_row`` of its top and bottom rings at one slot width k.
+def _girth3_value(top_row: tuple, bottom_row: tuple, k: int, w: int) -> tuple[int, int]:
+    """(value, low) of the girth-3 bracket A^(-w) (F0 + y F1 + y^2 F2) of
+    ``bracket_girth3`` at y = 2^k, from the ``_row`` of its top and bottom
+    rings at that k: its coefficients are the slots of value, the first at
+    exponent low.
 
     w is the label sum.  Any k at or above ``_slot_bits`` of the labels
-    gives the same polynomial, so rows made at the k of a label bound serve
-    every labelling within it.
+    decodes to the same polynomial, so rows made at the k of a label bound
+    serve every labelling within it.
     """
     d = -((1 << k) + 1)
     top, top2, (p, q, r), nt = top_row
@@ -356,30 +386,70 @@ def _from_rows(top_row: tuple, bottom_row: tuple, k: int, w: int) -> LaurentPoly
     f1 = top * bot - anti - d * d * f2
     f0 = (1 << k * (nt + nb)) + d * ((top << k * nb) + (bot << k * nt) + d * anti)
     value = f0 + (f1 << k) + (f2 << 2 * k)
-    return _decode(value, k, -w - 4 * (nt + nb))
+    return value, -w - 4 * (nt + nb)
 
 
-def girth3_brackets(max_abs: int):
-    """``bracket_girth3`` of the girth-3 reps whose labels are at most
-    ``max_abs`` in absolute value, as a function of the rep.
+def census_jones(girth: int, max_abs: int):
+    """(key, jones) for the census of girth ``girth`` (2 or 3) with labels
+    bounded by ``max_abs``.
 
-    Every bracket is evaluated at the slot width of the bound, which
-    decodes it as the rep's own width does (``_slot_bits``), so the row of
-    each label triple is made once and kept in a dict of this call.
+    ``key(labels, writhe)`` is the exact integer key (low, value) of the
+    Jones polynomial of the rep with these ``reps.rep_labels`` and writhe,
+    and ``jones(key)`` decodes it.  Two reps of the census have equal keys
+    exactly when their Jones polynomials are equal:
+
+    * **One slot width.** Every bracket is packed at k = ``_slot_bits``
+      of the label bound m = max(max_abs, 1), taken as six labels for
+      girth 3 and two for girth 2.  ``bracket_l1_bound`` grows with every
+      |label|, so this k holds the coefficients of every rep whose labels
+      are at most m.  The one other rep, a K(p) of the girth-2 census that
+      absorbed a +-1 label, has |p| <= m + 1 and ||<K(p)>||_1 <= 2 + |p|
+      <= 8 m^2, inside the bound too.  With every |c_j| < 2^(k-1),
+      value = sum c_j 2^(kj) has one such expansion, so at one k the value
+      fixes the coefficients and the coefficients the value.
+    * **Normalised.** The zero low slots are stripped (each leaves
+      ``value & (2^k - 1) == 0``), so low is the least exponent.  The Jones
+      polynomial is (-1)^w A^(-3w) times the bracket, read in quarter
+      powers of t: low moves by -3w, and value is negated when w is odd.
+      So (low, value) are the least exponent and the packed coefficients
+      of the Jones polynomial itself.
+
+    A girth-3 bracket is assembled from the ``_row`` of its two label
+    triples, each made once and kept in a dict of this call.
     """
-    k = _slot_bits((max(max_abs, 1),) * 6)
-    rows: dict[tuple, tuple] = {}
+    m = max(max_abs, 1)
+    if girth == 3:
+        k = _slot_bits((m,) * 6)
+        rows: dict[tuple, tuple] = {}
 
-    def row(triple: tuple) -> tuple:
-        found = rows.get(triple)
-        if found is None:
-            found = rows[triple] = _row(triple, k)
-        return found
+        def row(triple: tuple) -> tuple:
+            found = rows.get(triple)
+            if found is None:
+                found = rows[triple] = _row(triple, k)
+            return found
 
-    def bracket(rep: Girth3Rep) -> LaurentPoly:
-        return _from_rows(row(rep.top), row(rep.bottom), k, sum(rep.top) + sum(rep.bottom))
+        def bracket(labels: tuple) -> tuple[int, int]:
+            return _girth3_value(row(labels[:3]), row(labels[3:]), k, sum(labels))
 
-    return bracket
+    else:
+        k = _slot_bits((m, m))
+
+        def bracket(labels: tuple) -> tuple[int, int]:
+            if len(labels) == 2:
+                return _double_twist_value(*labels, k)
+            return _single_twist_value(*labels, k)
+
+    def key(labels: tuple, writhe: int) -> tuple[int, int]:
+        value, low = bracket(labels)
+        zero_slots = ((value & -value).bit_length() - 1) // k
+        value >>= k * zero_slots
+        return low + 4 * zero_slots - 3 * writhe, -value if writhe % 2 else value
+
+    def jones(key: tuple[int, int]) -> LaurentPoly:
+        low, value = key
+        return _decode(value, low, k, "t")
+
+    return key, jones
 
 
 def bracket_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:

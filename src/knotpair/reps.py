@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 import re
 import sys
+from itertools import compress
 
 from .record import Record, set_field
 
@@ -134,17 +135,33 @@ def parse_rep(text: str):
     )
 
 
+def rep_labels(rep) -> tuple:
+    """The labels of a girth <= 3 rep: (p), (p, q) or (p, q, r, a, b, c).
+
+    ``rep_from_labels`` inverts it, so a label tuple stands for its rep.
+    """
+    if isinstance(rep, Girth3Rep):
+        return rep.top + rep.bottom
+    if isinstance(rep, Girth2Rep):
+        return (rep.p, rep.q)
+    if isinstance(rep, Girth1Rep):
+        return (rep.p,)
+    raise TypeError(f"no girth <= 3 labels for {rep!r}")
+
+
+def rep_from_labels(labels: tuple):
+    """The rep whose ``rep_labels`` are ``labels``."""
+    if len(labels) == 6:
+        return Girth3Rep(labels[:3], labels[3:])
+    if len(labels) == 2:
+        return Girth2Rep(*labels)
+    (p,) = labels
+    return Girth1Rep(p)
+
+
 def mirror(rep):
     """Mirror image: negate every label."""
-    if isinstance(rep, Girth1Rep):
-        return Girth1Rep(-rep.p)
-    if isinstance(rep, Girth2Rep):
-        return Girth2Rep(-rep.p, -rep.q)
-    if isinstance(rep, Girth3Rep):
-        return Girth3Rep(
-            tuple(-x for x in rep.top), tuple(-x for x in rep.bottom)
-        )
-    raise TypeError(f"cannot mirror {rep!r}")
+    return rep_from_labels(tuple(-x for x in rep_labels(rep)))
 
 
 def template_crossings(rep) -> int:
@@ -154,13 +171,7 @@ def template_crossings(rep) -> int:
     A ladder of label x has |x| crossings, and the template is its
     ladders joined up, so the count is the sum of the label sizes.
     """
-    if isinstance(rep, Girth1Rep):
-        return abs(rep.p)
-    if isinstance(rep, Girth2Rep):
-        return abs(rep.p) + abs(rep.q)
-    if isinstance(rep, Girth3Rep):
-        return sum(map(abs, rep.top + rep.bottom))
-    raise TypeError(f"cannot build a diagram from {rep!r}")
+    return sum(map(abs, rep_labels(rep)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +234,18 @@ assert len(_G3_PERMS) == 12
 def g3_wheel_min(labels: tuple) -> tuple:
     """The least of the 12 wheel images of a labelling (p, q, r, a, b, c)."""
     return min(perm(labels) for perm in _G3_PERMS)
+
+
+def g3_wheel_minima(labellings: list) -> list:
+    """The labellings x of the list with ``g3_wheel_min(x) == x``, in order.
+
+    Each wheel image in turn keeps the labellings no larger than their
+    image, one C-level pass per image.
+    """
+    le = operator.le
+    for perm in _G3_PERMS:
+        labellings = list(compress(labellings, map(le, labellings, map(perm, labellings))))
+    return labellings
 
 
 def _g3_key(r: Girth3Rep) -> tuple:

@@ -14,15 +14,14 @@ from knotpair.census import (
     census_csv,
     census_enumerate,
     census_jsonl,
-    class_key,
     dedup_census,
     table_report,
     verify_table,
 )
-from knotpair.classify import compare, rep_invariants
+from knotpair.classify import closed_bracket, closed_invariants, compare, rep_invariants
 from knotpair.diagram import pd_from_rep
-from knotpair.closedform import _slot_bits, bracket_girth3, girth3_brackets
-from knotpair.laurent import LaurentPoly, poly_to_text
+from knotpair.closedform import _slot_bits, bracket_girth3, census_jones
+from knotpair.laurent import LaurentPoly, jones_from_bracket, jones_to_text, poly_to_text
 from knotpair.oracle import conway_fox
 from knotpair.reps import (
     Girth1Rep,
@@ -32,6 +31,8 @@ from knotpair.reps import (
     d3_orbit,
     g3_wheel_min,
     parse_rep,
+    rep_from_labels,
+    rep_labels,
 )
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
@@ -40,7 +41,7 @@ from template_spy import spy_on_templates
 
 def _record(rep):
     inv = rep_invariants(rep)
-    return build_record(inv, class_key(inv))
+    return build_record(inv.components, inv.conway, inv.jones)
 
 
 def test_enumerate_even_positive_girth2():
@@ -134,7 +135,7 @@ def test_collision_example_conway_only():
     reps = [Girth2Rep(2, 8), Girth2Rep(4, 4)]
     recs = [_record(r) for r in reps]
     assert recs[0].conway == recs[1].conway
-    heads = [cls.members[0] for cls in dedup_census(2, 8, True, True)]
+    heads = [rep_from_labels(cls.members[0]) for cls in dedup_census(2, 8, True, True)]
     assert set(reps) <= set(heads)
 
 
@@ -208,6 +209,14 @@ G2_MAX12 = {
              ("positive",)),
         _pin("csv", 2, 12, "b6746b55dd5424b541550e217cf6f403a6af5af1862146bf402f35fa82feda4d",
              ("even", "positive")),
+        # the edges: one rep, no rep (the header alone), and a girth-2
+        # bound whose only rep is that of --max 0
+        _pin("csv", 3, 0, "1d32a4019ab02f0e00f6ba78a2d2109f866d13d5b3566c0fe25dad8f07fd0a2c"),
+        _pin("csv", 2, 0, "9514db202af7861aba1e300af2882575df005491bf67ac2632bc5612ba069951"),
+        _pin("csv", 3, 0, "f632538e10134b369e947464771f538ac70991b4b2175068f8c6edaf61559bad",
+             ("positive",)),
+        _pin("csv", 2, 1, "9514db202af7861aba1e300af2882575df005491bf67ac2632bc5612ba069951",
+             ("even",)),
     ],
 )
 def test_census_csv_is_byte_identical(fmt, girth, max_abs, flags, digest):
@@ -224,15 +233,38 @@ def test_census_csv_is_byte_identical(fmt, girth, max_abs, flags, digest):
 def test_the_census_slot_width_gives_each_reps_own_bracket(max_abs, even_only, positive_only):
     # the census evaluates every girth-3 bracket at the slot width of its
     # label bound, from label-triple rows it shares across reps
-    bracket = girth3_brackets(max_abs)
+    key, jones = census_jones(3, max_abs)
     reps = census_enumerate(3, max_abs, even_only, positive_only)
     census_k = _slot_bits((max_abs,) * 6)
     widths = set()
     for rep in reps:
-        widths.add(_slot_bits(rep.top + rep.bottom))
-        assert bracket(rep) == bracket_girth3(rep), rep
+        labels = rep.top + rep.bottom
+        widths.add(_slot_bits(labels))
+        writhe = closed_invariants(labels)[1]
+        assert jones(key(labels, writhe)) == jones_from_bracket(bracket_girth3(rep), writhe), rep
     assert max(widths) <= census_k
     assert min(widths) < census_k or len(reps) == 1
+
+
+@pytest.mark.parametrize(
+    "girth, max_abs, even_only, positive_only",
+    [(3, 2, e, p) for e in (False, True) for p in (False, True)] + [(2, 12, False, False)],
+)
+def test_the_census_jones_key_is_exact(girth, max_abs, even_only, positive_only):
+    # the key decodes to the rep's Jones polynomial, and two reps share a
+    # key exactly when they share the text key of their invariants
+    key, jones = census_jones(girth, max_abs)
+    by_key, by_text = {}, {}
+    for rep in census_enumerate(girth, max_abs, even_only, positive_only):
+        labels = rep_labels(rep)
+        comps, writhe, conway = closed_invariants(labels)
+        k = key(labels, writhe)
+        want = jones_from_bracket(closed_bracket(rep), writhe)
+        assert jones(k) == want, rep
+        conway_text = poly_to_text(conway) if conway is not None else ""
+        by_key.setdefault((comps, conway_text, k), []).append(labels)
+        by_text.setdefault((comps, conway_text, jones_to_text(want)), []).append(labels)
+    assert sorted(by_key.values()) == sorted(by_text.values())
 
 
 @pytest.mark.parametrize("girth, max_abs", [(3, 2), (2, 12)])
@@ -240,7 +272,8 @@ def test_each_members_record_is_built_from_its_own_invariants(girth, max_abs):
     classes = _census_classes(girth, max_abs)
     assert any(len(cls.members) > 1 for cls in classes)
     for cls in classes:
-        for rep in cls.members:
+        for labels in cls.members:
+            rep = rep_from_labels(labels)
             assert _record(rep) == cls.record, rep
 
 
@@ -255,6 +288,21 @@ def test_the_census_checks_the_identities_once_per_class(monkeypatch):
     monkeypatch.setattr(classify, "check_identities", spy)
     classes = dedup_census(3, 2)
     assert len(calls) == len(set(calls)) == len(classes) < len(census_enumerate(3, 2))
+
+
+def test_the_census_decodes_a_polynomial_once_per_class(monkeypatch):
+    # a rep is keyed by integers: only a class unpacks its Jones polynomial
+    calls = []
+    real = closedform.unpack
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(closedform, "unpack", spy)
+    classes = dedup_census(3, 2)
+    assert len(calls) == len(classes) == 243
+    assert len(census_enumerate(3, 2)) == 1505
 
 
 def test_a_failing_identity_stops_the_census(monkeypatch, tmp_path):

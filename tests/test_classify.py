@@ -11,7 +11,6 @@ from knotpair.classify import (
     NECESSARY_CONDITION_FAILS,
     UNRESOLVED,
     Verdict,
-    bracket_single_twist,
     check_identities,
     classify_girth2_even,
     closed_bracket,
@@ -21,6 +20,7 @@ from knotpair.classify import (
     row_swap_test,
     transposition_test,
 )
+from knotpair.closedform import bracket_single_twist
 from knotpair.diagram import pd_from_rep, torus2_pd
 from knotpair.laurent import LaurentPoly, jones_span_inclusive
 from knotpair.oracle import bracket_state_sum, conway_fox

@@ -10,9 +10,9 @@ Conventions fixed by the calibration suite against the oracles:
 * the bracket difference factor is 1 - (-A^2 - A^(-2))^2; the A^(-1)
   occasionally seen in print fails the subtraction check.
 
-The girth-2 and girth-3 brackets are not assembled from Laurent products.
-Each is one evaluation of its formula at y = A^4 = 2^k in Python ints,
-cut into coefficients once:
+The girth-2 and girth-3 brackets and the bracket difference formula are
+not assembled from Laurent products.  Each is one evaluation of its formula
+at y = A^4 = 2^k in Python ints, cut into coefficients once:
 
 * **The s-hat identity.** S_x A^x (A^2 + A^-2) = 1 - (-A^4)^x, so
   s_x = S_x A^x = A^2 [x]_u with u = -A^4 and [x]_u = (1 - u^x) / (1 - u),
@@ -36,6 +36,10 @@ cut into coefficients once:
   the bound below 2^(k-1), so every coefficient of y^N F, which are those
   of the bracket, fits a k-bit slot with the sign bit to spare, and
   ``laurent.unpack`` reads them off with one biased cut.
+* **The difference formula.**  ``bracket_diff_formula`` is A^-w times a
+  core of products of two s's and 1 - delta^2 = -A^-4 (1 + y + y^2), so it
+  too is one int at y = 2^k; its width bounds ||.||_1 by 18 M^2, M the
+  largest |label| (argued there).
 * **The census key.** ``census_jones`` packs every bracket of one census
   at one slot width and keys its Jones polynomial by two integers
   (argued there), so a rep of the census costs int arithmetic alone and
@@ -167,8 +171,9 @@ def _perm_core(rep: Girth3Rep, perm: str, f):
 
     A transposition gives a product of two differences, a 3-cycle
     +-_det3; any other name gives None.  f is ``int`` for the Conway
-    difference and ``s_hat`` for the bracket one, and it is evaluated only
-    at the labels the formula reads.
+    difference, y^N [x]_u at y = 2^k for the bracket one and ``s_hat`` for
+    the S-determinant, and it is evaluated only at the labels the formula
+    reads.
     """
     p, q, r = rep.top
     a, b, c = rep.bottom
@@ -472,16 +477,39 @@ def diff_factor() -> LaurentPoly:
 def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
     """Closed form of the bracket difference: A^(-w) (...) diff_factor().
 
-    Transpositions give (S_x A^x - S_y A^y) products; the 3-cycles give
-    the determinant with rows (S_p A^p ...), (permuted S A powers), ones.
+    Transpositions give (s_x - s_y)(s_u - s_v) products of s_x = S_x A^x;
+    the 3-cycles give the determinant with rows (s_p s_q s_r), the
+    permuted bottom's s, ones (``_perm_core``).  It is one evaluation at
+    y = A^4 = 2^k (module docstring):
+
+    * **The core.**  Every term of the core is a product of two s's, and
+      s_x = A^2 [x]_u, so the core is A^4 C with C the same core over the
+      [x]_u.  With N the largest n of the labels' ``_q_int``, each y^N [x]_u
+      is a polynomial in y, so C y^(2N) is one int.
+    * **The factor.**  diff_factor() = 1 - delta^2 = -A^-4 (1 + y + y^2)
+      is packed from its own terms, so the convention the calibration fixed
+      is stated once.  The difference is A^(4 - 4 - w - 8N) times
+      C y^(2N) (-(1 + y + y^2)).
+    * **Slot width.**  ||[x]_u||_1 = |x|, so with M = max(1, |label|) a
+      transposition core has ||C||_1 <= (2M)^2 and a 3-cycle, six products
+      of two [x]_u, ||C||_1 <= 6M^2; the factor has ||.||_1 = 3, so
+      ||difference||_1 <= 18 M^2, and k is the least multiple of 8 with
+      18 M^2 < 2^(k-1), as in ``_slot_bits``.
     """
     if perm == "identity":
         return LaurentPoly.zero(_A)
-    core = _perm_core(rep, perm, s_hat)
+    labels = rep.top + rep.bottom
+    m = max(1, *map(abs, labels))
+    k = 8 * (((18 * m * m).bit_length() + 8) // 8)
+    q = {x: _q_int(x, k) for x in set(labels)}
+    big_n = max(n for _, n in q.values())
+    core = _perm_core(rep, perm, lambda x: q[x][0] << k * (big_n - q[x][1]))
     if core is None:
         raise ValueError(f"no closed difference form for {perm!r}")
-    w = sum(rep.top) + sum(rep.bottom)
-    return LaurentPoly.monomial(1, -w, _A) * core * diff_factor()
+    factor = diff_factor()
+    lo = factor.min_exp()
+    value = core * sum(c << k * ((e - lo) >> 2) for e, c in factor.terms)
+    return _decode(value, 4 + lo - sum(labels) - 8 * big_n, k)
 
 
 def shat_cycle_det(rep: Girth3Rep, perm: str) -> LaurentPoly:

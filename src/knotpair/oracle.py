@@ -8,17 +8,22 @@ alike are added up as they go, so the work follows the number of such
 joinings, not 2^n, but the sum is still over every state.  A pairing is
 kept as a partner map from each open arc to the open arc at the other end
 of its strand, and smoothing a crossing joins two pairs of strand ends in
-that map.  The Conway oracle goes through the Wirtinger presentation and
-Fox derivatives.
+that map.  The sum of one pairing is one Python int, its polynomial at
+y = A^4 = 2^K (Kronecker substitution, as in Harvey, J. Symb. Comput. 44
+(2009)), read back into coefficients once at the end.  The Conway oracle
+goes through the Wirtinger presentation and Fox derivatives.
 
 Both read nothing but the PD code, and Fox calculus the orientation that
 ``diagram.orient`` derives from it.  They share no code with the closed
-forms: the sweep knows nothing of twist regions, trees or labels, and
-takes no polynomial from ``closedform``.  They exist to verify the closed
-forms, so a fault in a closed form cannot hide in them.
+forms: the sweep knows nothing of twist regions, trees or labels, takes no
+polynomial from ``closedform`` and reads its packed ints with its own
+loop, as ``_alexander`` does.  They exist to verify the closed forms, so a
+fault in a closed form cannot hide in them.
 """
 
 from __future__ import annotations
+
+import heapq
 
 from .diagram import PDCode, orient
 from .laurent import LaurentPoly
@@ -52,9 +57,9 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     with one end at a smoothed crossing and the other at an unsmoothed one
     is open.  Every state of the smoothed crossings has the same open arcs.
     Its strands join them in pairs, and its other strands have closed into
-    loops.  The frontier maps each such pairing, as the sorted items of its
-    partner map (open arc -> open arc at the other end of its strand), to
-    the sum of A^(#A - #B) * delta^loops over the states that make it.
+    loops.  The frontier maps each such pairing to its partner map (open arc
+    -> open arc at the other end of its strand) and the sum of
+    A^(#A - #B) * delta^loops over the states that make it.
     States with the same pairing behave alike at every crossing still to
     come.  So the next crossing sends each pairing to two, one per
     smoothing, without looking at the states inside it: smoothing A joins
@@ -64,36 +69,134 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     2^n states of A^(#A - #B) * delta^loops.  The free loops are
     multiplied in, and one delta is divided out.
 
+    **Packed sums.**  With y = A^4, delta = -A^-2 (1 + y), so a smoothing
+    that closes L loops multiplies by A^(+-1) delta^L =
+    (-1)^L A^(+-1 - 2L) (1 + y)^L.  Every sum is kept as (low, value): the
+    polynomial A^low P(y) with P in Z[y], value = P(2^K).  A smoothing is
+    one int product by (-(1 + 2^K))^L and a move of low.  Two sums that
+    reach one pairing merge by shifting the one with the higher low by K
+    bits per 4 exponents.  That needs their lows to agree mod 4, and they
+    do on a planar diagram: close two states of one pairing with one state
+    of the unsmoothed crossings; the closures differ by as much as the
+    states in (#A - #B) - 2 loops, and on a planar diagram switching one
+    crossing moves #A - #B by 2 and the loop count by 1, so
+    (#A - #B) + 2 loops is one class mod 4 over all states.  A code that
+    breaks this is not planar and is refused.  The int arithmetic is
+    exact, so at the end the value is the whole sum at y = 2^K.  The free
+    loops and the one delta divided out are one product and one exact
+    division that refuses a remainder (``_times_delta_power``).
+
+    **The slot width.**  Each crossing is an edge of the state graph,
+    whose vertices are a state's loops, and that graph has as many
+    connected parts as the diagram, ``parts`` (1 for a code that
+    ``diagram.validate_pd`` passes).  So a state has at most n + parts
+    loops, and its term times delta^free has ||.||_1 <= 2^(n + parts +
+    free).  Let P be the whole sum times (1 + y)^free, as packed before
+    the division.  Over 2^n states, ||P||_1 <= 2^(2n + parts + free) <
+    2^(K - 1) for K = 2n + parts + free + 2.  Then:
+
+    * the division is exact iff 1 + y divides P: P(2^K) = P(-1) mod
+      2^K + 1, and |P(-1)| <= ||P||_1 < 2^K + 1;
+    * every coefficient of Q = P / (1 + y) is an alternating partial sum of
+      P's, so |q_j| <= ||P||_1 < 2^(K - 1), and Q(2^K) has one signed
+      base-2^K expansion with digits in [-2^(K - 1), 2^(K - 1)), read by
+      ``_digits``.  The bracket spans at most the exponents
+      +-(n + 2 (n + parts + free - 1)), so a value with digits left past
+      that broke the bound and is refused.
+
     No state is dropped: the sweep only groups the terms of the sum.  On
     the tree-pair templates and the table fixtures the frontier held at
-    most 10 pairings of at most 8 open arcs, so the work grows about as
-    n^2 (each pairing's polynomial has O(n) terms), not as 2^n.
+    most 10 pairings of at most 8 open arcs, so the number of joins grows
+    about as n, and each costs a product of O(n^2)-bit ints.
     """
     n = pd.n()
     check_cap(n, cap)
-    if n == 0:
-        if pd.free_loops == 0:
-            raise ValueError("empty diagram has no bracket")
-        return _delta_power(pd.free_loops - 1)
+    free = pd.free_loops
+    if n == 0 and free == 0:
+        raise ValueError("empty diagram has no bracket")
 
-    frontier: dict[tuple[tuple[int, int], ...], dict[int, int]] = {(): {0: 1}}
-    for ci in _sweep_order(pd):
+    order = _sweep_order(pd)
+    # a crossing that shares no arc with those before it opens a new part
+    seen: set[int] = set()
+    parts = 0
+    for ci in order:
+        parts += seen.isdisjoint(pd.crossings[ci])
+        seen.update(pd.crossings[ci])
+    k = 2 * n + parts + free + 2
+    y1 = (1 << k) + 1
+    delta_powers = (1, -y1, y1 * y1)  # (-(1 + y))^L at y = 2^k
+
+    # pairing -> (its partner map, low, value); every pairing of one step
+    # has the same open arcs, so a pairing is keyed by their partners in
+    # the order of the sorted open arcs
+    frontier: dict[tuple[int, ...], tuple[dict[int, int], int, int]] = {(): ({}, 0, 1)}
+    for ci in order:
         a, b, c, d = pd.crossings[ci]
-        nxt: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
-        for key, value in frontier.items():
+        nxt: dict[tuple[int, ...], tuple[dict[int, int], int, int]] = {}
+        arcs = None
+        for known, low, value in frontier.values():
             # smoothing A joins slots (0,1),(2,3); B joins (0,3),(1,2)
-            for step, (w, x, y, z) in ((1, (a, b, c, d)), (-1, (a, d, b, c))):
-                partner = dict(key)
+            for step, w, x, y, z in ((1, a, b, c, d), (-1, a, d, b, c)):
+                partner = known.copy()
                 loops = _join(partner, w, x) + _join(partner, y, z)
-                target = nxt.setdefault(tuple(sorted(partner.items())), {})
-                for de, dc in _delta_power(loops).terms:
-                    de += step
-                    for e, coeff in value.items():
-                        target[e + de] = target.get(e + de, 0) + coeff * dc
+                e = low + step - 2 * loops
+                v = value * delta_powers[loops] if loops else value
+                if arcs is None:
+                    arcs = sorted(partner)
+                target = tuple(map(partner.__getitem__, arcs))
+                old = nxt.get(target)
+                if old is None:
+                    nxt[target] = (partner, e, v)
+                    continue
+                gap = e - old[1]
+                if gap & 3:
+                    raise ValueError(
+                        "two states of one pairing differ in A-exponent mod 4: "
+                        "the PD code is not planar"
+                    )
+                if gap >= 0:
+                    nxt[target] = (old[0], old[1], old[2] + (v << k * (gap >> 2)))
+                else:
+                    nxt[target] = (old[0], e, v + (old[2] << k * (-gap >> 2)))
         frontier = nxt
-    (total,) = frontier.values()
-    summed = LaurentPoly.from_dict(total, "A") * _delta_power(pd.free_loops)
-    return _divide_by_delta(summed)
+    ((_, low, value),) = frontier.values()
+    low, value = _times_delta_power(low, value, k, free - 1)
+    top = 3 * n + 2 * (parts + free - 1)
+    return _digits(value, low, k, (top - low) // 4 + 1)
+
+
+def _times_delta_power(low: int, value: int, k: int, m: int) -> tuple[int, int]:
+    """(low, value) of A^low P(y) at y = 2^k, times delta^m for m >= -1.
+
+    delta^m = (-1)^m A^(-2m) (1 + y)^m: one product by (1 + 2^k)^(m + 1)
+    and one exact division by 1 + 2^k, which refuses a remainder.
+    """
+    y1 = (1 << k) + 1
+    value, rest = divmod(value * y1 ** (m + 1), y1)
+    if rest:
+        raise ValueError("state sum is not divisible by the loop value")
+    return low - 2 * m, -value if m % 2 else value
+
+
+def _digits(value: int, low: int, k: int, slots: int) -> LaurentPoly:
+    """The polynomial in A whose exponent low + 4j has the signed base-2^k
+    digit j of value, each digit in [-2^(k - 1), 2^(k - 1)).
+
+    A value with more than ``slots`` digits broke its coefficient bound
+    and is refused.
+    """
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    terms = []
+    for e in range(low, low + 4 * slots, 4):
+        if not value:
+            break
+        c = ((value + half) & mask) - half
+        value = (value - c) >> k
+        if c:
+            terms.append((e, c))
+    if value:
+        raise ValueError("state sum exceeds its coefficient bound")
+    return LaurentPoly.from_terms(tuple(terms), "A")
 
 
 def _join(partner: dict[int, int], x: int, y: int) -> int:
@@ -117,58 +220,37 @@ def _sweep_order(pd: PDCode) -> list[int]:
     """Crossings in sweep order: next the one with the most open arcs.
 
     Ties go to the lowest index.  Taking the crossings that close the most
-    arcs first keeps the set of open arcs, and so the frontier, small.
+    arcs first keeps the set of open arcs, and so the frontier, small.  A
+    heap holds (-open arcs, index) for every count a crossing has had; an
+    entry is stale, and skipped, once its crossing is swept or its count
+    has grown, so the least live entry is the next crossing.
     """
-    ends: dict[int, list[int]] = {}
+    # the other crossing of each arc, once per arc end; a kink arc has none
+    first: dict[int, int] = {}
+    neighbours: list[list[int]] = [[] for _ in pd.crossings]
     for ci, cr in enumerate(pd.crossings):
         for a in cr:
-            ends.setdefault(a, []).append(ci)
+            cj = first.pop(a, None)
+            if cj is None:
+                first[a] = ci
+            elif cj != ci:
+                neighbours[ci].append(cj)
+                neighbours[cj].append(ci)
     open_count = [0] * pd.n()
-    remaining = set(range(pd.n()))
+    swept = [False] * pd.n()
+    heap = [(0, ci) for ci in range(pd.n())]
     order = []
-    while remaining:
-        ci = max(remaining, key=lambda c: (open_count[c], -c))
-        remaining.remove(ci)
+    while heap:
+        count, ci = heapq.heappop(heap)
+        if swept[ci] or -count != open_count[ci]:
+            continue
+        swept[ci] = True
         order.append(ci)
-        for a in pd.crossings[ci]:
-            for other in ends[a]:
-                if other in remaining:
-                    open_count[other] += 1
+        for other in neighbours[ci]:
+            if not swept[other]:
+                open_count[other] += 1
+                heapq.heappush(heap, (-open_count[other], other))
     return order
-
-
-def _divide_by_delta(p: LaurentPoly) -> LaurentPoly:
-    """p / delta, which must be exact.
-
-    delta = -A^(-2) (1 + A^4), so p / delta = -A^2 r with p = (1 + A^4) r;
-    r is found from the lowest exponent up, and whatever is left in the
-    four highest exponents of p is the remainder.
-    """
-    coeffs = p.coeffs()
-    lo, hi = p.min_exp(), p.max_exp()
-    r: dict[int, int] = {}
-    for e in range(lo, hi + 1):
-        c = coeffs.get(e, 0) - r.get(e - 4, 0)
-        if c:
-            if e > hi - 4:
-                raise ValueError("state sum is not divisible by the loop value")
-            r[e] = c
-    return LaurentPoly.from_dict({e + 2: -c for e, c in r.items()}, "A")
-
-
-_DELTA_POWERS: list[LaurentPoly] = []
-
-
-def _delta_power(k: int) -> LaurentPoly:
-    """delta^k with delta = -A^2 - A^(-2), cached."""
-    while len(_DELTA_POWERS) <= k:
-        if not _DELTA_POWERS:
-            _DELTA_POWERS.append(LaurentPoly.one("A"))
-        else:
-            _DELTA_POWERS.append(
-                _DELTA_POWERS[-1] * LaurentPoly.from_dict({2: -1, -2: -1}, "A")
-            )
-    return _DELTA_POWERS[k]
 
 
 # ---------------------------------------------------------------------------

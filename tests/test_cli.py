@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from poly_text import poly_from_text
 
+from knotpair import census
 from knotpair.cli import main
 from knotpair.diagram import orient, pd_from_rep
 from knotpair.reps import Girth2Rep, Girth3Rep
@@ -512,6 +514,36 @@ def test_census_negative_max_is_a_usage_error(capsys, girth):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def collector(request):
+    """The cyclic collector on or off before the test, restored after it."""
+    enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if enabled else gc.disable)()
+
+
+def test_census_pauses_the_collector_and_restores_it(collector, monkeypatch, capsys):
+    seen = []
+    real = census.census_csv
+
+    def spy(classes, out):
+        seen.append(gc.isenabled())
+        return real(classes, out)
+
+    monkeypatch.setattr(census, "census_csv", spy)
+    code, out = run(capsys, "census", "--girth", "2", "--max", "3")
+    assert code == 0 and out.startswith("rep,girth,components")
+    assert seen == [False]
+    assert gc.isenabled() == collector
+
+
+def test_census_restores_the_collector_on_a_usage_error(collector, capsys):
+    assert main(["census", "--girth", "3", "--max", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert gc.isenabled() == collector
 
 
 _fuzz_label = st.integers(-1500, 1500)

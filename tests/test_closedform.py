@@ -32,6 +32,8 @@ from knotpair.laurent import LaurentPoly, unpack
 from knotpair.oracle import bracket_state_sum, conway_fox
 from knotpair.reps import Girth2Rep, Girth3Rep
 
+import closedform_reference
+
 PERMS = ("swap_ab", "swap_bc", "swap_ac", "cycle_cab", "cycle_bca")
 
 
@@ -237,6 +239,52 @@ def test_bracket_diff_formula_matches_subtraction():
                 rep,
                 perm,
             )
+
+
+def test_bracket_diff_formula_equals_the_laurent_reference():
+    # the formula at y = 2^k against the Laurent products it replaced and
+    # against plain subtraction, on the acceptance grid (even labels 2..12)
+    rng = random.Random(910)
+    for _ in range(100):
+        rep = Girth3Rep(
+            tuple(2 * rng.randint(1, 6) for _ in range(3)),
+            tuple(2 * rng.randint(1, 6) for _ in range(3)),
+        )
+        for perm in PERMS:
+            got = bracket_diff_formula(rep, perm)
+            assert got == closedform_reference.bracket_diff_formula(rep, perm), (rep, perm)
+            assert got == bracket_diff(rep, perm), (rep, perm)
+
+
+def test_bracket_diff_formula_at_labels_up_to_300():
+    # labels of both signs, odd and even, up to 300, where the coefficients
+    # come closest to the bound 18 M^2 of the slot width: a transposition
+    # core ([M] - [-M])^2 has ||.||_1 = (2M)^2, and at M = 100 a coefficient
+    # passes 2^7, so a width read off M alone would cut it
+    rng = random.Random(300)
+    reps = [
+        Girth3Rep((300, 7, -300), (300, -300, 1)),
+        Girth3Rep((-300, 300, -1), (-150, -299, 300)),
+        Girth3Rep((300, -300, 299), (-299, 300, -300)),
+        Girth3Rep((1, -1, 300), (0, 300, -300)),
+        Girth3Rep((100, 7, -100), (100, -100, 1)),
+        Girth3Rep((-100, 100, -1), (-50, -99, 100)),
+    ]
+    reps += [
+        Girth3Rep(
+            tuple(rng.randint(-300, 300) for _ in range(3)),
+            tuple(rng.randint(-300, 300) for _ in range(3)),
+        )
+        for _ in range(2)
+    ]
+    for rep in reps:
+        for perm in PERMS:
+            got = bracket_diff_formula(rep, perm)
+            assert got == closedform_reference.bracket_diff_formula(rep, perm), (rep, perm)
+            assert got == bracket_diff(rep, perm), (rep, perm)
+    assert bracket_diff_formula(reps[0], "identity").is_zero()
+    with pytest.raises(ValueError):
+        bracket_diff_formula(reps[0], "swap_pa")
 
 
 def test_diff_factor_resolution():

@@ -1,3 +1,5 @@
+import ast
+import os
 import random
 import time
 from importlib import resources
@@ -5,17 +7,27 @@ from importlib import resources
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from knotpair import oracle
 from knotpair.closedform import bracket_girth3
-from knotpair.diagram import PDCode, orient, pd_from_json, pd_from_rep, pd_from_text
+from knotpair.diagram import (
+    InvalidPDError,
+    PDCode,
+    orient,
+    pd_from_json,
+    pd_from_rep,
+    pd_from_text,
+    validate_pd,
+)
 from knotpair.laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from knotpair.oracle import (
     OracleSizeError,
     _alexander,
     _bareiss_det,
-    _divide_by_delta,
+    _digits,
     _join,
     _normalize_alexander_to_conway,
     _sweep_order,
+    _times_delta_power,
     bracket_state_sum,
     conway_fox,
 )
@@ -405,16 +417,87 @@ def test_join(partner, x, y, loops, after):
     assert partner == after
 
 
+def packed_classes(p: LaurentPoly, k: int) -> list[tuple[int, int]]:
+    """(low, value) of each class of p's exponents mod 4: the class's
+    polynomial is A^low P(y) with value = P(2^k), y = A^4."""
+    classes: dict[int, dict[int, int]] = {}
+    for e, c in p.terms:
+        classes.setdefault(e % 4, {})[e] = c
+    return [
+        (min(part), sum(c << k * ((e - min(part)) // 4) for e, c in part.items()))
+        for part in classes.values()
+    ]
+
+
+def divide_by_delta(p: LaurentPoly) -> LaurentPoly:
+    """p / delta, class by class of exponents mod 4, through the oracle's
+    packed division; the quotient's exponents lie within p's."""
+    k = 16
+    out = LaurentPoly.zero("A")
+    for low, value in packed_classes(p, k):
+        low, value = _times_delta_power(low, value, k, -1)
+        slots = (p.max_exp() - low) // 4 + 1
+        out = out + _digits(value, low, k, slots)
+    return out
+
+
 def test_divide_by_delta_is_exact_or_refuses():
     delta = A({2: -1, -2: -1})
     rng = random.Random(9)
     for _ in range(50):
         p = A({rng.randint(-30, 30): rng.randint(-9, 9) for _ in range(8)})
         if not p.is_zero():
-            assert _divide_by_delta(delta * p) == p
+            assert divide_by_delta(delta * p) == p
     for p in (A({0: 1}), A({2: -1, -2: -1, 0: 1}), A({-2: -1, 2: 1})):
         with pytest.raises(ValueError):
-            _divide_by_delta(p)
+            divide_by_delta(p)
+
+
+def test_digits_refuse_a_leftover():
+    k = 8
+    value = 3 - (5 << k) + (7 << 2 * k)
+    assert _digits(value, -6, k, 3) == A({-6: 3, -2: -5, 2: 7})
+    assert _digits(value, -6, k, 5) == A({-6: 3, -2: -5, 2: 7})
+    with pytest.raises(ValueError):
+        _digits(value, -6, k, 2)
+    # the most negative digit is -2^(k - 1); 2^(k - 1) carries into the next
+    assert _digits(-(1 << k - 1), 0, k, 1) == A({0: -(1 << k - 1)})
+    with pytest.raises(ValueError):
+        _digits(1 << k - 1, 0, k, 1)
+    assert _digits(0, 5, k, 1).is_zero()
+
+
+def test_state_sum_refuses_a_code_that_is_not_planar():
+    # a code that validate_pd refuses by the Euler count; its full state
+    # sum would be -A^2 - A^4, whose exponents fall in two classes mod 4
+    virtual = PDCode(((1, 1, 2, 3), (2, 4, 3, 4)))
+    with pytest.raises(InvalidPDError):
+        validate_pd(virtual)
+    with pytest.raises(ValueError, match="not planar"):
+        bracket_state_sum(virtual)
+
+
+def test_state_sum_is_independent_of_the_closed_forms():
+    # the oracle checks the closed forms, so it must share none of their
+    # code: no import of closedform or g3table, and neither their decode
+    # nor laurent's packed reader
+    path = os.path.join(os.path.dirname(oracle.__file__), "oracle.py")
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "_digits" in names and "_alexander" in names
+    for name in ("closedform", "g3table", "g3table_data", "unpack", "_decode", "_q_int"):
+        assert name not in names, name
 
 
 @st.composite

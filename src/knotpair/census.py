@@ -275,8 +275,11 @@ def verify_table(
     For every entry with a reference PD fixture, the Jones polynomial of
     the representation's template diagram must match the fixture's Jones
     up to mirror (and up to orientation units t^(3k) for links).  Entries
-    without a fixture are skipped with a notice.
+    without a fixture are skipped with a notice.  A negative
+    ``max_crossings`` is refused with ``ValueError``: it would check nothing.
     """
+    if max_crossings is not None and max_crossings < 0:
+        raise ValueError("the crossing bound is negative")
     files = _fixture_files(fixtures_dir)
     results = []
     for name, rep_text in ROLFSEN_TABLE:

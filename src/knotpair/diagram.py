@@ -28,13 +28,17 @@ from .reps import Girth1Rep, Girth2Rep, Girth3Rep
 class PDCode(Record):
     """Crossing list plus a count of crossing-free circles.
 
-    A code made by ``DiagramBuilder.build`` keeps ``orient`` of itself in
-    ``orientation``, so that ``orient`` hands it back without tracing the
-    strands again.  Only the builder sets it; equality, hashing and repr
-    ignore it, and every other code has None.
+    Two trailing slots carry what was derived from the code once, so that
+    no later step derives it again.  A code made by ``DiagramBuilder.build``
+    keeps ``orient`` of itself in ``orientation``, which ``orient`` hands
+    back without tracing the strands again; only the builder sets it.
+    ``validate_pd`` keeps the corner cycles it walked in ``corner_cycles``,
+    which ``regions`` hands back.  Equality, hashing and repr ignore both
+    slots, and a code that was neither built nor validated has None in
+    them.
     """
 
-    __slots__ = ("crossings", "free_loops", "orientation")
+    __slots__ = ("crossings", "free_loops", "orientation", "corner_cycles")
 
     def __init__(
         self, crossings: tuple[tuple[int, int, int, int], ...], free_loops: int = 0
@@ -42,6 +46,7 @@ class PDCode(Record):
         set_field(self, "crossings", crossings)
         set_field(self, "free_loops", free_loops)
         set_field(self, "orientation", None)
+        set_field(self, "corner_cycles", None)
 
     def _key(self) -> tuple:
         return (self.crossings, self.free_loops)
@@ -55,7 +60,13 @@ class InvalidPDError(ValueError):
 
 
 def validate_pd(pd: PDCode) -> None:
-    """Structural sanity: every arc twice, and planarity via Euler count."""
+    """Structural sanity: every arc twice, and planarity via Euler count.
+
+    A connected planar diagram of n crossings has n + 2 regions.  The
+    corner cycles of the walk are kept on ``pd`` (see ``PDCode``).  A
+    diagram in k >= 2 pieces has n_i + 2 regions per planar piece, so it
+    fails the count; the refusal then names the pieces.
+    """
     counts: dict[int, int] = {}
     for cr in pd.crossings:
         if len(cr) != 4:
@@ -67,12 +78,20 @@ def validate_pd(pd: PDCode) -> None:
         raise InvalidPDError(f"arcs not appearing exactly twice: {bad}")
     n = pd.n()
     if n:
-        f = len(regions(pd))
+        other = _other_end(itertools.chain(*pd.crossings))
+        cycles = _corner_cycles(other)
+        f = len(cycles)
         if f != n + 2:
-            raise InvalidPDError(
-                f"region count {f} violates Euler formula (expected {n + 2}); "
-                "the code does not describe a planar diagram"
+            pieces = _pieces(other)
+            reason = (
+                f"the diagram is split into {pieces} pieces"
+                if pieces > 1
+                else "the code does not describe a planar diagram"
             )
+            raise InvalidPDError(
+                f"region count {f} violates Euler formula (expected {n + 2}); {reason}"
+            )
+        set_field(pd, "corner_cycles", cycles)
 
 
 class _LongInt(str):
@@ -301,8 +320,15 @@ def regions(pd: PDCode) -> list[list[int]]:
 
     The walk keeps the region on the left of the traversal direction;
     every corner belongs to exactly one region.  Free loops are ignored.
+    A validated code hands back the cycles ``validate_pd`` walked.
     """
-    other = _other_end(itertools.chain(*pd.crossings))
+    if pd.corner_cycles is not None:
+        return pd.corner_cycles
+    return _corner_cycles(_other_end(itertools.chain(*pd.crossings)))
+
+
+def _corner_cycles(other: list[int]) -> list[list[int]]:
+    """The walk of ``regions``, from the arc ends of a diagram."""
     visited = [False] * len(other)
     out: list[list[int]] = []
     for start in range(len(other)):
@@ -316,6 +342,27 @@ def regions(pd: PDCode) -> list[list[int]]:
             cur = other[cur + 1 if cur % 4 != 3 else cur - 3]
         out.append(corners)
     return out
+
+
+def _pieces(other: list[int]) -> int:
+    """The number of pieces of a diagram, from its arc ends: the classes of
+    crossings that arcs join."""
+    seen = [False] * (len(other) // 4)
+    count = 0
+    for start in range(len(seen)):
+        if seen[start]:
+            continue
+        count += 1
+        seen[start] = True
+        stack = [start]
+        while stack:
+            c = stack.pop()
+            for port in range(4 * c, 4 * c + 4):
+                d = other[port] >> 2
+                if not seen[d]:
+                    seen[d] = True
+                    stack.append(d)
+    return count
 
 
 def checkerboard(pd: PDCode) -> tuple[list[list[int]], list[list[int]]]:
@@ -395,9 +442,7 @@ def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:
     for c in range(0, 4 * pd.n(), 4):
         k0 = 0 if vertex_of[c] >= 0 else 1
         edges.append(TaitEdge(vertex_of[c + k0], vertex_of[c + k0 + 2], k0))
-    rotation = tuple(
-        tuple((c >> 2, (c >> 1) & 1) for c in corners) for corners in black
-    )
+    rotation = tuple([tuple([(c >> 2, (c >> 1) & 1) for c in corners]) for corners in black])
     return TaitGraph(len(black), tuple(edges), rotation)
 
 
@@ -504,7 +549,7 @@ class DiagramBuilder:
             reversed_in += (False, not over_in, True, over_in)
         pd = PDCode(tuple(crossings), free_loops)
         validate_pd(pd)
-        # the one field set after construction, by the builder alone
+        # set after construction, by the builder alone (see ``PDCode``)
         set_field(pd, "orientation", _orientation(reversed_in, traced + free_loops))
         return pd
 

@@ -18,13 +18,16 @@ edge straight to a non-tree edge: the girth of a tree is its number of such
 turns.  The trees come from a backtracking search over the edges in index
 order, each edge tried in before it is left out, so they come in
 lexicographic order.  A turn is settled once both of its edges are decided,
-and no later decision unsettles it, so the settled turns bound the girth of
-every tree a branch can still reach.  The search cuts a branch once that
-bound passes a cap.  Looking for the least girth, it lowers the cap below
-each girth it finds, so the last tree it finds is the least tree of least
-girth: the witness a full enumeration would pick.  Only the witness is
-walked: ``decompose`` builds it on the two Tait graphs the search used, and
-its walked girth must equal the searched one.
+and no later decision unsettles it, so the settled turns at a vertex bound
+its turns in every tree a branch can still reach.  So does 1 at a vertex
+with a decided non-tree end, since every vertex of a spanning tree has a
+tree-edge end.  The search sums the larger of the two over the vertices
+and cuts a branch once that bound passes a cap.  Looking for the least
+girth, it lowers the cap below each girth it finds, so the last tree it
+finds is the least tree of least girth: the witness a full enumeration
+would pick.  Only the witness is walked: ``decompose`` builds it on the
+two Tait graphs the search used, and its walked girth must equal the
+searched one.
 """
 
 from __future__ import annotations
@@ -74,86 +77,153 @@ def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
     path compression keeps the chosen edges a forest and is rolled back one
     edge at a time.  An edge is left out only if the edges after it can
     still join the forest's parts (the bridge test of Gabow and Myers), so
-    no branch dead-ends for want of edges.  Each decision settles the turns
-    between its edge and the edges decided before it (a self-loop is never
-    a tree edge, so it counts as decided from the start); the count of
-    settled turns that go from a tree edge to a non-tree edge never falls
-    down a branch, and the branch is cut once it passes the cap.
+    no branch dead-ends for want of edges.
+
+    A branch is cut once a lower bound on the girth of every tree it can
+    still reach passes the cap.  A turn is settled once both of its edges
+    are decided (a self-loop is never a tree edge, so it counts as decided
+    out from the start), and no later decision unsettles it.  An end of an
+    edge decided out, or of a self-loop, is a decided non-tree end.  The
+    bound is the sum over the vertices v of
+
+        max(settled turns at v, 1 if v has a decided non-tree end else 0).
+
+    Proof that it bounds the girth of every tree T the branch reaches, when
+    the graph has at least 2 vertices: the girth of T is the sum over v of
+    its turns at v from a tree edge to a non-tree edge.  Those include the
+    settled ones.  And T spans and is connected, so v has a tree-edge end;
+    if v also has a non-tree end, going once around its rotation passes
+    from a tree-edge end to a non-tree end at least once, which is a turn
+    of T.  So each term is at most T's turns at v.  No decision lowers a
+    term, so the bound never falls down a branch, and a cut branch holds
+    no tree within the cap: the trees yielded and their order are those of
+    the full enumeration restricted to the cap.  A graph of one vertex has
+    the empty tree only, of girth 0 whatever its self-loops, so there the
+    self-loops mark nothing.  At a leaf the girth is the exact count of
+    settled turns once the edges left are decided out.
+
+    The search keeps the bound as the settled turns plus the vertices that
+    have a decided non-tree end but no settled turn.  The two per-vertex
+    flags it reads are set at most once down a branch; each setting goes
+    on an undo log, and backtracking to a tree edge rolls the log back to
+    where it stood before that edge was taken.
     """
     n = tait.n_vertices
     edges = [(ei, e.v1, e.v2) for ei, e in enumerate(tait.edges) if e.v1 != e.v2]
     m = len(edges)
     pos = {ei: i for i, (ei, _, _) in enumerate(edges)}
-    # the turns each decision settles: taking the edge in settles its turns
-    # to edges already decided (girth +1 per one left out), leaving it out
-    # settles the turns into it from edges already decided (+1 per tree edge)
-    settle_in: list[list[int]] = [[] for _ in edges]
-    settle_out: list[list[int]] = [[] for _ in edges]
-    for entries in tait.rotation:
+    # the turns each decision settles, with their vertex: taking the edge
+    # in settles its turns to edges already decided (girth +1 per one left
+    # out), leaving it out settles the turns into it from edges already
+    # decided (+1 per tree edge)
+    settle_in: list[list[tuple[int, int]]] = [[] for _ in edges]
+    settle_out: list[list[tuple[int, int]]] = [[] for _ in edges]
+    # per vertex: whether it has a settled turn, and whether it has a
+    # decided non-tree end
+    turned = [False] * n
+    loose = [False] * n
+    for v, entries in enumerate(tait.rotation):
         for p, (a, _end) in enumerate(entries):
-            b = entries[(p + 1) % len(entries)][0]
-            if a not in pos or a == b:
+            if a not in pos:
+                loose[v] = n > 1  # a self-loop end
                 continue  # can never go from a tree edge to a non-tree edge
+            b = entries[(p + 1) % len(entries)][0]
+            if a == b:
+                continue
             if pos.get(b, -1) < pos[a]:
-                settle_in[pos[a]].append(b)
+                settle_in[pos[a]].append((b, v))
             else:
-                settle_out[pos[b]].append(a)
+                settle_out[pos[b]].append((a, v))
     in_tree = [False] * len(tait.edges)
     parent = list(range(n))
     size = [1] * n
     tree: list[int] = []
-    # per tree edge: its position, the root it hung, the bound before it
-    undo: list[tuple[int, int, int]] = []
-    bound = 0  # settled turns from a tree edge to a non-tree edge
+    # per tree edge: its position, the root it hung, ``settled``, ``bare``
+    # and the length of the log before it
+    undo: list[tuple[int, int, int, int, int]] = []
+    # the flags set, to be cleared on backtracking: v for ``turned[v]``,
+    # ~v for ``loose[v]``
+    log: list[int] = []
+    # the bound is settled + bare: max(settled turns at v, loose[v]) is
+    # the settled turns at v, plus 1 if there are none and v is loose
+    settled = 0  # settled turns from a tree edge to a non-tree edge
+    bare = sum(loose)  # loose vertices without a settled turn
     i = 0
+    out = False  # edge i is left out whatever it joins: backtracking chose so
     while True:
-        if bound > cap:
-            pass  # cut the branch
-        elif len(tree) == n - 1:
-            # the edges left are all out; they settle the remaining turns
-            girth = bound
-            for j in range(i, m):
-                for a in settle_out[j]:
-                    girth += in_tree[a]
-            if girth <= cap:
-                yield girth, tuple(tree)
-                if descend:
-                    cap = girth - 1
-        elif i < m:
-            ei, u, v = edges[i]
-            while parent[u] != u:
-                u = parent[u]
-            while parent[v] != v:
-                v = parent[v]
-            if u != v:
-                if size[u] > size[v]:
-                    u, v = v, u
-                parent[u] = v
-                size[v] += size[u]
-                tree.append(ei)
-                in_tree[ei] = True
-                undo.append((i, u, bound))
-                for b in settle_in[i]:
-                    bound += not in_tree[b]
+        if settled + bare <= cap:
+            if len(tree) == n - 1:
+                # the edges left are all out; they settle the remaining turns
+                girth = settled
+                for j in range(i, m):
+                    for a, _v in settle_out[j]:
+                        girth += in_tree[a]
+                if girth <= cap:
+                    yield girth, tuple(tree)
+                    if descend:
+                        cap = girth - 1
+            elif i < m:
+                ei, u, v = edges[i]
+                if not out:
+                    ru, rv = u, v
+                    while parent[ru] != ru:
+                        ru = parent[ru]
+                    while parent[rv] != rv:
+                        rv = parent[rv]
+                    if ru != rv:
+                        if size[ru] > size[rv]:
+                            ru, rv = rv, ru
+                        parent[ru] = rv
+                        size[rv] += size[ru]
+                        tree.append(ei)
+                        in_tree[ei] = True
+                        undo.append((i, ru, settled, bare, len(log)))
+                        for b, w in settle_in[i]:
+                            if not in_tree[b]:
+                                settled += 1
+                                if not turned[w]:
+                                    turned[w] = True
+                                    log.append(w)
+                                    bare -= loose[w]
+                        i += 1
+                        continue
+                for a, w in settle_out[i]:
+                    if in_tree[a]:
+                        settled += 1
+                        if not turned[w]:
+                            turned[w] = True
+                            log.append(w)
+                            bare -= loose[w]
+                if not loose[u]:
+                    loose[u] = True
+                    log.append(~u)
+                    bare += not turned[u]
+                if not loose[v]:
+                    loose[v] = True
+                    log.append(~v)
+                    bare += not turned[v]
+                i += 1
+                if not out:
+                    continue
+                out = False
+                # a tree edge taken back: go on without it only if that
+                # can still end in a tree within the cap
+                if settled + bare <= cap and _can_join(n - len(tree), parent[:], edges, i):
+                    continue
+        # take back the last tree edge, to leave it out next
+        if not tree:
+            return
+        in_tree[tree.pop()] = False
+        i, ru, settled, bare, mark = undo.pop()
+        size[parent[ru]] -= size[ru]
+        parent[ru] = ru
+        for w in log[mark:]:
+            if w >= 0:
+                turned[w] = False
             else:
-                for a in settle_out[i]:
-                    bound += in_tree[a]
-            i += 1
-            continue
-        # take back the last tree edge and go on without it, if that can
-        # still end in a tree within the cap
-        while True:
-            if not tree:
-                return
-            in_tree[tree.pop()] = False
-            i, u, bound = undo.pop()
-            size[parent[u]] -= size[u]
-            parent[u] = u
-            for a in settle_out[i]:
-                bound += in_tree[a]
-            i += 1
-            if bound <= cap and _can_join(n - len(tree), parent[:], edges, i):
-                break
+                loose[~w] = False
+        del log[mark:]
+        out = True
 
 
 def _can_join(parts: int, parent: list[int], edges: list, start: int) -> bool:
@@ -286,22 +356,15 @@ def reduce_tree(
     A crossing's raw sign is +1 when its black corners are {1, 3}, i.e.
     when k0 = 1, and -1 otherwise; ``label_sign`` turns it into a label.
     """
-    tree_set = set(tree)
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(tait.n_vertices)}
-    dashes_at = {v: 0 for v in range(tait.n_vertices)}
-    for v in range(tait.n_vertices):
-        for ei, end in tait.rotation[v]:
-            if ei in tree_set:
-                adj[v].append((ei, end))
-            else:
-                dashes_at[v] += 1
-
-    suppressible = {
-        v
-        for v in range(tait.n_vertices)
-        if len(adj[v]) == 2 and dashes_at[v] == 0
-    }
-    kept = [v for v in range(tait.n_vertices) if v not in suppressible]
+    in_tree = [False] * len(tait.edges)
+    for ei in tree:
+        in_tree[ei] = True
+    rotation = tait.rotation
+    # per vertex: its tree-edge ends in rotation order; it is suppressed
+    # when these are two and are all of its ends
+    ends = [[x for x in entries if in_tree[x[0]]] for entries in rotation]
+    suppress = [len(t) == 2 == len(r) for t, r in zip(ends, rotation)]
+    kept = [v for v in range(tait.n_vertices) if not suppress[v]]
     if not kept:
         # a cycle-free chain must keep at least its two end vertices
         raise ValueError("tree reduced to nothing; diagram is not reduced")
@@ -310,34 +373,35 @@ def reduce_tree(
     # each end of a reduced edge: the tree (edge, end) it starts from
     edge_slot: dict[tuple[int, int], tuple[int, int]] = {}
     for v in kept:
-        for ei, end in adj[v]:
-            if (ei, end) in edge_slot:
+        for x in ends[v]:
+            if x in edge_slot:
                 continue
-            # walk through suppressed vertices
-            chain = [ei]
-            cur_v, cur_end = _other(tait, ei, end)
-            while cur_v in suppressible:
-                (e2, end2) = next(
-                    (x, xe) for (x, xe) in adj[cur_v] if x != chain[-1]
-                )
-                chain.append(e2)
-                cur_v, cur_end = _other(tait, e2, end2)
-            signs = [
-                label_sign if tait.edges[e2].k0 else -label_sign for e2 in chain
-            ]
-            edge_slot[(ei, end)] = (len(reduced_edges), 0)
-            edge_slot[(chain[-1], cur_end)] = (len(reduced_edges), 1)
+            # walk through suppressed vertices, counting the edges and those
+            # of raw sign +1 among them
+            last, end = x
+            length, plus = 1, tait.edges[last].k0
+            cur_v, cur_end = _other(tait, last, end)
+            while suppress[cur_v]:
+                (e1, end1), (e2, end2) = ends[cur_v]
+                if e1 != last:
+                    e2, end2 = e1, end1
+                last = e2
+                length += 1
+                plus += tait.edges[last].k0
+                cur_v, cur_end = _other(tait, last, end2)
+            edge_slot[x] = (len(reduced_edges), 0)
+            edge_slot[(last, cur_end)] = (len(reduced_edges), 1)
             reduced_edges.append(
                 ReducedEdge(
-                    label=sum(signs),
+                    label=label_sign * (2 * plus - length),
                     v1=v,
                     v2=cur_v,
-                    mixed_signs=len({s > 0 for s in signs}) > 1,
+                    mixed_signs=0 < plus < length,
                 )
             )
 
     rotation = tuple(
-        tuple(edge_slot[x] for x in tait.rotation[v] if x in edge_slot) for v in kept
+        tuple([edge_slot[x] for x in rotation[v] if x in edge_slot]) for v in kept
     )
     return ReducedTree(tuple(kept), tuple(reduced_edges), rotation)
 
@@ -481,15 +545,10 @@ def decompose(
 
 
 def _reject_unreduced(black: TaitGraph, white: TaitGraph) -> None:
+    # a vertex's rotation lists each of its edge ends, a loop's two ends
+    # both, so its length is the valence
     for g, name in ((black, "black"), (white, "white")):
-        val = [0] * g.n_vertices
-        for e in g.edges:
-            if e.v1 == e.v2:
-                val[e.v1] += 2
-            else:
-                val[e.v1] += 1
-                val[e.v2] += 1
-        if any(v == 1 for v in val):
+        if any(len(entries) == 1 for entries in g.rotation):
             raise ValueError(
                 f"diagram is not reduced: {name} graph has a valence-1 vertex "
                 "(nugatory crossing)"

@@ -6,8 +6,8 @@ because its ``__setattr__`` and ``__delattr__`` refuse.  ``_key`` returns
 the slot values as a tuple, in slot order.  Two records are equal when
 they are of one class with equal keys, and a record hashes as its key
 does.  ``repr`` pairs the slots with the key.  Only ``PDCode`` overrides
-``_key``: it leaves out its trailing ``orientation`` slot, which is then
-neither compared nor shown.
+``_key``: it leaves out its two trailing slots, ``orientation`` and
+``corner_cycles``, which are then neither compared, hashed nor shown.
 """
 
 from __future__ import annotations

@@ -255,6 +255,23 @@ def test_unreduced_diagram_is_refused_in_one_line(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["girth", "decompose"])
+def test_a_split_diagram_is_refused_as_split(tmp_path, capsys, command):
+    # two disjoint trefoils are planar, but each piece adds its own n + 2
+    # regions: 10 where a connected diagram of 6 crossings has 8
+    path = tmp_path / "two-trefoils.pd"
+    path.write_text(
+        "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3) X(7,10,8,11) X(9,12,10,7) X(11,8,12,9)"
+    )
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: region count 10 violates Euler formula (expected 8); "
+        "the diagram is split into 2 pieces\n"
+    )
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -333,6 +350,15 @@ def test_verify_table_cli(capsys):
     # without errata the printed rows fail and the exit code reports it
     code, out = run(capsys, "verify-table", "--max-crossings", "7")
     assert code == 1
+
+
+def test_verify_table_negative_max_crossings_is_a_usage_error(capsys):
+    # a negative bound used to print one empty line and exit 0, a check of
+    # nothing that passed
+    assert main(["verify-table", "--max-crossings", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the crossing bound is negative\n"
 
 
 def test_verify_table_fixtures_dir_override(tmp_path, capsys):

@@ -18,6 +18,8 @@ from knotpair.classify import jones_equal
 from knotpair.cli import main
 from knotpair.diagram import (
     PDCode,
+    TaitEdge,
+    TaitGraph,
     checkerboard,
     orient,
     pd_from_json,
@@ -363,11 +365,15 @@ def test_pruned_search_finds_the_reference_girth_and_witness():
     graphs = [tait_graph(pd, shading) for pd in pds for shading in checkerboard(pd)]
     graphs.append(_self_loop_graph())
     for g in graphs:
-        found = list(spanning_trees(g, 2 * g.n_vertices, descend=True))
-        assert found, g
-        girths = [girth for girth, _ in found]
-        assert girths == sorted(set(girths), reverse=True)
-        assert found[-1] == reference_least(g)
+        # descending, the search yields each tree whose girth is below that
+        # of every tree before it in lex order: a bound that cut a branch
+        # holding one of them would drop it
+        minima = []
+        for girth, tree in reference_girths(g):
+            if not minima or girth < minima[-1][0]:
+                minima.append((girth, tree))
+        assert list(spanning_trees(g, 2 * g.n_vertices, descend=True)) == minima
+        assert minima[-1] == reference_least(g)
         for target in (2, 3):
             assert [t for girth, t in spanning_trees(g, target) if girth == target] == [
                 t for girth, t in reference_girths(g) if girth == target
@@ -380,6 +386,37 @@ def test_pruned_search_finds_the_reference_girth_and_witness():
             assert [d.tree for d in decompositions_of_girth(pd, target)] == [
                 t for girth, t in reference_girths(black) if girth == target
             ]
+
+
+def test_a_one_vertex_graph_with_a_self_loop_has_the_empty_tree_of_girth_0():
+    # its self-loop's ends are non-tree ends, but no tree edge turns into
+    # them: the girth at the leaf is the exact count, not the bound
+    g = TaitGraph(1, (TaitEdge(0, 0, 0),), (((0, 0), (0, 1)),))
+    assert list(reference_girths(g)) == [(0, ())]
+    assert list(spanning_trees(g, 2, descend=True)) == [(0, ())]
+    assert list(spanning_trees(g, 0)) == [(0, ())]
+
+
+def test_girth_and_decompose_walk_the_regions_once(monkeypatch, capsys):
+    # pd_from_json validates the code by walking its regions and keeps
+    # them; the shading reads them back instead of walking again
+    import knotpair.diagram as diagram_module
+
+    walks = []
+    walk = diagram_module._corner_cycles
+
+    def spy(other):
+        walks.append(len(other))
+        return walk(other)
+
+    monkeypatch.setattr(diagram_module, "_corner_cycles", spy)
+    fixture = next(f for f in _fixture_files() if f.name == "5_2.pd.json")
+    for command in ("girth", "decompose"):
+        with resources.as_file(fixture) as path:
+            assert main([command, str(path)]) == 0
+        assert walks == [4 * 5], command
+        walks.clear()
+    capsys.readouterr()
 
 
 def test_pruned_search_cuts_the_dense_template_to_a_few_trees():

@@ -174,7 +174,8 @@ def test_every_record_field_of_the_package_is_read():
 
 def test_records_compare_hash_and_print_through_the_base_alone():
     # one equality for every record: ``Record`` keys on its slots in order,
-    # and only ``PDCode`` narrows the key (it leaves out ``orientation``)
+    # and only ``PDCode`` narrows the key (it leaves out ``orientation`` and
+    # ``corner_cycles``)
     own = sorted(
         (cls.name, stmt.name)
         for tree in _package().values()

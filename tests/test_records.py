@@ -13,7 +13,16 @@ import pytest
 
 from knotpair.census import CensusClass, InvariantRecord, TableResult
 from knotpair.classify import DISTINCT_BY_CONWAY, DISTINCT_BY_JONES, RepInvariants, Verdict
-from knotpair.diagram import Orientation, PDCode, TaitEdge, TaitGraph, orient, pd_from_rep
+from knotpair.diagram import (
+    Orientation,
+    PDCode,
+    TaitEdge,
+    TaitGraph,
+    orient,
+    pd_from_rep,
+    pd_from_text,
+    regions,
+)
 from knotpair.girth import Contour, ReducedEdge, ReducedTree, TaitDecomposition
 from knotpair.laurent import LaurentPoly
 from knotpair.reps import (
@@ -169,13 +178,21 @@ def test_defaults():
 
 def test_pdcode_equality_hash_and_repr_ignore_orientation():
     built = pd_from_rep(Girth2Rep(2, 3))
-    assert built.orientation is not None
+    assert built.orientation is not None and built.corner_cycles is not None
     plain = PDCode(built.crossings, built.free_loops)
-    assert plain.orientation is None
+    assert plain.orientation is None and plain.corner_cycles is None
     assert plain == built and hash(plain) == hash(built)
     assert repr(plain) == repr(built)
-    assert "orientation" not in repr(built)
+    assert "orientation" not in repr(built) and "corner_cycles" not in repr(built)
     assert orient(plain) == orient(built)
+    assert regions(plain) == regions(built)
+    # a code read from text is validated, so it keeps its regions but not
+    # an orientation
+    read = pd_from_text(" ".join(f"X{c}".replace(" ", "") for c in built.crossings))
+    assert read.orientation is None and read.corner_cycles == regions(plain)
+    fresh = PDCode(built.crossings)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
 
 
 @pytest.mark.parametrize("tag", [DISTINCT_BY_CONWAY, DISTINCT_BY_JONES])

@@ -166,22 +166,31 @@ def dedup_census(
     Unresolved, the verdict ``_rows`` writes for every member after the
     head.  Enumerating here keeps any other input out.
 
-    A rep is keyed by exact values, with no polynomial built from its
-    bracket and no text: its component count and Conway terms (None for a
-    link or past the cap) from ``classify.closed_invariants``, and the
-    integer key of its Jones polynomial at its writhe
-    (``closedform.census_jones``).  Equal keys mean equal polynomials, so
-    the classes are those of the text key.  Members stay label tuples.
-    Once every rep is keyed, each class decodes its Jones polynomial and
-    runs ``build_record`` once, and the classes are numbered in the order
-    of their records' text keys.
+    A rep is keyed by exact values, with no polynomial built and no text:
+    its component count, its Conway polynomial (None for a link or past
+    ``oracle.CONWAY_CAP``) and the integer key of its Jones polynomial at
+    its writhe (``closedform.census_jones``).  A girth-3 rep takes its
+    component count, writhe and Conway int from one pass over its labels
+    (``g3table.census_keys``), every Conway polynomial packed at one slot
+    width for the whole census; a girth-2 rep takes them from
+    ``classify.closed_invariants``, its Conway polynomial keyed by its
+    terms.  Equal keys mean equal polynomials, so the classes are those of
+    the text key.  Members stay label tuples.  Once every rep is keyed,
+    each class decodes its Conway and Jones polynomials and runs
+    ``build_record`` once, and the classes are numbered in the order of
+    their records' text keys.
     """
     jones_key, jones_of = cf.census_jones(girth, max_abs_label)
-    closed_invariants = classify.closed_invariants
+    if girth == 3:
+        from . import g3table  # frozen data: loaded on first use
+
+        invariants, conway_of = g3table.census_keys(max_abs_label, oracle.CONWAY_CAP)
+    else:
+        invariants, conway_of = _girth2_invariants, _conway_from_terms
     groups: dict[tuple, list] = {}
     for labels in _labellings(girth, max_abs_label, even_only, positive_only):
-        comps, writhe, conway = closed_invariants(labels)
-        key = (comps, None if conway is None else conway.terms, jones_key(labels, writhe))
+        comps, writhe, conway = invariants(labels)
+        key = (comps, conway, jones_key(labels, writhe))
         members = groups.get(key)
         if members is None:
             groups[key] = [labels]
@@ -191,13 +200,23 @@ def dedup_census(
     while groups:  # each integer key is freed as its class's text is made
         (comps, conway, jones), members = groups.popitem()
         if conway is not None:
-            conway = LaurentPoly(conway, "z")
+            conway = conway_of(conway)
         classes.append((build_record(comps, conway, jones_of(jones)), members))
     classes.sort(key=lambda c: (c[0].components, c[0].conway, c[0].jones))
     return [
         CensusClass(f"c{idx:04d}", record, tuple(members))
         for idx, (record, members) in enumerate(classes)
     ]
+
+
+def _girth2_invariants(labels: tuple) -> tuple:
+    """``classify.closed_invariants``, the Conway polynomial as its terms."""
+    comps, writhe, conway = classify.closed_invariants(labels)
+    return comps, writhe, None if conway is None else conway.terms
+
+
+def _conway_from_terms(terms: tuple) -> LaurentPoly:
+    return LaurentPoly(terms, "z")
 
 
 def _rows(classes):
@@ -275,11 +294,19 @@ def verify_table(
     For every entry with a reference PD fixture, the Jones polynomial of
     the representation's template diagram must match the fixture's Jones
     up to mirror (and up to orientation units t^(3k) for links).  Entries
-    without a fixture are skipped with a notice.  A negative
-    ``max_crossings`` is refused with ``ValueError``: it would check nothing.
+    without a fixture are skipped with a notice.  A ``max_crossings``
+    below the fewest crossings of a table entry is refused with
+    ``ValueError``: it would check nothing.
     """
-    if max_crossings is not None and max_crossings < 0:
-        raise ValueError("the crossing bound is negative")
+    if max_crossings is not None:
+        if max_crossings < 0:
+            raise ValueError("the crossing bound is negative")
+        fewest = min(crossing_number(name) for name, _ in ROLFSEN_TABLE)
+        if max_crossings < fewest:
+            raise ValueError(
+                f"the crossing bound {max_crossings} is below {fewest}, "
+                "the fewest crossings of a table entry"
+            )
     files = _fixture_files(fixtures_dir)
     results = []
     for name, rep_text in ROLFSEN_TABLE:

@@ -204,8 +204,11 @@ def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
     read their component count and writhe off the frozen table of reduced
     labellings (``g3table``).  A girth-1 or girth-2 knot's Conway
     polynomial is its twist formula.  A girth-3 knot's is the even formula
-    when every label is even, and otherwise the table's, up to
-    ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers on.
+    when every label is even, and otherwise the table's closed form
+    (``g3table.conway``, one int contraction at s = z^2 = 2^k, decoded),
+    up to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle
+    answers on.  The girth-3 census keys the same polynomials by ints in
+    one pass over each rep's labels (``g3table.census_keys``).
     """
     if len(labels) == 1:
         (p,) = labels

@@ -59,13 +59,19 @@ class InvalidPDError(ValueError):
     pass
 
 
-def validate_pd(pd: PDCode) -> None:
-    """Structural sanity: every arc twice, and planarity via Euler count.
+def validate_pd(pd: PDCode, planar: bool = False) -> None:
+    """Structural sanity: every arc twice, one piece, and planarity via
+    Euler count.
 
     A connected planar diagram of n crossings has n + 2 regions.  The
     corner cycles of the walk are kept on ``pd`` (see ``PDCode``).  A
-    diagram in k >= 2 pieces has n_i + 2 regions per planar piece, so it
-    fails the count; the refusal then names the pieces.
+    diagram in k >= 2 pieces has n_i + 2 - 2 g_i regions per piece of
+    genus g_i.  With every piece planar that fails the count, and the
+    refusal names the pieces too; but pieces with sum g_i = k - 1 give
+    n + 2 regions, so a code read from outside has its pieces counted
+    whatever the count, and a split code is refused as split.  A code
+    ``planar`` by construction, as ``DiagramBuilder`` assembles them, has
+    n + 2k regions in k pieces, so n + 2 regions prove one piece there.
     """
     counts: dict[int, int] = {}
     for cr in pd.crossings:
@@ -81,16 +87,16 @@ def validate_pd(pd: PDCode) -> None:
         other = _other_end(itertools.chain(*pd.crossings))
         cycles = _corner_cycles(other)
         f = len(cycles)
-        if f != n + 2:
-            pieces = _pieces(other)
+        pieces = 1 if planar and f == n + 2 else _pieces(other)
+        if f != n + 2 or pieces > 1:
             reason = (
                 f"the diagram is split into {pieces} pieces"
                 if pieces > 1
                 else "the code does not describe a planar diagram"
             )
-            raise InvalidPDError(
-                f"region count {f} violates Euler formula (expected {n + 2}); {reason}"
-            )
+            if f != n + 2:
+                reason = f"region count {f} violates Euler formula (expected {n + 2}); {reason}"
+            raise InvalidPDError(reason)
         set_field(pd, "corner_cycles", cycles)
 
 
@@ -484,7 +490,8 @@ class DiagramBuilder:
         The arcs are numbered 1..2n along each component, in the
         orientation ``orient`` gives the assembled diagram, and each
         crossing is turned so that slot 0 is its incoming under-strand end.
-        ``validate_pd`` checks the result.
+        ``validate_pd`` checks the result as planar: every caller assembles
+        a planar diagram (templates on the wheel, pretzels, braid closures).
 
         ``orient`` of the result is that orientation reversed, so the
         result carries it without tracing the strands again.  ``orient`` keeps
@@ -548,7 +555,7 @@ class DiagramBuilder:
                 over_in = incoming[u + 3]
             reversed_in += (False, not over_in, True, over_in)
         pd = PDCode(tuple(crossings), free_loops)
-        validate_pd(pd)
+        validate_pd(pd, planar=True)
         # set after construction, by the builder alone (see ``PDCode``)
         set_field(pd, "orientation", _orientation(reversed_in, traced + free_loops))
         return pd

@@ -1,0 +1,67 @@
+"""The stepwise extrapolation of the girth-3 Conway table, kept as the
+reference for ``knotpair.g3table.conway``, which evaluates the Chebyshev
+closed form of the same recurrence once at s = z^2 = 2^k.
+
+``conway`` walks each off-corner axis one step of f(j+1) = c f(j) - f(j-1)
+at a time on coefficient lists in s, the last label first.
+"""
+
+from knotpair.g3table import FIBONACCI, KNOTS, _corners, _pattern
+from knotpair.laurent import LaurentPoly
+
+
+def conway(labels) -> LaurentPoly:
+    """Conway polynomial of a girth-3 knot, extrapolated from the corners.
+
+    An axis whose label is a corner picks its half of the table by
+    indexing; only the off-corner axes are combined, one at a time.
+    """
+    pattern = _pattern(labels)
+    kinds = KNOTS[pattern][0]
+    corners = _corners(pattern)
+    index = 0
+    off = []
+    for i, x in enumerate(labels):
+        m = (x + (x & 1)) >> 1  # x = b_i + 2m
+        if m == 1:
+            index |= 1 << i
+        elif m:
+            off.append((i, m))
+    picked = [index]
+    for i, _ in off:
+        picked += [c | 1 << i for c in picked]
+    # position bit j of ``values`` is the corner bit of the j-th off axis
+    values = [corners[c] for c in picked]
+    for i, m in reversed(off):
+        half = len(values) // 2
+        fib = kinds[i] == FIBONACCI
+        values = [along(values[s], values[s + half], m, fib) for s in range(half)]
+    (result,) = values
+    return LaurentPoly.from_terms(tuple((2 * j, c) for j, c in enumerate(result) if c), "z")
+
+
+def base_label(pattern: int, i: int) -> int:
+    """b_i: the lower corner label of region i, -1 if odd, 0 if even."""
+    return -(pattern >> i & 1)
+
+
+def along(f0, f1, m: int, fib: bool):
+    """f(m) from f(0) = f0 and f(1) = f1, polynomials in s = z^2 listed from
+    the constant term, where f(j+1) + f(j-1) = c f(j)."""
+    if m < 0:  # g(j) = f(1 - j) obeys the same recurrence
+        f0, f1, m = f1, f0, 1 - m
+    for _ in range(m - 1):
+        f0, f1 = f1, next_value(f0, f1, fib)
+    return f1
+
+
+def next_value(prev, cur, fib: bool) -> list[int]:
+    """c cur - prev, with c = s + 2 if ``fib`` else 2."""
+    out = [0] * max(len(cur) + fib, len(prev))
+    for j, c in enumerate(cur):
+        out[j] += 2 * c
+        if fib:
+            out[j + 1] += c
+    for j, c in enumerate(prev):
+        out[j] -= c
+    return out

@@ -3,7 +3,7 @@
 Run from the root of a checkout after any change to the templates or the
 oracles (tests/test_g3table.py fails until the shipped table matches):
 
-    PYTHONPATH=src python -m knotpair.make_g3table
+    PYTHONPATH=src python tests/make_g3table.py
 
 A reduced labelling replaces each label x of (p, q, r, a, b, c) by
 sign(x) * (1 if x is odd else 2), or 0.  For each of the 5^6 reduced
@@ -17,13 +17,15 @@ kind (``g3table``).
 
 from __future__ import annotations
 
-import os
+from g3table_reference import base_label, next_value
+from knotpair import g3table_data
+from knotpair.diagram import orient, pd_from_rep
+from knotpair.g3table import AFFINE, FIBONACCI, _index
+from knotpair.oracle import conway_fox
+from knotpair.reps import Girth3Rep
 
-from .diagram import orient, pd_from_rep
-from .g3table import AFFINE, FIBONACCI, _index, _next, base_label
-from .oracle import conway_fox
-from .reps import Girth3Rep
-
+# the data file is kept byte-identical, so its header still names the
+# command that first wrote it
 HEADER = '''"""Frozen girth-3 table; see ``g3table``.
 
 Generated by ``python -m knotpair.make_g3table`` from the templates and
@@ -58,7 +60,7 @@ def _conway_coeffs(labels) -> tuple[int, ...]:
 def _kind(below, f0, f1) -> str:
     """The kind whose recurrence f(1) = c f(0) - f(-1) three points of a region obey."""
     for kind in (AFFINE, FIBONACCI):
-        value = _next(below, f0, kind == FIBONACCI)
+        value = next_value(below, f0, kind == FIBONACCI)
         while value and not value[-1]:
             value.pop()
         if tuple(value) == f1:
@@ -127,7 +129,7 @@ def render(table) -> str:
 
 
 def main() -> None:
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "g3table_data.py")
+    path = g3table_data.__file__
     with open(path, "w") as f:
         f.write(render(build_table()))
     print(f"wrote {path}")

@@ -4,13 +4,15 @@ import gc
 import hashlib
 import io
 import itertools
+import random
 import sys
 
 import pytest
 
-from knotpair import classify, closedform
+from knotpair import classify, closedform, g3table
 from knotpair.census import (
     _label_range,
+    _labellings,
     build_record,
     census_csv,
     census_enumerate,
@@ -23,7 +25,7 @@ from knotpair.classify import closed_bracket, closed_invariants, compare, rep_in
 from knotpair.diagram import pd_from_rep
 from knotpair.closedform import _slot_bits, bracket_girth3, census_jones
 from knotpair.laurent import LaurentPoly, jones_from_bracket, jones_to_text, poly_to_text
-from knotpair.oracle import conway_fox
+from knotpair.oracle import CONWAY_CAP, conway_fox
 from knotpair.reps import (
     Girth1Rep,
     Girth2Rep,
@@ -304,6 +306,56 @@ def test_the_census_decodes_a_polynomial_once_per_class(monkeypatch):
     classes = dedup_census(3, 2)
     assert len(calls) == len(classes) == 243
     assert len(census_enumerate(3, 2)) == 1505
+
+
+def test_the_census_conway_key_is_exact():
+    # every rep of the girth-3 census at --max 3: its components and writhe
+    # are those of closed_invariants, its Conway int decodes to the same
+    # polynomial, and two knots share an int exactly when they share a
+    # polynomial
+    key, conway = g3table.census_keys(3, CONWAY_CAP)
+    by_int, by_poly = {}, {}
+    for labels in _labellings(3, 3, False, False):
+        comps, writhe, nabla = key(labels)
+        want = closed_invariants(labels)
+        assert (comps, writhe) == want[:2], labels
+        if nabla is None:
+            assert want[2] is None, labels
+            continue
+        assert conway(nabla) == want[2], labels
+        by_int.setdefault(nabla, []).append(labels)
+        by_poly.setdefault(want[2], []).append(labels)
+    assert len(by_poly) > 500
+    assert sorted(by_int.values()) == sorted(by_poly.values())
+
+
+def test_the_census_conway_key_at_the_label_budget():
+    # labels to the girth-3 budget of 6, where knots of more than
+    # CONWAY_CAP crossings with an odd label have no Conway value
+    key, conway = g3table.census_keys(6, CONWAY_CAP)
+    rng = random.Random(20261019)
+    capped = 0
+    for _ in range(3000):
+        labels = tuple(rng.randint(-6, 6) for _ in range(6))
+        comps, writhe, nabla = key(labels)
+        want = closed_invariants(labels)
+        assert (comps, writhe) == want[:2], labels
+        assert (None if nabla is None else conway(nabla)) == want[2], labels
+        capped += comps == 1 and nabla is None
+    assert capped > 100
+
+
+def test_the_census_decodes_a_conway_polynomial_once_per_class(monkeypatch):
+    calls = []
+    real = g3table.unpack
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(g3table, "unpack", spy)
+    classes = dedup_census(3, 2)
+    assert len(calls) == sum(1 for cls in classes if cls.record.conway) > 100
 
 
 def test_the_census_makes_no_reference_cycles():

@@ -272,6 +272,21 @@ def test_a_split_diagram_is_refused_as_split(tmp_path, capsys, command):
     )
 
 
+@pytest.mark.parametrize("command", ["girth", "decompose"])
+def test_a_split_code_with_the_euler_count_is_refused_as_split(tmp_path, capsys, command):
+    # a genus-one piece of two crossings beside a trefoil: 2 + 5 regions
+    # are the 7 of a connected planar diagram of 5 crossings, so only the
+    # piece count refuses it
+    path = tmp_path / "split.json"
+    path.write_text(
+        '{"crossings": [[1,2,3,4],[1,2,3,4],[11,14,12,15],[13,16,14,11],[15,12,16,13]]}'
+    )
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the diagram is split into 2 pieces\n"
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -359,6 +374,26 @@ def test_verify_table_negative_max_crossings_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: the crossing bound is negative\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "1"])
+def test_verify_table_below_the_smallest_entry_is_a_usage_error(capsys, bound):
+    # no table entry has fewer than 2 crossings: these bounds used to print
+    # one empty line and exit 0, a check of nothing that passed
+    assert main(["verify-table", "--max-crossings", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the crossing bound {bound} is below 2, the fewest crossings of a table entry\n"
+    )
+
+
+def test_verify_table_with_no_fixtures_skips_every_entry(tmp_path, capsys):
+    # an empty fixtures directory checks nothing but refuses nothing: every
+    # entry within the bound is a SKIP row, and the exit code is 0
+    code, out = run(capsys, "verify-table", "--max-crossings", "2", "--fixtures", str(tmp_path))
+    assert code == 0
+    assert out.splitlines()[-1] == "SKIP=1"
 
 
 def test_verify_table_fixtures_dir_override(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import random
 import subprocess
@@ -7,13 +8,17 @@ import sys
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import g3table_reference
+from g3table_reference import base_label
 from knotpair import g3table, g3table_data
-from knotpair.closedform import conway_girth3_even
+from knotpair.classify import check_identities
+from knotpair.closedform import bracket_girth3, conway_girth3_even
 from knotpair.diagram import orient, pd_from_rep
-from knotpair.g3table import KNOTS, base_label
-from knotpair.make_g3table import build_table, render
+from knotpair.g3table import KNOTS
+from knotpair.laurent import jones_from_bracket
 from knotpair.oracle import CONWAY_CAP, conway_fox
 from knotpair.reps import Girth3Rep
+from make_g3table import build_table, render
 
 
 def _rep(labels) -> Girth3Rep:
@@ -61,6 +66,81 @@ def test_conway_matches_fox_property(pattern, shifts):
     labels = [base_label(pattern, i) + 2 * m for i, m in enumerate(shifts)]
     assume(sum(map(abs, labels)) <= CONWAY_CAP)
     assert g3table.conway(labels) == _fox(labels)
+
+
+def _grid(pattern):
+    """One axis at shift -4..4 from its lower corner, the others at corners
+    that change with the shift, so zero and negative labels all occur."""
+    base = [base_label(pattern, i) for i in range(6)]
+    for axis in range(6):
+        for shift in range(-4, 5):
+            labels = [b + 2 * ((shift + j) & 1) for j, b in enumerate(base)]
+            labels[axis] = base[axis] + 2 * shift
+            yield tuple(labels)
+
+
+def test_closed_form_matches_the_stepwise_walk():
+    # the grid of the Fox comparison over every knot pattern, then random
+    # labels to +-60 that put several axes off their corners at once
+    for pattern in sorted(KNOTS):
+        for labels in _grid(pattern):
+            assert g3table.conway(labels) == g3table_reference.conway(labels), labels
+    rng = random.Random(20261019)
+    for _ in range(300):
+        pattern = rng.choice(sorted(KNOTS))
+        labels = tuple(base_label(pattern, i) + 2 * rng.randint(-30, 30) for i in range(6))
+        assert g3table.conway(labels) == g3table_reference.conway(labels), labels
+
+
+def test_the_widest_labelling_decodes_exactly_at_its_width():
+    # of every knot pattern with each label at b_i +- 12, the labelling
+    # whose ||nabla||_1 comes nearest its bound decodes to the walk's
+    # polynomial at the proven width
+    def bound(labels):
+        return g3table.conway_bound(labels, KNOTS[g3table._pattern(labels)][0])
+
+    def ratio(labels):
+        return sum(abs(c) for _, c in g3table.conway(labels).terms) / bound(labels)
+
+    labellings = [
+        tuple(base_label(pattern, i) + 12 * sign for i, sign in enumerate(signs))
+        for pattern in sorted(KNOTS)
+        for signs in itertools.product((1, -1), repeat=6)
+    ]
+    widest = max(labellings, key=ratio)
+    nabla = g3table.conway(widest)
+    assert nabla == g3table_reference.conway(widest)
+    assert sum(abs(c) for _, c in nabla.terms) <= bound(widest)
+    assert bound(widest) < 1 << g3table._slot_bits(bound(widest)) - 1
+
+
+def test_the_corner_norm_is_the_tables():
+    norms = [sum(map(abs, c)) for p in KNOTS for c in g3table._corners(p)]
+    assert max(norms) == g3table.CORNER_NORM
+
+
+def test_the_bound_grows_with_every_label():
+    # and a Fibonacci axis bounds an affine one, so the census bound with
+    # six Fibonacci axes holds every pattern
+    for kinds in {kinds for kinds, _ in KNOTS.values()}:
+        for i in range(6):
+            labels = [3] * 6
+            small = g3table.conway_bound(labels, kinds)
+            for x in (4, -4, 5, -5):
+                labels[i] = x
+                bound = g3table.conway_bound(labels, kinds)
+                assert g3table.conway_bound(labels, g3table.FIBONACCI * 6) >= bound >= small
+
+
+def test_a_long_knot_passes_the_identities_against_the_closed_jones():
+    # 2000 crossings, four Fibonacci axes of 167 steps
+    rep = Girth3Rep((333, 333, 333), (333, 334, 334))
+    labels = rep.top + rep.bottom
+    comps, writhe = g3table.components_and_writhe(labels)
+    nabla = g3table.conway(labels)
+    assert comps == 1 and len(nabla.terms) == 668
+    check_identities(comps, nabla, jones_from_bracket(bracket_girth3(rep), writhe))
+    assert nabla == g3table_reference.conway(labels)
 
 
 def test_all_even_pattern_matches_the_even_formula():

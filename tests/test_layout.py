@@ -15,14 +15,12 @@ PKG = os.path.dirname(knotpair.__file__)
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 SPANS = os.path.join(PERFBENCH, "spans.py")
 
-# The paper's classification results, kept although no command prints them,
-# and the generator of the frozen girth-3 table.
+# The paper's classification results, kept although no command prints them.
 KEPT = (
     ("classify", "classify_girth2_even"),
     ("classify", "transposition_test"),
     ("classify", "cycle_obstruction"),
     ("classify", "row_swap_test"),
-    ("make_g3table", "main"),
 )
 
 # girth >= 4 ``decompose`` prints a TreePairRep through its record repr,

@@ -37,8 +37,9 @@ def cmd_eval(args) -> int:
     or by both with AGREE or DISAGREE (in JSON, an ``agree`` field).
 
     The oracle path refuses a template over ``--budget-crossings`` before
-    building it, by its crossing count read off the labels.  Otherwise it
-    builds the template once; the template carries its orientation
+    writing it, by its crossing count read off the labels.  Otherwise it
+    writes the template once, straight from the labels
+    (``diagram.pd_from_rep``); the template carries its orientation
     (``diagram.PDCode``).  It then runs only the oracle its invariant
     needs: Fox calculus for ``conway`` (on knots; a link has no value),
     the state sum for the rest.  ``--method both`` on a knot whose closed

@@ -2,10 +2,11 @@
 
 PD convention used throughout: each crossing is a 4-tuple of arc ids listed
 counterclockwise; slots 0 and 2 carry the under-strand, slots 1 and 3 the
-over-strand.  A template's arcs are numbered along its components, and
+over-strand.  A template is written straight from its labels: a fixed wheel
+of twist ladders, whose arc ends are known from the labels alone (see
+``_write_template``).  Its arcs are numbered along its components, and
 each crossing is turned so that slot 0 is an under-strand end: the
-outgoing one in the orientation ``orient`` gives the template (see
-``DiagramBuilder.build``).
+outgoing one in the orientation ``orient`` gives the template.
 
 Twist-region handedness constants at the bottom of this module were frozen
 by the calibration suite (tests/test_calibration.py): they are the unique
@@ -15,8 +16,10 @@ agrees with the state-sum oracle on the grid |p|,|q| <= 3.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 import re
 import sys
 from collections.abc import Iterable
@@ -29,13 +32,15 @@ class PDCode(Record):
     """Crossing list plus a count of crossing-free circles.
 
     Two trailing slots carry what was derived from the code once, so that
-    no later step derives it again.  A code made by ``DiagramBuilder.build``
-    keeps ``orient`` of itself in ``orientation``, which ``orient`` hands
-    back without tracing the strands again; only the builder sets it.
-    ``validate_pd`` keeps the corner cycles it walked in ``corner_cycles``,
-    which ``regions`` hands back.  Equality, hashing and repr ignore both
-    slots, and a code that was neither built nor validated has None in
-    them.
+    no later step derives it again.  A template written by
+    ``_write_template`` keeps ``orient`` of itself in ``orientation``,
+    which ``orient`` hands back without tracing the strands again; in the
+    package only the writer sets it.  ``validate_pd`` keeps the corner
+    cycles it walked in ``corner_cycles``, which ``regions`` hands back.
+    Equality, hashing and repr ignore both slots.  A code that was not
+    validated, a template among them, has None in ``corner_cycles``, and
+    ``regions`` walks its cycles when asked; a code read from outside
+    carries no orientation.
     """
 
     __slots__ = ("crossings", "free_loops", "orientation", "corner_cycles")
@@ -59,7 +64,7 @@ class InvalidPDError(ValueError):
     pass
 
 
-def validate_pd(pd: PDCode, planar: bool = False) -> None:
+def validate_pd(pd: PDCode) -> None:
     """Structural sanity: every arc twice, one piece, and planarity via
     Euler count.
 
@@ -68,10 +73,8 @@ def validate_pd(pd: PDCode, planar: bool = False) -> None:
     diagram in k >= 2 pieces has n_i + 2 - 2 g_i regions per piece of
     genus g_i.  With every piece planar that fails the count, and the
     refusal names the pieces too; but pieces with sum g_i = k - 1 give
-    n + 2 regions, so a code read from outside has its pieces counted
-    whatever the count, and a split code is refused as split.  A code
-    ``planar`` by construction, as ``DiagramBuilder`` assembles them, has
-    n + 2k regions in k pieces, so n + 2 regions prove one piece there.
+    n + 2 regions, so the pieces are counted whatever the count, and a
+    split code is refused as split.
     """
     counts: dict[int, int] = {}
     for cr in pd.crossings:
@@ -87,7 +90,7 @@ def validate_pd(pd: PDCode, planar: bool = False) -> None:
         other = _other_end(itertools.chain(*pd.crossings))
         cycles = _corner_cycles(other)
         f = len(cycles)
-        pieces = 1 if planar and f == n + 2 else _pieces(other)
+        pieces = _pieces(other)
         if f != n + 2 or pieces > 1:
             reason = (
                 f"the diagram is split into {pieces} pieces"
@@ -229,31 +232,6 @@ def _orientation(incoming: list[bool], n_components: int) -> Orientation:
     return Orientation(rows, n_components, signs, sum(signs))
 
 
-def _trace_components(other: list[int]) -> list[list[int]]:
-    """Split the ports into strand cycles.
-
-    Each cycle is the list of ports in traversal order, alternating
-    exit-port, entry-port, exit-port, ... along the strand, and starts at
-    its lowest port.
-    """
-    visited = [False] * len(other)
-    cycles: list[list[int]] = []
-    for start in range(len(other)):
-        if visited[start]:
-            continue
-        cycle = []
-        cur = start  # treated as an exit port
-        while True:
-            nxt = other[cur]
-            cycle += (cur, nxt)
-            visited[cur] = visited[nxt] = True
-            cur = nxt ^ 2
-            if cur == start:
-                break
-        cycles.append(cycle)
-    return cycles
-
-
 def orient(pd: PDCode) -> Orientation:
     """Orient every component deterministically, in one pass.
 
@@ -273,7 +251,7 @@ def orient(pd: PDCode) -> Orientation:
     direction per final group, which no sign reads, and the least choice
     keeps each group's lowest component as traced.
 
-    A code from ``DiagramBuilder.build`` carries this orientation already
+    A template from ``_write_template`` carries this orientation already
     (see ``PDCode``), and it is handed back as it is.
     """
     if pd.orientation is not None:
@@ -284,20 +262,38 @@ def orient(pd: PDCode) -> Orientation:
 
 def _orient_ports(other: list[int]) -> tuple[list[bool], int]:
     """``orient``'s ``incoming`` flag per port, and the number of strand
-    cycles, from the arc ends of a diagram."""
-    cycles = _trace_components(other)
-    comp = [0] * len(other)
-    # even positions of a traced cycle are exits, odd positions are entries
-    traced_in = [False] * len(other)
-    for k, cyc in enumerate(cycles):
-        for port in cyc:
-            comp[port] = k
-        for port in cyc[1::2]:
-            traced_in[port] = True
+    cycles, from the arc ends of a diagram.
 
-    group = list(range(len(cycles)))  # the lowest component of each group
-    flipped = [False] * len(cycles)
-    for under in range(0, len(other), 4):
+    Each strand cycle is traced from its lowest port, taken as an exit,
+    so the far end of each arc it crosses is an entry; the cycles are
+    numbered in the order of their lowest ports.
+    """
+    n_ports = len(other)
+    comp = [-1] * n_ports
+    traced_in = [False] * n_ports
+    k = 0
+    left = n_ports  # ports not yet traced
+    for start in range(n_ports):
+        if comp[start] >= 0:
+            continue
+        cur = start
+        while True:
+            nxt = other[cur]
+            comp[cur] = comp[nxt] = k
+            traced_in[nxt] = True
+            left -= 2
+            cur = nxt ^ 2
+            if cur == start:
+                break
+        k += 1
+        if not left:
+            break
+    if k < 2:
+        return traced_in, k
+
+    group = list(range(k))  # the lowest component of each group
+    flipped = [False] * k
+    for under in range(0, n_ports, 4):
         a, b = comp[under], comp[under + 1]
         if group[a] == group[b]:
             continue
@@ -311,8 +307,8 @@ def _orient_ports(other: list[int]) -> tuple[list[bool], int]:
                 group[c] = keep
                 flipped[c] ^= toggle
 
-    incoming = [traced_in[p] != flipped[comp[p]] for p in range(len(other))]
-    return incoming, len(cycles)
+    incoming = [traced_in[p] != flipped[comp[p]] for p in range(n_ports)]
+    return incoming, k
 
 
 # ---------------------------------------------------------------------------
@@ -453,115 +449,6 @@ def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:
 
 
 # ---------------------------------------------------------------------------
-# diagram builder
-
-
-class DiagramBuilder:
-    """Assemble a PD code from crossings over symbolic endpoints.
-
-    Endpoints are the ints ``point`` hands out.  Every point must be used
-    exactly twice, either as a crossing port or in a `connect` junction.
-    Chains of junctions between ports become arcs; junction cycles
-    touching no crossing become free loops.
-    """
-
-    def __init__(self) -> None:
-        self.crossings: list[tuple[int, int, int, int]] = []
-        self.joins: list[tuple[int, int]] = []
-        self.n_points = 0
-
-    def point(self) -> int:
-        """A fresh endpoint."""
-        self.n_points += 1
-        return self.n_points - 1
-
-    def add_crossing(self, a, b, c, d) -> None:
-        """Register a crossing; (a,b,c,d) counterclockwise, under = a,c."""
-        self.crossings.append((a, b, c, d))
-
-    def connect(self, p, q) -> None:
-        if p == q:
-            raise ValueError("cannot join a point to itself")
-        self.joins.append((p, q))
-
-    def build(self) -> PDCode:
-        """The PD code, carrying ``orient`` of itself (see ``PDCode``).
-
-        The arcs are numbered 1..2n along each component, in the
-        orientation ``orient`` gives the assembled diagram, and each
-        crossing is turned so that slot 0 is its incoming under-strand end.
-        ``validate_pd`` checks the result as planar: every caller assembles
-        a planar diagram (templates on the wheel, pretzels, braid closures).
-
-        ``orient`` of the result is that orientation reversed, so the
-        result carries it without tracing the strands again.  ``orient`` keeps
-        its first traced component as traced, from port 0 of crossing 0,
-        which is thus an exit of the assembled diagram.  Crossing 0 is
-        turned, so its slot 0 in the result is the under-strand's other end,
-        an entry, and ``orient`` of the result reverses that component.
-        ``validate_pd`` passes only connected diagrams, where crossings tie
-        the direction of every component to it, so every component is
-        reversed.  Reversal keeps every sign.
-        """
-        parent = list(range(self.n_points))
-
-        def find(p: int) -> int:
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
-
-        uses = [0] * self.n_points
-        for p, q in self.joins:
-            uses[p] += 1
-            uses[q] += 1
-            parent[find(p)] = find(q)
-        for cr in self.crossings:
-            for p in cr:
-                uses[p] += 1
-        for p, k in enumerate(uses):
-            if k != 2:
-                raise ValueError(f"point {p!r} used {k} times (need 2)")
-
-        # ports whose points are joined lie on one arc; a class of joined
-        # points with no port is a free loop
-        n = len(self.crossings)
-        root = [find(p) for p in range(self.n_points)]
-        other = _other_end(root[p] for cr in self.crossings for p in cr)
-        free_loops = len(set(root)) - 2 * n
-        incoming, traced = _orient_ports(other)
-
-        label = [0] * (4 * n)
-        next_id = 1
-        for start in range(4 * n):
-            if label[start] or incoming[start]:
-                continue
-            cur = start
-            while True:
-                end = other[cur]
-                label[cur] = label[end] = next_id
-                next_id += 1
-                cur = end ^ 2
-                if cur == start:
-                    break
-        crossings = []
-        reversed_in = []
-        for u in range(0, 4 * n, 4):
-            if incoming[u]:
-                crossings.append((label[u], label[u + 1], label[u + 2], label[u + 3]))
-                over_in = incoming[u + 1]
-            else:
-                crossings.append((label[u + 2], label[u + 3], label[u], label[u + 1]))
-                over_in = incoming[u + 3]
-            reversed_in += (False, not over_in, True, over_in)
-        pd = PDCode(tuple(crossings), free_loops)
-        validate_pd(pd, planar=True)
-        # set after construction, by the builder alone (see ``PDCode``)
-        set_field(pd, "orientation", _orientation(reversed_in, traced + free_loops))
-        return pd
-
-
-# ---------------------------------------------------------------------------
 # twist ladders and templates
 
 # Handedness of a positive twist label, per tree.  Frozen by calibration
@@ -572,39 +459,182 @@ OUTSIDE_HANDEDNESS = -1
 GIRTH1_HANDEDNESS = 1
 
 
-def _ladder(
-    b: DiagramBuilder,
-    label: int,
-    top_left,
-    top_right,
-    bot_left,
-    bot_right,
-    positive_handedness: int,
-    reflected: bool = False,
-) -> None:
-    """A vertical chain of |label| crossings between two strands.
+def _ladder_crossing(h: int, reflected: bool) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The slots of a ladder crossing's nw, ne, sw and se ends, and its
+    steps, ``other[p] - p`` at each slot of a crossing inside the ladder.
 
-    With zero crossings the strands pass straight through (left to left,
-    right to right); each crossing swaps the sides.  ``positive_handedness``
-    +1 puts the NE-SW strand under for positive labels.  ``reflected``
-    reverses the cyclic tuple order: ladders drawn in the outer disk are
-    seen mirrored, and without the reversal the glued map is not planar.
+    h = +1 puts the NE-SW strand under, listing the ends (ne, nw, sw, se);
+    h = -1 lists (nw, sw, se, ne).  A reflected crossing lists them in the
+    reverse cyclic order.  Inside a ladder, a crossing's nw and ne ends
+    meet the sw and se ends of the crossing before it, and its sw and se
+    ends the nw and ne ends of the crossing after it.
     """
-    n = abs(label)
-    if n == 0:
-        b.connect(top_left, bot_left)
-        b.connect(top_right, bot_right)
-        return
-    h = positive_handedness if label > 0 else -positive_handedness
-    # consecutive crossings share the endpoints between them
-    nw, ne = top_left, top_right
-    for k in range(n):
-        sw, se = (b.point(), b.point()) if k < n - 1 else (bot_left, bot_right)
-        tup = (ne, nw, sw, se) if h == 1 else (nw, sw, se, ne)
-        if reflected:
-            tup = (tup[0], tup[3], tup[2], tup[1])
-        b.add_crossing(*tup)
-        nw, ne = sw, se
+    order = ("ne", "nw", "sw", "se") if h == 1 else ("nw", "sw", "se", "ne")
+    if reflected:
+        order = (order[0], order[3], order[2], order[1])
+    nw, ne, sw, se = (order.index(end) for end in ("nw", "ne", "sw", "se"))
+    step = [0] * 4
+    step[nw], step[ne] = sw - nw - 4, se - ne - 4
+    step[sw], step[se] = nw - sw + 4, ne - se + 4
+    return (nw, ne, sw, se), tuple(step)
+
+
+def _wheel_ends(g: int) -> list[tuple[int, int, int, int]]:
+    """The ends of each ladder of a template, in crossing order: the one
+    ladder of K(p) for g = 1, else those of ``star_pair_pd`` with g
+    sectors, inner ladder 0, outer ladder 0, inner ladder 1, and so on.
+
+    A ladder's ends are the uses of wheel points at its top left, top
+    right, bottom left and bottom right.  Wheel point w has the two uses
+    2w and 2w + 1, and each use is the end of one ladder.  K(p) has wheel
+    point 0 at the ladder's left ends and 1 at its right ends.  The star
+    wheel has the points y[i] = i, z[i] = g + i, and the inner and outer
+    joints between ladders i and i + 1, 2g + i and 3g + i.  Inner ladder
+    i runs from z[i-1], y[i] to the inner joints i - 1 and i; outer
+    ladder i from y[i], z[i] to the outer joints i - 1 and i.
+    """
+    if g == 1:
+        return [(0, 2, 1, 3)]
+    ends = []
+    for i in range(g):
+        h = (i - 1) % g
+        ends.append((2 * (g + h) + 1, 2 * i, 2 * (2 * g + h) + 1, 4 * g + 2 * i))
+        ends.append((2 * i + 1, 2 * (g + i), 2 * (3 * g + h) + 1, 6 * g + 2 * i))
+    return ends
+
+
+@functools.cache
+def _ladders(g: int, inside: int, outside: int, girth1: int) -> tuple[tuple, ...]:
+    """Per ladder of ``_wheel_ends(g)``: its ends, and its crossing (see
+    ``_ladder_crossing``) for a positive label and for a negative one,
+    which flips the handedness.  The outer ladders of a star wheel are
+    reflected.  The last three arguments are the handedness constants,
+    which each build reads afresh, so that a change to one, as the
+    calibration tests make, takes effect at once.
+    """
+    kinds = [(girth1, False)] if g == 1 else [(inside, False), (outside, True)] * g
+    return tuple(
+        (ends, _ladder_crossing(h, reflected), _ladder_crossing(-h, reflected))
+        for ends, (h, reflected) in zip(_wheel_ends(g), kinds)
+    )
+
+
+@functools.cache
+def _wheel_arcs(g: int, zeros: tuple[bool, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The arcs between the ladders of ``_wheel_ends(g)``, as pairs of
+    uses, and the number of free loops, when the labels are zero where
+    ``zeros`` says.
+
+    A zero label passes its strands straight through, left to left and
+    right to right.  An arc runs from a use at a crossing to the other use
+    of its wheel point, and on through each zero label until it meets a
+    crossing.  A cycle of uses that meets no crossing is a free loop.
+    """
+    through = {}
+    for (tl, tr, bl, br), zero in zip(_wheel_ends(g), zeros):
+        if zero:
+            through.update({tl: bl, bl: tl, tr: br, br: tr})
+    arcs = []
+    for u in range(4 * len(zeros)):
+        if u not in through:
+            v = u ^ 1
+            while v in through:
+                v = through[v] ^ 1
+            if u < v:
+                arcs.append((u, v))
+    free_loops = 0
+    seen = set()
+    for u in through:
+        if u in seen:
+            continue
+        v = u
+        while True:
+            seen.update((v, through[v]))
+            v = through[v] ^ 1
+            if v == u or v not in through:
+                break
+        free_loops += v == u
+    return tuple(arcs), free_loops
+
+
+# a written crossing's ``incoming`` row, by whether its over-strand enters
+# at slot 1: its under-strand enters at slot 2, in the reversed orientation
+_REVERSED_IN = ((False, True, True, False), (False, False, True, True))
+
+
+def _write_template(g: int, labels: list[int]) -> PDCode:
+    """The PD code of the template with g sectors (see ``_wheel_ends``)
+    and these labels, carrying ``orient`` of itself (see ``PDCode``).
+
+    Ladder i is a vertical chain of |labels[i]| crossings between two
+    strands, each crossing swapping the sides (see ``_ladder_crossing``),
+    and the ladders' crossings follow one another in order.  The arcs
+    between ladders and the free loops come from ``_wheel_arcs``.
+
+    The arcs are numbered 1..2n along each component, in the orientation
+    ``orient`` gives the glued diagram, and each crossing is turned so
+    that slot 0 is its incoming under-strand end.  ``orient`` of the
+    result is that orientation reversed, so the result carries it without
+    tracing the strands again.  ``orient`` keeps its first traced
+    component as traced, from port 0 of crossing 0, which is thus an exit
+    of the glued diagram.  Crossing 0 is turned, so its slot 0 in the
+    result is the under-strand's other end, an entry, and ``orient`` of
+    the result reverses that component.  A template is connected, so
+    crossings tie the direction of every component to it, and every
+    component is reversed.  Reversal keeps every sign.
+    """
+    ladders = _ladders(g, INSIDE_HANDEDNESS, OUTSIDE_HANDEDNESS, GIRTH1_HANDEDNESS)
+    arcs, free_loops = _wheel_arcs(g, tuple(map(operator.not_, labels)))
+    port = [0] * (4 * len(ladders))  # the port at each use of a wheel point
+    steps = []
+    first = 0
+    for label, ((tl, tr, bl, br), positive, negative) in zip(labels, ladders):
+        if label:
+            (nw, ne, sw, se), step = positive if label > 0 else negative
+            k = label if label > 0 else -label
+            steps += step * k
+            last = first + 4 * k - 4
+            port[tl], port[tr], port[bl], port[br] = first + nw, first + ne, last + sw, last + se
+            first = last + 4
+    # the ends of each ladder step past it as if it had neighbours on both
+    # sides; the arcs between ladders set them right
+    other = list(map(operator.add, range(first), steps))
+    for u, v in arcs:
+        p, q = port[u], port[v]
+        other[p] = q
+        other[q] = p
+
+    incoming, traced = _orient_ports(other)
+    label = [0] * first
+    next_id = 1
+    for start in range(first):
+        if label[start] or incoming[start]:
+            continue
+        cur = start
+        while True:
+            end = other[cur]
+            label[cur] = label[end] = next_id
+            next_id += 1
+            cur = end ^ 2
+            if cur == start:
+                break
+        if 2 * next_id > first:  # every arc is numbered
+            break
+    # a crossing whose slot 0 is an exit is turned by half: each crossing
+    # picks its turned or its kept tuple by ``incoming`` at slot 0.  Its
+    # over-strand then enters at slot 1 exactly when slots 0 and 1 of the
+    # glued diagram are both entries or both exits; the sign is then -1
+    under_in, l0, l1, l2, l3 = incoming[0::4], label[0::4], label[1::4], label[2::4], label[3::4]
+    pd = PDCode(
+        tuple(map(tuple.__getitem__, zip(zip(l2, l3, l0, l1), zip(l0, l1, l2, l3)), under_in)),
+        free_loops,
+    )
+    over_in = list(map(operator.eq, under_in, incoming[1::4]))
+    signs = tuple(map((1, -1).__getitem__, over_in))
+    rows = tuple(map(_REVERSED_IN.__getitem__, over_in))
+    # set after construction, by the writer alone (see ``PDCode``)
+    set_field(pd, "orientation", Orientation(rows, traced + free_loops, signs, sum(signs)))
+    return pd
 
 
 def star_pair_pd(inner: list[int], outer: list[int]) -> PDCode:
@@ -618,32 +648,12 @@ def star_pair_pd(inner: list[int], outer: list[int]) -> PDCode:
     g = len(inner)
     if len(outer) != g or g < 2:
         raise ValueError("need equal-length label lists, at least two sectors")
-    b = DiagramBuilder()
-    y, z, in_cw, in_ccw, out_y, out_z = (
-        [b.point() for _ in range(g)] for _ in range(6)
-    )
-    for i in range(g):
-        _ladder(
-            b, inner[i], z[(i - 1) % g], y[i], in_cw[i], in_ccw[i], INSIDE_HANDEDNESS
-        )
-        _ladder(
-            b, outer[i], y[i], z[i], out_y[i], out_z[i],
-            OUTSIDE_HANDEDNESS, reflected=True,
-        )
-    for i in range(g):
-        b.connect(in_ccw[i], in_cw[(i + 1) % g])
-        b.connect(out_z[i], out_y[(i + 1) % g])
-    return b.build()
+    return _write_template(g, list(itertools.chain.from_iterable(zip(inner, outer))))
 
 
 def torus2_pd(p: int) -> PDCode:
     """The closed single twist region K(p): braid closure of two strands."""
-    b = DiagramBuilder()
-    tl, tr, bl, br = b.point(), b.point(), b.point(), b.point()
-    _ladder(b, p, tl, tr, bl, br, GIRTH1_HANDEDNESS)
-    b.connect(tl, bl)
-    b.connect(tr, br)
-    return b.build()
+    return _write_template(1, [p])
 
 
 def pd_from_rep(rep) -> PDCode:

@@ -261,7 +261,7 @@ def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
     """Conway polynomial of a knot diagram.
 
     The orientation is ``orient(pd)``, which a template carries from its
-    build, so a template is not traced again here.
+    writer, so a template is not traced again here.
 
     Pipeline: Wirtinger presentation -> Fox derivative matrix over Z[t] ->
     Alexander polynomial (determinant of a first minor, by ``_alexander``)

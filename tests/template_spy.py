@@ -8,10 +8,10 @@ def spy_on_templates(monkeypatch):
     """Record, as (name, argument), every call of:
 
     - ``pd_from_rep`` and ``orient``, in each module that imports them;
-    - ``DiagramBuilder.build`` ("build", the builder), which every template
+    - ``_write_template`` ("build", its labels), which every template
       diagram goes through, whatever function asked for it;
     - ``_orient_ports`` ("trace", the arc ends), the tracing of an
-      orientation, which ``build`` runs once and ``orient`` runs on a code
+      orientation, which the writer runs once and ``orient`` runs on a code
       that carries no orientation from a build.
     """
     calls = []
@@ -26,9 +26,10 @@ def spy_on_templates(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, spy)
 
-    build, trace = diagram.DiagramBuilder.build, diagram._orient_ports
+    write, trace = diagram._write_template, diagram._orient_ports
     monkeypatch.setattr(
-        diagram.DiagramBuilder, "build", lambda b: calls.append(("build", b)) or build(b)
+        diagram, "_write_template",
+        lambda g, labels: calls.append(("build", labels)) or write(g, labels),
     )
     monkeypatch.setattr(
         diagram, "_orient_ports", lambda other: calls.append(("trace", other)) or trace(other)

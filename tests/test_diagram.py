@@ -1,4 +1,6 @@
+import ast
 import itertools
+import os
 import random
 import sys
 import time
@@ -7,12 +9,12 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotpair import diagram
 from knotpair.classify import rep_invariants
 from knotpair.diagram import (
     InvalidPDError,
     PDCode,
     _other_end,
-    _trace_components,
     checkerboard,
     orient,
     pd_from_json,
@@ -28,7 +30,13 @@ from knotpair.oracle import bracket_state_sum
 from knotpair.laurent import jones_from_bracket
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize, template_crossings
 
-from diagram_builders import braid_closure_pd, pd_to_json, pretzel_pd
+from diagram_builders import (
+    braid_closure_pd,
+    pd_to_json,
+    pretzel_pd,
+    reference_pd_from_rep,
+    reference_star_pair_pd,
+)
 
 
 def jones(pd):
@@ -257,6 +265,31 @@ def test_pretzel_template_correspondence():
 # the one-pass orientation against the 2^(k-1) flip search it replaced
 
 
+def _trace_components(other: list[int]) -> list[list[int]]:
+    """Split the ports into strand cycles.
+
+    Each cycle is the list of ports in traversal order, alternating
+    exit-port, entry-port, exit-port, ... along the strand, and starts at
+    its lowest port.
+    """
+    visited = [False] * len(other)
+    cycles: list[list[int]] = []
+    for start in range(len(other)):
+        if visited[start]:
+            continue
+        cycle = []
+        cur = start  # treated as an exit port
+        while True:
+            nxt = other[cur]
+            cycle += (cur, nxt)
+            visited[cur] = visited[nxt] = True
+            cur = nxt ^ 2
+            if cur == start:
+                break
+        cycles.append(cycle)
+    return cycles
+
+
 def orient_by_search(pd):
     """Try every direction of every component but the first; keep the least
     sign tuple, and the first flip tuple in product order that gives it.
@@ -477,3 +510,181 @@ _label = st.integers(-40, 40)
 )
 def test_reduced_template_matches_full_template_property(rep):
     assert table_components_and_writhe(rep) == full_template_components_and_writhe(rep)
+
+
+# ---------------------------------------------------------------------------
+# the written templates against the general assembly they replaced
+
+
+def assert_written_as_assembled(rep, traced=True):
+    """The written template of ``rep`` is the assembled one, field for
+    field, and ``validate_pd`` passes on it; with ``traced``, its carried
+    orientation is also ``orient`` of its code traced afresh."""
+    pd, ref = pd_from_rep(rep), reference_pd_from_rep(rep)
+    assert (pd.crossings, pd.free_loops) == (ref.crossings, ref.free_loops), rep
+    assert pd.orientation == ref.orientation, rep
+    if traced:
+        assert orient(PDCode(pd.crossings, pd.free_loops)) == ref.orientation, rep
+    # written, not validated: the regions are walked when asked
+    assert pd.corner_cycles is None
+    assert regions(pd) == regions(ref), rep
+    validate_pd(pd)
+    return pd
+
+
+def test_written_templates_equal_the_assembled_ones_on_grids():
+    reps = [Girth1Rep(p) for p in range(-30, 31)]
+    reps += [Girth2Rep(p, q) for p, q in itertools.product(range(-12, 13), repeat=2)]
+    rng = random.Random(20261019)
+    for _ in range(399):
+        labels = [rng.choice((0, rng.randint(-20, 20))) for _ in range(6)]
+        reps.append(Girth3Rep(tuple(labels[:3]), tuple(labels[3:])))
+    reps.append(Girth3Rep((0, 0, 0), (0, 0, 0)))  # free loops alone
+    assert sum(0 in rep.top + rep.bottom for rep in reps[-400:]) >= 200
+    free = [rep for rep in reps if assert_written_as_assembled(rep).free_loops]
+    assert Girth1Rep(0) in free and Girth2Rep(0, 0) in free and reps[-1] in free
+
+
+def test_written_templates_equal_the_assembled_ones_on_the_girth3_grid():
+    # every girth-3 labelling with labels -2..2; the carried orientation
+    # is checked against a fresh trace on this grid by
+    # test_template_orientation_is_orient_on_reduced_templates
+    for labels in itertools.product(range(-2, 3), repeat=6):
+        assert_written_as_assembled(Girth3Rep(labels[:3], labels[3:]), traced=False)
+
+
+_wide_label = st.integers(-40, 40)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        st.builds(Girth1Rep, _wide_label),
+        st.builds(Girth2Rep, _wide_label, _wide_label),
+        st.builds(Girth3Rep, st.tuples(*[_wide_label] * 3), st.tuples(*[_wide_label] * 3)),
+    )
+)
+def test_written_templates_equal_the_assembled_ones_property(rep):
+    assert_written_as_assembled(rep)
+
+
+def test_star_pair_templates_of_other_widths_equal_the_assembled_ones():
+    rng = random.Random(4)
+    for g in (2, 4, 5):
+        for _ in range(20):
+            inner = [rng.choice((0, rng.randint(-4, 4))) for _ in range(g)]
+            outer = [rng.choice((0, rng.randint(-4, 4))) for _ in range(g)]
+            pd, ref = star_pair_pd(inner, outer), reference_star_pair_pd(inner, outer)
+            assert (pd.crossings, pd.free_loops, pd.orientation) == (
+                ref.crossings, ref.free_loops, ref.orientation
+            ), (inner, outer)
+    assert torus2_pd(0) == PDCode((), 2)
+
+
+def test_the_template_writer_is_independent_of_the_closed_forms():
+    # the oracles check the closed forms and the frozen table on written
+    # templates, and the table's components-and-writhe test compares the
+    # table with ``orient`` of them: so the writer reads neither
+    path = os.path.join(os.path.dirname(diagram.__file__), "diagram.py")
+    with open(path) as f:
+        tree = ast.parse(f.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert "_write_template" in names and "_orient_ports" in names
+    for name in ("closedform", "g3table", "g3table_data", "classify", "REDUCED"):
+        assert name not in names, name
+
+
+# ---------------------------------------------------------------------------
+# validate_pd against a genus counted by a face walk of its own
+
+
+def random_gluing(rng: random.Random, n: int) -> PDCode:
+    """n crossings whose 4n slots are paired at random, each pair one arc
+    under a random id, beside up to two free loops (at least one if n is
+    0, so that the code has a bracket)."""
+    slots = list(range(4 * n))
+    rng.shuffle(slots)
+    ids = rng.sample(range(1, 10 * n + 10), 2 * n)
+    arc = [0] * (4 * n)
+    for k in range(2 * n):
+        arc[slots[2 * k]] = arc[slots[2 * k + 1]] = ids[k]
+    crossings = tuple(tuple(arc[4 * c:4 * c + 4]) for c in range(n))
+    return PDCode(crossings, rng.randint(0 if n else 1, 2))
+
+
+def euler_characteristics(pd: PDCode) -> list[int]:
+    """V - E + F of each piece of the map whose vertices are the crossings,
+    with their slots in counterclockwise order, and whose edges are the
+    arcs.  A face is a cycle of slot -> the slot across its arc -> the
+    slot before that one at its crossing."""
+    n = pd.n()
+    ends: dict[int, list[int]] = {}
+    for slot, a in enumerate(itertools.chain(*pd.crossings)):
+        ends.setdefault(a, []).append(slot)
+    across = [0] * (4 * n)
+    for s, t in ends.values():
+        across[s], across[t] = t, s
+    piece = list(range(n))
+
+    def find(c):
+        while piece[c] != c:
+            c = piece[c]
+        return c
+
+    for s, t in ends.values():
+        piece[find(s // 4)] = find(t // 4)
+    roots = sorted({find(c) for c in range(n)})
+    chi = {r: 0 for r in roots}
+    for c in range(n):
+        chi[find(c)] += 1 - 2  # one vertex, and half of its four edge ends
+    seen = [False] * (4 * n)
+    for start in range(4 * n):
+        if seen[start]:
+            continue
+        chi[find(start // 4)] += 1
+        s = start
+        while not seen[s]:
+            seen[s] = True
+            t = across[s]
+            s = 4 * (t // 4) + (t - 1) % 4
+    return [chi[r] for r in roots]
+
+
+def test_validate_pd_agrees_with_the_genus_of_random_gluings():
+    rng = random.Random(20261019)
+    verdicts = {"planar": 0, "split": 0, "genus": 0}
+    for _ in range(3000):
+        pd = random_gluing(rng, rng.randint(0, 6))
+        chis = euler_characteristics(pd)
+        if len(chis) > 1:
+            expected = f"the diagram is split into {len(chis)} pieces"
+        elif chis and chis[0] != 2:
+            expected = "the code does not describe a planar diagram"
+        else:
+            expected = None
+        try:
+            validate_pd(pd)
+            got = None
+        except InvalidPDError as err:
+            got = str(err)
+        if expected is None:
+            assert got is None, (pd, got)
+            verdicts["planar"] += 1
+            # an accepted code is one diagram: its bracket's exponents lie
+            # in one class mod 4
+            exponents = {e % 4 for e, _ in bracket_state_sum(pd).terms}
+            assert len(exponents) == 1, (pd, exponents)
+        else:
+            assert got is not None and got.endswith(expected), (pd, got, chis)
+            verdicts["split" if len(chis) > 1 else "genus"] += 1
+    assert min(verdicts.values()) >= 100, verdicts

@@ -1,16 +1,21 @@
 """Command-line interface.
 
+The seven subcommands and their arguments are described once, in
+``COMMANDS``.  ``main`` reads a plain command line straight off that table
+(``match``) and leaves the rest, help and usage errors included, to the
+argparse parser ``build_parser`` makes from the same table.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import gc
 import json
 import random
 import sys
+import types
 
 from . import census, classify, closedform, girth, oracle
 from .diagram import pd_from_json, pd_from_rep, pd_from_text, orient
@@ -21,6 +26,7 @@ from .laurent import (
     jones_to_text,
     poly_to_text,
 )
+from .record import Record, set_field
 from .reps import Girth2Rep, Girth3Rep, parse_rep, template_crossings
 
 
@@ -255,83 +261,184 @@ def cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors take ``main``'s one-line path."""
+class Argument(Record):
+    """One argument of a subcommand in ``COMMANDS``.
 
-    def error(self, message):
-        raise ValueError(f"{self.prog}: {message} (see {self.prog} -h)")
+    A positional when ``flag`` is None, and then always required; else an
+    option, written ``flag value``, or ``flag`` alone when ``kind`` is
+    ``bool`` (a store-true flag).  ``kind`` is ``int``, ``str`` or
+    ``bool``; ``dest`` names the attribute the parsed value lands in.
+    """
+
+    __slots__ = ("flag", "dest", "kind", "choices", "default", "required", "help")
+
+    def __init__(self, flag, dest, kind=str, choices=None, default=None, required=False,
+                 help=None) -> None:
+        set_field(self, "flag", flag)
+        set_field(self, "dest", dest)
+        set_field(self, "kind", kind)
+        set_field(self, "choices", choices)
+        set_field(self, "default", default)
+        set_field(self, "required", required or flag is None)
+        set_field(self, "help", help)
+
+
+FORMAT = Argument("--format", "format", choices=("text", "json"), default="text")
+
+# the arguments of both ``girth`` and ``decompose``
+PD_ARGUMENTS = (
+    Argument(None, "pd_file"),
+    Argument("--budget-crossings", "budget_crossings", int, default=girth.TREE_BUDGET_CROSSINGS),
+    FORMAT,
+)
+
+# The subcommands in the order ``knotpair -h`` lists them: (name, help,
+# handler, arguments), each command's arguments in the order its help
+# lists them.  ``match`` and ``build_parser`` both read this one table.
+COMMANDS = (
+    ("eval", "evaluate an invariant of a representation", cmd_eval, (
+        Argument(None, "rep", help="representation, e.g. '(2,-3)' or '[0 2 2 / 0 -1 -1]'"),
+        Argument(None, "invariant", choices=("conway", "bracket", "jones", "span")),
+        Argument("--method", "method", choices=("closed", "oracle", "both"), default="closed"),
+        Argument("--budget-crossings", "budget_crossings", int, default=oracle.BRACKET_CAP),
+        FORMAT,
+    )),
+    ("compare", "compare two representations", cmd_compare, (
+        Argument(None, "rep1"),
+        Argument(None, "rep2"),
+        Argument("--mirror-ok", "mirror_ok", bool, default=False),
+        FORMAT,
+    )),
+    ("girth", "diagram girth of a PD file", cmd_girth, PD_ARGUMENTS),
+    ("decompose", "diagram girth plus recovered representation",
+     functools.partial(cmd_girth, emit_rep=True), PD_ARGUMENTS),
+    ("census", "enumerate and deduplicate representations", cmd_census, (
+        Argument("--girth", "girth", int, choices=(2, 3), required=True),
+        Argument("--max", "max", int, required=True),
+        Argument("--even", "even", bool, default=False),
+        Argument("--positive", "positive", bool, default=False),
+        Argument("--format", "format", choices=("csv", "jsonl"), default="csv"),
+        Argument("--output", "output"),
+    )),
+    ("verify-table", "check table reps against fixtures", cmd_verify_table, (
+        Argument("--fixtures", "fixtures", help="fixture directory override"),
+        Argument("--max-crossings", "max_crossings", int),
+        Argument("--errata", "errata", bool, default=False, help="apply documented errata"),
+        FORMAT,
+    )),
+    ("selftest", "run the formula-vs-oracle suites", cmd_selftest, ()),
+)
+
+
+def match(argv: list[str]):
+    """The namespace argparse makes of ``argv``, read straight off
+    ``COMMANDS``, or None when ``argv`` is not a plain command line.
+
+    A plain command line is an exact subcommand name followed by exactly
+    its positionals and any of its options, each option at most once and
+    in ``flag value`` form, every required option among them.  No value
+    and no positional starts with ``-``, each ``int`` value converts by
+    ``int()``, and each value with choices is one of them.  The namespace
+    then holds what argparse sets: ``command``, ``func`` and every dest,
+    defaults included.  Anything else gets None, with nothing printed or
+    raised: help, abbreviations, ``--flag=value``, ``--``, a negative
+    number, a bad value, a missing or an extra argument.
+    """
+    for name, _, func, arguments in COMMANDS:
+        if argv[:1] == [name]:
+            break
+    else:
+        return None
+    args = {"command": name, "func": func}
+    for arg in arguments:
+        args[arg.dest] = arg.default
+    given = set()
+    positionals = iter([arg for arg in arguments if arg.flag is None])
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token.startswith("-"):
+            arg = next((arg for arg in arguments if arg.flag == token), None)
+            if arg is None or arg.dest in given:
+                return None
+            if arg.kind is bool:
+                given.add(arg.dest)
+                args[arg.dest] = True
+                continue
+            token = next(tokens, "-")
+            if token.startswith("-"):
+                return None
+        else:
+            arg = next(positionals, None)
+            if arg is None:
+                return None
+        if arg.kind is int:
+            try:
+                token = int(token)
+            except ValueError:
+                return None
+        if arg.choices is not None and token not in arg.choices:
+            return None
+        given.add(arg.dest)
+        args[arg.dest] = token
+    if any(arg.required and arg.dest not in given for arg in arguments):
+        return None
+    return types.SimpleNamespace(**args)
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and kept for the rest of the process.
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for the command lines ``match``
+    declines: help and usage errors.
 
-    Parsing leaves it unchanged, so every command shares it; callers must
-    not change it either.
+    It lists the subcommands and their arguments in table order, with the
+    table's help strings, and sets the same ``func`` objects.  argparse is
+    imported here, on the first declined command line, and the parser is
+    kept for the rest of the process.  Parsing leaves it unchanged, so
+    every command shares it; callers must not change it either.
     """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser whose usage errors take ``main``'s one-line path."""
+
+        def error(self, message):
+            raise ValueError(f"{self.prog}: {message} (see {self.prog} -h)")
+
     parser = _Parser(
         prog="knotpair",
         description="Exact invariants and girth decompositions of tree-pair knots",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate an invariant of a representation")
-    p.add_argument("rep", help="representation, e.g. '(2,-3)' or '[0 2 2 / 0 -1 -1]'")
-    p.add_argument(
-        "invariant", choices=["conway", "bracket", "jones", "span"]
-    )
-    p.add_argument("--method", choices=["closed", "oracle", "both"], default="closed")
-    p.add_argument("--budget-crossings", type=int, default=oracle.BRACKET_CAP)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("compare", help="compare two representations")
-    p.add_argument("rep1")
-    p.add_argument("rep2")
-    p.add_argument("--mirror-ok", action="store_true")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("girth", help="diagram girth of a PD file")
-    p.add_argument("pd_file")
-    p.add_argument("--budget-crossings", type=int, default=girth.TREE_BUDGET_CROSSINGS)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=lambda a: cmd_girth(a, emit_rep=False))
-
-    p = sub.add_parser(
-        "decompose", help="diagram girth plus recovered representation"
-    )
-    p.add_argument("pd_file")
-    p.add_argument("--budget-crossings", type=int, default=girth.TREE_BUDGET_CROSSINGS)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=lambda a: cmd_girth(a, emit_rep=True))
-
-    p = sub.add_parser("census", help="enumerate and deduplicate representations")
-    p.add_argument("--girth", type=int, choices=[2, 3], required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--even", action="store_true")
-    p.add_argument("--positive", action="store_true")
-    p.add_argument("--format", choices=["csv", "jsonl"], default="csv")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_census)
-
-    p = sub.add_parser("verify-table", help="check table reps against fixtures")
-    p.add_argument("--fixtures", default=None, help="fixture directory override")
-    p.add_argument("--max-crossings", type=int, default=None)
-    p.add_argument("--errata", action="store_true", help="apply documented errata")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify_table)
-
-    p = sub.add_parser("selftest", help="run the formula-vs-oracle suites")
-    p.set_defaults(func=cmd_selftest)
-
+    for name, help, func, arguments in COMMANDS:
+        p = sub.add_parser(name, help=help)
+        for arg in arguments:
+            if arg.flag is None:
+                p.add_argument(arg.dest, choices=arg.choices, help=arg.help)
+            elif arg.kind is bool:
+                p.add_argument(arg.flag, dest=arg.dest, action="store_true",
+                               default=arg.default, help=arg.help)
+            else:
+                p.add_argument(arg.flag, dest=arg.dest, type=arg.kind, choices=arg.choices,
+                               default=arg.default, required=arg.required, help=arg.help)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one command line (``sys.argv[1:]`` when None); return its exit code.
+
+    ``match`` reads a plain command line off ``COMMANDS``; only a command
+    line it declines is parsed by ``build_parser()``, so a valid command
+    never imports argparse, and help texts and usage errors are
+    argparse's own.  A usage error, or a ``ValueError`` or ``OSError`` of
+    the command, prints one ``error:`` line to stderr and returns 2.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = match(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -134,6 +134,40 @@ def test_the_reachability_guard_finds_a_definition_no_command_reaches():
     ]
 
 
+def _eager_imports(tree) -> set:
+    """The modules a module imports as it is imported: by import statements
+    outside function bodies."""
+    names = set()
+    todo = list(tree.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+        todo += ast.iter_child_nodes(node)
+    return names
+
+
+def test_no_module_of_the_package_imports_argparse_as_it_is_imported():
+    # argparse, with gettext, costs each fresh process milliseconds; a valid
+    # command never needs it, so only ``cli.build_parser`` imports it, for
+    # help and usage errors
+    assert [m for m, tree in _package().items() if "argparse" in _eager_imports(tree)] == []
+
+
+def test_the_import_guard_finds_an_import_run_at_import_time():
+    tree = ast.parse(
+        "import os\nfrom argparse import Namespace\n"
+        "def f():\n    import json\n"
+        "class C:\n    import gettext\n"
+        "if True:\n    import random\n"
+    )
+    assert _eager_imports(tree) == {"os", "argparse", "gettext", "random"}
+
+
 def test_every_record_field_of_the_package_is_read():
     # a field nothing reads is data carried for no one: each field a class
     # of the package names in its __slots__ must be read as an attribute

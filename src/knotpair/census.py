@@ -19,14 +19,7 @@ from .laurent import (
     poly_to_text,
 )
 from .record import Record, set_field
-from .reps import (
-    Girth2Rep,
-    canonicalize,
-    g3_wheel_minima,
-    parse_rep,
-    rep_from_labels,
-    rep_labels,
-)
+from .reps import g3_wheel_minima, parse_rep, rep_from_labels
 from .tables import (
     ROLFSEN_TABLE,
     TABLE_ERRATA,
@@ -121,12 +114,17 @@ def _labellings(girth: int, max_abs_label: int, even_only: bool, positive_only: 
         return out
     if girth != 2:
         raise ValueError("census enumerates girth 2 or 3")
-    seen: dict[tuple, tuple] = {}
-    for p in values:
-        for q in values:
-            canon = canonicalize(Girth2Rep(p, q))
-            seen.setdefault(canon.key, rep_labels(canon.rep))
-    return [seen[k] for k in sorted(seen)]
+    # ``reps.canonicalize`` sorts a pair and lets a +-1 label absorb into
+    # the other, and its keys order every K(p) before every K(p, q): the
+    # K(p) of the pairs with a +-1 label, then the sorted pairs of the rest
+    absorbed = set()
+    for one in (v for v in values if abs(v) == 1):
+        for v in values:
+            lo, hi = sorted((one, v))
+            absorbed.add(lo - hi if abs(hi) == 1 else hi - lo)
+    rest = [v for v in values if abs(v) != 1]
+    pairs = [(p, q) for i, p in enumerate(rest) for q in rest[i:]]
+    return [(p,) for p in sorted(absorbed)] + pairs
 
 
 def _label_range(max_abs: int, even_only: bool, positive_only: bool) -> list[int]:
@@ -167,26 +165,22 @@ def dedup_census(
     head.  Enumerating here keeps any other input out.
 
     A rep is keyed by exact values, with no polynomial built and no text:
-    its component count, its Conway polynomial (None for a link or past
-    ``oracle.CONWAY_CAP``) and the integer key of its Jones polynomial at
-    its writhe (``closedform.census_jones``).  A girth-3 rep takes its
-    component count, writhe and Conway int from one pass over its labels
+    its component count, its Conway polynomial as one int (None for a
+    link or past ``oracle.CONWAY_CAP``) and the integer key of its Jones
+    polynomial at its writhe (``closedform.census_jones``).  The component
+    count, writhe and Conway int come from one pass over the rep's labels
     (``g3table.census_keys``), every Conway polynomial packed at one slot
-    width for the whole census; a girth-2 rep takes them from
-    ``classify.closed_invariants``, its Conway polynomial keyed by its
-    terms.  Equal keys mean equal polynomials, so the classes are those of
-    the text key.  Members stay label tuples.  Once every rep is keyed,
-    each class decodes its Conway and Jones polynomials and runs
-    ``build_record`` once, and the classes are numbered in the order of
-    their records' text keys.
+    width for the whole census, girth 2 and girth 3 alike.  Equal keys
+    mean equal polynomials, so the classes are those of the text key.
+    Members stay label tuples.  Once every rep is keyed, each class
+    decodes its Conway and Jones polynomials and runs ``build_record``
+    once, and the classes are numbered in the order of their records'
+    text keys.
     """
-    jones_key, jones_of = cf.census_jones(girth, max_abs_label)
-    if girth == 3:
-        from . import g3table  # frozen data: loaded on first use
+    from . import g3table  # frozen data: loaded on first use
 
-        invariants, conway_of = g3table.census_keys(max_abs_label, oracle.CONWAY_CAP)
-    else:
-        invariants, conway_of = _girth2_invariants, _conway_from_terms
+    jones_key, jones_of = cf.census_jones(girth, max_abs_label)
+    invariants, conway_of = g3table.census_keys(girth, max_abs_label, oracle.CONWAY_CAP)
     groups: dict[tuple, list] = {}
     for labels in _labellings(girth, max_abs_label, even_only, positive_only):
         comps, writhe, conway = invariants(labels)
@@ -202,41 +196,34 @@ def dedup_census(
         if conway is not None:
             conway = conway_of(conway)
         classes.append((build_record(comps, conway, jones_of(jones)), members))
-    classes.sort(key=lambda c: (c[0].components, c[0].conway, c[0].jones))
-    return [
-        CensusClass(f"c{idx:04d}", record, tuple(members))
-        for idx, (record, members) in enumerate(classes)
-    ]
+    # the text keys are distinct; the last first, so that each class is
+    # popped in order and its member list freed as its tuple is made
+    classes.sort(key=lambda c: (c[0].components, c[0].conway, c[0].jones), reverse=True)
+    out = []
+    while classes:
+        record, members = classes.pop()
+        out.append(CensusClass(f"c{len(out):04d}", record, tuple(members)))
+    return out
 
 
-def _girth2_invariants(labels: tuple) -> tuple:
-    """``classify.closed_invariants``, the Conway polynomial as its terms."""
-    comps, writhe, conway = classify.closed_invariants(labels)
-    return comps, writhe, None if conway is None else conway.terms
-
-
-def _conway_from_terms(terms: tuple) -> LaurentPoly:
-    return LaurentPoly(terms, "z")
+# the text and girth of a rep, by the length of its ``reps.rep_labels``:
+# the ``str`` and ``girth()`` of ``reps.rep_from_labels``
+_REP_TEXT = {1: "({})".format, 2: "({},{})".format, 6: "[{} {} {} / {} {} {}]".format}
+_GIRTH = {1: 1, 2: 2, 6: 3}
 
 
 def _rows(classes):
     """The ``FIELDS`` of each census row, class by class, head first; the
-    head's verdict is None, written empty (null in JSON lines)."""
+    head's verdict is None, written empty (null in JSON lines).  A row is
+    formatted from its member's labels, and the fields its class shares
+    once per class."""
     for cls in classes:
         rec = cls.record
+        shared = (rec.components, rec.conway, rec.jones, str(rec.span), cls.class_id)
         verdict = None
         for labels in cls.members:
-            rep = rep_from_labels(labels)
-            yield (
-                str(rep),
-                rep.girth(),
-                rec.components,
-                rec.conway,
-                rec.jones,
-                str(rec.span),
-                cls.class_id,
-                verdict,
-            )
+            n = len(labels)
+            yield (_REP_TEXT[n](*labels), _GIRTH[n], *shared, verdict)
             verdict = classify.UNRESOLVED
 
 

@@ -207,8 +207,9 @@ def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
     when every label is even, and otherwise the table's closed form
     (``g3table.conway``, one int contraction at s = z^2 = 2^k, decoded),
     up to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle
-    answers on.  The girth-3 census keys the same polynomials by ints in
-    one pass over each rep's labels (``g3table.census_keys``).
+    answers on.  The census keys the same values by ints in one pass over
+    each rep's labels (``g3table.census_keys``), a girth-2 knot's Conway
+    polynomial from the table's contraction rather than its twist formula.
     """
     if len(labels) == 1:
         (p,) = labels

@@ -60,7 +60,14 @@ stride 2 cuts the value into the coefficients of z^0, z^2, ...
 Every coefficient of nabla then fits a k-bit slot with the sign bit to
 spare.  B grows with every |label|, and v is larger on a Fibonacci axis
 than on an affine one, so the k of a label bound on Fibonacci axes serves
-every labelling within it (``census_keys``).
+every labelling within it (``census_keys``).  The girth-2 census's bound
+is that of (m, 0, 0, m, 0, 0), B = N L_(2j+1)^2 with j = floor(m / 2).
+A K(p) of that census absorbed a +-1 label, so |p| <= m + 1 <= 2j + 2,
+and its nabla (``closedform.conway_single_twist``) has the positive
+coefficients C(n - i, i) with n = |p| - 1, which sum to the Fibonacci
+number F_|p|, at most F_13 = 233 at the budget m = 12.  F_|p| <=
+F_(2j+2) <= F_(2j) + F_(2j+2) = L_(2j+1) <= B, so K(p) fits the same
+slots.
 
 ``g3table_data`` holds the reduced entries and, per knot pattern, the
 kinds and the 64 corner polynomials, made by tests/make_g3table.py from
@@ -158,26 +165,36 @@ def conway(labels: tuple[int, ...]) -> LaurentPoly:
     return decode(_contract(values, axes, kinds, labels, weights), k)
 
 
-def census_keys(max_abs: int, cap: int):
-    """(key, conway) for the girth-3 census with labels bounded by ``max_abs``.
+def census_keys(girth: int, max_abs: int, cap: int):
+    """(key, conway) for the census of girth ``girth`` (2 or 3) with labels
+    bounded by ``max_abs``.
 
-    ``key(labels)`` is (components, writhe, nabla) of a labelling: nabla is
-    the knot's Conway polynomial at z = 2^(k/2), one int, or None for a
-    link or a knot of more than ``cap`` crossings with an odd label.
-    ``conway(nabla)`` decodes it.  k is ``_slot_bits`` of ``conway_bound``
-    with six Fibonacci axes at |label| = max_abs, so it holds every knot of
-    the census, and two knots have equal ints exactly when their
-    polynomials are equal (one expansion in balanced slots).  An all-even
-    knot packs the terms of ``closedform.conway_girth3_even``, the same
-    polynomial as the table's; a term in an odd power would move a slot by
-    2^(k/2), which the identities of the decoded value refuse.
+    ``key(labels)`` is (components, writhe, nabla) of the rep with these
+    ``reps.rep_labels``: nabla is the knot's Conway polynomial at
+    z = 2^(k/2), one int, or None for a link or a knot of more than
+    ``cap`` crossings with an odd label.  ``conway(nabla)`` decodes it.
+    k is ``_slot_bits`` of ``conway_bound`` on six Fibonacci axes at the
+    labels (max_abs,) * 6, or (max_abs, 0, 0, max_abs, 0, 0) for girth 2,
+    so it holds every knot of the census (module docstring), and two
+    knots have equal ints exactly when their polynomials are equal (one
+    expansion in balanced slots).  An all-even knot packs the terms of
+    ``closedform.conway_girth3_even``, the same polynomial as the
+    table's; a term in an odd power would move a slot by 2^(k/2), which
+    the identities of the decoded value refuse.
+
+    A girth-2 rep K(p, q) is keyed as the labelling (p, 0, 0, q, 0, 0),
+    whose template it is.  A K(p) that absorbed a +-1 label is a knot of
+    writhe -p, its terms (``closedform.conway_single_twist``) packed at
+    the same k, when p is odd, and otherwise two components of writhe
+    -|p|, as ``classify.closed_invariants`` has it.
 
     One pass over the labels sums per-label fields: the reduced index, the
     parity pattern, the corner bits, the off-corner axes and the crossing
     count.  The weights of each axis kind at each label are made once.
     """
     labels_range = range(-max_abs, max_abs + 1)
-    k = _slot_bits(conway_bound((max_abs,) * 6, FIBONACCI * 6))
+    bound = (max_abs,) * 6 if girth == 3 else (max_abs, 0, 0, max_abs, 0, 0)
+    k = _slot_bits(conway_bound(bound, FIBONACCI * 6))
     half = k >> 1
     fields = []
     for i in range(6):
@@ -219,7 +236,20 @@ def census_keys(max_abs: int, cap: int):
         values = [corners[corner | sub] for sub in subs]
         return 1, writhe, _contract(values, axes, KNOTS[pattern][0], labels, weights)
 
-    return key, functools.partial(decode, k=k)
+    conway_of = functools.partial(decode, k=k)
+    if girth == 3:
+        return key, conway_of
+
+    def girth2_key(labels: tuple) -> tuple:
+        if len(labels) == 2:
+            p, q = labels
+            return key((p, 0, 0, q, 0, 0))
+        (p,) = labels
+        if p % 2 == 0:
+            return 2, -abs(p), None
+        return 1, -p, sum(c << half * e for e, c in cf.conway_single_twist(p).terms)
+
+    return girth2_key, conway_of
 
 
 def decode(value: int, k: int) -> LaurentPoly:

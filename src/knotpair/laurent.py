@@ -261,7 +261,7 @@ def jones_span_inclusive(jones: LaurentPoly) -> Fraction:
     """
     if jones.is_zero():
         raise ValueError("span of the zero polynomial is undefined")
-    return Fraction(jones.max_exp() - jones.min_exp(), 4) + 1
+    return Fraction(jones.max_exp() - jones.min_exp() + 4, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,15 @@ import random
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotpair import classify, closedform, g3table
 from knotpair.census import (
+    G2_BUDGET,
+    CensusClass,
     _label_range,
     _labellings,
+    _rows,
     build_record,
     census_csv,
     census_enumerate,
@@ -39,6 +43,7 @@ from knotpair.reps import (
 )
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
+from census_reference import girth2_labellings
 from template_spy import spy_on_templates
 
 
@@ -108,6 +113,16 @@ def test_enumerate_girth2_reps_are_canonical_in_key_order(max_abs, even_only, po
         assert canon.rep == rep
         keys.append(canon.key)
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@pytest.mark.parametrize("max_abs", range(13))
+@pytest.mark.parametrize(
+    "even_only, positive_only",
+    [(False, False), (True, False), (False, True), (True, True)],
+)
+def test_enumerate_girth2_equals_canonicalising_every_pair(max_abs, even_only, positive_only):
+    want = girth2_labellings(max_abs, even_only, positive_only)
+    assert _labellings(2, max_abs, even_only, positive_only) == want
 
 
 def test_enumerate_budget():
@@ -196,6 +211,8 @@ G2_MAX12 = {
         _pin("csv", 3, 2, "110926f4bd058053efda451cac9a8686ec3cd4070fb9c0fd281af4251477606d"),
         # the first pin with labels of |x| = 3, whose reduced labels differ
         _pin("csv", 3, 3, "9539e585500773509d32a755c5df00c1334d60883d2bb5b4e74a7e4b074f6c66"),
+        # every label of |x| <= 4, the rows formatted from their labels
+        _pin("csv", 3, 4, "80128450ce48e154ec5570722d57dabf8daf38ec578279e9ad03bb6c9d3ba576"),
         _pin("jsonl", 2, 12, G2_MAX12["jsonl"]),
         _pin("jsonl", 3, 2, "443cb3b0208d4ab396dbed18531fda5f1ef86104fe57e7846fc266730ec11a43"),
         # --even, --positive and both: the girth-3 slot width comes from the
@@ -313,7 +330,7 @@ def test_the_census_conway_key_is_exact():
     # are those of closed_invariants, its Conway int decodes to the same
     # polynomial, and two knots share an int exactly when they share a
     # polynomial
-    key, conway = g3table.census_keys(3, CONWAY_CAP)
+    key, conway = g3table.census_keys(3, 3, CONWAY_CAP)
     by_int, by_poly = {}, {}
     for labels in _labellings(3, 3, False, False):
         comps, writhe, nabla = key(labels)
@@ -332,7 +349,7 @@ def test_the_census_conway_key_is_exact():
 def test_the_census_conway_key_at_the_label_budget():
     # labels to the girth-3 budget of 6, where knots of more than
     # CONWAY_CAP crossings with an odd label have no Conway value
-    key, conway = g3table.census_keys(6, CONWAY_CAP)
+    key, conway = g3table.census_keys(3, 6, CONWAY_CAP)
     rng = random.Random(20261019)
     capped = 0
     for _ in range(3000):
@@ -343,6 +360,55 @@ def test_the_census_conway_key_at_the_label_budget():
         assert (None if nabla is None else conway(nabla)) == want[2], labels
         capped += comps == 1 and nabla is None
     assert capped > 100
+
+
+@pytest.mark.parametrize("max_abs", range(13))
+def test_the_girth2_census_conway_key_is_exact(max_abs):
+    # every K(p, q) and K(p) with |p|, |q| <= max_abs, and every K(p) of the
+    # census, whose |p| reaches max_abs + 1, keyed at the census's slot
+    # width: the key decodes to closed_invariants, and two knots share an
+    # int exactly when they share a polynomial
+    key, conway = g3table.census_keys(2, max_abs, CONWAY_CAP)
+    values = range(-max_abs, max_abs + 1)
+    single = {(p,) for p in values}
+    single.update(labels for labels in _labellings(2, max_abs, False, False) if len(labels) == 1)
+    reps = [(p, q) for p in values for q in values] + sorted(single)
+    by_int, by_poly = {}, {}
+    for labels in reps:
+        comps, writhe, nabla = key(labels)
+        want = closed_invariants(labels)
+        assert (comps, writhe) == want[:2], labels
+        assert (None if nabla is None else conway(nabla)) == want[2], labels
+        if nabla is not None:
+            by_int.setdefault(nabla, []).append(labels)
+            by_poly.setdefault(want[2], []).append(labels)
+    assert sorted(by_int.values()) == sorted(by_poly.values())
+    # a K(p) and a K(p, q) share an int: 1 + z^2, of K(3) and K(2, 2)
+    assert max_abs < 2 or {(3,), (2, 2)} <= set(by_int[key((3,))[2]])
+
+
+def test_no_girth2_census_knot_is_past_the_conway_cap():
+    # the table withholds an odd-pattern Conway value past the cap, and
+    # closed_invariants never did for girth 2
+    assert 2 * G2_BUDGET <= CONWAY_CAP
+
+
+_LABEL = st.integers(-30, 30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_LABEL),
+        st.tuples(_LABEL, _LABEL),
+        st.tuples(_LABEL, _LABEL, _LABEL, _LABEL, _LABEL, _LABEL),
+    )
+)
+def test_a_row_is_formatted_as_its_rep(labels):
+    rep = rep_from_labels(labels)
+    unknot = build_record(1, None, LaurentPoly.one("t"))
+    (head,) = _rows([CensusClass("c0000", unknot, (labels,))])
+    assert head[:2] == (str(rep), rep.girth())
 
 
 def test_the_census_decodes_a_conway_polynomial_once_per_class(monkeypatch):
@@ -469,11 +535,11 @@ def test_girth3_census_builds_no_template(monkeypatch, tmp_path):
     assert calls == []
 
 
-@pytest.mark.parametrize("girth, max_abs, pairs", [(3, 2, 0), (2, 12, 25 * 25)])
+@pytest.mark.parametrize("girth, max_abs, pairs", [(3, 2, 0), (2, 12, 0)])
 def test_census_canonicalizes_no_member(monkeypatch, tmp_path, girth, max_abs, pairs):
     # the census verdicts follow from the enumeration: the girth-3 one takes
-    # the wheel minima directly, the girth-2 one canonicalises each label
-    # pair once, and nothing canonicalises a class head or member
+    # the wheel minima directly, the girth-2 one lists the canonical forms
+    # directly, and nothing canonicalises a class head or member
     from knotpair import cli, reps
 
     calls = []

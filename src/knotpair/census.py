@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
 import os
@@ -161,8 +160,8 @@ def dedup_census(
     The reps are canonical with distinct keys, and members share
     components, Conway and Jones, so ``classify.compare(head, m)`` finds
     neither a shared key nor a separating invariant: it answers
-    Unresolved, the verdict ``_rows`` writes for every member after the
-    head.  Enumerating here keeps any other input out.
+    Unresolved, the verdict the census writers give every member after
+    the head.  Enumerating here keeps any other input out.
 
     A rep is keyed by exact values, with no polynomial built and no text:
     its component count, its Conway polynomial as one int (None for a
@@ -206,43 +205,81 @@ def dedup_census(
     return out
 
 
-# the text and girth of a rep, by the length of its ``reps.rep_labels``:
-# the ``str`` and ``girth()`` of ``reps.rep_from_labels``
-_REP_TEXT = {1: "({})".format, 2: "({},{})".format, 6: "[{} {} {} / {} {} {}]".format}
-_GIRTH = {1: 1, 2: 2, 6: 3}
+# The start of a member's row, by the length of its ``reps.rep_labels``: the
+# ``str`` and ``girth()`` of ``reps.rep_from_labels``, as CSV and as JSON
+# lines, up to the class's shared fields.  A girth-2 class can hold both a
+# K(p) and a K(p, q), so each member picks its own.
+_CSV_LEAD = {
+    1: "({}),1,".format,
+    2: '"({},{})",2,'.format,
+    6: "[{} {} {} / {} {} {}],3,".format,
+}
+_JSON_LEAD = {
+    1: '{{"rep": "({})", "girth": 1, '.format,
+    2: '{{"rep": "({},{})", "girth": 2, '.format,
+    6: '{{"rep": "[{} {} {} / {} {} {}]", "girth": 3, '.format,
+}
 
 
-def _rows(classes):
-    """The ``FIELDS`` of each census row, class by class, head first; the
-    head's verdict is None, written empty (null in JSON lines).  A row is
-    formatted from its member's labels, and the fields its class shares
-    once per class."""
+def _write(classes, out, lead: dict, shared, head_end: str, member_end: str) -> None:
+    """Write each class with one ``out.write``: each member's ``lead``,
+    then the class's ``shared(cls)`` text, then ``head_end`` after the
+    head and ``member_end`` after every other member.  The shared text is
+    made once per class, and no string holds more than one class, so
+    memory does not grow with the census."""
     for cls in classes:
-        rec = cls.record
-        shared = (rec.components, rec.conway, rec.jones, str(rec.span), cls.class_id)
-        verdict = None
-        for labels in cls.members:
-            n = len(labels)
-            yield (_REP_TEXT[n](*labels), _GIRTH[n], *shared, verdict)
-            verdict = classify.UNRESOLVED
+        text = shared(cls)
+        then = text + member_end
+        head, *rest = cls.members
+        out.write(
+            lead[len(head)](*head) + text + head_end
+            + "".join([lead[len(labels)](*labels) + then for labels in rest])
+        )
 
 
 def census_jsonl(classes, out) -> None:
-    """Write the census to the text stream ``out`` as JSON lines, one per rep."""
-    for row in _rows(classes):
-        entry = dict(zip(FIELDS, row))
-        entry["conway"] = entry["conway"] or None
-        # every census value comes from a closed form, the girth-3 knot
-        # Conway polynomial from ``g3table``
-        entry["source"] = "closed_form"
-        out.write(json.dumps(entry) + "\n")
+    """Write the census to the text stream ``out`` as JSON lines, one per rep.
+
+    A row is the object of ``FIELDS`` and "source", keys in that order, as
+    ``json.dumps`` writes it: the head's verdict is null, every other
+    member's Unresolved (``dedup_census``).  The five fields a class
+    shares are one ``json.dumps`` per class, its braces stripped, and a rep
+    text needs no escaping.  Every census value comes from a closed form,
+    the girth-3 knot Conway polynomial from ``g3table``.
+    """
+    end = ', "verdict": {}, "source": "closed_form"}}\n'.format
+
+    def shared(cls) -> str:
+        rec = cls.record
+        return json.dumps({
+            "components": rec.components,
+            "conway": rec.conway or None,
+            "jones": rec.jones,
+            "span": str(rec.span),
+            "class_id": cls.class_id,
+        })[1:-1]
+
+    _write(classes, out, _JSON_LEAD, shared, end("null"), end(json.dumps(classify.UNRESOLVED)))
 
 
 def census_csv(classes, out) -> None:
-    """Write the deterministic CSV of ``FIELDS`` to the text stream ``out``."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(FIELDS)
-    writer.writerows(_rows(classes))
+    """Write the deterministic CSV of ``FIELDS`` to the text stream ``out``.
+
+    The bytes are those of ``csv.writer`` with minimal quoting and "\\n"
+    line ends; the head's verdict is empty, every other member's
+    Unresolved (``dedup_census``).  No field but the rep text needs
+    quoting: the alphabets of a component count, of ``poly_to_text``, of
+    ``str`` of a Fraction and of a class id hold no comma, double quote,
+    CR or LF.  Only the text (p,q) holds the delimiter, and its quotes are
+    in its lead.
+    """
+    out.write(",".join(FIELDS) + "\n")
+
+    def shared(cls) -> str:
+        rec = cls.record
+        return f"{rec.components},{rec.conway},{rec.jones},{rec.span},{cls.class_id},"
+
+    _write(classes, out, _CSV_LEAD, shared, "\n", classify.UNRESOLVED + "\n")
 
 
 # ---------------------------------------------------------------------------

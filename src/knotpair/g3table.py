@@ -35,9 +35,10 @@ label first and the last label last (``_contract``).
 
 **Packing.**  Everything is evaluated once at s = 2^k in Python ints, as
 the closed brackets are (``closedform``): the census packs each pattern's
-64 corners once, on first use (``_packed``), and one labelling packs the
-corners it reads; a Fibonacci weight is the packed list of its binomials,
-and the contraction is int products and sums.  ``laurent.unpack`` at
+64 corners once, on first use (``_packed``), by Horner's rule over the
+table's coefficient rows, one C-level pass a power of s, and one
+labelling packs the corners it reads; a Fibonacci weight is the packed
+list of its binomials, and the contraction is int products and sums.  ``laurent.unpack`` at
 stride 2 cuts the value into the coefficients of z^0, z^2, ...
 (``decode``).
 
@@ -70,9 +71,10 @@ F_(2j+2) <= F_(2j) + F_(2j+2) = L_(2j+1) <= B, so K(p) fits the same
 slots.
 
 ``g3table_data`` holds the reduced entries and, per knot pattern, the
-kinds and the 64 corner polynomials, made by tests/make_g3table.py from
-the reduced templates, ``orient`` and ``oracle.conway_fox``.  This module
-imports nothing from ``oracle``.  The independent checks are those that do
+kinds and the 64 corner polynomials as one row of signed bytes per power
+of s (``_corner_rows``), made by tests/make_g3table.py from the reduced
+templates, ``orient`` and ``oracle.conway_fox``.  This module imports
+nothing from ``oracle``.  The independent checks are those that do
 not read the table's own data: tests/test_g3table.py regenerates the table
 and compares components and writhe with ``orient`` on full templates, the
 extrapolated polynomial with Fox off the corners (a grid over every knot
@@ -87,7 +89,8 @@ ties each value to the bracket.
 from __future__ import annotations
 
 import functools
-from operator import mul
+from itertools import repeat
+from operator import add, lshift, mul
 
 from . import closedform as cf
 from .g3table_data import KNOTS, REDUCED
@@ -312,16 +315,33 @@ def _slot_bits(bound: int) -> int:
     return 8 * ((bound.bit_length() + 8) // 8)
 
 
+def _corner_rows(pattern: int) -> list[memoryview]:
+    """The coefficient rows of a knot pattern's 64 corners, the constant
+    term first: row j holds the coefficient of s^j of corner c at index c."""
+    return [memoryview(bytes.fromhex(row)).cast("b") for row in KNOTS[pattern][1]]
+
+
 @functools.cache
 def _corners(pattern: int) -> tuple[tuple[int, ...], ...]:
-    """The 64 corner polynomials of a knot pattern, decoded on first use."""
-    return tuple(tuple(map(int, c.split(","))) for c in KNOTS[pattern][1].split())
+    """The 64 corner polynomials of a knot pattern, each its coefficients
+    of s^0, s^1, ... up to its last nonzero one, decoded on first use."""
+    corners = []
+    for coeffs in zip(*_corner_rows(pattern)):
+        end = len(coeffs)
+        while not coeffs[end - 1]:  # a knot's nabla has constant term 1
+            end -= 1
+        corners.append(coeffs[:end])
+    return tuple(corners)
 
 
 @functools.cache
 def _packed(pattern: int, k: int) -> tuple[int, ...]:
-    """The 64 corners of a knot pattern at s = 2^k."""
-    return tuple(_pack(coeffs, k) for coeffs in _corners(pattern))
+    """The 64 corners of a knot pattern at s = 2^k: Horner's rule over the
+    coefficient rows, the highest power first, one C-level pass a row."""
+    *rows, values = _corner_rows(pattern)
+    for row in reversed(rows):
+        values = map(add, map(lshift, values, repeat(k)), row)
+    return tuple(values)
 
 
 def _pack(coeffs: tuple[int, ...], k: int) -> int:

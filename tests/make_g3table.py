@@ -24,20 +24,19 @@ from knotpair.g3table import AFFINE, FIBONACCI, _index
 from knotpair.oracle import conway_fox
 from knotpair.reps import Girth3Rep
 
-# the data file is kept byte-identical, so its header still names the
-# command that first wrote it
 HEADER = '''"""Frozen girth-3 table; see ``g3table``.
 
-Generated by ``python -m knotpair.make_g3table`` from the templates and
-``oracle.conway_fox``; do not edit by hand.
+Generated by ``PYTHONPATH=src python tests/make_g3table.py`` from the
+templates and ``oracle.conway_fox``; do not edit by hand.
 
 ``REDUCED`` holds two hex digits per reduced labelling r, at index
 sum (r_i + 2) 5^i: the byte 64 * components + sum of 2^i over the regions
-i with direction sign d_i = -1.  ``KNOTS[pattern]`` is (kinds, corners)
-for a knot parity pattern: the kind of each region, A(ffine) or
-F(ibonacci), and the 64 corner polynomials, corner c having label b_i + 2
-for each bit i set in c and b_i otherwise.  The corners are split by
-spaces, and each lists its z^0, z^2, ... coefficients split by commas.
+i with direction sign d_i = -1.  ``KNOTS[pattern]`` is (kinds, rows) for a
+knot parity pattern: the kind of each region, A(ffine) or F(ibonacci), and
+the 64 corner polynomials in s = z^2, corner c having label b_i + 2 for
+each bit i set in c and b_i otherwise.  Row j holds the coefficients of
+s^j, lowest power first: 64 signed bytes in hex, that of corner c at
+byte c.
 """
 '''
 
@@ -110,20 +109,21 @@ def build_table() -> tuple[bytes, dict]:
 
 
 def render(table) -> str:
-    """The text of ``g3table_data.py``.  The entries and the corner
-    polynomials are strings, split by lines: a module of int and tuple
-    literals costs megabytes to compile."""
+    """The text of ``g3table_data.py``.  The entries and the corner rows
+    are hex strings, split by lines: a module of int and tuple literals
+    costs megabytes to compile."""
     entries, knots = table
     text = entries.hex()
     lines = [HEADER, "REDUCED = ("]
     lines += [f'    "{text[start:start + 100]}"' for start in range(0, len(text), 100)]
     lines += [")", "", "KNOTS = {"]
     for pattern, (kinds, corners) in knots.items():
-        lines.append(f"    {pattern}: ({kinds!r},")
-        for start in range(0, 64, 16):
-            text = " ".join(",".join(map(str, c)) for c in corners[start:start + 16])
-            lines.append(f'        "{text} "')
-        lines[-1] += "),"
+        lines.append(f"    {pattern}: ({kinds!r}, (")
+        for power in range(max(map(len, corners))):
+            row = [c[power] if power < len(c) else 0 for c in corners]
+            assert all(-128 <= x < 128 for x in row), "a corner coefficient fits a signed byte"
+            lines.append(f'        "{bytes(x & 0xFF for x in row).hex()}",')
+        lines.append("    )),")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

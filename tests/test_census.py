@@ -4,19 +4,22 @@ import gc
 import hashlib
 import io
 import itertools
+import json
 import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotpair import classify, closedform, g3table
 from knotpair.census import (
     G2_BUDGET,
     CensusClass,
+    InvariantRecord,
+    _CSV_LEAD,
+    _JSON_LEAD,
     _label_range,
     _labellings,
-    _rows,
     build_record,
     census_csv,
     census_enumerate,
@@ -28,7 +31,13 @@ from knotpair.census import (
 from knotpair.classify import closed_bracket, closed_invariants, compare, rep_invariants
 from knotpair.diagram import pd_from_rep
 from knotpair.closedform import _slot_bits, bracket_girth3, census_jones
-from knotpair.laurent import LaurentPoly, jones_from_bracket, jones_to_text, poly_to_text
+from knotpair.laurent import (
+    LaurentPoly,
+    jones_from_bracket,
+    jones_span_inclusive,
+    jones_to_text,
+    poly_to_text,
+)
 from knotpair.oracle import CONWAY_CAP, conway_fox
 from knotpair.reps import (
     Girth1Rep,
@@ -43,6 +52,7 @@ from knotpair.reps import (
 )
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
+import census_reference
 from census_reference import girth2_labellings
 from template_spy import spy_on_templates
 
@@ -405,10 +415,63 @@ _LABEL = st.integers(-30, 30)
     )
 )
 def test_a_row_is_formatted_as_its_rep(labels):
+    # the lead of a row, as CSV and as a JSON line, holds the text and the
+    # girth of the rep whose labels it formats
     rep = rep_from_labels(labels)
-    unknot = build_record(1, None, LaurentPoly.one("t"))
-    (head,) = _rows([CensusClass("c0000", unknot, (labels,))])
-    assert head[:2] == (str(rep), rep.girth())
+    row = next(csv.reader([_CSV_LEAD[len(labels)](*labels)]))
+    assert row[:2] == [str(rep), str(rep.girth())]
+    entry = json.loads(_JSON_LEAD[len(labels)](*labels) + '"end": 0}')
+    assert (entry["rep"], entry["girth"]) == (str(rep), rep.girth())
+
+
+def _poly(tag, step):
+    """Nonzero polynomials with exponents that are multiples of ``step``."""
+    coeffs = st.dictionaries(
+        st.integers(-12, 12).map(lambda e: step * e), st.integers(-40, 40).filter(bool),
+        min_size=1, max_size=6,
+    )
+    return coeffs.map(lambda d: LaurentPoly.from_dict(d, tag))
+
+
+# a Jones polynomial in quarter powers of t: a link's has half-integer ones
+_RECORD = st.builds(
+    lambda comps, conway, jones: InvariantRecord(
+        comps, "" if conway is None else poly_to_text(conway),
+        jones_to_text(jones), jones_span_inclusive(jones),
+    ),
+    st.integers(1, 3), st.none() | _poly("z", 2), _poly("t", 2),
+)
+_MEMBERS = st.one_of(
+    st.lists(st.tuples(_LABEL) | st.tuples(_LABEL, _LABEL), min_size=1, max_size=5),
+    st.lists(st.tuples(*[_LABEL] * 6), min_size=1, max_size=5),
+)
+_LINK = LaurentPoly.from_dict({-10: -1, -2: -1}, "t")  # -t^(-5/2) - t^(-1/2)
+_CLASSES = st.lists(st.tuples(_RECORD, _MEMBERS), max_size=6).map(
+    lambda classes: [
+        CensusClass(f"c{i:04d}", record, tuple(members))
+        for i, (record, members) in enumerate(classes)
+    ]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CLASSES)
+@example([
+    # a girth-2 class of both lengths, no Conway value and a link's Jones
+    # polynomial, then a single-member class
+    CensusClass("c0000", InvariantRecord(2, "", jones_to_text(_LINK), jones_span_inclusive(_LINK)),
+                ((-2,), (2, -4), (-3,))),
+    CensusClass("c0001", build_record(1, None, LaurentPoly.one("t")), ((1, 0, 0, 2, 0, 0),)),
+])
+def test_the_writers_give_the_bytes_of_csv_and_json(classes):
+    for write, reference in (
+        (census_csv, census_reference.census_csv),
+        (census_jsonl, census_reference.census_jsonl),
+    ):
+        got, want = io.StringIO(), io.StringIO()
+        write(classes, got)
+        reference(classes, want)
+        assert got.getvalue() == want.getvalue()
 
 
 def test_the_census_decodes_a_conway_polynomial_once_per_class(monkeypatch):

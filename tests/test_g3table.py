@@ -114,6 +114,34 @@ def test_the_widest_labelling_decodes_exactly_at_its_width():
     assert bound(widest) < 1 << g3table._slot_bits(bound(widest)) - 1
 
 
+def test_the_corners_decode_to_the_generators_polynomials():
+    _, knots = build_table()
+    assert sorted(knots) == sorted(KNOTS)
+    for pattern, (kinds, corners) in knots.items():
+        assert KNOTS[pattern][0] == kinds
+        assert g3table._corners(pattern) == corners, pattern
+
+
+@pytest.mark.parametrize("k", [8, 16, 24, 48, 64])
+def test_the_packed_corners_are_each_corners_own_packing(k):
+    # the row-wise Horner passes against each corner's sum of c_j 2^(kj)
+    for pattern in KNOTS:
+        want = tuple(sum(c << k * j for j, c in enumerate(coeffs))
+                     for coeffs in g3table._corners(pattern))
+        assert g3table._packed(pattern, k) == want, pattern
+
+
+@pytest.mark.parametrize("coeff, fits", [(127, True), (-128, True), (128, False), (-129, False)])
+def test_render_refuses_a_coefficient_past_a_signed_byte(coeff, fits):
+    corners = ((1,),) * 63 + ((1, 0, coeff),)
+    table = (b"", {0: ("A" * 6, corners)})
+    if fits:
+        assert f'"{"00" * 63}{coeff & 0xFF:02x}",' in render(table)
+    else:
+        with pytest.raises(AssertionError, match="signed byte"):
+            render(table)
+
+
 def test_the_corner_norm_is_the_tables():
     norms = [sum(map(abs, c)) for p in KNOTS for c in g3table._corners(p)]
     assert max(norms) == g3table.CORNER_NORM

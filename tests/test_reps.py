@@ -10,6 +10,7 @@ from knotpair.reps import (
     Girth1Rep,
     Girth2Rep,
     Girth3Rep,
+    _G3_IMAGES,
     _g3_key,
     canonicalize,
     d3_orbit,
@@ -126,6 +127,14 @@ def test_canonicalize_matches_oracle_jones_for_girth2():
             canon = canonicalize(rep).rep
             multi = orient(pd_from_rep(rep)).n_components > 1
             assert jones_equal(jones(rep), jones(canon), unit_shift=multi), (p, q)
+
+
+def test_the_wheel_images_are_the_orbit_of_the_index_labelling():
+    # the census filter skips the first image, so it must be the identity
+    orbit = {x.top + x.bottom for x in d3_orbit(Girth3Rep((0, 1, 2), (3, 4, 5)))}
+    assert _G3_IMAGES[0] == (0, 1, 2, 3, 4, 5)
+    assert len(_G3_IMAGES) == len(orbit) == 12
+    assert set(_G3_IMAGES) == orbit
 
 
 def test_g3_key_table_matches_orbit_minimum():

@@ -27,18 +27,27 @@ at y = A^4 = 2^k in Python ints, cut into coefficients once:
   polynomial in y.  At y = 2^k each numerator over 1 + y is one exact
   division, a power of y is a shift by k bits, and the rest is int sums
   and products.
-* **Slot width.** Expanded, the girth-3 formula is 64 products of at most
-  six S's times delta^m with m <= 3.  Since ||S_x||_1 = |x| and
-  ||delta||_1 = 2, ||bracket||_1 <= 512 prod max(1, |x|); the girth-2
-  formula has four products with at most one delta, so 8 prod max(1, |x|),
-  and the girth-1 bracket delta A^-p + S_p has ||.||_1 <= 2 + |p| <=
-  8 max(1, |p|) (``bracket_l1_bound``).  k is the least multiple of 8 with
-  the bound below 2^(k-1), so every coefficient of y^N F, which are those
-  of the bracket, fits a k-bit slot with the sign bit to spare, and
-  ``laurent.unpack`` reads them off with one biased cut.
+* **Slot width.** Write |f|_1 for the sum and |f|_inf for the largest of
+  the |coefficients| of f, so that |f g|_inf <= |f|_1 |g|_inf.  S_x has
+  |x| coefficients, each +-1: |S_x|_1 = |x| and |S_x|_inf = 1 (0 for
+  x = 0).  Expanded, the girth-3 formula is 64 products of delta^m,
+  m <= 3, |delta^m|_1 <= 8, and S's of distinct labels.  Bound the S of
+  the product's largest label by |.|_inf and every other factor by
+  |.|_1 (delta^m by |.|_inf <= 8 if there is no S): the largest label of
+  all is either that one or not in the product, so a product has
+  |.|_inf <= 8 P / M, with P = prod max(1, |x|) and M = max(1, max |x|)
+  over the labels.  So |bracket|_inf <= 512 P / M.
+  The girth-2 bracket A^(-p-q) (delta (s_p + s_q) + s_p s_q + 1) has
+  |.|_inf <= 2 + 2 + min(|p|, |q|) + 1 <= 8 P / M, and the girth-1 one
+  delta A^-p + S_p has |.|_inf <= 2 <= 8 (``bracket_coefficient_bound``).
+  k is the least multiple of 8 with the bound below 2^(k-1), so every
+  coefficient of y^N F, which are those of the bracket, fits a k-bit slot
+  with the sign bit to spare, and ``laurent.unpack`` reads them off with
+  one biased cut.  The value is exact at any k; k only has to hold the
+  largest coefficient.
 * **The difference formula.**  ``bracket_diff_formula`` is A^-w times a
   core of products of two s's and 1 - delta^2 = -A^-4 (1 + y + y^2), so it
-  too is one int at y = 2^k; its width bounds ||.||_1 by 18 M^2, M the
+  too is one int at y = 2^k; its width bounds |.|_inf by 18 M, M the
   largest |label| (argued there).
 * **The census key.** ``census_jones`` packs every bracket of one census
   at one slot width and keys its Jones polynomial by two integers
@@ -226,27 +235,32 @@ def s_hat(p: int) -> LaurentPoly:
     return s_poly(p).shift(p)
 
 
-# ||bracket||_1 <= scale * prod max(1, |x|), the scale being the number of
-# products in the expanded formula times ||delta^m||_1 for its largest m
+# |bracket|_inf <= scale * P / M (module docstring), the scale being the
+# number of products in the expanded formula times |delta^m|_1 for its
+# largest m
 _GIRTH2_SCALE = 4 * 2
 _GIRTH3_SCALE = 64 * 8
 
 
-def bracket_l1_bound(labels: tuple[int, ...]) -> int:
-    """Bound on the sum of |coefficients| of a girth-2 (two labels) or girth-3 bracket."""
+def bracket_coefficient_bound(labels: tuple[int, ...]) -> int:
+    """Bound on the largest |coefficient| of a girth-1 (one label), girth-2
+    (two labels) or girth-3 bracket: scale * P / M, with P the product and
+    M the largest of max(1, |x|) over the labels (module docstring)."""
+    sizes = [abs(x) or 1 for x in labels]
     bound = _GIRTH3_SCALE if len(labels) == 6 else _GIRTH2_SCALE
-    for x in labels:
-        bound *= abs(x) or 1
-    return bound
+    for x in sizes:
+        bound *= x
+    return bound // max(sizes)
 
 
 def _slot_bits(labels: tuple[int, ...]) -> int:
-    """k, the least multiple of 8 with bracket_l1_bound(labels) < 2^(k-1).
+    """k, the least multiple of 8 with bracket_coefficient_bound(labels) < 2^(k-1).
 
-    The bound grows with each |label|, so the k of labels no larger in
-    absolute value is at most this one.
+    P / M is the product of all but the largest max(1, |x|), so the bound
+    grows with each |label|, and the k of labels no larger in absolute
+    value is at most this one.
     """
-    return 8 * ((bracket_l1_bound(labels).bit_length() + 8) // 8)
+    return 8 * ((bracket_coefficient_bound(labels).bit_length() + 8) // 8)
 
 
 def _q_int(x: int, k: int) -> tuple[int, int]:
@@ -326,20 +340,23 @@ def sym_s(k: int, triple: tuple[int, int, int]) -> LaurentPoly:
 
 def _row(
     triple: tuple[int, int, int], k: int
-) -> tuple[int, int, tuple[int, int, int], int]:
+) -> tuple[int, int, tuple[int, int, int], tuple[int, int, int], int]:
     """One ring's values at y = 2^k, each times y^n for n the ring's negative sum.
 
-    Returns (T, T2, singles, n): with t_i the elementary symmetric
+    Returns (T, T2, singles, shifts, n): with t_i the elementary symmetric
     functions of the ring's [x]_u and d = -(1 + y), T = t1 + d t2 + d^2 t3
-    and T2 = t2 + d t3; singles are the three terms of t1.
+    and T2 = t2 + d t3.  The three terms of t1 are singles[i] << shifts[i],
+    left unshifted so that products of them are taken on the short ints
+    and shifted once after.
     """
     d = -((1 << k) + 1)
     (pp, np_), (pq, nq), (pr, nr) = (_q_int(x, k) for x in triple)
-    n = np_ + nq + nr
-    singles = (pp << k * (n - np_), pq << k * (n - nq), pr << k * (n - nr))
-    e2 = (pp * pq << k * nr) + (pp * pr << k * nq) + (pq * pr << k * np_)
-    e2d = e2 + d * (pp * pq * pr)
-    return sum(singles) + d * e2d, e2d, singles, n
+    shifts = (k * (nq + nr), k * (np_ + nr), k * (np_ + nq))
+    ppq = pp * pq
+    e2 = (ppq << k * nr) + (pp * pr << k * nq) + (pq * pr << k * np_)
+    e2d = e2 + d * (ppq * pr)
+    t1 = (pp << shifts[0]) + (pq << shifts[1]) + (pr << shifts[2])
+    return t1 + d * e2d, e2d, (pp, pq, pr), shifts, np_ + nq + nr
 
 
 def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
@@ -366,7 +383,9 @@ def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
         F2 = T2 B2.
 
     F is evaluated once at y = 2^k, k = ``_slot_bits`` of the labels
-    (``_girth3_value``).
+    (``_girth3_value``): expanded, F is the 64 products over distinct
+    labels the module docstring bounds, so its largest |coefficient| is at
+    most 512 P / M and fits a k-bit slot.
     """
     labels = rep.top + rep.bottom
     k = _slot_bits(labels)
@@ -381,12 +400,14 @@ def _girth3_value(top_row: tuple, bottom_row: tuple, k: int, w: int) -> tuple[in
 
     w is the label sum.  Any k at or above ``_slot_bits`` of the labels
     decodes to the same polynomial, so rows made at the k of a label bound
-    serve every labelling within it.
+    serve every labelling within it.  Each antipodal product is taken on
+    the unshifted singles of the two rows and shifted by the sum of their
+    shifts.
     """
     d = -((1 << k) + 1)
-    top, top2, (p, q, r), nt = top_row
-    bot, bot2, (a, b, c), nb = bottom_row
-    anti = p * b + q * c + r * a
+    top, top2, (p, q, r), (sp, sq, sr), nt = top_row
+    bot, bot2, (a, b, c), (sa, sb, sc), nb = bottom_row
+    anti = (p * b << sp + sb) + (q * c << sq + sc) + (r * a << sr + sa)
     f2 = top2 * bot2
     f1 = top * bot - anti - d * d * f2
     f0 = (1 << k * (nt + nb)) + d * ((top << k * nb) + (bot << k * nt) + d * anti)
@@ -405,13 +426,14 @@ def census_jones(girth: int, max_abs: int):
 
     * **One slot width.** Every bracket is packed at k = ``_slot_bits``
       of the label bound m = max(max_abs, 1), taken as six labels for
-      girth 3 and two for girth 2.  ``bracket_l1_bound`` grows with every
-      |label|, so this k holds the coefficients of every rep whose labels
-      are at most m.  The one other rep, a K(p) of the girth-2 census that
-      absorbed a +-1 label, has |p| <= m + 1 and ||<K(p)>||_1 <= 2 + |p|
-      <= 8 m^2, inside the bound too.  With every |c_j| < 2^(k-1),
-      value = sum c_j 2^(kj) has one such expansion, so at one k the value
-      fixes the coefficients and the coefficients the value.
+      girth 3 and two for girth 2.  ``bracket_coefficient_bound`` grows
+      with every |label|, so this k holds the coefficients of every rep
+      whose labels are at most m.  The one other rep, a K(p) of the
+      girth-2 census that absorbed a +-1 label, has |p| <= m + 1 but
+      |<K(p)>|_inf <= 2 <= 8 m, inside the bound too.  With every
+      |c_j| < 2^(k-1), value = sum c_j 2^(kj) has one such expansion, so at
+      one k the value fixes the coefficients and the coefficients the
+      value.
     * **Normalised.** The zero low slots are stripped (each leaves
       ``value & (2^k - 1) == 0``), so low is the least exponent.  The Jones
       polynomial is (-1)^w A^(-3w) times the bracket, read in quarter
@@ -490,17 +512,28 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
       is packed from its own terms, so the convention the calibration fixed
       is stated once.  The difference is A^(4 - 4 - w - 8N) times
       C y^(2N) (-(1 + y + y^2)).
-    * **Slot width.**  ||[x]_u||_1 = |x|, so with M = max(1, |label|) a
-      transposition core has ||C||_1 <= (2M)^2 and a 3-cycle, six products
-      of two [x]_u, ||C||_1 <= 6M^2; the factor has ||.||_1 = 3, so
-      ||difference||_1 <= 18 M^2, and k is the least multiple of 8 with
-      18 M^2 < 2^(k-1), as in ``_slot_bits``.
+    * **Slot width.**  [x]_u has |.|_1 = |x| and |.|_inf = 1 (module
+      docstring), so with M = max(1, |label|) a product of two has
+      |.|_inf <= M.  A transposition core is four such products, so
+      |C|_inf <= 4M, and a 3-cycle six, so |C|_inf <= 6M; the factor has
+      |.|_1 = 3, so |difference|_inf <= 6M * 3 = 18 M, and k is the least
+      multiple of 8 with 18 M < 2^(k-1) (``_diff_slot_bits``).
     """
     if perm == "identity":
         return LaurentPoly.zero(_A)
+    k = _diff_slot_bits(rep.top + rep.bottom)
+    return _decode(*_diff_value(rep, perm, k), k)
+
+
+def _diff_slot_bits(labels: tuple[int, ...]) -> int:
+    """k, the least multiple of 8 with 18 M < 2^(k-1), M = max(1, |label|)."""
+    return 8 * (((18 * max(1, *map(abs, labels))).bit_length() + 8) // 8)
+
+
+def _diff_value(rep: Girth3Rep, perm: str, k: int) -> tuple[int, int]:
+    """(value, low) of ``bracket_diff_formula`` at y = 2^k: its coefficients
+    are the slots of value, the first at exponent low."""
     labels = rep.top + rep.bottom
-    m = max(1, *map(abs, labels))
-    k = 8 * (((18 * m * m).bit_length() + 8) // 8)
     q = {x: _q_int(x, k) for x in set(labels)}
     big_n = max(n for _, n in q.values())
     core = _perm_core(rep, perm, lambda x: q[x][0] << k * (big_n - q[x][1]))
@@ -509,7 +542,7 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
     factor = diff_factor()
     lo = factor.min_exp()
     value = core * sum(c << k * ((e - lo) >> 2) for e, c in factor.terms)
-    return _decode(value, 4 + lo - sum(labels) - 8 * big_n, k)
+    return value, 4 + lo - sum(labels) - 8 * big_n
 
 
 def shat_cycle_det(rep: Girth3Rep, perm: str) -> LaurentPoly:

@@ -339,29 +339,26 @@ def _alexander(minor: list[dict[int, dict[int, int]]]) -> dict[int, int]:
 
     ``minor`` has one dict per row, column -> {exponent: coefficient},
     with exponents 0 and 1.  Returns exponent -> coefficient, zeros left
-    out.
-
-    Bound.  Let |p| be the sum of |coefficients| of p in Z[t], so that
-    |p + q| <= |p| + |q| and |pq| <= |p| |q|.  A Fox row is t, -1, 1 - t
-    (or 1, -t, t - 1) on three generators, some maybe equal, so the |.| of
-    its entries sum to at most 4, and a deleted column only lowers that.
-    Expanding det over permutations s, |det| <= sum_s prod_i |M[i][s(i)]|
-    <= prod_i sum_j |M[i][j]| <= 4^dim, since the product multiplied out
-    holds every term of the sum.  So det = sum_{e <= dim} c_e t^e with
-    |c_e| <= 4^dim = 2^(k - 2) for k = 2 dim + 2.
+    out.  The determinant is taken once, at t = 2^k with k = ``_fox_width``
+    of the minor.
 
     Decode.  det(M(2^k)) = sum_e c_e 2^(k e), and every c_e lies in
     [-2^(k - 1), 2^(k - 1)).  Such a signed base-2^k expansion is unique:
     c_0 is the value's residue mod 2^k in that range, and the rest is the
     expansion of (value - c_0) / 2^k.  Anything left after dim + 1 digits
-    means a row broke the bound.
+    means an entry had an exponent past 1.
     """
     dim = len(minor)
-    k = 2 * dim + 2
-    mat = [[0] * dim for _ in range(dim)]
-    for i, row in enumerate(minor):
+    k = _fox_width(minor)
+    mat = []
+    for row in minor:
+        line = [0] * dim
         for j, cell in row.items():
-            mat[i][j] = sum(c << k * e for e, c in cell.items())
+            entry = 0
+            for e, c in cell.items():
+                entry += c << k * e
+            line[j] = entry
+        mat.append(line)
     value = _bareiss_det(mat)
     half, mask = 1 << (k - 1), (1 << k) - 1
     delta = {}
@@ -373,6 +370,37 @@ def _alexander(minor: list[dict[int, dict[int, int]]]) -> dict[int, int]:
     if value:
         raise ValueError("Alexander determinant exceeds its coefficient bound")
     return delta
+
+
+def _fox_width(minor: list[dict[int, dict[int, int]]]) -> int:
+    """The least k with B < 2^(k - 1), B^2 = prod_i sum_j |M[i][j]|^2.
+
+    Bound.  Let |p| be the sum of |coefficients| of p in Z[t].  On the
+    unit circle |t| = 1, every entry has |M[i][j](t)| <= |M[i][j]|, so by
+    Hadamard's inequality |det M(t)| <= prod_i (sum_j |M[i][j](t)|^2)^(1/2)
+    <= B.  A coefficient is the mean c_e = (1 / 2 pi) int det M(e^(i s))
+    e^(-i e s) ds, so |c_e| <= max over the circle of |det M(t)| <= B <
+    2^(k - 1).  B < 2^(k - 1) holds exactly when B^2 has at most 2(k - 1)
+    bits, so k = ceil(bits(B^2) / 2) + 1.
+
+    A Fox row is t, -1, 1 - t (or 1, -t, t - 1) on three generators, some
+    maybe equal, so its |.| sum to at most 4, and sum_j |M[i][j]|^2 is at
+    most 6 when the generators are distinct and 8 otherwise, a deleted
+    column only lowering both: B^2 <= 8^dim and k <= 1.5 dim + 2, below the
+    2 dim + 2 of the bound 4^dim on the row sums.  A row whose |.| sum past
+    4 is no Fox row and is refused.
+    """
+    b2 = 1
+    for row in minor:
+        l1 = squares = 0
+        for cell in row.values():
+            x = sum(map(abs, cell.values()))
+            l1 += x
+            squares += x * x
+        if l1 > 4:
+            raise ValueError(f"a row of L1 norm {l1} is no Fox row")
+        b2 *= squares
+    return (b2.bit_length() + 1) // 2 + 1
 
 
 def _bareiss_det(m: list[list[int]]) -> int:

@@ -1,6 +1,8 @@
 """The bracket difference formula built from Laurent products, kept as the
 reference for ``knotpair.closedform.bracket_diff_formula``, which evaluates
-the same formula once at A^4 = 2^k.
+the same formula once at A^4 = 2^k; and the slot widths the closed forms
+took from bounds on the sum of |coefficients|, kept as the reference for
+the widths they now take from bounds on the largest |coefficient|.
 """
 
 from knotpair.closedform import _perm_core, diff_factor, s_hat
@@ -21,3 +23,25 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
         raise ValueError(f"no closed difference form for {perm!r}")
     w = sum(rep.top) + sum(rep.bottom)
     return LaurentPoly.monomial(1, -w, "A") * core * diff_factor()
+
+
+def bracket_l1_bound(labels: tuple[int, ...]) -> int:
+    """Bound on the sum of |coefficients| of a girth-1 (one label), girth-2
+    (two labels) or girth-3 bracket: 512 prod max(1, |x|) for six labels,
+    8 prod max(1, |x|) otherwise."""
+    bound = 64 * 8 if len(labels) == 6 else 4 * 2
+    for x in labels:
+        bound *= abs(x) or 1
+    return bound
+
+
+def diff_l1_bound(labels: tuple[int, ...]) -> int:
+    """Bound 18 M^2, M = max(1, |label|), on the sum of |coefficients| of a
+    bracket difference."""
+    m = max(1, *map(abs, labels))
+    return 18 * m * m
+
+
+def slot_bits(bound: int) -> int:
+    """The least multiple of 8, k, with bound < 2^(k-1)."""
+    return 8 * ((bound.bit_length() + 8) // 8)

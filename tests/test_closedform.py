@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from poly_text import evaluate
 
+from knotpair import closedform
 from knotpair.closedform import (
+    bracket_coefficient_bound,
     bracket_diff,
     bracket_diff_formula,
     bracket_double_twist,
     bracket_girth3,
-    bracket_l1_bound,
     conway_diff,
     conway_double_twist,
     conway_girth3_even,
@@ -256,11 +257,7 @@ def test_bracket_diff_formula_equals_the_laurent_reference():
             assert got == bracket_diff(rep, perm), (rep, perm)
 
 
-def test_bracket_diff_formula_at_labels_up_to_300():
-    # labels of both signs, odd and even, up to 300, where the coefficients
-    # come closest to the bound 18 M^2 of the slot width: a transposition
-    # core ([M] - [-M])^2 has ||.||_1 = (2M)^2, and at M = 100 a coefficient
-    # passes 2^7, so a width read off M alone would cut it
+def _diff_reps_up_to_300():
     rng = random.Random(300)
     reps = [
         Girth3Rep((300, 7, -300), (300, -300, 1)),
@@ -270,13 +267,24 @@ def test_bracket_diff_formula_at_labels_up_to_300():
         Girth3Rep((100, 7, -100), (100, -100, 1)),
         Girth3Rep((-100, 100, -1), (-50, -99, 100)),
     ]
-    reps += [
+    return reps + [
         Girth3Rep(
             tuple(rng.randint(-300, 300) for _ in range(3)),
             tuple(rng.randint(-300, 300) for _ in range(3)),
         )
         for _ in range(2)
     ]
+
+
+# labels of both signs, odd and even, up to 300, where the coefficients
+# grow largest: a transposition core ([M] - [-M])^2 has |.|_inf = 2M,
+# under the bound 18 M of the slot width, and at M = 100 a coefficient
+# passes 2^7, so a width read off M alone would cut it
+_DIFF_REPS_UP_TO_300 = _diff_reps_up_to_300()
+
+
+def test_bracket_diff_formula_at_labels_up_to_300():
+    reps = _DIFF_REPS_UP_TO_300
     for rep in reps:
         for perm in PERMS:
             got = bracket_diff_formula(rep, perm)
@@ -417,8 +425,8 @@ def _ref_bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
     return blk0 + blk1 * d + blk2 * d**2 + blk3 * d**3
 
 
-def _l1(poly: LaurentPoly) -> int:
-    return sum(abs(c) for _, c in poly.terms)
+def _max_abs(poly: LaurentPoly) -> int:
+    return max((abs(c) for _, c in poly.terms), default=0)
 
 
 def _log_uniform(rng: random.Random, top: int) -> int:
@@ -443,7 +451,7 @@ def test_bracket_girth3_equals_laurent_assembly():
         got = bracket_girth3(rep)
         assert got == _ref_bracket_girth3(rep), rep
         # the slot-width premise
-        assert _l1(got) <= bracket_l1_bound(rep.top + rep.bottom), rep
+        assert _max_abs(got) <= bracket_coefficient_bound(rep.top + rep.bottom), rep
 
 
 def test_bracket_double_twist_equals_laurent_assembly():
@@ -453,7 +461,94 @@ def test_bracket_double_twist_equals_laurent_assembly():
     for p, q in grid + wide:
         got = bracket_double_twist(p, q)
         assert got == _ref_bracket_double_twist(p, q), (p, q)
-        assert _l1(got) <= bracket_l1_bound((p, q)), (p, q)
+        assert _max_abs(got) <= bracket_coefficient_bound((p, q)), (p, q)
+
+
+def _signed_log_uniform(top: int):
+    return st.one_of(
+        st.just(0),
+        st.builds(lambda sign, u: sign * round(top**u), st.sampled_from((-1, 1)), st.floats(0, 1)),
+    )
+
+
+def _at_both_widths(value_at, labels):
+    """Decode the exact (value, low) that value_at(k) packs at y = 2^k, at
+    the slot width of the labels and at the reference width of the sum of
+    |coefficients|; check that the two agree and that the largest
+    |coefficient| is within the bound and below 2^(k-1)."""
+    k = closedform._slot_bits(labels)
+    k_ref = closedform_reference.slot_bits(closedform_reference.bracket_l1_bound(labels))
+    assert k <= k_ref
+    got = closedform._decode(*value_at(k), k)
+    assert got == closedform._decode(*value_at(k_ref), k_ref), labels
+    assert _max_abs(got) <= bracket_coefficient_bound(labels) < 1 << k - 1, labels
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[_signed_log_uniform(3333)] * 6))
+def test_girth3_width_decodes_as_the_l1_width(labels):
+    def value_at(k):
+        top, bottom = closedform._row(labels[:3], k), closedform._row(labels[3:], k)
+        return closedform._girth3_value(top, bottom, k, sum(labels))
+
+    _at_both_widths(value_at, labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[_signed_log_uniform(10000)] * 2))
+def test_girth2_width_decodes_as_the_l1_width(labels):
+    _at_both_widths(lambda k: closedform._double_twist_value(*labels, k), labels)
+
+
+def test_diff_formula_width_decodes_as_the_l1_width():
+    # the grids of the two difference-formula tests above: even labels
+    # 2..12, and labels of both signs up to 300
+    rng = random.Random(910)
+    reps = [
+        Girth3Rep(tuple(2 * rng.randint(1, 6) for _ in range(3)),
+                  tuple(2 * rng.randint(1, 6) for _ in range(3)))
+        for _ in range(100)
+    ]
+    reps += _DIFF_REPS_UP_TO_300
+    for rep in reps:
+        labels = rep.top + rep.bottom
+        k = closedform._diff_slot_bits(labels)
+        k_ref = closedform_reference.slot_bits(closedform_reference.diff_l1_bound(labels))
+        assert k <= k_ref
+        bound = 18 * max(1, *map(abs, labels))
+        for perm in PERMS:
+            got = closedform._decode(*closedform._diff_value(rep, perm, k), k)
+            ref = closedform._decode(*closedform._diff_value(rep, perm, k_ref), k_ref)
+            assert got == ref, (rep, perm)
+            assert _max_abs(got) <= bound < 1 << k - 1, (rep, perm)
+
+
+@pytest.mark.parametrize(
+    "labels, k",
+    [
+        ((300,) * 6, 56),  # the perfbench girth-3 label cap
+        ((1000, 1000), 16),  # the perfbench girth-2 label cap
+        ((2,) * 6, 16),  # census girth 3 --max 2
+        ((6,) * 6, 24),  # census girth 3 --max 6
+        ((12, 12), 8),  # census girth 2 --max 12
+    ],
+)
+def test_slot_width_is_pinned(labels, k):
+    # one byte narrower than the width of the sum of |coefficients| at
+    # each of these bounds; a change that widens the slots fails here
+    assert closedform._slot_bits(labels) == k
+    assert k < closedform_reference.slot_bits(closedform_reference.bracket_l1_bound(labels))
+
+
+def test_slot_width_never_exceeds_the_l1_width():
+    rng = random.Random(37)
+    for size in (1, 2, 6):
+        for _ in range(2000):
+            labels = tuple(rng.choice((0, 1, -1)) * _log_uniform(rng, 10000) for _ in range(size))
+            ref = closedform_reference.slot_bits(closedform_reference.bracket_l1_bound(labels))
+            assert closedform._slot_bits(labels) <= ref, labels
+            ref = closedform_reference.slot_bits(closedform_reference.diff_l1_bound(labels))
+            assert closedform._diff_slot_bits(labels) <= ref, labels
 
 
 def _crossings(rep) -> int:

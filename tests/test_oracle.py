@@ -1,4 +1,6 @@
 import ast
+import functools
+import itertools
 import os
 import random
 import time
@@ -541,7 +543,14 @@ def test_sweep_equals_state_walk_on_scrambled_diagrams(pd):
 def test_fox_equals_the_reference_on_large_knots(text, n):
     pd = pd_from_rep(parse_rep(text))
     assert pd.n() == n and orient(pd).n_components == 1
-    assert conway_fox(pd, cap=n) == conway_fox_reference(pd)
+    assert conway_fox(pd, cap=n) == _reference_of(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_of(text):
+    """The reference Conway polynomial of a rep's template, taken once per
+    test process (2 s at 80 crossings)."""
+    return conway_fox_reference(pd_from_rep(parse_rep(text)))
 
 
 def test_fox_equals_the_reference_on_the_knot_fixtures():
@@ -577,6 +586,39 @@ def test_alexander_decodes_coefficients_at_the_bound():
             sign = (-1) ** inversions * (-1) ** sum(c < 0 for _, c in cells)
             degree = sum(e for e, _ in cells)
             assert _alexander(minor) == {degree: sign * 4**dim}, minor
+
+
+def test_fox_at_the_hadamard_width_equals_the_reference(monkeypatch):
+    # every minor is decoded at the width of Hadamard's bound on its rows,
+    # narrower than the 2 dim + 2 of the bound 4^dim on the row sums: the
+    # template grid of girths 1 to 3, and 80 crossings
+    widths = []
+
+    def spy(minor):
+        k = fox_width(minor)
+        widths.append((len(minor), k))
+        return k
+
+    fox_width = oracle._fox_width
+    monkeypatch.setattr(oracle, "_fox_width", spy)
+    reps = [Girth1Rep(p) for p in range(-9, 10)]
+    reps += [Girth2Rep(p, q) for p in range(-8, 9) for q in range(-8, 9)]
+    reps += [Girth3Rep(labels[:3], labels[3:]) for labels in itertools.product((-1, 2), repeat=6)]
+    knots = 0
+    for rep in reps:
+        pd = pd_from_rep(rep)
+        if pd.n() and orient(pd).n_components == 1:
+            assert conway_fox(pd, cap=pd.n()) == conway_fox_reference(pd), rep
+            knots += 1
+    text = "[15 10 17 / 11 12 15]"
+    pd = pd_from_rep(parse_rep(text))
+    assert pd.n() == 80
+    assert conway_fox(pd, cap=80) == _reference_of(text)
+    assert knots > 200 and len(widths) == knots + 1
+    # a Fox row has sum_j |M[i][j]|^2 <= 8, so B^2 <= 8^dim
+    assert all(k <= (3 * dim + 2) // 2 + 1 for dim, k in widths)
+    assert all(k < 2 * dim + 2 for dim, k in widths if dim)
+    assert widths[-1] == (79, 103)
 
 
 def test_alexander_equals_interpolation_on_random_minors():

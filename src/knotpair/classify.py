@@ -243,7 +243,7 @@ def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly)
     a Conway value, |V(-1)| = |nabla(2i)|, both being the determinant,
     ties the bracket to the Conway polynomial.  Its Conway polynomial lies
     in Z[z^2], so both sides are integers: sum c_e (-1)^(e/4) over the
-    quarter-power exponents e of V, and sum c_2j (-4)^j.
+    quarter-power exponents e of V, and sum c_2j (-4)^j (``_nabla_2i``).
 
     For a knot, one pass over the Jones terms sums the coefficients by
     exponent mod 24 and ORs the exponents together.  For e = 4n,
@@ -274,9 +274,20 @@ def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly)
     if any(e % 2 for e, _ in conway.terms):
         raise AssertionError("knot Conway in odd powers of z")
     v_minus = sums[0] + sums[8] + sums[16] - sums[4] - sums[12] - sums[20]
-    nabla_2i = sum(c * (-4) ** (e // 2) for e, c in conway.terms)
+    nabla_2i = _nabla_2i(conway)
     if abs(v_minus) != abs(nabla_2i):
         raise AssertionError(f"|V(-1)| = {abs(v_minus)} but |nabla(2i)| = {abs(nabla_2i)}")
+
+
+def _nabla_2i(conway: LaurentPoly) -> int:
+    """nabla(2i) = sum c_2j (-4)^j of a Conway polynomial in z^2, by Horner's
+    rule from the top term: a gap of 2d in the exponents is one factor (-4)^d."""
+    value = 0
+    e_prev = conway.terms[-1][0] if conway.terms else 0
+    for e, c in reversed(conway.terms):
+        value = value * (-4) ** ((e_prev - e) // 2) + c
+        e_prev = e
+    return value * (-4) ** (e_prev // 2)
 
 
 def closed_bracket(rep) -> LaurentPoly:

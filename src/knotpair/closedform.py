@@ -42,9 +42,10 @@ at y = A^4 = 2^k in Python ints, cut into coefficients once:
   delta A^-p + S_p has |.|_inf <= 2 <= 8 (``bracket_coefficient_bound``).
   k is the least multiple of 8 with the bound below 2^(k-1), so every
   coefficient of y^N F, which are those of the bracket, fits a k-bit slot
-  with the sign bit to spare, and ``laurent.unpack`` reads them off with
-  one biased cut.  The value is exact at any k; k only has to hold the
-  largest coefficient.
+  with the sign bit to spare, and ``LaurentPoly.from_packed`` reads them
+  off: one biased cut into bytes, then a few C-level passes that read
+  every slot as a signed C integer (``laurent.unpack``).  The value is
+  exact at any k; k only has to hold the largest coefficient.
 * **The difference formula.**  ``bracket_diff_formula`` is A^-w times a
   core of products of two s's and 1 - delta^2 = -A^-4 (1 + y + y^2), so it
   too is one int at y = 2^k; its width bounds |.|_inf by 18 M, M the
@@ -57,7 +58,7 @@ at y = A^4 = 2^k in Python ints, cut into coefficients once:
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly, unpack
+from .laurent import LaurentPoly
 from .reps import Girth3Rep
 
 _Z = "z"
@@ -273,12 +274,6 @@ def _q_int(x: int, k: int) -> tuple[int, int]:
     return num // ((1 << k) + 1), max(-x, 0)
 
 
-def _decode(value: int, low: int, k: int, tag: str = _A) -> LaurentPoly:
-    """The polynomial whose exponent low + 4j has slot j of value as its coefficient."""
-    slots = abs(value).bit_length() // k + 1
-    return LaurentPoly.from_terms(unpack(value, k // 8, slots, low, 4), tag)
-
-
 def bracket_single_twist(p: int) -> LaurentPoly:
     """Bracket of the closed twist region: <K(p)> = A^-p (delta + s_p).
 
@@ -287,7 +282,7 @@ def bracket_single_twist(p: int) -> LaurentPoly:
     <K(p)> = A^-1 <K(p-1)> + A (-A^3)^(p-1), <K(0)> = delta.
     """
     k = _slot_bits((p,))
-    return _decode(*_single_twist_value(p, k), k)
+    return LaurentPoly.from_packed(*_single_twist_value(p, k), k, 4, _A)
 
 
 def _single_twist_value(p: int, k: int) -> tuple[int, int]:
@@ -303,7 +298,7 @@ def bracket_double_twist(p: int, q: int) -> LaurentPoly:
     at y = 2^k (module docstring): the s_p s_q term carries y^1.
     """
     k = _slot_bits((p, q))
-    return _decode(*_double_twist_value(p, q, k), k)
+    return LaurentPoly.from_packed(*_double_twist_value(p, q, k), k, 4, _A)
 
 
 def _double_twist_value(p: int, q: int, k: int) -> tuple[int, int]:
@@ -389,7 +384,8 @@ def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
     """
     labels = rep.top + rep.bottom
     k = _slot_bits(labels)
-    return _decode(*_girth3_value(_row(rep.top, k), _row(rep.bottom, k), k, sum(labels)), k)
+    value, low = _girth3_value(_row(rep.top, k), _row(rep.bottom, k), k, sum(labels))
+    return LaurentPoly.from_packed(value, low, k, 4, _A)
 
 
 def _girth3_value(top_row: tuple, bottom_row: tuple, k: int, w: int) -> tuple[int, int]:
@@ -474,7 +470,7 @@ def census_jones(girth: int, max_abs: int):
 
     def jones(key: tuple[int, int]) -> LaurentPoly:
         low, value = key
-        return _decode(value, low, k, "t")
+        return LaurentPoly.from_packed(value, low, k, 4, "t")
 
     return key, jones
 
@@ -522,7 +518,7 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
     if perm == "identity":
         return LaurentPoly.zero(_A)
     k = _diff_slot_bits(rep.top + rep.bottom)
-    return _decode(*_diff_value(rep, perm, k), k)
+    return LaurentPoly.from_packed(*_diff_value(rep, perm, k), k, 4, _A)
 
 
 def _diff_slot_bits(labels: tuple[int, ...]) -> int:

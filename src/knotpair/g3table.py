@@ -38,9 +38,9 @@ the closed brackets are (``closedform``): the census packs each pattern's
 64 corners once, on first use (``_packed``), by Horner's rule over the
 table's coefficient rows, one C-level pass a power of s, and one
 labelling packs the corners it reads; a Fibonacci weight is the packed
-list of its binomials, and the contraction is int products and sums.  ``laurent.unpack`` at
-stride 2 cuts the value into the coefficients of z^0, z^2, ...
-(``decode``).
+list of its binomials, and the contraction is int products and sums.
+``LaurentPoly.from_packed`` at stride 2 cuts the value into the
+coefficients of z^0, z^2, ...
 
 **Slot width.**  k is the least multiple of 8 with ``conway_bound`` below
 2^(k-1), for the bound B = N prod_i v_i:
@@ -94,7 +94,7 @@ from operator import add, lshift, mul
 
 from . import closedform as cf
 from .g3table_data import KNOTS, REDUCED
-from .laurent import LaurentPoly, unpack
+from .laurent import LaurentPoly
 from .reps import Girth3Rep
 
 AFFINE = "A"
@@ -165,7 +165,8 @@ def conway(labels: tuple[int, ...]) -> LaurentPoly:
     axes, subs = _SUBMASKS[off]
     corners = _corners(pattern)
     values = [_pack(corners[corner | sub], k) for sub in subs]
-    return decode(_contract(values, axes, kinds, labels, weights), k)
+    nabla = _contract(values, axes, kinds, labels, weights)
+    return LaurentPoly.from_packed(nabla, 0, k, 2, "z")
 
 
 def census_keys(girth: int, max_abs: int, cap: int):
@@ -239,7 +240,7 @@ def census_keys(girth: int, max_abs: int, cap: int):
         values = [corners[corner | sub] for sub in subs]
         return 1, writhe, _contract(values, axes, KNOTS[pattern][0], labels, weights)
 
-    conway_of = functools.partial(decode, k=k)
+    conway_of = functools.partial(LaurentPoly.from_packed, low=0, k=k, stride=2, tag="z")
     if girth == 3:
         return key, conway_of
 
@@ -253,12 +254,6 @@ def census_keys(girth: int, max_abs: int, cap: int):
         return 1, -p, sum(c << half * e for e, c in cf.conway_single_twist(p).terms)
 
     return girth2_key, conway_of
-
-
-def decode(value: int, k: int) -> LaurentPoly:
-    """The polynomial in z whose coefficient of z^(2j) is slot j of value."""
-    slots = abs(value).bit_length() // k + 1
-    return LaurentPoly.from_terms(unpack(value, k // 8, slots, 0, 2), "z")
 
 
 def _contract(values: list, axes, kinds: str, labels, weights) -> int:

@@ -14,15 +14,33 @@ pairs of terms into a dict.  Sums and differences merge into a dict too, and
 
 ``unpack`` decodes a polynomial packed into one Python int, coefficient c_i
 in the 8*width-bit slot i, as sum(c_i * 2^(8 * width * i)).  The closed-form
-brackets (``closedform``) evaluate at A^4 = 2^k and read their coefficients
-back this way.  Adding 2^(8 * width - 1) in every slot makes each slot's
-content c + 2^(8 * width - 1) lie in [1, 2^(8 * width)) when
-|c| < 2^(8 * width - 1), so no slot borrows from the next; the biased sum is
-cut into slots with ``to_bytes`` and the bias is taken off again.
+brackets (``closedform``) and the girth-3 Conway table (``g3table``) evaluate
+at a power of 2 and read their coefficients back this way, through
+``LaurentPoly.from_packed``.  Adding the bias 2^(8 * width - 1) in every slot
+makes each slot's content c + 2^(8 * width - 1) lie in [1, 2^(8 * width)) when
+|c| < 2^(8 * width - 1), so no slot borrows from the next.  XOR with the same
+bias then flips each slot's top bit back, which leaves c mod 2^(8 * width),
+the slot's coefficient in two's complement.  The whole value is cut into
+bytes once with ``to_bytes``, and the slots are read in C-level passes:
+
+* 1-, 2-, 4- and 8-byte slots are one ``memoryview.cast`` to a signed C
+  type ("b", "h", "i" or "q");
+* 3-, 5-, 6- and 7-byte slots are first sign-extended into 8-byte slots: one
+  strided slice copy per byte of the slot, and the sign bytes (0x00 or 0xff
+  by the top bit of each slot's top byte) from one ``bytes.translate`` of the
+  top bytes, copied into every byte above the slot; then one cast with "q".
+
+A cast reads the platform's byte order, so on a big-endian platform, and
+for slots wider than 8 bytes, which have no C type, each slot is read by its
+own ``int.from_bytes`` of the biased bytes, less the bias.  Only girth-3
+brackets whose six labels are all about 1800 or more in absolute value need
+such slots (past 2^63 for 512 P / M); neither the census nor any perfbench
+input reaches them, so they keep that path rather than a limb-combining one.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import compress, repeat
 from math import gcd
@@ -33,6 +51,13 @@ from .record import Record, set_field
 # Exponents are kept inside a 64-bit-ish window so that a runaway
 # computation fails loudly instead of silently chewing memory.
 MAX_EXPONENT = 2**62
+
+# ``memoryview.cast`` reads native byte order; the slot casts of ``unpack``
+# need it little-endian.
+_CAST_SLOTS = sys.byteorder == "little"
+_CAST_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
+# ``bytes.translate`` table: a byte to the sign byte of its top bit
+_SIGN_BYTES = bytes(128) + b"\xff" * 128
 
 
 class TagMismatchError(ValueError):
@@ -68,6 +93,13 @@ class LaurentPoly(Record):
         if items and (items[0][0] < -MAX_EXPONENT or items[-1][0] > MAX_EXPONENT):
             _raise_out_of_range(items)
         return LaurentPoly(items, tag)
+
+    @staticmethod
+    def from_packed(value: int, low: int, k: int, stride: int, tag: str) -> "LaurentPoly":
+        """The polynomial whose exponent low + j * stride has the k-bit slot j
+        of ``value`` as its coefficient (``unpack``; k a multiple of 8)."""
+        slots = abs(value).bit_length() // k + 1
+        return LaurentPoly.from_terms(unpack(value, k // 8, slots, low, stride), tag)
 
     @staticmethod
     def zero(tag: str = "A") -> "LaurentPoly":
@@ -220,14 +252,27 @@ def unpack(value: int, width: int, slots: int,
 
     ``value`` is sum(c_i * 2^(8 * width * i)) over at most ``slots`` slots,
     each |c_i| < 2^(8 * width - 1), and slot i holds the coefficient of
-    exponent low + i * stride.  The biased cut is argued in the module
-    docstring.
+    exponent low + i * stride.  The biased cut, the casts and the per-slot
+    path for widths past 8 bytes are argued in the module docstring.
     """
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
-    data = (value + bias).to_bytes(slots * width, "little")
-    # zip over one iterator cuts the bytes into width-byte tuples
-    values = map(int.from_bytes, zip(*[iter(data)] * width), repeat("little"))
-    coeffs = list(map(sub, values, repeat(1 << (8 * width - 1))))
+    if width > 8 or not _CAST_SLOTS:
+        data = (value + bias).to_bytes(slots * width, "little")
+        # zip over one iterator cuts the bytes into width-byte tuples
+        values = map(int.from_bytes, zip(*[iter(data)] * width), repeat("little"))
+        coeffs = list(map(sub, values, repeat(1 << (8 * width - 1))))
+    else:
+        data = ((value + bias) ^ bias).to_bytes(slots * width, "little")
+        fmt = _CAST_FORMATS.get(width)
+        if fmt is None:
+            wide = bytearray(8 * slots)
+            for j in range(width):
+                wide[j::8] = data[j::width]
+            signs = data[width - 1::width].translate(_SIGN_BYTES)
+            for j in range(width, 8):
+                wide[j::8] = signs
+            data, fmt = wide, "q"
+        coeffs = memoryview(data).cast(fmt).tolist()
     exps = range(low, low + slots * stride, stride)
     return tuple(compress(zip(exps, coeffs), coeffs))
 

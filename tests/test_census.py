@@ -324,18 +324,23 @@ def test_the_census_checks_the_identities_once_per_class(monkeypatch):
     assert len(calls) == len(set(calls)) == len(classes) < len(census_enumerate(3, 2))
 
 
+def _packed_decodes_by_tag(monkeypatch, *args):
+    """The tags of the ``LaurentPoly.from_packed`` calls of dedup_census(*args)."""
+    tags = []
+    real = LaurentPoly.from_packed
+
+    def spy(value, low, k, stride, tag):
+        tags.append(tag)
+        return real(value, low, k, stride, tag)
+
+    monkeypatch.setattr(LaurentPoly, "from_packed", staticmethod(spy))
+    return dedup_census(*args), tags
+
+
 def test_the_census_decodes_a_polynomial_once_per_class(monkeypatch):
     # a rep is keyed by integers: only a class unpacks its Jones polynomial
-    calls = []
-    real = closedform.unpack
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(closedform, "unpack", spy)
-    classes = dedup_census(3, 2)
-    assert len(calls) == len(classes) == 243
+    classes, tags = _packed_decodes_by_tag(monkeypatch, 3, 2)
+    assert tags.count("t") == len(classes) == 243
     assert len(census_enumerate(3, 2)) == 1505
 
 
@@ -479,16 +484,8 @@ def test_the_writers_give_the_bytes_of_csv_and_json(classes):
 
 
 def test_the_census_decodes_a_conway_polynomial_once_per_class(monkeypatch):
-    calls = []
-    real = g3table.unpack
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(g3table, "unpack", spy)
-    classes = dedup_census(3, 2)
-    assert len(calls) == sum(1 for cls in classes if cls.record.conway) > 100
+    classes, tags = _packed_decodes_by_tag(monkeypatch, 3, 2)
+    assert tags.count("z") == sum(1 for cls in classes if cls.record.conway) > 100
 
 
 def test_the_census_makes_no_reference_cycles():

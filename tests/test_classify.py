@@ -3,7 +3,10 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from knotpair import classify
+from knotpair.census import dedup_census
 from knotpair.classify import (
     DISTINCT_BY_CONWAY,
     DISTINCT_BY_JONES,
@@ -112,6 +115,36 @@ def test_check_identities_compares_the_determinants():
     check_identities(1, trefoil.conway, trefoil.jones)
     with pytest.raises(AssertionError, match=r"^\|V\(-1\)\| = 3 but \|nabla\(2i\)\| = 1$"):
         check_identities(1, LaurentPoly.one("z"), trefoil.jones)
+
+
+def _nabla_2i_reference(conway):
+    """nabla(2i) as the sum of c_2j (-4)^j, one power a term."""
+    return sum(c * (-4) ** (e // 2) for e, c in conway.terms)
+
+
+def test_nabla_2i_equals_the_term_sum_on_the_census_conway_values(monkeypatch):
+    seen = []
+    real = classify._nabla_2i
+
+    def spy(conway):
+        seen.append(conway)
+        return real(conway)
+
+    monkeypatch.setattr(classify, "_nabla_2i", spy)
+    dedup_census(3, 2)
+    dedup_census(2, 12)
+    rep_invariants(Girth2Rep(-464, 29))
+    assert len(seen) > 200 and len(seen[-1].terms) == 233
+    for conway in seen:
+        assert real(conway) == _nabla_2i_reference(conway), conway
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(0, 60), st.integers(-(2**70), 2**70), max_size=20))
+def test_nabla_2i_equals_the_term_sum(coeffs):
+    # sparse polynomials in z^2, gaps and a zero constant term included
+    conway = LaurentPoly.from_dict({2 * j: c for j, c in coeffs.items()}, "z")
+    assert classify._nabla_2i(conway) == _nabla_2i_reference(conway)
 
 
 def test_classify_girth2_even_examples():

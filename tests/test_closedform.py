@@ -479,8 +479,8 @@ def _at_both_widths(value_at, labels):
     k = closedform._slot_bits(labels)
     k_ref = closedform_reference.slot_bits(closedform_reference.bracket_l1_bound(labels))
     assert k <= k_ref
-    got = closedform._decode(*value_at(k), k)
-    assert got == closedform._decode(*value_at(k_ref), k_ref), labels
+    got = LaurentPoly.from_packed(*value_at(k), k, 4, "A")
+    assert got == LaurentPoly.from_packed(*value_at(k_ref), k_ref, 4, "A"), labels
     assert _max_abs(got) <= bracket_coefficient_bound(labels) < 1 << k - 1, labels
 
 
@@ -517,8 +517,8 @@ def test_diff_formula_width_decodes_as_the_l1_width():
         assert k <= k_ref
         bound = 18 * max(1, *map(abs, labels))
         for perm in PERMS:
-            got = closedform._decode(*closedform._diff_value(rep, perm, k), k)
-            ref = closedform._decode(*closedform._diff_value(rep, perm, k_ref), k_ref)
+            got = LaurentPoly.from_packed(*closedform._diff_value(rep, perm, k), k, 4, "A")
+            ref = LaurentPoly.from_packed(*closedform._diff_value(rep, perm, k_ref), k_ref, 4, "A")
             assert got == ref, (rep, perm)
             assert _max_abs(got) <= bound < 1 << k - 1, (rep, perm)
 

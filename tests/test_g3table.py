@@ -224,6 +224,7 @@ def _package_modules():
 def test_oracle_decodes_its_own_digits():
     # the oracle reads its determinant's digits the way the closed forms
     # read their products, but with its own loop, never ``laurent.unpack``
+    # or ``LaurentPoly.from_packed``
     (tree,) = [tree for name, tree in _package_modules() if name == "oracle.py"]
     names = set()
     for node in ast.walk(tree):
@@ -233,7 +234,7 @@ def test_oracle_decodes_its_own_digits():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert "_alexander" in names and "unpack" not in names
+    assert "_alexander" in names and "unpack" not in names and "from_packed" not in names
 
 
 def test_package_imports_only_the_standard_library():

@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from knotpair import laurent
 from knotpair.laurent import (
     MAX_EXPONENT,
     LaurentPoly,
@@ -17,6 +18,7 @@ from knotpair.laurent import (
     poly_to_text,
     unpack,
 )
+import laurent_reference
 from poly_text import poly_from_text, reference_text
 from test_closedform import packed_product
 
@@ -290,34 +292,98 @@ def pack(dense, width):
     return sum(c << (8 * width * i) for i, c in enumerate(dense))
 
 
-def test_unpack_round_trips_signed_slots():
-    rng = random.Random(1009)
-    for width in (1, 2, 3, 8, 17):
+# every branch of ``unpack``: the 1-, 2-, 4- and 8-byte casts, the 3-, 5-, 6-
+# and 7-byte sign extension, and the per-slot read past 8 bytes
+UNPACK_WIDTHS = (*range(1, 10), 17)
+
+
+def _signed_slot_grid(seed):
+    """(width, dense slots) with extreme, zero and random slots at every width."""
+    rng = random.Random(seed)
+    for width in UNPACK_WIDTHS:
         top = (1 << (8 * width - 1)) - 1  # largest |c| a slot holds
         for _ in range(60):
             n = rng.randint(1, 40)
             dense = [rng.choice([0, top, -top, rng.randint(-top, top)]) for _ in range(n)]
             if rng.random() < 0.3:
                 dense[0] = dense[-1] = 0  # zero slots at both ends
-            expect = tuple((i, c) for i, c in enumerate(dense) if c)
-            value = pack(dense, width)
-            assert unpack(value, width, n, 0, 1) == expect
-            # a spare slot on top reads as zero
-            assert unpack(value, width, n + 1, 0, 1) == expect
-            low, stride = rng.randint(-50, 50), rng.choice([1, 4])
-            assert unpack(value, width, n, low, stride) == tuple(
-                (low + i * stride, c) for i, c in expect
-            )
+            yield width, dense
+
+
+def test_unpack_round_trips_signed_slots():
+    rng = random.Random(1009)
+    for width, dense in _signed_slot_grid(1009):
+        n = len(dense)
+        expect = tuple((i, c) for i, c in enumerate(dense) if c)
+        value = pack(dense, width)
+        assert unpack(value, width, n, 0, 1) == expect
+        # a spare slot on top reads as zero
+        assert unpack(value, width, n + 1, 0, 1) == expect
+        low, stride = rng.randint(-50, 50), rng.choice([1, 4])
+        assert unpack(value, width, n, low, stride) == tuple(
+            (low + i * stride, c) for i, c in expect
+        )
 
 
 def test_unpack_single_slot_and_extremes():
-    for width in (1, 3):
+    for width in UNPACK_WIDTHS:
         top = (1 << (8 * width - 1)) - 1
         for c in (top, -top, 1, -1):
             assert unpack(c, width, 1, 7, 4) == ((7, c),)
         assert unpack(0, width, 1, 7, 4) == ()
         dense = [top, -top, -top, top]
         assert unpack(pack(dense, width), width, 4, 0, 1) == tuple(enumerate(dense))
+
+
+@st.composite
+def packed_slots(draw):
+    """(width, dense): slots of +-(2^(8 width - 1) - 1), +-1, 0 or any value
+    a slot holds, zero slots at either end, and the top nonzero slot of
+    either sign, so that the packed total is negative about half the time."""
+    width = draw(st.sampled_from(UNPACK_WIDTHS))
+    top = (1 << (8 * width - 1)) - 1
+    slot = st.one_of(st.sampled_from([top, -top, 1, -1, 0]), st.integers(-top, top))
+    dense = draw(st.lists(slot, min_size=1, max_size=30))
+    dense = [0] * draw(st.integers(0, 2)) + dense + [0] * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        dense = [-c for c in dense]
+    return width, dense
+
+
+@settings(max_examples=400, deadline=None)
+@given(packed_slots(), st.integers(0, 2), st.integers(-60, 60), st.sampled_from([1, 2, 4]))
+def test_unpack_equals_the_per_slot_reference(case, spare, low, stride):
+    width, dense = case
+    value = pack(dense, width)
+    slots = len(dense) + spare
+    got = unpack(value, width, slots, low, stride)
+    assert got == laurent_reference.unpack(value, width, slots, low, stride)
+    assert got == tuple((low + i * stride, c) for i, c in enumerate(dense) if c)
+
+
+def test_the_per_slot_path_equals_the_casts(monkeypatch):
+    # what a big-endian platform reads: every width through int.from_bytes
+    grid = [(width, dense, pack(dense, width)) for width, dense in _signed_slot_grid(1009)]
+    cast = [unpack(value, width, len(dense), -3, 4) for width, dense, value in grid]
+    monkeypatch.setattr(laurent, "_CAST_SLOTS", False)
+
+    def no_cast(data):
+        raise AssertionError("the per-slot path made a memoryview")
+
+    monkeypatch.setattr(laurent, "memoryview", no_cast, raising=False)
+    per_slot = [unpack(value, width, len(dense), -3, 4) for width, dense, value in grid]
+    assert per_slot == cast
+
+
+def test_from_packed_reads_k_bit_slots():
+    # exponent low + j * stride from slot j, as many slots as the value spans
+    for k in (8, 24, 40, 64, 72):
+        top = (1 << (k - 1)) - 1
+        for dense in ([5], [top, 0, -top], [-1, 0, 0, 1], [0, 0, -top]):
+            value = pack(dense, k // 8)
+            got = LaurentPoly.from_packed(value, -7, k, 2, "z")
+            assert got == P({-7 + 2 * i: c for i, c in enumerate(dense)}, "z")
+        assert LaurentPoly.from_packed(0, 3, k, 4, "t") == LaurentPoly.zero("t")
 
 
 def test_single_term_product_equals_the_packed_reference_product():

@@ -498,7 +498,8 @@ def test_state_sum_is_independent_of_the_closed_forms():
         elif isinstance(node, ast.Name):
             names.add(node.id)
     assert "_digits" in names and "_alexander" in names
-    for name in ("closedform", "g3table", "g3table_data", "unpack", "_decode", "_q_int"):
+    for name in ("closedform", "g3table", "g3table_data", "unpack", "from_packed", "_decode",
+                 "_q_int"):
         assert name not in names, name
 
 

@@ -22,6 +22,7 @@ import json
 import operator
 import re
 import sys
+from collections import Counter
 from collections.abc import Iterable
 
 from .record import Record, set_field
@@ -76,18 +77,20 @@ def validate_pd(pd: PDCode) -> None:
     n + 2 regions, so the pieces are counted whatever the count, and a
     split code is refused as split.
     """
-    counts: dict[int, int] = {}
-    for cr in pd.crossings:
-        if len(cr) != 4:
-            raise InvalidPDError(f"crossing {cr!r} is not a 4-tuple")
-        for a in cr:
-            counts[a] = counts.get(a, 0) + 1
-    bad = {a: k for a, k in counts.items() if k != 2}
-    if bad:
+    crossings = pd.crossings
+    if set(map(len, crossings)) - {4} or set(Counter(itertools.chain(*crossings)).values()) - {2}:
+        # a refusal: find what to name, crossing by crossing
+        counts: dict[int, int] = {}
+        for cr in crossings:
+            if len(cr) != 4:
+                raise InvalidPDError(f"crossing {cr!r} is not a 4-tuple")
+            for a in cr:
+                counts[a] = counts.get(a, 0) + 1
+        bad = {a: k for a, k in counts.items() if k != 2}
         raise InvalidPDError(f"arcs not appearing exactly twice: {bad}")
     n = pd.n()
     if n:
-        other = _other_end(itertools.chain(*pd.crossings))
+        other = _other_end(itertools.chain(*crossings))
         cycles = _corner_cycles(other)
         f = len(cycles)
         pieces = _pieces(other)
@@ -132,21 +135,24 @@ def pd_from_json(text: str) -> PDCode:
     crossings = obj.get("crossings")
     if not isinstance(crossings, list):
         raise InvalidPDError(f"'crossings' must be a list, got {crossings!r}")
-    for i, c in enumerate(crossings):
-        if isinstance(c, list) and any(type(a) is _LongInt for a in c):
-            raise InvalidPDError(
-                f"crossings[{i}] has an arc id of more than "
-                f"{sys.get_int_max_str_digits()} digits"
-            )
-        # type() rather than isinstance(): JSON true/false are not arc ids
-        if not (isinstance(c, list) and len(c) == 4 and all(type(a) is int for a in c)):
-            raise InvalidPDError(f"crossing {c!r} is not a list of 4 integers")
+    # type() rather than isinstance(): JSON true/false are not arc ids
+    if not (set(map(type, crossings)) <= {list} and set(map(len, crossings)) <= {4}
+            and set(map(type, itertools.chain(*crossings))) <= {int}):
+        # a refusal: find what to name, crossing by crossing
+        for i, c in enumerate(crossings):
+            if isinstance(c, list) and any(type(a) is _LongInt for a in c):
+                raise InvalidPDError(
+                    f"crossings[{i}] has an arc id of more than "
+                    f"{sys.get_int_max_str_digits()} digits"
+                )
+            if not (isinstance(c, list) and len(c) == 4 and all(type(a) is int for a in c)):
+                raise InvalidPDError(f"crossing {c!r} is not a list of 4 integers")
     free_loops = obj.get("free_loops", 0)
     if type(free_loops) is not int or free_loops < 0:
         raise InvalidPDError(
             f"'free_loops' must be a non-negative integer, got {free_loops!r}"
         )
-    pd = PDCode(tuple(tuple(c) for c in crossings), free_loops)
+    pd = PDCode(tuple(map(tuple, crossings)), free_loops)
     validate_pd(pd)
     return pd
 
@@ -400,8 +406,9 @@ def checkerboard(pd: PDCode) -> tuple[list[list[int]], list[list[int]]]:
 
 
 class TaitEdge(Record):
-    """The Tait edge of one crossing, whose index it shares: it joins the
-    vertex at black corner k0 (end 0) to the one at k0 + 2 (end 1)."""
+    """One entry of ``TaitGraph.edges``: the Tait edge of one crossing,
+    whose index it shares.  It joins the vertex at black corner k0 (end 0)
+    to the one at k0 + 2 (end 1)."""
 
     __slots__ = ("v1", "v2", "k0")
 
@@ -412,40 +419,59 @@ class TaitEdge(Record):
 
 
 class TaitGraph(Record):
-    """Checkerboard graph with a rotation system.
+    """Checkerboard graph as a rotation system on half-edges.
 
-    ``rotation[v]`` lists (edge_index, end) around vertex v in the cyclic
-    order of its region's corners; end 0 refers to the corner k0 of the
-    crossing, end 1 to corner k0+2.
+    The half-edge at black corner c is h = c >> 1 = 2 * crossing + end:
+    a crossing's black corners are k0 and k0 + 2, so they are its edge's
+    ends 0 and 1, and h ^ 1 is the twin of h.  The fields are tuples of
+    ints: ``vertex[h]`` is the vertex at h, ``succ[h]`` the next half-edge
+    counterclockwise around it, in the cyclic order of its region's
+    corners, and ``k0[crossing]`` the first black corner.
+
+    ``edges`` (a ``TaitEdge`` per crossing) and ``rotation`` (per vertex,
+    its (edge, end) pairs from its least half-edge, where its corner cycle
+    starts) are read-only views, built anew on each access.
     """
 
-    __slots__ = ("n_vertices", "edges", "rotation")
+    __slots__ = ("n_vertices", "vertex", "succ", "k0")
 
-    def __init__(
-        self,
-        n_vertices: int,
-        edges: tuple[TaitEdge, ...],
-        rotation: tuple[tuple[tuple[int, int], ...], ...],
-    ) -> None:
+    def __init__(self, n_vertices: int, vertex: tuple, succ: tuple, k0: tuple) -> None:
         set_field(self, "n_vertices", n_vertices)
-        set_field(self, "edges", edges)
-        set_field(self, "rotation", rotation)
+        set_field(self, "vertex", vertex)
+        set_field(self, "succ", succ)
+        set_field(self, "k0", k0)
+
+    @property
+    def edges(self) -> tuple[TaitEdge, ...]:
+        return tuple(map(TaitEdge, self.vertex[0::2], self.vertex[1::2], self.k0))
+
+    @property
+    def rotation(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        rotation: list = [None] * self.n_vertices
+        for h, v in enumerate(self.vertex):
+            if rotation[v] is None:
+                entries = [divmod(h, 2)]
+                x = self.succ[h]
+                while x != h:
+                    entries.append(divmod(x, 2))
+                    x = self.succ[x]
+                rotation[v] = tuple(entries)
+        return tuple(rotation)
 
 
 def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:
     """The Tait graph of one shading from ``checkerboard``: a vertex per
-    black region, an edge per crossing.  A crossing's black corners are
-    k0 and k0 + 2, so corner c is end (c >> 1) & 1 of its edge."""
-    vertex_of = [-1] * (4 * pd.n())
+    black region, an edge per crossing, with no record per edge."""
+    vertex = [0] * (2 * pd.n())
+    succ = vertex[:]
     for v, corners in enumerate(black):
+        h = corners[-1] >> 1
         for c in corners:
-            vertex_of[c] = v
-    edges = []
-    for c in range(0, 4 * pd.n(), 4):
-        k0 = 0 if vertex_of[c] >= 0 else 1
-        edges.append(TaitEdge(vertex_of[c + k0], vertex_of[c + k0 + 2], k0))
-    rotation = tuple([tuple([(c >> 2, (c >> 1) & 1) for c in corners]) for corners in black])
-    return TaitGraph(len(black), tuple(edges), rotation)
+            succ[h] = h = c >> 1  # the last half-edge's successor, then h itself
+            vertex[h] = v
+    # the two black corners of crossing x, sorted, are 4x + k0 and 4x + k0 + 2
+    k0 = map((1).__and__, sorted(itertools.chain.from_iterable(black))[::2])
+    return TaitGraph(len(black), tuple(vertex), tuple(succ), tuple(k0))
 
 
 # ---------------------------------------------------------------------------

@@ -5,32 +5,38 @@ diagram splits into a neighborhood of T and its complement, which carries
 the complementary spanning tree T' of the dual graph.  Walking the ribbon
 boundary of T groups the non-tree edge ends ("dashed lines") into sectors
 between consecutive tree-edge ends; the girth of the decomposition is the
-number of nonempty sectors, counted identically from either side.
+number of nonempty sectors, counted identically from either side.  The
+walk also yields the interleaving of the two trees' dash classes around
+the boundary circle, which is what lets a girth-3 decomposition be read
+back as a label wheel (p a q b r c).
 
-The walk also yields the interleaving of the two trees' dash classes
-around the boundary circle, which is what lets a girth-3 decomposition be
-read back as a label wheel (p a q b r c).
+A Tait graph is read here as flat ints (see ``diagram.TaitGraph``): the
+half-edge h = corner >> 1 = 2 * crossing + end, its twin h ^ 1, and
+``succ[h]``, the next half-edge counterclockwise around its vertex.  The
+walk arrives by a tree half-edge h, steps along ``succ`` to the next tree
+half-edge x, leaves by x and arrives by x ^ 1.
 
-The girth search walks no contour.  The walk arrives once by each
-tree-edge end and then sweeps the rotation at that vertex to the next tree
-end, so a sector is nonempty exactly when the rotation turns from a tree
-edge straight to a non-tree edge: the girth of a tree is its number of such
-turns.  The trees come from a backtracking search over the edges in index
-order, each edge tried in before it is left out, so they come in
-lexicographic order.  A turn is settled once both of its edges are decided,
-and no later decision unsettles it, so the settled turns at a vertex bound
-its turns in every tree a branch can still reach.  So does 1 at a vertex
-with a decided non-tree end, since every vertex of a spanning tree has a
-tree-edge end.  The search sums the larger of the two over the vertices
-and cuts a branch once that bound passes a cap.  Looking for the least
-girth, it lowers the cap below each girth it finds, so the last tree it
-finds is the least tree of least girth: the witness a full enumeration
-would pick.  Only the witness is walked: ``decompose`` builds it on the
-two Tait graphs the search used, and its walked girth must equal the
-searched one.
+The girth search walks no contour.  A sector is nonempty exactly when the
+rotation turns from a tree half-edge h straight to a non-tree succ[h]: the
+girth of a tree is its number of such turns.  The trees come from a
+backtracking search over the edges in index order, each edge tried in
+before it is left out, so they come in lexicographic order.  A turn is
+settled once both of its edges are decided, and no later decision
+unsettles it, so the settled turns at a vertex bound its turns in every
+tree a branch can still reach.  So does 1 at a vertex with a decided
+non-tree end, since every vertex of a spanning tree has a tree-edge end.
+The search sums the larger of the two over the vertices and cuts a branch
+once that bound passes a cap.  Looking for the least girth, it lowers the
+cap below each girth it finds, so the last tree it finds is the least tree
+of least girth: the witness a full enumeration would pick.  Only the
+witness is walked: ``decompose`` builds it on the two Tait graphs the
+search used, and its walked girth must equal the searched one.
 """
 
 from __future__ import annotations
+
+import itertools
+import operator
 
 from .diagram import PDCode, TaitGraph, checkerboard, tait_graph
 from .oracle import _bareiss_det
@@ -63,8 +69,8 @@ def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
     """Yield (girth, tree) for the spanning trees of girth at most ``cap``.
 
     Trees are sorted tuples of edge indices and come in lexicographic order.
-    The girth is the number of turns (a, b), consecutive entries of one
-    rotation, from a tree edge a to a non-tree edge b; it equals
+    The girth is the number of turns (h, succ[h]) from a tree half-edge to
+    a non-tree one, of two edges a = h >> 1 and b = succ[h] >> 1; it equals
     ``tree_contour(tait, tree).girth()`` (see the module docstring).  With
     ``descend`` each tree yielded lowers the cap to one below its girth, so
     the girths fall strictly and the last tree yielded is the least tree of
@@ -109,9 +115,12 @@ def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
     where it stood before that edge was taken.
     """
     n = tait.n_vertices
-    edges = [(ei, e.v1, e.v2) for ei, e in enumerate(tait.edges) if e.v1 != e.v2]
+    vertex = tait.vertex
+    edges = [(ei, u, v) for ei, (u, v) in enumerate(zip(vertex[::2], vertex[1::2])) if u != v]
     m = len(edges)
-    pos = {ei: i for i, (ei, _, _) in enumerate(edges)}
+    pos = [-1] * len(tait.k0)  # per edge: its place in ``edges``; -1 for a loop
+    for i, (ei, _, _) in enumerate(edges):
+        pos[ei] = i
     # the turns each decision settles, with their vertex: taking the edge
     # in settles its turns to edges already decided (girth +1 per one left
     # out), leaving it out settles the turns into it from edges already
@@ -122,19 +131,18 @@ def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
     # decided non-tree end
     turned = [False] * n
     loose = [False] * n
-    for v, entries in enumerate(tait.rotation):
-        for p, (a, _end) in enumerate(entries):
-            if a not in pos:
-                loose[v] = n > 1  # a self-loop end
-                continue  # can never go from a tree edge to a non-tree edge
-            b = entries[(p + 1) % len(entries)][0]
-            if a == b:
-                continue
-            if pos.get(b, -1) < pos[a]:
-                settle_in[pos[a]].append((b, v))
-            else:
-                settle_out[pos[b]].append((a, v))
-    in_tree = [False] * len(tait.edges)
+    for h, (v, s) in enumerate(zip(vertex, tait.succ)):  # the turn h -> succ[h]
+        a, b = h >> 1, s >> 1
+        if pos[a] < 0:
+            loose[v] = n > 1  # a self-loop end
+            continue  # can never go from a tree edge to a non-tree edge
+        if a == b:
+            continue
+        if pos[b] < pos[a]:
+            settle_in[pos[a]].append((b, v))
+        else:
+            settle_out[pos[b]].append((a, v))
+    in_tree = [False] * len(tait.k0)
     parent = list(range(n))
     size = [1] * n
     tree: list[int] = []
@@ -266,18 +274,13 @@ def tree_count(tait: TaitGraph) -> int:
 class Contour(Record):
     """The nonempty sectors of a tree's ribbon boundary, in walk order.
 
-    Per sector: the vertex it lies at, its non-tree (edge, end) items in
-    rotation order, and the tree (edge, end) the walk leaves it by.
+    Per sector: the vertex it lies at, its non-tree half-edges in rotation
+    order, and the tree half-edge the walk leaves it by.
     """
 
     __slots__ = ("vertices", "dashes", "exits")
 
-    def __init__(
-        self,
-        vertices: tuple[int, ...],
-        dashes: tuple[tuple[tuple[int, int], ...], ...],
-        exits: tuple[tuple[int, int], ...],
-    ) -> None:
+    def __init__(self, vertices: tuple, dashes: tuple, exits: tuple) -> None:
         set_field(self, "vertices", vertices)
         set_field(self, "dashes", dashes)
         set_field(self, "exits", exits)
@@ -289,34 +292,30 @@ class Contour(Record):
 def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
     """Walk the ribbon boundary of a spanning tree from its first edge.
 
-    Arriving at a vertex by one tree-edge end, the walk sweeps the rotation
-    to the next tree-edge end and leaves by it.  Each step is invertible,
-    so the walk comes back to its start.
+    Arriving at a vertex by one tree half-edge h, the walk steps along
+    ``succ`` to the next tree half-edge and leaves by it, arriving by its
+    twin.  Each step is invertible, so the walk comes back to its start.
     """
-    tree_set = set(tree)
-    if not tree_set:
+    if not tree:
         raise ValueError("contour of an edgeless tree is undefined")
-    rot = tait.rotation
-    start_edge = min(tree_set)
-    state = start = (tait.edges[start_edge].v2, start_edge, 1)  # arrived at v2
+    in_tree = [False] * len(tait.k0)
+    for ei in tree:
+        in_tree[ei] = True
+    vertex, succ = tait.vertex, tait.succ
+    start = h = 2 * min(tree) + 1  # arrived at end 1
     vertices, dashes, exits = [], [], []
     while True:
-        v, ei, end = state
-        entries = rot[v]
-        npos = len(entries)
-        pos = (entries.index((ei, end)) + 1) % npos
-        swept = []
-        while entries[pos][0] not in tree_set:
-            swept.append(entries[pos])
-            pos = (pos + 1) % npos
-        dep_edge, dep_end = entries[pos]
-        if swept:
-            vertices.append(v)
+        x = succ[h]
+        if not in_tree[x >> 1]:
+            swept = []
+            while not in_tree[x >> 1]:
+                swept.append(x)
+                x = succ[x]
+            vertices.append(vertex[h])
             dashes.append(tuple(swept))
-            exits.append((dep_edge, dep_end))
-        next_v, next_end = _other(tait, dep_edge, dep_end)
-        state = (next_v, dep_edge, next_end)
-        if state == start:
+            exits.append(x)
+        h = x ^ 1
+        if h == start:
             break
     return Contour(tuple(vertices), tuple(dashes), tuple(exits))
 
@@ -356,65 +355,58 @@ def reduce_tree(
     A crossing's raw sign is +1 when its black corners are {1, 3}, i.e.
     when k0 = 1, and -1 otherwise; ``label_sign`` turns it into a label.
     """
-    in_tree = [False] * len(tait.edges)
+    vertex, succ, k0 = tait.vertex, tait.succ, tait.k0
+    in_tree = [False] * len(k0)
     for ei in tree:
         in_tree[ei] = True
-    rotation = tait.rotation
-    # per vertex: its tree-edge ends in rotation order; it is suppressed
-    # when these are two and are all of its ends
-    ends = [[x for x in entries if in_tree[x[0]]] for entries in rotation]
-    suppress = [len(t) == 2 == len(r) for t, r in zip(ends, rotation)]
+    # per vertex: its tree half-edges in rotation order, from its least
+    # half-edge (see ``TaitGraph``); it is suppressed when these are two
+    # and are all of its ends, each the other's successor
+    ends = []
+    for v in range(tait.n_vertices):
+        x = h = vertex.index(v)
+        t = []
+        while True:
+            if in_tree[x >> 1]:
+                t.append(x)
+            x = succ[x]
+            if x == h:
+                break
+        ends.append(t)
+    suppress = [len(t) == 2 and succ[t[0]] == t[1] and succ[t[1]] == t[0] for t in ends]
     kept = [v for v in range(tait.n_vertices) if not suppress[v]]
     if not kept:
         # a cycle-free chain must keep at least its two end vertices
         raise ValueError("tree reduced to nothing; diagram is not reduced")
 
     reduced_edges: list[ReducedEdge] = []
-    # each end of a reduced edge: the tree (edge, end) it starts from
-    edge_slot: dict[tuple[int, int], tuple[int, int]] = {}
+    # each end of a reduced edge: the tree half-edge it starts from
+    edge_slot: list = [None] * len(vertex)
     for v in kept:
         for x in ends[v]:
-            if x in edge_slot:
+            if edge_slot[x] is not None:
                 continue
             # walk through suppressed vertices, counting the edges and those
-            # of raw sign +1 among them
-            last, end = x
-            length, plus = 1, tait.edges[last].k0
-            cur_v, cur_end = _other(tait, last, end)
-            while suppress[cur_v]:
-                (e1, end1), (e2, end2) = ends[cur_v]
-                if e1 != last:
-                    e2, end2 = e1, end1
-                last = e2
+            # of raw sign +1 among them, to the far end h
+            length, plus = 1, k0[x >> 1]
+            h = x ^ 1
+            while suppress[vertex[h]]:
+                h = succ[h] ^ 1  # out by the vertex's other end
                 length += 1
-                plus += tait.edges[last].k0
-                cur_v, cur_end = _other(tait, last, end2)
+                plus += k0[h >> 1]
             edge_slot[x] = (len(reduced_edges), 0)
-            edge_slot[(last, cur_end)] = (len(reduced_edges), 1)
+            edge_slot[h] = (len(reduced_edges), 1)
             reduced_edges.append(
-                ReducedEdge(
-                    label=label_sign * (2 * plus - length),
-                    v1=v,
-                    v2=cur_v,
-                    mixed_signs=0 < plus < length,
-                )
+                ReducedEdge(label_sign * (2 * plus - length), v, vertex[h], 0 < plus < length)
             )
-
-    rotation = tuple(
-        tuple([edge_slot[x] for x in rotation[v] if x in edge_slot]) for v in kept
-    )
+    rotation = tuple(tuple([edge_slot[x] for x in ends[v]]) for v in kept)
     return ReducedTree(tuple(kept), tuple(reduced_edges), rotation)
 
 
-def _other(tait: TaitGraph, ei: int, end: int) -> tuple[int, int]:
-    e = tait.edges[ei]
-    return (e.v2, 1) if end == 0 else (e.v1, 0)
-
-
-def _corner(tait: TaitGraph, ei: int, end: int, turn: int = 0) -> int:
-    """The corner, numbered 4 * crossing + slot, at one end of a Tait edge,
-    turned ``turn`` slots counterclockwise."""
-    return 4 * ei + (tait.edges[ei].k0 + 2 * end + turn) % 4
+def _corner(tait: TaitGraph, h: int, turn: int = 0) -> int:
+    """The corner, numbered 4 * crossing + slot, at half-edge h, turned
+    ``turn`` slots counterclockwise."""
+    return 4 * (h >> 1) + (tait.k0[h >> 1] + 2 * (h & 1) + turn) % 4
 
 
 # ---------------------------------------------------------------------------
@@ -496,59 +488,41 @@ def decompose(
     Tait graph of shading ``shading_index``; ``white`` is the Tait graph of
     the other shading.  Both are built and checked reduced beforehand
     (``_tait_graphs``)."""
-    tree_set = set(tree)
-    dual_tree = tuple(ei for ei in range(len(white.edges)) if ei not in tree_set)
-
+    dual_tree = tuple(itertools.filterfalse(set(tree).__contains__, range(len(white.k0))))
     c_black = tree_contour(black, tree)
     c_white = tree_contour(white, dual_tree)
     if c_black.girth() != c_white.girth():
         raise AssertionError(
             f"girth mismatch between the two sides: {c_black.girth()} vs {c_white.girth()}"
         )
-
     red_black = reduce_tree(black, tree, LABEL_SIGN_BLACK)
     red_white = reduce_tree(white, dual_tree, LABEL_SIGN_WHITE)
 
     # boundary block structure: each A class in contour order is followed
     # by the dual class whose dash holds the corner that the traversal
-    # leaving it faces
-    white_class_of = {
-        _corner(white, ei, end): k
-        for k, dashes in enumerate(c_white.dashes)
-        for ei, end in dashes
-    }
-    b_classes = [
-        white_class_of[_corner(black, ei, end, FLANK)] for ei, end in c_black.exits
-    ]
+    # leaving it faces; the white half-edge at a white corner c is c >> 1
+    white_class_of = [None] * len(white.succ)
+    for k, dashes in enumerate(c_white.dashes):
+        for h in dashes:
+            white_class_of[h] = k
+    b_classes = [white_class_of[_corner(black, h, FLANK) >> 1] for h in c_black.exits]
     blocks = tuple(
-        (("A", dashes), ("B", bc)) for dashes, bc in zip(c_black.dashes, b_classes)
+        (("A", tuple([(h >> 1, h & 1) for h in dashes])), ("B", bc))
+        for dashes, bc in zip(c_black.dashes, b_classes)
     )
     black_edges = tuple(_class_edge(red_black, v) for v in c_black.vertices)
-    white_edges = tuple(
-        _class_edge(red_white, c_white.vertices[bc]) for bc in b_classes
-    )
-    mixed = any(e.mixed_signs for e in red_black.edges) or any(
-        e.mixed_signs for e in red_white.edges
-    )
-    return TaitDecomposition(
-        shading_index=shading_index,
-        tree=tree,
-        dual_tree=dual_tree,
-        reduced_black=red_black,
-        reduced_white=red_white,
-        girth=c_black.girth(),
-        blocks=blocks,
-        black_class_edges=black_edges,
-        white_class_edges=white_edges,
-        mixed_signs=mixed,
+    white_edges = tuple(_class_edge(red_white, c_white.vertices[bc]) for bc in b_classes)
+    mixed = any(e.mixed_signs for e in red_black.edges + red_white.edges)
+    return TaitDecomposition(  # the fields in slot order
+        shading_index, tree, dual_tree, red_black, red_white, c_black.girth(), blocks,
+        black_edges, white_edges, mixed,
     )
 
 
 def _reject_unreduced(black: TaitGraph, white: TaitGraph) -> None:
-    # a vertex's rotation lists each of its edge ends, a loop's two ends
-    # both, so its length is the valence
+    # a half-edge that is its own successor is alone at its vertex
     for g, name in ((black, "black"), (white, "white")):
-        if any(len(entries) == 1 for entries in g.rotation):
+        if any(map(operator.eq, g.succ, range(len(g.succ)))):
             raise ValueError(
                 f"diagram is not reduced: {name} graph has a valence-1 vertex "
                 "(nugatory crossing)"

@@ -1,0 +1,183 @@
+"""The Tait graph, contour walk, tree reduction and decomposition as they
+were on per-edge records, kept as the reference for the half-edge arrays of
+``knotpair.diagram.TaitGraph``.
+
+``tait_graph`` builds a ``TaitEdge`` per crossing and a rotation of
+(edge, end) pairs per vertex; ``tree_contour``, ``reduce_tree`` and
+``decompose`` read only those.  The contour keeps (edge, end) pairs where
+``girth.tree_contour`` keeps half-edges 2 * edge + end.
+"""
+
+from typing import NamedTuple
+
+from knotpair.diagram import TaitEdge
+from knotpair.girth import (
+    FLANK,
+    LABEL_SIGN_BLACK,
+    LABEL_SIGN_WHITE,
+    Contour,
+    ReducedEdge,
+    ReducedTree,
+    TaitDecomposition,
+    _class_edge,
+)
+
+
+class TaitGraph(NamedTuple):
+    """``rotation[v]`` lists (edge_index, end) around vertex v in the cyclic
+    order of its region's corners; end 0 refers to the corner k0 of the
+    crossing, end 1 to corner k0+2."""
+
+    n_vertices: int
+    edges: tuple
+    rotation: tuple
+
+
+def tait_graph(pd, black):
+    """A vertex per black region, an edge per crossing.  A crossing's black
+    corners are k0 and k0 + 2, so corner c is end (c >> 1) & 1 of its edge."""
+    vertex_of = [-1] * (4 * pd.n())
+    for v, corners in enumerate(black):
+        for c in corners:
+            vertex_of[c] = v
+    edges = []
+    for c in range(0, 4 * pd.n(), 4):
+        k0 = 0 if vertex_of[c] >= 0 else 1
+        edges.append(TaitEdge(vertex_of[c + k0], vertex_of[c + k0 + 2], k0))
+    rotation = tuple([tuple([(c >> 2, (c >> 1) & 1) for c in corners]) for corners in black])
+    return TaitGraph(len(black), tuple(edges), rotation)
+
+
+def tree_contour(tait, tree):
+    """Walk the ribbon boundary of a spanning tree from its first edge."""
+    tree_set = set(tree)
+    if not tree_set:
+        raise ValueError("contour of an edgeless tree is undefined")
+    rot = tait.rotation
+    start_edge = min(tree_set)
+    state = start = (tait.edges[start_edge].v2, start_edge, 1)  # arrived at v2
+    vertices, dashes, exits = [], [], []
+    while True:
+        v, ei, end = state
+        entries = rot[v]
+        npos = len(entries)
+        pos = (entries.index((ei, end)) + 1) % npos
+        swept = []
+        while entries[pos][0] not in tree_set:
+            swept.append(entries[pos])
+            pos = (pos + 1) % npos
+        dep_edge, dep_end = entries[pos]
+        if swept:
+            vertices.append(v)
+            dashes.append(tuple(swept))
+            exits.append((dep_edge, dep_end))
+        next_v, next_end = _other(tait, dep_edge, dep_end)
+        state = (next_v, dep_edge, next_end)
+        if state == start:
+            break
+    return Contour(tuple(vertices), tuple(dashes), tuple(exits))
+
+
+def reduce_tree(tait, tree, label_sign):
+    """Suppress dash-free valence-2 vertices, merging labels algebraically."""
+    in_tree = [False] * len(tait.edges)
+    for ei in tree:
+        in_tree[ei] = True
+    rotation = tait.rotation
+    ends = [[x for x in entries if in_tree[x[0]]] for entries in rotation]
+    suppress = [len(t) == 2 == len(r) for t, r in zip(ends, rotation)]
+    kept = [v for v in range(tait.n_vertices) if not suppress[v]]
+    if not kept:
+        raise ValueError("tree reduced to nothing; diagram is not reduced")
+
+    reduced_edges = []
+    edge_slot = {}
+    for v in kept:
+        for x in ends[v]:
+            if x in edge_slot:
+                continue
+            last, end = x
+            length, plus = 1, tait.edges[last].k0
+            cur_v, cur_end = _other(tait, last, end)
+            while suppress[cur_v]:
+                (e1, end1), (e2, end2) = ends[cur_v]
+                if e1 != last:
+                    e2, end2 = e1, end1
+                last = e2
+                length += 1
+                plus += tait.edges[last].k0
+                cur_v, cur_end = _other(tait, last, end2)
+            edge_slot[x] = (len(reduced_edges), 0)
+            edge_slot[(last, cur_end)] = (len(reduced_edges), 1)
+            reduced_edges.append(
+                ReducedEdge(
+                    label=label_sign * (2 * plus - length),
+                    v1=v,
+                    v2=cur_v,
+                    mixed_signs=0 < plus < length,
+                )
+            )
+
+    rotation = tuple(
+        tuple([edge_slot[x] for x in rotation[v] if x in edge_slot]) for v in kept
+    )
+    return ReducedTree(tuple(kept), tuple(reduced_edges), rotation)
+
+
+def _other(tait, ei, end):
+    e = tait.edges[ei]
+    return (e.v2, 1) if end == 0 else (e.v1, 0)
+
+
+def _corner(tait, ei, end, turn=0):
+    """The corner, numbered 4 * crossing + slot, at one end of a Tait edge,
+    turned ``turn`` slots counterclockwise."""
+    return 4 * ei + (tait.edges[ei].k0 + 2 * end + turn) % 4
+
+
+def decompose(shading_index, tree, black, white):
+    """The decomposition for a sorted spanning tree of ``black``, the Tait
+    graph of shading ``shading_index``; ``white`` is the other shading's."""
+    tree_set = set(tree)
+    dual_tree = tuple(ei for ei in range(len(white.edges)) if ei not in tree_set)
+
+    c_black = tree_contour(black, tree)
+    c_white = tree_contour(white, dual_tree)
+    if c_black.girth() != c_white.girth():
+        raise AssertionError(
+            f"girth mismatch between the two sides: {c_black.girth()} vs {c_white.girth()}"
+        )
+
+    red_black = reduce_tree(black, tree, LABEL_SIGN_BLACK)
+    red_white = reduce_tree(white, dual_tree, LABEL_SIGN_WHITE)
+
+    white_class_of = {
+        _corner(white, ei, end): k
+        for k, dashes in enumerate(c_white.dashes)
+        for ei, end in dashes
+    }
+    b_classes = [
+        white_class_of[_corner(black, ei, end, FLANK)] for ei, end in c_black.exits
+    ]
+    blocks = tuple(
+        (("A", dashes), ("B", bc)) for dashes, bc in zip(c_black.dashes, b_classes)
+    )
+    black_edges = tuple(_class_edge(red_black, v) for v in c_black.vertices)
+    white_edges = tuple(
+        _class_edge(red_white, c_white.vertices[bc]) for bc in b_classes
+    )
+    mixed = any(e.mixed_signs for e in red_black.edges) or any(
+        e.mixed_signs for e in red_white.edges
+    )
+    return TaitDecomposition(
+        shading_index=shading_index,
+        tree=tree,
+        dual_tree=dual_tree,
+        reduced_black=red_black,
+        reduced_white=red_white,
+        girth=c_black.girth(),
+        blocks=blocks,
+        black_class_edges=black_edges,
+        white_class_edges=white_edges,
+        mixed_signs=mixed,
+    )

@@ -391,7 +391,8 @@ def test_pruned_search_finds_the_reference_girth_and_witness():
 def test_a_one_vertex_graph_with_a_self_loop_has_the_empty_tree_of_girth_0():
     # its self-loop's ends are non-tree ends, but no tree edge turns into
     # them: the girth at the leaf is the exact count, not the bound
-    g = TaitGraph(1, (TaitEdge(0, 0, 0),), (((0, 0), (0, 1)),))
+    g = TaitGraph(1, (0, 0), (1, 0), (0,))
+    assert g.edges == (TaitEdge(0, 0, 0),) and g.rotation == (((0, 0), (0, 1)),)
     assert list(reference_girths(g)) == [(0, ())]
     assert list(spanning_trees(g, 2, descend=True)) == [(0, ())]
     assert list(spanning_trees(g, 0)) == [(0, ())]

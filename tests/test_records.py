@@ -59,8 +59,8 @@ RECORDS = {
     ),
     TaitEdge: (("v1", "v2", "k0"), lambda: (0, 1, 1)),
     TaitGraph: (
-        ("n_vertices", "edges", "rotation"),
-        lambda: (2, (TaitEdge(0, 1, 0),), (((0, 0),), ((0, 1),))),
+        ("n_vertices", "vertex", "succ", "k0"),
+        lambda: (2, (0, 1), (0, 1), (0,)),
     ),
     Contour: (
         ("vertices", "dashes", "exits"),

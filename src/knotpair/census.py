@@ -178,10 +178,12 @@ def dedup_census(
     """
     from . import g3table  # frozen data: loaded on first use
 
+    # the label budget is checked before any per-label key table is built
+    labellings = _labellings(girth, max_abs_label, even_only, positive_only)
     jones_key, jones_of = cf.census_jones(girth, max_abs_label)
     invariants, conway_of = g3table.census_keys(girth, max_abs_label, oracle.CONWAY_CAP)
     groups: dict[tuple, list] = {}
-    for labels in _labellings(girth, max_abs_label, even_only, positive_only):
+    for labels in labellings:
         comps, writhe, conway = invariants(labels)
         key = (comps, conway, jones_key(labels, writhe))
         members = groups.get(key)

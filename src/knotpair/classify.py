@@ -161,8 +161,9 @@ class RepInvariants(Record):
 
 
 def rep_invariants(rep) -> RepInvariants:
-    """Exact invariants of a representation, all from closed forms:
-    ``invariants_from_bracket`` of its closed bracket.
+    """Exact invariants of a representation, all from closed forms: its
+    closed bracket, ``closed_invariants`` of its labels, and the Jones
+    polynomial of the bracket at the writhe.
 
     Every result passes ``check_identities`` or raises ``AssertionError``.
     A rep whose template has more than ``CLOSED_CAP`` crossings is refused
@@ -174,20 +175,10 @@ def rep_invariants(rep) -> RepInvariants:
         raise ValueError(
             f"{n} crossings exceeds the closed-form cap of {CLOSED_CAP} crossings"
         )
-    inv = invariants_from_bracket(rep, closed_bracket(rep))
-    check_identities(inv.components, inv.conway, inv.jones)
-    return inv
-
-
-def invariants_from_bracket(rep, bracket: LaurentPoly) -> RepInvariants:
-    """The invariants of a representation around its closed bracket, unchecked:
-    ``closed_invariants`` of its labels and the Jones polynomial.
-
-    ``rep_invariants`` checks each result; the census checks each distinct
-    (components, Conway, Jones) once, the only values the checks read.
-    """
+    bracket = closed_bracket(rep)
     comps, writhe, conway = closed_invariants(rep_labels(rep))
     jones = jones_from_bracket(bracket, writhe)
+    check_identities(comps, conway, jones)
     return RepInvariants(comps, conway, bracket, jones, writhe)
 
 

@@ -58,7 +58,7 @@ at y = A^4 = 2^k in Python ints, cut into coefficients once:
 
 from __future__ import annotations
 
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, slot_bits
 from .reps import Girth3Rep
 
 _Z = "z"
@@ -261,7 +261,7 @@ def _slot_bits(labels: tuple[int, ...]) -> int:
     grows with each |label|, and the k of labels no larger in absolute
     value is at most this one.
     """
-    return 8 * ((bracket_coefficient_bound(labels).bit_length() + 8) // 8)
+    return slot_bits(bracket_coefficient_bound(labels))
 
 
 def _q_int(x: int, k: int) -> tuple[int, int]:
@@ -523,7 +523,7 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
 
 def _diff_slot_bits(labels: tuple[int, ...]) -> int:
     """k, the least multiple of 8 with 18 M < 2^(k-1), M = max(1, |label|)."""
-    return 8 * (((18 * max(1, *map(abs, labels))).bit_length() + 8) // 8)
+    return slot_bits(18 * max(1, *map(abs, labels)))
 
 
 def _diff_value(rep: Girth3Rep, perm: str, k: int) -> tuple[int, int]:

@@ -123,13 +123,16 @@ def _json_int(digits: str) -> int | _LongInt:
 
 def pd_from_json(text: str) -> PDCode:
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError:
-        # an integer too long for int(): read again, keeping such integers
-        # as text, to say where it sits
-        obj = json.loads(text, parse_int=_json_int)
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError:
+            raise
+        except ValueError:
+            # an integer too long for int(): read again, keeping such
+            # integers as text, to say where it sits
+            obj = json.loads(text, parse_int=_json_int)
+    except RecursionError:
+        raise InvalidPDError("PD JSON nests too deeply") from None
     if not isinstance(obj, dict):
         raise InvalidPDError("PD JSON must be an object with a 'crossings' list")
     crossings = obj.get("crossings")

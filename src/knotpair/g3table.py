@@ -94,7 +94,7 @@ from operator import add, lshift, mul
 
 from . import closedform as cf
 from .g3table_data import KNOTS, REDUCED
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, slot_bits
 from .reps import Girth3Rep
 
 AFFINE = "A"
@@ -152,7 +152,7 @@ def conway(labels: tuple[int, ...]) -> LaurentPoly:
     slot width of its own labels."""
     pattern = _pattern(labels)
     kinds = KNOTS[pattern][0]
-    k = _slot_bits(conway_bound(labels, kinds))
+    k = slot_bits(conway_bound(labels, kinds))
     corner = off = 0
     weights = {}
     for i, x in enumerate(labels):
@@ -177,7 +177,7 @@ def census_keys(girth: int, max_abs: int, cap: int):
     ``reps.rep_labels``: nabla is the knot's Conway polynomial at
     z = 2^(k/2), one int, or None for a link or a knot of more than
     ``cap`` crossings with an odd label.  ``conway(nabla)`` decodes it.
-    k is ``_slot_bits`` of ``conway_bound`` on six Fibonacci axes at the
+    k is ``slot_bits`` of ``conway_bound`` on six Fibonacci axes at the
     labels (max_abs,) * 6, or (max_abs, 0, 0, max_abs, 0, 0) for girth 2,
     so it holds every knot of the census (module docstring), and two
     knots have equal ints exactly when their polynomials are equal (one
@@ -198,7 +198,7 @@ def census_keys(girth: int, max_abs: int, cap: int):
     """
     labels_range = range(-max_abs, max_abs + 1)
     bound = (max_abs,) * 6 if girth == 3 else (max_abs, 0, 0, max_abs, 0, 0)
-    k = _slot_bits(conway_bound(bound, FIBONACCI * 6))
+    k = slot_bits(conway_bound(bound, FIBONACCI * 6))
     half = k >> 1
     fields = []
     for i in range(6):
@@ -303,11 +303,6 @@ def conway_bound(labels, kinds: str) -> int:
             u0, u1 = u1, c * u1 - u0
         bound *= u0 + u1
     return bound
-
-
-def _slot_bits(bound: int) -> int:
-    """k, the least multiple of 8 with bound < 2^(k-1)."""
-    return 8 * ((bound.bit_length() + 8) // 8)
 
 
 def _corner_rows(pattern: int) -> list[memoryview]:

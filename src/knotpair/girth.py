@@ -71,11 +71,11 @@ def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
     Trees are sorted tuples of edge indices and come in lexicographic order.
     The girth is the number of turns (h, succ[h]) from a tree half-edge to
     a non-tree one, of two edges a = h >> 1 and b = succ[h] >> 1; it equals
-    ``tree_contour(tait, tree).girth()`` (see the module docstring).  With
-    ``descend`` each tree yielded lowers the cap to one below its girth, so
-    the girths fall strictly and the last tree yielded is the least tree of
-    least girth; the first tree always comes when ``cap`` is at least the
-    2(V - 1) turns out of the tree edges.
+    the number of sectors ``tree_contour`` walks (see the module
+    docstring).  With ``descend`` each tree yielded lowers the cap to one
+    below its girth, so the girths fall strictly and the last tree yielded
+    is the least tree of least girth; the first tree always comes when
+    ``cap`` is at least the 2(V - 1) turns out of the tree edges.
 
     Backtracking over the non-loop edges in index order, each edge tried in
     before it is left out, lists the trees in the order
@@ -271,26 +271,12 @@ def tree_count(tait: TaitGraph) -> int:
 # tree contour
 
 
-class Contour(Record):
-    """The nonempty sectors of a tree's ribbon boundary, in walk order.
-
-    Per sector: the vertex it lies at, its non-tree half-edges in rotation
-    order, and the tree half-edge the walk leaves it by.
-    """
-
-    __slots__ = ("vertices", "dashes", "exits")
-
-    def __init__(self, vertices: tuple, dashes: tuple, exits: tuple) -> None:
-        set_field(self, "vertices", vertices)
-        set_field(self, "dashes", dashes)
-        set_field(self, "exits", exits)
-
-    def girth(self) -> int:
-        return len(self.dashes)
-
-
-def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
+def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> tuple[tuple, tuple, tuple]:
     """Walk the ribbon boundary of a spanning tree from its first edge.
+
+    Returns the nonempty sectors in walk order as three tuples: per sector,
+    the vertex it lies at, its non-tree half-edges in rotation order, and
+    the tree half-edge the walk leaves it by.  The girth is their number.
 
     Arriving at a vertex by one tree half-edge h, the walk steps along
     ``succ`` to the next tree half-edge and leaves by it, arriving by its
@@ -317,40 +303,23 @@ def tree_contour(tait: TaitGraph, tree: tuple[int, ...]) -> Contour:
         h = x ^ 1
         if h == start:
             break
-    return Contour(tuple(vertices), tuple(dashes), tuple(exits))
+    return tuple(vertices), tuple(dashes), tuple(exits)
 
 
 # ---------------------------------------------------------------------------
 # reduced trees
 
 
-class ReducedEdge(Record):
-    __slots__ = ("label", "v1", "v2", "mixed_signs")
-
-    def __init__(self, label: int, v1: int, v2: int, mixed_signs: bool) -> None:
-        set_field(self, "label", label)
-        set_field(self, "v1", v1)
-        set_field(self, "v2", v2)
-        set_field(self, "mixed_signs", mixed_signs)
-
-
-class ReducedTree(Record):
-    # vertices: the kept Tait vertex ids; rotation: per kept vertex, in the
-    # order of ``vertices``, the cyclic tuple of (reduced edge index, end)
-    __slots__ = ("vertices", "edges", "rotation")
-
-    def __init__(
-        self, vertices: tuple[int, ...], edges: tuple[ReducedEdge, ...], rotation: tuple
-    ) -> None:
-        set_field(self, "vertices", vertices)
-        set_field(self, "edges", edges)
-        set_field(self, "rotation", rotation)
-
-
 def reduce_tree(
     tait: TaitGraph, tree: tuple[int, ...], label_sign: int
-) -> ReducedTree:
+) -> tuple[PlaneTree, tuple[int, ...], bool]:
     """Suppress dash-free valence-2 vertices, merging labels algebraically.
+
+    Returns (the reduced tree, the kept Tait vertices, whether a merge
+    joined crossings of both raw signs).  The tree numbers its vertices
+    by their places in the kept tuple; its edge ``(u, v, label)`` starts
+    at u's tree half-edge, and ``rotation[u]`` lists u's edge ends in the
+    rotation order of its tree half-edges.
 
     A crossing's raw sign is +1 when its black corners are {1, 3}, i.e.
     when k0 = 1, and -1 otherwise; ``label_sign`` turns it into a label.
@@ -378,8 +347,12 @@ def reduce_tree(
     if not kept:
         # a cycle-free chain must keep at least its two end vertices
         raise ValueError("tree reduced to nothing; diagram is not reduced")
+    number = [-1] * tait.n_vertices  # per kept vertex: its place in ``kept``
+    for i, v in enumerate(kept):
+        number[v] = i
 
-    reduced_edges: list[ReducedEdge] = []
+    edges = []
+    mixed = False
     # each end of a reduced edge: the tree half-edge it starts from
     edge_slot: list = [None] * len(vertex)
     for v in kept:
@@ -394,13 +367,12 @@ def reduce_tree(
                 h = succ[h] ^ 1  # out by the vertex's other end
                 length += 1
                 plus += k0[h >> 1]
-            edge_slot[x] = (len(reduced_edges), 0)
-            edge_slot[h] = (len(reduced_edges), 1)
-            reduced_edges.append(
-                ReducedEdge(label_sign * (2 * plus - length), v, vertex[h], 0 < plus < length)
-            )
+            edge_slot[x] = (len(edges), 0)
+            edge_slot[h] = (len(edges), 1)
+            edges.append((number[v], number[vertex[h]], label_sign * (2 * plus - length)))
+            mixed = mixed or 0 < plus < length
     rotation = tuple(tuple([edge_slot[x] for x in ends[v]]) for v in kept)
-    return ReducedTree(tuple(kept), tuple(reduced_edges), rotation)
+    return PlaneTree(tuple(edges), rotation), tuple(kept), mixed
 
 
 def _corner(tait: TaitGraph, h: int, turn: int = 0) -> int:
@@ -426,12 +398,12 @@ class TaitDecomposition(Record):
         "shading_index",  # 0 or 1, into checkerboard(pd)
         "tree",
         "dual_tree",
-        "reduced_black",
+        "reduced_black",  # the PlaneTree of ``reduce_tree``
         "reduced_white",
         "girth",
-        "blocks",  # cyclic ((('A', class), ('B', class)) ...) dash id lists
-        "black_class_edges",  # per A-class: (reduced edge idx or None)
-        "white_class_edges",  # per A-class: aligned white reduced edge idx
+        "blocks",  # per A class in contour order: (its (crossing, end) dashes, B class)
+        "black_class_labels",  # per A class: its leaf edge's label, or 0 (a pad edge)
+        "white_class_labels",  # per A class: that of the B class after it
         "mixed_signs",
     )
 
@@ -440,12 +412,12 @@ class TaitDecomposition(Record):
         shading_index: int,
         tree: tuple[int, ...],
         dual_tree: tuple[int, ...],
-        reduced_black: ReducedTree,
-        reduced_white: ReducedTree,
+        reduced_black: PlaneTree,
+        reduced_white: PlaneTree,
         girth: int,
         blocks: tuple,
-        black_class_edges: tuple,
-        white_class_edges: tuple,
+        black_class_labels: tuple[int, ...],
+        white_class_labels: tuple[int, ...],
         mixed_signs: bool,
     ) -> None:
         set_field(self, "shading_index", shading_index)
@@ -455,8 +427,8 @@ class TaitDecomposition(Record):
         set_field(self, "reduced_white", reduced_white)
         set_field(self, "girth", girth)
         set_field(self, "blocks", blocks)
-        set_field(self, "black_class_edges", black_class_edges)
-        set_field(self, "white_class_edges", white_class_edges)
+        set_field(self, "black_class_labels", black_class_labels)
+        set_field(self, "white_class_labels", white_class_labels)
         set_field(self, "mixed_signs", mixed_signs)
 
     def summary(self) -> dict:
@@ -465,14 +437,11 @@ class TaitDecomposition(Record):
             "tree_crossings": list(self.tree),
             "dual_tree_crossings": list(self.dual_tree),
             "girth": self.girth,
-            "black_labels": [e.label for e in self.reduced_black.edges],
-            "white_labels": [e.label for e in self.reduced_white.edges],
+            "black_labels": [label for _, _, label in self.reduced_black.edges],
+            "white_labels": [label for _, _, label in self.reduced_white.edges],
             "blocks": [
-                {
-                    "A_dashes": [list(d) for d in a_block[1]],
-                    "B_class": b_block[1],
-                }
-                for a_block, b_block in self.blocks
+                {"A_dashes": [list(d) for d in dashes], "B_class": b_class}
+                for dashes, b_class in self.blocks
             ],
             "mixed_sign_merges": self.mixed_signs,
         }
@@ -489,34 +458,44 @@ def decompose(
     the other shading.  Both are built and checked reduced beforehand
     (``_tait_graphs``)."""
     dual_tree = tuple(itertools.filterfalse(set(tree).__contains__, range(len(white.k0))))
-    c_black = tree_contour(black, tree)
-    c_white = tree_contour(white, dual_tree)
-    if c_black.girth() != c_white.girth():
+    black_vertices, black_dashes, black_exits = tree_contour(black, tree)
+    white_vertices, white_dashes, _ = tree_contour(white, dual_tree)
+    girth = len(black_dashes)
+    if girth != len(white_dashes):
         raise AssertionError(
-            f"girth mismatch between the two sides: {c_black.girth()} vs {c_white.girth()}"
+            f"girth mismatch between the two sides: {girth} vs {len(white_dashes)}"
         )
-    red_black = reduce_tree(black, tree, LABEL_SIGN_BLACK)
-    red_white = reduce_tree(white, dual_tree, LABEL_SIGN_WHITE)
+    red_black, kept_black, mixed_black = reduce_tree(black, tree, LABEL_SIGN_BLACK)
+    red_white, kept_white, mixed_white = reduce_tree(white, dual_tree, LABEL_SIGN_WHITE)
 
     # boundary block structure: each A class in contour order is followed
     # by the dual class whose dash holds the corner that the traversal
     # leaving it faces; the white half-edge at a white corner c is c >> 1
     white_class_of = [None] * len(white.succ)
-    for k, dashes in enumerate(c_white.dashes):
+    for k, dashes in enumerate(white_dashes):
         for h in dashes:
             white_class_of[h] = k
-    b_classes = [white_class_of[_corner(black, h, FLANK) >> 1] for h in c_black.exits]
+    b_classes = [white_class_of[_corner(black, h, FLANK) >> 1] for h in black_exits]
     blocks = tuple(
-        (("A", tuple([(h >> 1, h & 1) for h in dashes])), ("B", bc))
-        for dashes, bc in zip(c_black.dashes, b_classes)
+        (tuple([(h >> 1, h & 1) for h in dashes]), bc)
+        for dashes, bc in zip(black_dashes, b_classes)
     )
-    black_edges = tuple(_class_edge(red_black, v) for v in c_black.vertices)
-    white_edges = tuple(_class_edge(red_white, c_white.vertices[bc]) for bc in b_classes)
-    mixed = any(e.mixed_signs for e in red_black.edges + red_white.edges)
+    black_labels = tuple(_leaf_label(red_black, kept_black, v) for v in black_vertices)
+    white_labels = tuple(
+        _leaf_label(red_white, kept_white, white_vertices[bc]) for bc in b_classes
+    )
     return TaitDecomposition(  # the fields in slot order
-        shading_index, tree, dual_tree, red_black, red_white, c_black.girth(), blocks,
-        black_edges, white_edges, mixed,
+        shading_index, tree, dual_tree, red_black, red_white, girth, blocks,
+        black_labels, white_labels, mixed_black or mixed_white,
     )
+
+
+def _leaf_label(red: PlaneTree, kept: tuple[int, ...], vertex: int) -> int:
+    """The label of the leaf edge at a class's vertex, or 0 (a pad edge)
+    when the vertex is not a leaf of the reduced tree.  A class's vertex
+    has a non-tree end, so it is kept."""
+    rot = red.rotation[kept.index(vertex)]
+    return red.edges[rot[0][0]][2] if len(rot) == 1 else 0
 
 
 def _reject_unreduced(black: TaitGraph, white: TaitGraph) -> None:
@@ -527,15 +506,6 @@ def _reject_unreduced(black: TaitGraph, white: TaitGraph) -> None:
                 f"diagram is not reduced: {name} graph has a valence-1 vertex "
                 "(nugatory crossing)"
             )
-
-
-def _class_edge(red: ReducedTree, vertex: int):
-    """Reduced edge index whose leaf hosts this class, or None (pad with 0)."""
-    if vertex in red.vertices:
-        rot = red.rotation[red.vertices.index(vertex)]
-        if len(rot) == 1:
-            return rot[0][0]
-    return None
 
 
 def _tait_graphs(pd: PDCode) -> tuple[TaitGraph, TaitGraph]:
@@ -598,41 +568,21 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
 def rep_from_decomposition(d: TaitDecomposition):
     """Read a representation off a decomposition.
 
-    Girth 2 gives K(P,Q); girth 3 assembles the label wheel from the block
-    structure (classes without a leaf edge become 0-labeled pad edges);
-    anything higher is returned as a general tree pair.
+    Girth 2 gives K(P,Q); girth 3 is the label wheel of the block
+    structure (classes without a leaf edge are 0-labeled pad edges);
+    anything higher is the pair of reduced trees.
     """
     if d.girth == 2:
-        p = _single_label(d.reduced_black)
-        q = _single_label(d.reduced_white)
-        return Girth2Rep(p, q)
+        return Girth2Rep(_single_label(d.reduced_black), _single_label(d.reduced_white))
     if d.girth == 3:
-        top = tuple(
-            0 if ei is None else d.reduced_black.edges[ei].label
-            for ei in d.black_class_edges
-        )
-        bottom = tuple(
-            0 if ei is None else d.reduced_white.edges[ei].label
-            for ei in d.white_class_edges
-        )
-        return Girth3Rep(top, bottom)
-    return TreePairRep(
-        _as_plane_tree(d.reduced_black),
-        _as_plane_tree(d.reduced_white),
-        d.girth,
-    )
+        return Girth3Rep(d.black_class_labels, d.white_class_labels)
+    return TreePairRep(d.reduced_black, d.reduced_white, d.girth)
 
 
-def _single_label(red: ReducedTree) -> int:
+def _single_label(red: PlaneTree) -> int:
     if len(red.edges) != 1:
         raise ValueError(
             f"girth-2 decomposition should reduce to a single edge, got "
             f"{len(red.edges)}"
         )
-    return red.edges[0].label
-
-
-def _as_plane_tree(red: ReducedTree) -> PlaneTree:
-    vmap = {v: i for i, v in enumerate(red.vertices)}
-    edges = tuple((vmap[e.v1], vmap[e.v2], e.label) for e in red.edges)
-    return PlaneTree(edges, red.rotation)
+    return red.edges[0][2]

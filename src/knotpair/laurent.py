@@ -246,6 +246,13 @@ def _raise_out_of_range(items: tuple[tuple[int, int], ...]) -> None:
             raise OverflowError(f"exponent {e} out of range")
 
 
+def slot_bits(bound: int) -> int:
+    """k, the least multiple of 8 with bound < 2^(k-1): the slot width at
+    which ``LaurentPoly.from_packed`` reads back coefficients of absolute
+    value at most ``bound``."""
+    return 8 * ((bound.bit_length() + 8) // 8)
+
+
 def unpack(value: int, width: int, slots: int,
            low: int, stride: int) -> tuple[tuple[int, int], ...]:
     """Sorted nonzero terms of a packed value.

@@ -1,26 +1,63 @@
 """The Tait graph, contour walk, tree reduction and decomposition as they
 were on per-edge records, kept as the reference for the half-edge arrays of
-``knotpair.diagram.TaitGraph``.
+``knotpair.diagram.TaitGraph`` and for the plane trees ``girth`` reduces to.
 
 ``tait_graph`` builds a ``TaitEdge`` per crossing and a rotation of
 (edge, end) pairs per vertex; ``tree_contour``, ``reduce_tree`` and
-``decompose`` read only those.  The contour keeps (edge, end) pairs where
-``girth.tree_contour`` keeps half-edges 2 * edge + end.
+``decompose`` read only those.  The contour is a ``Contour`` record of
+(edge, end) pairs where ``girth.tree_contour`` returns three tuples of
+half-edges 2 * edge + end.  The reduction is a ``ReducedTree`` of
+``ReducedEdge`` records, numbered by Tait vertex, where
+``girth.reduce_tree`` returns a ``PlaneTree`` numbered by kept vertex;
+``_as_plane_tree`` converts one to the other.  ``decompose`` converts its
+reduced trees and class edges only when it builds the decomposition.
 """
 
 from typing import NamedTuple
 
 from knotpair.diagram import TaitEdge
-from knotpair.girth import (
-    FLANK,
-    LABEL_SIGN_BLACK,
-    LABEL_SIGN_WHITE,
-    Contour,
-    ReducedEdge,
-    ReducedTree,
-    TaitDecomposition,
-    _class_edge,
-)
+from knotpair.girth import FLANK, LABEL_SIGN_BLACK, LABEL_SIGN_WHITE, TaitDecomposition
+from knotpair.record import Record, set_field
+from knotpair.reps import PlaneTree
+
+
+class Contour(Record):
+    """The nonempty sectors of a tree's ribbon boundary, in walk order.
+
+    Per sector: the vertex it lies at, its non-tree (edge, end) pairs in
+    rotation order, and the tree (edge, end) the walk leaves it by.
+    """
+
+    __slots__ = ("vertices", "dashes", "exits")
+
+    def __init__(self, vertices: tuple, dashes: tuple, exits: tuple) -> None:
+        set_field(self, "vertices", vertices)
+        set_field(self, "dashes", dashes)
+        set_field(self, "exits", exits)
+
+    def girth(self) -> int:
+        return len(self.dashes)
+
+
+class ReducedEdge(Record):
+    __slots__ = ("label", "v1", "v2", "mixed_signs")
+
+    def __init__(self, label: int, v1: int, v2: int, mixed_signs: bool) -> None:
+        set_field(self, "label", label)
+        set_field(self, "v1", v1)
+        set_field(self, "v2", v2)
+        set_field(self, "mixed_signs", mixed_signs)
+
+
+class ReducedTree(Record):
+    # vertices: the kept Tait vertex ids; rotation: per kept vertex, in the
+    # order of ``vertices``, the cyclic tuple of (reduced edge index, end)
+    __slots__ = ("vertices", "edges", "rotation")
+
+    def __init__(self, vertices: tuple, edges: tuple, rotation: tuple) -> None:
+        set_field(self, "vertices", vertices)
+        set_field(self, "edges", edges)
+        set_field(self, "rotation", rotation)
 
 
 class TaitGraph(NamedTuple):
@@ -124,6 +161,27 @@ def reduce_tree(tait, tree, label_sign):
     return ReducedTree(tuple(kept), tuple(reduced_edges), rotation)
 
 
+def _as_plane_tree(red):
+    vmap = {v: i for i, v in enumerate(red.vertices)}
+    edges = tuple((vmap[e.v1], vmap[e.v2], e.label) for e in red.edges)
+    return PlaneTree(edges, red.rotation)
+
+
+def _class_edge(red, vertex):
+    """Reduced edge index whose leaf hosts this class, or None (pad with 0)."""
+    if vertex in red.vertices:
+        rot = red.rotation[red.vertices.index(vertex)]
+        if len(rot) == 1:
+            return rot[0][0]
+    return None
+
+
+def _class_label(red, vertex):
+    """A class's wheel label: its leaf edge's label, or 0 for a pad edge."""
+    ei = _class_edge(red, vertex)
+    return 0 if ei is None else red.edges[ei].label
+
+
 def _other(tait, ei, end):
     e = tait.edges[ei]
     return (e.v2, 1) if end == 0 else (e.v1, 0)
@@ -159,12 +217,10 @@ def decompose(shading_index, tree, black, white):
     b_classes = [
         white_class_of[_corner(black, ei, end, FLANK)] for ei, end in c_black.exits
     ]
-    blocks = tuple(
-        (("A", dashes), ("B", bc)) for dashes, bc in zip(c_black.dashes, b_classes)
-    )
-    black_edges = tuple(_class_edge(red_black, v) for v in c_black.vertices)
-    white_edges = tuple(
-        _class_edge(red_white, c_white.vertices[bc]) for bc in b_classes
+    blocks = tuple(zip(c_black.dashes, b_classes))
+    black_labels = tuple(_class_label(red_black, v) for v in c_black.vertices)
+    white_labels = tuple(
+        _class_label(red_white, c_white.vertices[bc]) for bc in b_classes
     )
     mixed = any(e.mixed_signs for e in red_black.edges) or any(
         e.mixed_signs for e in red_white.edges
@@ -173,11 +229,11 @@ def decompose(shading_index, tree, black, white):
         shading_index=shading_index,
         tree=tree,
         dual_tree=dual_tree,
-        reduced_black=red_black,
-        reduced_white=red_white,
+        reduced_black=_as_plane_tree(red_black),
+        reduced_white=_as_plane_tree(red_white),
         girth=c_black.girth(),
         blocks=blocks,
-        black_class_edges=black_edges,
-        white_class_edges=white_edges,
+        black_class_labels=black_labels,
+        white_class_labels=white_labels,
         mixed_signs=mixed,
     )

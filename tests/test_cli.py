@@ -309,6 +309,35 @@ def test_malformed_pd_json_exits_2(tmp_path, capsys, text):
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
 
 
+_DEEP = 200000  # far past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * _DEEP,
+        '{"crossings": ' + "[" * _DEEP + "]" * _DEEP + "}",
+        # an integer too long for int() sends the reader to its second pass
+        '{"free_loops": ' + "1" * 5000 + ', "crossings": ' + "[" * _DEEP + "]" * _DEEP + "}",
+    ],
+    ids=["list", "crossings", "long-int-first"],
+)
+def test_deeply_nested_pd_json_exits_2_in_one_line(tmp_path, capsys, text):
+    path = tmp_path / "deep.pd.json"
+    path.write_text(text)
+    (tmp_path / "fixtures").mkdir()
+    (tmp_path / "fixtures" / "3_1.pd.json").write_text(text)
+    for argv in (
+        ["decompose", str(path)],
+        ["girth", str(path)],
+        ["verify-table", "--max-crossings", "3", "--fixtures", str(tmp_path / "fixtures")],
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: PD JSON nests too deeply\n"
+
+
 @pytest.mark.parametrize("text", ["[1,2]", "[[1,2,3,4]]"])
 def test_json_list_pd_file_gets_the_json_error(tmp_path, capsys, text):
     path = tmp_path / "list.pd"
@@ -599,6 +628,26 @@ def test_census_pauses_the_collector_and_restores_it(collector, monkeypatch, cap
     assert code == 0 and out.startswith("rep,girth,components")
     assert seen == [False]
     assert gc.isenabled() == collector
+
+
+@pytest.mark.parametrize(
+    "girth, bound, message",
+    [("2", "13", "girth-2 label budget is 12"), ("2", "2000", "girth-2 label budget is 12"),
+     ("3", "7", "girth-3 label budget is 6")],
+)
+def test_census_refuses_an_over_budget_bound_before_keying(monkeypatch, capsys, girth, bound,
+                                                           message):
+    from knotpair import closedform, g3table
+
+    def refuse(*args):
+        pytest.fail("a key table was built before the label budget was checked")
+
+    monkeypatch.setattr(closedform, "census_jones", refuse)
+    monkeypatch.setattr(g3table, "census_keys", refuse)
+    assert main(["census", "--girth", girth, "--max", bound]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_census_restores_the_collector_on_a_usage_error(collector, capsys):

@@ -15,7 +15,7 @@ from knotpair.classify import check_identities
 from knotpair.closedform import bracket_girth3, conway_girth3_even
 from knotpair.diagram import orient, pd_from_rep
 from knotpair.g3table import KNOTS
-from knotpair.laurent import jones_from_bracket
+from knotpair.laurent import jones_from_bracket, slot_bits
 from knotpair.oracle import CONWAY_CAP, conway_fox
 from knotpair.reps import Girth3Rep
 from make_g3table import build_table, render
@@ -111,7 +111,7 @@ def test_the_widest_labelling_decodes_exactly_at_its_width():
     nabla = g3table.conway(widest)
     assert nabla == g3table_reference.conway(widest)
     assert sum(abs(c) for _, c in nabla.terms) <= bound(widest)
-    assert bound(widest) < 1 << g3table._slot_bits(bound(widest)) - 1
+    assert bound(widest) < 1 << slot_bits(bound(widest)) - 1
 
 
 def test_the_corners_decode_to_the_generators_polynomials():

@@ -386,6 +386,19 @@ def test_from_packed_reads_k_bit_slots():
         assert LaurentPoly.from_packed(0, 3, k, 4, "t") == LaurentPoly.zero("t")
 
 
+def test_slot_bits_is_the_least_byte_multiple_that_holds_the_bound():
+    # closedform and g3table pack at this width: coefficients of absolute
+    # value up to the bound read back exactly, and 8 bits less would not do
+    bounds = list(range(300)) + [(1 << j) + d for j in range(8, 80) for d in (-1, 0, 1)]
+    for bound in bounds:
+        k = laurent.slot_bits(bound)
+        assert k % 8 == 0 and bound < 1 << (k - 1)
+        assert k == 8 or bound >= 1 << (k - 9)
+        value = pack([bound, -bound, bound], k // 8)
+        got = LaurentPoly.from_packed(value, 0, k, 1, "z")
+        assert got == P({0: bound, 1: -bound, 2: bound}, "z")
+
+
 def test_single_term_product_equals_the_packed_reference_product():
     rng = random.Random(4099)
     for _ in range(600):

@@ -1,5 +1,7 @@
-"""Value semantics of the package's records: the 20 frozen classes that carry
-reps, polynomials, diagrams, decompositions, verdicts and census rows.
+"""Value semantics of the package's records: the 18 frozen classes that carry
+reps, polynomials, diagrams, decompositions, verdicts, census rows and
+command-line arguments.  The table names every ``Record`` subclass the
+package defines, which is read off its source.
 
 Each record compares equal to, and hashes like, another of its own class
 with equal fields; never equals an instance of another class or a tuple of
@@ -7,12 +9,16 @@ the same values; refuses to have a field assigned or deleted; and reads
 back as ``Name(field=value, ...)``.
 """
 
+import ast
+import os
 from fractions import Fraction
 
 import pytest
 
+import knotpair
 from knotpair.census import CensusClass, InvariantRecord, TableResult
 from knotpair.classify import DISTINCT_BY_CONWAY, DISTINCT_BY_JONES, RepInvariants, Verdict
+from knotpair.cli import Argument
 from knotpair.diagram import (
     Orientation,
     PDCode,
@@ -23,7 +29,7 @@ from knotpair.diagram import (
     pd_from_text,
     regions,
 )
-from knotpair.girth import Contour, ReducedEdge, ReducedTree, TaitDecomposition
+from knotpair.girth import TaitDecomposition
 from knotpair.laurent import LaurentPoly
 from knotpair.reps import (
     CanonicalRep,
@@ -37,10 +43,6 @@ from knotpair.reps import (
 
 def _tree():
     return PlaneTree(((0, 1, 3), (1, 2, -2)), (((0, 0),), ((0, 1), (1, 0)), ((1, 1),)))
-
-
-def _reduced():
-    return ReducedTree((0, 2), (ReducedEdge(5, 0, 2, True),), (((0, 0),), ((0, 1),)))
 
 
 # class -> (field names in order, a function building equal fresh field values)
@@ -62,21 +64,12 @@ RECORDS = {
         ("n_vertices", "vertex", "succ", "k0"),
         lambda: (2, (0, 1), (0, 1), (0,)),
     ),
-    Contour: (
-        ("vertices", "dashes", "exits"),
-        lambda: ((0, 1), (((1, 0),), ((1, 1),)), ((0, 0), (0, 1))),
-    ),
-    ReducedEdge: (("label", "v1", "v2", "mixed_signs"), lambda: (3, 0, 1, False)),
-    ReducedTree: (
-        ("vertices", "edges", "rotation"),
-        lambda: (_reduced().vertices, _reduced().edges, _reduced().rotation),
-    ),
     TaitDecomposition: (
         (
             "shading_index", "tree", "dual_tree", "reduced_black", "reduced_white",
-            "girth", "blocks", "black_class_edges", "white_class_edges", "mixed_signs",
+            "girth", "blocks", "black_class_labels", "white_class_labels", "mixed_signs",
         ),
-        lambda: (1, (0, 2), (1,), _reduced(), _reduced(), 2, ((("A", 0), ("B", 1)),), (0,), (0,), False),
+        lambda: (1, (0, 2), (1,), _tree(), _tree(), 2, ((((0, 1),), 1),), (3,), (0,), False),
     ),
     Verdict: (("tag", "evidence", "note"), lambda: (DISTINCT_BY_JONES, LaurentPoly(((4, -1),), "t"), "x")),
     RepInvariants: (
@@ -98,13 +91,34 @@ RECORDS = {
         lambda: ("c7", InvariantRecord(2, "", "t", Fraction(0)), (Girth2Rep(2, 2), Girth1Rep(4))),
     ),
     TableResult: (("name", "rep_text", "status", "detail"), lambda: ("3_1", "(3)", "PASS", "")),
+    Argument: (
+        ("flag", "dest", "kind", "choices", "default", "required", "help"),
+        lambda: ("--max", "max_abs", int, (1, 2), 2, True, "bound"),
+    ),
 }
 
 CASES = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
 
 
-def test_the_table_covers_twenty_records():
-    assert len(RECORDS) == 20
+def _package_records():
+    """The names of the classes in ``src/knotpair`` whose bases name ``Record``."""
+    pkg = os.path.dirname(knotpair.__file__)
+    names = set()
+    for file in sorted(os.listdir(pkg)):
+        if file.endswith(".py"):
+            with open(os.path.join(pkg, file)) as f:
+                tree = ast.parse(f.read(), file)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and base.id == "Record" for base in node.bases
+                ):
+                    names.add(node.name)
+    return names
+
+
+def test_the_table_covers_every_package_record():
+    assert {cls.__name__ for cls in RECORDS} == _package_records()
+    assert len(RECORDS) == 18
 
 
 @CASES

@@ -322,7 +322,8 @@ def verify_table(
     up to mirror (and up to orientation units t^(3k) for links).  Entries
     without a fixture are skipped with a notice.  A ``max_crossings``
     below the fewest crossings of a table entry is refused with
-    ``ValueError``: it would check nothing.
+    ``ValueError``: it would check nothing, and so is a fixture that does
+    not read as a PD code, with the fixture's file name before the reason.
     """
     if max_crossings is not None:
         if max_crossings < 0:
@@ -354,8 +355,11 @@ def verify_table(
                 TableResult(name, rep_text, "SKIP", "no reference fixture shipped")
             )
             continue
-        with open(ref_path) as f:
-            ref = pd_from_json(f.read())
+        try:
+            with open(ref_path) as f:
+                ref = pd_from_json(f.read())
+        except ValueError as exc:  # undecodable text or a refused PD
+            raise ValueError(f"{fixture_filename(name)}: {exc}") from None
         rep = parse_rep(rep_text)
         pd = pd_from_rep(rep)
         ori_rep, ori_ref = orient(pd), orient(ref)

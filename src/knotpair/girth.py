@@ -18,12 +18,17 @@ half-edge x, leaves by x and arrives by x ^ 1.
 
 The girth search walks no contour.  A sector is nonempty exactly when the
 rotation turns from a tree half-edge h straight to a non-tree succ[h]: the
-girth of a tree is its number of such turns.  The trees come from a
-backtracking search over the edges in index order, each edge tried in
-before it is left out, so they come in lexicographic order.  A turn is
-settled once both of its edges are decided, and no later decision
-unsettles it, so the settled turns at a vertex bound its turns in every
-tree a branch can still reach.  So does 1 at a vertex with a decided
+girth of a tree is its number of such turns, one per run of non-tree
+half-edges at a vertex.  On a loopless graph every edge has its two ends
+in runs at two vertices, so the non-tree edges of a girth-g tree all join
+the at most g vertices that hold its runs.  That leaves few candidates:
+the least tree of girth 2 or 3, the girths of the paper's tables, is read
+off them directly (``spanning_trees`` gives the proof).  Otherwise the
+trees come from a backtracking search over the edges in index order, each
+edge tried in before it is left out, so they come in lexicographic order.
+A turn is settled once both of its edges are decided, and no later
+decision unsettles it, so the settled turns at a vertex bound its turns in
+every tree a branch can still reach.  So does 1 at a vertex with a decided
 non-tree end, since every vertex of a spanning tree has a tree-edge end.
 The search sums the larger of the two over the vertices and cuts a branch
 once that bound passes a cap.  Looking for the least girth, it lowers the
@@ -76,6 +81,89 @@ def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
     below its girth, so the girths fall strictly and the last tree yielded
     is the least tree of least girth; the first tree always comes when
     ``cap`` is at least the 2(V - 1) turns out of the tree edges.
+
+    The one dispatch rule: with ``descend``, on a loopless graph of at
+    least 2 vertices whose least girth is 2 or 3, that least tree is read
+    by construction (``_least_low_girth``) and yielded alone, if within
+    ``cap``; every other call backtracks (``_backtrack``).  Proof that the
+    construction finds every tree of girth g <= 3, for a tree T of E edges
+    on V vertices, with beta = E - V + 1 edges out of it: the girth counts
+    the runs of non-tree half-edges in the rotations, one turn into each,
+    since every vertex has a tree half-edge.  A non-tree edge has its ends
+    in runs at two vertices, so all beta non-tree edges lie in E_S, the
+    edges joining the set S of vertices that hold runs, and 2 <= |S| <= g
+    once beta > 0 (beta = 0 leaves only the girth-0 tree E).  The tree
+    edges in E_S are a forest on S, at most |S| - 1 of them, so T is E
+    minus E_S plus |E_S| - beta edges of E_S, and 0 <= |E_S| - beta <=
+    |S| - 1.  The construction tries those candidates for every pair S
+    (for girth 2, then 3) and every triple (for girth 3), keeps each one
+    that spans and counts exactly the girth, and takes the least tree; as
+    no tree has girth 1, girth 2 is least whenever a girth-2 tree exists.
+    A graph with no candidate of girth 2 or 3 has least girth 0 or >= 4.
+    """
+    if descend:
+        least = _least_low_girth(tait)
+        if least is not None:
+            if least[0] <= cap:
+                yield least
+            return
+    yield from _backtrack(tait, cap, descend)
+
+
+def _least_low_girth(tait: TaitGraph):
+    """The least (girth, tree) of a loopless graph of at least 2 vertices
+    whose least girth is 2 or 3, read off the candidates of
+    ``spanning_trees``; None for any other graph."""
+    n, vertex, succ = tait.n_vertices, tait.vertex, tait.succ
+    m = len(tait.k0)
+    if n == 1 or any(map(operator.eq, vertex[::2], vertex[1::2])):
+        return None
+    beta = m - n + 1
+    ends = list(zip(range(m), vertex[::2], vertex[1::2]))
+    between: list[dict[int, list[int]]] = [{} for _ in range(n)]  # u -> v -> the u-v edges
+    for e, u, v in ends:
+        between[v][u] = between[u].setdefault(v, [])
+        between[u][v].append(e)
+    least: dict[int, tuple[int, ...]] = {}  # per girth 2 and 3: the least tree found
+
+    def candidates(inside: list[int]) -> None:
+        # E minus ``inside`` plus each choice of |inside| - beta of its edges
+        for kept in itertools.combinations(inside, len(inside) - beta):
+            out = set(inside).difference(kept)
+            # a run ends at its one non-tree half-edge whose successor is
+            # a tree half-edge
+            girth = 0
+            for e in out:
+                girth += (succ[2 * e] >> 1 not in out) + (succ[2 * e + 1] >> 1 not in out)
+            if girth not in (2, 3):
+                continue
+            tree = tuple(itertools.filterfalse(out.__contains__, range(m)))
+            if (girth not in least or tree < least[girth]) and _can_join(
+                n, list(range(n)), [ends[e] for e in tree], 0
+            ):
+                least[girth] = tree
+
+    for u, near in enumerate(between):
+        for v, inside in near.items():
+            if u < v and 0 <= len(inside) - beta <= 1:
+                candidates(inside)
+    if 2 in least:
+        return 2, least[2]
+    # a tree with runs at all three vertices of a triple has non-tree edges
+    # on two of its pairs at least: a path a - v - b, met once at v, or a
+    # triangle, met at its least vertex
+    for v, near in enumerate(between):
+        for a, b in itertools.combinations(near, 2):
+            far = between[a].get(b)
+            if far is None or v < min(a, b):
+                inside = near[a] + near[b] + (far or [])
+                if 0 <= len(inside) - beta <= 2:
+                    candidates(inside)
+    return (3, least[3]) if 3 in least else None
+
+
+def _backtrack(tait: TaitGraph, cap: int, descend: bool):
+    """``spanning_trees`` by branch and bound, for any graph.
 
     Backtracking over the non-loop edges in index order, each edge tried in
     before it is left out, lists the trees in the order

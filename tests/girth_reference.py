@@ -3,7 +3,8 @@ girth search in ``knotpair.girth.spanning_trees``.
 
 ``reference_trees`` visits every spanning tree, in lexicographic order, and
 ``reference_girths`` counts each one's girth from the rotation turns.  The
-least (girth, tree) pair is the witness the pruned search must find.
+least (girth, tree) pair is the witness the pruned search must find, and
+``constructible`` says when the search reads it by construction.
 ``decompositions_of_girth`` lists every decomposition of a given girth, not
 just the witness, and ``decompose_pd`` builds the decomposition of any
 spanning tree of either shading.
@@ -78,6 +79,17 @@ def reference_girths(tait):
 def reference_least(tait):
     """The least girth and the lexicographically least tree attaining it."""
     return min(reference_girths(tait))
+
+
+def constructible(tait, least_girth):
+    """Whether descending ``girth.spanning_trees`` reads the least tree of
+    a graph of that least girth by construction: the graph is loopless,
+    has at least two vertices, and the girth is 2 or 3."""
+    return (
+        tait.n_vertices > 1
+        and all(e.v1 != e.v2 for e in tait.edges)
+        and least_girth in (2, 3)
+    )
 
 
 def decompositions_of_girth(pd, target):

@@ -327,15 +327,18 @@ def test_deeply_nested_pd_json_exits_2_in_one_line(tmp_path, capsys, text):
     path.write_text(text)
     (tmp_path / "fixtures").mkdir()
     (tmp_path / "fixtures" / "3_1.pd.json").write_text(text)
-    for argv in (
-        ["decompose", str(path)],
-        ["girth", str(path)],
-        ["verify-table", "--max-crossings", "3", "--fixtures", str(tmp_path / "fixtures")],
+    for argv, prefix in (
+        (["decompose", str(path)], ""),
+        (["girth", str(path)], ""),
+        (
+            ["verify-table", "--max-crossings", "3", "--fixtures", str(tmp_path / "fixtures")],
+            "3_1.pd.json: ",
+        ),
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: PD JSON nests too deeply\n"
+        assert captured.err == f"error: {prefix}PD JSON nests too deeply\n"
 
 
 @pytest.mark.parametrize("text", ["[1,2]", "[[1,2,3,4]]"])
@@ -467,6 +470,28 @@ def test_verify_table_refuses_a_many_component_fixture_in_one_line(tmp_path, cap
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b'{"crossings": [[1, 3, 2, 4]]}\xff', "'utf-8' codec can't decode byte 0xff"),
+        (
+            b'{"crossings": [[1, 3, 2, 4], [2, 4, 1, 3]]}',
+            "region count 2 violates Euler formula (expected 4); "
+            "the code does not describe a planar diagram",
+        ),
+    ],
+)
+def test_verify_table_names_the_fixture_it_cannot_read(tmp_path, capsys, content, reason):
+    # undecodable text and a non-planar code: one line, led by the file name
+    (tmp_path / "3_1.pd.json").write_bytes(content)
+    code = main(["verify-table", "--fixtures", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: 3_1.pd.json: {reason}")
+    assert len(captured.err.splitlines()) == 1, captured.err
 
 
 def test_selftest(capsys):

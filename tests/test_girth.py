@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 from diagram_builders import braid_closure_pd
 from girth_reference import (
+    constructible,
     decompose_pd,
     decompositions_of_girth,
     is_spanning_tree,
@@ -14,6 +15,7 @@ from girth_reference import (
     reference_trees,
 )
 
+from knotpair import girth as girth_module
 from knotpair.classify import jones_equal
 from knotpair.cli import main
 from knotpair.diagram import (
@@ -97,8 +99,6 @@ def test_diagram_girth_budget_refusal():
 
 
 def test_budget_refusal_builds_no_tait_graph(monkeypatch):
-    import knotpair.girth as girth_module
-
     pd = pd_from_rep(Girth2Rep(9, 9))
     shades = checkerboard(pd)
     # both shadings have the same number of trees (planar duality)
@@ -367,15 +367,21 @@ def test_pruned_search_finds_the_reference_girth_and_witness():
     graphs = [tait_graph(pd, shading) for pd in pds for shading in checkerboard(pd)]
     graphs.append(_self_loop_graph())
     for g in graphs:
-        # descending, the search yields each tree whose girth is below that
-        # of every tree before it in lex order: a bound that cut a branch
-        # holding one of them would drop it
+        # descending, the backtracking yields each tree whose girth is below
+        # that of every tree before it in lex order: a bound that cut a
+        # branch holding one of them would drop it
         minima = []
         for girth, tree in reference_girths(g):
             if not minima or girth < minima[-1][0]:
                 minima.append((girth, tree))
-        assert list(spanning_trees(g, 2 * g.n_vertices, descend=True)) == minima
+        assert list(girth_module._backtrack(g, 2 * g.n_vertices, True)) == minima
         assert minima[-1] == reference_least(g)
+        # the public search ends at the same tree, and reads a least girth
+        # of 2 or 3 on a loopless graph off the construction, alone
+        found = list(spanning_trees(g, 2 * g.n_vertices, descend=True))
+        assert found[-1] == minima[-1]
+        if constructible(g, minima[-1][0]):
+            assert found == [minima[-1]]
         for target in (2, 3):
             assert [t for girth, t in spanning_trees(g, target) if girth == target] == [
                 t for girth, t in reference_girths(g) if girth == target
@@ -429,11 +435,12 @@ def test_pruned_search_cuts_the_dense_template_to_a_few_trees():
     assert found[-1] == reference_least(black)
     assert found[-1][0] == 3
     assert len(found) < tree_count(black) // 1000
+    backtracked = list(girth_module._backtrack(black, 2 * black.n_vertices, True))
+    assert backtracked[-1] == found[-1]
+    assert len(backtracked) < tree_count(black) // 1000
 
 
 def test_unreduced_diagram_is_refused_before_the_search(monkeypatch):
-    import knotpair.girth as girth_module
-
     calls = []
 
     def spy(*args, **kwargs):

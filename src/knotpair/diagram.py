@@ -431,9 +431,8 @@ class TaitGraph(Record):
     counterclockwise around it, in the cyclic order of its region's
     corners, and ``k0[crossing]`` the first black corner.
 
-    ``edges`` (a ``TaitEdge`` per crossing) and ``rotation`` (per vertex,
-    its (edge, end) pairs from its least half-edge, where its corner cycle
-    starts) are read-only views, built anew on each access.
+    ``edges``, a ``TaitEdge`` per crossing, is a read-only view, built
+    anew on each access.
     """
 
     __slots__ = ("n_vertices", "vertex", "succ", "k0")
@@ -447,19 +446,6 @@ class TaitGraph(Record):
     @property
     def edges(self) -> tuple[TaitEdge, ...]:
         return tuple(map(TaitEdge, self.vertex[0::2], self.vertex[1::2], self.k0))
-
-    @property
-    def rotation(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        rotation: list = [None] * self.n_vertices
-        for h, v in enumerate(self.vertex):
-            if rotation[v] is None:
-                entries = [divmod(h, 2)]
-                x = self.succ[h]
-                while x != h:
-                    entries.append(divmod(x, 2))
-                    x = self.succ[x]
-                rotation[v] = tuple(entries)
-        return tuple(rotation)
 
 
 def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:

@@ -34,11 +34,11 @@ the corners, and the other axes are contracted one at a time, the lowest
 label first and the last label last (``_contract``).
 
 **Packing.**  Everything is evaluated once at s = 2^k in Python ints, as
-the closed brackets are (``closedform``): the census packs each pattern's
-64 corners once, on first use (``_packed``), by Horner's rule over the
-table's coefficient rows, one C-level pass a power of s, and one
-labelling packs the corners it reads; a Fibonacci weight is the packed
-list of its binomials, and the contraction is int products and sums.
+the closed brackets are (``closedform``): the census and ``conway`` pack
+each pattern's 64 corners once per slot width, on first use
+(``_packed``), by Horner's rule over the table's coefficient rows, one
+C-level pass a power of s; a Fibonacci weight is the packed list of its
+binomials, and the contraction is int products and sums.
 ``LaurentPoly.from_packed`` at stride 2 cuts the value into the
 coefficients of z^0, z^2, ...
 
@@ -163,8 +163,8 @@ def conway(labels: tuple[int, ...]) -> LaurentPoly:
             off |= 1 << i
             weights[kinds[i], x] = _weights(m, kinds[i] == FIBONACCI, k)
     axes, subs = _SUBMASKS[off]
-    corners = _corners(pattern)
-    values = [_pack(corners[corner | sub], k) for sub in subs]
+    corners = _packed(pattern, k)
+    values = [corners[corner | sub] for sub in subs]
     nabla = _contract(values, axes, kinds, labels, weights)
     return LaurentPoly.from_packed(nabla, 0, k, 2, "z")
 
@@ -312,19 +312,6 @@ def _corner_rows(pattern: int) -> list[memoryview]:
 
 
 @functools.cache
-def _corners(pattern: int) -> tuple[tuple[int, ...], ...]:
-    """The 64 corner polynomials of a knot pattern, each its coefficients
-    of s^0, s^1, ... up to its last nonzero one, decoded on first use."""
-    corners = []
-    for coeffs in zip(*_corner_rows(pattern)):
-        end = len(coeffs)
-        while not coeffs[end - 1]:  # a knot's nabla has constant term 1
-            end -= 1
-        corners.append(coeffs[:end])
-    return tuple(corners)
-
-
-@functools.cache
 def _packed(pattern: int, k: int) -> tuple[int, ...]:
     """The 64 corners of a knot pattern at s = 2^k: Horner's rule over the
     coefficient rows, the highest power first, one C-level pass a row."""
@@ -332,11 +319,3 @@ def _packed(pattern: int, k: int) -> tuple[int, ...]:
     for row in reversed(rows):
         values = map(add, map(lshift, values, repeat(k)), row)
     return tuple(values)
-
-
-def _pack(coeffs: tuple[int, ...], k: int) -> int:
-    """A polynomial in s at s = 2^k, by Horner's rule."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << k) + c
-    return value

@@ -19,13 +19,15 @@ half-edge x, leaves by x and arrives by x ^ 1.
 The girth search walks no contour.  A sector is nonempty exactly when the
 rotation turns from a tree half-edge h straight to a non-tree succ[h]: the
 girth of a tree is its number of such turns, one per run of non-tree
-half-edges at a vertex.  On a loopless graph every edge has its two ends
-in runs at two vertices, so the non-tree edges of a girth-g tree all join
-the at most g vertices that hold its runs.  That leaves few candidates:
-the least tree of girth 2 or 3, the girths of the paper's tables, is read
-off them directly (``spanning_trees`` gives the proof).  Otherwise the
-trees come from a backtracking search over the edges in index order, each
-edge tried in before it is left out, so they come in lexicographic order.
+half-edges at a vertex.  The graphs searched are loopless (a loop is a
+nugatory crossing, refused beforehand), so every non-tree edge has its
+two ends in runs at two vertices, and the non-tree edges of a girth-g
+tree all join the at most g vertices that hold its runs.  That leaves few
+candidates: the least tree of girth 2 or 3, the girths of the paper's
+tables, is read off them directly (``spanning_trees`` gives the proof).
+Otherwise the trees come from a backtracking search over the edges in
+index order, each edge tried in before it is left out, so they come in
+lexicographic order.
 A turn is settled once both of its edges are decided, and no later
 decision unsettles it, so the settled turns at a vertex bound its turns in
 every tree a branch can still reach.  So does 1 at a vertex with a decided
@@ -70,54 +72,47 @@ class BudgetError(ValueError):
 # spanning trees
 
 
-def spanning_trees(tait: TaitGraph, cap: int, *, descend: bool = False):
-    """Yield (girth, tree) for the spanning trees of girth at most ``cap``.
+def spanning_trees(tait: TaitGraph):
+    """Yield (girth, tree) for spanning trees of strictly falling girth, the
+    last the least tree of least girth, of a loopless graph of at least 2
+    vertices: every graph ``_tait_graphs`` hands on is one.
 
-    Trees are sorted tuples of edge indices and come in lexicographic order.
-    The girth is the number of turns (h, succ[h]) from a tree half-edge to
-    a non-tree one, of two edges a = h >> 1 and b = succ[h] >> 1; it equals
-    the number of sectors ``tree_contour`` walks (see the module
-    docstring).  With ``descend`` each tree yielded lowers the cap to one
-    below its girth, so the girths fall strictly and the last tree yielded
-    is the least tree of least girth; the first tree always comes when
-    ``cap`` is at least the 2(V - 1) turns out of the tree edges.
+    Trees are sorted tuples of edge indices.  The girth is the number of
+    turns (h, succ[h]) from a tree half-edge to a non-tree one, of two edges
+    a = h >> 1 and b = succ[h] >> 1; it equals the number of sectors
+    ``tree_contour`` walks (see the module docstring).
 
-    The one dispatch rule: with ``descend``, on a loopless graph of at
-    least 2 vertices whose least girth is 2 or 3, that least tree is read
-    by construction (``_least_low_girth``) and yielded alone, if within
-    ``cap``; every other call backtracks (``_backtrack``).  Proof that the
-    construction finds every tree of girth g <= 3, for a tree T of E edges
-    on V vertices, with beta = E - V + 1 edges out of it: the girth counts
-    the runs of non-tree half-edges in the rotations, one turn into each,
-    since every vertex has a tree half-edge.  A non-tree edge has its ends
-    in runs at two vertices, so all beta non-tree edges lie in E_S, the
-    edges joining the set S of vertices that hold runs, and 2 <= |S| <= g
-    once beta > 0 (beta = 0 leaves only the girth-0 tree E).  The tree
-    edges in E_S are a forest on S, at most |S| - 1 of them, so T is E
-    minus E_S plus |E_S| - beta edges of E_S, and 0 <= |E_S| - beta <=
-    |S| - 1.  The construction tries those candidates for every pair S
-    (for girth 2, then 3) and every triple (for girth 3), keeps each one
-    that spans and counts exactly the girth, and takes the least tree; as
-    no tree has girth 1, girth 2 is least whenever a girth-2 tree exists.
-    A graph with no candidate of girth 2 or 3 has least girth 0 or >= 4.
+    The one dispatch rule: when the least girth is 2 or 3, that least tree
+    is read by construction (``_least_low_girth``) and yielded alone;
+    otherwise the least girth is 4 or more and the trees come from the
+    backtracking (``_backtrack``).  Proof that the construction finds every
+    tree of girth g <= 3, for a tree T of E edges on V vertices, with beta =
+    E - V + 1 edges out of it: the girth counts the runs of non-tree
+    half-edges in the rotations, one turn into each, since every vertex has
+    a tree half-edge.  A non-tree edge has its ends in runs at two vertices,
+    so all beta non-tree edges lie in E_S, the edges joining the set S of
+    vertices that hold runs, and 2 <= |S| <= g once beta > 0 (beta = 0
+    leaves only the girth-0 tree E).  The tree edges in E_S are a forest on
+    S, at most |S| - 1 of them, so T is E minus E_S plus |E_S| - beta edges
+    of E_S, and 0 <= |E_S| - beta <= |S| - 1.  The construction tries those
+    candidates for every pair S (for girth 2, then 3) and every triple (for
+    girth 3), keeps each one that spans and counts exactly the girth, and
+    takes the least tree; as no tree has girth 1, girth 2 is least whenever
+    a girth-2 tree exists.
     """
-    if descend:
-        least = _least_low_girth(tait)
-        if least is not None:
-            if least[0] <= cap:
-                yield least
-            return
-    yield from _backtrack(tait, cap, descend)
+    least = _least_low_girth(tait)
+    if least is None:
+        yield from _backtrack(tait)
+    else:
+        yield least
 
 
 def _least_low_girth(tait: TaitGraph):
-    """The least (girth, tree) of a loopless graph of at least 2 vertices
-    whose least girth is 2 or 3, read off the candidates of
-    ``spanning_trees``; None for any other graph."""
+    """The least (girth, tree) of a loopless graph whose least girth is 2
+    or 3, read off the candidates of ``spanning_trees``; None when the
+    least girth is another."""
     n, vertex, succ = tait.n_vertices, tait.vertex, tait.succ
     m = len(tait.k0)
-    if n == 1 or any(map(operator.eq, vertex[::2], vertex[1::2])):
-        return None
     beta = m - n + 1
     ends = list(zip(range(m), vertex[::2], vertex[1::2]))
     between: list[dict[int, list[int]]] = [{} for _ in range(n)]  # u -> v -> the u-v edges
@@ -162,39 +157,39 @@ def _least_low_girth(tait: TaitGraph):
     return (3, least[3]) if 3 in least else None
 
 
-def _backtrack(tait: TaitGraph, cap: int, descend: bool):
-    """``spanning_trees`` by branch and bound, for any graph.
+def _backtrack(tait: TaitGraph):
+    """``spanning_trees`` by branch and bound, for any loopless graph of at
+    least 2 vertices.
 
-    Backtracking over the non-loop edges in index order, each edge tried in
-    before it is left out, lists the trees in the order
-    ``itertools.combinations`` lists the edge sets.  A union-find without
-    path compression keeps the chosen edges a forest and is rolled back one
-    edge at a time.  An edge is left out only if the edges after it can
-    still join the forest's parts (the bridge test of Gabow and Myers), so
-    no branch dead-ends for want of edges.
+    Backtracking over the edges in index order, each edge tried in before
+    it is left out, lists the trees in the order ``itertools.combinations``
+    lists the edge sets.  A union-find without path compression keeps the
+    chosen edges a forest and is rolled back one edge at a time.  An edge
+    is left out only if the edges after it can still join the forest's
+    parts (the bridge test of Gabow and Myers), so no branch dead-ends for
+    want of edges.
 
-    A branch is cut once a lower bound on the girth of every tree it can
-    still reach passes the cap.  A turn is settled once both of its edges
-    are decided (a self-loop is never a tree edge, so it counts as decided
-    out from the start), and no later decision unsettles it.  An end of an
-    edge decided out, or of a self-loop, is a decided non-tree end.  The
-    bound is the sum over the vertices v of
+    Each tree yielded lowers the cap to one below its girth, from 2V at
+    first: above the 2(V - 1) turns out of the tree edges, so the first
+    tree always comes.  A branch is cut once a lower bound on the girth of
+    every tree it can still reach passes the cap.  A turn is settled once
+    both of its edges are decided, and no later decision unsettles it.  An
+    end of an edge decided out is a decided non-tree end.  The bound is the
+    sum over the vertices v of
 
         max(settled turns at v, 1 if v has a decided non-tree end else 0).
 
-    Proof that it bounds the girth of every tree T the branch reaches, when
-    the graph has at least 2 vertices: the girth of T is the sum over v of
-    its turns at v from a tree edge to a non-tree edge.  Those include the
-    settled ones.  And T spans and is connected, so v has a tree-edge end;
-    if v also has a non-tree end, going once around its rotation passes
-    from a tree-edge end to a non-tree end at least once, which is a turn
-    of T.  So each term is at most T's turns at v.  No decision lowers a
-    term, so the bound never falls down a branch, and a cut branch holds
-    no tree within the cap: the trees yielded and their order are those of
-    the full enumeration restricted to the cap.  A graph of one vertex has
-    the empty tree only, of girth 0 whatever its self-loops, so there the
-    self-loops mark nothing.  At a leaf the girth is the exact count of
-    settled turns once the edges left are decided out.
+    Proof that it bounds the girth of every tree T the branch reaches: the
+    girth of T is the sum over v of its turns at v from a tree edge to a
+    non-tree edge.  Those include the settled ones.  And T spans and is
+    connected, so v has a tree-edge end; if v also has a non-tree end,
+    going once around its rotation passes from a tree-edge end to a
+    non-tree end at least once, which is a turn of T.  So each term is at
+    most T's turns at v.  No decision lowers a term, so the bound never
+    falls down a branch, and a cut branch holds no tree within the cap: the
+    trees yielded are each tree of the full enumeration whose girth is
+    below that of every tree before it.  At a leaf the girth is the exact
+    count of settled turns once the edges left are decided out.
 
     The search keeps the bound as the settled turns plus the vertices that
     have a decided non-tree end but no settled turn.  The two per-vertex
@@ -204,33 +199,27 @@ def _backtrack(tait: TaitGraph, cap: int, descend: bool):
     """
     n = tait.n_vertices
     vertex = tait.vertex
-    edges = [(ei, u, v) for ei, (u, v) in enumerate(zip(vertex[::2], vertex[1::2])) if u != v]
+    edges = list(zip(range(len(tait.k0)), vertex[::2], vertex[1::2]))
     m = len(edges)
-    pos = [-1] * len(tait.k0)  # per edge: its place in ``edges``; -1 for a loop
-    for i, (ei, _, _) in enumerate(edges):
-        pos[ei] = i
     # the turns each decision settles, with their vertex: taking the edge
     # in settles its turns to edges already decided (girth +1 per one left
     # out), leaving it out settles the turns into it from edges already
     # decided (+1 per tree edge)
     settle_in: list[list[tuple[int, int]]] = [[] for _ in edges]
     settle_out: list[list[tuple[int, int]]] = [[] for _ in edges]
+    for h, (v, s) in enumerate(zip(vertex, tait.succ)):  # the turn h -> succ[h]
+        a, b = h >> 1, s >> 1
+        # b == a, at a valence-1 vertex, counts nothing: it settles only
+        # when a is decided out
+        if b < a:
+            settle_in[a].append((b, v))
+        else:
+            settle_out[b].append((a, v))
     # per vertex: whether it has a settled turn, and whether it has a
     # decided non-tree end
     turned = [False] * n
     loose = [False] * n
-    for h, (v, s) in enumerate(zip(vertex, tait.succ)):  # the turn h -> succ[h]
-        a, b = h >> 1, s >> 1
-        if pos[a] < 0:
-            loose[v] = n > 1  # a self-loop end
-            continue  # can never go from a tree edge to a non-tree edge
-        if a == b:
-            continue
-        if pos[b] < pos[a]:
-            settle_in[pos[a]].append((b, v))
-        else:
-            settle_out[pos[b]].append((a, v))
-    in_tree = [False] * len(tait.k0)
+    in_tree = [False] * m
     parent = list(range(n))
     size = [1] * n
     tree: list[int] = []
@@ -243,7 +232,8 @@ def _backtrack(tait: TaitGraph, cap: int, descend: bool):
     # the bound is settled + bare: max(settled turns at v, loose[v]) is
     # the settled turns at v, plus 1 if there are none and v is loose
     settled = 0  # settled turns from a tree edge to a non-tree edge
-    bare = sum(loose)  # loose vertices without a settled turn
+    bare = 0  # loose vertices without a settled turn
+    cap = 2 * n
     i = 0
     out = False  # edge i is left out whatever it joins: backtracking chose so
     while True:
@@ -256,10 +246,9 @@ def _backtrack(tait: TaitGraph, cap: int, descend: bool):
                         girth += in_tree[a]
                 if girth <= cap:
                     yield girth, tuple(tree)
-                    if descend:
-                        cap = girth - 1
+                    cap = girth - 1
             elif i < m:
-                ei, u, v = edges[i]
+                _, u, v = edges[i]
                 if not out:
                     ru, rv = u, v
                     while parent[ru] != ru:
@@ -271,8 +260,8 @@ def _backtrack(tait: TaitGraph, cap: int, descend: bool):
                             ru, rv = rv, ru
                         parent[ru] = rv
                         size[rv] += size[ru]
-                        tree.append(ei)
-                        in_tree[ei] = True
+                        tree.append(i)
+                        in_tree[i] = True
                         undo.append((i, ru, settled, bare, len(log)))
                         for b, w in settle_in[i]:
                             if not in_tree[b]:
@@ -419,9 +408,13 @@ def reduce_tree(
     # per vertex: its tree half-edges in rotation order, from its least
     # half-edge (see ``TaitGraph``); it is suppressed when these are two
     # and are all of its ends, each the other's successor
+    first = [-1] * tait.n_vertices
+    for h, v in enumerate(vertex):
+        if first[v] < 0:
+            first[v] = h
     ends = []
-    for v in range(tait.n_vertices):
-        x = h = vertex.index(v)
+    for h in first:
+        x = h
         t = []
         while True:
             if in_tree[x >> 1]:
@@ -463,7 +456,7 @@ def reduce_tree(
     return PlaneTree(tuple(edges), rotation), tuple(kept), mixed
 
 
-def _corner(tait: TaitGraph, h: int, turn: int = 0) -> int:
+def _corner(tait: TaitGraph, h: int, turn: int) -> int:
     """The corner, numbered 4 * crossing + slot, at half-edge h, turned
     ``turn`` slots counterclockwise."""
     return 4 * (h >> 1) + (tait.k0[h >> 1] + 2 * (h & 1) + turn) % 4
@@ -586,25 +579,30 @@ def _leaf_label(red: PlaneTree, kept: tuple[int, ...], vertex: int) -> int:
     return red.edges[rot[0][0]][2] if len(rot) == 1 else 0
 
 
-def _reject_unreduced(black: TaitGraph, white: TaitGraph) -> None:
-    # a half-edge that is its own successor is alone at its vertex
-    for g, name in ((black, "black"), (white, "white")):
-        if any(map(operator.eq, g.succ, range(len(g.succ)))):
-            raise ValueError(
-                f"diagram is not reduced: {name} graph has a valence-1 vertex "
-                "(nugatory crossing)"
-            )
+def _loops(g: TaitGraph):
+    """Per crossing: whether its edge joins a vertex to itself."""
+    return map(operator.eq, g.vertex[::2], g.vertex[1::2])
 
 
 def _tait_graphs(pd: PDCode) -> tuple[TaitGraph, TaitGraph]:
     """The shading-0 and shading-1 Tait graphs of a reduced diagram; an
-    unreduced one is refused before any tree is searched."""
+    unreduced one is refused before any tree is searched.
+
+    A crossing is nugatory exactly when its edge joins a vertex to itself
+    in one of the two graphs, and by planar duality its edge in the other
+    graph is then a bridge.  The edge at a valence-1 vertex is a bridge,
+    and a graph of one vertex has only loops, so refusing every loop
+    leaves each graph loopless, with at least 2 vertices.  The refusal
+    names the least nugatory crossing.
+    """
     shades = checkerboard(pd)
     black = tait_graph(pd, shades[0])
     white = tait_graph(pd, shades[1])
-    if black.n_vertices == 1 or white.n_vertices == 1:
-        raise ValueError("single-vertex Tait graph: diagram is not reduced")
-    _reject_unreduced(black, white)
+    nugatory = list(map(operator.or_, _loops(black), _loops(white)))
+    if True in nugatory:
+        raise ValueError(
+            f"diagram is not reduced: crossings[{nugatory.index(True)}] is nugatory"
+        )
     return black, white
 
 
@@ -618,10 +616,10 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
     seen from either side, and ``decompose`` asserts that both sides count
     the same girth.  So each shading-1 tree is the complement of a
     shading-0 one with the same girth, and cannot lower it.  The search
-    (``spanning_trees`` with ``descend``) counts girths locally and cuts
-    every branch that cannot beat the best girth found; ``decompose``
-    builds the witness from the same two Tait graphs, and the girth its
-    contour walk counts must agree with the searched one.
+    (``spanning_trees``) counts girths locally and cuts every branch that
+    cannot beat the best girth found; ``decompose`` builds the witness
+    from the same two Tait graphs, and the girth its contour walk counts
+    must agree with the searched one.
 
     A crossing-free diagram answers girth 2 with no witness when it is one
     circle, the unknot read as K(0,0), and is refused otherwise.  A diagram
@@ -639,7 +637,7 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
             f"{pd.n()} crossings exceeds the spanning-tree budget of {budget}"
         )
     black, white = _tait_graphs(pd)
-    for girth, tree in spanning_trees(black, 2 * black.n_vertices, descend=True):
+    for girth, tree in spanning_trees(black):
         pass  # each tree found beats the one before
     witness = decompose(0, tree, black, white)
     if witness.girth != girth:

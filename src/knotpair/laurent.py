@@ -122,9 +122,6 @@ class LaurentPoly(Record):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeffs(self) -> dict[int, int]:
-        return dict(self.terms)
-
     def coeff(self, exp: int) -> int:
         for e, c in self.terms:
             if e == exp:

@@ -177,43 +177,6 @@ def template_crossings(rep) -> int:
 # ---------------------------------------------------------------------------
 # symmetries of the girth-3 wheel
 #
-# In the glued diagram the six twist regions interleave around the boundary
-# circle as p a q b r c.  The symmetries below are exactly the relabelings
-# that preserve this wheel (rotations, a reflection, and turning the inner
-# ring out).  The reflection and ring swap differ from the sloppy forms in
-# which they are often quoted: a plain row transposition does not preserve
-# the wheel and genuinely changes the knot (testable on invariants).
-
-
-def rotate_g3(r: Girth3Rep) -> Girth3Rep:
-    (p, q, rr), (a, b, c) = r.top, r.bottom
-    return Girth3Rep((q, rr, p), (b, c, a))
-
-
-def reflect_g3(r: Girth3Rep) -> Girth3Rep:
-    (p, q, rr), (a, b, c) = r.top, r.bottom
-    return Girth3Rep((p, rr, q), (c, b, a))
-
-
-def swap_rings_g3(r: Girth3Rep) -> Girth3Rep:
-    (p, q, rr), (a, b, c) = r.top, r.bottom
-    return Girth3Rep((a, c, b), (p, rr, q))
-
-
-def d3_orbit(r: Girth3Rep) -> set[Girth3Rep]:
-    """Closure of r under the wheel symmetries; size always divides 12."""
-    seen = {r}
-    frontier = [r]
-    while frontier:
-        cur = frontier.pop()
-        for image in (rotate_g3(cur), reflect_g3(cur), swap_rings_g3(cur)):
-            if image not in seen:
-                seen.add(image)
-                frontier.append(image)
-    assert 12 % len(seen) == 0
-    return seen
-
-
 class CanonicalRep(Record):
     __slots__ = ("rep", "key")
 
@@ -222,9 +185,17 @@ class CanonicalRep(Record):
         set_field(self, "key", key)
 
 
-# The wheel symmetries as position permutations of (p q r a b c): the
-# images of the index labelling under ``d3_orbit``, each listing where its
-# labels come from.  The identity is first, so that ``g3_wheel_minima`` can
+# In the glued diagram the six twist regions interleave around the boundary
+# circle as p a q b r c.  The wheel symmetries are exactly the relabelings
+# that preserve this wheel: the group the rotation (q r p / b c a), the
+# reflection (p r q / c b a) and turning the inner ring out (a c b / p r q)
+# generate.  The reflection and ring swap differ from the sloppy forms in
+# which they are often quoted: a plain row transposition does not preserve
+# the wheel and genuinely changes the knot (testable on invariants).
+#
+# The 12 symmetries as position permutations of (p q r a b c): the images
+# of the index labelling, each listing where its labels come from.  The
+# identity is first, so that ``g3_wheel_minima`` can
 # skip it; the rest are in the order that discards the most labellings
 # first, measured greedily on the candidates of the girth-3 census at
 # labels bounded by 2.
@@ -243,6 +214,13 @@ _G3_IMAGES = (
     (1, 2, 0, 4, 5, 3),
 )
 _G3_PERMS = tuple(operator.itemgetter(*image) for image in _G3_IMAGES)
+
+
+def d3_orbit(r: Girth3Rep) -> set[Girth3Rep]:
+    """The images of r under the 12 wheel symmetries; their number divides
+    12."""
+    labels = r.top + r.bottom
+    return {Girth3Rep(x[:3], x[3:]) for x in (perm(labels) for perm in _G3_PERMS)}
 
 
 def g3_wheel_min(labels: tuple) -> tuple:

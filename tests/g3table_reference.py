@@ -3,10 +3,14 @@ reference for ``knotpair.g3table.conway``, which evaluates the Chebyshev
 closed form of the same recurrence once at s = z^2 = 2^k.
 
 ``conway`` walks each off-corner axis one step of f(j+1) = c f(j) - f(j-1)
-at a time on coefficient lists in s, the last label first.
+at a time on coefficient lists in s, the last label first.  ``corners``
+decodes a pattern's corner polynomials off the table, and ``pack`` packs
+one at s = 2^k on its own, the reference for ``g3table._packed``.
 """
 
-from knotpair.g3table import FIBONACCI, KNOTS, _corners, _pattern
+import functools
+
+from knotpair.g3table import FIBONACCI, KNOTS, _corner_rows, _pattern
 from knotpair.laurent import LaurentPoly
 
 
@@ -18,7 +22,7 @@ def conway(labels) -> LaurentPoly:
     """
     pattern = _pattern(labels)
     kinds = KNOTS[pattern][0]
-    corners = _corners(pattern)
+    table = corners(pattern)
     index = 0
     off = []
     for i, x in enumerate(labels):
@@ -31,13 +35,34 @@ def conway(labels) -> LaurentPoly:
     for i, _ in off:
         picked += [c | 1 << i for c in picked]
     # position bit j of ``values`` is the corner bit of the j-th off axis
-    values = [corners[c] for c in picked]
+    values = [table[c] for c in picked]
     for i, m in reversed(off):
         half = len(values) // 2
         fib = kinds[i] == FIBONACCI
         values = [along(values[s], values[s + half], m, fib) for s in range(half)]
     (result,) = values
     return LaurentPoly.from_terms(tuple((2 * j, c) for j, c in enumerate(result) if c), "z")
+
+
+@functools.cache
+def corners(pattern: int) -> tuple[tuple[int, ...], ...]:
+    """The 64 corner polynomials of a knot pattern, each its coefficients
+    of s^0, s^1, ... up to its last nonzero one, decoded on first use."""
+    out = []
+    for coeffs in zip(*_corner_rows(pattern)):
+        end = len(coeffs)
+        while not coeffs[end - 1]:  # a knot's nabla has constant term 1
+            end -= 1
+        out.append(coeffs[:end])
+    return tuple(out)
+
+
+def pack(coeffs: tuple[int, ...], k: int) -> int:
+    """A polynomial in s at s = 2^k, by Horner's rule."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << k) + c
+    return value
 
 
 def base_label(pattern: int, i: int) -> int:

@@ -3,14 +3,15 @@ girth search in ``knotpair.girth.spanning_trees``.
 
 ``reference_trees`` visits every spanning tree, in lexicographic order, and
 ``reference_girths`` counts each one's girth from the rotation turns.  The
-least (girth, tree) pair is the witness the pruned search must find, and
-``constructible`` says when the search reads it by construction.
+least (girth, tree) pair is the witness the pruned search must find; the
+search reads it by construction when the least girth is 2 or 3.
 ``decompositions_of_girth`` lists every decomposition of a given girth, not
 just the witness, and ``decompose_pd`` builds the decomposition of any
 spanning tree of either shading.
 """
 
-from knotpair import girth
+from tait_reference import rotation_view
+
 from knotpair.girth import _can_join, _tait_graphs, decompose
 
 
@@ -64,7 +65,7 @@ def reference_girths(tait):
     """Yield (girth, tree) for every spanning tree: the girth is the number
     of rotation turns from a tree edge to a non-tree edge."""
     turns = [[] for _ in tait.edges]
-    for entries in tait.rotation:
+    for entries in rotation_view(tait):
         for p, (a, _end) in enumerate(entries):
             turns[a].append(entries[(p + 1) % len(entries)][0])
     for tree in reference_trees(tait):
@@ -81,27 +82,16 @@ def reference_least(tait):
     return min(reference_girths(tait))
 
 
-def constructible(tait, least_girth):
-    """Whether descending ``girth.spanning_trees`` reads the least tree of
-    a graph of that least girth by construction: the graph is loopless,
-    has at least two vertices, and the girth is 2 or 3."""
-    return (
-        tait.n_vertices > 1
-        and all(e.v1 != e.v2 for e in tait.edges)
-        and least_girth in (2, 3)
-    )
-
-
 def decompositions_of_girth(pd, target):
-    """Yield every shading-0 decomposition attaining the target girth.
+    """Yield every shading-0 decomposition attaining the target girth, in
+    the order of its trees.
 
     Searching shading 0 alone finds every girth and every canonical
-    representation shading 1 would (see ``girth.diagram_girth``).  The
-    search cuts every branch whose settled turns pass the target; it is
-    looked up on the module, so a test can watch it.
+    representation shading 1 would (see ``girth.diagram_girth``).  An
+    unreduced diagram is refused as the commands refuse it.
     """
     black, white = _tait_graphs(pd)
-    for g, tree in girth.spanning_trees(black, target):
+    for g, tree in reference_girths(black):
         if g == target:
             yield decompose(0, tree, black, white)
 

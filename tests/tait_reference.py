@@ -11,6 +11,7 @@ half-edges 2 * edge + end.  The reduction is a ``ReducedTree`` of
 ``girth.reduce_tree`` returns a ``PlaneTree`` numbered by kept vertex;
 ``_as_plane_tree`` converts one to the other.  ``decompose`` converts its
 reduced trees and class edges only when it builds the decomposition.
+``rotation_view`` reads the reference's rotation off the half-edge arrays.
 """
 
 from typing import NamedTuple
@@ -58,6 +59,22 @@ class ReducedTree(Record):
         set_field(self, "vertices", vertices)
         set_field(self, "edges", edges)
         set_field(self, "rotation", rotation)
+
+
+def rotation_view(tait):
+    """The rotation view of a half-edge ``knotpair.diagram.TaitGraph``: per
+    vertex, its (edge, end) pairs from its least half-edge, where its
+    corner cycle starts."""
+    rotation: list = [None] * tait.n_vertices
+    for h, v in enumerate(tait.vertex):
+        if rotation[v] is None:
+            entries = [divmod(h, 2)]
+            x = tait.succ[h]
+            while x != h:
+                entries.append(divmod(x, 2))
+                x = tait.succ[x]
+            rotation[v] = tuple(entries)
+    return tuple(rotation)
 
 
 class TaitGraph(NamedTuple):

@@ -249,10 +249,20 @@ def test_unreduced_diagram_is_refused_in_one_line(tmp_path, capsys):
     path.write_text(pd_to_json(pd_from_rep(Girth3Rep((0, 0, 1), (1, 0, 0)))))
     assert main(["girth", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == (
-        "error: diagram is not reduced: black graph has a valence-1 vertex "
-        "(nugatory crossing)\n"
-    )
+    assert err == "error: diagram is not reduced: crossings[0] is nugatory\n"
+
+
+@pytest.mark.parametrize("command", ["girth", "decompose"])
+def test_a_nugatory_crossing_between_two_trefoils_is_refused(tmp_path, capsys, command):
+    # the closure of s1^3 s2 s3^3 joins two trefoils by a nugatory s2: its
+    # Tait graphs have a loop and a bridge but no valence-1 vertex
+    from diagram_builders import braid_closure_pd, pd_to_json
+
+    path = tmp_path / "two-trefoils.pd.json"
+    path.write_text(pd_to_json(braid_closure_pd([1, 1, 1, 2, 3, 3, 3], 4)))
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: diagram is not reduced: crossings[3] is nugatory\n")
 
 
 @pytest.mark.parametrize("command", ["girth", "decompose"])

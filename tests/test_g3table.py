@@ -119,15 +119,15 @@ def test_the_corners_decode_to_the_generators_polynomials():
     assert sorted(knots) == sorted(KNOTS)
     for pattern, (kinds, corners) in knots.items():
         assert KNOTS[pattern][0] == kinds
-        assert g3table._corners(pattern) == corners, pattern
+        assert g3table_reference.corners(pattern) == corners, pattern
 
 
 @pytest.mark.parametrize("k", [8, 16, 24, 48, 64])
 def test_the_packed_corners_are_each_corners_own_packing(k):
-    # the row-wise Horner passes against each corner's sum of c_j 2^(kj)
+    # the row-wise Horner passes against each corner's own Horner's rule
     for pattern in KNOTS:
-        want = tuple(sum(c << k * j for j, c in enumerate(coeffs))
-                     for coeffs in g3table._corners(pattern))
+        want = tuple(g3table_reference.pack(coeffs, k)
+                     for coeffs in g3table_reference.corners(pattern))
         assert g3table._packed(pattern, k) == want, pattern
 
 
@@ -143,7 +143,7 @@ def test_render_refuses_a_coefficient_past_a_signed_byte(coeff, fits):
 
 
 def test_the_corner_norm_is_the_tables():
-    norms = [sum(map(abs, c)) for p in KNOTS for c in g3table._corners(p)]
+    norms = [sum(map(abs, c)) for p in KNOTS for c in g3table_reference.corners(p)]
     assert max(norms) == g3table.CORNER_NORM
 
 

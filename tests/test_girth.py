@@ -6,7 +6,6 @@ from importlib import resources
 import pytest
 from diagram_builders import braid_closure_pd
 from girth_reference import (
-    constructible,
     decompose_pd,
     decompositions_of_girth,
     is_spanning_tree,
@@ -20,12 +19,11 @@ from knotpair.classify import jones_equal
 from knotpair.cli import main
 from knotpair.diagram import (
     PDCode,
-    TaitEdge,
-    TaitGraph,
     checkerboard,
     orient,
     pd_from_json,
     pd_from_rep,
+    pd_from_text,
     tait_graph,
 )
 from knotpair.girth import (
@@ -310,9 +308,13 @@ def _subset_filter_trees(tait):
     ]
 
 
+def _self_loop_diagram():
+    return pd_from_rep(Girth3Rep((1, 2, 0), (0, 1, 0)))
+
+
 def _self_loop_graph():
     # a Tait graph with a self-loop and parallel edges
-    pd = pd_from_rep(Girth3Rep((1, 2, 0), (0, 1, 0)))
+    pd = _self_loop_diagram()
     g = tait_graph(pd, checkerboard(pd)[1])
     assert any(e.v1 == e.v2 for e in g.edges)
     pairs = [frozenset((e.v1, e.v2)) for e in g.edges]
@@ -365,7 +367,6 @@ def test_pruned_search_finds_the_reference_girth_and_witness():
     pds = _search_diagrams()
     assert {pd.n() for pd in pds} >= set(range(10, 17))
     graphs = [tait_graph(pd, shading) for pd in pds for shading in checkerboard(pd)]
-    graphs.append(_self_loop_graph())
     for g in graphs:
         # descending, the backtracking yields each tree whose girth is below
         # that of every tree before it in lex order: a bound that cut a
@@ -374,36 +375,29 @@ def test_pruned_search_finds_the_reference_girth_and_witness():
         for girth, tree in reference_girths(g):
             if not minima or girth < minima[-1][0]:
                 minima.append((girth, tree))
-        assert list(girth_module._backtrack(g, 2 * g.n_vertices, True)) == minima
+        assert list(girth_module._backtrack(g)) == minima
         assert minima[-1] == reference_least(g)
         # the public search ends at the same tree, and reads a least girth
-        # of 2 or 3 on a loopless graph off the construction, alone
-        found = list(spanning_trees(g, 2 * g.n_vertices, descend=True))
+        # of 2 or 3 off the construction, alone
+        found = list(spanning_trees(g))
         assert found[-1] == minima[-1]
-        if constructible(g, minima[-1][0]):
+        if minima[-1][0] in (2, 3):
             assert found == [minima[-1]]
-        for target in (2, 3):
-            assert [t for girth, t in spanning_trees(g, target) if girth == target] == [
-                t for girth, t in reference_girths(g) if girth == target
-            ]
     for pd in pds:
         black = tait_graph(pd, checkerboard(pd)[0])
         g, witness = diagram_girth(pd, budget=pd.n())
         assert (g, witness.tree) == reference_least(black)
-        for target in (2, 3):
-            assert [d.tree for d in decompositions_of_girth(pd, target)] == [
-                t for girth, t in reference_girths(black) if girth == target
-            ]
 
 
-def test_a_one_vertex_graph_with_a_self_loop_has_the_empty_tree_of_girth_0():
-    # its self-loop's ends are non-tree ends, but no tree edge turns into
-    # them: the girth at the leaf is the exact count, not the bound
-    g = TaitGraph(1, (0, 0), (1, 0), (0,))
-    assert g.edges == (TaitEdge(0, 0, 0),) and g.rotation == (((0, 0), (0, 1)),)
-    assert list(reference_girths(g)) == [(0, ())]
-    assert list(spanning_trees(g, 2, descend=True)) == [(0, ())]
-    assert list(spanning_trees(g, 0)) == [(0, ())]
+def test_a_self_loop_or_a_one_vertex_graph_is_refused_as_nugatory():
+    # a loop in one shading is a bridge in the other; a one-vertex graph
+    # has only loops, and the edge at a valence-1 vertex is a bridge
+    kink = pd_from_text("X(1,1,2,2)")
+    assert sorted(tait_graph(kink, s).n_vertices for s in checkerboard(kink)) == [1, 2]
+    refusal = r"^diagram is not reduced: crossings\[0\] is nugatory$"
+    for pd in (kink, _self_loop_diagram()):
+        with pytest.raises(ValueError, match=refusal):
+            girth_module._tait_graphs(pd)
 
 
 def test_girth_and_decompose_walk_the_regions_once(monkeypatch, capsys):
@@ -431,11 +425,11 @@ def test_girth_and_decompose_walk_the_regions_once(monkeypatch, capsys):
 def test_pruned_search_cuts_the_dense_template_to_a_few_trees():
     pd = pd_from_rep(Girth3Rep((6, 6, 6), (6, 6, 6)))
     black = tait_graph(pd, checkerboard(pd)[0])
-    found = list(spanning_trees(black, 2 * black.n_vertices, descend=True))
+    found = list(spanning_trees(black))
     assert found[-1] == reference_least(black)
     assert found[-1][0] == 3
     assert len(found) < tree_count(black) // 1000
-    backtracked = list(girth_module._backtrack(black, 2 * black.n_vertices, True))
+    backtracked = list(girth_module._backtrack(black))
     assert backtracked[-1] == found[-1]
     assert len(backtracked) < tree_count(black) // 1000
 
@@ -449,9 +443,9 @@ def test_unreduced_diagram_is_refused_before_the_search(monkeypatch):
 
     monkeypatch.setattr(girth_module, "spanning_trees", spy)
     pd = pd_from_rep(Girth3Rep((0, 0, 1), (1, 0, 0)))
-    with pytest.raises(ValueError, match="valence-1 vertex"):
+    with pytest.raises(ValueError, match=r"crossings\[0\] is nugatory"):
         diagram_girth(pd)
-    with pytest.raises(ValueError, match="valence-1 vertex"):
+    with pytest.raises(ValueError, match=r"crossings\[0\] is nugatory"):
         next(decompositions_of_girth(pd, 2))
     assert calls == []
     diagram_girth(pd_from_rep(Girth2Rep(2, -2)))

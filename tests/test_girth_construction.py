@@ -1,8 +1,11 @@
-"""The girth-2 and girth-3 construction of ``girth.spanning_trees``.
+"""The girth-2 and girth-3 construction of ``girth.spanning_trees``, and
+the one refusal that hands it loopless graphs only.
 
-Descending on a loopless graph of at least two vertices whose least girth
-is 2 or 3, ``spanning_trees`` yields the least tree alone, read off the few
-candidate trees of ``girth._least_low_girth``; every other call goes to
+``girth._tait_graphs`` refuses a diagram with a nugatory crossing, whose
+edge is a loop in one of the two Tait graphs, so the search only sees
+loopless graphs of at least two vertices.  On one whose least girth is 2
+or 3, ``spanning_trees`` yields the least tree alone, read off the few
+candidate trees of ``girth._least_low_girth``; on any other it goes to
 the backtracking, ``girth._backtrack``.  The construction must give the
 witness of the full enumeration (``girth_reference.reference_least``) on
 every graph below, the backtracking must run exactly where the
@@ -15,14 +18,14 @@ import random
 
 import pytest
 from diagram_builders import braid_closure_pd
-from girth_reference import constructible, reference_least
+from girth_reference import reference_least
 from hypothesis import given, settings, strategies as st
 from test_cli_match import ROOT, _perfbench_plan
-from test_girth import _search_diagrams, _self_loop_graph
+from test_girth import _search_diagrams
 
 from knotpair import girth
 from knotpair.cli import main
-from knotpair.diagram import checkerboard, pd_from_json, pd_from_rep, tait_graph
+from knotpair.diagram import checkerboard, pd_from_json, pd_from_rep, regions, tait_graph
 from knotpair.reps import Girth2Rep, Girth3Rep
 
 # sha256 of the concatenated `decompose --format json` stdout over every
@@ -38,9 +41,9 @@ def _spy(monkeypatch):
     graphs = []
     backtrack = girth._backtrack
 
-    def spy(tait, cap, descend):
+    def spy(tait):
         graphs.append(tait)
-        return backtrack(tait, cap, descend)
+        return backtrack(tait)
 
     monkeypatch.setattr(girth, "_backtrack", spy)
     return graphs
@@ -65,13 +68,13 @@ def _benchmark_paths(tmp_path, seed):
 
 
 def _assert_least(g, backtracked):
-    """The construction answers exactly when ``constructible`` says so, with
-    the reference witness; otherwise the backtracking runs and ends there.
-    Returns the witness."""
+    """The construction answers exactly when the least girth is 2 or 3,
+    with the reference witness; otherwise the backtracking runs and ends
+    there.  Returns the witness."""
     least = reference_least(g)
     backtracked.clear()
-    found = list(girth.spanning_trees(g, 2 * g.n_vertices, descend=True))
-    if constructible(g, least[0]):
+    found = list(girth.spanning_trees(g))
+    if least[0] in (2, 3):
         assert girth._least_low_girth(g) == least
         assert found == [least] and backtracked == []
     else:
@@ -82,52 +85,76 @@ def _assert_least(g, backtracked):
 
 def test_the_construction_finds_the_reference_witness_on_the_search_diagrams(backtracked):
     # fixtures, duality and sampled templates and braid closures, both
-    # shadings, and a graph with a self-loop
+    # shadings
     graphs = [g for pd in _search_diagrams() for g in _graphs(pd)]
-    for g in graphs + [_self_loop_graph()]:
-        _assert_least(g, backtracked)
-
-
-def test_the_backtracking_runs_on_braid_closures_from_k_4_and_on_a_self_loop(backtracked):
-    # the closure of (s1 s2^-1)^k has least girth k in both shadings
-    for k in range(2, 9):
-        for g in _graphs(braid_closure_pd([1, -2] * k, 3)):
-            backtracked.clear()
-            found = list(girth.spanning_trees(g, 2 * g.n_vertices, descend=True))
-            assert found[-1][0] == k
-            assert backtracked == ([g] if k >= 4 else [])
-    g = _self_loop_graph()
-    backtracked.clear()
-    assert list(girth.spanning_trees(g, 2 * g.n_vertices, descend=True))[-1][0] == 2
-    assert backtracked == [g]
-
-
-def test_the_construction_finds_the_reference_witness_on_random_braid_closures(backtracked):
-    # unreduced and composite diagrams too: self-loops, cut vertices, and
-    # candidates that count girth 2 or 3 without spanning
-    rng = random.Random(5)
-    graphs = []
-    while len(graphs) < 600:
-        strands = rng.randint(2, 5)
-        length = rng.randint(2, 11)
-        word = [rng.choice((-1, 1)) * rng.randint(1, strands - 1) for _ in range(length)]
-        try:
-            graphs += _graphs(braid_closure_pd(word, strands))
-        except ValueError:
-            continue  # a split closure
     for g in graphs:
         _assert_least(g, backtracked)
 
 
-def test_the_construction_keeps_the_cap():
-    # no tree within a cap below the least girth, as the backtracking says
-    for rep in (Girth2Rep(3, -2), Girth3Rep((2, 1, -3), (1, 2, 2))):
-        for g in _graphs(pd_from_rep(rep)):
-            least = reference_least(g)
-            for cap in range(least[0] + 2):
-                found = list(girth.spanning_trees(g, cap, descend=True))
-                assert found == ([least] if cap >= least[0] else [])
-                assert found[-1:] == list(girth._backtrack(g, cap, True))[-1:]
+def test_the_backtracking_runs_on_braid_closures_from_k_4(backtracked):
+    # the closure of (s1 s2^-1)^k has least girth k in both shadings
+    for k in range(2, 9):
+        for g in _graphs(braid_closure_pd([1, -2] * k, 3)):
+            backtracked.clear()
+            found = list(girth.spanning_trees(g))
+            assert found[-1][0] == k
+            assert backtracked == ([g] if k >= 4 else [])
+
+
+def _random_closures():
+    """600 connected closures of random braid words of 2 to 11 letters on
+    2 to 5 strands: many have nugatory crossings, cut vertices, or
+    candidates that count girth 2 or 3 without spanning."""
+    rng = random.Random(5)
+    pds = []
+    while len(pds) < 600:
+        strands = rng.randint(2, 5)
+        length = rng.randint(2, 11)
+        word = [rng.choice((-1, 1)) * rng.randint(1, strands - 1) for _ in range(length)]
+        try:
+            pds.append(braid_closure_pd(word, strands))
+        except ValueError:
+            continue  # a split closure
+    return pds
+
+
+def _nugatory(pd):
+    """The crossings with two opposite corners in one region, read off the
+    corner cycles of ``regions`` alone: opposite corners are the two black
+    or the two white corners of a crossing, in either shading."""
+    region_of = {}
+    for r, corners in enumerate(regions(pd)):
+        for c in corners:
+            region_of[c] = r
+    return [
+        x
+        for x in range(pd.n())
+        if region_of[4 * x] == region_of[4 * x + 2] or region_of[4 * x + 1] == region_of[4 * x + 3]
+    ]
+
+
+def test_a_diagram_is_refused_exactly_when_a_crossing_is_nugatory():
+    refused = 0
+    for pd in _random_closures():
+        nugatory = _nugatory(pd)
+        if nugatory:
+            refused += 1
+            refusal = rf"^diagram is not reduced: crossings\[{nugatory[0]}\] is nugatory$"
+            with pytest.raises(ValueError, match=refusal):
+                girth._tait_graphs(pd)
+        else:
+            girth._tait_graphs(pd)
+    assert 100 < refused < 500
+
+
+def test_the_construction_finds_the_reference_witness_on_random_braid_closures(backtracked):
+    # composite diagrams too, and graphs with bridges; the search is only
+    # ever handed loopless graphs, so the loops stay out
+    graphs = [g for pd in _random_closures() for g in _graphs(pd)]
+    loopless = [g for g in graphs if all(e.v1 != e.v2 for e in g.edges)]
+    assert 600 < len(loopless) < len(graphs)
+    for g in loopless:
+        _assert_least(g, backtracked)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -140,7 +167,7 @@ def test_the_benchmark_inputs_never_backtrack(tmp_path, backtracked, seed):
         for g in _graphs(pd):
             least = reference_least(g)
             assert least[0] in (2, 3)
-            assert list(girth.spanning_trees(g, 2 * g.n_vertices, descend=True)) == [least]
+            assert list(girth.spanning_trees(g)) == [least]
     assert backtracked == []
 
 

@@ -8,8 +8,10 @@ seeded girth-2 and girth-3 templates and braid closures of 10 to 16
 crossings, and six diagrams the commands refuse or treat specially; they
 are stored verbatim, and ``golden_inputs`` says how they were made.  The
 four results of "free loops only" were taken again when a crossing-free
-diagram of other than one circle came to be refused, and those of "over
-budget (9,9)" when the budget refusal stopped counting the trees.
+diagram of other than one circle came to be refused, those of "over
+budget (9,9)" when the budget refusal stopped counting the trees, and
+those of "unreduced [0 0 1 / 1 0 0]" when the refusal of an unreduced
+diagram came to name its least nugatory crossing.
 """
 
 import contextlib

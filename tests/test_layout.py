@@ -1,5 +1,6 @@
-"""What the package ships: every definition is run, every field is read,
-and every record compares, hashes and prints through the one base.
+"""What the package ships: every definition is run, every field and every
+record method is read, and every record compares, hashes and prints
+through the one base.
 
 The checks read the source with ``ast`` and run none of it.  Test
 references, builders and parsers live in ``tests/`` (``*_reference.py``,
@@ -202,6 +203,54 @@ def test_every_record_field_of_the_package_is_read():
     assert len(fields) >= 60
     assert UNREAD_FIELDS <= set(fields)
     assert [f for f in fields if f[2] not in read and f not in UNREAD_FIELDS] == []
+
+
+def _perfbench():
+    return [
+        _parse(os.path.join(PERFBENCH, name))
+        for name in sorted(os.listdir(PERFBENCH))
+        if name.endswith(".py")
+    ]
+
+
+def _unread_methods(trees, others):
+    """The (file, class, method) of each method, dunders aside, of a
+    ``Record`` class of ``trees`` whose name no attribute of ``trees`` or
+    ``others`` reads."""
+    read = {
+        node.attr
+        for tree in [*trees.values(), *others]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        (f"{name}.py", cls.name, stmt.name)
+        for name, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases)
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef)
+        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
+        and stmt.name not in read
+    ]
+
+
+def test_every_record_method_of_the_package_is_read():
+    # a method or view that only tests call belongs in tests/: each method
+    # of a record class must be read as an attribute in the package or in
+    # perfbench (dunders are reached through operators and builtins)
+    assert _unread_methods(_package(), _perfbench()) == []
+
+
+def test_the_method_guard_finds_a_method_nothing_reads():
+    trees = _package()
+    laurent = next(
+        cls for cls in trees["laurent"].body
+        if isinstance(cls, ast.ClassDef) and cls.name == "LaurentPoly"
+    )
+    laurent.body += ast.parse("def coeffs(self):\n    return dict(self.terms)\n").body
+    assert _unread_methods(trees, _perfbench()) == [("laurent.py", "LaurentPoly", "coeffs")]
 
 
 def test_records_compare_hash_and_print_through_the_base_alone():

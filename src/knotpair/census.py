@@ -55,15 +55,13 @@ def build_record(
 ) -> InvariantRecord:
     """The checked record of the class of reps with these invariants.
 
-    ``classify.check_identities`` and a knot's nabla(0) = 1 read only the
-    component count and the Conway and Jones polynomials, and the span and
-    the text only the Jones polynomial and the text of both, so one call
-    per class checks and records every member alike; a failure raises
-    ``AssertionError``.  The Conway text is "" where no value is available.
+    ``classify.check_identities`` reads only the component count and the
+    Conway and Jones polynomials, and the span and the text only the Jones
+    polynomial and the text of both, so one call per class checks and
+    records every member alike; a failure raises ``AssertionError``.  The
+    Conway text is "" where no value is available.
     """
     classify.check_identities(components, conway, jones)
-    if conway is not None and components == 1:
-        assert conway.coeff(0) == 1
     return InvariantRecord(
         components,
         poly_to_text(conway) if conway is not None else "",
@@ -80,10 +78,11 @@ def census_enumerate(
 ) -> list:
     """Canonical representatives with labels bounded by max_abs_label.
 
-    Exactly one representative per canonical key, in key order, and each
-    is its own canonical form (``canonicalize(rep).rep == rep``).  Girth-2
-    pairs whose canonical form collapses to a single twist region are
-    reported through their Girth1Rep canonical form.
+    Exactly one representative per canonical form, and each is its own
+    (``canonicalize(rep) == rep_labels(rep)``), in the order of their
+    labels.  Girth-2 pairs whose canonical form collapses to a single
+    twist region are reported through their Girth1Rep canonical form,
+    every K(p) before every K(p, q).
     """
     return [
         rep_from_labels(labels)
@@ -104,7 +103,7 @@ def _labellings(girth: int, max_abs_label: int, even_only: bool, positive_only: 
         # a labelling is canonical when it is the least of its wheel
         # images.  The wheel moves every position to the first, so such a
         # labelling starts with its least label p.  The labellings of one
-        # prefix (p, q) are filtered at once, in key order.
+        # prefix (p, q) are filtered at once, in label order.
         out = []
         for i, p in enumerate(values):
             rest = values[i:]
@@ -114,8 +113,8 @@ def _labellings(girth: int, max_abs_label: int, even_only: bool, positive_only: 
     if girth != 2:
         raise ValueError("census enumerates girth 2 or 3")
     # ``reps.canonicalize`` sorts a pair and lets a +-1 label absorb into
-    # the other, and its keys order every K(p) before every K(p, q): the
-    # K(p) of the pairs with a +-1 label, then the sorted pairs of the rest
+    # the other: the K(p) of the pairs with a +-1 label, in order, then the
+    # sorted pairs of the rest
     absorbed = set()
     for one in (v for v in values if abs(v) == 1):
         for v in values:
@@ -208,8 +207,8 @@ def dedup_census(
 
 
 # The start of a member's row, by the length of its ``reps.rep_labels``: the
-# ``str`` and ``girth()`` of ``reps.rep_from_labels``, as CSV and as JSON
-# lines, up to the class's shared fields.  A girth-2 class can hold both a
+# ``str`` of ``reps.rep_from_labels`` and the girth the length gives, as CSV
+# and as JSON lines, up to the class's shared fields.  A girth-2 class can hold both a
 # K(p) and a K(p, q), so each member picks its own.
 _CSV_LEAD = {
     1: "({}),1,".format,

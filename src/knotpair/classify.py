@@ -143,7 +143,7 @@ def row_swap_test(rep: Girth3Rep) -> Verdict:
 
 
 class RepInvariants(Record):
-    __slots__ = ("components", "conway", "bracket", "jones", "writhe")
+    __slots__ = ("components", "conway", "bracket", "jones")
 
     def __init__(
         self,
@@ -151,13 +151,11 @@ class RepInvariants(Record):
         conway: LaurentPoly | None,
         bracket: LaurentPoly,
         jones: LaurentPoly,
-        writhe: int,
     ) -> None:
         set_field(self, "components", components)
         set_field(self, "conway", conway)
         set_field(self, "bracket", bracket)
         set_field(self, "jones", jones)
-        set_field(self, "writhe", writhe)
 
 
 def rep_invariants(rep) -> RepInvariants:
@@ -179,7 +177,7 @@ def rep_invariants(rep) -> RepInvariants:
     comps, writhe, conway = closed_invariants(rep_labels(rep))
     jones = jones_from_bracket(bracket, writhe)
     check_identities(comps, conway, jones)
-    return RepInvariants(comps, conway, bracket, jones, writhe)
+    return RepInvariants(comps, conway, bracket, jones)
 
 
 def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
@@ -224,15 +222,15 @@ def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
 
 
 def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly) -> None:
-    """Raise AssertionError unless the invariants satisfy three identities.
+    """Raise AssertionError unless the invariants satisfy four identities.
 
     V(1) = (-2)^(c-1) for a c-component link ties the bracket and the
     writhe to the component count.  A knot's Jones polynomial lies in
     Z[t, 1/t], and V(w) = 1 at w = e^(2 pi i/3): with S_j the sum of the
     coefficients of the powers t^n with n = j mod 3, V(w) = S0 + S1 w +
-    S2 w^2 = (S0 - S2) + (S1 - S2) w, since w^2 = -1 - w.  For a knot with
-    a Conway value, |V(-1)| = |nabla(2i)|, both being the determinant,
-    ties the bracket to the Conway polynomial.  Its Conway polynomial lies
+    S2 w^2 = (S0 - S2) + (S1 - S2) w, since w^2 = -1 - w.  A knot's Conway
+    polynomial has nabla(0) = 1, and |V(-1)| = |nabla(2i)|, both sides
+    being the determinant, ties the bracket to it.  Its Conway polynomial lies
     in Z[z^2], so both sides are integers: sum c_e (-1)^(e/4) over the
     quarter-power exponents e of V, and sum c_2j (-4)^j (``_nabla_2i``).
 
@@ -264,6 +262,8 @@ def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly)
         return
     if any(e % 2 for e, _ in conway.terms):
         raise AssertionError("knot Conway in odd powers of z")
+    if conway.coeff(0) != 1:
+        raise AssertionError(f"nabla(0) = {conway.coeff(0)} for a knot")
     v_minus = sums[0] + sums[8] + sums[16] - sums[4] - sums[12] - sums[20]
     nabla_2i = _nabla_2i(conway)
     if abs(v_minus) != abs(nabla_2i):
@@ -320,9 +320,9 @@ def jones_equal(
 def compare(r1, r2, mirror_ok: bool = False) -> Verdict:
     """Full comparison: symmetry, then Conway, then Jones, else Unresolved."""
     c1, c2 = canonicalize(r1), canonicalize(r2)
-    if c1.key == c2.key:
+    if c1 == c2:
         return Verdict(EQUAL_BY_SYMMETRY, note="identical canonical keys")
-    if mirror_ok and canonicalize(mirror(r1)).key == c2.key:
+    if mirror_ok and canonicalize(mirror(r1)) == c2:
         return Verdict(EQUAL_BY_SYMMETRY, note="mirror images")
     inv1 = rep_invariants(r1)
     inv2 = rep_invariants(r2)

@@ -187,7 +187,10 @@ def census_keys(girth: int, max_abs: int, cap: int):
     the identities of the decoded value refuse.
 
     A girth-2 rep K(p, q) is keyed as the labelling (p, 0, 0, q, 0, 0),
-    whose template it is.  A K(p) that absorbed a +-1 label is a knot of
+    whose template it is.  ``cap`` never withholds its value: it has at
+    most 2 * ``census.G2_BUDGET`` = 24 crossings, no more than
+    ``oracle.CONWAY_CAP``, so the census agrees with the uncapped twist
+    formula that ``classify.closed_invariants`` gives ``eval``.  A K(p) that absorbed a +-1 label is a knot of
     writhe -p, its terms (``closedform.conway_single_twist``) packed at
     the same k, when p is odd, and otherwise two components of writhe
     -|p|, as ``classify.closed_invariants`` has it.

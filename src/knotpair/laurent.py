@@ -110,10 +110,6 @@ class LaurentPoly(Record):
         return LaurentPoly(((0, 1),), tag)
 
     @staticmethod
-    def constant(c: int, tag: str = "A") -> "LaurentPoly":
-        return LaurentPoly.from_dict({0: c}, tag)
-
-    @staticmethod
     def monomial(coeff: int, exp: int, tag: str = "A") -> "LaurentPoly":
         return LaurentPoly.from_dict({exp: coeff}, tag)
 
@@ -144,9 +140,7 @@ class LaurentPoly(Record):
         if self.tag != other.tag:
             raise TagMismatchError(f"tag mismatch: {self.tag!r} vs {other.tag!r}")
 
-    def __add__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other, self.tag)
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_tag(other)
@@ -156,14 +150,10 @@ class LaurentPoly(Record):
             out[e] = get(e, 0) + c
         return LaurentPoly.from_dict(out, self.tag)
 
-    __radd__ = __add__
-
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((e, -c) for e, c in self.terms), self.tag)
 
-    def __sub__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.constant(other, self.tag)
+    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_tag(other)
@@ -172,9 +162,6 @@ class LaurentPoly(Record):
         for e, c in other.terms:
             out[e] = get(e, 0) - c
         return LaurentPoly.from_dict(out, self.tag)
-
-    def __rsub__(self, other: "int | LaurentPoly") -> "LaurentPoly":
-        return (-self) + other
 
     def __mul__(self, other: "int | LaurentPoly") -> "LaurentPoly":
         """Product: a shift when an operand has one term, else the schoolbook loop.

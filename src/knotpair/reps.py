@@ -1,4 +1,4 @@
-"""Tree-pair knot representations: parsing, symmetries, canonical keys.
+"""Tree-pair knot representations: parsing, symmetries, canonical forms.
 
 Three specialized families are supported directly:
 
@@ -26,9 +26,6 @@ class Girth1Rep(Record):
     def __init__(self, p: int) -> None:
         set_field(self, "p", p)
 
-    def girth(self) -> int:
-        return 1
-
     def __str__(self) -> str:
         return f"({self.p})"
 
@@ -40,9 +37,6 @@ class Girth2Rep(Record):
         set_field(self, "p", p)
         set_field(self, "q", q)
 
-    def girth(self) -> int:
-        return 2
-
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
 
@@ -53,9 +47,6 @@ class Girth3Rep(Record):
     def __init__(self, top: tuple[int, int, int], bottom: tuple[int, int, int]) -> None:
         set_field(self, "top", top)
         set_field(self, "bottom", bottom)
-
-    def girth(self) -> int:
-        return 3
 
     def __str__(self) -> str:
         t = " ".join(str(x) for x in self.top)
@@ -89,9 +80,6 @@ class TreePairRep(Record):
         set_field(self, "inside", inside)
         set_field(self, "outside", outside)
         set_field(self, "girth_value", girth_value)
-
-    def girth(self) -> int:
-        return self.girth_value
 
 
 _G1_RE = re.compile(r"^\(\s*(-?\d+)\s*\)$")
@@ -177,14 +165,6 @@ def template_crossings(rep) -> int:
 # ---------------------------------------------------------------------------
 # symmetries of the girth-3 wheel
 #
-class CanonicalRep(Record):
-    __slots__ = ("rep", "key")
-
-    def __init__(self, rep: object, key: tuple) -> None:
-        set_field(self, "rep", rep)
-        set_field(self, "key", key)
-
-
 # In the glued diagram the six twist regions interleave around the boundary
 # circle as p a q b r c.  The wheel symmetries are exactly the relabelings
 # that preserve this wheel: the group the rotation (q r p / b c a), the
@@ -240,31 +220,23 @@ def g3_wheel_minima(labellings: list) -> list:
     return labellings
 
 
-def _g3_key(r: Girth3Rep) -> tuple:
-    return ("g3",) + g3_wheel_min(r.top + r.bottom)
+def canonicalize(rep) -> tuple:
+    """The canonical labels (``rep_labels``) of a rep under the paper-level
+    symmetries; ``rep_from_labels`` reads the canonical rep back.
 
-
-def canonicalize(rep) -> CanonicalRep:
-    """Canonical form under the paper-level symmetries.
-
-    Girth 2 pairs are sorted and have +-1 labels absorbed into the other
-    twist region (repeatedly); a pair that collapses to a single region is
-    returned as a Girth1Rep.
-    Girth 3 keys are the lexicographic minimum over the symmetry orbit.
+    A girth-1 rep is its own.  A girth-2 pair is sorted, and a +-1 label
+    is absorbed into the other twist region, which leaves a single region
+    (p,).  A girth-3 labelling is the least of its wheel images.
     """
     if isinstance(rep, Girth1Rep):
-        return CanonicalRep(rep, ("g1", rep.p))
+        return (rep.p,)
     if isinstance(rep, Girth2Rep):
         p, q = sorted((rep.p, rep.q))
         if abs(q) == 1:
-            merged = p - q
-            return CanonicalRep(Girth1Rep(merged), ("g1", merged))
+            return (p - q,)
         if abs(p) == 1:
-            merged = q - p
-            return CanonicalRep(Girth1Rep(merged), ("g1", merged))
-        return CanonicalRep(Girth2Rep(p, q), ("g2", p, q))
+            return (q - p,)
+        return (p, q)
     if isinstance(rep, Girth3Rep):
-        key = _g3_key(rep)
-        canon = Girth3Rep(tuple(key[1:4]), tuple(key[4:7]))
-        return CanonicalRep(canon, key)
+        return g3_wheel_min(rep.top + rep.bottom)
     raise TypeError(f"cannot canonicalize {rep!r}")

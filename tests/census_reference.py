@@ -10,19 +10,22 @@ import json
 
 from knotpair.census import FIELDS, _label_range
 from knotpair.classify import UNRESOLVED
-from knotpair.reps import Girth2Rep, canonicalize, rep_from_labels, rep_labels
+from knotpair.reps import Girth2Rep, canonicalize, rep_from_labels
 
 
 def girth2_labellings(max_abs: int, even_only: bool, positive_only: bool) -> list:
-    """The ``reps.rep_labels`` of one canonical rep per canonical key of the
-    pairs with labels bounded by ``max_abs``, in key order."""
+    """The canonical forms (``reps.canonicalize``) of the pairs with labels
+    bounded by ``max_abs``, each once: every K(p) first, each kind in the
+    order of its labels."""
     values = _label_range(max_abs, even_only, positive_only)
-    seen: dict[tuple, tuple] = {}
-    for p in values:
-        for q in values:
-            canon = canonicalize(Girth2Rep(p, q))
-            seen.setdefault(canon.key, rep_labels(canon.rep))
-    return [seen[k] for k in sorted(seen)]
+    canon = {canonicalize(Girth2Rep(p, q)) for p in values for q in values}
+    return sorted(canon, key=lambda labels: (len(labels), labels))
+
+
+def girth(labels: tuple) -> int:
+    """The girth of the rep with these ``reps.rep_labels``: 1, 2 or 3 for
+    1, 2 or 6 labels."""
+    return min(len(labels), 3)
 
 
 def census_rows(classes):
@@ -33,8 +36,7 @@ def census_rows(classes):
         shared = (rec.components, rec.conway, rec.jones, str(rec.span), cls.class_id)
         verdict = None
         for labels in cls.members:
-            rep = rep_from_labels(labels)
-            yield (str(rep), rep.girth(), *shared, verdict)
+            yield (str(rep_from_labels(labels)), girth(labels), *shared, verdict)
             verdict = UNRESOLVED
 
 

@@ -18,7 +18,7 @@ from knotpair.laurent import (
     jones_from_bracket,
     jones_span_inclusive,
 )
-from knotpair.reps import Girth2Rep, Girth3Rep, canonicalize, d3_orbit
+from knotpair.reps import Girth2Rep, Girth3Rep, canonicalize, d3_orbit, rep_from_labels
 from knotpair.tables import TABLE_ERRATA
 
 from girth_reference import decompositions_of_girth
@@ -128,7 +128,7 @@ def test_criterion_08_symmetry_suites():
                 # oriented Conway value moves with it
                 assert cf.conway_double_twist(p, q) == cf.conway_double_twist(q, p)
             rep = Girth2Rep(p, q)
-            canon = canonicalize(rep).rep
+            canon = rep_from_labels(canonicalize(rep))
             j1 = jones_from_bracket(
                 classify.closed_bracket(rep), orient(pd_from_rep(rep)).writhe
             )
@@ -216,12 +216,12 @@ def test_criterion_11_girth_pipeline_and_table():
     pd = pd_from_rep(rep)
     g, _ = diagram_girth(pd)
     assert g <= 3
-    target = canonicalize(rep).key
+    target = canonicalize(rep)
     recovered = set()
     for d in decompositions_of_girth(pd, g):
         rec = rep_from_decomposition(d)
         if isinstance(rec, Girth3Rep):
-            recovered.add(canonicalize(rec).key)
+            recovered.add(canonicalize(rec))
     assert target in recovered
 
     results = verify_table(max_crossings=7, apply_errata=True)

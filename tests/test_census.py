@@ -53,7 +53,7 @@ from knotpair.reps import (
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
 import census_reference
-from census_reference import girth2_labellings
+from census_reference import girth, girth2_labellings
 from template_spy import spy_on_templates
 
 
@@ -86,11 +86,10 @@ def test_enumerate_girth3_is_one_canonical_rep_per_key(even_only, positive_only)
         values = [-2, 0, 2]
     if positive_only:
         values = [1, 2]
-    seen = {}
+    seen = set()
     for labels in itertools.product(values, repeat=6):
-        canon = canonicalize(Girth3Rep(labels[:3], labels[3:]))
-        seen.setdefault(canon.key, canon.rep)
-    want = [seen[k] for k in sorted(seen)]
+        seen.add(canonicalize(Girth3Rep(labels[:3], labels[3:])))
+    want = [rep_from_labels(labels) for labels in sorted(seen)]
     assert census_enumerate(3, 2, even_only, positive_only) == want
 
 
@@ -116,12 +115,13 @@ def test_enumerate_girth3_equals_the_wheel_min_filter(max_abs, even_only, positi
     [(False, False), (True, False), (False, True), (True, True)],
 )
 def test_enumerate_girth2_reps_are_canonical_in_key_order(max_abs, even_only, positive_only):
-    # the census verdicts rest on this: no rep shares another's key
+    # the census verdicts rest on this: no rep shares another's canonical
+    # form; every K(p) comes first, each kind in the order of its labels
     keys = []
     for rep in census_enumerate(2, max_abs, even_only, positive_only):
-        canon = canonicalize(rep)
-        assert canon.rep == rep
-        keys.append(canon.key)
+        labels = canonicalize(rep)
+        assert labels == rep_labels(rep)
+        keys.append((len(labels), labels))
     assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
@@ -407,8 +407,10 @@ def test_the_girth2_census_conway_key_is_exact(max_abs):
 
 
 def test_no_girth2_census_knot_is_past_the_conway_cap():
-    # the table withholds an odd-pattern Conway value past the cap, and
-    # closed_invariants never did for girth 2
+    # the census keys K(p, q) through the table, which withholds an
+    # odd-pattern Conway value past the cap, while ``eval`` reads the
+    # uncapped twist formula (``closed_invariants``): the two agree on
+    # girth 2 only because no census K(p, q) has more crossings than the cap
     assert 2 * G2_BUDGET <= CONWAY_CAP
 
 
@@ -428,9 +430,9 @@ def test_a_row_is_formatted_as_its_rep(labels):
     # girth of the rep whose labels it formats
     rep = rep_from_labels(labels)
     row = next(csv.reader([_CSV_LEAD[len(labels)](*labels)]))
-    assert row[:2] == [str(rep), str(rep.girth())]
+    assert row[:2] == [str(rep), str(girth(labels))]
     entry = json.loads(_JSON_LEAD[len(labels)](*labels) + '"end": 0}')
-    assert (entry["rep"], entry["girth"]) == (str(rep), rep.girth())
+    assert (entry["rep"], entry["girth"]) == (str(rep), girth(labels))
 
 
 def _poly(tag, step):

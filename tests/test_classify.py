@@ -117,6 +117,15 @@ def test_check_identities_compares_the_determinants():
         check_identities(1, LaurentPoly.one("z"), trefoil.jones)
 
 
+def test_check_identities_requires_a_knot_conway_of_one_at_zero():
+    # -1 - z^2 has |nabla(2i)| = 3, the trefoil's determinant, but
+    # nabla(0) = -1; ``rep_invariants``, and so ``eval`` and ``compare``,
+    # checks this as the census does
+    trefoil = rep_invariants(Girth1Rep(3))
+    with pytest.raises(AssertionError, match=r"^nabla\(0\) = -1 for a knot$"):
+        check_identities(1, LaurentPoly.from_dict({0: -1, 2: -1}, "z"), trefoil.jones)
+
+
 def _nabla_2i_reference(conway):
     """nabla(2i) as the sum of c_2j (-4)^j, one power a term."""
     return sum(c * (-4) ** (e // 2) for e, c in conway.terms)

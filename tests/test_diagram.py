@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotpair import diagram
-from knotpair.classify import rep_invariants
+from knotpair.classify import closed_invariants
 from knotpair.diagram import (
     InvalidPDError,
     PDCode,
@@ -28,7 +28,13 @@ from knotpair.diagram import (
 )
 from knotpair.oracle import bracket_state_sum
 from knotpair.laurent import jones_from_bracket
-from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize, template_crossings
+from knotpair.reps import (
+    Girth1Rep,
+    Girth2Rep,
+    Girth3Rep,
+    rep_labels,
+    template_crossings,
+)
 
 from diagram_builders import (
     braid_closure_pd,
@@ -477,8 +483,8 @@ def full_template_components_and_writhe(rep):
 def table_components_and_writhe(rep):
     """What ``classify.rep_invariants`` reads, with no template: the frozen
     table for a girth-2 or girth-3 rep, the parity of p for K(p)."""
-    inv = rep_invariants(rep)
-    return inv.components, inv.writhe
+    comps, writhe, _ = closed_invariants(rep_labels(rep))
+    return comps, writhe
 
 
 def test_reduced_template_matches_full_template_on_grids():

@@ -44,6 +44,7 @@ from knotpair.reps import (
     TreePairRep,
     canonicalize,
     parse_rep,
+    rep_labels,
 )
 from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
@@ -178,7 +179,8 @@ def test_table_representations_realize_their_girth():
         if pd.n() < 2:
             continue
         g, _ = diagram_girth(pd)
-        assert g <= max(rep.girth(), 2), name
+        girth = min(len(rep_labels(rep)), 3)  # 1, 2 or 6 labels
+        assert g <= max(girth, 2), name
 
 
 def test_eight_eighteen_exploration():
@@ -225,9 +227,7 @@ def test_pipeline_on_independent_reference_diagrams():
     # the figure-eight reference diagram recovers the table entry itself
     pd = fixture_pd("4_1")
     _, witness = diagram_girth(pd)
-    assert canonicalize(rep_from_decomposition(witness)).key == canonicalize(
-        parse_rep("(2,-2)")
-    ).key
+    assert canonicalize(rep_from_decomposition(witness)) == canonicalize(parse_rep("(2,-2)"))
 
 
 def _fixture_files():
@@ -256,7 +256,7 @@ DUALITY_TEMPLATES = [
 def test_shading_one_trees_are_complements_of_shading_zero_trees():
     # the girth search visits shading 0 only; this is the duality it rests on
     def key(d):
-        return canonicalize(rep_from_decomposition(d)).key
+        return canonicalize(rep_from_decomposition(d))
 
     pds = [pd_from_json(f.read_text()) for f in _fixture_files()]
     pds += [pd_from_rep(rep) for rep in DUALITY_TEMPLATES]

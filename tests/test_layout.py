@@ -2,17 +2,33 @@
 record method is read, and every record compares, hashes and prints
 through the one base.
 
-The checks read the source with ``ast`` and run none of it.  Test
-references, builders and parsers live in ``tests/`` (``*_reference.py``,
-``diagram_builders.py``, ``poly_text.py``), not in ``src/knotpair``.
+The read check runs the command lines and counts what they read of each
+record; the other checks read the source with ``ast`` and run none of
+it.  Test references, builders and parsers live in ``tests/``
+(``*_reference.py``, ``diagram_builders.py``, ``poly_text.py``), not in
+``src/knotpair``.
 """
 
 import ast
+import contextlib
+import functools
+import importlib
+import io
+import json
 import os
+import pkgutil
+import sys
+import types
+
+import pytest
 
 import knotpair
+from knotpair.cli import main
+from knotpair.record import Record, set_field
+from knotpair.reps import Girth3Rep
 
 PKG = os.path.dirname(knotpair.__file__)
+TESTS = os.path.dirname(__file__)
 PERFBENCH = os.path.join(os.path.dirname(__file__), "..", "perfbench")
 SPANS = os.path.join(PERFBENCH, "spans.py")
 
@@ -25,8 +41,12 @@ KEPT = (
 )
 
 # girth >= 4 ``decompose`` prints a TreePairRep through its record repr,
-# pinned by tests/girth_golden.json, so these fields are read by no attribute
-UNREAD_FIELDS = {("reps.py", "TreePairRep", "inside"), ("reps.py", "TreePairRep", "outside")}
+# pinned by tests/girth_golden.json, so no command reads these fields
+UNREAD = {
+    ("TreePairRep", "inside"),
+    ("TreePairRep", "outside"),
+    ("TreePairRep", "girth_value"),
+}
 
 
 def _parse(path):
@@ -169,88 +189,220 @@ def test_the_import_guard_finds_an_import_run_at_import_time():
     assert _eager_imports(tree) == {"os", "argparse", "gettext", "random"}
 
 
-def test_every_record_field_of_the_package_is_read():
-    # a field nothing reads is data carried for no one: each field a class
-    # of the package names in its __slots__ must be read as an attribute
-    # somewhere in the package, outside the methods that only store,
-    # compare or hash the fields
-    trees = _package()
-    plumbing = {"__init__", "_key"}
+class _Slot:
+    """A slot descriptor that reports each read of its field to ``count``."""
 
-    def loads(node):
-        if isinstance(node, ast.FunctionDef) and node.name in plumbing:
-            return
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
-        for child in ast.iter_child_nodes(node):
-            yield from loads(child)
+    def __init__(self, member, key, count) -> None:
+        self.member, self.key, self.count = member, key, count
 
-    read = {attr for tree in trees.values() for attr in loads(tree)}
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.member
+        self.count(self.key)
+        return self.member.__get__(obj, owner)
 
-    def slots(cls):
-        for stmt in cls.body:
-            if isinstance(stmt, ast.Assign) and stmt.targets[0].id == "__slots__":
-                return ast.literal_eval(stmt.value)
-        return ()
+    def __set__(self, obj, value) -> None:
+        self.member.__set__(obj, value)
 
-    fields = [
-        (f"{name}.py", cls.name, field)
-        for name, tree in trees.items()
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef)
-        for field in slots(cls)
+
+def _record_classes() -> list:
+    """Every ``Record`` class of the package, each module imported first."""
+    for info in pkgutil.iter_modules(knotpair.__path__):
+        importlib.import_module(f"knotpair.{info.name}")
+    classes, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("knotpair."):
+                classes.append(cls)
+                todo.append(cls)
+    return classes
+
+
+def _unread(monkeypatch, classes, run) -> tuple[list, list]:
+    """The (class, member) of each slot, and of each non-dunder method, of
+    ``classes`` that ``run()`` never reads.  A read that ``Record`` makes
+    to compare, hash or print a record (``_key``, ``__eq__``, ``__hash__``,
+    ``__repr__``) does not count: every field has those."""
+    read, quiet = set(), [0]
+
+    def count(key):
+        if not quiet[0]:
+            read.add(key)
+
+    def counted(fn, key):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            count(key)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def hushed(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            quiet[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                quiet[0] -= 1
+        return wrapper
+
+    fields, methods = [], []
+    for cls in (Record, *classes):
+        for name, member in list(vars(cls).items()):
+            key = (cls.__name__, name)
+            if name in ("_key", "__eq__", "__hash__", "__repr__"):
+                monkeypatch.setattr(cls, name, hushed(member))
+                continue
+            if isinstance(member, types.MemberDescriptorType):
+                monkeypatch.setattr(cls, name, _Slot(member, key, count))
+                fields.append(key)
+                continue
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            if isinstance(member, staticmethod):
+                wrapped = staticmethod(counted(member.__func__, key))
+            elif isinstance(member, property):
+                wrapped = property(counted(member.fget, key))
+            elif isinstance(member, types.FunctionType):
+                wrapped = counted(member, key)
+            else:
+                continue
+            monkeypatch.setattr(cls, name, wrapped)
+            methods.append(key)
+    run()
+    return [k for k in fields if k not in read], [k for k in methods if k not in read]
+
+
+# one call of each kept paper result, by name
+KEPT_CALLS = {
+    "classify_girth2_even": (2, 4, 2, 6),
+    "transposition_test": (Girth3Rep((2, 4, 6), (2, 4, 8)), "swap_ab"),
+    "cycle_obstruction": (Girth3Rep((2, 4, 6), (2, 4, 8)), "cycle_cab"),
+    "row_swap_test": (Girth3Rep((2, 4, 6), (2, 4, 8)),),
+}
+
+
+def _command_lines(tmp_path) -> list:
+    """The golden command lines, the four girth commands on each diagram of
+    ``girth_golden.json``, two censuses, a mirror compare, and
+    ``eval "(2,1)" conway``, the one command that reaches
+    ``LaurentPoly.zero``."""
+    argvs = []
+    for name in ("cli_usage_golden.json", "oracle_path_golden.json"):
+        with open(os.path.join(TESTS, name)) as f:
+            argvs += [entry["argv"] for entry in json.load(f)]
+    with open(os.path.join(TESTS, "girth_golden.json")) as f:
+        for i, case in enumerate(json.load(f)):
+            path = tmp_path / f"{i}.pd"
+            path.write_text(case["pd"])
+            argvs += [
+                [command, str(path), "--format", fmt]
+                for command in ("girth", "decompose")
+                for fmt in ("text", "json")
+            ]
+    return argvs + [
+        ["census", "--girth", "3", "--max", "2"],
+        ["census", "--girth", "2", "--max", "4", "--format", "jsonl"],
+        ["compare", "(3,5)", "(5,3)", "--mirror-ok", "--format", "json"],
+        ["eval", "(2,1)", "conway"],
     ]
-    assert len(fields) >= 60
-    assert UNREAD_FIELDS <= set(fields)
-    assert [f for f in fields if f[2] not in read and f not in UNREAD_FIELDS] == []
 
 
-def _perfbench():
-    return [
-        _parse(os.path.join(PERFBENCH, name))
+def _run_commands(argvs) -> None:
+    """Run each command line through ``cli.main``, then each kept result,
+    with the package's caches emptied first, so that what they read does
+    not depend on what ran before in the process."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("knotpair."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv in argvs:
+            try:
+                main(list(argv))
+            except SystemExit:  # help exits through argparse
+                pass
+    for module, name in KEPT:
+        getattr(importlib.import_module(f"knotpair.{module}"), name)(*KEPT_CALLS[name])
+
+
+def _perfbench_reads() -> set:
+    """The attribute names perfbench reads."""
+    return {
+        node.attr
         for name in sorted(os.listdir(PERFBENCH))
         if name.endswith(".py")
-    ]
-
-
-def _unread_methods(trees, others):
-    """The (file, class, method) of each method, dunders aside, of a
-    ``Record`` class of ``trees`` whose name no attribute of ``trees`` or
-    ``others`` reads."""
-    read = {
-        node.attr
-        for tree in [*trees.values(), *others]
-        for node in ast.walk(tree)
+        for node in ast.walk(_parse(os.path.join(PERFBENCH, name)))
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    return [
-        (f"{name}.py", cls.name, stmt.name)
-        for name, tree in trees.items()
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef)
-        and any(isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases)
-        for stmt in cls.body
-        if isinstance(stmt, ast.FunctionDef)
-        and not (stmt.name.startswith("__") and stmt.name.endswith("__"))
-        and stmt.name not in read
-    ]
 
 
-def test_every_record_method_of_the_package_is_read():
-    # a method or view that only tests call belongs in tests/: each method
-    # of a record class must be read as an attribute in the package or in
-    # perfbench (dunders are reached through operators and builtins)
-    assert _unread_methods(_package(), _perfbench()) == []
-
-
-def test_the_method_guard_finds_a_method_nothing_reads():
-    trees = _package()
-    laurent = next(
-        cls for cls in trees["laurent"].body
-        if isinstance(cls, ast.ClassDef) and cls.name == "LaurentPoly"
+@pytest.fixture(scope="module")
+def unread_by_commands(tmp_path_factory):
+    """(fields, methods) of the package's records that the command lines
+    leave unread, save what perfbench reads by name (``TaitGraph.edges``
+    and its ``TaitEdge`` records) and UNREAD."""
+    argvs = _command_lines(tmp_path_factory.mktemp("pd"))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        unread = _unread(monkeypatch, _record_classes(), lambda: _run_commands(argvs))
+    perfbench = _perfbench_reads()
+    return tuple(
+        [
+            (cls, name) for cls, name in members
+            if name not in perfbench and cls != "TaitEdge" and (cls, name) not in UNREAD
+        ]
+        for members in unread
     )
-    laurent.body += ast.parse("def coeffs(self):\n    return dict(self.terms)\n").body
-    assert _unread_methods(trees, _perfbench()) == [("laurent.py", "LaurentPoly", "coeffs")]
+
+
+def test_every_record_field_of_the_package_is_read(unread_by_commands):
+    # a field nothing reads is data carried for no one: each field a class
+    # of the package names in its __slots__ must be read while the command
+    # lines run
+    assert unread_by_commands[0] == []
+
+
+def test_every_record_method_of_the_package_is_read(unread_by_commands):
+    # a method or view that only tests call belongs in tests/: each method
+    # of a record class must be called while the command lines run
+    # (dunders are reached through operators and builtins)
+    assert unread_by_commands[1] == []
+
+
+@pytest.fixture
+def planted(monkeypatch):
+    """What ``_unread`` finds of a record with a field and a method that
+    nothing reads, beside a field and a method that are read."""
+
+    class Planted(Record):
+        __slots__ = ("shown", "hidden")
+
+        def __init__(self, shown, hidden) -> None:
+            set_field(self, "shown", shown)
+            set_field(self, "hidden", hidden)
+
+        def called(self):
+            return self.shown
+
+        def uncalled(self):
+            return self.hidden
+
+    def run():
+        planted = Planted(1, 2)
+        # comparing, hashing and printing read every field, and count for none
+        assert planted.called() == 1 and planted == Planted(1, 2)
+        hash(planted), repr(planted)
+
+    return _unread(monkeypatch, [Planted], run)
+
+
+def test_the_field_guard_finds_a_field_nothing_reads(planted):
+    assert planted[0] == [("Planted", "hidden")]
+
+
+def test_the_method_guard_finds_a_method_nothing_reads(planted):
+    assert planted[1] == [("Planted", "uncalled")]
 
 
 def test_records_compare_hash_and_print_through_the_base_alone():

@@ -1,4 +1,4 @@
-"""Value semantics of the package's records: the 18 frozen classes that carry
+"""Value semantics of the package's records: the 17 frozen classes that carry
 reps, polynomials, diagrams, decompositions, verdicts, census rows and
 command-line arguments.  The table names every ``Record`` subclass the
 package defines, which is read off its source.
@@ -32,7 +32,6 @@ from knotpair.diagram import (
 from knotpair.girth import TaitDecomposition
 from knotpair.laurent import LaurentPoly
 from knotpair.reps import (
-    CanonicalRep,
     Girth1Rep,
     Girth2Rep,
     Girth3Rep,
@@ -53,7 +52,6 @@ RECORDS = {
     Girth3Rep: (("top", "bottom"), lambda: ((1, 2, 3), (0, -1, 2))),
     PlaneTree: (("edges", "rotation"), lambda: (_tree().edges, _tree().rotation)),
     TreePairRep: (("inside", "outside", "girth_value"), lambda: (_tree(), _tree(), 4)),
-    CanonicalRep: (("rep", "key"), lambda: (Girth2Rep(2, 3), ("g2", 2, 3))),
     PDCode: (("crossings", "free_loops"), lambda: (((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), 1)),
     Orientation: (
         ("incoming", "n_components", "signs", "writhe"),
@@ -73,13 +71,12 @@ RECORDS = {
     ),
     Verdict: (("tag", "evidence", "note"), lambda: (DISTINCT_BY_JONES, LaurentPoly(((4, -1),), "t"), "x")),
     RepInvariants: (
-        ("components", "conway", "bracket", "jones", "writhe"),
+        ("components", "conway", "bracket", "jones"),
         lambda: (
             1,
             LaurentPoly(((0, 1), (2, 1)), "z"),
             LaurentPoly(((-7, 1),), "A"),
             LaurentPoly(((4, 1), (12, -1)), "t"),
-            -3,
         ),
     ),
     InvariantRecord: (
@@ -118,7 +115,7 @@ def _package_records():
 
 def test_the_table_covers_every_package_record():
     assert {cls.__name__ for cls in RECORDS} == _package_records()
-    assert len(RECORDS) == 18
+    assert len(RECORDS) == 17
 
 
 @CASES
@@ -160,7 +157,7 @@ def test_the_same_values_in_another_class_compare_unequal(cls):
 
 
 def test_two_package_records_with_equal_values_differ():
-    assert Girth2Rep(1, 2) != CanonicalRep(1, 2)
+    assert Girth2Rep(1, 2) != Girth3Rep(1, 2)
     assert Girth2Rep(1, 2) != (1, 2)
 
 

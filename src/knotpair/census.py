@@ -1,4 +1,4 @@
-"""Census enumeration, invariant records, deduplication, table verification."""
+"""Census enumeration, deduplication into classes, table verification."""
 
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from .laurent import (
     jones_to_text,
     poly_to_text,
 )
-from .record import Record, set_field
+from .record import Record
 from .reps import g3_wheel_minima, parse_rep, rep_from_labels
 from .tables import (
     ROLFSEN_TABLE,
@@ -31,29 +31,12 @@ G3_BUDGET = 6
 FIELDS = ("rep", "girth", "components", "conway", "jones", "span", "class_id", "verdict")
 
 
-class InvariantRecord(Record):
-    """What the census prints of one class of representations.
-
-    ``conway`` and ``jones`` are the polynomials' text, formatted once;
-    ``conway`` is "" where no Conway value is available.  The first three
-    fields are the class's text key, which orders the classes, and the
-    Jones text determines ``span``, so every member of a class has the same
-    record.
-    """
-
-    __slots__ = ("components", "conway", "jones", "span")
-
-    def __init__(self, components: int, conway: str, jones: str, span: Fraction) -> None:
-        set_field(self, "components", components)
-        set_field(self, "conway", conway)
-        set_field(self, "jones", jones)
-        set_field(self, "span", span)
-
-
 def build_record(
     components: int, conway: LaurentPoly | None, jones: LaurentPoly
-) -> InvariantRecord:
-    """The checked record of the class of reps with these invariants.
+) -> tuple[int, str, str, Fraction]:
+    """The checked (components, Conway text, Jones text, span) of the class
+    of reps with these invariants, the fields ``CensusClass`` holds
+    between its id and its members.
 
     ``classify.check_identities`` reads only the component count and the
     Conway and Jones polynomials, and the span and the text only the Jones
@@ -62,7 +45,7 @@ def build_record(
     Conway text is "" where no value is available.
     """
     classify.check_identities(components, conway, jones)
-    return InvariantRecord(
+    return (
         components,
         poly_to_text(conway) if conway is not None else "",
         jones_to_text(jones),
@@ -136,16 +119,18 @@ def _label_range(max_abs: int, even_only: bool, positive_only: bool) -> list[int
 class CensusClass(Record):
     """The census reps of one class key: canonical, with distinct canonical
     keys, so each member after the head is Unresolved against it (see
-    ``dedup_census``)."""
+    ``dedup_census``).
 
-    # record: the same for every member; members: the ``reps.rep_labels``
-    # of the reps, head first
-    __slots__ = ("class_id", "record", "members")
+    The four fields between the id and the members are what the census
+    prints of every member alike (``build_record``): ``conway`` and
+    ``jones`` are the polynomials' text, formatted once, ``conway`` ""
+    where no Conway value is available.  Of those, the first three are the
+    class's text key, which orders the classes, and the Jones text
+    determines ``span``.  ``members`` holds the ``reps.rep_labels`` of the reps, head
+    first.
+    """
 
-    def __init__(self, class_id: str, record: InvariantRecord, members: tuple) -> None:
-        set_field(self, "class_id", class_id)
-        set_field(self, "record", record)
-        set_field(self, "members", members)
+    __slots__ = ("class_id", "components", "conway", "jones", "span", "members")
 
 
 def dedup_census(
@@ -172,8 +157,7 @@ def dedup_census(
     mean equal polynomials, so the classes are those of the text key.
     Members stay label tuples.  Once every rep is keyed, each class
     decodes its Conway and Jones polynomials and runs ``build_record``
-    once, and the classes are numbered in the order of their records'
-    text keys.
+    once, and the classes are numbered in the order of their text keys.
     """
     from . import g3table  # frozen data: loaded on first use
 
@@ -198,11 +182,11 @@ def dedup_census(
         classes.append((build_record(comps, conway, jones_of(jones)), members))
     # the text keys are distinct; the last first, so that each class is
     # popped in order and its member list freed as its tuple is made
-    classes.sort(key=lambda c: (c[0].components, c[0].conway, c[0].jones), reverse=True)
+    classes.sort(key=lambda c: c[0][:3], reverse=True)
     out = []
     while classes:
-        record, members = classes.pop()
-        out.append(CensusClass(f"c{len(out):04d}", record, tuple(members)))
+        fields, members = classes.pop()
+        out.append(CensusClass(f"c{len(out):04d}", *fields, tuple(members)))
     return out
 
 
@@ -251,12 +235,11 @@ def census_jsonl(classes, out) -> None:
     end = ', "verdict": {}, "source": "closed_form"}}\n'.format
 
     def shared(cls) -> str:
-        rec = cls.record
         return json.dumps({
-            "components": rec.components,
-            "conway": rec.conway or None,
-            "jones": rec.jones,
-            "span": str(rec.span),
+            "components": cls.components,
+            "conway": cls.conway or None,
+            "jones": cls.jones,
+            "span": str(cls.span),
             "class_id": cls.class_id,
         })[1:-1]
 
@@ -277,8 +260,7 @@ def census_csv(classes, out) -> None:
     out.write(",".join(FIELDS) + "\n")
 
     def shared(cls) -> str:
-        rec = cls.record
-        return f"{rec.components},{rec.conway},{rec.jones},{rec.span},{cls.class_id},"
+        return f"{cls.components},{cls.conway},{cls.jones},{cls.span},{cls.class_id},"
 
     _write(classes, out, _CSV_LEAD, shared, "\n", classify.UNRESOLVED + "\n")
 
@@ -288,13 +270,8 @@ def census_csv(classes, out) -> None:
 
 
 class TableResult(Record):
+    # status: PASS / FAIL / SKIP / ABSENT; rep_text: None when ABSENT
     __slots__ = ("name", "rep_text", "status", "detail")
-
-    def __init__(self, name: str, rep_text: str | None, status: str, detail: str = "") -> None:
-        set_field(self, "name", name)
-        set_field(self, "rep_text", rep_text)
-        set_field(self, "status", status)  # PASS / FAIL / SKIP / ABSENT
-        set_field(self, "detail", detail)
 
 
 def _fixture_files(fixtures_dir: str | None) -> dict:

@@ -145,18 +145,6 @@ def row_swap_test(rep: Girth3Rep) -> Verdict:
 class RepInvariants(Record):
     __slots__ = ("components", "conway", "bracket", "jones")
 
-    def __init__(
-        self,
-        components: int,
-        conway: LaurentPoly | None,
-        bracket: LaurentPoly,
-        jones: LaurentPoly,
-    ) -> None:
-        set_field(self, "components", components)
-        set_field(self, "conway", conway)
-        set_field(self, "bracket", bracket)
-        set_field(self, "jones", jones)
-
 
 def rep_invariants(rep) -> RepInvariants:
     """Exact invariants of a representation, all from closed forms: its

@@ -221,18 +221,6 @@ class Orientation(Record):
 
     __slots__ = ("incoming", "n_components", "signs", "writhe")
 
-    def __init__(
-        self,
-        incoming: tuple[tuple[bool, bool, bool, bool], ...],
-        n_components: int,
-        signs: tuple[int, ...],
-        writhe: int,
-    ) -> None:
-        set_field(self, "incoming", incoming)
-        set_field(self, "n_components", n_components)
-        set_field(self, "signs", signs)
-        set_field(self, "writhe", writhe)
-
 
 def _orientation(incoming: list[bool], n_components: int) -> Orientation:
     """The Orientation of a diagram from its per-port ``incoming`` flags."""
@@ -410,15 +398,10 @@ def checkerboard(pd: PDCode) -> tuple[list[list[int]], list[list[int]]]:
 
 class TaitEdge(Record):
     """One entry of ``TaitGraph.edges``: the Tait edge of one crossing,
-    whose index it shares.  It joins the vertex at black corner k0 (end 0)
-    to the one at k0 + 2 (end 1)."""
+    whose index it shares.  It joins the vertex at the crossing's black
+    corner k0 (end 0) to the one at k0 + 2 (end 1)."""
 
-    __slots__ = ("v1", "v2", "k0")
-
-    def __init__(self, v1: int, v2: int, k0: int) -> None:
-        set_field(self, "v1", v1)
-        set_field(self, "v2", v2)
-        set_field(self, "k0", k0)  # 0 or 1
+    __slots__ = ("v1", "v2")
 
 
 class TaitGraph(Record):
@@ -437,15 +420,9 @@ class TaitGraph(Record):
 
     __slots__ = ("n_vertices", "vertex", "succ", "k0")
 
-    def __init__(self, n_vertices: int, vertex: tuple, succ: tuple, k0: tuple) -> None:
-        set_field(self, "n_vertices", n_vertices)
-        set_field(self, "vertex", vertex)
-        set_field(self, "succ", succ)
-        set_field(self, "k0", k0)
-
     @property
     def edges(self) -> tuple[TaitEdge, ...]:
-        return tuple(map(TaitEdge, self.vertex[0::2], self.vertex[1::2], self.k0))
+        return tuple(map(TaitEdge, self.vertex[0::2], self.vertex[1::2]))
 
 
 def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:

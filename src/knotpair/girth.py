@@ -47,7 +47,7 @@ import operator
 
 from .diagram import PDCode, TaitGraph, checkerboard, tait_graph
 from .oracle import _bareiss_det
-from .record import Record, set_field
+from .record import Record
 from .reps import Girth2Rep, Girth3Rep, PlaneTree, TreePairRep
 
 # Sign giving twist-region labels from raw Tait signs; the white side is
@@ -487,30 +487,6 @@ class TaitDecomposition(Record):
         "white_class_labels",  # per A class: that of the B class after it
         "mixed_signs",
     )
-
-    def __init__(
-        self,
-        shading_index: int,
-        tree: tuple[int, ...],
-        dual_tree: tuple[int, ...],
-        reduced_black: PlaneTree,
-        reduced_white: PlaneTree,
-        girth: int,
-        blocks: tuple,
-        black_class_labels: tuple[int, ...],
-        white_class_labels: tuple[int, ...],
-        mixed_signs: bool,
-    ) -> None:
-        set_field(self, "shading_index", shading_index)
-        set_field(self, "tree", tree)
-        set_field(self, "dual_tree", dual_tree)
-        set_field(self, "reduced_black", reduced_black)
-        set_field(self, "reduced_white", reduced_white)
-        set_field(self, "girth", girth)
-        set_field(self, "blocks", blocks)
-        set_field(self, "black_class_labels", black_class_labels)
-        set_field(self, "white_class_labels", white_class_labels)
-        set_field(self, "mixed_signs", mixed_signs)
 
     def summary(self) -> dict:
         return {

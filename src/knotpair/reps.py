@@ -17,14 +17,11 @@ import re
 import sys
 from itertools import compress
 
-from .record import Record, set_field
+from .record import Record
 
 
 class Girth1Rep(Record):
     __slots__ = ("p",)
-
-    def __init__(self, p: int) -> None:
-        set_field(self, "p", p)
 
     def __str__(self) -> str:
         return f"({self.p})"
@@ -33,20 +30,12 @@ class Girth1Rep(Record):
 class Girth2Rep(Record):
     __slots__ = ("p", "q")
 
-    def __init__(self, p: int, q: int) -> None:
-        set_field(self, "p", p)
-        set_field(self, "q", q)
-
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
 
 
 class Girth3Rep(Record):
     __slots__ = ("top", "bottom")
-
-    def __init__(self, top: tuple[int, int, int], bottom: tuple[int, int, int]) -> None:
-        set_field(self, "top", top)
-        set_field(self, "bottom", bottom)
 
     def __str__(self) -> str:
         t = " ".join(str(x) for x in self.top)
@@ -64,22 +53,9 @@ class PlaneTree(Record):
 
     __slots__ = ("edges", "rotation")
 
-    def __init__(
-        self,
-        edges: tuple[tuple[int, int, int], ...],
-        rotation: tuple[tuple[tuple[int, int], ...], ...],
-    ) -> None:
-        set_field(self, "edges", edges)
-        set_field(self, "rotation", rotation)
-
 
 class TreePairRep(Record):
-    __slots__ = ("inside", "outside", "girth_value")
-
-    def __init__(self, inside: PlaneTree, outside: PlaneTree, girth_value: int) -> None:
-        set_field(self, "inside", inside)
-        set_field(self, "outside", outside)
-        set_field(self, "girth_value", girth_value)
+    __slots__ = ("inside", "outside", "girth_value")  # two PlaneTrees and the girth
 
 
 _G1_RE = re.compile(r"^\(\s*(-?\d+)\s*\)$")

@@ -32,8 +32,7 @@ def census_rows(classes):
     """The ``FIELDS`` of each census row, class by class, head first; the
     head's verdict is None, written empty (null in JSON lines)."""
     for cls in classes:
-        rec = cls.record
-        shared = (rec.components, rec.conway, rec.jones, str(rec.span), cls.class_id)
+        shared = (cls.components, cls.conway, cls.jones, str(cls.span), cls.class_id)
         verdict = None
         for labels in cls.members:
             yield (str(rep_from_labels(labels)), girth(labels), *shared, verdict)

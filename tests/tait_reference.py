@@ -2,11 +2,12 @@
 were on per-edge records, kept as the reference for the half-edge arrays of
 ``knotpair.diagram.TaitGraph`` and for the plane trees ``girth`` reduces to.
 
-``tait_graph`` builds a ``TaitEdge`` per crossing and a rotation of
-(edge, end) pairs per vertex; ``tree_contour``, ``reduce_tree`` and
-``decompose`` read only those.  The contour is a ``Contour`` record of
-(edge, end) pairs where ``girth.tree_contour`` returns three tuples of
-half-edges 2 * edge + end.  The reduction is a ``ReducedTree`` of
+``tait_graph`` builds a ``TaitEdge`` and the first black corner k0 per
+crossing and a rotation of (edge, end) pairs per vertex;
+``tree_contour``, ``reduce_tree`` and ``decompose`` read only those.
+The contour is a ``Contour`` record of (edge, end) pairs where
+``girth.tree_contour`` returns three tuples of half-edges
+2 * edge + end.  The reduction is a ``ReducedTree`` of
 ``ReducedEdge`` records, numbered by Tait vertex, where
 ``girth.reduce_tree`` returns a ``PlaneTree`` numbered by kept vertex;
 ``_as_plane_tree`` converts one to the other.  ``decompose`` converts its
@@ -18,7 +19,7 @@ from typing import NamedTuple
 
 from knotpair.diagram import TaitEdge
 from knotpair.girth import FLANK, LABEL_SIGN_BLACK, LABEL_SIGN_WHITE, TaitDecomposition
-from knotpair.record import Record, set_field
+from knotpair.record import Record
 from knotpair.reps import PlaneTree
 
 
@@ -31,11 +32,6 @@ class Contour(Record):
 
     __slots__ = ("vertices", "dashes", "exits")
 
-    def __init__(self, vertices: tuple, dashes: tuple, exits: tuple) -> None:
-        set_field(self, "vertices", vertices)
-        set_field(self, "dashes", dashes)
-        set_field(self, "exits", exits)
-
     def girth(self) -> int:
         return len(self.dashes)
 
@@ -43,22 +39,11 @@ class Contour(Record):
 class ReducedEdge(Record):
     __slots__ = ("label", "v1", "v2", "mixed_signs")
 
-    def __init__(self, label: int, v1: int, v2: int, mixed_signs: bool) -> None:
-        set_field(self, "label", label)
-        set_field(self, "v1", v1)
-        set_field(self, "v2", v2)
-        set_field(self, "mixed_signs", mixed_signs)
-
 
 class ReducedTree(Record):
     # vertices: the kept Tait vertex ids; rotation: per kept vertex, in the
     # order of ``vertices``, the cyclic tuple of (reduced edge index, end)
     __slots__ = ("vertices", "edges", "rotation")
-
-    def __init__(self, vertices: tuple, edges: tuple, rotation: tuple) -> None:
-        set_field(self, "vertices", vertices)
-        set_field(self, "edges", edges)
-        set_field(self, "rotation", rotation)
 
 
 def rotation_view(tait):
@@ -79,12 +64,13 @@ def rotation_view(tait):
 
 class TaitGraph(NamedTuple):
     """``rotation[v]`` lists (edge_index, end) around vertex v in the cyclic
-    order of its region's corners; end 0 refers to the corner k0 of the
-    crossing, end 1 to corner k0+2."""
+    order of its region's corners; end 0 refers to the corner ``k0[ei]`` of
+    the crossing, end 1 to corner ``k0[ei] + 2``."""
 
     n_vertices: int
     edges: tuple
     rotation: tuple
+    k0: tuple
 
 
 def tait_graph(pd, black):
@@ -94,12 +80,13 @@ def tait_graph(pd, black):
     for v, corners in enumerate(black):
         for c in corners:
             vertex_of[c] = v
-    edges = []
+    edges, k0s = [], []
     for c in range(0, 4 * pd.n(), 4):
         k0 = 0 if vertex_of[c] >= 0 else 1
-        edges.append(TaitEdge(vertex_of[c + k0], vertex_of[c + k0 + 2], k0))
+        edges.append(TaitEdge(vertex_of[c + k0], vertex_of[c + k0 + 2]))
+        k0s.append(k0)
     rotation = tuple([tuple([(c >> 2, (c >> 1) & 1) for c in corners]) for corners in black])
-    return TaitGraph(len(black), tuple(edges), rotation)
+    return TaitGraph(len(black), tuple(edges), rotation, tuple(k0s))
 
 
 def tree_contour(tait, tree):
@@ -151,7 +138,7 @@ def reduce_tree(tait, tree, label_sign):
             if x in edge_slot:
                 continue
             last, end = x
-            length, plus = 1, tait.edges[last].k0
+            length, plus = 1, tait.k0[last]
             cur_v, cur_end = _other(tait, last, end)
             while suppress[cur_v]:
                 (e1, end1), (e2, end2) = ends[cur_v]
@@ -159,17 +146,12 @@ def reduce_tree(tait, tree, label_sign):
                     e2, end2 = e1, end1
                 last = e2
                 length += 1
-                plus += tait.edges[last].k0
+                plus += tait.k0[last]
                 cur_v, cur_end = _other(tait, last, end2)
             edge_slot[x] = (len(reduced_edges), 0)
             edge_slot[(last, cur_end)] = (len(reduced_edges), 1)
             reduced_edges.append(
-                ReducedEdge(
-                    label=label_sign * (2 * plus - length),
-                    v1=v,
-                    v2=cur_v,
-                    mixed_signs=0 < plus < length,
-                )
+                ReducedEdge(label_sign * (2 * plus - length), v, cur_v, 0 < plus < length)
             )
 
     rotation = tuple(
@@ -207,7 +189,7 @@ def _other(tait, ei, end):
 def _corner(tait, ei, end, turn=0):
     """The corner, numbered 4 * crossing + slot, at one end of a Tait edge,
     turned ``turn`` slots counterclockwise."""
-    return 4 * ei + (tait.edges[ei].k0 + 2 * end + turn) % 4
+    return 4 * ei + (tait.k0[ei] + 2 * end + turn) % 4
 
 
 def decompose(shading_index, tree, black, white):
@@ -242,15 +224,8 @@ def decompose(shading_index, tree, black, white):
     mixed = any(e.mixed_signs for e in red_black.edges) or any(
         e.mixed_signs for e in red_white.edges
     )
-    return TaitDecomposition(
-        shading_index=shading_index,
-        tree=tree,
-        dual_tree=dual_tree,
-        reduced_black=_as_plane_tree(red_black),
-        reduced_white=_as_plane_tree(red_white),
-        girth=c_black.girth(),
-        blocks=blocks,
-        black_class_labels=black_labels,
-        white_class_labels=white_labels,
-        mixed_signs=mixed,
+    return TaitDecomposition(  # the fields in slot order
+        shading_index, tree, dual_tree, _as_plane_tree(red_black),
+        _as_plane_tree(red_white), c_black.girth(), blocks, black_labels,
+        white_labels, mixed,
     )

@@ -15,7 +15,6 @@ from knotpair import classify, closedform, g3table
 from knotpair.census import (
     G2_BUDGET,
     CensusClass,
-    InvariantRecord,
     _CSV_LEAD,
     _JSON_LEAD,
     _label_range,
@@ -161,8 +160,8 @@ def test_even_positive_census_classes_are_multisets():
 def test_collision_example_conway_only():
     # K(2,8) and K(4,4) share the Conway polynomial but not the class key
     reps = [Girth2Rep(2, 8), Girth2Rep(4, 4)]
-    recs = [_record(r) for r in reps]
-    assert recs[0].conway == recs[1].conway
+    (_, conway_a, _, _), (_, conway_b, _, _) = map(_record, reps)
+    assert conway_a == conway_b
     heads = [rep_from_labels(cls.members[0]) for cls in dedup_census(2, 8, True, True)]
     assert set(reps) <= set(heads)
 
@@ -308,7 +307,7 @@ def test_each_members_record_is_built_from_its_own_invariants(girth, max_abs):
     for cls in classes:
         for labels in cls.members:
             rep = rep_from_labels(labels)
-            assert _record(rep) == cls.record, rep
+            assert _record(rep) == (cls.components, cls.conway, cls.jones, cls.span), rep
 
 
 def test_the_census_checks_the_identities_once_per_class(monkeypatch):
@@ -446,7 +445,7 @@ def _poly(tag, step):
 
 # a Jones polynomial in quarter powers of t: a link's has half-integer ones
 _RECORD = st.builds(
-    lambda comps, conway, jones: InvariantRecord(
+    lambda comps, conway, jones: (
         comps, "" if conway is None else poly_to_text(conway),
         jones_to_text(jones), jones_span_inclusive(jones),
     ),
@@ -459,7 +458,7 @@ _MEMBERS = st.one_of(
 _LINK = LaurentPoly.from_dict({-10: -1, -2: -1}, "t")  # -t^(-5/2) - t^(-1/2)
 _CLASSES = st.lists(st.tuples(_RECORD, _MEMBERS), max_size=6).map(
     lambda classes: [
-        CensusClass(f"c{i:04d}", record, tuple(members))
+        CensusClass(f"c{i:04d}", *record, tuple(members))
         for i, (record, members) in enumerate(classes)
     ]
 )
@@ -470,9 +469,9 @@ _CLASSES = st.lists(st.tuples(_RECORD, _MEMBERS), max_size=6).map(
 @example([
     # a girth-2 class of both lengths, no Conway value and a link's Jones
     # polynomial, then a single-member class
-    CensusClass("c0000", InvariantRecord(2, "", jones_to_text(_LINK), jones_span_inclusive(_LINK)),
+    CensusClass("c0000", 2, "", jones_to_text(_LINK), jones_span_inclusive(_LINK),
                 ((-2,), (2, -4), (-3,))),
-    CensusClass("c0001", build_record(1, None, LaurentPoly.one("t")), ((1, 0, 0, 2, 0, 0),)),
+    CensusClass("c0001", *build_record(1, None, LaurentPoly.one("t")), ((1, 0, 0, 2, 0, 0),)),
 ])
 def test_the_writers_give_the_bytes_of_csv_and_json(classes):
     for write, reference in (
@@ -487,7 +486,7 @@ def test_the_writers_give_the_bytes_of_csv_and_json(classes):
 
 def test_the_census_decodes_a_conway_polynomial_once_per_class(monkeypatch):
     classes, tags = _packed_decodes_by_tag(monkeypatch, 3, 2)
-    assert tags.count("z") == sum(1 for cls in classes if cls.record.conway) > 100
+    assert tags.count("z") == sum(1 for cls in classes if cls.conway) > 100
 
 
 def test_the_census_makes_no_reference_cycles():
@@ -534,16 +533,14 @@ def test_census_stdout_equals_the_output_file(fmt, capsys, tmp_path):
 
 
 def test_record_fields():
-    rec = _record(Girth2Rep(2, 2))
-    assert rec.components == 1
-    assert rec.span == 4
-    assert rec.conway == "1 + z^2"
+    components, conway, _, span = _record(Girth2Rep(2, 2))
+    assert (components, conway, span) == (1, "1 + z^2", 4)
     # the even closed form covers negative labels; odd labels read the
     # frozen parity-pattern table; both agree with Fox
     for rep in (Girth3Rep((2, 2, 2), (2, 2, -2)), Girth3Rep((1, 2, 0), (0, 0, 0))):
-        rec = _record(rep)
-        assert rec.components == 1
-        assert rec.conway == poly_to_text(conway_fox(pd_from_rep(rep)))
+        components, conway, _, _ = _record(rep)
+        assert components == 1
+        assert conway == poly_to_text(conway_fox(pd_from_rep(rep)))
 
 
 def test_verify_table_knots_up_to_seven_pass_with_errata():

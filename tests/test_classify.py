@@ -328,7 +328,7 @@ def test_census_builds_at_most_one_template_per_rep(monkeypatch, tmp_path):
     calls = spy_on_templates(monkeypatch)
     for girth, max_abs in ((3, 2), (2, 12)):
         classes = dedup_census(girth, max_abs)
-        links = [rep for cls in classes for rep in cls.members if cls.record.components > 1]
+        links = [rep for cls in classes for rep in cls.members if cls.components > 1]
         # knots and links alike read the frozen table
         assert 0 < len(links) < sum(len(cls.members) for cls in classes)
     out = tmp_path / "census.csv"

@@ -1,9 +1,9 @@
 """What the package ships: every definition is run, every field and every
 record method is read, and every record compares, hashes and prints
-through the one base.
+through the one base, and is built by it unless its class must do more.
 
-The read check runs the command lines and counts what they read of each
-record; the other checks read the source with ``ast`` and run none of
+The read check runs the command lines, then perfbench's own record
+readers, and counts what they read of each record; the other checks read the source with ``ast`` and run none of
 it.  Test references, builders and parsers live in ``tests/``
 (``*_reference.py``, ``diagram_builders.py``, ``poly_text.py``), not in
 ``src/knotpair``.
@@ -13,6 +13,7 @@ import ast
 import contextlib
 import functools
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -24,8 +25,10 @@ import pytest
 
 import knotpair
 from knotpair.cli import main
-from knotpair.record import Record, set_field
-from knotpair.reps import Girth3Rep
+from knotpair.diagram import checkerboard, pd_from_rep, tait_graph
+from knotpair.girth import tree_count
+from knotpair.record import Record
+from knotpair.reps import Girth2Rep, Girth3Rep
 
 PKG = os.path.dirname(knotpair.__file__)
 TESTS = os.path.dirname(__file__)
@@ -327,33 +330,38 @@ def _run_commands(argvs) -> None:
         getattr(importlib.import_module(f"knotpair.{module}"), name)(*KEPT_CALLS[name])
 
 
-def _perfbench_reads() -> set:
-    """The attribute names perfbench reads."""
-    return {
-        node.attr
-        for name in sorted(os.listdir(PERFBENCH))
-        if name.endswith(".py")
-        for node in ast.walk(_parse(os.path.join(PERFBENCH, name)))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
-    }
+def _unread_beside_perfbench(monkeypatch, classes, run) -> tuple[list, list]:
+    """What ``_unread`` finds of ``classes`` while ``run()`` runs and then
+    perfbench's own readers of the package's records, save UNREAD.  Those
+    readers, ``spans.edge_subsets`` (loaded from its file) and
+    ``girth.tree_count``, count the subsets and trees of one Tait graph,
+    built before the count starts; they read ``TaitGraph.edges`` and its
+    ``TaitEdge`` records, which no command reads.  The read check makes
+    no excuse but these two."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pd = pd_from_rep(Girth2Rep(3, 3))
+    tait = tait_graph(pd, checkerboard(pd)[0])
+
+    def run_then_perfbench():
+        run()
+        spans.edge_subsets(tait)
+        tree_count(tait)
+
+    unread = _unread(monkeypatch, classes, run_then_perfbench)
+    return tuple([key for key in members if key not in UNREAD] for members in unread)
 
 
 @pytest.fixture(scope="module")
 def unread_by_commands(tmp_path_factory):
-    """(fields, methods) of the package's records that the command lines
-    leave unread, save what perfbench reads by name (``TaitGraph.edges``
-    and its ``TaitEdge`` records) and UNREAD."""
+    """(fields, methods) of the package's records that neither the command
+    lines nor perfbench's readers read, save UNREAD."""
     argvs = _command_lines(tmp_path_factory.mktemp("pd"))
     with pytest.MonkeyPatch.context() as monkeypatch:
-        unread = _unread(monkeypatch, _record_classes(), lambda: _run_commands(argvs))
-    perfbench = _perfbench_reads()
-    return tuple(
-        [
-            (cls, name) for cls, name in members
-            if name not in perfbench and cls != "TaitEdge" and (cls, name) not in UNREAD
-        ]
-        for members in unread
-    )
+        return _unread_beside_perfbench(
+            monkeypatch, _record_classes(), lambda: _run_commands(argvs)
+        )
 
 
 def test_every_record_field_of_the_package_is_read(unread_by_commands):
@@ -378,10 +386,6 @@ def planted(monkeypatch):
     class Planted(Record):
         __slots__ = ("shown", "hidden")
 
-        def __init__(self, shown, hidden) -> None:
-            set_field(self, "shown", shown)
-            set_field(self, "hidden", hidden)
-
         def called(self):
             return self.shown
 
@@ -405,18 +409,52 @@ def test_the_method_guard_finds_a_method_nothing_reads(planted):
     assert planted[1] == [("Planted", "uncalled")]
 
 
+def test_the_perfbench_excuse_goes_by_class_not_by_name(monkeypatch):
+    # perfbench calls ``PDCode.n``; a field of that name on another record
+    # is still unread
+
+    class Planted(Record):
+        __slots__ = ("n",)
+
+    unread = _unread_beside_perfbench(monkeypatch, [Planted], lambda: Planted(1))
+    assert unread == ([("Planted", "n")], [])
+
+
+def _record_class_defs() -> list:
+    """The class definitions of the package whose bases name ``Record``."""
+    return [
+        cls
+        for tree in _package().values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases)
+    ]
+
+
 def test_records_compare_hash_and_print_through_the_base_alone():
     # one equality for every record: ``Record`` keys on its slots in order,
     # and only ``PDCode`` narrows the key (it leaves out ``orientation`` and
     # ``corner_cycles``)
     own = sorted(
         (cls.name, stmt.name)
-        for tree in _package().values()
-        for cls in ast.walk(tree)
-        if isinstance(cls, ast.ClassDef)
-        and any(isinstance(b, ast.Name) and b.id == "Record" for b in cls.bases)
+        for cls in _record_class_defs()
         for stmt in cls.body
         if isinstance(stmt, ast.FunctionDef)
         and stmt.name in ("_key", "__eq__", "__hash__", "__repr__")
     )
     assert own == [("PDCode", "_key")]
+
+
+def test_only_four_records_write_their_own_constructor():
+    # the base stores a record's fields in slot order; a class writes its
+    # own ``__init__`` only to do more: ``Argument`` (defaults, the derived
+    # ``required``), ``LaurentPoly`` (the hot path of every polynomial
+    # operation), ``PDCode`` (a default and two derived slots) and
+    # ``Verdict`` (refuses a distinctness verdict without evidence)
+    own = sorted(
+        cls.name
+        for cls in _record_class_defs()
+        if any(isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__"
+               for stmt in cls.body)
+    )
+    assert own == ["Argument", "LaurentPoly", "PDCode", "Verdict"]

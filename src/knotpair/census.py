@@ -18,7 +18,7 @@ from .laurent import (
     poly_to_text,
 )
 from .record import Record
-from .reps import g3_wheel_minima, parse_rep, rep_from_labels
+from .reps import canonical_pair, g3_wheel_minima, parse_rep, rep_from_labels
 from .tables import (
     ROLFSEN_TABLE,
     TABLE_ERRATA,
@@ -95,17 +95,11 @@ def _labellings(girth: int, max_abs_label: int, even_only: bool, positive_only: 
         return out
     if girth != 2:
         raise ValueError("census enumerates girth 2 or 3")
-    # ``reps.canonicalize`` sorts a pair and lets a +-1 label absorb into
-    # the other: the K(p) of the pairs with a +-1 label, in order, then the
-    # sorted pairs of the rest
-    absorbed = set()
-    for one in (v for v in values if abs(v) == 1):
-        for v in values:
-            lo, hi = sorted((one, v))
-            absorbed.add(lo - hi if abs(hi) == 1 else hi - lo)
+    # the K(p) of the pairs with a +-1 label (``reps.canonical_pair``), in
+    # order, then the sorted pairs of the rest
+    absorbed = {canonical_pair(one, v) for one in values if abs(one) == 1 for v in values}
     rest = [v for v in values if abs(v) != 1]
-    pairs = [(p, q) for i, p in enumerate(rest) for q in rest[i:]]
-    return [(p,) for p in sorted(absorbed)] + pairs
+    return sorted(absorbed) + [(p, q) for i, p in enumerate(rest) for q in rest[i:]]
 
 
 def _label_range(max_abs: int, even_only: bool, positive_only: bool) -> list[int]:
@@ -152,19 +146,24 @@ def dedup_census(
     link or past ``oracle.CONWAY_CAP``) and the integer key of its Jones
     polynomial at its writhe (``closedform.census_jones``).  The component
     count, writhe and Conway int come from one pass over the rep's labels
-    (``g3table.census_keys``), every Conway polynomial packed at one slot
-    width for the whole census, girth 2 and girth 3 alike.  Equal keys
-    mean equal polynomials, so the classes are those of the text key.
-    Members stay label tuples.  Once every rep is keyed, each class
-    decodes its Conway and Jones polynomials and runs ``build_record``
-    once, and the classes are numbered in the order of their text keys.
+    (``g3table.census_keys``).  Both keyers take the six-label bound made
+    here, and nowhere else, from the label bound m: (m,) * 6 for girth 3
+    and (m, 0, 0, m, 0, 0), as K(p, q) is the labelling (p, 0, 0, q, 0, 0),
+    for girth 2.  Each packs every value of the census at one slot width.
+    Equal keys mean equal polynomials, so the classes are those of the
+    text key.  Members stay label tuples.  Once every rep is keyed, each
+    class decodes its Conway and Jones polynomials and runs
+    ``build_record`` once, and the classes are numbered in the order of
+    their text keys.
     """
     from . import g3table  # frozen data: loaded on first use
 
     # the label budget is checked before any per-label key table is built
     labellings = _labellings(girth, max_abs_label, even_only, positive_only)
-    jones_key, jones_of = cf.census_jones(girth, max_abs_label)
-    invariants, conway_of = g3table.census_keys(girth, max_abs_label, oracle.CONWAY_CAP)
+    m = max_abs_label
+    bound = (m,) * 6 if girth == 3 else (m, 0, 0, m, 0, 0)
+    jones_key, jones_of = cf.census_jones(bound)
+    invariants, conway_of = g3table.census_keys(bound, oracle.CONWAY_CAP)
     groups: dict[tuple, list] = {}
     for labels in labellings:
         comps, writhe, conway = invariants(labels)

@@ -5,7 +5,8 @@ The seven subcommands and their arguments are described once, in
 (``match``) and leaves the rest, help and usage errors included, to the
 argparse parser ``build_parser`` makes from the same table.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141
+(128 + SIGPIPE) when stdout is closed before the output is written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import os
 import random
 import sys
 import types
@@ -431,7 +433,10 @@ def main(argv: list[str] | None = None) -> int:
     line it declines is parsed by ``build_parser()``, so a valid command
     never imports argparse, and help texts and usage errors are
     argparse's own.  A usage error, or a ``ValueError`` or ``OSError`` of
-    the command, prints one ``error:`` line to stderr and returns 2.
+    the command, prints one ``error:`` line to stderr and returns 2.  A
+    closed stdout is no error: stdout is flushed here, so a failed write
+    surfaces, and fd 1 is pointed at the null device, so the interpreter's
+    last flush stays quiet; main returns 141 with nothing on stderr.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -439,7 +444,12 @@ def main(argv: list[str] | None = None) -> int:
         args = match(argv)
         if args is None:
             args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

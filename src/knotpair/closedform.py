@@ -12,7 +12,8 @@ Conventions fixed by the calibration suite against the oracles:
 
 The girth-2 and girth-3 brackets and the bracket difference formula are
 not assembled from Laurent products.  Each is one evaluation of its formula
-at y = A^4 = 2^k in Python ints, cut into coefficients once:
+at y = A^4 = 2^k in Python ints, cut into coefficients once; a K(p, q) is
+the girth-3 template of (p, 0, 0, q, 0, 0), and its bracket the girth-3 one:
 
 * **The s-hat identity.** S_x A^x (A^2 + A^-2) = 1 - (-A^4)^x, so
   s_x = S_x A^x = A^2 [x]_u with u = -A^4 and [x]_u = (1 - u^x) / (1 - u),
@@ -37,9 +38,10 @@ at y = A^4 = 2^k in Python ints, cut into coefficients once:
   all is either that one or not in the product, so a product has
   |.|_inf <= 8 P / M, with P = prod max(1, |x|) and M = max(1, max |x|)
   over the labels.  So |bracket|_inf <= 512 P / M.
-  The girth-2 bracket A^(-p-q) (delta (s_p + s_q) + s_p s_q + 1) has
-  |.|_inf <= 2 + 2 + min(|p|, |q|) + 1 <= 8 P / M, and the girth-1 one
-  delta A^-p + S_p has |.|_inf <= 2 <= 8 (``bracket_coefficient_bound``).
+  With four labels zero it is the girth-2 bracket A^(-p-q) (delta (s_p +
+  s_q) + s_p s_q + 1), which has |.|_inf <= 2 + 2 + min(|p|, |q|) + 1 <=
+  8 P / M over its two labels, and the girth-1 one delta A^-p + S_p has
+  |.|_inf <= 2 <= 8 (``bracket_coefficient_bound``).
   k is the least multiple of 8 with the bound below 2^(k-1), so every
   coefficient of y^N F, which are those of the bracket, fits a k-bit slot
   with the sign bit to spare, and ``LaurentPoly.from_packed`` reads them
@@ -51,9 +53,10 @@ at y = A^4 = 2^k in Python ints, cut into coefficients once:
   too is one int at y = 2^k; its width bounds |.|_inf by 18 M, M the
   largest |label| (argued there).
 * **The census key.** ``census_jones`` packs every bracket of one census
-  at one slot width and keys its Jones polynomial by two integers
-  (argued there), so a rep of the census costs int arithmetic alone and
-  only a class decodes a polynomial.
+  at the slot width of its six-label bound, a K(p, q) as its girth-3
+  labelling, and keys its Jones polynomial by two integers (argued
+  there), so a rep of the census costs int arithmetic alone and only a
+  class decodes a polynomial.
 """
 
 from __future__ import annotations
@@ -292,26 +295,13 @@ def _single_twist_value(p: int, k: int) -> tuple[int, int]:
 
 
 def bracket_double_twist(p: int, q: int) -> LaurentPoly:
-    """Kauffman bracket of the double twist diagram.
-
-    <K(p,q)> = A^(-p-q) (delta (s_p + s_q) + s_p s_q + 1), evaluated once
-    at y = 2^k (module docstring): the s_p s_q term carries y^1.
-    """
+    """Kauffman bracket of the double twist diagram K(p, q), the girth-3
+    template of (p, 0, 0, q, 0, 0): the ring product (``_girth3_value``) of
+    the rows of (p, 0, 0) and (q, 0, 0), at k = ``_slot_bits`` of the pair,
+    which bounds this same polynomial (module docstring)."""
     k = _slot_bits((p, q))
-    return LaurentPoly.from_packed(*_double_twist_value(p, q, k), k, 4, _A)
-
-
-def _double_twist_value(p: int, q: int, k: int) -> tuple[int, int]:
-    """(value, low) of <K(p,q)> at y = 2^k: its coefficients are the slots
-    of value, the first at exponent low."""
-    (pp, np_), (pq, nq) = _q_int(p, k), _q_int(q, k)
-    d = -((1 << k) + 1)
-    value = (
-        (1 << k * (np_ + nq))
-        + d * ((pp << k * nq) + (pq << k * np_))
-        + (pp * pq << k)
-    )
-    return value, -p - q - 4 * (np_ + nq)
+    value, low = _girth3_value(_row((p, 0, 0), k), _row((q, 0, 0), k), k, p + q)
+    return LaurentPoly.from_packed(value, low, k, 4, _A)
 
 
 def sym_s(k: int, triple: tuple[int, int, int]) -> LaurentPoly:
@@ -411,59 +401,50 @@ def _girth3_value(top_row: tuple, bottom_row: tuple, k: int, w: int) -> tuple[in
     return value, -w - 4 * (nt + nb)
 
 
-def census_jones(girth: int, max_abs: int):
-    """(key, jones) for the census of girth ``girth`` (2 or 3) with labels
-    bounded by ``max_abs``.
+def census_jones(bound: tuple):
+    """(key, jones) for a census whose labellings are bounded, label by
+    label, by the six labels ``bound``.
 
     ``key(labels, writhe)`` is the exact integer key (low, value) of the
     Jones polynomial of the rep with these ``reps.rep_labels`` and writhe,
     and ``jones(key)`` decodes it.  Two reps of the census have equal keys
     exactly when their Jones polynomials are equal:
 
-    * **One slot width.** Every bracket is packed at k = ``_slot_bits``
-      of the label bound m = max(max_abs, 1), taken as six labels for
-      girth 3 and two for girth 2.  ``bracket_coefficient_bound`` grows
-      with every |label|, so this k holds the coefficients of every rep
-      whose labels are at most m.  The one other rep, a K(p) of the
-      girth-2 census that absorbed a +-1 label, has |p| <= m + 1 but
-      |<K(p)>|_inf <= 2 <= 8 m, inside the bound too.  With every
-      |c_j| < 2^(k-1), value = sum c_j 2^(kj) has one such expansion, so at
-      one k the value fixes the coefficients and the coefficients the
-      value.
-    * **Normalised.** The zero low slots are stripped (each leaves
+    * **One bracket.**  A K(p) reads ``_single_twist_value``.  A K(p, q) is
+      the labelling (p, 0, 0, q, 0, 0), whose template it is, and every
+      six labels are assembled from the ``_row`` of their two triples,
+      each made once and kept in a dict of this call.
+    * **One slot width.**  Every bracket is packed at k = ``_slot_bits``
+      of the bound.  ``bracket_coefficient_bound`` grows with every
+      |label|, so this k holds the coefficients of every labelling within
+      the bound.  The one other rep, a K(p) of the girth-2 census that
+      absorbed a +-1 label, has |<K(p)>|_inf <= 2, inside every bound.
+      With every |c_j| < 2^(k-1), value = sum c_j 2^(kj) has one such
+      expansion, so at one k the value fixes the coefficients and the
+      coefficients the value.
+    * **Normalised.**  The zero low slots are stripped (each leaves
       ``value & (2^k - 1) == 0``), so low is the least exponent.  The Jones
       polynomial is (-1)^w A^(-3w) times the bracket, read in quarter
       powers of t: low moves by -3w, and value is negated when w is odd.
       So (low, value) are the least exponent and the packed coefficients
       of the Jones polynomial itself.
-
-    A girth-3 bracket is assembled from the ``_row`` of its two label
-    triples, each made once and kept in a dict of this call.
     """
-    m = max(max_abs, 1)
-    if girth == 3:
-        k = _slot_bits((m,) * 6)
-        rows: dict[tuple, tuple] = {}
+    k = _slot_bits(bound)
+    rows: dict[tuple, tuple] = {}
 
-        def row(triple: tuple) -> tuple:
-            found = rows.get(triple)
-            if found is None:
-                found = rows[triple] = _row(triple, k)
-            return found
-
-        def bracket(labels: tuple) -> tuple[int, int]:
-            return _girth3_value(row(labels[:3]), row(labels[3:]), k, sum(labels))
-
-    else:
-        k = _slot_bits((m, m))
-
-        def bracket(labels: tuple) -> tuple[int, int]:
-            if len(labels) == 2:
-                return _double_twist_value(*labels, k)
-            return _single_twist_value(*labels, k)
+    def row(triple: tuple) -> tuple:
+        found = rows.get(triple)
+        if found is None:
+            found = rows[triple] = _row(triple, k)
+        return found
 
     def key(labels: tuple, writhe: int) -> tuple[int, int]:
-        value, low = bracket(labels)
+        if len(labels) == 1:
+            value, low = _single_twist_value(*labels, k)
+        else:
+            if len(labels) == 2:
+                labels = (labels[0], 0, 0, labels[1], 0, 0)
+            value, low = _girth3_value(row(labels[:3]), row(labels[3:]), k, sum(labels))
         zero_slots = ((value & -value).bit_length() - 1) // k
         value >>= k * zero_slots
         return low + 4 * zero_slots - 3 * writhe, -value if writhe % 2 else value

@@ -162,51 +162,46 @@ def conway(labels: tuple[int, ...]) -> LaurentPoly:
         elif m:
             off |= 1 << i
             weights[kinds[i], x] = _weights(m, kinds[i] == FIBONACCI, k)
-    axes, subs = _SUBMASKS[off]
-    corners = _packed(pattern, k)
-    values = [corners[corner | sub] for sub in subs]
-    nabla = _contract(values, axes, kinds, labels, weights)
+    nabla = _contract(pattern, corner, off, labels, weights, k)
     return LaurentPoly.from_packed(nabla, 0, k, 2, "z")
 
 
-def census_keys(girth: int, max_abs: int, cap: int):
-    """(key, conway) for the census of girth ``girth`` (2 or 3) with labels
-    bounded by ``max_abs``.
+def census_keys(bound: tuple, cap: int):
+    """(key, conway) for a census whose labellings are bounded, label by
+    label, by the six labels ``bound``.
 
     ``key(labels)`` is (components, writhe, nabla) of the rep with these
     ``reps.rep_labels``: nabla is the knot's Conway polynomial at
     z = 2^(k/2), one int, or None for a link or a knot of more than
     ``cap`` crossings with an odd label.  ``conway(nabla)`` decodes it.
     k is ``slot_bits`` of ``conway_bound`` on six Fibonacci axes at the
-    labels (max_abs,) * 6, or (max_abs, 0, 0, max_abs, 0, 0) for girth 2,
-    so it holds every knot of the census (module docstring), and two
-    knots have equal ints exactly when their polynomials are equal (one
-    expansion in balanced slots).  An all-even knot packs the terms of
-    ``closedform.conway_girth3_even``, the same polynomial as the
+    bound, so it holds every knot of the census (module docstring), and
+    two knots have equal ints exactly when their polynomials are equal
+    (one expansion in balanced slots).  An all-even knot packs the terms
+    of ``closedform.conway_girth3_even``, the same polynomial as the
     table's; a term in an odd power would move a slot by 2^(k/2), which
     the identities of the decoded value refuse.
 
-    A girth-2 rep K(p, q) is keyed as the labelling (p, 0, 0, q, 0, 0),
-    whose template it is.  ``cap`` never withholds its value: it has at
-    most 2 * ``census.G2_BUDGET`` = 24 crossings, no more than
-    ``oracle.CONWAY_CAP``, so the census agrees with the uncapped twist
-    formula that ``classify.closed_invariants`` gives ``eval``.  A K(p) that absorbed a +-1 label is a knot of
-    writhe -p, its terms (``closedform.conway_single_twist``) packed at
-    the same k, when p is odd, and otherwise two components of writhe
-    -|p|, as ``classify.closed_invariants`` has it.
+    A K(p) that absorbed a +-1 label is a knot of writhe -p, its terms
+    (``closedform.conway_single_twist``) packed at the same k, when p is
+    odd, and otherwise two components of writhe -|p|, as
+    ``classify.closed_invariants`` has it.  A K(p, q) is keyed as the
+    labelling (p, 0, 0, q, 0, 0), whose template it is.  ``cap`` never
+    withholds its value: it has at most 2 * ``census.G2_BUDGET`` = 24
+    crossings, no more than ``oracle.CONWAY_CAP``, so the census agrees
+    with the uncapped twist formula that ``classify.closed_invariants``
+    gives ``eval``.
 
     One pass over the labels sums per-label fields: the reduced index, the
     parity pattern, the corner bits, the off-corner axes and the crossing
     count.  The weights of each axis kind at each label are made once.
     """
-    labels_range = range(-max_abs, max_abs + 1)
-    bound = (max_abs,) * 6 if girth == 3 else (max_abs, 0, 0, max_abs, 0, 0)
     k = slot_bits(conway_bound(bound, FIBONACCI * 6))
     half = k >> 1
     fields = []
-    for i in range(6):
+    for i, b in enumerate(bound):
         per_label = {}
-        for x in labels_range:
+        for x in range(-b, b + 1):
             m = _step(x)
             per_label[x] = (
                 _digit(x) * 5**i
@@ -221,10 +216,17 @@ def census_keys(girth: int, max_abs: int, cap: int):
     weights = {
         (kind, x): _weights(_step(x), kind == FIBONACCI, k)
         for kind in (AFFINE, FIBONACCI)
-        for x in labels_range
+        for x in range(-max(bound), max(bound) + 1)
     }
 
     def key(labels: tuple) -> tuple:
+        if len(labels) == 1:
+            (p,) = labels
+            if p % 2 == 0:
+                return 2, -abs(p), None
+            return 1, -p, sum(c << half * e for e, c in cf.conway_single_twist(p).terms)
+        if len(labels) == 2:
+            labels = (labels[0], 0, 0, labels[1], 0, 0)
         x0, x1, x2, x3, x4, x5 = labels
         s = f0[x0] + f1[x1] + f2[x2] + f3[x3] + f4[x4] + f5[x5]
         entry = _ENTRIES[s & 0x3FFF]
@@ -237,33 +239,20 @@ def census_keys(girth: int, max_abs: int, cap: int):
             return 1, writhe, sum(c << half * e for e, c in even.terms)
         if s >> 32 > cap:
             return 1, writhe, None
-        corners = _packed(pattern, k)
-        corner = s >> 20 & 63
-        axes, subs = _SUBMASKS[s >> 26 & 63]
-        values = [corners[corner | sub] for sub in subs]
-        return 1, writhe, _contract(values, axes, KNOTS[pattern][0], labels, weights)
+        return 1, writhe, _contract(pattern, s >> 20 & 63, s >> 26 & 63, labels, weights, k)
 
-    conway_of = functools.partial(LaurentPoly.from_packed, low=0, k=k, stride=2, tag="z")
-    if girth == 3:
-        return key, conway_of
-
-    def girth2_key(labels: tuple) -> tuple:
-        if len(labels) == 2:
-            p, q = labels
-            return key((p, 0, 0, q, 0, 0))
-        (p,) = labels
-        if p % 2 == 0:
-            return 2, -abs(p), None
-        return 1, -p, sum(c << half * e for e, c in cf.conway_single_twist(p).terms)
-
-    return girth2_key, conway_of
+    return key, functools.partial(LaurentPoly.from_packed, low=0, k=k, stride=2, tag="z")
 
 
-def _contract(values: list, axes, kinds: str, labels, weights) -> int:
-    """nabla from the packed corners that the off-corner ``axes`` span, in
-    the order of their ``_SUBMASKS``: the axes are contracted with their
-    weights, the lowest first.  ``weights[kind, x]`` is (w0, w1) of an axis
-    of that kind at label x."""
+def _contract(pattern: int, corner: int, off: int, labels, weights, k: int) -> int:
+    """nabla of a knot pattern at s = 2^k: its packed corners at the
+    ``corner`` bits that the ``off``-corner axes span, contracted with the
+    axes' weights, the lowest axis first.  ``weights[kind, x]`` is (w0, w1)
+    of an axis of that kind at label x."""
+    corners = _packed(pattern, k)
+    kinds = KNOTS[pattern][0]
+    axes, subs = _SUBMASKS[off]
+    values = [corners[corner | sub] for sub in subs]
     for i in axes:
         w0, w1 = weights[kinds[i], labels[i]]
         values = [w0 * f0 + w1 * f1 for f0, f1 in zip(values[::2], values[1::2])]

@@ -209,8 +209,8 @@ def _backtrack(tait: TaitGraph):
     settle_out: list[list[tuple[int, int]]] = [[] for _ in edges]
     for h, (v, s) in enumerate(zip(vertex, tait.succ)):  # the turn h -> succ[h]
         a, b = h >> 1, s >> 1
-        # b == a, at a valence-1 vertex, counts nothing: it settles only
-        # when a is decided out
+        # b != a: a turn from an edge back to itself needs a loop or a
+        # valence-1 vertex, and no searched graph has either
         if b < a:
             settle_in[a].append((b, v))
         else:

@@ -16,9 +16,9 @@ goes through the Wirtinger presentation and Fox derivatives.
 Both read nothing but the PD code, and Fox calculus the orientation that
 ``diagram.orient`` derives from it.  They share no code with the closed
 forms: the sweep knows nothing of twist regions, trees or labels, takes no
-polynomial from ``closedform`` and reads its packed ints with its own
-loop, as ``_alexander`` does.  They exist to verify the closed forms, so a
-fault in a closed form cannot hide in them.
+polynomial from ``closedform`` and reads its packed ints, as
+``_alexander`` does, with its own digit loop (``_digits``).  They exist to
+verify the closed forms, so a fault in a closed form cannot hide in them.
 """
 
 from __future__ import annotations
@@ -162,7 +162,10 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     ((_, low, value),) = frontier.values()
     low, value = _times_delta_power(low, value, k, free - 1)
     top = 3 * n + 2 * (parts + free - 1)
-    return _digits(value, low, k, (top - low) // 4 + 1)
+    terms = _digits(value, k, low, 4, (top - low) // 4 + 1)
+    if terms is None:
+        raise ValueError("state sum exceeds its coefficient bound")
+    return LaurentPoly.from_terms(tuple(terms), "A")
 
 
 def _times_delta_power(low: int, value: int, k: int, m: int) -> tuple[int, int]:
@@ -178,25 +181,25 @@ def _times_delta_power(low: int, value: int, k: int, m: int) -> tuple[int, int]:
     return low - 2 * m, -value if m % 2 else value
 
 
-def _digits(value: int, low: int, k: int, slots: int) -> LaurentPoly:
-    """The polynomial in A whose exponent low + 4j has the signed base-2^k
-    digit j of value, each digit in [-2^(k - 1), 2^(k - 1)).
+def _digits(value: int, k: int, low: int, stride: int, count: int) -> list | None:
+    """The nonzero (exponent, digit) pairs of the signed base-2^k digits of
+    value, digit j at exponent low + stride j and each in
+    [-2^(k - 1), 2^(k - 1)); None when value needs more than ``count``
+    digits.
 
-    A value with more than ``slots`` digits broke its coefficient bound
-    and is refused.
+    Such an expansion is unique: digit 0 is the value's residue mod 2^k in
+    that range, and the rest is the expansion of (value - digit) / 2^k.
     """
     half, mask = 1 << (k - 1), (1 << k) - 1
     terms = []
-    for e in range(low, low + 4 * slots, 4):
+    for e in range(low, low + stride * count, stride):
         if not value:
             break
         c = ((value + half) & mask) - half
         value = (value - c) >> k
         if c:
             terms.append((e, c))
-    if value:
-        raise ValueError("state sum exceeds its coefficient bound")
-    return LaurentPoly.from_terms(tuple(terms), "A")
+    return None if value else terms
 
 
 def _join(partner: dict[int, int], x: int, y: int) -> int:
@@ -343,10 +346,9 @@ def _alexander(minor: list[dict[int, dict[int, int]]]) -> dict[int, int]:
     of the minor.
 
     Decode.  det(M(2^k)) = sum_e c_e 2^(k e), and every c_e lies in
-    [-2^(k - 1), 2^(k - 1)).  Such a signed base-2^k expansion is unique:
-    c_0 is the value's residue mod 2^k in that range, and the rest is the
-    expansion of (value - c_0) / 2^k.  Anything left after dim + 1 digits
-    means an entry had an exponent past 1.
+    [-2^(k - 1), 2^(k - 1)), so the c_e are its signed base-2^k digits
+    (``_digits``).  Anything left after dim + 1 digits means an entry had
+    an exponent past 1.
     """
     dim = len(minor)
     k = _fox_width(minor)
@@ -359,17 +361,10 @@ def _alexander(minor: list[dict[int, dict[int, int]]]) -> dict[int, int]:
                 entry += c << k * e
             line[j] = entry
         mat.append(line)
-    value = _bareiss_det(mat)
-    half, mask = 1 << (k - 1), (1 << k) - 1
-    delta = {}
-    for e in range(dim + 1):
-        c = ((value + half) & mask) - half
-        value = (value - c) >> k
-        if c:
-            delta[e] = c
-    if value:
+    delta = _digits(_bareiss_det(mat), k, 0, 1, dim + 1)
+    if delta is None:
         raise ValueError("Alexander determinant exceeds its coefficient bound")
-    return delta
+    return dict(delta)
 
 
 def _fox_width(minor: list[dict[int, dict[int, int]]]) -> int:

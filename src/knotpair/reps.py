@@ -196,23 +196,29 @@ def g3_wheel_minima(labellings: list) -> list:
     return labellings
 
 
+def canonical_pair(p: int, q: int) -> tuple:
+    """The canonical labels of K(p, q): the sorted pair, or, when a +-1
+    label is absorbed into the other twist region, the single region left."""
+    p, q = sorted((p, q))
+    if abs(q) == 1:
+        return (p - q,)
+    if abs(p) == 1:
+        return (q - p,)
+    return (p, q)
+
+
 def canonicalize(rep) -> tuple:
     """The canonical labels (``rep_labels``) of a rep under the paper-level
     symmetries; ``rep_from_labels`` reads the canonical rep back.
 
-    A girth-1 rep is its own.  A girth-2 pair is sorted, and a +-1 label
-    is absorbed into the other twist region, which leaves a single region
-    (p,).  A girth-3 labelling is the least of its wheel images.
+    A girth-1 rep is its own, a girth-2 one its ``canonical_pair`` and a
+    girth-3 labelling the least of its wheel images.
     """
     if isinstance(rep, Girth1Rep):
         return (rep.p,)
     if isinstance(rep, Girth2Rep):
-        p, q = sorted((rep.p, rep.q))
-        if abs(q) == 1:
-            return (p - q,)
-        if abs(p) == 1:
-            return (q - p,)
-        return (p, q)
+        return canonical_pair(rep.p, rep.q)
     if isinstance(rep, Girth3Rep):
         return g3_wheel_min(rep.top + rep.bottom)
     raise TypeError(f"cannot canonicalize {rep!r}")
+

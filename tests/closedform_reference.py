@@ -1,11 +1,14 @@
 """The bracket difference formula built from Laurent products, kept as the
 reference for ``knotpair.closedform.bracket_diff_formula``, which evaluates
-the same formula once at A^4 = 2^k; and the slot widths the closed forms
-took from bounds on the sum of |coefficients|, kept as the reference for
-the widths they now take from bounds on the largest |coefficient|.
+the same formula once at A^4 = 2^k; the girth-2 bracket formula at
+A^4 = 2^k, kept as the reference for ``bracket_double_twist``, which reads
+K(p, q) as the girth-3 labelling (p, 0, 0, q, 0, 0); and the slot widths
+the closed forms took from bounds on the sum of |coefficients|, kept as
+the reference for the widths they now take from bounds on the largest
+|coefficient|.
 """
 
-from knotpair.closedform import _perm_core, diff_factor, s_hat
+from knotpair.closedform import _perm_core, _q_int, diff_factor, s_hat
 from knotpair.laurent import LaurentPoly
 from knotpair.reps import Girth3Rep
 
@@ -23,6 +26,20 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
         raise ValueError(f"no closed difference form for {perm!r}")
     w = sum(rep.top) + sum(rep.bottom)
     return LaurentPoly.monomial(1, -w, "A") * core * diff_factor()
+
+
+def double_twist_value(p: int, q: int, k: int) -> tuple[int, int]:
+    """(value, low) of <K(p,q)> = A^(-p-q) (delta (s_p + s_q) + s_p s_q + 1)
+    at y = 2^k: its coefficients are the slots of value, the first at
+    exponent low; the s_p s_q term carries y^1."""
+    (pp, np_), (pq, nq) = _q_int(p, k), _q_int(q, k)
+    d = -((1 << k) + 1)
+    value = (
+        (1 << k * (np_ + nq))
+        + d * ((pp << k * nq) + (pq << k * np_))
+        + (pp * pq << k)
+    )
+    return value, -p - q - 4 * (np_ + nq)
 
 
 def bracket_l1_bound(labels: tuple[int, ...]) -> int:

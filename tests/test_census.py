@@ -265,7 +265,7 @@ def test_the_census_slot_width_gives_each_reps_own_bracket(max_abs, even_only, p
     # label bound, from label-triple rows it shares across reps; from
     # max_abs 3 on, some reps have a narrower width of their own, so the
     # shared width is exercised (at max_abs 2 every rep has the census's)
-    key, jones = census_jones(3, max_abs)
+    key, jones = census_jones((max_abs,) * 6)
     reps = census_enumerate(3, max_abs, even_only, positive_only)
     census_k = _slot_bits((max_abs,) * 6)
     widths = set()
@@ -286,7 +286,8 @@ def test_the_census_slot_width_gives_each_reps_own_bracket(max_abs, even_only, p
 def test_the_census_jones_key_is_exact(girth, max_abs, even_only, positive_only):
     # the key decodes to the rep's Jones polynomial, and two reps share a
     # key exactly when they share the text key of their invariants
-    key, jones = census_jones(girth, max_abs)
+    bound = (max_abs,) * 6 if girth == 3 else (max_abs, 0, 0, max_abs, 0, 0)
+    key, jones = census_jones(bound)
     by_key, by_text = {}, {}
     for rep in census_enumerate(girth, max_abs, even_only, positive_only):
         labels = rep_labels(rep)
@@ -348,7 +349,7 @@ def test_the_census_conway_key_is_exact():
     # are those of closed_invariants, its Conway int decodes to the same
     # polynomial, and two knots share an int exactly when they share a
     # polynomial
-    key, conway = g3table.census_keys(3, 3, CONWAY_CAP)
+    key, conway = g3table.census_keys((3,) * 6, CONWAY_CAP)
     by_int, by_poly = {}, {}
     for labels in _labellings(3, 3, False, False):
         comps, writhe, nabla = key(labels)
@@ -367,7 +368,7 @@ def test_the_census_conway_key_is_exact():
 def test_the_census_conway_key_at_the_label_budget():
     # labels to the girth-3 budget of 6, where knots of more than
     # CONWAY_CAP crossings with an odd label have no Conway value
-    key, conway = g3table.census_keys(3, 6, CONWAY_CAP)
+    key, conway = g3table.census_keys((6,) * 6, CONWAY_CAP)
     rng = random.Random(20261019)
     capped = 0
     for _ in range(3000):
@@ -386,7 +387,7 @@ def test_the_girth2_census_conway_key_is_exact(max_abs):
     # census, whose |p| reaches max_abs + 1, keyed at the census's slot
     # width: the key decodes to closed_invariants, and two knots share an
     # int exactly when they share a polynomial
-    key, conway = g3table.census_keys(2, max_abs, CONWAY_CAP)
+    key, conway = g3table.census_keys((max_abs, 0, 0, max_abs, 0, 0), CONWAY_CAP)
     values = range(-max_abs, max_abs + 1)
     single = {(p,) for p in values}
     single.update(labels for labels in _labellings(2, max_abs, False, False) if len(labels) == 1)

@@ -561,6 +561,23 @@ def test_closed_evaluation_at_the_cap_answers(capsys):
     assert code == 0 and out == f"{CLOSED_CAP}\n"
 
 
+@pytest.mark.parametrize("argv", [["census", "--girth", "3", "--max", "3"], ["selftest"]])
+def test_a_closed_stdout_exits_141_quietly(argv):
+    # as in ``knotpair census ... | head -1``: the reader has gone before
+    # the command writes, which is no usage error
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "knotpair.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (141, b"")
+
+
 def test_one_process_parses_like_separate_ones():
     # the parser is built once per process and reused: a usage error, a
     # command and another usage error print what each prints on its own

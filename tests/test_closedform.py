@@ -464,6 +464,25 @@ def test_bracket_double_twist_equals_laurent_assembly():
         assert _max_abs(got) <= bracket_coefficient_bound((p, q)), (p, q)
 
 
+def test_bracket_double_twist_is_the_girth3_bracket_of_its_padded_labels():
+    # K(p, q) is the girth-3 template of (p, 0, 0, q, 0, 0): its bracket,
+    # packed at the pair's slot width, is the girth-2 formula's int
+    for p in range(-12, 13):
+        for q in range(-12, 13):
+            k = closedform._slot_bits((p, q))
+            want = closedform_reference.double_twist_value(p, q, k)
+            assert _padded_double_twist_value(p, q, k) == want, (p, q)
+            got = bracket_double_twist(p, q)
+            assert got == LaurentPoly.from_packed(*want, k, 4, "A"), (p, q)
+            assert got == bracket_girth3(Girth3Rep((p, 0, 0), (q, 0, 0))), (p, q)
+
+
+def _padded_double_twist_value(p: int, q: int, k: int) -> tuple[int, int]:
+    """(value, low) of the girth-3 bracket of (p, 0, 0, q, 0, 0) at y = 2^k."""
+    top, bottom = closedform._row((p, 0, 0), k), closedform._row((q, 0, 0), k)
+    return closedform._girth3_value(top, bottom, k, p + q)
+
+
 def _signed_log_uniform(top: int):
     return st.one_of(
         st.just(0),
@@ -497,7 +516,7 @@ def test_girth3_width_decodes_as_the_l1_width(labels):
 @settings(max_examples=200, deadline=None)
 @given(st.tuples(*[_signed_log_uniform(10000)] * 2))
 def test_girth2_width_decodes_as_the_l1_width(labels):
-    _at_both_widths(lambda k: closedform._double_twist_value(*labels, k), labels)
+    _at_both_widths(lambda k: _padded_double_twist_value(*labels, k), labels)
 
 
 def test_diff_formula_width_decodes_as_the_l1_width():

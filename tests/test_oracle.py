@@ -439,7 +439,10 @@ def divide_by_delta(p: LaurentPoly) -> LaurentPoly:
     for low, value in packed_classes(p, k):
         low, value = _times_delta_power(low, value, k, -1)
         slots = (p.max_exp() - low) // 4 + 1
-        out = out + _digits(value, low, k, slots)
+        terms = _digits(value, k, low, 4, slots)
+        if terms is None:
+            raise ValueError("quotient exceeds its coefficient bound")
+        out = out + A(dict(terms))
     return out
 
 
@@ -458,15 +461,15 @@ def test_divide_by_delta_is_exact_or_refuses():
 def test_digits_refuse_a_leftover():
     k = 8
     value = 3 - (5 << k) + (7 << 2 * k)
-    assert _digits(value, -6, k, 3) == A({-6: 3, -2: -5, 2: 7})
-    assert _digits(value, -6, k, 5) == A({-6: 3, -2: -5, 2: 7})
-    with pytest.raises(ValueError):
-        _digits(value, -6, k, 2)
+    assert _digits(value, k, -6, 4, 3) == [(-6, 3), (-2, -5), (2, 7)]
+    assert _digits(value, k, -6, 4, 5) == [(-6, 3), (-2, -5), (2, 7)]
+    assert _digits(value, k, -6, 4, 2) is None
     # the most negative digit is -2^(k - 1); 2^(k - 1) carries into the next
-    assert _digits(-(1 << k - 1), 0, k, 1) == A({0: -(1 << k - 1)})
-    with pytest.raises(ValueError):
-        _digits(1 << k - 1, 0, k, 1)
-    assert _digits(0, 5, k, 1).is_zero()
+    assert _digits(-(1 << k - 1), k, 0, 4, 1) == [(0, -(1 << k - 1))]
+    assert _digits(1 << k - 1, k, 0, 4, 1) is None
+    assert _digits(0, k, 5, 4, 1) == []
+    # the Alexander decode reads the same digits at stride 1
+    assert _digits(value, k, 0, 1, 3) == [(0, 3), (1, -5), (2, 7)]
 
 
 def test_state_sum_refuses_a_code_that_is_not_planar():

@@ -18,7 +18,7 @@ from .laurent import (
     poly_to_text,
 )
 from .record import Record
-from .reps import canonical_pair, g3_wheel_minima, parse_rep, rep_from_labels
+from .reps import canonical_pair, g3_labels, g3_wheel_minima, parse_rep, rep_from_labels
 from .tables import (
     ROLFSEN_TABLE,
     TABLE_ERRATA,
@@ -146,10 +146,11 @@ def dedup_census(
     link or past ``oracle.CONWAY_CAP``) and the integer key of its Jones
     polynomial at its writhe (``closedform.census_jones``).  The component
     count, writhe and Conway int come from one pass over the rep's labels
-    (``g3table.census_keys``).  Both keyers take the six-label bound made
-    here, and nowhere else, from the label bound m: (m,) * 6 for girth 3
-    and (m, 0, 0, m, 0, 0), as K(p, q) is the labelling (p, 0, 0, q, 0, 0),
-    for girth 2.  Each packs every value of the census at one slot width.
+    (``g3table.census_keys``).  Both keyers take six labels: each
+    labelling is padded here, once, to its girth-3 labelling
+    (``reps.g3_labels``), and so is the label bound m of girth 2, whose
+    pairs lie within (m, m); for girth 3 the bound is (m,) * 6.  Each
+    keyer packs every value of the census at one slot width.
     Equal keys mean equal polynomials, so the classes are those of the
     text key.  Members stay label tuples.  Once every rep is keyed, each
     class decodes its Conway and Jones polynomials and runs
@@ -161,13 +162,14 @@ def dedup_census(
     # the label budget is checked before any per-label key table is built
     labellings = _labellings(girth, max_abs_label, even_only, positive_only)
     m = max_abs_label
-    bound = (m,) * 6 if girth == 3 else (m, 0, 0, m, 0, 0)
+    bound = (m,) * 6 if girth == 3 else g3_labels((m, m))
     jones_key, jones_of = cf.census_jones(bound)
     invariants, conway_of = g3table.census_keys(bound, oracle.CONWAY_CAP)
     groups: dict[tuple, list] = {}
     for labels in labellings:
-        comps, writhe, conway = invariants(labels)
-        key = (comps, conway, jones_key(labels, writhe))
+        six = g3_labels(labels)
+        comps, writhe, conway = invariants(six)
+        key = (comps, conway, jones_key(six, writhe))
         members = groups.get(key)
         if members is None:
             groups[key] = [labels]

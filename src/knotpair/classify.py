@@ -11,11 +11,10 @@ from . import oracle
 from .laurent import LaurentPoly, jones_from_bracket, poly_to_text
 from .record import Record, set_field
 from .reps import (
-    Girth1Rep,
-    Girth2Rep,
     Girth3Rep,
     canonicalize,
     d3_orbit,
+    g3_labels,
     mirror,
     rep_labels,
     template_crossings,
@@ -173,36 +172,29 @@ def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
     ``rep_labels``, the Conway polynomial None for a link or where no
     closed value is available.
 
-    No rep builds a template.  A girth-1 rep K(p) is a knot of p crossings
-    of sign -sign(p) when p is odd (``GIRTH1_HANDEDNESS`` = 1), and
-    otherwise two components that every crossing joins, which ``orient``
-    makes -1.  A girth-2 rep K(p, q), whose template is that of the
-    girth-3 labelling (p, 0, 0, q, 0, 0), and a girth-3 rep, knot or link,
-    read their component count and writhe off the frozen table of reduced
-    labellings (``g3table``).  A girth-1 or girth-2 knot's Conway
-    polynomial is its twist formula.  A girth-3 knot's is the even formula
-    when every label is even, and otherwise the table's closed form
+    No rep builds a template.  Every rep reads its component count and
+    writhe off the frozen table of reduced labellings (``g3table``), at
+    its girth-3 labelling (``reps.g3_labels``), which has the rep's
+    components and writhe.  A girth-1 or girth-2 knot's Conway polynomial
+    is its twist formula.  A girth-3 knot's is the even formula when every
+    label is even, and otherwise the table's closed form
     (``g3table.conway``, one int contraction at s = z^2 = 2^k, decoded),
     up to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle
     answers on.  The census keys the same values by ints in one pass over
-    each rep's labels (``g3table.census_keys``), a girth-2 knot's Conway
-    polynomial from the table's contraction rather than its twist formula.
+    each rep's labelling (``g3table.census_keys``), a girth-1 or girth-2
+    knot's Conway polynomial from the table's contraction rather than its
+    twist formula.
     """
-    if len(labels) == 1:
-        (p,) = labels
-        if p % 2:
-            return 1, -p, cf.conway_single_twist(p)
-        return 2, -abs(p), None
     from . import g3table  # frozen data: loaded on first use
 
-    if len(labels) == 2:
-        p, q = labels
-        comps, writhe = g3table.components_and_writhe((p, 0, 0, q, 0, 0))
-        return comps, writhe, cf.conway_double_twist(p, q) if comps == 1 else None
-    comps, writhe = g3table.components_and_writhe(labels)
+    comps, writhe = g3table.components_and_writhe(g3_labels(labels))
     conway = None
     if comps == 1:
-        if all(x % 2 == 0 for x in labels):
+        if len(labels) == 1:
+            conway = cf.conway_single_twist(*labels)
+        elif len(labels) == 2:
+            conway = cf.conway_double_twist(*labels)
+        elif all(x % 2 == 0 for x in labels):
             conway = cf.conway_girth3_even(Girth3Rep(labels[:3], labels[3:]))
         elif sum(map(abs, labels)) <= oracle.CONWAY_CAP:
             conway = g3table.conway(labels)
@@ -270,14 +262,13 @@ def _nabla_2i(conway: LaurentPoly) -> int:
 
 
 def closed_bracket(rep) -> LaurentPoly:
-    """Closed-form Kauffman bracket for any girth <= 3 representation."""
-    if isinstance(rep, Girth1Rep):
-        return cf.bracket_single_twist(rep.p)
-    if isinstance(rep, Girth2Rep):
-        return cf.bracket_double_twist(rep.p, rep.q)
+    """Closed-form Kauffman bracket for any girth <= 3 representation: a
+    girth-3 rep's own, and otherwise that of the double twist pair of its
+    ``reps.g3_labels``."""
     if isinstance(rep, Girth3Rep):
         return cf.bracket_girth3(rep)
-    raise TypeError(f"no closed bracket for {rep!r}")
+    p, _, _, q, _, _ = g3_labels(rep_labels(rep))
+    return cf.bracket_double_twist(p, q)
 
 
 def jones_equal(

@@ -10,10 +10,12 @@ Conventions fixed by the calibration suite against the oracles:
 * the bracket difference factor is 1 - (-A^2 - A^(-2))^2; the A^(-1)
   occasionally seen in print fails the subtraction check.
 
-The girth-2 and girth-3 brackets and the bracket difference formula are
-not assembled from Laurent products.  Each is one evaluation of its formula
-at y = A^4 = 2^k in Python ints, cut into coefficients once; a K(p, q) is
-the girth-3 template of (p, 0, 0, q, 0, 0), and its bracket the girth-3 one:
+The brackets and the bracket difference formula are not assembled from
+Laurent products.  Each is one evaluation of its formula at y = A^4 = 2^k
+in Python ints, cut into coefficients once.  Every girth <= 3 rep has the
+bracket of its girth-3 labelling (``reps.g3_labels``): a K(p, q) is the
+template of (p, 0, 0, q, 0, 0), and a K(p) that of the pair whose +-1
+label absorbs into p, padded likewise, so one formula serves all three:
 
 * **The s-hat identity.** S_x A^x (A^2 + A^-2) = 1 - (-A^4)^x, so
   s_x = S_x A^x = A^2 [x]_u with u = -A^4 and [x]_u = (1 - u^x) / (1 - u),
@@ -40,8 +42,7 @@ the girth-3 template of (p, 0, 0, q, 0, 0), and its bracket the girth-3 one:
   over the labels.  So |bracket|_inf <= 512 P / M.
   With four labels zero it is the girth-2 bracket A^(-p-q) (delta (s_p +
   s_q) + s_p s_q + 1), which has |.|_inf <= 2 + 2 + min(|p|, |q|) + 1 <=
-  8 P / M over its two labels, and the girth-1 one delta A^-p + S_p has
-  |.|_inf <= 2 <= 8 (``bracket_coefficient_bound``).
+  8 P / M over its two labels (``bracket_coefficient_bound``).
   k is the least multiple of 8 with the bound below 2^(k-1), so every
   coefficient of y^N F, which are those of the bracket, fits a k-bit slot
   with the sign bit to spare, and ``LaurentPoly.from_packed`` reads them
@@ -53,7 +54,7 @@ the girth-3 template of (p, 0, 0, q, 0, 0), and its bracket the girth-3 one:
   too is one int at y = 2^k; its width bounds |.|_inf by 18 M, M the
   largest |label| (argued there).
 * **The census key.** ``census_jones`` packs every bracket of one census
-  at the slot width of its six-label bound, a K(p, q) as its girth-3
+  at the slot width of its six-label bound, each rep as its girth-3
   labelling, and keys its Jones polynomial by two integers (argued
   there), so a rep of the census costs int arithmetic alone and only a
   class decodes a polynomial.
@@ -62,7 +63,7 @@ the girth-3 template of (p, 0, 0, q, 0, 0), and its bracket the girth-3 one:
 from __future__ import annotations
 
 from .laurent import LaurentPoly, slot_bits
-from .reps import Girth3Rep
+from .reps import Girth3Rep, g3_labels
 
 _Z = "z"
 _A = "A"
@@ -247,9 +248,9 @@ _GIRTH3_SCALE = 64 * 8
 
 
 def bracket_coefficient_bound(labels: tuple[int, ...]) -> int:
-    """Bound on the largest |coefficient| of a girth-1 (one label), girth-2
-    (two labels) or girth-3 bracket: scale * P / M, with P the product and
-    M the largest of max(1, |x|) over the labels (module docstring)."""
+    """Bound on the largest |coefficient| of a girth-2 (two labels) or
+    girth-3 bracket: scale * P / M, with P the product and M the largest
+    of max(1, |x|) over the labels (module docstring)."""
     sizes = [abs(x) or 1 for x in labels]
     bound = _GIRTH3_SCALE if len(labels) == 6 else _GIRTH2_SCALE
     for x in sizes:
@@ -277,30 +278,15 @@ def _q_int(x: int, k: int) -> tuple[int, int]:
     return num // ((1 << k) + 1), max(-x, 0)
 
 
-def bracket_single_twist(p: int) -> LaurentPoly:
-    """Bracket of the closed twist region: <K(p)> = A^-p (delta + s_p).
-
-    That is delta A^-p + S_p, linear in |p|.  Verified against the
-    state-sum oracle and against the one-crossing recurrence
-    <K(p)> = A^-1 <K(p-1)> + A (-A^3)^(p-1), <K(0)> = delta.
-    """
-    k = _slot_bits((p,))
-    return LaurentPoly.from_packed(*_single_twist_value(p, k), k, 4, _A)
-
-
-def _single_twist_value(p: int, k: int) -> tuple[int, int]:
-    """(value, low): <K(p)> = A^(-p-2) (y [p]_u - (1 + y)), times y^n at y = 2^k."""
-    pp, n = _q_int(p, k)
-    return (pp << k) - (((1 << k) + 1) << k * n), -p - 2 - 4 * n
-
-
 def bracket_double_twist(p: int, q: int) -> LaurentPoly:
     """Kauffman bracket of the double twist diagram K(p, q), the girth-3
-    template of (p, 0, 0, q, 0, 0): the ring product (``_girth3_value``) of
-    the rows of (p, 0, 0) and (q, 0, 0), at k = ``_slot_bits`` of the pair,
-    which bounds this same polynomial (module docstring)."""
+    template of its ``reps.g3_labels``: the ring product (``_girth3_value``)
+    of the rows of that labelling, at k = ``_slot_bits`` of the pair, which
+    bounds this same polynomial (module docstring).  A K(p) has the
+    bracket of the pair its ``reps.g3_labels`` pads."""
     k = _slot_bits((p, q))
-    value, low = _girth3_value(_row((p, 0, 0), k), _row((q, 0, 0), k), k, p + q)
+    labels = g3_labels((p, q))
+    value, low = _girth3_value(_row(labels[:3], k), _row(labels[3:], k), k, p + q)
     return LaurentPoly.from_packed(value, low, k, 4, _A)
 
 
@@ -406,22 +392,20 @@ def census_jones(bound: tuple):
     label, by the six labels ``bound``.
 
     ``key(labels, writhe)`` is the exact integer key (low, value) of the
-    Jones polynomial of the rep with these ``reps.rep_labels`` and writhe,
-    and ``jones(key)`` decodes it.  Two reps of the census have equal keys
-    exactly when their Jones polynomials are equal:
+    Jones polynomial of the rep whose girth-3 labelling
+    (``reps.g3_labels``) is ``labels``, at this writhe, and ``jones(key)``
+    decodes it.  Two reps of the census have equal keys exactly when their
+    Jones polynomials are equal:
 
-    * **One bracket.**  A K(p) reads ``_single_twist_value``.  A K(p, q) is
-      the labelling (p, 0, 0, q, 0, 0), whose template it is, and every
-      six labels are assembled from the ``_row`` of their two triples,
-      each made once and kept in a dict of this call.
+    * **One bracket.**  Every six labels are assembled from the ``_row``
+      of their two triples, each made once and kept in a dict of this
+      call.
     * **One slot width.**  Every bracket is packed at k = ``_slot_bits``
       of the bound.  ``bracket_coefficient_bound`` grows with every
       |label|, so this k holds the coefficients of every labelling within
-      the bound.  The one other rep, a K(p) of the girth-2 census that
-      absorbed a +-1 label, has |<K(p)>|_inf <= 2, inside every bound.
-      With every |c_j| < 2^(k-1), value = sum c_j 2^(kj) has one such
-      expansion, so at one k the value fixes the coefficients and the
-      coefficients the value.
+      the bound.  With every |c_j| < 2^(k-1), value = sum c_j 2^(kj) has
+      one such expansion, so at one k the value fixes the coefficients and
+      the coefficients the value.
     * **Normalised.**  The zero low slots are stripped (each leaves
       ``value & (2^k - 1) == 0``), so low is the least exponent.  The Jones
       polynomial is (-1)^w A^(-3w) times the bracket, read in quarter
@@ -439,12 +423,7 @@ def census_jones(bound: tuple):
         return found
 
     def key(labels: tuple, writhe: int) -> tuple[int, int]:
-        if len(labels) == 1:
-            value, low = _single_twist_value(*labels, k)
-        else:
-            if len(labels) == 2:
-                labels = (labels[0], 0, 0, labels[1], 0, 0)
-            value, low = _girth3_value(row(labels[:3]), row(labels[3:]), k, sum(labels))
+        value, low = _girth3_value(row(labels[:3]), row(labels[3:]), k, sum(labels))
         zero_slots = ((value & -value).bit_length() - 1) // k
         value >>= k * zero_slots
         return low + 4 * zero_slots - 3 * writhe, -value if writhe % 2 else value

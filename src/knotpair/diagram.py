@@ -3,10 +3,12 @@
 PD convention used throughout: each crossing is a 4-tuple of arc ids listed
 counterclockwise; slots 0 and 2 carry the under-strand, slots 1 and 3 the
 over-strand.  A template is written straight from its labels: a fixed wheel
-of twist ladders, whose arc ends are known from the labels alone (see
-``_write_template``).  Its arcs are numbered along its components, and
-each crossing is turned so that slot 0 is an under-strand end: the
-outgoing one in the orientation ``orient`` gives the template.
+of six twist ladders, whose arc ends are known from the labels alone (see
+``_write_template``).  Every girth <= 3 rep is written as its girth-3
+labelling (``reps.g3_labels``), save K(0), which is two free loops.  Its
+arcs are numbered along its components, and each crossing is turned so
+that slot 0 is an under-strand end: the outgoing one in the orientation
+``orient`` gives the template.
 
 Twist-region handedness constants at the bottom of this module were frozen
 by the calibration suite (tests/test_calibration.py): they are the unique
@@ -26,18 +28,18 @@ from collections import Counter
 from collections.abc import Iterable
 
 from .record import Record, set_field
-from .reps import Girth1Rep, Girth2Rep, Girth3Rep
+from .reps import g3_labels, rep_labels
 
 
 class PDCode(Record):
     """Crossing list plus a count of crossing-free circles.
 
     Two trailing slots carry what was derived from the code once, so that
-    no later step derives it again.  A template written by
-    ``_write_template`` keeps ``orient`` of itself in ``orientation``,
-    which ``orient`` hands back without tracing the strands again; in the
-    package only the writer sets it.  ``validate_pd`` keeps the corner
-    cycles it walked in ``corner_cycles``, which ``regions`` hands back.
+    no later step derives it again.  A template (``pd_from_rep``) keeps
+    ``orient`` of itself in ``orientation``, which ``orient`` hands back
+    without tracing the strands again; in the package only the template
+    writers set it.  ``validate_pd`` keeps the corner cycles it walked in
+    ``corner_cycles``, which ``regions`` hands back.
     Equality, hashing and repr ignore both slots.  A code that was not
     validated, a template among them, has None in ``corner_cycles``, and
     ``regions`` walks its cycles when asked; a code read from outside
@@ -248,7 +250,7 @@ def orient(pd: PDCode) -> Orientation:
     direction per final group, which no sign reads, and the least choice
     keeps each group's lowest component as traced.
 
-    A template from ``_write_template`` carries this orientation already
+    A template from ``pd_from_rep`` carries this orientation already
     (see ``PDCode``), and it is handed back as it is.
     """
     if pd.orientation is not None:
@@ -446,6 +448,10 @@ def tait_graph(pd: PDCode, black: list[list[int]]) -> TaitGraph:
 # Handedness of a positive twist label, per tree.  Frozen by calibration
 # against the closed-form bracket (see tests/test_calibration.py); the
 # outside value differs because the outer disk is assembled mirrored.
+# A K(p) is written as its girth-3 labelling (``reps.g3_labels``), so no
+# template reads the last constant, the handedness of one ladder closed
+# on itself: it stays frozen for the tests' reference K(p), which the
+# calibration ties to the written one.
 INSIDE_HANDEDNESS = 1
 OUTSIDE_HANDEDNESS = -1
 GIRTH1_HANDEDNESS = 1
@@ -471,49 +477,46 @@ def _ladder_crossing(h: int, reflected: bool) -> tuple[tuple[int, ...], tuple[in
     return (nw, ne, sw, se), tuple(step)
 
 
-def _wheel_ends(g: int) -> list[tuple[int, int, int, int]]:
-    """The ends of each ladder of a template, in crossing order: the one
-    ladder of K(p) for g = 1, else those of ``star_pair_pd`` with g
-    sectors, inner ladder 0, outer ladder 0, inner ladder 1, and so on.
+def _wheel_ends() -> list[tuple[int, int, int, int]]:
+    """The ends of each ladder of a template, in crossing order: inner
+    ladder 0, outer ladder 0, inner ladder 1, and so on, around the wheel
+    of three sectors that reads p a q b r c.
 
     A ladder's ends are the uses of wheel points at its top left, top
     right, bottom left and bottom right.  Wheel point w has the two uses
-    2w and 2w + 1, and each use is the end of one ladder.  K(p) has wheel
-    point 0 at the ladder's left ends and 1 at its right ends.  The star
-    wheel has the points y[i] = i, z[i] = g + i, and the inner and outer
-    joints between ladders i and i + 1, 2g + i and 3g + i.  Inner ladder
-    i runs from z[i-1], y[i] to the inner joints i - 1 and i; outer
-    ladder i from y[i], z[i] to the outer joints i - 1 and i.
+    2w and 2w + 1, and each use is the end of one ladder.  The wheel has
+    the points y[i] = i, z[i] = 3 + i, and the inner and outer joints
+    between ladders i and i + 1, 6 + i and 9 + i.  Inner ladder i runs
+    from z[i-1], y[i] to the inner joints i - 1 and i; outer ladder i from
+    y[i], z[i] to the outer joints i - 1 and i.
     """
-    if g == 1:
-        return [(0, 2, 1, 3)]
     ends = []
-    for i in range(g):
-        h = (i - 1) % g
-        ends.append((2 * (g + h) + 1, 2 * i, 2 * (2 * g + h) + 1, 4 * g + 2 * i))
-        ends.append((2 * i + 1, 2 * (g + i), 2 * (3 * g + h) + 1, 6 * g + 2 * i))
+    for i in range(3):
+        h = (i - 1) % 3
+        ends.append((2 * (3 + h) + 1, 2 * i, 2 * (6 + h) + 1, 12 + 2 * i))
+        ends.append((2 * i + 1, 2 * (3 + i), 2 * (9 + h) + 1, 18 + 2 * i))
     return ends
 
 
 @functools.cache
-def _ladders(g: int, inside: int, outside: int, girth1: int) -> tuple[tuple, ...]:
-    """Per ladder of ``_wheel_ends(g)``: its ends, and its crossing (see
+def _ladders(inside: int, outside: int) -> tuple[tuple, ...]:
+    """Per ladder of ``_wheel_ends``: its ends, and its crossing (see
     ``_ladder_crossing``) for a positive label and for a negative one,
-    which flips the handedness.  The outer ladders of a star wheel are
-    reflected.  The last three arguments are the handedness constants,
-    which each build reads afresh, so that a change to one, as the
-    calibration tests make, takes effect at once.
+    which flips the handedness.  The outer ladders are reflected.  The
+    arguments are the handedness constants, which each build reads
+    afresh, so that a change to one, as the calibration tests make, takes
+    effect at once.
     """
-    kinds = [(girth1, False)] if g == 1 else [(inside, False), (outside, True)] * g
+    kinds = [(inside, False), (outside, True)] * 3
     return tuple(
         (ends, _ladder_crossing(h, reflected), _ladder_crossing(-h, reflected))
-        for ends, (h, reflected) in zip(_wheel_ends(g), kinds)
+        for ends, (h, reflected) in zip(_wheel_ends(), kinds)
     )
 
 
 @functools.cache
-def _wheel_arcs(g: int, zeros: tuple[bool, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
-    """The arcs between the ladders of ``_wheel_ends(g)``, as pairs of
+def _wheel_arcs(zeros: tuple[bool, ...]) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The arcs between the ladders of ``_wheel_ends``, as pairs of
     uses, and the number of free loops, when the labels are zero where
     ``zeros`` says.
 
@@ -523,7 +526,7 @@ def _wheel_arcs(g: int, zeros: tuple[bool, ...]) -> tuple[tuple[tuple[int, int],
     crossing.  A cycle of uses that meets no crossing is a free loop.
     """
     through = {}
-    for (tl, tr, bl, br), zero in zip(_wheel_ends(g), zeros):
+    for (tl, tr, bl, br), zero in zip(_wheel_ends(), zeros):
         if zero:
             through.update({tl: bl, bl: tl, tr: br, br: tr})
     arcs = []
@@ -554,9 +557,10 @@ def _wheel_arcs(g: int, zeros: tuple[bool, ...]) -> tuple[tuple[tuple[int, int],
 _REVERSED_IN = ((False, True, True, False), (False, False, True, True))
 
 
-def _write_template(g: int, labels: list[int]) -> PDCode:
-    """The PD code of the template with g sectors (see ``_wheel_ends``)
-    and these labels, carrying ``orient`` of itself (see ``PDCode``).
+def _write_template(labels: tuple[int, ...]) -> PDCode:
+    """The PD code of the template whose wheel reads these labels, p a q
+    b r c (see ``_wheel_ends``), carrying ``orient`` of itself (see
+    ``PDCode``).
 
     Ladder i is a vertical chain of |labels[i]| crossings between two
     strands, each crossing swapping the sides (see ``_ladder_crossing``),
@@ -575,8 +579,8 @@ def _write_template(g: int, labels: list[int]) -> PDCode:
     crossings tie the direction of every component to it, and every
     component is reversed.  Reversal keeps every sign.
     """
-    ladders = _ladders(g, INSIDE_HANDEDNESS, OUTSIDE_HANDEDNESS, GIRTH1_HANDEDNESS)
-    arcs, free_loops = _wheel_arcs(g, tuple(map(operator.not_, labels)))
+    ladders = _ladders(INSIDE_HANDEDNESS, OUTSIDE_HANDEDNESS)
+    arcs, free_loops = _wheel_arcs(tuple(map(operator.not_, labels)))
     port = [0] * (4 * len(ladders))  # the port at each use of a wheel point
     steps = []
     first = 0
@@ -629,32 +633,14 @@ def _write_template(g: int, labels: list[int]) -> PDCode:
     return pd
 
 
-def star_pair_pd(inner: list[int], outer: list[int]) -> PDCode:
-    """Glue two labeled star trees along the boundary circle.
-
-    The inner star's edge i opens between boundary points z[i-1], y[i]; the
-    outer star's edge i between y[i], z[i]; inner corners join consecutive
-    inner edges at the center, outer corners likewise outside.  With g = 3
-    the boundary wheel reads p a q b r c, matching the girth-3 family.
-    """
-    g = len(inner)
-    if len(outer) != g or g < 2:
-        raise ValueError("need equal-length label lists, at least two sectors")
-    return _write_template(g, list(itertools.chain.from_iterable(zip(inner, outer))))
-
-
-def torus2_pd(p: int) -> PDCode:
-    """The closed single twist region K(p): braid closure of two strands."""
-    return _write_template(1, [p])
-
-
 def pd_from_rep(rep) -> PDCode:
-    """PD code of the template diagram of a representation."""
-    if isinstance(rep, Girth1Rep):
-        return torus2_pd(rep.p)
-    if isinstance(rep, Girth2Rep):
-        return star_pair_pd([rep.p, 0], [rep.q, 0])
-    if isinstance(rep, Girth3Rep):
-        return star_pair_pd(list(rep.top), list(rep.bottom))
-    raise TypeError(f"cannot build a diagram from {rep!r}")
-
+    """PD code of the template diagram of a girth <= 3 representation: the
+    template of its ``reps.g3_labels``, save K(0), two free loops.  Each
+    carries ``orient`` of itself (see ``PDCode``)."""
+    labels = rep_labels(rep)
+    if labels == (0,):
+        pd = PDCode((), 2)
+        set_field(pd, "orientation", _orientation([], 2))
+        return pd
+    p, q, r, a, b, c = g3_labels(labels)
+    return _write_template((p, a, q, b, r, c))

@@ -10,7 +10,8 @@ the sign of every crossing of region i: the direction sign d_i times the
 sign of its label.  Hence writhe = sum d_i x_i, for knots and links alike.
 ``REDUCED`` holds the component count and the d_i of each of the 5^6
 reduced labellings.  The girth-2 template K(p, q) is the template of the
-labelling (p, 0, 0, q, 0, 0), so girth-2 reps read the same entries.
+labelling (p, 0, 0, q, 0, 0), so girth-2 reps read the same entries, and
+so do girth-1 reps, at the labelling of ``reps.g3_labels``.
 
 A parity pattern is the 6-bit number with bit i the parity of label i;
 zero counts as even.  The pattern fixes the components: 36 of the 64
@@ -63,12 +64,9 @@ spare.  B grows with every |label|, and v is larger on a Fibonacci axis
 than on an affine one, so the k of a label bound on Fibonacci axes serves
 every labelling within it (``census_keys``).  The girth-2 census's bound
 is that of (m, 0, 0, m, 0, 0), B = N L_(2j+1)^2 with j = floor(m / 2).
-A K(p) of that census absorbed a +-1 label, so |p| <= m + 1 <= 2j + 2,
-and its nabla (``closedform.conway_single_twist``) has the positive
-coefficients C(n - i, i) with n = |p| - 1, which sum to the Fibonacci
-number F_|p|, at most F_13 = 233 at the budget m = 12.  F_|p| <=
-F_(2j+2) <= F_(2j) + F_(2j+2) = L_(2j+1) <= B, so K(p) fits the same
-slots.
+Its reps are keyed as their girth-3 labellings (``reps.g3_labels``).  A
+K(p) of that census absorbed a +-1 label into a label within the bound,
+so its labelling, which pads p -+ 1 and -+1, is within the bound too.
 
 ``g3table_data`` holds the reduced entries and, per knot pattern, the
 kinds and the 64 corner polynomials as one row of signed bytes per power
@@ -170,27 +168,22 @@ def census_keys(bound: tuple, cap: int):
     """(key, conway) for a census whose labellings are bounded, label by
     label, by the six labels ``bound``.
 
-    ``key(labels)`` is (components, writhe, nabla) of the rep with these
-    ``reps.rep_labels``: nabla is the knot's Conway polynomial at
-    z = 2^(k/2), one int, or None for a link or a knot of more than
-    ``cap`` crossings with an odd label.  ``conway(nabla)`` decodes it.
-    k is ``slot_bits`` of ``conway_bound`` on six Fibonacci axes at the
-    bound, so it holds every knot of the census (module docstring), and
-    two knots have equal ints exactly when their polynomials are equal
-    (one expansion in balanced slots).  An all-even knot packs the terms
-    of ``closedform.conway_girth3_even``, the same polynomial as the
-    table's; a term in an odd power would move a slot by 2^(k/2), which
-    the identities of the decoded value refuse.
+    ``key(labels)`` is (components, writhe, nabla) of the rep whose
+    girth-3 labelling (``reps.g3_labels``) is ``labels``: nabla is the
+    knot's Conway polynomial at z = 2^(k/2), one int, or None for a link
+    or a knot of more than ``cap`` crossings with an odd label.
+    ``conway(nabla)`` decodes it.  k is ``slot_bits`` of ``conway_bound``
+    on six Fibonacci axes at the bound, so it holds every knot of the
+    census (module docstring), and two knots have equal ints exactly when
+    their polynomials are equal (one expansion in balanced slots).  An
+    all-even knot packs the terms of ``closedform.conway_girth3_even``,
+    the same polynomial as the table's; a term in an odd power would move
+    a slot by 2^(k/2), which the identities of the decoded value refuse.
 
-    A K(p) that absorbed a +-1 label is a knot of writhe -p, its terms
-    (``closedform.conway_single_twist``) packed at the same k, when p is
-    odd, and otherwise two components of writhe -|p|, as
-    ``classify.closed_invariants`` has it.  A K(p, q) is keyed as the
-    labelling (p, 0, 0, q, 0, 0), whose template it is.  ``cap`` never
-    withholds its value: it has at most 2 * ``census.G2_BUDGET`` = 24
-    crossings, no more than ``oracle.CONWAY_CAP``, so the census agrees
-    with the uncapped twist formula that ``classify.closed_invariants``
-    gives ``eval``.
+    ``cap`` never withholds the value of a census K(p) or K(p, q): each
+    has at most 2 * ``census.G2_BUDGET`` = 24 crossings, no more than
+    ``oracle.CONWAY_CAP``, so the census agrees with the uncapped twist
+    formulas that ``classify.closed_invariants`` gives ``eval``.
 
     One pass over the labels sums per-label fields: the reduced index, the
     parity pattern, the corner bits, the off-corner axes and the crossing
@@ -220,13 +213,6 @@ def census_keys(bound: tuple, cap: int):
     }
 
     def key(labels: tuple) -> tuple:
-        if len(labels) == 1:
-            (p,) = labels
-            if p % 2 == 0:
-                return 2, -abs(p), None
-            return 1, -p, sum(c << half * e for e, c in cf.conway_single_twist(p).terms)
-        if len(labels) == 2:
-            labels = (labels[0], 0, 0, labels[1], 0, 0)
         x0, x1, x2, x3, x4, x5 = labels
         s = f0[x0] + f1[x1] + f2[x2] + f3[x3] + f4[x4] + f5[x5]
         entry = _ENTRIES[s & 0x3FFF]

@@ -207,6 +207,25 @@ def canonical_pair(p: int, q: int) -> tuple:
     return (p, q)
 
 
+def g3_labels(labels: tuple) -> tuple:
+    """The girth-3 labelling (p, q, r, a, b, c) of the rep with these
+    ``rep_labels``: six labels are their own, K(p, q) is (p, 0, 0, q, 0, 0),
+    and K(p) is that of the pair whose +-1 label e absorbs into p by
+    K(x, e) = K(x - e), the absorption ``canonical_pair`` makes:
+    (p - 1, -1) for p >= 0 and (p + 1, 1) for p < 0.
+
+    The labelling has the rep's bracket, component count and writhe, and
+    its template is the rep's, save for K(0): its template is two free
+    loops, and its labelling a 2-crossing unlink.
+    """
+    if len(labels) == 1:
+        (p,) = labels
+        labels = (p - 1, -1) if p >= 0 else (p + 1, 1)
+    if len(labels) == 2:
+        return (labels[0], 0, 0, labels[1], 0, 0)
+    return labels
+
+
 def canonicalize(rep) -> tuple:
     """The canonical labels (``rep_labels``) of a rep under the paper-level
     symmetries; ``rep_from_labels`` reads the canonical rep back.

@@ -2,10 +2,12 @@
 reference for ``knotpair.closedform.bracket_diff_formula``, which evaluates
 the same formula once at A^4 = 2^k; the girth-2 bracket formula at
 A^4 = 2^k, kept as the reference for ``bracket_double_twist``, which reads
-K(p, q) as the girth-3 labelling (p, 0, 0, q, 0, 0); and the slot widths
-the closed forms took from bounds on the sum of |coefficients|, kept as
-the reference for the widths they now take from bounds on the largest
-|coefficient|.
+K(p, q) as the girth-3 labelling (p, 0, 0, q, 0, 0); the girth-1 bracket
+formula at A^4 = 2^k, kept as the reference for the bracket of K(p), which
+``classify.closed_bracket`` reads off the padded pair of
+``reps.g3_labels``; and the slot widths the closed forms took from bounds
+on the sum of |coefficients|, kept as the reference for the widths they
+now take from bounds on the largest |coefficient|.
 """
 
 from knotpair.closedform import _perm_core, _q_int, diff_factor, s_hat
@@ -26,6 +28,22 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
         raise ValueError(f"no closed difference form for {perm!r}")
     w = sum(rep.top) + sum(rep.bottom)
     return LaurentPoly.monomial(1, -w, "A") * core * diff_factor()
+
+
+def bracket_single_twist(p: int) -> LaurentPoly:
+    """Bracket of the closed twist region: <K(p)> = A^-p (delta + s_p).
+
+    That is delta A^-p + S_p, linear in |p|, whose coefficients are at
+    most 2 in absolute value, so they fit 8-bit slots.
+    """
+    k = 8
+    return LaurentPoly.from_packed(*_single_twist_value(p, k), k, 4, "A")
+
+
+def _single_twist_value(p: int, k: int) -> tuple[int, int]:
+    """(value, low): <K(p)> = A^(-p-2) (y [p]_u - (1 + y)), times y^n at y = 2^k."""
+    pp, n = _q_int(p, k)
+    return (pp << k) - (((1 << k) + 1) << k * n), -p - 2 - 4 * n
 
 
 def double_twist_value(p: int, q: int, k: int) -> tuple[int, int]:

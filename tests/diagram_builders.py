@@ -11,8 +11,8 @@ that assembly as the reference the written templates are compared with.
 
 import json
 
+from knotpair import diagram
 from knotpair.diagram import (
-    GIRTH1_HANDEDNESS,
     INSIDE_HANDEDNESS,
     OUTSIDE_HANDEDNESS,
     PDCode,
@@ -155,7 +155,14 @@ def _ladder(
 
 
 def reference_star_pair_pd(inner: list[int], outer: list[int]) -> PDCode:
-    """``diagram.star_pair_pd`` assembled by ``DiagramBuilder``."""
+    """Two labeled star trees of g edges each, glued along the boundary
+    circle, assembled by ``DiagramBuilder``.
+
+    The inner star's edge i opens between boundary points z[i-1], y[i];
+    the outer star's edge i between y[i], z[i]; inner corners join
+    consecutive inner edges at the center, outer corners likewise outside.
+    With g = 3 the boundary wheel reads p a q b r c, the girth-3 template.
+    """
     g = len(inner)
     b = DiagramBuilder()
     y, z, in_cw, in_ccw, out_y, out_z = (
@@ -176,10 +183,15 @@ def reference_star_pair_pd(inner: list[int], outer: list[int]) -> PDCode:
 
 
 def reference_torus2_pd(p: int) -> PDCode:
-    """``diagram.torus2_pd`` assembled by ``DiagramBuilder``."""
+    """K(p), the closed single twist region, assembled by ``DiagramBuilder``:
+    one ladder closed on itself, the braid closure of two strands.
+
+    The ladder's handedness is ``diagram.GIRTH1_HANDEDNESS``, read at each
+    call, so that the calibration tests can flip it.
+    """
     b = DiagramBuilder()
     tl, tr, bl, br = b.point(), b.point(), b.point(), b.point()
-    _ladder(b, p, tl, tr, bl, br, GIRTH1_HANDEDNESS)
+    _ladder(b, p, tl, tr, bl, br, diagram.GIRTH1_HANDEDNESS)
     b.connect(tl, bl)
     b.connect(tr, br)
     return b.build()

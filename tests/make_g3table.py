@@ -41,7 +41,7 @@ byte c.
 '''
 
 # label indices of (p, q, r, a, b, c) in the order of the template's
-# ladders: ``star_pair_pd`` emits inner and outer ladders alternately
+# ladders: ``_write_template`` emits inner and outer ladders alternately
 LADDERS = (0, 3, 1, 4, 2, 5)
 
 

@@ -9,7 +9,8 @@ def spy_on_templates(monkeypatch):
 
     - ``pd_from_rep`` and ``orient``, in each module that imports them;
     - ``_write_template`` ("build", its labels), which every template
-      diagram goes through, whatever function asked for it;
+      diagram but K(0)'s two free loops goes through, whatever function
+      asked for it;
     - ``_orient_ports`` ("trace", the arc ends), the tracing of an
       orientation, which the writer runs once and ``orient`` runs on a code
       that carries no orientation from a build.
@@ -29,7 +30,7 @@ def spy_on_templates(monkeypatch):
     write, trace = diagram._write_template, diagram._orient_ports
     monkeypatch.setattr(
         diagram, "_write_template",
-        lambda g, labels: calls.append(("build", labels)) or write(g, labels),
+        lambda labels: calls.append(("build", labels)) or write(labels),
     )
     monkeypatch.setattr(
         diagram, "_orient_ports", lambda other: calls.append(("trace", other)) or trace(other)

@@ -11,12 +11,12 @@ import pytest
 import knotpair.diagram as diagram
 import knotpair.girth as girth_mod
 from knotpair.closedform import bracket_double_twist, bracket_girth3, loop_value
-from knotpair.diagram import orient, pd_from_rep, star_pair_pd, torus2_pd
+from knotpair.diagram import orient, pd_from_rep
 from knotpair.laurent import LaurentPoly, jones_from_bracket
 from knotpair.oracle import bracket_state_sum
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, canonicalize
 
-from diagram_builders import pretzel_pd
+from diagram_builders import pretzel_pd, reference_torus2_pd
 
 
 def jones(pd):
@@ -48,7 +48,7 @@ def test_bracket_calibration_is_unique(monkeypatch):
             broken = False
             for p in range(-3, 4):
                 for q in range(-3, 4):
-                    pd = star_pair_pd([p, 0], [q, 0])
+                    pd = pd_from_rep(Girth2Rep(p, q))
                     if bracket_state_sum(pd) != bracket_double_twist(p, q):
                         broken = True
                         break
@@ -71,8 +71,20 @@ def test_girth1_closure_calibration():
     for p in range(-4, 5):
         for eps in (1, -1):
             lhs = jones(pd_from_rep(Girth2Rep(p, eps)))
-            rhs = jones(torus2_pd(p - eps))
+            rhs = jones(reference_torus2_pd(p - eps))
             assert lhs == rhs, (p, eps)
+
+
+def test_girth1_handedness_is_that_of_the_padded_template(monkeypatch):
+    # a K(p) is written as its padded girth-3 labelling, so no template
+    # reads GIRTH1_HANDEDNESS; the frozen value is the one under which the
+    # closed single ladder of the reference is the written template, and
+    # the flipped value is not
+    grid = [p for p in range(-4, 5) if p]
+    for p in grid:
+        assert reference_torus2_pd(p) == pd_from_rep(Girth1Rep(p)), p
+    monkeypatch.setattr(diagram, "GIRTH1_HANDEDNESS", -diagram.GIRTH1_HANDEDNESS)
+    assert any(reference_torus2_pd(p) != pd_from_rep(Girth1Rep(p)) for p in grid)
 
 
 def test_writhe_convention_matches_label_sums():

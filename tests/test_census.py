@@ -29,7 +29,7 @@ from knotpair.census import (
 )
 from knotpair.classify import closed_bracket, closed_invariants, compare, rep_invariants
 from knotpair.diagram import pd_from_rep
-from knotpair.closedform import _slot_bits, bracket_girth3, census_jones
+from knotpair.closedform import _slot_bits, bracket_girth3, census_jones, conway_single_twist
 from knotpair.laurent import (
     LaurentPoly,
     jones_from_bracket,
@@ -44,6 +44,7 @@ from knotpair.reps import (
     Girth3Rep,
     canonicalize,
     d3_orbit,
+    g3_labels,
     g3_wheel_min,
     parse_rep,
     rep_from_labels,
@@ -53,6 +54,7 @@ from knotpair.tables import ROLFSEN_TABLE, TABLE_ERRATA, crossing_number
 
 import census_reference
 from census_reference import girth, girth2_labellings
+from closedform_reference import bracket_single_twist
 from template_spy import spy_on_templates
 
 
@@ -281,20 +283,24 @@ def test_the_census_slot_width_gives_each_reps_own_bracket(max_abs, even_only, p
 
 @pytest.mark.parametrize(
     "girth, max_abs, even_only, positive_only",
-    [(3, 2, e, p) for e in (False, True) for p in (False, True)] + [(2, 12, False, False)],
+    [(3, 2, e, p) for e in (False, True) for p in (False, True)]
+    + [(2, m, False, False) for m in range(13)],
 )
 def test_the_census_jones_key_is_exact(girth, max_abs, even_only, positive_only):
-    # the key decodes to the rep's Jones polynomial, and two reps share a
-    # key exactly when they share the text key of their invariants
-    bound = (max_abs,) * 6 if girth == 3 else (max_abs, 0, 0, max_abs, 0, 0)
+    # the key of a rep's girth-3 labelling decodes to the rep's Jones
+    # polynomial, a K(p)'s also to that of the K(p) formula, and two reps
+    # share a key exactly when they share the text key of their invariants
+    bound = (max_abs,) * 6 if girth == 3 else g3_labels((max_abs, max_abs))
     key, jones = census_jones(bound)
     by_key, by_text = {}, {}
     for rep in census_enumerate(girth, max_abs, even_only, positive_only):
         labels = rep_labels(rep)
         comps, writhe, conway = closed_invariants(labels)
-        k = key(labels, writhe)
+        k = key(g3_labels(labels), writhe)
         want = jones_from_bracket(closed_bracket(rep), writhe)
         assert jones(k) == want, rep
+        if len(labels) == 1:
+            assert want == jones_from_bracket(bracket_single_twist(*labels), writhe), rep
         conway_text = poly_to_text(conway) if conway is not None else ""
         by_key.setdefault((comps, conway_text, k), []).append(labels)
         by_text.setdefault((comps, conway_text, jones_to_text(want)), []).append(labels)
@@ -383,27 +389,42 @@ def test_the_census_conway_key_at_the_label_budget():
 
 @pytest.mark.parametrize("max_abs", range(13))
 def test_the_girth2_census_conway_key_is_exact(max_abs):
-    # every K(p, q) and K(p) with |p|, |q| <= max_abs, and every K(p) of the
-    # census, whose |p| reaches max_abs + 1, keyed at the census's slot
-    # width: the key decodes to closed_invariants, and two knots share an
+    # every K(p, q) and K(p) with |p|, |q| <= max_abs whose girth-3
+    # labelling is within the census's bound (all but K(0) at bound 0), and
+    # every K(p) of the census, whose |p| reaches max_abs + 1, keyed as its
+    # labelling at the census's slot width: the key decodes to
+    # closed_invariants, a K(p)'s also to the twist formula and to the
+    # parity rule for its components and writhe, and two knots share an
     # int exactly when they share a polynomial
-    key, conway = g3table.census_keys((max_abs, 0, 0, max_abs, 0, 0), CONWAY_CAP)
+    bound = g3_labels((max_abs, max_abs))
+    key, conway = g3table.census_keys(bound, CONWAY_CAP)
     values = range(-max_abs, max_abs + 1)
     single = {(p,) for p in values}
     single.update(labels for labels in _labellings(2, max_abs, False, False) if len(labels) == 1)
     reps = [(p, q) for p in values for q in values] + sorted(single)
     by_int, by_poly = {}, {}
     for labels in reps:
-        comps, writhe, nabla = key(labels)
+        six = g3_labels(labels)
+        if any(abs(x) > b for x, b in zip(six, bound)):
+            assert labels == (0,) and max_abs == 0
+            continue
+        comps, writhe, nabla = key(six)
         want = closed_invariants(labels)
         assert (comps, writhe) == want[:2], labels
         assert (None if nabla is None else conway(nabla)) == want[2], labels
+        if len(labels) == 1:
+            (p,) = labels
+            if p % 2:
+                assert (comps, writhe) == (1, -p), labels
+                assert conway(nabla) == conway_single_twist(p), labels
+            else:
+                assert (comps, writhe, nabla) == (2, -abs(p), None), labels
         if nabla is not None:
             by_int.setdefault(nabla, []).append(labels)
             by_poly.setdefault(want[2], []).append(labels)
     assert sorted(by_int.values()) == sorted(by_poly.values())
     # a K(p) and a K(p, q) share an int: 1 + z^2, of K(3) and K(2, 2)
-    assert max_abs < 2 or {(3,), (2, 2)} <= set(by_int[key((3,))[2]])
+    assert max_abs < 2 or {(3,), (2, 2)} <= set(by_int[key(g3_labels((3,)))[2]])
 
 
 def test_no_girth2_census_knot_is_past_the_conway_cap():

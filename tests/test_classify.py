@@ -23,18 +23,22 @@ from knotpair.classify import (
     row_swap_test,
     transposition_test,
 )
-from knotpair.closedform import bracket_single_twist
-from knotpair.diagram import pd_from_rep, torus2_pd
+from knotpair.diagram import pd_from_rep
 from knotpair.laurent import LaurentPoly, jones_span_inclusive
 from knotpair.oracle import bracket_state_sum, conway_fox
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, d3_orbit, mirror
 
+from closedform_reference import bracket_single_twist
+from diagram_builders import reference_torus2_pd
 from template_spy import spy_on_templates
 
 
 def test_bracket_single_twist_matches_oracle():
+    # the K(p) formula and the closed bracket of K(p), that of its padded
+    # pair, against the state sum of the closed single ladder
     for p in range(-6, 7):
-        assert bracket_single_twist(p) == bracket_state_sum(torus2_pd(p))
+        want = bracket_state_sum(reference_torus2_pd(p))
+        assert bracket_single_twist(p) == closed_bracket(Girth1Rep(p)) == want, p
 
 
 def _recurrence_single_twist(p: int) -> LaurentPoly:
@@ -51,7 +55,8 @@ def _recurrence_single_twist(p: int) -> LaurentPoly:
 
 def test_bracket_single_twist_matches_recurrence():
     for p in range(-60, 61):
-        assert bracket_single_twist(p) == _recurrence_single_twist(p), p
+        want = _recurrence_single_twist(p)
+        assert bracket_single_twist(p) == closed_bracket(Girth1Rep(p)) == want, p
 
 
 def test_long_single_twist_bracket_is_linear():

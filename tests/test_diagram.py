@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotpair import diagram
 from knotpair.classify import closed_invariants
+from knotpair.closedform import loop_value
 from knotpair.diagram import (
     InvalidPDError,
     PDCode,
@@ -21,9 +22,7 @@ from knotpair.diagram import (
     pd_from_rep,
     pd_from_text,
     regions,
-    star_pair_pd,
     tait_graph,
-    torus2_pd,
     validate_pd,
 )
 from knotpair.oracle import bracket_state_sum
@@ -32,6 +31,8 @@ from knotpair.reps import (
     Girth1Rep,
     Girth2Rep,
     Girth3Rep,
+    g3_labels,
+    rep_from_labels,
     rep_labels,
     template_crossings,
 )
@@ -41,7 +42,6 @@ from diagram_builders import (
     pd_to_json,
     pretzel_pd,
     reference_pd_from_rep,
-    reference_star_pair_pd,
 )
 
 
@@ -468,11 +468,22 @@ def test_reference_diagrams_carry_orient():
 
 
 def test_girth2_template_is_a_girth3_template():
-    # the girth-2 reading of ``rep_invariants`` rests on this identity
-    for p, q in itertools.product(range(-12, 13), repeat=2):
-        assert pd_from_rep(Girth2Rep(p, q)) == pd_from_rep(
-            Girth3Rep((p, 0, 0), (q, 0, 0))
-        ), (p, q)
+    # the girth-1 and girth-2 readings of ``rep_invariants`` rest on this
+    # identity: a K(p, q), or a K(p) other than K(0), is the template of its
+    # girth-3 labelling, its orientation included
+    reps = [Girth2Rep(p, q) for p, q in itertools.product(range(-12, 13), repeat=2)]
+    reps += [Girth1Rep(p) for p in range(-300, 301) if p]
+    for rep in reps:
+        pd = pd_from_rep(rep)
+        padded = pd_from_rep(rep_from_labels(g3_labels(rep_labels(rep))))
+        assert (pd, pd.orientation) == (padded, padded.orientation), rep
+    # K(0) is two free loops, and its labelling a 2-crossing unlink with
+    # the same bracket, components and writhe
+    assert pd_from_rep(Girth1Rep(0)) == PDCode((), 2)
+    unlink = pd_from_rep(rep_from_labels(g3_labels((0,))))
+    assert unlink.n() == 2
+    assert bracket_state_sum(unlink) == bracket_state_sum(PDCode((), 2)) == loop_value()
+    assert (orient(unlink).n_components, orient(unlink).writhe) == (2, 0)
 
 
 def full_template_components_and_writhe(rep):
@@ -572,19 +583,6 @@ _wide_label = st.integers(-40, 40)
 )
 def test_written_templates_equal_the_assembled_ones_property(rep):
     assert_written_as_assembled(rep)
-
-
-def test_star_pair_templates_of_other_widths_equal_the_assembled_ones():
-    rng = random.Random(4)
-    for g in (2, 4, 5):
-        for _ in range(20):
-            inner = [rng.choice((0, rng.randint(-4, 4))) for _ in range(g)]
-            outer = [rng.choice((0, rng.randint(-4, 4))) for _ in range(g)]
-            pd, ref = star_pair_pd(inner, outer), reference_star_pair_pd(inner, outer)
-            assert (pd.crossings, pd.free_loops, pd.orientation) == (
-                ref.crossings, ref.free_loops, ref.orientation
-            ), (inner, outer)
-    assert torus2_pd(0) == PDCode((), 2)
 
 
 def test_the_template_writer_is_independent_of_the_closed_forms():

@@ -1,10 +1,11 @@
 import hashlib
 import itertools
+import json
 import random
 from importlib import resources
 
 import pytest
-from diagram_builders import braid_closure_pd
+from diagram_builders import braid_closure_pd, pd_to_json
 from girth_reference import (
     decompose_pd,
     decompositions_of_girth,
@@ -15,7 +16,7 @@ from girth_reference import (
 )
 
 from knotpair import girth as girth_module
-from knotpair.classify import jones_equal
+from knotpair.classify import closed_bracket, jones_equal
 from knotpair.cli import main
 from knotpair.diagram import (
     PDCode,
@@ -293,6 +294,48 @@ def test_decompose_json_of_fixtures_is_pinned(capsys):
     assert len(out) == 18
     digest = hashlib.sha256("".join(out).encode()).hexdigest()
     assert digest == "66efd1e4b1706ad637d064eb44b8199fd41fd0809e95a8c81389901d8ad7a987"
+
+
+def _equal_up_to_a_unit(a, b) -> bool:
+    """a = +-A^k b for some k."""
+    if a.is_zero() or b.is_zero():
+        return a == b
+    b = b.shift(a.min_exp() - b.min_exp())
+    return a in (b, -b)
+
+
+def _printed_rep(path, capsys):
+    """The rep that ``decompose --format json`` prints for the PD file at
+    ``path``, with a budget that admits every diagram below, and its girth."""
+    assert main(["decompose", str(path), "--format", "json", "--budget-crossings", "18"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    return printed["rep"], printed["girth"]
+
+
+def test_decompose_prints_a_rep_with_the_bracket_of_its_input(tmp_path, capsys):
+    # the rep that ``decompose`` prints has, by its closed form, the
+    # bracket of its input by the state sum, up to a unit +-A^k
+    pds = []
+    for f in _fixture_files():
+        with resources.as_file(f) as path:
+            pds.append(pd_from_json(path.read_text()))
+    pds += [
+        pd_from_rep(Girth2Rep(p, q))
+        for p, q in itertools.product(range(-5, 6), repeat=2)
+        if abs(p) > 1 and abs(q) > 1
+    ]
+    pds += [pd_from_rep(rep) for rep in DUALITY_TEMPLATES]
+    rng = random.Random(20261020)
+    for _ in range(120):
+        labels = [rng.choice((-3, -2, 2, 3)) for _ in range(6)]
+        pds.append(pd_from_rep(Girth3Rep(tuple(labels[:3]), tuple(labels[3:]))))
+    for i, pd in enumerate(pds):
+        path = tmp_path / f"{i}.pd"
+        path.write_text(pd_to_json(pd))
+        rep, g = _printed_rep(path, capsys)
+        # every one of these diagrams has a girth <= 3 decomposition
+        assert g <= 3, (i, pd)
+        assert _equal_up_to_a_unit(bracket_state_sum(pd), closed_bracket(parse_rep(rep))), (i, rep)
 
 
 def _subset_filter_trees(tait):

@@ -13,6 +13,7 @@ from knotpair.reps import (
     _G3_IMAGES,
     canonicalize,
     d3_orbit,
+    g3_labels,
     mirror,
     parse_rep,
     rep_from_labels,
@@ -132,6 +133,15 @@ def test_canonicalize_girth2_examples():
     assert canonicalize(Girth2Rep(2, 1)) == (1,)
     assert canonicalize(Girth2Rep(-1, -4)) == (-3,)
     assert canonicalize(Girth1Rep(-5)) == (-5,)
+
+
+def test_g3_labels_pads_every_girth_to_six_labels():
+    assert g3_labels((1, 2, 3, -1, -2, -3)) == (1, 2, 3, -1, -2, -3)
+    assert g3_labels((4, -5)) == (4, 0, 0, -5, 0, 0)
+    # K(p) pads the pair whose +-1 label absorbs into p: K(x, e) = K(x - e)
+    for p in range(-30, 31):
+        x, q, r, e, b, c = g3_labels((p,))
+        assert (q, r, b, c) == (0, 0, 0, 0) and abs(e) == 1 and x - e == p, p
 
 
 def test_canonicalize_idempotent_and_orbit_constant():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from . import classify, oracle
 from . import closedform as cf
-from .diagram import orient, pd_from_json, pd_from_rep
+from .diagram import orient, pd_from_json
 from .laurent import (
     LaurentPoly,
     jones_from_bracket,
@@ -294,9 +294,11 @@ def verify_table(
 ) -> list[TableResult]:
     """Check table representations against independently sourced diagrams.
 
-    For every entry with a reference PD fixture, the Jones polynomial of
-    the representation's template diagram must match the fixture's Jones
-    up to mirror (and up to orientation units t^(3k) for links).  Entries
+    For every entry with a reference PD fixture, the representation's
+    component count and Jones polynomial, from its closed forms
+    (``classify.rep_invariants``, the values ``eval`` prints), must match
+    the fixture's, by its state sum, up to mirror (and up to orientation
+    units t^(3k) for links).  No template diagram is built.  Entries
     without a fixture are skipped with a notice.  A ``max_crossings``
     below the fewest crossings of a table entry is refused with
     ``ValueError``: it would check nothing, and so is a fixture that does
@@ -337,12 +339,10 @@ def verify_table(
                 ref = pd_from_json(f.read())
         except ValueError as exc:  # undecodable text or a refused PD
             raise ValueError(f"{fixture_filename(name)}: {exc}") from None
-        rep = parse_rep(rep_text)
-        pd = pd_from_rep(rep)
-        ori_rep, ori_ref = orient(pd), orient(ref)
-        j_rep = jones_from_bracket(oracle.bracket_state_sum(pd), ori_rep.writhe)
+        inv = classify.rep_invariants(parse_rep(rep_text))
+        ori_ref = orient(ref)
+        j_rep, comps_rep = inv.jones, inv.components
         j_ref = jones_from_bracket(oracle.bracket_state_sum(ref), ori_ref.writhe)
-        comps_rep = ori_rep.n_components
         comps_ref = ori_ref.n_components
         if comps_rep != comps_ref:
             results.append(

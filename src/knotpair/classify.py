@@ -27,10 +27,13 @@ NECESSARY_CONDITION_FAILS = "NecessaryConditionFails"
 UNRESOLVED = "Unresolved"
 
 # The largest template, in crossings, whose invariants ``rep_invariants``
-# computes.  Their cost grows faster than the crossing count: on a shared
-# 2-vCPU Xeon, girth-1 and balanced girth-3 reps of 20000 crossings take
-# 0.7-0.9 s and of 30000 1.3-1.6 s, and a 1500000-crossing girth-2 rep
-# 6.7 s and 540 MB, so a larger rep is refused rather than computed.
+# computes.  Their cost grows faster than the crossing count, most for
+# balanced girth-3 reps.  In-process, best of 3, on a shared 2-vCPU Xeon
+# (Python 3.11.7): at 20000 crossings [3333 3333 3333 / 3333 3334 3334]
+# takes 0.26 s, (19999) 0.062 s, (10000,10000) 0.018 s and (20000)
+# 0.006 s; at 30000 the balanced girth-3 rep takes 0.51 s and (29999)
+# 0.12 s; and (1500,300000) takes 0.24 s and 98 MB.  A larger rep is
+# refused rather than computed.
 CLOSED_CAP = 20000
 
 
@@ -146,9 +149,10 @@ class RepInvariants(Record):
 
 
 def rep_invariants(rep) -> RepInvariants:
-    """Exact invariants of a representation, all from closed forms: its
-    closed bracket, ``closed_invariants`` of its labels, and the Jones
-    polynomial of the bracket at the writhe.
+    """Exact invariants of a representation, all from closed forms: the
+    bracket of its girth-3 labelling (``closedform.bracket_girth3``),
+    ``closed_invariants`` of its labels, and the Jones polynomial of the
+    bracket at the writhe.
 
     Every result passes ``check_identities`` or raises ``AssertionError``.
     A rep whose template has more than ``CLOSED_CAP`` crossings is refused
@@ -160,7 +164,7 @@ def rep_invariants(rep) -> RepInvariants:
         raise ValueError(
             f"{n} crossings exceeds the closed-form cap of {CLOSED_CAP} crossings"
         )
-    bracket = closed_bracket(rep)
+    bracket = cf.bracket_girth3(rep)
     comps, writhe, conway = closed_invariants(rep_labels(rep))
     jones = jones_from_bracket(bracket, writhe)
     check_identities(comps, conway, jones)
@@ -259,16 +263,6 @@ def _nabla_2i(conway: LaurentPoly) -> int:
         value = value * (-4) ** ((e_prev - e) // 2) + c
         e_prev = e
     return value * (-4) ** (e_prev // 2)
-
-
-def closed_bracket(rep) -> LaurentPoly:
-    """Closed-form Kauffman bracket for any girth <= 3 representation: a
-    girth-3 rep's own, and otherwise that of the double twist pair of its
-    ``reps.g3_labels``."""
-    if isinstance(rep, Girth3Rep):
-        return cf.bracket_girth3(rep)
-    p, _, _, q, _, _ = g3_labels(rep_labels(rep))
-    return cf.bracket_double_twist(p, q)
 
 
 def jones_equal(

@@ -63,7 +63,7 @@ label absorbs into p, padded likewise, so one formula serves all three:
 from __future__ import annotations
 
 from .laurent import LaurentPoly, slot_bits
-from .reps import Girth3Rep, g3_labels
+from .reps import Girth3Rep, g3_labels, rep_labels
 
 _Z = "z"
 _A = "A"
@@ -279,15 +279,10 @@ def _q_int(x: int, k: int) -> tuple[int, int]:
 
 
 def bracket_double_twist(p: int, q: int) -> LaurentPoly:
-    """Kauffman bracket of the double twist diagram K(p, q), the girth-3
-    template of its ``reps.g3_labels``: the ring product (``_girth3_value``)
-    of the rows of that labelling, at k = ``_slot_bits`` of the pair, which
-    bounds this same polynomial (module docstring).  A K(p) has the
-    bracket of the pair its ``reps.g3_labels`` pads."""
-    k = _slot_bits((p, q))
-    labels = g3_labels((p, q))
-    value, low = _girth3_value(_row(labels[:3], k), _row(labels[3:], k), k, p + q)
-    return LaurentPoly.from_packed(value, low, k, 4, _A)
+    """Kauffman bracket of the double twist diagram K(p, q): that of the
+    girth-3 template of its ``reps.g3_labels``, as ``bracket_girth3`` of
+    ``Girth2Rep(p, q)`` gives it."""
+    return _bracket((p, q))
 
 
 def sym_s(k: int, triple: tuple[int, int, int]) -> LaurentPoly:
@@ -330,7 +325,7 @@ def _row(
     return t1 + d * e2d, e2d, (pp, pq, pr), shifts, np_ + nq + nr
 
 
-def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
+def bracket_girth3(rep) -> LaurentPoly:
     """Kauffman bracket of the girth-3 template, assembled per state class.
 
     <K> = A^(-w) F.  F has four blocks weighted by delta^0..delta^3: with
@@ -353,14 +348,23 @@ def bracket_girth3(rep: Girth3Rep) -> LaurentPoly:
         F1 = T B - anti - d^2 F2   (T B holds t1 b1 = adj + anti)
         F2 = T2 B2.
 
-    F is evaluated once at y = 2^k, k = ``_slot_bits`` of the labels
-    (``_girth3_value``): expanded, F is the 64 products over distinct
-    labels the module docstring bounds, so its largest |coefficient| is at
-    most 512 P / M and fits a k-bit slot.
+    Any girth <= 3 rep is evaluated as its girth-3 labelling
+    (``reps.g3_labels``), once at y = 2^k, k = ``_slot_bits`` of its own
+    ``rep_labels`` (``_bracket``): expanded, F is the 64 products over
+    distinct labels the module docstring bounds, so its largest
+    |coefficient| is at most 512 P / M and fits a k-bit slot.  A pair's
+    fits the slot of its girth-2 bound, and a K(p)'s one label has the
+    bound 8 of its padded pair (p -+ 1, -+1).
     """
-    labels = rep.top + rep.bottom
+    return _bracket(rep_labels(rep))
+
+
+def _bracket(labels: tuple) -> LaurentPoly:
+    """The bracket of the rep with these ``rep_labels``: that of its
+    girth-3 labelling, packed at k = ``_slot_bits(labels)``."""
     k = _slot_bits(labels)
-    value, low = _girth3_value(_row(rep.top, k), _row(rep.bottom, k), k, sum(labels))
+    six = g3_labels(labels)
+    value, low = _girth3_value(_row(six[:3], k), _row(six[3:], k), k, sum(six))
     return LaurentPoly.from_packed(value, low, k, 4, _A)
 
 

@@ -630,21 +630,13 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
 def rep_from_decomposition(d: TaitDecomposition):
     """Read a representation off a decomposition.
 
-    Girth 2 gives K(P,Q); girth 3 is the label wheel of the block
-    structure (classes without a leaf edge are 0-labeled pad edges);
-    anything higher is the pair of reduced trees.
+    Girth 2 and 3 are the label wheel of the block structure (classes
+    without a leaf edge are 0-labeled pad edges): a girth-2 wheel is one
+    edge per side, whose label both of its classes repeat, so it reads as
+    K(P,Q); anything higher is the pair of reduced trees.
     """
     if d.girth == 2:
-        return Girth2Rep(_single_label(d.reduced_black), _single_label(d.reduced_white))
+        return Girth2Rep(d.black_class_labels[0], d.white_class_labels[0])
     if d.girth == 3:
         return Girth3Rep(d.black_class_labels, d.white_class_labels)
     return TreePairRep(d.reduced_black, d.reduced_white, d.girth)
-
-
-def _single_label(red: PlaneTree) -> int:
-    if len(red.edges) != 1:
-        raise ValueError(
-            f"girth-2 decomposition should reduce to a single edge, got "
-            f"{len(red.edges)}"
-        )
-    return red.edges[0][2]

@@ -4,7 +4,7 @@ the same formula once at A^4 = 2^k; the girth-2 bracket formula at
 A^4 = 2^k, kept as the reference for ``bracket_double_twist``, which reads
 K(p, q) as the girth-3 labelling (p, 0, 0, q, 0, 0); the girth-1 bracket
 formula at A^4 = 2^k, kept as the reference for the bracket of K(p), which
-``classify.closed_bracket`` reads off the padded pair of
+``closedform.bracket_girth3`` reads off the padded pair of
 ``reps.g3_labels``; and the slot widths the closed forms took from bounds
 on the sum of |coefficients|, kept as the reference for the widths they
 now take from bounds on the largest |coefficient|.

@@ -130,10 +130,10 @@ def test_criterion_08_symmetry_suites():
             rep = Girth2Rep(p, q)
             canon = rep_from_labels(canonicalize(rep))
             j1 = jones_from_bracket(
-                classify.closed_bracket(rep), orient(pd_from_rep(rep)).writhe
+                cf.bracket_girth3(rep), orient(pd_from_rep(rep)).writhe
             )
             j2 = jones_from_bracket(
-                classify.closed_bracket(canon), orient(pd_from_rep(canon)).writhe
+                cf.bracket_girth3(canon), orient(pd_from_rep(canon)).writhe
             )
             multi = (p % 2 != 0) and (q % 2 != 0)
             assert classify.jones_equal(j1, j2, unit_shift=multi), (p, q)

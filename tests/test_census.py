@@ -27,8 +27,8 @@ from knotpair.census import (
     table_report,
     verify_table,
 )
-from knotpair.classify import closed_bracket, closed_invariants, compare, rep_invariants
-from knotpair.diagram import pd_from_rep
+from knotpair.classify import closed_invariants, compare, rep_invariants
+from knotpair.diagram import orient, pd_from_rep
 from knotpair.closedform import _slot_bits, bracket_girth3, census_jones, conway_single_twist
 from knotpair.laurent import (
     LaurentPoly,
@@ -37,7 +37,7 @@ from knotpair.laurent import (
     jones_to_text,
     poly_to_text,
 )
-from knotpair.oracle import CONWAY_CAP, conway_fox
+from knotpair.oracle import CONWAY_CAP, bracket_state_sum, conway_fox
 from knotpair.reps import (
     Girth1Rep,
     Girth2Rep,
@@ -297,7 +297,7 @@ def test_the_census_jones_key_is_exact(girth, max_abs, even_only, positive_only)
         labels = rep_labels(rep)
         comps, writhe, conway = closed_invariants(labels)
         k = key(g3_labels(labels), writhe)
-        want = jones_from_bracket(closed_bracket(rep), writhe)
+        want = jones_from_bracket(bracket_girth3(rep), writhe)
         assert jones(k) == want, rep
         if len(labels) == 1:
             assert want == jones_from_bracket(bracket_single_twist(*labels), writhe), rep
@@ -563,6 +563,22 @@ def test_record_fields():
         components, conway, _, _ = _record(rep)
         assert components == 1
         assert conway == poly_to_text(conway_fox(pd_from_rep(rep)))
+
+
+def test_every_table_rep_has_the_closed_values_of_its_template():
+    # verify-table reads a table rep's component count and Jones polynomial
+    # off its closed forms (``rep_invariants``); they are those of its
+    # template, by the state sum, for every rep the table or its errata print
+    texts = [text for _, text in ROLFSEN_TABLE if text is not None]
+    texts += TABLE_ERRATA.values()
+    assert len(texts) == 181
+    for text in texts:
+        rep = parse_rep(text)
+        inv = rep_invariants(rep)
+        pd = pd_from_rep(rep)
+        ori = orient(pd)
+        assert inv.components == ori.n_components, text
+        assert inv.jones == jones_from_bracket(bracket_state_sum(pd), ori.writhe), text
 
 
 def test_verify_table_knots_up_to_seven_pass_with_errata():

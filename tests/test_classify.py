@@ -16,13 +16,13 @@ from knotpair.classify import (
     Verdict,
     check_identities,
     classify_girth2_even,
-    closed_bracket,
     compare,
     cycle_obstruction,
     rep_invariants,
     row_swap_test,
     transposition_test,
 )
+from knotpair.closedform import bracket_girth3
 from knotpair.diagram import pd_from_rep
 from knotpair.laurent import LaurentPoly, jones_span_inclusive
 from knotpair.oracle import bracket_state_sum, conway_fox
@@ -38,7 +38,7 @@ def test_bracket_single_twist_matches_oracle():
     # pair, against the state sum of the closed single ladder
     for p in range(-6, 7):
         want = bracket_state_sum(reference_torus2_pd(p))
-        assert bracket_single_twist(p) == closed_bracket(Girth1Rep(p)) == want, p
+        assert bracket_single_twist(p) == bracket_girth3(Girth1Rep(p)) == want, p
 
 
 def _recurrence_single_twist(p: int) -> LaurentPoly:
@@ -56,28 +56,28 @@ def _recurrence_single_twist(p: int) -> LaurentPoly:
 def test_bracket_single_twist_matches_recurrence():
     for p in range(-60, 61):
         want = _recurrence_single_twist(p)
-        assert bracket_single_twist(p) == closed_bracket(Girth1Rep(p)) == want, p
+        assert bracket_single_twist(p) == bracket_girth3(Girth1Rep(p)) == want, p
 
 
 def test_long_single_twist_bracket_is_linear():
     start = time.perf_counter()
-    closed_bracket(Girth1Rep(20000))
+    bracket_girth3(Girth1Rep(20000))
     assert time.perf_counter() - start < 1.0
 
 
 def test_rep_invariants_checks_the_identities(monkeypatch):
-    from knotpair import classify
+    from knotpair import closedform
 
     reps = (Girth1Rep(5), Girth2Rep(3, -4), Girth2Rep(3, 5), Girth3Rep((2, 1, -3), (0, 2, 1)))
     for rep in reps:
         rep_invariants(rep)  # silent on the true values
-    true_bracket = classify.closed_bracket
+    true_bracket = closedform.bracket_girth3
 
     def flipped(rep):
         (e, c), *rest = true_bracket(rep).terms
         return LaurentPoly(((e, -c), *rest), "A")
 
-    monkeypatch.setattr(classify, "closed_bracket", flipped)
+    monkeypatch.setattr(closedform, "bracket_girth3", flipped)
     for rep in reps:
         with pytest.raises(AssertionError):
             rep_invariants(rep)

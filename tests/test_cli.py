@@ -540,10 +540,10 @@ def test_eval_of_a_long_twist_region_exits_0(capsys, rep, invariant):
     ],
 )
 def test_closed_evaluation_over_the_cap_is_refused_unevaluated(monkeypatch, capsys, argv, n):
-    from knotpair import classify
+    from knotpair import closedform
 
     evaluated = []
-    monkeypatch.setattr(classify, "closed_bracket", evaluated.append)
+    monkeypatch.setattr(closedform, "bracket_girth3", evaluated.append)
     start = time.perf_counter()
     assert main(argv) == 2
     assert time.perf_counter() - start < 1.0

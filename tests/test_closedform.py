@@ -549,7 +549,8 @@ def test_diff_formula_width_decodes_as_the_l1_width():
         ((1000, 1000), 16),  # the perfbench girth-2 label cap
         ((2,) * 6, 16),  # census girth 3 --max 2
         ((6,) * 6, 24),  # census girth 3 --max 6
-        ((12, 12), 8),  # census girth 2 --max 12
+        ((12, 12), 8),  # a pair's own width: K(12, 12)
+        ((12, 0, 0, 12, 0, 0), 16),  # census girth 2 --max 12, its bound padded
     ],
 )
 def test_slot_width_is_pinned(labels, k):

@@ -16,8 +16,9 @@ from girth_reference import (
 )
 
 from knotpair import girth as girth_module
-from knotpair.classify import closed_bracket, jones_equal
+from knotpair.classify import jones_equal
 from knotpair.cli import main
+from knotpair.closedform import bracket_girth3
 from knotpair.diagram import (
     PDCode,
     checkerboard,
@@ -146,6 +147,32 @@ def test_rep_recovery_girth2_grid():
             _, witness = diagram_girth(pd)
             rec = rep_from_decomposition(witness)
             assert jones(pd_from_rep(rec)) == jones(pd), (p, q)
+
+
+def test_a_girth2_witness_wheel_is_one_edge_per_side():
+    # ``rep_from_decomposition`` reads a girth-2 rep off the label wheel:
+    # each reduced tree of the witness is a single edge, whose label both
+    # of its classes repeat
+    pds = [
+        pd_from_rep(Girth2Rep(p, q))
+        for p, q in itertools.product(range(-14, 15), repeat=2)
+        if abs(p) > 1 and abs(q) > 1 and abs(p) + abs(q) <= 16
+    ]
+    for f in _fixture_files():
+        with resources.as_file(f) as path:
+            pd = pd_from_json(path.read_text())
+        if diagram_girth(pd)[0] == 2:
+            pds.append(pd)
+    assert len(pds) == 364 + 12
+    for pd in pds:
+        g, witness = diagram_girth(pd)
+        assert g == 2, pd
+        for tree, labels in (
+            (witness.reduced_black, witness.black_class_labels),
+            (witness.reduced_white, witness.white_class_labels),
+        ):
+            ((_, _, label),) = tree.edges
+            assert labels == (label, label), pd
 
 
 def test_round_trip_jones_on_table_entries():
@@ -335,7 +362,7 @@ def test_decompose_prints_a_rep_with_the_bracket_of_its_input(tmp_path, capsys):
         rep, g = _printed_rep(path, capsys)
         # every one of these diagrams has a girth <= 3 decomposition
         assert g <= 3, (i, pd)
-        assert _equal_up_to_a_unit(bracket_state_sum(pd), closed_bracket(parse_rep(rep))), (i, rep)
+        assert _equal_up_to_a_unit(bracket_state_sum(pd), bracket_girth3(parse_rep(rep))), (i, rep)
 
 
 def _subset_filter_trees(tait):

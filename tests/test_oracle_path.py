@@ -187,7 +187,7 @@ def test_eval_runs_only_the_oracle_its_invariant_needs(monkeypatch, rep, invaria
         assert oracles == []  # a link has no Conway value to check
 
 
-def test_verify_table_orients_each_template_and_fixture_once(monkeypatch):
+def test_verify_table_builds_no_template_and_orients_each_fixture_once(monkeypatch):
     from knotpair import census
 
     calls = spy_on_templates(monkeypatch)
@@ -195,10 +195,9 @@ def test_verify_table_orients_each_template_and_fixture_once(monkeypatch):
     checked = [r for r in results if r.status in ("PASS", "FAIL")]
     assert len(checked) == 18
     names = [name for name, _ in calls]
-    built = [arg for name, arg in calls if name == "pd_from_rep"]
-    assert built == [parse_rep(r.rep_text) for r in checked]
-    assert names.count("build") == len(checked)
-    # one trace in each template's build, one of each fixture
-    assert names.count("trace") == 2 * len(checked)
-    fixtures = [arg for name, arg in calls if name == "orient" and arg.orientation is None]
-    assert len(set(fixtures)) == len(checked)
+    # a table rep's invariants come from its closed forms
+    assert "pd_from_rep" not in names and "build" not in names
+    # one trace, in one orient, of each fixture
+    fixtures = [arg for name, arg in calls if name == "orient"]
+    assert all(pd.orientation is None for pd in fixtures)
+    assert len(fixtures) == len(set(fixtures)) == names.count("trace") == len(checked)

@@ -326,7 +326,8 @@ def _row(
 
 
 def bracket_girth3(rep) -> LaurentPoly:
-    """Kauffman bracket of the girth-3 template, assembled per state class.
+    """Kauffman bracket of a girth <= 3 rep's girth-3 template, assembled
+    per state class.
 
     <K> = A^(-w) F.  F has four blocks weighted by delta^0..delta^3: with
     t_i = e_i(s_p, s_q, s_r) and b_i likewise for the bottom ring,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
@@ -314,73 +315,51 @@ def verify_table(
                 "the fewest crossings of a table entry"
             )
     files = _fixture_files(fixtures_dir)
-    results = []
-    for name, rep_text in ROLFSEN_TABLE:
-        if max_crossings is not None and crossing_number(name) > max_crossings:
-            continue
-        if rep_text is None:
-            results.append(
-                TableResult(name, None, "ABSENT", "no representation in the table")
-            )
-            continue
-        note = ""
-        if apply_errata and name in TABLE_ERRATA:
-            rep_text = TABLE_ERRATA[name]
-            note = "erratum applied; "
+    return [
+        TableResult(name, *_check_entry(name, rep_text, files, apply_errata))
+        for name, rep_text in ROLFSEN_TABLE
+        if max_crossings is None or crossing_number(name) <= max_crossings
+    ]
 
-        ref_path = files.get(fixture_filename(name))
-        if ref_path is None:
-            results.append(
-                TableResult(name, rep_text, "SKIP", "no reference fixture shipped")
-            )
-            continue
-        try:
-            with open(ref_path) as f:
-                ref = pd_from_json(f.read())
-        except ValueError as exc:  # undecodable text or a refused PD
-            raise ValueError(f"{fixture_filename(name)}: {exc}") from None
-        inv = classify.rep_invariants(parse_rep(rep_text))
-        ori_ref = orient(ref)
-        j_rep, comps_rep = inv.jones, inv.components
-        j_ref = jones_from_bracket(oracle.bracket_state_sum(ref), ori_ref.writhe)
-        comps_ref = ori_ref.n_components
-        if comps_rep != comps_ref:
-            results.append(
-                TableResult(
-                    name,
-                    rep_text,
-                    "FAIL",
-                    f"component counts differ: {comps_rep} vs {comps_ref}",
-                )
-            )
-            continue
-        ok = classify.jones_equal(
-            j_rep, j_ref, unit_shift=comps_rep > 1, mirror_ok=True
+
+def _check_entry(name: str, rep_text: str | None, files: dict, apply_errata: bool) -> tuple:
+    """(rep text, status, detail) of one table entry, for ``verify_table``.
+
+    The fixture is state-summed before the component counts are compared,
+    so a fixture past the state-sum cap is refused whatever the rep is.
+    """
+    if rep_text is None:
+        return None, "ABSENT", "no representation in the table"
+    note = ""
+    if apply_errata and name in TABLE_ERRATA:
+        rep_text = TABLE_ERRATA[name]
+        note = "erratum applied; "
+    ref_path = files.get(fixture_filename(name))
+    if ref_path is None:
+        return rep_text, "SKIP", "no reference fixture shipped"
+    try:
+        with open(ref_path) as f:
+            ref = pd_from_json(f.read())
+    except ValueError as exc:  # undecodable text or a refused PD
+        raise ValueError(f"{fixture_filename(name)}: {exc}") from None
+    inv = classify.rep_invariants(parse_rep(rep_text))
+    ori_ref = orient(ref)
+    j_ref = jones_from_bracket(oracle.bracket_state_sum(ref), ori_ref.writhe)
+    if inv.components != ori_ref.n_components:
+        return rep_text, "FAIL", (
+            f"component counts differ: {inv.components} vs {ori_ref.n_components}"
         )
-        if ok:
-            results.append(TableResult(name, rep_text, "PASS", note.rstrip("; ")))
-        else:
-            results.append(
-                TableResult(
-                    name,
-                    rep_text,
-                    "FAIL",
-                    note + f"rep jones {jones_to_text(j_rep)} vs reference "
-                    f"{jones_to_text(j_ref)}",
-                )
-            )
-    return results
+    if classify.jones_equal(inv.jones, j_ref, unit_shift=inv.components > 1, mirror_ok=True):
+        return rep_text, "PASS", note.rstrip("; ")
+    return rep_text, "FAIL", (
+        note + f"rep jones {jones_to_text(inv.jones)} vs reference {jones_to_text(j_ref)}"
+    )
 
 
 def table_report(results: list[TableResult]) -> str:
-    lines = []
-    for r in results:
-        lines.append(f"{r.name:8s} {r.status:6s} {r.rep_text or '?':24s} {r.detail}")
-    counts = {}
-    for r in results:
-        counts[r.status] = counts.get(r.status, 0) + 1
-    summary = " ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-    lines.append(summary)
+    lines = [f"{r.name:8s} {r.status:6s} {r.rep_text or '?':24s} {r.detail}" for r in results]
+    counts = collections.Counter(r.status for r in results)
+    lines.append(" ".join(f"{k}={v}" for k, v in sorted(counts.items())))
     return "\n".join(lines)
 
 

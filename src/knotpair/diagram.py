@@ -216,19 +216,21 @@ def _other_end(arcs: Iterable[object]) -> list[int]:
 class Orientation(Record):
     """Derived orientation data for a PD code.
 
-    ``incoming[ci][slot]`` says whether the strand enters the crossing there;
-    ``signs[ci]`` is the crossing sign, and components without crossings are
-    counted in the PD's ``free_loops``.
+    ``under_in[ci]`` says whether the under-strand enters crossing ci at
+    slot 0 (else at slot 2), and ``signs[ci]`` is the crossing sign, +1
+    exactly when the over-strand enters at the slot before the
+    under-strand's entry.  The two fix which way every slot runs.
+    Components without crossings are counted in the PD's ``free_loops``.
     """
 
-    __slots__ = ("incoming", "n_components", "signs", "writhe")
+    __slots__ = ("under_in", "n_components", "signs", "writhe")
 
 
 def _orientation(incoming: list[bool], n_components: int) -> Orientation:
     """The Orientation of a diagram from its per-port ``incoming`` flags."""
-    rows = tuple(tuple(incoming[p:p + 4]) for p in range(0, len(incoming), 4))
-    signs = tuple(1 if row[0] != row[1] else -1 for row in rows)
-    return Orientation(rows, n_components, signs, sum(signs))
+    under_in = incoming[0::4]
+    signs = tuple(1 if u != o else -1 for u, o in zip(under_in, incoming[1::4]))
+    return Orientation(tuple(under_in), n_components, signs, sum(signs))
 
 
 def orient(pd: PDCode) -> Orientation:
@@ -552,11 +554,6 @@ def _wheel_arcs(zeros: tuple[bool, ...]) -> tuple[tuple[tuple[int, int], ...], i
     return tuple(arcs), free_loops
 
 
-# a written crossing's ``incoming`` row, by whether its over-strand enters
-# at slot 1: its under-strand enters at slot 2, in the reversed orientation
-_REVERSED_IN = ((False, True, True, False), (False, False, True, True))
-
-
 def _write_template(labels: tuple[int, ...]) -> PDCode:
     """The PD code of the template whose wheel reads these labels, p a q
     b r c (see ``_wheel_ends``), carrying ``orient`` of itself (see
@@ -627,9 +624,10 @@ def _write_template(labels: tuple[int, ...]) -> PDCode:
     )
     over_in = list(map(operator.eq, under_in, incoming[1::4]))
     signs = tuple(map((1, -1).__getitem__, over_in))
-    rows = tuple(map(_REVERSED_IN.__getitem__, over_in))
-    # set after construction, by the writer alone (see ``PDCode``)
-    set_field(pd, "orientation", Orientation(rows, traced + free_loops, signs, sum(signs)))
+    # set after construction, by the writer alone (see ``PDCode``); slot 0
+    # of every written crossing is an exit of the orientation it carries
+    ori = Orientation((False,) * len(signs), traced + free_loops, signs, sum(signs))
+    set_field(pd, "orientation", ori)
     return pd
 
 

@@ -115,22 +115,30 @@ def _submasks(mask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 _SUBMASKS = [_submasks(mask) for mask in range(64)]
 
 
-def _index(labels) -> int:
-    """sum (r_i + 2) 5^i over the reduced labels r_i of ``labels``."""
-    index = 0
-    for x in reversed(labels):
-        index = 5 * index + _digit(x)
-    return index
-
-
-def _digit(x: int) -> int:
-    """r + 2 for the reduced label r of x."""
+def _field(i: int, x: int) -> int:
+    """Label x at position i as bit fields that six positions sum without
+    carries: the reduced-index digit (r + 2) 5^i of its reduced label r in
+    bits 0-13, its parity at bit 14 + i, whether it sits at the corner
+    b_i + 2 (m = 1) at bit 20 + i or off both corners at bit 26 + i, and
+    |x| from bit 32."""
+    m = _step(x)
     r = 2 - (x & 1) if x else 0
-    return 2 + (r if x > 0 else -r)
+    return (
+        (2 + (r if x > 0 else -r)) * 5**i
+        | (x & 1) << 14 + i
+        | (m == 1) << 20 + i
+        | (m not in (0, 1)) << 26 + i
+        | abs(x) << 32
+    )
 
 
-def _pattern(labels: tuple[int, ...]) -> int:
-    return sum((x & 1) << i for i, x in enumerate(labels))
+def _fields(labels) -> int:
+    """The sum of the ``_field`` of each label."""
+    return sum(map(_field, range(6), labels))
+
+
+# the sign of each label in the writhe, by the 6-bit d of a reduced entry
+_SIGNS = [tuple(-1 if d >> i & 1 else 1 for i in range(6)) for d in range(64)]
 
 
 def _step(x: int) -> int:
@@ -141,25 +149,21 @@ def _step(x: int) -> int:
 def components_and_writhe(labels: tuple[int, ...]) -> tuple[int, int]:
     """Component count and writhe of the template of a girth-3 labelling,
     oriented by ``orient``."""
-    entry = _ENTRIES[_index(labels)]
-    return entry >> 6, sum(-x if entry >> i & 1 else x for i, x in enumerate(labels))
+    entry = _ENTRIES[_fields(labels) & 0x3FFF]
+    return entry >> 6, sum(map(mul, labels, _SIGNS[entry & 63]))
 
 
 def conway(labels: tuple[int, ...]) -> LaurentPoly:
     """Conway polynomial of a girth-3 knot, from one contraction at the
     slot width of its own labels."""
-    pattern = _pattern(labels)
+    s = _fields(labels)
+    pattern, corner, off = s >> 14 & 63, s >> 20 & 63, s >> 26 & 63
     kinds = KNOTS[pattern][0]
     k = slot_bits(conway_bound(labels, kinds))
-    corner = off = 0
-    weights = {}
-    for i, x in enumerate(labels):
-        m = _step(x)
-        if m == 1:
-            corner |= 1 << i
-        elif m:
-            off |= 1 << i
-            weights[kinds[i], x] = _weights(m, kinds[i] == FIBONACCI, k)
+    weights = {
+        (kinds[i], labels[i]): _weights(_step(labels[i]), kinds[i] == FIBONACCI, k)
+        for i in _SUBMASKS[off][0]
+    }
     nabla = _contract(pattern, corner, off, labels, weights, k)
     return LaurentPoly.from_packed(nabla, 0, k, 2, "z")
 
@@ -185,27 +189,15 @@ def census_keys(bound: tuple, cap: int):
     ``oracle.CONWAY_CAP``, so the census agrees with the uncapped twist
     formulas that ``classify.closed_invariants`` gives ``eval``.
 
-    One pass over the labels sums per-label fields: the reduced index, the
-    parity pattern, the corner bits, the off-corner axes and the crossing
-    count.  The weights of each axis kind at each label are made once.
+    The key sums the ``_field`` of each label, tabled once per position
+    over the bound, and the weights of each axis kind at each label are
+    made once.
     """
     k = slot_bits(conway_bound(bound, FIBONACCI * 6))
     half = k >> 1
-    fields = []
-    for i, b in enumerate(bound):
-        per_label = {}
-        for x in range(-b, b + 1):
-            m = _step(x)
-            per_label[x] = (
-                _digit(x) * 5**i
-                | (x & 1) << 14 + i
-                | (m == 1) << 20 + i
-                | (m not in (0, 1)) << 26 + i
-                | abs(x) << 32
-            )
-        fields.append(per_label)
-    f0, f1, f2, f3, f4, f5 = fields
-    signs = [tuple(-1 if d >> i & 1 else 1 for i in range(6)) for d in range(64)]
+    f0, f1, f2, f3, f4, f5 = (
+        {x: _field(i, x) for x in range(-b, b + 1)} for i, b in enumerate(bound)
+    )
     weights = {
         (kind, x): _weights(_step(x), kind == FIBONACCI, k)
         for kind in (AFFINE, FIBONACCI)
@@ -216,7 +208,7 @@ def census_keys(bound: tuple, cap: int):
         x0, x1, x2, x3, x4, x5 = labels
         s = f0[x0] + f1[x1] + f2[x2] + f3[x3] + f4[x4] + f5[x5]
         entry = _ENTRIES[s & 0x3FFF]
-        writhe = sum(map(mul, labels, signs[entry & 63]))
+        writhe = sum(map(mul, labels, _SIGNS[entry & 63]))
         if entry >> 6 != 1:
             return entry >> 6, writhe, None
         pattern = s >> 14 & 63

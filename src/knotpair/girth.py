@@ -72,7 +72,7 @@ class BudgetError(ValueError):
 # spanning trees
 
 
-def spanning_trees(tait: TaitGraph):
+def spanning_trees(tait: TaitGraph, budget: int = TREE_BUDGET_CROSSINGS):
     """Yield (girth, tree) for spanning trees of strictly falling girth, the
     last the least tree of least girth, of a loopless graph of at least 2
     vertices: every graph ``_tait_graphs`` hands on is one.
@@ -85,26 +85,31 @@ def spanning_trees(tait: TaitGraph):
     The one dispatch rule: when the least girth is 2 or 3, that least tree
     is read by construction (``_least_low_girth``) and yielded alone;
     otherwise the least girth is 4 or more and the trees come from the
-    backtracking (``_backtrack``).  Proof that the construction finds every
-    tree of girth g <= 3, for a tree T of E edges on V vertices, with beta =
-    E - V + 1 edges out of it: the girth counts the runs of non-tree
-    half-edges in the rotations, one turn into each, since every vertex has
-    a tree half-edge.  A non-tree edge has its ends in runs at two vertices,
-    so all beta non-tree edges lie in E_S, the edges joining the set S of
-    vertices that hold runs, and 2 <= |S| <= g once beta > 0 (beta = 0
-    leaves only the girth-0 tree E).  The tree edges in E_S are a forest on
-    S, at most |S| - 1 of them, so T is E minus E_S plus |E_S| - beta edges
-    of E_S, and 0 <= |E_S| - beta <= |S| - 1.  The construction tries those
-    candidates for every pair S (for girth 2, then 3) and every triple (for
-    girth 3), keeps each one that spans and counts exactly the girth, and
-    takes the least tree; as no tree has girth 1, girth 2 is least whenever
-    a girth-2 tree exists.
+    backtracking (``_backtrack``); a graph of more than ``budget`` edges
+    (crossings) is refused there with ``BudgetError``.  Proof that the
+    construction finds every tree of girth g <= 3, for a tree T of E edges
+    on V vertices, with beta = E - V + 1 edges out of it: the girth counts
+    the runs of non-tree half-edges in the rotations, one turn into each,
+    since every vertex has a tree half-edge.  A non-tree edge has its ends
+    in runs at two vertices, so all beta non-tree edges lie in E_S, the
+    edges joining the set S of vertices that hold runs, and 2 <= |S| <= g
+    once beta > 0 (beta = 0 leaves only the girth-0 tree E).  The tree edges
+    in E_S are a forest on S, at most |S| - 1 of them, so T is E minus E_S
+    plus |E_S| - beta edges of E_S, and 0 <= |E_S| - beta <= |S| - 1.  The
+    construction tries those candidates for every pair S (for girth 2, then
+    3) and every triple (for girth 3), keeps each one that spans and counts
+    exactly the girth, and takes the least tree; as no tree has girth 1,
+    girth 2 is least whenever a girth-2 tree exists.
     """
     least = _least_low_girth(tait)
-    if least is None:
-        yield from _backtrack(tait)
-    else:
+    if least is not None:
         yield least
+        return
+    if len(tait.k0) > budget:
+        raise BudgetError(
+            f"{len(tait.k0)} crossings exceeds the spanning-tree budget of {budget}"
+        )
+    yield from _backtrack(tait)
 
 
 def _least_low_girth(tait: TaitGraph):
@@ -599,8 +604,8 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
 
     A crossing-free diagram answers girth 2 with no witness when it is one
     circle, the unknot read as K(0,0), and is refused otherwise.  A diagram
-    of more than ``budget`` crossings is refused before any shading is
-    built.
+    of more than ``budget`` crossings is refused when its least girth is 4
+    or more, before the backtracking; girth 2 and 3 are read at any size.
     """
     if pd.n() == 0:
         if pd.free_loops != 1:
@@ -608,12 +613,8 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
                 f"a crossing-free diagram must be one circle, got {pd.free_loops} circles"
             )
         return 2, None  # the unknot: girth-2 report with labels (0,0)
-    if pd.n() > budget:
-        raise BudgetError(
-            f"{pd.n()} crossings exceeds the spanning-tree budget of {budget}"
-        )
     black, white = _tait_graphs(pd)
-    for girth, tree in spanning_trees(black):
+    for girth, tree in spanning_trees(black, budget):
         pass  # each tree found beats the one before
     witness = decompose(0, tree, black, white)
     if witness.girth != girth:

@@ -259,6 +259,11 @@ def _sweep_order(pd: PDCode) -> list[int]:
 # ---------------------------------------------------------------------------
 # Conway polynomial via Wirtinger presentation and Fox calculus
 
+# a crossing's Fox row by its sign, as (t^0, t^1) coefficients at the
+# incoming under-arc, the outgoing under-arc and the over-arc: t, -1, 1 - t,
+# and for a negative crossing the row cleared of 1/t by scaling, 1, -t, t - 1
+_FOX_ROWS = {1: ((0, 1), (-1, 0), (1, -1)), -1: ((1, 0), (0, -1), (-1, 1))}
+
 
 def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
     """Conway polynomial of a knot diagram.
@@ -304,29 +309,16 @@ def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
     col = {g: i for i, g in enumerate(generators)}
     assert len(generators) == n
 
-    # rows over Z[t]: dicts exponent -> coeff per entry
-    rows: list[dict[int, dict[int, int]]] = []
+    # rows over Z[t]: column -> (coefficient of t^0, of t^1)
+    rows: list[dict[int, tuple[int, int]]] = []
     for ci, cr in enumerate(pd.crossings):
-        u_slot = 0 if ori.incoming[ci][0] else 2
-        u_in = find(cr[u_slot])
-        u_out = find(cr[(u_slot + 2) % 4])
-        over = find(cr[1])
-        row: dict[int, dict[int, int]] = {}
-
-        def bump(gen: int, poly: dict[int, int], row=row) -> None:
-            cell = row.setdefault(col[gen], {})
-            for e, c in poly.items():
-                cell[e] = cell.get(e, 0) + c
-
-        if ori.signs[ci] == 1:
-            bump(u_in, {1: 1})
-            bump(u_out, {0: -1})
-            bump(over, {0: 1, 1: -1})
-        else:
-            # the row for a negative crossing, cleared of 1/t by scaling
-            bump(u_in, {0: 1})
-            bump(u_out, {1: -1})
-            bump(over, {1: 1, 0: -1})
+        u_slot = 0 if ori.under_in[ci] else 2
+        ends = (cr[u_slot], cr[u_slot ^ 2], cr[1])
+        row: dict[int, tuple[int, int]] = {}
+        for a, (c0, c1) in zip(ends, _FOX_ROWS[ori.signs[ci]]):
+            j = col[find(a)]
+            d0, d1 = row.get(j, (0, 0))
+            row[j] = (d0 + c0, d1 + c1)
         rows.append(row)
 
     # delete the last relation and the last generator column
@@ -337,29 +329,25 @@ def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
     return _normalize_alexander_to_conway(delta)
 
 
-def _alexander(minor: list[dict[int, dict[int, int]]]) -> dict[int, int]:
+def _alexander(minor: list[dict[int, tuple[int, int]]]) -> dict[int, int]:
     """det of a square matrix over Z[t], read off one integer determinant.
 
-    ``minor`` has one dict per row, column -> {exponent: coefficient},
-    with exponents 0 and 1.  Returns exponent -> coefficient, zeros left
-    out.  The determinant is taken once, at t = 2^k with k = ``_fox_width``
-    of the minor.
+    ``minor`` has one dict per row, column -> (coefficient of t^0, of t^1).
+    Returns exponent -> coefficient, zeros left out.  The determinant is
+    taken once, at t = 2^k with k = ``_fox_width`` of the minor.
 
     Decode.  det(M(2^k)) = sum_e c_e 2^(k e), and every c_e lies in
     [-2^(k - 1), 2^(k - 1)), so the c_e are its signed base-2^k digits
-    (``_digits``).  Anything left after dim + 1 digits means an entry had
-    an exponent past 1.
+    (``_digits``).  Anything left after dim + 1 digits means the width was
+    too narrow for the entries.
     """
     dim = len(minor)
     k = _fox_width(minor)
     mat = []
     for row in minor:
         line = [0] * dim
-        for j, cell in row.items():
-            entry = 0
-            for e, c in cell.items():
-                entry += c << k * e
-            line[j] = entry
+        for j, (c0, c1) in row.items():
+            line[j] = c0 + (c1 << k)
         mat.append(line)
     delta = _digits(_bareiss_det(mat), k, 0, 1, dim + 1)
     if delta is None:
@@ -367,7 +355,7 @@ def _alexander(minor: list[dict[int, dict[int, int]]]) -> dict[int, int]:
     return dict(delta)
 
 
-def _fox_width(minor: list[dict[int, dict[int, int]]]) -> int:
+def _fox_width(minor: list[dict[int, tuple[int, int]]]) -> int:
     """The least k with B < 2^(k - 1), B^2 = prod_i sum_j |M[i][j]|^2.
 
     Bound.  Let |p| be the sum of |coefficients| of p in Z[t].  On the
@@ -388,8 +376,8 @@ def _fox_width(minor: list[dict[int, dict[int, int]]]) -> int:
     b2 = 1
     for row in minor:
         l1 = squares = 0
-        for cell in row.values():
-            x = sum(map(abs, cell.values()))
+        for c0, c1 in row.values():
+            x = abs(c0) + abs(c1)
             l1 += x
             squares += x * x
         if l1 > 4:

@@ -59,7 +59,7 @@ def conway_fox_reference(pd: PDCode) -> LaurentPoly:
     # rows over Z[t]: dicts exponent -> coeff per entry
     rows: list[dict[int, dict[int, int]]] = []
     for ci, cr in enumerate(pd.crossings):
-        u_slot = 0 if ori.incoming[ci][0] else 2
+        u_slot = 0 if ori.under_in[ci] else 2
         u_in = find(cr[u_slot])
         u_out = find(cr[(u_slot + 2) % 4])
         over = find(cr[1])

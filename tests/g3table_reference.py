@@ -10,8 +10,13 @@ one at s = 2^k on its own, the reference for ``g3table._packed``.
 
 import functools
 
-from knotpair.g3table import FIBONACCI, KNOTS, _corner_rows, _pattern
+from knotpair.g3table import FIBONACCI, KNOTS, _corner_rows
 from knotpair.laurent import LaurentPoly
+
+
+def _pattern(labels) -> int:
+    """The parity pattern: bit i is the parity of label i."""
+    return sum((x & 1) << i for i, x in enumerate(labels))
 
 
 def conway(labels) -> LaurentPoly:

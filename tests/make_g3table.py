@@ -20,7 +20,7 @@ from __future__ import annotations
 from g3table_reference import base_label, next_value
 from knotpair import g3table_data
 from knotpair.diagram import orient, pd_from_rep
-from knotpair.g3table import AFFINE, FIBONACCI, _index
+from knotpair.g3table import AFFINE, FIBONACCI, _fields
 from knotpair.oracle import conway_fox
 from knotpair.reps import Girth3Rep
 
@@ -103,7 +103,7 @@ def build_table() -> tuple[bytes, dict]:
     for pattern in range(64):
         # the components depend on the parities alone
         small = [1 if pattern >> i & 1 else 2 for i in range(6)]
-        if entries[_index(small)] >> 6 == 1:
+        if entries[_fields(small) & 0x3FFF] >> 6 == 1:
             knots[pattern] = _knot_entry(pattern)
     return entries, knots
 

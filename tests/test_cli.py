@@ -197,19 +197,23 @@ def test_girth_and_decompose(tmp_path, capsys):
 
 
 def test_girth_budget_refusal(tmp_path, capsys):
-    from diagram_builders import pd_to_json
-    from knotpair.diagram import pd_from_rep
-    from knotpair.reps import Girth2Rep
+    from diagram_builders import braid_closure_pd, pd_to_json
 
-    pd = pd_from_rep(Girth2Rep(9, 9))
+    # least girth 9: the backtracking would run, and the budget refuses it
     path = tmp_path / "big.pd.json"
-    path.write_text(pd_to_json(pd))
+    path.write_text(pd_to_json(braid_closure_pd([1, -2] * 9, 3)))
     code = main(["girth", str(path)])
     assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 18 crossings exceeds the spanning-tree budget of 16\n"
+    assert main(["girth", str(path), "--budget-crossings", "18"]) == 0
+    assert capsys.readouterr().out.startswith("girth 9\n")
 
 
-def test_girth_refuses_a_large_braid_closure_before_any_shading(tmp_path, capsys):
-    # counting its trees once took minutes at 2000 crossings
+def test_girth_refuses_a_large_braid_closure_before_the_backtracking(tmp_path, capsys):
+    # counting its trees once took minutes at 2000 crossings; the shading
+    # and the girth-2 and girth-3 construction run first
     import time
 
     from diagram_builders import braid_closure_pd, pd_to_json

@@ -300,7 +300,7 @@ def orient_by_search(pd):
     """Try every direction of every component but the first; keep the least
     sign tuple, and the first flip tuple in product order that gives it.
 
-    Returns (incoming, n_components, signs, writhe) as ``orient`` does.
+    Returns (under_in, n_components, signs, writhe) as ``orient`` does.
     """
     other = _other_end(itertools.chain(*pd.crossings))
     cycles = [[divmod(p, 4) for p in cyc] for cyc in _trace_components(other)]
@@ -339,20 +339,16 @@ def orient_by_search(pd):
         best = ([], ())
     signs, flips = best
 
-    incoming = []
-    for ci in range(n):
-        row = []
-        for slot in range(4):
-            port = (ci, slot)
-            row.append(base_incoming[port] != flips[comp_of_port[port]])
-        incoming.append(tuple(row))
+    # slot 0 and the sign fix the whole crossing: slot 2 is the other end
+    # of the under-strand, and the sign says where the over-strand enters
+    under_in = tuple(base_incoming[(ci, 0)] != flips[comp_of_port[(ci, 0)]] for ci in range(n))
     n_components = len(cycles) + pd.free_loops
-    return tuple(incoming), n_components, tuple(signs), sum(signs)
+    return under_in, n_components, tuple(signs), sum(signs)
 
 
 def assert_orient_matches_search(pd):
     ori = orient(PDCode(pd.crossings, pd.free_loops))  # traced, not carried
-    got = (ori.incoming, ori.n_components, ori.signs, ori.writhe)
+    got = (ori.under_in, ori.n_components, ori.signs, ori.writhe)
     assert got == orient_by_search(pd), pd
 
 

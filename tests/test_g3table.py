@@ -97,7 +97,7 @@ def test_the_widest_labelling_decodes_exactly_at_its_width():
     # whose ||nabla||_1 comes nearest its bound decodes to the walk's
     # polynomial at the proven width
     def bound(labels):
-        return g3table.conway_bound(labels, KNOTS[g3table._pattern(labels)][0])
+        return g3table.conway_bound(labels, KNOTS[g3table_reference._pattern(labels)][0])
 
     def ratio(labels):
         return sum(abs(c) for _, c in g3table.conway(labels).terms) / bound(labels)

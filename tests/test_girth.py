@@ -93,32 +93,47 @@ def test_diagram_girth_examples():
 
 
 def test_diagram_girth_budget_refusal():
-    pd = pd_from_rep(Girth2Rep(9, 9))
+    # the closure of (s1 s2^-1)^9 has least girth 9, so it needs the
+    # backtracking, which the budget guards
+    pd = braid_closure_pd([1, -2] * 9, 3)
     with pytest.raises(BudgetError) as err:
         diagram_girth(pd, budget=16)
     assert str(err.value) == "18 crossings exceeds the spanning-tree budget of 16"
+    assert diagram_girth(pd, budget=18)[0] == 9
+    # an over-budget nugatory diagram is refused as unreduced first
+    unreduced = pd_from_rep(Girth3Rep((0, 0, 9), (9, 0, 0)))
+    assert unreduced.n() == 18
+    with pytest.raises(ValueError, match=r"^diagram is not reduced: crossings\[0\] is nugatory$"):
+        diagram_girth(unreduced, budget=16)
 
 
-def test_budget_refusal_builds_no_tait_graph(monkeypatch):
-    pd = pd_from_rep(Girth2Rep(9, 9))
-    shades = checkerboard(pd)
-    # both shadings have the same number of trees (planar duality)
-    assert tree_count(tait_graph(pd, shades[0])) == tree_count(tait_graph(pd, shades[1]))
+def test_girth_2_and_3_answer_at_any_size_under_the_default_budget():
+    # read by construction, so the budget does not guard them
+    for text, n, want in (("(9,9)", 18, 2), ("[2 3 3 / 3 -3 3]", 17, 3),
+                          ("[10 -10 10 / 10 10 -10]", 60, 3)):
+        pd = pd_from_rep(parse_rep(text))
+        assert pd.n() == n > girth_module.TREE_BUDGET_CROSSINGS
+        assert diagram_girth(pd)[0] == want, text
+
+
+def test_budget_refusal_runs_no_backtracking(monkeypatch):
+    pd = braid_closure_pd([1, -2] * 9, 3)
     calls = []
 
-    def spy(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
+    def spy(tait):
+        calls.append(tait)
+        return backtrack(tait)
 
-    monkeypatch.setattr(girth_module, "checkerboard", spy("checkerboard", checkerboard))
-    monkeypatch.setattr(girth_module, "tait_graph", spy("tait_graph", tait_graph))
+    backtrack = girth_module._backtrack
+    monkeypatch.setattr(girth_module, "_backtrack", spy)
     with pytest.raises(BudgetError):
         diagram_girth(pd, budget=16)
     assert calls == []
     diagram_girth(pd, budget=18)
-    assert calls == ["checkerboard", "tait_graph", "tait_graph"]
+    assert len(calls) == 1
+    # an over-budget diagram of least girth 2 or 3 never backtracks
+    assert diagram_girth(pd_from_rep(Girth2Rep(9, 9)), budget=16)[0] == 2
+    assert len(calls) == 1
 
 
 def test_crossing_free_diagram_answers_only_for_one_circle():
@@ -333,8 +348,8 @@ def _equal_up_to_a_unit(a, b) -> bool:
 
 def _printed_rep(path, capsys):
     """The rep that ``decompose --format json`` prints for the PD file at
-    ``path``, with a budget that admits every diagram below, and its girth."""
-    assert main(["decompose", str(path), "--format", "json", "--budget-crossings", "18"]) == 0
+    ``path``, and its girth."""
+    assert main(["decompose", str(path), "--format", "json"]) == 0
     printed = json.loads(capsys.readouterr().out)
     return printed["rep"], printed["girth"]
 

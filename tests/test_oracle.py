@@ -583,7 +583,7 @@ def test_alexander_decodes_coefficients_at_the_bound():
         for _ in range(40):
             perm = rng.sample(range(dim), dim)
             cells = [(rng.randint(0, 1), rng.choice((4, -4))) for _ in range(dim)]
-            minor = [{perm[i]: {e: c}} for i, (e, c) in enumerate(cells)]
+            minor = [{perm[i]: ((c, 0), (0, c))[e]} for i, (e, c) in enumerate(cells)]
             inversions = sum(
                 perm[i] > perm[j] for i in range(dim) for j in range(i + 1, dim)
             )
@@ -632,29 +632,33 @@ def test_alexander_equals_interpolation_on_random_minors():
         for _ in range(20):
             minor = []
             for _ in range(dim):
-                row: dict[int, dict[int, int]] = {}
+                row: dict[int, tuple[int, int]] = {}
                 for _ in range(rng.randint(1, 4)):
-                    cell = row.setdefault(rng.randrange(dim), {})
-                    e = rng.randint(0, 1)
-                    cell[e] = cell.get(e, 0) + rng.choice((1, -1))
+                    j, c = rng.randrange(dim), rng.choice((1, -1))
+                    c0, c1 = row.get(j, (0, 0))
+                    row[j] = (c0 + c, c1) if rng.randint(0, 1) == 0 else (c0, c1 + c)
                 minor.append(row)
             points = list(range(2, dim + 3))
             values = []
             for t0 in points:
                 mat = [[0] * dim for _ in range(dim)]
                 for i, row in enumerate(minor):
-                    for j, cell in row.items():
-                        mat[i][j] = sum(c * t0**e for e, c in cell.items())
+                    for j, (c0, c1) in row.items():
+                        mat[i][j] = c0 + c1 * t0
                 values.append(_bareiss_det(mat))
             coeffs = _interpolate_integer_poly(points, values)
             assert _alexander(minor) == {e: c for e, c in enumerate(coeffs) if c}
 
 
-def test_alexander_refuses_a_determinant_past_the_bound():
-    with pytest.raises(ValueError):
-        _alexander([{0: {1: 200}}])  # a row of L1 norm 200
-    with pytest.raises(ValueError):
-        _alexander([{0: {2: 1}}])  # degree 2 in a 1 x 1 minor
+def test_alexander_refuses_a_determinant_past_the_bound(monkeypatch):
+    with pytest.raises(ValueError, match="no Fox row"):
+        _alexander([{0: (0, 200)}])  # a row of L1 norm 200
+    # a width too narrow for the minor leaves digits past dim + 1: 4t at
+    # k = 2 reads 0, 0, 1 in base 4
+    assert _alexander([{0: (0, 4)}]) == {1: 4}
+    monkeypatch.setattr(oracle, "_fox_width", lambda minor: 2)
+    with pytest.raises(ValueError, match="exceeds its coefficient bound"):
+        _alexander([{0: (0, 4)}])
 
 
 def test_conway_normalization_equals_the_reference():

@@ -55,8 +55,8 @@ RECORDS = {
     TreePairRep: (("inside", "outside", "girth_value"), lambda: (_tree(), _tree(), 4)),
     PDCode: (("crossings", "free_loops"), lambda: (((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)), 1)),
     Orientation: (
-        ("incoming", "n_components", "signs", "writhe"),
-        lambda: (((True, False, False, True),), 1, (-1,), -1),
+        ("under_in", "n_components", "signs", "writhe"),
+        lambda: ((True,), 1, (-1,), -1),
     ),
     TaitEdge: (("v1", "v2"), lambda: (0, 1)),
     TaitGraph: (

@@ -144,8 +144,10 @@ def dedup_census(
 
     A rep is keyed by exact values, with no polynomial built and no text:
     its component count, its Conway polynomial as one int (None for a
-    link or past ``oracle.CONWAY_CAP``) and the integer key of its Jones
-    polynomial at its writhe (``closedform.census_jones``).  The component
+    link or for a knot with an odd label past ``oracle.CONWAY_CAP``; an
+    all-even knot is keyed through parity pattern 0 at any size) and the
+    integer key of its Jones polynomial at its writhe
+    (``closedform.census_jones``).  The component
     count, writhe and Conway int come from one pass over the rep's labels
     (``g3table.census_keys``).  Both keyers take six labels: each
     labelling is padded here, once, to its girth-3 labelling

@@ -72,9 +72,9 @@ so its labelling, which pads p -+ 1 and -+1, is within the bound too.
 kinds and the 64 corner polynomials as one row of signed bytes per power
 of s (``_corner_rows``), made by tests/make_g3table.py from the reduced
 templates, ``orient`` and ``oracle.conway_fox``.  This module imports
-nothing from ``oracle``.  The independent checks are those that do
-not read the table's own data: tests/test_g3table.py regenerates the table
-and compares components and writhe with ``orient`` on full templates, the
+nothing from ``oracle`` or ``closedform``.  The independent checks are
+those that do not read the table's own data: tests/test_g3table.py
+regenerates the table and compares components and writhe with ``orient`` on full templates, the
 extrapolated polynomial with Fox off the corners (a grid over every knot
 pattern with shifts of -4..+4, and a property test), and the closed form
 with the stepwise walk it replaced (tests/g3table_reference.py);
@@ -90,10 +90,8 @@ import functools
 from itertools import repeat
 from operator import add, lshift, mul
 
-from . import closedform as cf
 from .g3table_data import KNOTS, REDUCED
 from .laurent import LaurentPoly, slot_bits
-from .reps import Girth3Rep
 
 AFFINE = "A"
 FIBONACCI = "F"
@@ -180,9 +178,10 @@ def census_keys(bound: tuple, cap: int):
     on six Fibonacci axes at the bound, so it holds every knot of the
     census (module docstring), and two knots have equal ints exactly when
     their polynomials are equal (one expansion in balanced slots).  An
-    all-even knot packs the terms of ``closedform.conway_girth3_even``,
-    the same polynomial as the table's; a term in an odd power would move
-    a slot by 2^(k/2), which the identities of the decoded value refuse.
+    all-even knot is contracted through parity pattern 0 like any other
+    knot, at any size: only a knot with an odd label is withheld past
+    ``cap``.  tests/test_g3table.py ties those keys to
+    ``closedform.conway_girth3_even``, the formula ``eval`` gives them.
 
     ``cap`` never withholds the value of a census K(p) or K(p, q): each
     has at most 2 * ``census.G2_BUDGET`` = 24 crossings, no more than
@@ -194,7 +193,6 @@ def census_keys(bound: tuple, cap: int):
     made once.
     """
     k = slot_bits(conway_bound(bound, FIBONACCI * 6))
-    half = k >> 1
     f0, f1, f2, f3, f4, f5 = (
         {x: _field(i, x) for x in range(-b, b + 1)} for i, b in enumerate(bound)
     )
@@ -212,10 +210,7 @@ def census_keys(bound: tuple, cap: int):
         if entry >> 6 != 1:
             return entry >> 6, writhe, None
         pattern = s >> 14 & 63
-        if not pattern:
-            even = cf.conway_girth3_even(Girth3Rep(labels[:3], labels[3:]))
-            return 1, writhe, sum(c << half * e for e, c in even.terms)
-        if s >> 32 > cap:
+        if pattern and s >> 32 > cap:
             return 1, writhe, None
         return 1, writhe, _contract(pattern, s >> 20 & 63, s >> 26 & 63, labels, weights, k)
 

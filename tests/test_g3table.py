@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 import g3table_reference
 from g3table_reference import base_label
 from knotpair import g3table, g3table_data
+from knotpair.census import _labellings
 from knotpair.classify import check_identities
 from knotpair.closedform import bracket_girth3, conway_girth3_even
 from knotpair.diagram import orient, pd_from_rep
@@ -178,6 +179,21 @@ def test_all_even_pattern_matches_the_even_formula():
         assert g3table.conway(labels) == conway_girth3_even(_rep(labels)), labels
 
 
+def test_census_keys_all_even_knots_past_the_cap_by_the_even_formula():
+    # the labellings of ``census --girth 3 --max 6 --even``: the census
+    # keys an all-even knot by the table at any size, never withholding it
+    labellings = _labellings(3, 6, True, False)
+    assert len(labellings) == 10528
+    key, conway_of = g3table.census_keys((6,) * 6, CONWAY_CAP)
+    past = 0
+    for labels in labellings:
+        comps, _, nabla = key(labels)
+        assert comps == 1, labels
+        assert conway_of(nabla) == conway_girth3_even(_rep(labels)), labels
+        past += sum(map(abs, labels)) > CONWAY_CAP
+    assert past == 2089
+
+
 def _import_leaves_unloaded(module, absent, *flags):
     code = f"import sys, {module}; assert {absent!r} not in sys.modules"
     src = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -189,6 +205,7 @@ def _import_leaves_unloaded(module, absent, *flags):
     "module, absent",
     [
         ("knotpair.g3table", "knotpair.oracle"),
+        ("knotpair.g3table", "knotpair.closedform"),
         ("knotpair.cli", "knotpair.g3table"),
         ("knotpair.closedform", "knotpair.oracle"),
         ("knotpair.oracle", "knotpair.closedform"),
@@ -199,7 +216,7 @@ def _import_leaves_unloaded(module, absent, *flags):
 )
 def test_import_leaves_module_unloaded(module, absent):
     # the table and the closed forms read nothing from the oracle, nor the
-    # oracle from them, and the CLI loads the table only when a girth-2 or
+    # oracle from them, nor the table from the closed forms, and the CLI loads the table only when a girth-2 or
     # girth-3 rep needs it; no command pays for dataclasses or inspect at
     # start-up
     _import_leaves_unloaded(module, absent)

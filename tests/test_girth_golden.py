@@ -8,11 +8,10 @@ seeded girth-2 and girth-3 templates and braid closures of 10 to 16
 crossings, and six diagrams the commands refuse or treat specially; they
 are stored verbatim, and ``golden_inputs`` says how they were made.  The
 four results of "free loops only" were taken again when a crossing-free
-diagram of other than one circle came to be refused, those of "over
-budget (9,9)" when the budget refusal stopped counting the trees and
-again when the budget came to guard only the backtracking (girth 2 and 3
-are read at any size, so K(9,9) now answers; the name keeps its first
-outcome), and those of "unreduced [0 0 1 / 1 0 0]" when the refusal of an
+diagram of other than one circle came to be refused, those of "girth 2
+past the budget (9,9)" when the budget refusal stopped counting the
+trees and again when the budget came to guard only the backtracking
+(girth 2 and 3 are read at any size, so K(9,9) answers), and those of "unreduced [0 0 1 / 1 0 0]" when the refusal of an
 unreduced diagram came to name its least nugatory crossing.  "over budget
 braid [1, -2] * 9" was added then: its least girth is 9, so the budget
 still refuses it.
@@ -89,12 +88,12 @@ def golden_inputs() -> list[tuple[str, str]]:
         except InvalidPDError:
             continue
         inputs.append((f"braid {word} on {strands}", text))
-    over_budget = pd_to_json(pd_from_rep(Girth2Rep(9, 9)))
+    past_budget = pd_to_json(pd_from_rep(Girth2Rep(9, 9)))
     over_budget_braid = pd_to_json(braid_closure_pd([1, -2] * 9, 3))
     unreduced = pd_to_json(pd_from_rep(Girth3Rep((0, 0, 1), (1, 0, 0))))
     trefoil = json.loads(pd_to_json(pd_from_rep(Girth2Rep(2, 1))))
     inputs += [
-        ("over budget (9,9)", over_budget),
+        ("girth 2 past the budget (9,9)", past_budget),
         ("over budget braid [1, -2] * 9", over_budget_braid),
         ("unreduced [0 0 1 / 1 0 0]", unreduced),
         ("free loop beside a trefoil", json.dumps(dict(trefoil, free_loops=1))),

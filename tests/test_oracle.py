@@ -105,10 +105,7 @@ def test_bracket_cap_refusal():
 def test_disjoint_union_multiplies_by_loop_value():
     pd1 = pd_from_rep(Girth1Rep(3))
     pd2 = pd_from_rep(Girth2Rep(2, -2))
-    shift = max(a for c in pd1.crossings for a in c)
-    merged = PDCode(
-        pd1.crossings + tuple(tuple(a + shift for a in c) for c in pd2.crossings)
-    )
+    merged = disjoint_union([pd1, pd2])
     delta = A({2: -1, -2: -1})
     assert bracket_state_sum(merged) == delta * bracket_state_sum(
         pd1
@@ -357,13 +354,40 @@ def test_sweep_equals_state_walk_on_random_girth3_templates():
     assert min(kinds.values()) >= 30, kinds
 
 
+def disjoint_union(pds: list[PDCode]) -> PDCode:
+    """The split diagram of these codes side by side, arcs renamed apart."""
+    crossings: list[tuple[int, ...]] = []
+    shift = 0
+    for pd in pds:
+        crossings += [tuple(a + shift for a in c) for c in pd.crossings]
+        shift = max(a for c in crossings for a in c) + 1
+    return PDCode(tuple(crossings))
+
+
 def test_sweep_order_takes_the_most_open_arcs_then_the_lowest_index():
     rng = random.Random(5)
     pds = [scramble(pd, rng) for _, pd in fixture_pds()]
     pds += [scramble(pd_from_rep(random_girth3(rng, 20)), rng) for _ in range(40)]
+    # split diagrams of 2 and 3 parts, their crossings shuffled together
+    pds += [
+        scramble(
+            disjoint_union([pd_from_rep(random_girth3(rng, 8)) for _ in range(parts)]), rng
+        )
+        for parts in (2, 3)
+        for _ in range(20)
+    ]
+    covered = set()
     for pd in pds:
-        order = _sweep_order(pd)
+        order, parts = _sweep_order(pd)
         assert sorted(order) == list(range(pd.n()))
+        # a crossing that shares no arc with those before it opens a part
+        seen: set[int] = set()
+        want = 0
+        for ci in order:
+            want += seen.isdisjoint(pd.crossings[ci])
+            seen.update(pd.crossings[ci])
+        assert parts == want, pd
+        covered.add(parts)
         done: set[int] = set()
         for ci in order:
             ends = {}
@@ -379,6 +403,7 @@ def test_sweep_order_takes_the_most_open_arcs_then_the_lowest_index():
             best = max(count(cj) for cj in left)
             assert ci == min(cj for cj in left if count(cj) == best)
             done.add(ci)
+    assert covered == {1, 2, 3}
 
 
 @pytest.mark.parametrize(

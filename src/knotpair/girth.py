@@ -25,19 +25,19 @@ two ends in runs at two vertices, and the non-tree edges of a girth-g
 tree all join the at most g vertices that hold its runs.  That leaves few
 candidates: the least tree of girth 2 or 3, the girths of the paper's
 tables, is read off them directly (``spanning_trees`` gives the proof).
-Otherwise the trees come from a backtracking search over the edges in
-index order, each edge tried in before it is left out, so they come in
-lexicographic order.
-A turn is settled once both of its edges are decided, and no later
-decision unsettles it, so the settled turns at a vertex bound its turns in
-every tree a branch can still reach.  So does 1 at a vertex with a decided
-non-tree end, since every vertex of a spanning tree has a tree-edge end.
-The search sums the larger of the two over the vertices and cuts a branch
-once that bound passes a cap.  Looking for the least girth, it lowers the
-cap below each girth it finds, so the last tree it finds is the least tree
-of least girth: the witness a full enumeration would pick.  Only the
-witness is walked: ``decompose`` builds it on the two Tait graphs the
-search used, and its walked girth must equal the searched one.
+Otherwise the least girth is 4 or more, and one frontier sweep over the
+graph's corners finds it (``_sweep`` gives the argument).  A spanning tree
+is an edge set whose ribbon has one boundary circle, the tree's contour,
+and a turn is a corner of that circle, so the least girth is a min-plus
+form of the oracle's Kauffman state sum, over the one-circle states
+(Bar-Natan, arXiv:math/0606318).  The sweep keeps, per pairing of the
+open corners and tree bits at their decided ends, the fewest turns and
+the least tree, so it ends at the least tree of least girth: the witness
+a full enumeration would pick.  On graphs of bounded width, such as braid
+closures, it takes time linear in the edges (the sphere-cut technique of
+Dorn, Penninkx, Bodlaender and Fomin, ESA 2005).  Only the witness is
+walked: ``decompose`` builds it on the two Tait graphs the search used,
+and its walked girth must equal the searched one.
 """
 
 from __future__ import annotations
@@ -73,33 +73,39 @@ class BudgetError(ValueError):
 
 
 def spanning_trees(tait: TaitGraph, budget: int = TREE_BUDGET_CROSSINGS):
-    """Yield (girth, tree) for spanning trees of strictly falling girth, the
-    last the least tree of least girth, of a loopless graph of at least 2
-    vertices: every graph ``_tait_graphs`` hands on is one.
+    """Yield the least girth of a loopless graph of at least 2 vertices,
+    and the least tree attaining it, as one (girth, tree) pair: every graph
+    ``_tait_graphs`` hands on is one.
 
     Trees are sorted tuples of edge indices.  The girth is the number of
     turns (h, succ[h]) from a tree half-edge to a non-tree one, of two edges
     a = h >> 1 and b = succ[h] >> 1; it equals the number of sectors
     ``tree_contour`` walks (see the module docstring).
 
-    The one dispatch rule: when the least girth is 2 or 3, that least tree
-    is read by construction (``_least_low_girth``) and yielded alone;
-    otherwise the least girth is 4 or more and the trees come from the
-    backtracking (``_backtrack``); a graph of more than ``budget`` edges
-    (crossings) is refused there with ``BudgetError``.  Proof that the
-    construction finds every tree of girth g <= 3, for a tree T of E edges
-    on V vertices, with beta = E - V + 1 edges out of it: the girth counts
-    the runs of non-tree half-edges in the rotations, one turn into each,
-    since every vertex has a tree half-edge.  A non-tree edge has its ends
-    in runs at two vertices, so all beta non-tree edges lie in E_S, the
-    edges joining the set S of vertices that hold runs, and 2 <= |S| <= g
-    once beta > 0 (beta = 0 leaves only the girth-0 tree E).  The tree edges
-    in E_S are a forest on S, at most |S| - 1 of them, so T is E minus E_S
-    plus |E_S| - beta edges of E_S, and 0 <= |E_S| - beta <= |S| - 1.  The
-    construction tries those candidates for every pair S (for girth 2, then
-    3) and every triple (for girth 3), keeps each one that spans and counts
-    exactly the girth, and takes the least tree; as no tree has girth 1,
-    girth 2 is least whenever a girth-2 tree exists.
+    The one dispatch rule: when the least girth is 2 or 3, the least tree is
+    read by construction (``_least_low_girth``); otherwise a graph of more
+    than ``budget`` edges (crossings) is refused with ``BudgetError``, and
+    the frontier sweep (``_sweep``) finds the least tree.
+
+    **The construction.**  Proof that it finds every tree of girth g <= 3,
+    for a tree T of E edges on V vertices, with beta = E - V + 1 edges out
+    of it: the girth counts the runs of non-tree half-edges in the
+    rotations, one turn into each, since every vertex has a tree half-edge.
+    A non-tree edge has its ends in runs at two vertices, so all beta
+    non-tree edges lie in E_S, the edges joining the set S of vertices that
+    hold runs, and 2 <= |S| <= g once beta > 0 (beta = 0 leaves only the
+    girth-0 tree E).  The tree edges in E_S are a forest on S, at most
+    |S| - 1 of them, so T is E minus E_S plus |E_S| - beta edges of E_S,
+    and 0 <= |E_S| - beta <= |S| - 1.  The construction tries those
+    candidates for every pair S (for girth 2, then 3) and every triple (for
+    girth 3), keeps each one that spans and counts exactly the girth, and
+    takes the least tree; as no tree has girth 1, girth 2 is least whenever
+    a girth-2 tree exists.
+
+    **The sweep.**  When no candidate counts girth 2 or 3, the least girth
+    is 4 or more.  The sweep decides every edge in and out, keeping per
+    frontier key the fewest turns and the least tree, and ends with the
+    least tree of least girth (its docstring gives the argument).
     """
     least = _least_low_girth(tait)
     if least is not None:
@@ -109,7 +115,7 @@ def spanning_trees(tait: TaitGraph, budget: int = TREE_BUDGET_CROSSINGS):
         raise BudgetError(
             f"{len(tait.k0)} crossings exceeds the spanning-tree budget of {budget}"
         )
-    yield from _backtrack(tait)
+    yield _sweep(tait)
 
 
 def _least_low_girth(tait: TaitGraph):
@@ -162,158 +168,120 @@ def _least_low_girth(tait: TaitGraph):
     return (3, least[3]) if 3 in least else None
 
 
-def _backtrack(tait: TaitGraph):
-    """``spanning_trees`` by branch and bound, for any loopless graph of at
-    least 2 vertices.
+def _sweep(tait: TaitGraph) -> tuple[int, tuple[int, ...]]:
+    """The least girth of a loopless graph of at least 2 vertices and the
+    least tree attaining it, by one frontier sweep over the graph's corners.
 
-    Backtracking over the edges in index order, each edge tried in before
-    it is left out, lists the trees in the order ``itertools.combinations``
-    lists the edge sets.  A union-find without path compression keeps the
-    chosen edges a forest and is rolled back one edge at a time.  An edge
-    is left out only if the edges after it can still join the forest's
-    parts (the bridge test of Gabow and Myers), so no branch dead-ends for
-    want of edges.
+    **Corners.**  Corner c runs around its vertex from half-edge c to
+    succ[c], that is, from edge c >> 1 to edge succ[c] >> 1; pred inverts
+    succ.  An edge set S draws the boundary of a ribbon: the vertices as
+    disks, the edges of S as bands.  At an edge e out of S the boundary
+    goes on around the vertex, joining corner pred[2e] to corner 2e and
+    pred[2e + 1] to 2e + 1; at an edge e in S it crosses the band, joining
+    pred[2e] to 2e + 1 and pred[2e + 1] to 2e, the step ``tree_contour``
+    walks.  On a plane graph the boundary circles number the faces of
+    (V, S) plus its parts minus 1 (Euler's formula, each part a sphere
+    with holes), so they are one exactly when (V, S) has one face and one
+    part: when S is a spanning tree.
 
-    Each tree yielded lowers the cap to one below its girth, from 2V at
-    first: above the 2(V - 1) turns out of the tree edges, so the first
-    tree always comes.  A branch is cut once a lower bound on the girth of
-    every tree it can still reach passes the cap.  A turn is settled once
-    both of its edges are decided, and no later decision unsettles it.  An
-    end of an edge decided out is a decided non-tree end.  The bound is the
-    sum over the vertices v of
+    **The sweep.**  The edges are decided one at a time, each in and out,
+    and the corners are joined as the oracle's state sum joins arcs
+    (``_join``).  A corner with one end at a decided edge is open.  Every
+    partial tree of one step has decided the same edges, so it has the
+    same open corners; its frontier key is their pairing (each open
+    corner's partner at the other end of its boundary path) and its tree
+    bits at their decided ends.  A join that closes a circle before the last join
+    makes two circles at least, and drops the partial tree.
 
-        max(settled turns at v, 1 if v has a decided non-tree end else 0).
+    **The girth as a corner sum.**  The girth of a tree counts its turns
+    (h, succ[h]) from a tree half-edge to a non-tree one: a corner counts
+    when its start edge is in and its end edge is out.  That term is
+    settled when the corner's second end is decided, from the bit of its
+    first end, which the key holds.  So two partial trees of one key have
+    the same completions, each adding the same turns to both, and only the
+    one of fewer turns can be part of a least tree.  Of two with equal
+    turns, the one that holds the lowest edge where the two differ gives
+    the lexicographically less tree with every completion, since the
+    completions add the same edges to both.  Keeping the lesser per key
+    leaves, after the last edge, the lexicographically least tree of least
+    girth.
 
-    Proof that it bounds the girth of every tree T the branch reaches: the
-    girth of T is the sum over v of its turns at v from a tree edge to a
-    non-tree edge.  Those include the settled ones.  And T spans and is
-    connected, so v has a tree-edge end; if v also has a non-tree end,
-    going once around its rotation passes from a tree-edge end to a
-    non-tree end at least once, which is a turn of T.  So each term is at
-    most T's turns at v.  No decision lowers a term, so the bound never
-    falls down a branch, and a cut branch holds no tree within the cap: the
-    trees yielded are each tree of the full enumeration whose girth is
-    below that of every tree before it.  At a leaf the girth is the exact
-    count of settled turns once the edges left are decided out.
-
-    The search keeps the bound as the settled turns plus the vertices that
-    have a decided non-tree end but no settled turn.  The two per-vertex
-    flags it reads are set at most once down a branch; each setting goes
-    on an undo log, and backtracking to a tree edge rolls the log back to
-    where it stood before that edge was taken.
+    **Order.**  The next edge is the one with the most open corners, ties
+    going to the lowest index: ``oracle._sweep_order``'s rule, on corners.
+    On bounded-width graphs such as braid closures the frontier stays
+    bounded, and the sweep takes time linear in the edges.
     """
-    n = tait.n_vertices
-    vertex = tait.vertex
-    edges = list(zip(range(len(tait.k0)), vertex[::2], vertex[1::2]))
-    m = len(edges)
-    # the turns each decision settles, with their vertex: taking the edge
-    # in settles its turns to edges already decided (girth +1 per one left
-    # out), leaving it out settles the turns into it from edges already
-    # decided (+1 per tree edge)
-    settle_in: list[list[tuple[int, int]]] = [[] for _ in edges]
-    settle_out: list[list[tuple[int, int]]] = [[] for _ in edges]
-    for h, (v, s) in enumerate(zip(vertex, tait.succ)):  # the turn h -> succ[h]
-        a, b = h >> 1, s >> 1
-        # b != a: a turn from an edge back to itself needs a loop or a
-        # valence-1 vertex, and no searched graph has either
-        if b < a:
-            settle_in[a].append((b, v))
-        else:
-            settle_out[b].append((a, v))
-    # per vertex: whether it has a settled turn, and whether it has a
-    # decided non-tree end
-    turned = [False] * n
-    loose = [False] * n
-    in_tree = [False] * m
-    parent = list(range(n))
-    size = [1] * n
-    tree: list[int] = []
-    # per tree edge: its position, the root it hung, ``settled``, ``bare``
-    # and the length of the log before it
-    undo: list[tuple[int, int, int, int, int]] = []
-    # the flags set, to be cleared on backtracking: v for ``turned[v]``,
-    # ~v for ``loose[v]``
-    log: list[int] = []
-    # the bound is settled + bare: max(settled turns at v, loose[v]) is
-    # the settled turns at v, plus 1 if there are none and v is loose
-    settled = 0  # settled turns from a tree edge to a non-tree edge
-    bare = 0  # loose vertices without a settled turn
-    cap = 2 * n
-    i = 0
-    out = False  # edge i is left out whatever it joins: backtracking chose so
-    while True:
-        if settled + bare <= cap:
-            if len(tree) == n - 1:
-                # the edges left are all out; they settle the remaining turns
-                girth = settled
-                for j in range(i, m):
-                    for a, _v in settle_out[j]:
-                        girth += in_tree[a]
-                if girth <= cap:
-                    yield girth, tuple(tree)
-                    cap = girth - 1
-            elif i < m:
-                _, u, v = edges[i]
-                if not out:
-                    ru, rv = u, v
-                    while parent[ru] != ru:
-                        ru = parent[ru]
-                    while parent[rv] != rv:
-                        rv = parent[rv]
-                    if ru != rv:
-                        if size[ru] > size[rv]:
-                            ru, rv = rv, ru
-                        parent[ru] = rv
-                        size[rv] += size[ru]
-                        tree.append(i)
-                        in_tree[i] = True
-                        undo.append((i, ru, settled, bare, len(log)))
-                        for b, w in settle_in[i]:
-                            if not in_tree[b]:
-                                settled += 1
-                                if not turned[w]:
-                                    turned[w] = True
-                                    log.append(w)
-                                    bare -= loose[w]
-                        i += 1
+    succ = tait.succ
+    m = len(tait.k0)
+    pred = [0] * (2 * m)
+    neighbours: list[list[int]] = [[] for _ in range(m)]  # per edge: its corners' far edges
+    for h, s in enumerate(succ):
+        pred[s] = h
+        neighbours[h >> 1].append(s >> 1)
+        neighbours[s >> 1].append(h >> 1)
+    count = [0] * m  # per edge: its open corners; -1 once decided
+    decided = 0
+    # key -> (partner map, turns, tree as a bitmask over the decided edges)
+    frontier: dict[tuple[int, ...], tuple[dict[int, int], int, int]] = {(): ({}, 0, 0)}
+    for step in range(m):
+        e = count.index(max(count))
+        count[e] = -1
+        for f in neighbours[e]:
+            if count[f] >= 0:
+                count[f] += 1
+        decided |= 1 << e
+        bit, x, y = 1 << e, 2 * e, 2 * e + 1
+        px, py = pred[x], pred[y]
+        # the corners e settles: into e from a decided edge, a turn when
+        # that one is in and e out; out of e to a decided edge, a turn when
+        # e is in and that one out
+        into = [k >> 1 for k in (px, py) if decided >> (k >> 1) & 1]
+        onto = [succ[k] >> 1 for k in (x, y) if decided >> (succ[k] >> 1) & 1]
+        last = step == m - 1
+        nxt: dict[tuple[int, ...], tuple[dict[int, int], int, int]] = {}
+        arcs = None
+        for known, turns, tree in frontier.values():
+            for t, a, b, c, d in ((tree | bit, px, y, py, x), (tree, px, x, py, y)):
+                partner = known.copy()
+                # a spanning tree closes its one circle at the last join
+                if _join(partner, a, b) + _join(partner, c, d) > last:
+                    continue
+                if t & bit:
+                    g = turns + sum([not t >> f & 1 for f in onto])
+                else:
+                    g = turns + sum([t >> f & 1 for f in into])
+                if arcs is None:
+                    arcs = sorted(partner)
+                    rel = 0  # the decided ends of the open corners
+                    for k in arcs:
+                        rel |= 1 << (k >> 1 if decided >> (k >> 1) & 1 else succ[k] >> 1)
+                key = (*map(partner.__getitem__, arcs), t & rel)
+                old = nxt.get(key)
+                if old is not None:
+                    diff = t ^ old[2]
+                    if g > old[1] or g == old[1] and not t & diff & -diff:
                         continue
-                for a, w in settle_out[i]:
-                    if in_tree[a]:
-                        settled += 1
-                        if not turned[w]:
-                            turned[w] = True
-                            log.append(w)
-                            bare -= loose[w]
-                if not loose[u]:
-                    loose[u] = True
-                    log.append(~u)
-                    bare += not turned[u]
-                if not loose[v]:
-                    loose[v] = True
-                    log.append(~v)
-                    bare += not turned[v]
-                i += 1
-                if not out:
-                    continue
-                out = False
-                # a tree edge taken back: go on without it only if that
-                # can still end in a tree within the cap
-                if settled + bare <= cap and _can_join(n - len(tree), parent[:], edges, i):
-                    continue
-        # take back the last tree edge, to leave it out next
-        if not tree:
-            return
-        in_tree[tree.pop()] = False
-        i, ru, settled, bare, mark = undo.pop()
-        size[parent[ru]] -= size[ru]
-        parent[ru] = ru
-        for w in log[mark:]:
-            if w >= 0:
-                turned[w] = False
-            else:
-                loose[~w] = False
-        del log[mark:]
-        out = True
+                nxt[key] = (partner, g, t)
+        frontier = nxt
+    ((_, girth, tree),) = frontier.values()
+    return girth, tuple([e for e in range(m) if tree >> e & 1])
+
+
+def _join(partner: dict[int, int], x: int, y: int) -> int:
+    """Join corners x and y; return the circles this closes.
+
+    ``partner`` maps each open corner to the open corner at the other end
+    of its boundary path; a corner not yet met stands for itself.  Joining
+    x to y retires them and pairs their far ends, or, when y is x's far
+    end, closes the path into a circle.
+    """
+    ex = partner.pop(x, x)
+    if ex == y:
+        partner.pop(y, None)
+        return 1
+    ey = partner.pop(y, y)
+    partner[ex], partner[ey] = ey, ex
+    return 0
 
 
 def _can_join(parts: int, parent: list[int], edges: list, start: int) -> bool:
@@ -597,15 +565,14 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
     seen from either side, and ``decompose`` asserts that both sides count
     the same girth.  So each shading-1 tree is the complement of a
     shading-0 one with the same girth, and cannot lower it.  The search
-    (``spanning_trees``) counts girths locally and cuts every branch that
-    cannot beat the best girth found; ``decompose`` builds the witness
-    from the same two Tait graphs, and the girth its contour walk counts
-    must agree with the searched one.
+    (``spanning_trees``) counts girths as turns, walking no contour;
+    ``decompose`` builds the witness from the same two Tait graphs, and the
+    girth its contour walk counts must agree with the searched one.
 
     A crossing-free diagram answers girth 2 with no witness when it is one
     circle, the unknot read as K(0,0), and is refused otherwise.  A diagram
     of more than ``budget`` crossings is refused when its least girth is 4
-    or more, before the backtracking; girth 2 and 3 are read at any size.
+    or more, before the sweep; girth 2 and 3 are read at any size.
     """
     if pd.n() == 0:
         if pd.free_loops != 1:
@@ -614,8 +581,7 @@ def diagram_girth(pd: PDCode, budget: int = TREE_BUDGET_CROSSINGS):
             )
         return 2, None  # the unknot: girth-2 report with labels (0,0)
     black, white = _tait_graphs(pd)
-    for girth, tree in spanning_trees(black, budget):
-        pass  # each tree found beats the one before
+    ((girth, tree),) = spanning_trees(black, budget)
     witness = decompose(0, tree, black, white)
     if witness.girth != girth:
         raise AssertionError(

@@ -39,11 +39,9 @@ class OracleSizeError(ValueError):
 
 
 def check_cap(n: int, cap: int) -> None:
-    """Refuse a diagram of ``n`` > ``cap`` crossings, as the state sum does."""
+    """Refuse a diagram of ``n`` > ``cap`` crossings, as both oracles do."""
     if n > cap:
-        raise OracleSizeError(
-            f"{n} crossings exceeds the state-sum cap of {cap} crossings"
-        )
+        raise OracleSizeError(f"{n} crossings exceeds the oracle budget of {cap} crossings")
 
 
 def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
@@ -274,8 +272,7 @@ def conway_fox(pd: PDCode, cap: int = CONWAY_CAP) -> LaurentPoly:
     z^2 = t - 2 + 1/t.
     """
     n = pd.n()
-    if n > cap:
-        raise OracleSizeError(f"{n} crossings exceeds the Fox-calculus cap of {cap}")
+    check_cap(n, cap)
     ori = orient(pd)
     if ori.n_components != 1:
         raise ValueError(

@@ -90,7 +90,7 @@ def test_eval_both_refuses_a_withheld_closed_conway_before_fox(monkeypatch, caps
     assert main(["eval", WITHHELD_KNOT, "conway", "--method", "both"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: 26 crossings exceeds the state-sum cap of 24 crossings\n"
+    assert captured.err == "error: 26 crossings exceeds the oracle budget of 24 crossings\n"
 
 
 def test_eval_both_on_a_link_over_conway_cap_agrees_on_no_value(capsys):
@@ -116,7 +116,7 @@ def test_eval_oracle_over_the_cap_is_refused_in_one_line(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "error: 25 crossings exceeds the state-sum cap of 24 crossings\n"
+        "error: 25 crossings exceeds the oracle budget of 24 crossings\n"
     )
 
 
@@ -199,7 +199,7 @@ def test_girth_and_decompose(tmp_path, capsys):
 def test_girth_budget_refusal(tmp_path, capsys):
     from diagram_builders import braid_closure_pd, pd_to_json
 
-    # least girth 9: the backtracking would run, and the budget refuses it
+    # least girth 9: the sweep would run, and the budget refuses it
     path = tmp_path / "big.pd.json"
     path.write_text(pd_to_json(braid_closure_pd([1, -2] * 9, 3)))
     code = main(["girth", str(path)])

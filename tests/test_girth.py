@@ -2,11 +2,13 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from importlib import resources
 
 import pytest
 from diagram_builders import braid_closure_pd, pd_to_json
 from girth_reference import (
+    backtrack,
     decompose_pd,
     decompositions_of_girth,
     is_spanning_tree,
@@ -94,7 +96,7 @@ def test_diagram_girth_examples():
 
 def test_diagram_girth_budget_refusal():
     # the closure of (s1 s2^-1)^9 has least girth 9, so it needs the
-    # backtracking, which the budget guards
+    # sweep, which the budget guards
     pd = braid_closure_pd([1, -2] * 9, 3)
     with pytest.raises(BudgetError) as err:
         diagram_girth(pd, budget=16)
@@ -117,21 +119,22 @@ def test_girth_2_and_3_answer_at_any_size_under_the_default_budget():
 
 
 def test_budget_refusal_runs_no_backtracking(monkeypatch):
+    # the refusal comes before the sweep
     pd = braid_closure_pd([1, -2] * 9, 3)
     calls = []
 
     def spy(tait):
         calls.append(tait)
-        return backtrack(tait)
+        return sweep(tait)
 
-    backtrack = girth_module._backtrack
-    monkeypatch.setattr(girth_module, "_backtrack", spy)
+    sweep = girth_module._sweep
+    monkeypatch.setattr(girth_module, "_sweep", spy)
     with pytest.raises(BudgetError):
         diagram_girth(pd, budget=16)
     assert calls == []
     diagram_girth(pd, budget=18)
     assert len(calls) == 1
-    # an over-budget diagram of least girth 2 or 3 never backtracks
+    # an over-budget diagram of least girth 2 or 3 never sweeps
     assert diagram_girth(pd_from_rep(Girth2Rep(9, 9)), budget=16)[0] == 2
     assert len(calls) == 1
 
@@ -453,25 +456,66 @@ def test_pruned_search_finds_the_reference_girth_and_witness():
     assert {pd.n() for pd in pds} >= set(range(10, 17))
     graphs = [tait_graph(pd, shading) for pd in pds for shading in checkerboard(pd)]
     for g in graphs:
-        # descending, the backtracking yields each tree whose girth is below
-        # that of every tree before it in lex order: a bound that cut a
-        # branch holding one of them would drop it
+        # descending, the reference backtracking yields each tree whose
+        # girth is below that of every tree before it in lex order: a bound
+        # that cut a branch holding one of them would drop it
         minima = []
         for girth, tree in reference_girths(g):
             if not minima or girth < minima[-1][0]:
                 minima.append((girth, tree))
-        assert list(girth_module._backtrack(g)) == minima
+        assert list(backtrack(g)) == minima
         assert minima[-1] == reference_least(g)
-        # the public search ends at the same tree, and reads a least girth
-        # of 2 or 3 off the construction, alone
-        found = list(spanning_trees(g))
-        assert found[-1] == minima[-1]
-        if minima[-1][0] in (2, 3):
-            assert found == [minima[-1]]
+        # the public search yields that last tree alone, by construction or
+        # by the sweep
+        assert list(spanning_trees(g)) == [minima[-1]]
     for pd in pds:
         black = tait_graph(pd, checkerboard(pd)[0])
         g, witness = diagram_girth(pd, budget=pd.n())
         assert (g, witness.tree) == reference_least(black)
+
+
+def _braid_grid_graphs():
+    """Both shadings' Tait graphs of 500 reduced closures of random braid
+    words of 6 to 18 letters on 3 to 6 strands."""
+    rng = random.Random(12)
+    graphs = []
+    while len(graphs) < 1000:
+        strands = rng.randint(3, 6)
+        word = [rng.choice((-1, 1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(6, 18))]
+        try:
+            pd = braid_closure_pd(word, strands)
+            graphs += girth_module._tait_graphs(pd)
+        except ValueError:
+            continue  # a split closure, or a nugatory crossing
+    return graphs
+
+
+def test_the_sweep_finds_the_backtracking_witness_on_random_braid_closures():
+    # every graph the sweep answers, of least girth 4 or more: the sweep's
+    # witness is the last tree of the branch and bound, and, on graphs
+    # small enough to enumerate, the least tree of least girth
+    swept = 0
+    for g in _braid_grid_graphs():
+        if girth_module._least_low_girth(g) is not None:
+            continue
+        least = girth_module._sweep(g)
+        assert least[0] >= 4
+        assert least == list(backtrack(g))[-1]
+        if len(g.k0) < 10:
+            assert least == reference_least(g)
+        swept += 1
+    assert swept > 600
+
+
+def test_the_sweep_answers_a_48_crossing_braid_closure_at_once():
+    # the branch and bound grew about 5x per +2 on k, 1.84 s at k = 16, so
+    # it would take about 20 minutes here; the sweep is linear on these
+    pd = braid_closure_pd([1, -2] * 24, 3)
+    start = time.perf_counter()
+    g, witness = diagram_girth(pd, budget=48)
+    assert time.perf_counter() - start < 1
+    assert g == witness.girth == 24
 
 
 def test_a_self_loop_or_a_one_vertex_graph_is_refused_as_nugatory():
@@ -514,7 +558,7 @@ def test_pruned_search_cuts_the_dense_template_to_a_few_trees():
     assert found[-1] == reference_least(black)
     assert found[-1][0] == 3
     assert len(found) < tree_count(black) // 1000
-    backtracked = list(girth_module._backtrack(black))
+    backtracked = list(backtrack(black))
     assert backtracked[-1] == found[-1]
     assert len(backtracked) < tree_count(black) // 1000
 

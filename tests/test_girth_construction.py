@@ -5,12 +5,12 @@ the one refusal that hands it loopless graphs only.
 edge is a loop in one of the two Tait graphs, so the search only sees
 loopless graphs of at least two vertices.  On one whose least girth is 2
 or 3, ``spanning_trees`` yields the least tree alone, read off the few
-candidate trees of ``girth._least_low_girth``; on any other it goes to
-the backtracking, ``girth._backtrack``.  The construction must give the
-witness of the full enumeration (``girth_reference.reference_least``) on
-every graph below, the backtracking must run exactly where the
-construction cannot answer, and ``decompose``'s output on the benchmark's
-inputs must stay byte for byte what it was before the construction.
+candidate trees of ``girth._least_low_girth``; on any other it yields the
+least tree of the frontier sweep, ``girth._sweep``.  The construction must
+give the witness of the full enumeration (``girth_reference.reference_least``)
+on every graph below, the sweep must run exactly where the construction
+cannot answer, and ``decompose``'s output on the benchmark's inputs must
+stay byte for byte what it was before the construction.
 """
 
 import hashlib
@@ -29,7 +29,8 @@ from knotpair.diagram import checkerboard, pd_from_json, pd_from_rep, regions, t
 from knotpair.reps import Girth2Rep, Girth3Rep
 
 # sha256 of the concatenated `decompose --format json` stdout over every
-# benchmark `decompose` input of the seed, as the backtracking printed it
+# benchmark `decompose` input of the seed, as the branch and bound printed
+# it before the construction and the sweep
 DECOMPOSE_DIGESTS = {
     0: "b9aae93ce0f66b1b78de1220a0b73d75dea10c3116aac9d0ad15e87edd1252cb",
     1: "de536753fce94d018594630ca8a4e941ba840d7b5c26baf2fd5bc30e676ec1cc",
@@ -37,20 +38,20 @@ DECOMPOSE_DIGESTS = {
 
 
 def _spy(monkeypatch):
-    """The graphs ``girth._backtrack`` is called on, in call order."""
+    """The graphs ``girth._sweep`` is called on, in call order."""
     graphs = []
-    backtrack = girth._backtrack
+    sweep = girth._sweep
 
     def spy(tait):
         graphs.append(tait)
-        return backtrack(tait)
+        return sweep(tait)
 
-    monkeypatch.setattr(girth, "_backtrack", spy)
+    monkeypatch.setattr(girth, "_sweep", spy)
     return graphs
 
 
 @pytest.fixture
-def backtracked(monkeypatch):
+def swept(monkeypatch):
     return _spy(monkeypatch)
 
 
@@ -67,38 +68,39 @@ def _benchmark_paths(tmp_path, seed):
     ]
 
 
-def _assert_least(g, backtracked):
-    """The construction answers exactly when the least girth is 2 or 3,
-    with the reference witness; otherwise the backtracking runs and ends
-    there.  Returns the witness."""
+def _assert_least(g, swept):
+    """The search yields the reference witness alone: by construction
+    exactly when the least girth is 2 or 3, otherwise by the sweep.
+    Returns the witness."""
     least = reference_least(g)
-    backtracked.clear()
-    found = list(girth.spanning_trees(g))
+    swept.clear()
+    assert list(girth.spanning_trees(g)) == [least]
     if least[0] in (2, 3):
         assert girth._least_low_girth(g) == least
-        assert found == [least] and backtracked == []
+        assert swept == []
     else:
         assert girth._least_low_girth(g) is None
-        assert found[-1] == least and backtracked == [g]
+        assert swept == [g]
     return least
 
 
-def test_the_construction_finds_the_reference_witness_on_the_search_diagrams(backtracked):
+def test_the_construction_finds_the_reference_witness_on_the_search_diagrams(swept):
     # fixtures, duality and sampled templates and braid closures, both
     # shadings
     graphs = [g for pd in _search_diagrams() for g in _graphs(pd)]
     for g in graphs:
-        _assert_least(g, backtracked)
+        _assert_least(g, swept)
 
 
-def test_the_backtracking_runs_on_braid_closures_from_k_4(backtracked):
-    # the closure of (s1 s2^-1)^k has least girth k in both shadings
+def test_the_backtracking_runs_on_braid_closures_from_k_4(swept):
+    # the closure of (s1 s2^-1)^k has least girth k in both shadings; the
+    # sweep, which replaced the backtracking, runs from k = 4
     for k in range(2, 9):
         for g in _graphs(braid_closure_pd([1, -2] * k, 3)):
-            backtracked.clear()
-            found = list(girth.spanning_trees(g))
-            assert found[-1][0] == k
-            assert backtracked == ([g] if k >= 4 else [])
+            swept.clear()
+            ((found, _),) = girth.spanning_trees(g)
+            assert found == k
+            assert swept == ([g] if k >= 4 else [])
 
 
 def _random_closures():
@@ -147,18 +149,20 @@ def test_a_diagram_is_refused_exactly_when_a_crossing_is_nugatory():
     assert 100 < refused < 500
 
 
-def test_the_construction_finds_the_reference_witness_on_random_braid_closures(backtracked):
+def test_the_construction_finds_the_reference_witness_on_random_braid_closures(swept):
     # composite diagrams too, and graphs with bridges; the search is only
     # ever handed loopless graphs, so the loops stay out
     graphs = [g for pd in _random_closures() for g in _graphs(pd)]
     loopless = [g for g in graphs if all(e.v1 != e.v2 for e in g.edges)]
     assert 600 < len(loopless) < len(graphs)
     for g in loopless:
-        _assert_least(g, backtracked)
+        _assert_least(g, swept)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_the_benchmark_inputs_never_backtrack(tmp_path, backtracked, seed):
+def test_the_benchmark_inputs_never_backtrack(tmp_path, swept, seed):
+    # every input has least girth 2 or 3 in both shadings, so none reaches
+    # the sweep
     paths = _benchmark_paths(tmp_path, seed)
     assert len(paths) == 1200
     for path in paths:
@@ -168,17 +172,17 @@ def test_the_benchmark_inputs_never_backtrack(tmp_path, backtracked, seed):
             least = reference_least(g)
             assert least[0] in (2, 3)
             assert list(girth.spanning_trees(g)) == [least]
-    assert backtracked == []
+    assert swept == []
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_decompose_json_of_the_benchmark_inputs_is_pinned(tmp_path, capsys, backtracked, seed):
+def test_decompose_json_of_the_benchmark_inputs_is_pinned(tmp_path, capsys, swept, seed):
     digest = hashlib.sha256()
     for path in _benchmark_paths(tmp_path, seed):
         assert main(["decompose", path, "--format", "json"]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == DECOMPOSE_DIGESTS[seed]
-    assert backtracked == []
+    assert swept == []
 
 
 _label = st.integers(-6, 6).filter(bool)
@@ -195,6 +199,6 @@ def test_the_construction_finds_the_reference_witness_on_templates(rep):
     # both shadings of every template have least girth 2 or 3; hypothesis
     # reruns the body, so the spy is set here, not by a fixture
     with pytest.MonkeyPatch.context() as monkeypatch:
-        backtracked = _spy(monkeypatch)
+        swept = _spy(monkeypatch)
         for g in _graphs(pd_from_rep(rep)):
-            assert _assert_least(g, backtracked)[0] in (2, 3), rep
+            assert _assert_least(g, swept)[0] in (2, 3), rep

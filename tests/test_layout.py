@@ -192,6 +192,42 @@ def test_the_import_guard_finds_an_import_run_at_import_time():
     assert _eager_imports(tree) == {"os", "argparse", "gettext", "random"}
 
 
+def _oracle_imports(tree) -> set:
+    """What a module of the package imports from ``knotpair.oracle``: each
+    name of a ``from`` import of it, and ``oracle`` for the module itself,
+    at any depth."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module if node.level == 0 else ".".join(
+                filter(None, ("knotpair", node.module)))
+            for alias in node.names:
+                if module == "knotpair.oracle":
+                    names.add(alias.name)
+                elif module == "knotpair" and alias.name == "oracle":
+                    names.add("oracle")
+        elif isinstance(node, ast.Import):
+            names.update("oracle" for alias in node.names if alias.name == "knotpair.oracle")
+    return names
+
+
+def test_the_girth_search_takes_only_a_determinant_from_the_oracles():
+    # the girth sweep copies the state sum's joins and order rather than
+    # sharing them, so a fault in one cannot hide in the other; only
+    # ``tree_count``, for perfbench, takes the oracle's determinant
+    assert _oracle_imports(_package()["girth"]) == {"_bareiss_det"}
+
+
+def test_the_oracle_import_guard_finds_every_form_of_import():
+    tree = ast.parse(
+        "from .oracle import _bareiss_det, _join\nfrom . import oracle\n"
+        "import knotpair.oracle\nfrom knotpair.oracle import _sweep_order\n"
+        "from .diagram import orient\n"
+        "def f():\n    from .oracle import check_cap\n"
+    )
+    assert _oracle_imports(tree) == {"_bareiss_det", "_join", "oracle", "_sweep_order", "check_cap"}
+
+
 class _Slot:
     """A slot descriptor that reports each read of its field to ``count``."""
 

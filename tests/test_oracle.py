@@ -97,9 +97,12 @@ def test_bracket_invariant_under_relabeling_and_reordering():
 
 
 def test_bracket_cap_refusal():
-    pd = pd_from_rep(Girth2Rep(8, 8))
-    with pytest.raises(OracleSizeError):
-        bracket_state_sum(pd, cap=10)
+    # both oracles refuse through the one budget check, with one message
+    pd = pd_from_rep(Girth2Rep(8, 7))  # a 15-crossing knot
+    for oracle in (bracket_state_sum, conway_fox):
+        with pytest.raises(OracleSizeError) as err:
+            oracle(pd, cap=14)
+        assert str(err.value) == "15 crossings exceeds the oracle budget of 14 crossings"
 
 
 def test_disjoint_union_multiplies_by_loop_value():

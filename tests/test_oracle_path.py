@@ -124,7 +124,7 @@ def test_over_the_cap_is_refused_before_any_oracle(monkeypatch, rep, n, invarian
     built = spy_on_templates(monkeypatch)
     got = capture(["eval", rep, invariant, "--method", method])
     assert (got["code"], got["stdout"]) == (2, "")
-    assert got["stderr"] == f"error: {n} crossings exceeds the state-sum cap of 24 crossings\n"
+    assert got["stderr"] == f"error: {n} crossings exceeds the oracle budget of 24 crossings\n"
     assert ran == [] and built == []
 
 
@@ -134,7 +134,7 @@ def test_a_large_template_is_refused_unbuilt(monkeypatch, rep, n):
     built = spy_on_templates(monkeypatch)
     got = capture(["eval", rep, "bracket", "--method", "oracle"])
     assert (got["code"], got["stdout"]) == (2, "")
-    assert got["stderr"] == f"error: {n} crossings exceeds the state-sum cap of 24 crossings\n"
+    assert got["stderr"] == f"error: {n} crossings exceeds the oracle budget of 24 crossings\n"
     assert built == []
 
 
@@ -143,7 +143,7 @@ def test_budget_option_sets_the_cap(invariant):
     rep = "[-2 -3 -2 / -1 -1 7]"  # a 16-crossing knot
     got = capture(["eval", rep, invariant, "--method", "oracle", "--budget-crossings", "15"])
     assert got["code"] == 2
-    assert got["stderr"] == "error: 16 crossings exceeds the state-sum cap of 15 crossings\n"
+    assert got["stderr"] == "error: 16 crossings exceeds the oracle budget of 15 crossings\n"
     got = capture(["eval", rep, invariant, "--method", "oracle", "--budget-crossings", "16"])
     assert got["code"] == 0 and got["stderr"] == ""
 

@@ -103,8 +103,6 @@ def transposition_test(rep: Girth3Rep, tau: str) -> Verdict:
 def cycle_obstruction(rep: Girth3Rep, cycle: str) -> Verdict:
     """Conway and bracket determinant obstructions for a bottom 3-cycle."""
     _require_even(rep.top + rep.bottom)
-    if cycle not in ("cycle_cab", "cycle_bca"):
-        raise ValueError(f"not a 3-cycle: {cycle!r}")
     int_det = cf.int_cycle_det(rep, cycle)
     if int_det != 0 and all(x > 0 for x in rep.top + rep.bottom):
         return Verdict(DISTINCT_BY_CONWAY, evidence=cf.conway_diff(rep, cycle))
@@ -180,17 +178,14 @@ def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
     writhe off the frozen table of reduced labellings (``g3table``), at
     its girth-3 labelling (``reps.g3_labels``), which has the rep's
     components and writhe.  A girth-1 or girth-2 knot's Conway polynomial
-    is its twist formula.  A girth-3 knot's is the even formula when every
-    label is even, and otherwise the table's closed form
-    (``g3table.conway``, one int contraction at s = z^2 = 2^k, decoded),
-    up to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle
-    answers on.  Parity picks the even formula as the faster path: at
-    labels up to 300 it takes about a tenth of the table's time.  The
-    census keys the same values by ints in one pass over each rep's
-    labelling (``g3table.census_keys``), every knot's Conway polynomial
-    from the table's contraction, an all-even knot's through parity
-    pattern 0 at any size; only a knot with an odd label is withheld past
-    the cap.  Tests tie the census keys to the even formula.
+    is its twist formula.  A girth-3 knot's is the table's closed form
+    (``g3table.conway``, one int contraction at s = z^2 = 2^k, decoded):
+    an all-even knot's through parity pattern 0, whose six axes are all
+    affine, at any size, and a knot's with an odd label up to
+    ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers
+    on.  The census keys the same values by ints in one pass over each
+    rep's labelling (``g3table.census_keys``).  Tests tie the table's
+    all-even values to the even formula of ``closedform``.
     """
     from . import g3table  # frozen data: loaded on first use
 
@@ -201,9 +196,7 @@ def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
             conway = cf.conway_single_twist(*labels)
         elif len(labels) == 2:
             conway = cf.conway_double_twist(*labels)
-        elif all(x % 2 == 0 for x in labels):
-            conway = cf.conway_girth3_even(Girth3Rep(labels[:3], labels[3:]))
-        elif sum(map(abs, labels)) <= oracle.CONWAY_CAP:
+        elif all(x % 2 == 0 for x in labels) or sum(map(abs, labels)) <= oracle.CONWAY_CAP:
             conway = g3table.conway(labels)
     return comps, writhe, conway
 

@@ -135,27 +135,35 @@ def conway_girth3_even(rep: Girth3Rep) -> LaurentPoly:
     p, q, r = rep.top
     a, b, c = rep.bottom
     quartic = (p * q + p * r + q * r) * (a * b + a * c + b * c)
-    quadratic = p * a + p * c + q * a + q * b + r * b + r * c
+    quadratic = _adjacent(rep.top, rep.bottom)
     assert quartic % 16 == 0 and quadratic % 4 == 0
     return LaurentPoly.from_dict(
         {4: quartic // 16, 2: quadratic // 4, 0: 1}, _Z
     )
 
 
+def _adjacent(top, bottom):
+    """Sum of x y over the six adjacent label pairs of the wheel p a q b r c."""
+    p, q, r = top
+    a, b, c = bottom
+    return p * (a + c) + q * (a + b) + r * (b + c)
+
+
+# each name's bottom, as the positions of the bottom its labels come from
 BOTTOM_PERMS = {
-    "swap_ab": lambda a, b, c: (b, a, c),
-    "swap_bc": lambda a, b, c: (a, c, b),
-    "swap_ac": lambda a, b, c: (c, b, a),
-    "cycle_cab": lambda a, b, c: (c, a, b),
-    "cycle_bca": lambda a, b, c: (b, c, a),
-    "identity": lambda a, b, c: (a, b, c),
+    "swap_ab": (1, 0, 2),
+    "swap_bc": (0, 2, 1),
+    "swap_ac": (2, 1, 0),
+    "cycle_cab": (2, 0, 1),
+    "cycle_bca": (1, 2, 0),
+    "identity": (0, 1, 2),
 }
 
 
 def permute_bottom(rep: Girth3Rep, perm: str) -> Girth3Rep:
     if perm not in BOTTOM_PERMS:
         raise ValueError(f"unknown bottom permutation {perm!r}")
-    return Girth3Rep(rep.top, BOTTOM_PERMS[perm](*rep.bottom))
+    return Girth3Rep(rep.top, tuple(rep.bottom[i] for i in BOTTOM_PERMS[perm]))
 
 
 def swap_pa(rep: Girth3Rep) -> Girth3Rep:
@@ -165,13 +173,9 @@ def swap_pa(rep: Girth3Rep) -> Girth3Rep:
 
 
 def conway_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:
-    """Difference of all-even Conway polynomials under a bottom permutation.
-
-    Transpositions give the product forms (p-r)(a-b)(z/2)^2 etc.; the two
-    3-cycles give +-det(top / permuted bottom / ones) (z/2)^2.
-    """
-    if perm == "identity":
-        return LaurentPoly.zero(_Z)
+    """Difference of all-even Conway polynomials under a bottom permutation:
+    ``_perm_core`` (z/2)^2, as the z^2 coefficient is ``_adjacent`` / 4 and
+    the z^4 one is symmetric in the bottom."""
     coeff = _perm_core(rep, perm, int)
     if coeff is None:
         raise ValueError(f"unknown bottom permutation {perm!r}")
@@ -181,34 +185,18 @@ def conway_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:
 
 
 def _perm_core(rep: Girth3Rep, perm: str, f):
-    """The core both difference formulas share, over f of the labels.
-
-    A transposition gives a product of two differences, a 3-cycle
-    +-_det3; any other name gives None.  f is ``int`` for the Conway
-    difference, y^N [x]_u at y = 2^k for the bracket one and ``s_hat`` for
-    the S-determinant, and it is evaluated only at the labels the formula
-    reads.
-    """
-    p, q, r = rep.top
-    a, b, c = rep.bottom
-    if perm == "swap_ab":
-        return (f(p) - f(r)) * (f(a) - f(b))
-    if perm == "swap_bc":
-        return (f(p) - f(q)) * (f(c) - f(b))
-    if perm == "swap_ac":
-        return (f(q) - f(r)) * (f(a) - f(c))
-    if perm == "cycle_cab":
-        return _det3((p, q, r), (c, a, b), f)
-    if perm == "cycle_bca":
-        return -_det3((p, q, r), (a, b, c), f)
-    return None
-
-
-def _det3(row1: tuple[int, int, int], row2: tuple[int, int, int], f):
-    """det of (f over row1 / f over row2 / 1 1 1)."""
-    p, q, r = map(f, row1)
-    x, y, z = map(f, row2)
-    return p * (y - z) - q * (x - z) + r * (x - y)
+    """The core both difference formulas share: the ``_adjacent`` sum of f
+    over the labels less that of the permuted bottom, None for a name not
+    in ``BOTTOM_PERMS``.  It factors as (p - r)(a - b) for swap_ab,
+    (p - q)(c - b) for swap_bc, (q - r)(a - c) for swap_ac,
+    det(top / c a b / 1 1 1) for cycle_cab and -det(top / a b c / 1 1 1)
+    for cycle_bca.  f is ``int`` for the Conway difference, y^N [x]_u at
+    y = 2^k for the bracket one and ``s_hat`` for the S-determinant."""
+    image = BOTTOM_PERMS.get(perm)
+    if image is None:
+        return None
+    top, bottom = tuple(map(f, rep.top)), tuple(map(f, rep.bottom))
+    return _adjacent(top, bottom) - _adjacent(top, tuple(bottom[i] for i in image))
 
 
 def _cycle_det(rep: Girth3Rep, perm: str, f):
@@ -460,9 +448,11 @@ def diff_factor() -> LaurentPoly:
 def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
     """Closed form of the bracket difference: A^(-w) (...) diff_factor().
 
-    Transpositions give (s_x - s_y)(s_u - s_v) products of s_x = S_x A^x;
-    the 3-cycles give the determinant with rows (s_p s_q s_r), the
-    permuted bottom's s, ones (``_perm_core``).  It is one evaluation at
+    Of the F of ``bracket_girth3`` only adj and anti change when the
+    bottom is permuted, and adj + anti = t1 b1 does not, so F - F' =
+    (adj - adj') (1 - delta^2): the core is ``_perm_core`` over
+    s_x = S_x A^x, a product of two differences of s's for a
+    transposition and a determinant for a 3-cycle.  It is one evaluation at
     y = A^4 = 2^k (module docstring):
 
     * **The core.**  Every term of the core is a product of two s's, and
@@ -475,13 +465,12 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
       C y^(2N) (-(1 + y + y^2)).
     * **Slot width.**  [x]_u has |.|_1 = |x| and |.|_inf = 1 (module
       docstring), so with M = max(1, |label|) a product of two has
-      |.|_inf <= M.  A transposition core is four such products, so
+      |.|_inf <= M.  C is the polynomial of its factored form, whatever
+      sum computes it: a transposition core is four such products, so
       |C|_inf <= 4M, and a 3-cycle six, so |C|_inf <= 6M; the factor has
       |.|_1 = 3, so |difference|_inf <= 6M * 3 = 18 M, and k is the least
       multiple of 8 with 18 M < 2^(k-1) (``_diff_slot_bits``).
     """
-    if perm == "identity":
-        return LaurentPoly.zero(_A)
     k = _diff_slot_bits(rep.top + rep.bottom)
     return LaurentPoly.from_packed(*_diff_value(rep, perm, k), k, 4, _A)
 

@@ -180,8 +180,8 @@ def census_keys(bound: tuple, cap: int):
     their polynomials are equal (one expansion in balanced slots).  An
     all-even knot is contracted through parity pattern 0 like any other
     knot, at any size: only a knot with an odd label is withheld past
-    ``cap``.  tests/test_g3table.py ties those keys to
-    ``closedform.conway_girth3_even``, the formula ``eval`` gives them.
+    ``cap``, the rule ``eval`` keeps too (``classify.closed_invariants``).
+    tests/test_g3table.py ties those keys to ``closedform.conway_girth3_even``.
 
     ``cap`` never withholds the value of a census K(p) or K(p, q): each
     has at most 2 * ``census.G2_BUDGET`` = 24 crossings, no more than

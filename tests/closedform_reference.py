@@ -1,7 +1,10 @@
 """The bracket difference formula built from Laurent products, kept as the
 reference for ``knotpair.closedform.bracket_diff_formula``, which evaluates
-the same formula once at A^4 = 2^k; the girth-2 bracket formula at
-A^4 = 2^k, kept as the reference for ``bracket_double_twist``, which reads
+the same formula once at A^4 = 2^k; its core as one case per permutation
+name, a product of two differences or a 3 x 3 determinant, kept as the
+reference for ``closedform._perm_core``, which takes one adjacent-pair
+sum for every name; the girth-2 bracket formula at A^4 = 2^k, kept as
+the reference for ``bracket_double_twist``, which reads
 K(p, q) as the girth-3 labelling (p, 0, 0, q, 0, 0); the girth-1 bracket
 formula at A^4 = 2^k, kept as the reference for the bracket of K(p), which
 ``closedform.bracket_girth3`` reads off the padded pair of
@@ -10,7 +13,7 @@ on the sum of |coefficients|, kept as the reference for the widths they
 now take from bounds on the largest |coefficient|.
 """
 
-from knotpair.closedform import _perm_core, _q_int, diff_factor, s_hat
+from knotpair.closedform import _q_int, diff_factor, s_hat
 from knotpair.laurent import LaurentPoly
 from knotpair.reps import Girth3Rep
 
@@ -23,11 +26,42 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
     """
     if perm == "identity":
         return LaurentPoly.zero("A")
-    core = _perm_core(rep, perm, s_hat)
+    core = perm_core(rep, perm, s_hat)
     if core is None:
         raise ValueError(f"no closed difference form for {perm!r}")
     w = sum(rep.top) + sum(rep.bottom)
     return LaurentPoly.monomial(1, -w, "A") * core * diff_factor()
+
+
+def perm_core(rep: Girth3Rep, perm: str, f):
+    """The core both difference formulas share, over f of the labels.
+
+    A transposition gives a product of two differences, a 3-cycle
+    +-_det3; any other name gives None.  f is ``int`` for the Conway
+    difference, y^N [x]_u at y = 2^k for the bracket one and ``s_hat`` for
+    the S-determinant, and it is evaluated only at the labels the formula
+    reads.
+    """
+    p, q, r = rep.top
+    a, b, c = rep.bottom
+    if perm == "swap_ab":
+        return (f(p) - f(r)) * (f(a) - f(b))
+    if perm == "swap_bc":
+        return (f(p) - f(q)) * (f(c) - f(b))
+    if perm == "swap_ac":
+        return (f(q) - f(r)) * (f(a) - f(c))
+    if perm == "cycle_cab":
+        return _det3((p, q, r), (c, a, b), f)
+    if perm == "cycle_bca":
+        return -_det3((p, q, r), (a, b, c), f)
+    return None
+
+
+def _det3(row1: tuple[int, int, int], row2: tuple[int, int, int], f):
+    """det of (f over row1 / f over row2 / 1 1 1)."""
+    p, q, r = map(f, row1)
+    x, y, z = map(f, row2)
+    return p * (y - z) - q * (x - z) + r * (x - y)
 
 
 def bracket_single_twist(p: int) -> LaurentPoly:

@@ -22,7 +22,7 @@ from knotpair.classify import (
     row_swap_test,
     transposition_test,
 )
-from knotpair.closedform import bracket_girth3
+from knotpair.closedform import bracket_girth3, conway_diff
 from knotpair.diagram import pd_from_rep
 from knotpair.laurent import LaurentPoly, jones_span_inclusive
 from knotpair.oracle import bracket_state_sum, conway_fox
@@ -231,6 +231,17 @@ def test_cycle_obstruction_random_distinct_rows():
             assert v.tag == DISTINCT_BY_CONWAY
             hits += 1
     assert hits > 10
+
+
+def test_cycle_obstruction_refuses_a_name_that_is_no_3_cycle():
+    # the closed form checks the name; the parity check comes first
+    rep = Girth3Rep((2, 4, 6), (2, 4, 8))
+    with pytest.raises(ValueError, match=r"^not a 3-cycle: 'swap_ab'$"):
+        cycle_obstruction(rep, "swap_ab")
+    with pytest.raises(ValueError, match="labels must be even"):
+        cycle_obstruction(Girth3Rep((2, 4, 6), (2, 4, 7)), "swap_ab")
+    with pytest.raises(ValueError, match="unknown bottom permutation"):
+        conway_diff(rep, "swap_pa")
 
 
 def test_row_swap_test_clauses():

@@ -171,6 +171,38 @@ def test_conway_diff_matches_subtraction():
             assert conway_diff(rep, perm) == direct
 
 
+def _packed_f(labels):
+    """``_diff_value``'s f at its own k: y^N [x]_u at y = 2^k, N the largest
+    n of the labels' ``_q_int``."""
+    k = closedform._diff_slot_bits(labels)
+    q = {x: closedform._q_int(x, k) for x in set(labels)}
+    big_n = max(n for _, n in q.values())
+    return lambda x: q[x][0] << k * (big_n - q[x][1])
+
+
+def test_the_adjacent_sum_core_equals_the_case_by_case_reference():
+    # one adjacent-pair sum against the per-name products and determinants
+    # it replaced, on labels of both signs with zeros, for every f the
+    # difference formulas use
+    rng = random.Random(53)
+    grid = [(0, 0, 0, 0, 0, 0), (-6, 6, 0, 6, -6, 0), (1, -1, 2, -2, 3, -3)]
+    grid += [tuple(rng.randint(-6, 6) for _ in range(6)) for _ in range(60)]
+    for labels in grid:
+        rep = Girth3Rep(labels[:3], labels[3:])
+        for f in (int, s_hat, _packed_f(labels)):
+            zero = A({}) if f is s_hat else 0
+            for perm in closedform.BOTTOM_PERMS:
+                got = closedform._perm_core(rep, perm, f)
+                want = closedform_reference.perm_core(rep, perm, f)
+                if perm == "identity":
+                    # the reference has no identity case; the sum gives 0
+                    assert want is None and got == zero, labels
+                else:
+                    assert got == want, (labels, perm)
+            assert closedform._perm_core(rep, "swap_pa", f) is None
+            assert closedform_reference.perm_core(rep, "swap_pa", f) is None
+
+
 def test_s_poly_examples_and_identities():
     assert s_poly(1) == A({1: 1})
     assert s_poly(2) == A({0: 1, 4: -1})

@@ -12,7 +12,7 @@ import g3table_reference
 from g3table_reference import base_label
 from knotpair import g3table, g3table_data
 from knotpair.census import _labellings
-from knotpair.classify import check_identities
+from knotpair.classify import check_identities, closed_invariants
 from knotpair.closedform import bracket_girth3, conway_girth3_even
 from knotpair.diagram import orient, pd_from_rep
 from knotpair.g3table import KNOTS
@@ -177,6 +177,15 @@ def test_all_even_pattern_matches_the_even_formula():
     for _ in range(200):
         labels = [2 * rng.randint(-40, 40) for _ in range(6)]
         assert g3table.conway(labels) == conway_girth3_even(_rep(labels)), labels
+    # labels up to 3334, those of the balanced rep at ``CLOSED_CAP``, the
+    # sizes ``eval`` reads off the table; an all-even knot is never withheld
+    rng = random.Random(3334)
+    for _ in range(200):
+        labels = tuple(2 * rng.randint(-1667, 1667) for _ in range(6))
+        even = conway_girth3_even(_rep(labels))
+        assert g3table.conway(labels) == even, labels
+        comps, _, conway = closed_invariants(labels)
+        assert comps == 1 and conway == even, labels
 
 
 def test_census_keys_all_even_knots_past_the_cap_by_the_even_formula():

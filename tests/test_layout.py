@@ -228,6 +228,46 @@ def test_the_oracle_import_guard_finds_every_form_of_import():
     assert _oracle_imports(tree) == {"_bareiss_det", "_join", "oracle", "_sweep_order", "check_cap"}
 
 
+def _users(trees, name) -> list:
+    """The (module, top-level definition) pairs of the package that refer to
+    ``name``: as a bare name, an attribute or a ``from`` import, at any
+    depth; a reference outside every definition is under ``<module>``."""
+    users = set()
+    for m, tree in trees.items():
+        for stmt in tree.body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Name) and node.id == name
+                        or isinstance(node, ast.Attribute) and node.attr == name
+                        or isinstance(node, ast.ImportFrom)
+                        and any(alias.name == name for alias in node.names)):
+                    users.add((m, owner))
+    return sorted(users)
+
+
+def test_only_the_selftest_reads_the_even_conway_formula():
+    # ``eval``, ``compare`` and the census read every girth-3 knot's Conway
+    # polynomial off the table; the even formula stays as the selftest's
+    # check of it against Fox and of the difference formulas
+    assert _users(_package(), "conway_girth3_even") == [("cli", "cmd_selftest")]
+
+
+def test_the_even_formula_guard_finds_every_form_of_reference():
+    trees = _package()
+    trees["classify"].body += ast.parse(
+        "def even(labels):\n    return cf.conway_girth3_even(labels)\n"
+        "def also(labels):\n    from .closedform import conway_girth3_even as f\n"
+        "    return f(labels)\n"
+        "PICK = conway_girth3_even\n"
+    ).body
+    assert _users(trees, "conway_girth3_even") == [
+        ("classify", "<module>"),
+        ("classify", "also"),
+        ("classify", "even"),
+        ("cli", "cmd_selftest"),
+    ]
+
+
 class _Slot:
     """A slot descriptor that reports each read of its field to ``count``."""
 

@@ -251,7 +251,7 @@ def cmd_selftest(args) -> int:
     check("difference formulas (20 random even-positive reps)", ok)
 
     shat_ok = all(
-        closedform.s_poly(q).shift(q)
+        closedform.s_hat(q)
         * LaurentPoly.from_dict({2: 1, -2: 1}, "A")
         == LaurentPoly.from_dict({0: 1, 4 * q: -((-1) ** q)}, "A")
         for q in range(-10, 11)

@@ -69,10 +69,6 @@ _Z = "z"
 _A = "A"
 
 
-def _z(c: int = 1, e: int = 1) -> LaurentPoly:
-    return LaurentPoly.monomial(c, e, _Z)
-
-
 def loop_value() -> LaurentPoly:
     """delta = -A^2 - A^(-2), the value of an extra closed loop."""
     return LaurentPoly.from_dict({2: -1, -2: -1}, _A)
@@ -117,9 +113,7 @@ def conway_double_twist(p: int, q: int) -> LaurentPoly:
     if q % 2 == 0:
         p, q = q, p
     # q odd now
-    return conway_single_twist(p - 1) - ((q - 1) // 2) * (
-        _z() * conway_single_twist(p)
-    )
+    return conway_single_twist(p - 1) - ((q - 1) // 2) * conway_single_twist(p).shift(1)
 
 
 def conway_girth3_even(rep: Girth3Rep) -> LaurentPoly:
@@ -177,8 +171,6 @@ def conway_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:
     ``_perm_core`` (z/2)^2, as the z^2 coefficient is ``_adjacent`` / 4 and
     the z^4 one is symmetric in the bottom."""
     coeff = _perm_core(rep, perm, int)
-    if coeff is None:
-        raise ValueError(f"unknown bottom permutation {perm!r}")
     if coeff % 4 != 0:
         raise ValueError("difference coefficient must be divisible by 4")
     return LaurentPoly.from_dict({2: coeff // 4}, _Z)
@@ -186,17 +178,16 @@ def conway_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:
 
 def _perm_core(rep: Girth3Rep, perm: str, f):
     """The core both difference formulas share: the ``_adjacent`` sum of f
-    over the labels less that of the permuted bottom, None for a name not
-    in ``BOTTOM_PERMS``.  It factors as (p - r)(a - b) for swap_ab,
+    over the labels less that of the permuted bottom, which
+    ``permute_bottom`` builds and so refuses a name not in
+    ``BOTTOM_PERMS``.  It factors as (p - r)(a - b) for swap_ab,
     (p - q)(c - b) for swap_bc, (q - r)(a - c) for swap_ac,
     det(top / c a b / 1 1 1) for cycle_cab and -det(top / a b c / 1 1 1)
     for cycle_bca.  f is ``int`` for the Conway difference, y^N [x]_u at
     y = 2^k for the bracket one and ``s_hat`` for the S-determinant."""
-    image = BOTTOM_PERMS.get(perm)
-    if image is None:
-        return None
-    top, bottom = tuple(map(f, rep.top)), tuple(map(f, rep.bottom))
-    return _adjacent(top, bottom) - _adjacent(top, tuple(bottom[i] for i in image))
+    moved = tuple(map(f, permute_bottom(rep, perm).bottom))
+    top = tuple(map(f, rep.top))
+    return _adjacent(top, tuple(map(f, rep.bottom))) - _adjacent(top, moved)
 
 
 def _cycle_det(rep: Girth3Rep, perm: str, f):
@@ -487,8 +478,6 @@ def _diff_value(rep: Girth3Rep, perm: str, k: int) -> tuple[int, int]:
     q = {x: _q_int(x, k) for x in set(labels)}
     big_n = max(n for _, n in q.values())
     core = _perm_core(rep, perm, lambda x: q[x][0] << k * (big_n - q[x][1]))
-    if core is None:
-        raise ValueError(f"no closed difference form for {perm!r}")
     factor = diff_factor()
     lo = factor.min_exp()
     value = core * sum(c << k * ((e - lo) >> 2) for e, c in factor.terms)

@@ -262,10 +262,12 @@ def conway_bound(labels, kinds: str) -> int:
     these kinds or affine ones."""
     bound = CORNER_NORM
     for x, kind in zip(labels, kinds):
-        c = 3 if kind == FIBONACCI else 2
+        if kind != FIBONACCI:  # U_j = j + 1 at c = 2, so v = 2 (|x| >> 1) + 1
+            bound *= 2 * (abs(x) >> 1) + 1
+            continue
         u0, u1 = 0, 1  # U_-1, U_0 at s = 1
         for _ in range(abs(x) >> 1):
-            u0, u1 = u1, c * u1 - u0
+            u0, u1 = u1, 3 * u1 - u0
         bound *= u0 + u1
     return bound
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .diagram import PDCode, TaitGraph, checkerboard, tait_graph
+from .diagram import PDCode, TaitGraph, checkerboard, join_ends, sweep_order, tait_graph
 from .oracle import _bareiss_det
 from .record import Record
 from .reps import Girth2Rep, Girth3Rep, PlaneTree, TreePairRep
@@ -185,8 +185,8 @@ def _sweep(tait: TaitGraph) -> tuple[int, tuple[int, ...]]:
     part: when S is a spanning tree.
 
     **The sweep.**  The edges are decided one at a time, each in and out,
-    and the corners are joined as the oracle's state sum joins arcs
-    (``_join``).  A corner with one end at a decided edge is open.  Every
+    and the corners are joined by ``diagram.join_ends``, as the state sum
+    joins arcs.  A corner with one end at a decided edge is open.  Every
     partial tree of one step has decided the same edges, so it has the
     same open corners; its frontier key is their pairing (each open
     corner's partner at the other end of its boundary path) and its tree
@@ -206,10 +206,10 @@ def _sweep(tait: TaitGraph) -> tuple[int, tuple[int, ...]]:
     leaves, after the last edge, the lexicographically least tree of least
     girth.
 
-    **Order.**  The next edge is the one with the most open corners, ties
-    going to the lowest index: ``oracle._sweep_order``'s rule, on corners.
-    On bounded-width graphs such as braid closures the frontier stays
-    bounded, and the sweep takes time linear in the edges.
+    **Order.**  ``diagram.sweep_order``, the state sum's order, on
+    corners: the next edge has the most open corners, ties going to the
+    lowest index.  On bounded-width graphs such as braid closures the
+    frontier stays bounded, and the sweep takes time linear in the edges.
     """
     succ = tait.succ
     m = len(tait.k0)
@@ -219,16 +219,11 @@ def _sweep(tait: TaitGraph) -> tuple[int, tuple[int, ...]]:
         pred[s] = h
         neighbours[h >> 1].append(s >> 1)
         neighbours[s >> 1].append(h >> 1)
-    count = [0] * m  # per edge: its open corners; -1 once decided
+    order, _ = sweep_order(neighbours)
     decided = 0
     # key -> (partner map, turns, tree as a bitmask over the decided edges)
     frontier: dict[tuple[int, ...], tuple[dict[int, int], int, int]] = {(): ({}, 0, 0)}
-    for step in range(m):
-        e = count.index(max(count))
-        count[e] = -1
-        for f in neighbours[e]:
-            if count[f] >= 0:
-                count[f] += 1
+    for step, e in enumerate(order):
         decided |= 1 << e
         bit, x, y = 1 << e, 2 * e, 2 * e + 1
         px, py = pred[x], pred[y]
@@ -244,7 +239,7 @@ def _sweep(tait: TaitGraph) -> tuple[int, tuple[int, ...]]:
             for t, a, b, c, d in ((tree | bit, px, y, py, x), (tree, px, x, py, y)):
                 partner = known.copy()
                 # a spanning tree closes its one circle at the last join
-                if _join(partner, a, b) + _join(partner, c, d) > last:
+                if join_ends(partner, a, b) + join_ends(partner, c, d) > last:
                     continue
                 if t & bit:
                     g = turns + sum([not t >> f & 1 for f in onto])
@@ -265,23 +260,6 @@ def _sweep(tait: TaitGraph) -> tuple[int, tuple[int, ...]]:
         frontier = nxt
     ((_, girth, tree),) = frontier.values()
     return girth, tuple([e for e in range(m) if tree >> e & 1])
-
-
-def _join(partner: dict[int, int], x: int, y: int) -> int:
-    """Join corners x and y; return the circles this closes.
-
-    ``partner`` maps each open corner to the open corner at the other end
-    of its boundary path; a corner not yet met stands for itself.  Joining
-    x to y retires them and pairs their far ends, or, when y is x's far
-    end, closes the path into a circle.
-    """
-    ex = partner.pop(x, x)
-    if ex == y:
-        partner.pop(y, None)
-        return 1
-    ey = partner.pop(y, y)
-    partner[ex], partner[ey] = ey, ex
-    return 0
 
 
 def _can_join(parts: int, parent: list[int], edges: list, start: int) -> bool:

@@ -140,28 +140,25 @@ class LaurentPoly(Record):
         if self.tag != other.tag:
             raise TagMismatchError(f"tag mismatch: {self.tag!r} vs {other.tag!r}")
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+    def _merge(self, other: "LaurentPoly", sign: int) -> "LaurentPoly":
+        """self + sign * other, for sign +-1: one dict pass over other's terms."""
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_tag(other)
         out = dict(self.terms)
         get = out.get
         for e, c in other.terms:
-            out[e] = get(e, 0) + c
+            out[e] = get(e, 0) + sign * c
         return LaurentPoly.from_dict(out, self.tag)
+
+    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        return self._merge(other, 1)
 
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly(tuple((e, -c) for e, c in self.terms), self.tag)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        self._check_tag(other)
-        out = dict(self.terms)
-        get = out.get
-        for e, c in other.terms:
-            out[e] = get(e, 0) - c
-        return LaurentPoly.from_dict(out, self.tag)
+        return self._merge(other, -1)
 
     def __mul__(self, other: "int | LaurentPoly") -> "LaurentPoly":
         """Product: a shift when an operand has one term, else the schoolbook loop.

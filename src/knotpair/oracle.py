@@ -23,7 +23,9 @@ verify the closed forms, so a fault in a closed form cannot hide in them.
 
 from __future__ import annotations
 
-from .diagram import PDCode, orient
+import itertools
+
+from .diagram import PDCode, _other_end, join_ends, orient, sweep_order
 from .laurent import LaurentPoly
 
 BRACKET_CAP = 24
@@ -60,10 +62,10 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
     come.  So the next crossing sends each pairing to two, one per
     smoothing, without looking at the states inside it: smoothing A joins
     the strand ends at slots 0 and 1, and at 2 and 3; B joins 0 and 3, and
-    1 and 2.  Each join (``_join``) either pairs two far ends or closes a
-    loop.  At the end one empty pairing is left, holding the sum over all
-    2^n states of A^(#A - #B) * delta^loops.  The free loops are
-    multiplied in, and one delta is divided out.
+    1 and 2.  Each join (``diagram.join_ends``) either pairs two far ends
+    or closes a loop.  At the end one empty pairing is left, holding the
+    sum over all 2^n states of A^(#A - #B) * delta^loops.  The free loops
+    are multiplied in, and one delta is divided out.
 
     **Packed sums.**  With y = A^4, delta = -A^-2 (1 + y), so a smoothing
     that closes L loops multiplies by A^(+-1) delta^L =
@@ -129,7 +131,7 @@ def bracket_state_sum(pd: PDCode, cap: int = BRACKET_CAP) -> LaurentPoly:
             # smoothing A joins slots (0,1),(2,3); B joins (0,3),(1,2)
             for step, w, x, y, z in ((1, a, b, c, d), (-1, a, d, b, c)):
                 partner = known.copy()
-                loops = _join(partner, w, x) + _join(partner, y, z)
+                loops = join_ends(partner, w, x) + join_ends(partner, y, z)
                 e = low + step - 2 * loops
                 v = value * delta_powers[loops] if loops else value
                 if arcs is None:
@@ -193,62 +195,16 @@ def _digits(value: int, k: int, low: int, stride: int, count: int) -> list | Non
     return None if value else terms
 
 
-def _join(partner: dict[int, int], x: int, y: int) -> int:
-    """Join the strand ends on arcs x and y; return the loops this closes.
-
-    ``partner`` maps each open arc to the open arc at the other end of its
-    strand.  An arc with no smoothed end yet is its own strand: it stands
-    for itself.  Joining x to y retires them and pairs their far ends, or,
-    when y is x's far end, closes the strand into a loop.
-    """
-    ex = partner.pop(x, x)
-    if ex == y:  # the strand closes (or a kink arc meets itself)
-        partner.pop(y, None)
-        return 1
-    ey = partner.pop(y, y)
-    partner[ex], partner[ey] = ey, ex
-    return 0
-
-
 def _sweep_order(pd: PDCode) -> tuple[list[int], int]:
-    """The crossings in sweep order, and the connected parts of the diagram.
-
-    The next crossing is the one with the most open arcs, ties going to
-    the lowest index.  Taking the crossings that close the most arcs first
-    keeps the set of open arcs, and so the frontier, small.  One list holds
-    each crossing's open-arc count, a swept crossing marked -1, and
-    ``count.index(max(count))`` picks the next.  A crossing taken at count 0
-    shares no arc with those before it, so it opens a new part.
-
-    The scan is quadratic in n, but each step is two C-level passes over
-    the list.  In-process on 2 vCPUs it beats a heap of (-count, index)
-    entries up to about 60 crossings, and at 298 crossings it takes 1.6 ms
-    of a 28 ms sweep; ``--budget-crossings`` defaults to 24.
-    """
-    # the other crossing of each arc, once per arc end; a kink arc has none
-    first: dict[int, int] = {}
+    """The crossings in sweep order, and the connected parts of the
+    diagram: ``diagram.sweep_order`` over each crossing's neighbours, the
+    crossing at the other end of each of its arcs; a kink arc adds none.
+    A code whose arc does not appear exactly twice is refused."""
     neighbours: list[list[int]] = [[] for _ in pd.crossings]
-    for ci, cr in enumerate(pd.crossings):
-        for a in cr:
-            cj = first.pop(a, None)
-            if cj is None:
-                first[a] = ci
-            elif cj != ci:
-                neighbours[ci].append(cj)
-                neighbours[cj].append(ci)
-    count = [0] * pd.n()
-    order = []
-    parts = 0
-    for _ in range(pd.n()):
-        best = max(count)
-        ci = count.index(best)
-        parts += best == 0
-        count[ci] = -1
-        order.append(ci)
-        for other in neighbours[ci]:
-            if count[other] >= 0:
-                count[other] += 1
-    return order, parts
+    for p, q in enumerate(_other_end(itertools.chain(*pd.crossings))):
+        if p >> 2 != q >> 2:
+            neighbours[p >> 2].append(q >> 2)
+    return sweep_order(neighbours)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,29 @@ closed form of the same recurrence once at s = z^2 = 2^k.
 at a time on coefficient lists in s, the last label first.  ``corners``
 decodes a pattern's corner polynomials off the table, and ``pack`` packs
 one at s = 2^k on its own, the reference for ``g3table._packed``.
+``conway_bound`` steps the Chebyshev recurrence on every axis, the
+reference for ``g3table.conway_bound``, which takes an affine axis in
+closed form.
 """
 
 import functools
 
-from knotpair.g3table import FIBONACCI, KNOTS, _corner_rows
+from knotpair.g3table import CORNER_NORM, FIBONACCI, KNOTS, _corner_rows
 from knotpair.laurent import LaurentPoly
+
+
+def conway_bound(labels, kinds: str) -> int:
+    """CORNER_NORM prod_i v_i, v_i = U_(m-1) + U_m at s = 1, m = |x_i| >> 1,
+    stepped from U_-1 = 0, U_0 = 1 with c = 3 on a Fibonacci axis and
+    c = 2 on an affine one."""
+    bound = CORNER_NORM
+    for x, kind in zip(labels, kinds):
+        c = 3 if kind == FIBONACCI else 2
+        u0, u1 = 0, 1
+        for _ in range(abs(x) >> 1):
+            u0, u1 = u1, c * u1 - u0
+        bound *= u0 + u1
+    return bound
 
 
 def _pattern(labels) -> int:

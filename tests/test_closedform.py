@@ -199,7 +199,8 @@ def test_the_adjacent_sum_core_equals_the_case_by_case_reference():
                     assert want is None and got == zero, labels
                 else:
                     assert got == want, (labels, perm)
-            assert closedform._perm_core(rep, "swap_pa", f) is None
+            with pytest.raises(ValueError, match="unknown bottom permutation 'swap_pa'"):
+                closedform._perm_core(rep, "swap_pa", f)
             assert closedform_reference.perm_core(rep, "swap_pa", f) is None
 
 
@@ -323,7 +324,7 @@ def test_bracket_diff_formula_at_labels_up_to_300():
             assert got == closedform_reference.bracket_diff_formula(rep, perm), (rep, perm)
             assert got == bracket_diff(rep, perm), (rep, perm)
     assert bracket_diff_formula(reps[0], "identity").is_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown bottom permutation 'swap_pa'"):
         bracket_diff_formula(reps[0], "swap_pa")
 
 

@@ -18,7 +18,7 @@ from knotpair.diagram import orient, pd_from_rep
 from knotpair.g3table import KNOTS
 from knotpair.laurent import jones_from_bracket, slot_bits
 from knotpair.oracle import CONWAY_CAP, conway_fox
-from knotpair.reps import Girth3Rep
+from knotpair.reps import Girth3Rep, g3_labels
 from make_g3table import build_table, render
 
 
@@ -159,6 +159,24 @@ def test_the_bound_grows_with_every_label():
                 labels[i] = x
                 bound = g3table.conway_bound(labels, kinds)
                 assert g3table.conway_bound(labels, g3table.FIBONACCI * 6) >= bound >= small
+
+
+def test_the_bound_equals_the_stepwise_recurrence_on_both_kinds():
+    # an affine axis in closed form, a Fibonacci one by its loop, against
+    # the loop on both: one axis at |x| up to 20000, then the six-label
+    # bounds of the census and the largest all-even table labelling
+    rng = random.Random(54)
+    xs = list(range(-40, 41)) + [rng.randint(-20000, 20000) for _ in range(30)]
+    for x in xs + [20000, -20000, 19999, -19999]:
+        for kind in (g3table.AFFINE, g3table.FIBONACCI):
+            assert g3table.conway_bound((x,), kind) == g3table_reference.conway_bound((x,), kind)
+    bounds = [(m,) * 6 for m in range(1, 7)] + [g3_labels((m, m)) for m in range(1, 13)]
+    bounds.append((3332,) * 4 + (3334,) * 2)
+    all_kinds = {kinds for kinds, _ in KNOTS.values()} | {g3table.AFFINE * 6, g3table.FIBONACCI * 6}
+    for labels in bounds:
+        for kinds in all_kinds:
+            want = g3table_reference.conway_bound(labels, kinds)
+            assert g3table.conway_bound(labels, kinds) == want, (labels, kinds)
 
 
 def test_a_long_knot_passes_the_identities_against_the_closed_jones():

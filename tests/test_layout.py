@@ -212,9 +212,9 @@ def _oracle_imports(tree) -> set:
 
 
 def test_the_girth_search_takes_only_a_determinant_from_the_oracles():
-    # the girth sweep copies the state sum's joins and order rather than
-    # sharing them, so a fault in one cannot hide in the other; only
-    # ``tree_count``, for perfbench, takes the oracle's determinant
+    # the girth sweep takes its joins and order from ``diagram``, as the
+    # state sum does, not from the oracle; only ``tree_count``, for
+    # perfbench, takes the oracle's determinant
     assert _oracle_imports(_package()["girth"]) == {"_bareiss_det"}
 
 
@@ -226,6 +226,66 @@ def test_the_oracle_import_guard_finds_every_form_of_import():
         "def f():\n    from .oracle import check_cap\n"
     )
     assert _oracle_imports(tree) == {"_bareiss_det", "_join", "oracle", "_sweep_order", "check_cap"}
+
+
+def _copied_runs(trees) -> list:
+    """The runs of 3 consecutive statements that appear more than once in
+    the functions and methods of ``trees``, each with the (module,
+    function) pairs that hold it.
+
+    Every statement block of a function is read, nested blocks included;
+    a docstring is left out of its block.  Statements compare by
+    ``ast.dump``, which leaves out their positions.
+    """
+    seen: dict[tuple, list] = {}
+    for m, tree in trees.items():
+        read = set()  # the nodes of a nested function are walked once
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if id(node) in read:
+                    continue
+                read.add(id(node))
+                for _, block in ast.iter_fields(node):
+                    if not (isinstance(block, list) and block
+                            and all(isinstance(s, ast.stmt) for s in block)):
+                        continue
+                    if (isinstance(block[0], ast.Expr) and isinstance(block[0].value, ast.Constant)
+                            and isinstance(block[0].value.value, str)):
+                        block = block[1:]
+                    dumps = [ast.dump(s) for s in block]
+                    for i in range(len(dumps) - 2):
+                        seen.setdefault(tuple(dumps[i:i + 3]), []).append((m, fn.name))
+    return [(run, where) for run, where in seen.items() if len(where) > 1]
+
+
+def test_no_run_of_three_statements_is_written_twice():
+    # a job the package does twice is one helper, not two copies; the
+    # generated table module holds data, not code
+    trees = _package()
+    del trees["g3table_data"]
+    assert [where for _, where in _copied_runs(trees)] == []
+
+
+def test_the_copy_guard_finds_a_copied_run():
+    trees = {"m": ast.parse(
+        "def one(x):\n"
+        "    \"\"\"A docstring.\"\"\"\n"
+        "    a = f(x)\n    b = a + 1\n    c = b * a\n    return c\n"
+        "class C:\n"
+        "    def two(self, xs):\n"
+        "        \"\"\"A docstring.\"\"\"\n"
+        "        for x in xs:\n"
+        "            a = f(x)\n            b = a + 1\n            c = b * a\n"
+        "        return 0\n"
+        "def three(x):\n"
+        "    \"\"\"A docstring.\"\"\"\n"
+        "    a = f(x)\n    b = a + 1\n    return b\n"
+    )}
+    # the docstring and the two statements after it are shared by all
+    # three, but a docstring is no statement of the run
+    assert [where for _, where in _copied_runs(trees)] == [[("m", "one"), ("m", "two")]]
 
 
 def _users(trees, name) -> list:

@@ -14,6 +14,7 @@ from knotpair.closedform import bracket_girth3
 from knotpair.diagram import (
     InvalidPDError,
     PDCode,
+    join_ends,
     orient,
     pd_from_json,
     pd_from_rep,
@@ -26,7 +27,6 @@ from knotpair.oracle import (
     _alexander,
     _bareiss_det,
     _digits,
-    _join,
     _normalize_alexander_to_conway,
     _sweep_order,
     _times_delta_power,
@@ -443,8 +443,23 @@ def test_sweep_is_polynomial_on_large_templates(rep):
 )
 def test_join(partner, x, y, loops, after):
     partner = dict(partner)
-    assert _join(partner, x, y) == loops
+    assert join_ends(partner, x, y) == loops
     assert partner == after
+
+
+@pytest.mark.parametrize(
+    "crossings",
+    [((1, 2, 3, 4),), ((1, 1, 2, 2), (3, 3, 4, 5))],
+    ids=["four-loose-ends", "two-loose-ends"],
+)
+def test_the_sweep_refuses_an_arc_not_appearing_twice(crossings):
+    # the second code has a kink at each crossing and arcs 4 and 5 each
+    # once: it is no diagram, and has no state sum
+    pd = PDCode(crossings)
+    with pytest.raises(InvalidPDError, match="arcs not appearing exactly twice"):
+        _sweep_order(pd)
+    with pytest.raises(InvalidPDError, match="arcs not appearing exactly twice"):
+        bracket_state_sum(pd)
 
 
 def packed_classes(p: LaurentPoly, k: int) -> list[tuple[int, int]]:

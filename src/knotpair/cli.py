@@ -40,6 +40,11 @@ def _read_pd(path: str):
     return pd_from_text(text)
 
 
+def _check_budget(args) -> None:
+    if args.budget_crossings < 0:
+        raise ValueError("the crossing budget is negative")
+
+
 def cmd_eval(args) -> int:
     """Print one invariant of a representation, by closed form, by oracle,
     or by both with AGREE or DISAGREE (in JSON, an ``agree`` field).
@@ -54,6 +59,7 @@ def cmd_eval(args) -> int:
     Conway value is withheld, above ``oracle.CONWAY_CAP``, has nothing to
     compare: it is refused after the budget check, before Fox runs.
     """
+    _check_budget(args)
     rep = parse_rep(args.rep)
     inv = classify.rep_invariants(rep) if args.method != "oracle" else None
 
@@ -125,6 +131,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_girth(args, emit_rep: bool = False) -> int:
+    _check_budget(args)
     pd = _read_pd(args.pd_file)
     g, witness = girth.diagram_girth(pd, budget=args.budget_crossings)
     if witness is None:
@@ -187,78 +194,46 @@ def cmd_verify_table(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    failures = 0
-
-    def check(name: str, ok: bool) -> None:
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        if not ok:
-            failures += 1
-
-    # closed-form brackets against the state sum on a grid
-    ok = True
-    detail = None
-    for p in range(-3, 4):
-        for q in range(-3, 4):
-            pd = pd_from_rep(Girth2Rep(p, q))
-            if oracle.bracket_state_sum(pd) != closedform.bracket_double_twist(p, q):
-                ok, detail = False, (p, q)
-    check(f"double twist bracket grid |p|,|q|<=3 {detail or ''}", ok)
-
+    """Run the six formula-vs-oracle suites, every case of each, and print each
+    suite's line before the next suite runs; exit 1 when any fails.  The reps are
+    drawn from one ``random.Random(20240915)``: 25 with labels in [-2, 2], then 20
+    with even labels in [2, 10], each drawing its top ring before its bottom."""
     rng = random.Random(20240915)
-    ok = True
-    for _ in range(25):
-        top = tuple(rng.randint(-2, 2) for _ in range(3))
-        bot = tuple(rng.randint(-2, 2) for _ in range(3))
-        rep = Girth3Rep(top, bot)
-        if oracle.bracket_state_sum(pd_from_rep(rep)) != closedform.bracket_girth3(rep):
-            ok = False
-    check("girth-3 bracket vs oracle (25 random reps)", ok)
+    a2 = LaurentPoly.from_dict({2: 1, -2: 1}, "A")
 
-    ok = True
-    for p in (2, 4):
-        for q in (2, 4):
-            for r in (0, 2):
-                rep = Girth3Rep((p, q, r), (2, 2, 2))
-                if oracle.conway_fox(pd_from_rep(rep)) != closedform.conway_girth3_even(rep):
-                    ok = False
-    check("girth-3 even Conway vs Fox oracle (sample)", ok)
+    def ring(low: int, high: int, scale: int = 1) -> tuple:
+        return tuple(scale * rng.randint(low, high) for _ in range(3))
 
-    # the determinant example
-    det = closedform.shat_cycle_det(Girth3Rep((4, 8, 12), (4, 6, 2)), "cycle_cab")
-    lhs = det * (LaurentPoly.from_dict({2: 1, -2: 1}, "A") ** 2)
-    rhs = LaurentPoly.from_dict({32: 1, 40: -2, 56: 2, 64: -1}, "A")
-    check("S-determinant example (4 8 12 / 4 6 2)", lhs == rhs)
+    def suites():
+        bad = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if oracle.bracket_state_sum(
+            pd_from_rep(Girth2Rep(p, q))) != closedform.bracket_double_twist(p, q)]
+        yield f"double twist bracket grid |p|,|q|<=3 {bad[-1] if bad else ''}", [not bad]
+        reps = [Girth3Rep(ring(-2, 2), ring(-2, 2)) for _ in range(25)]
+        yield "girth-3 bracket vs oracle (25 random reps)", [
+            oracle.bracket_state_sum(pd_from_rep(r)) == closedform.bracket_girth3(r) for r in reps]
+        reps = [Girth3Rep((p, q, r), (2, 2, 2)) for p in (2, 4) for q in (2, 4) for r in (0, 2)]
+        yield "girth-3 even Conway vs Fox oracle (sample)", [
+            oracle.conway_fox(pd_from_rep(r)) == closedform.conway_girth3_even(r) for r in reps]
+        det = closedform.shat_cycle_det(Girth3Rep((4, 8, 12), (4, 6, 2)), "cycle_cab")
+        yield "S-determinant example (4 8 12 / 4 6 2)", [
+            det * a2 ** 2 == LaurentPoly.from_dict({32: 1, 40: -2, 56: 2, 64: -1}, "A")]
+        cases = []
+        for rep in [Girth3Rep(ring(1, 5, 2), ring(1, 5, 2)) for _ in range(20)]:
+            conway, bracket = closedform.conway_girth3_even(rep), closedform.bracket_girth3(rep)
+            for perm in ("swap_ab", "swap_bc", "swap_ac", "cycle_cab", "cycle_bca"):
+                other = closedform.permute_bottom(rep, perm)
+                diff = closedform.conway_diff(rep, perm), closedform.bracket_diff_formula(rep, perm)
+                cases.append(diff == (conway - closedform.conway_girth3_even(other),
+                                      bracket - closedform.bracket_girth3(other)))
+        yield "difference formulas (20 random even-positive reps)", cases
+        yield "S-hat identity |q| <= 10", [
+            closedform.s_hat(q) * a2 == LaurentPoly.from_dict({0: 1, 4 * q: -((-1) ** q)}, "A")
+            for q in range(-10, 11) if q != 0]
 
-    ok = True
-    for _ in range(20):
-        rep = Girth3Rep(
-            tuple(2 * rng.randint(1, 5) for _ in range(3)),
-            tuple(2 * rng.randint(1, 5) for _ in range(3)),
-        )
-        conway = closedform.conway_girth3_even(rep)
-        bracket = closedform.bracket_girth3(rep)
-        for perm in ("swap_ab", "swap_bc", "swap_ac", "cycle_cab", "cycle_bca"):
-            other = closedform.permute_bottom(rep, perm)
-            if closedform.conway_diff(rep, perm) != (
-                conway - closedform.conway_girth3_even(other)
-            ):
-                ok = False
-            if closedform.bracket_diff_formula(rep, perm) != (
-                bracket - closedform.bracket_girth3(other)
-            ):
-                ok = False
-    check("difference formulas (20 random even-positive reps)", ok)
-
-    shat_ok = all(
-        closedform.s_hat(q)
-        * LaurentPoly.from_dict({2: 1, -2: 1}, "A")
-        == LaurentPoly.from_dict({0: 1, 4 * q: -((-1) ** q)}, "A")
-        for q in range(-10, 11)
-        if q != 0
-    )
-    check("S-hat identity |q| <= 10", shat_ok)
-
+    failures = 0
+    for name, cases in suites():
+        print(f"{'PASS' if all(cases) else 'FAIL'}  {name}")
+        failures += not all(cases)
     print(f"{failures} failing suites" if failures else "all suites passed")
     return 1 if failures else 0
 

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import gc
 import hashlib
@@ -513,6 +514,119 @@ def test_selftest(capsys):
     assert code == 0
     assert "all suites passed" in out
     assert out.count("PASS") >= 6
+
+
+def _spy_on_selftest(monkeypatch):
+    """The arguments of each call that ``cli`` makes of the suites' closed
+    forms and oracles, as {name: Counter of (args, kwargs)}.  A call from
+    inside the package is not counted, so the count does not depend on how
+    a formula is computed."""
+    from knotpair import closedform, oracle
+
+    calls = collections.defaultdict(collections.Counter)
+    for module, names in (
+        (closedform, ("bracket_double_twist", "bracket_girth3", "conway_girth3_even",
+                      "conway_diff", "bracket_diff_formula", "permute_bottom", "s_hat",
+                      "shat_cycle_det")),
+        (oracle, ("bracket_state_sum", "conway_fox")),
+    ):
+        for name in names:
+            real = getattr(module, name)
+
+            def spy(*args, name=name, real=real, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == "knotpair.cli":
+                    calls[name][args, tuple(sorted(kwargs.items()))] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_the_selftest_suites_check_the_same_reps(monkeypatch, capsys):
+    # the suites' inputs, restated: the grid, then 25 reps and later 20
+    # from one seeded generator, each rep drawing its top ring first
+    rng = random.Random(20240915)
+
+    def draw(n, label):
+        return [Girth3Rep(*(tuple(label() for _ in range(3)) for _ in range(2)))
+                for _ in range(n)]
+
+    grid = [(p, q) for p in range(-3, 4) for q in range(-3, 4)]
+    small = draw(25, lambda: rng.randint(-2, 2))
+    sample = [Girth3Rep((p, q, r), (2, 2, 2)) for p in (2, 4) for q in (2, 4) for r in (0, 2)]
+    example = Girth3Rep((4, 8, 12), (4, 6, 2))
+    even = draw(20, lambda: 2 * rng.randint(1, 5))
+    perms = {"swap_ab": (1, 0, 2), "swap_bc": (0, 2, 1), "swap_ac": (2, 1, 0),
+             "cycle_cab": (2, 0, 1), "cycle_bca": (1, 2, 0)}
+    pairs = [(rep, perm) for rep in even for perm in perms]
+    others = [Girth3Rep(rep.top, tuple(rep.bottom[i] for i in perms[perm])) for rep, perm in pairs]
+
+    def expect(*cases):
+        return collections.Counter((case, ()) for case in cases)
+
+    expected = {
+        "bracket_double_twist": expect(*grid),
+        "bracket_state_sum": expect(*((pd_from_rep(rep),) for rep in
+                                      [Girth2Rep(p, q) for p, q in grid] + small)),
+        "bracket_girth3": expect(*((rep,) for rep in small + even + others)),
+        "conway_fox": expect(*((pd_from_rep(rep),) for rep in sample)),
+        "conway_girth3_even": expect(*((rep,) for rep in sample + even + others)),
+        "shat_cycle_det": expect((example, "cycle_cab")),
+        "permute_bottom": expect(*pairs),
+        "conway_diff": expect(*pairs),
+        "bracket_diff_formula": expect(*pairs),
+        "s_hat": expect(*((q,) for q in range(-10, 11) if q != 0)),
+    }
+    calls = _spy_on_selftest(monkeypatch)
+    code, out = run(capsys, "selftest")
+    assert code == 0 and out.endswith("all suites passed\n")
+    assert dict(calls) == expected
+
+
+def test_a_failing_selftest_suite_is_reported(monkeypatch, capsys):
+    from knotpair import closedform
+    from knotpair.laurent import LaurentPoly
+
+    real = closedform.bracket_double_twist
+    monkeypatch.setattr(
+        closedform, "bracket_double_twist",
+        lambda p, q: LaurentPoly.from_dict({99: 1}, "A") if (p, q) in ((1, -3), (-2, 2))
+        else real(p, q),
+    )
+    code, out = run(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines() == [
+        "FAIL  double twist bracket grid |p|,|q|<=3 (1, -3)",
+        "PASS  girth-3 bracket vs oracle (25 random reps)",
+        "PASS  girth-3 even Conway vs Fox oracle (sample)",
+        "PASS  S-determinant example (4 8 12 / 4 6 2)",
+        "PASS  difference formulas (20 random even-positive reps)",
+        "PASS  S-hat identity |q| <= 10",
+        "1 failing suites",
+    ]
+
+
+FIXTURE_3_1 = os.path.join(os.path.dirname(__file__), "..", "src", "knotpair", "fixtures",
+                           "rolfsen", "3_1.pd.json")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "(3)", "jones", "--budget-crossings", "-1"],
+    ["eval", "(3)", "jones", "--method", "oracle", "--budget-crossings", "-1"],
+    ["eval", "(3)", "conway", "--method", "both", "--budget-crossings", "-1"],
+    ["girth", FIXTURE_3_1, "--budget-crossings", "-3"],
+    ["decompose", FIXTURE_3_1, "--budget-crossings", "-1", "--format", "json"],
+])
+def test_a_negative_crossing_budget_is_refused_before_any_evaluation(monkeypatch, capsys, argv):
+    from knotpair import classify, girth, oracle
+
+    for module, name in ((classify, "rep_invariants"), (oracle, "bracket_state_sum"),
+                         (oracle, "conway_fox"), (girth, "diagram_girth")):
+        monkeypatch.setattr(module, name, lambda *a, **k: pytest.fail("evaluated"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the crossing budget is negative\n"
 
 
 @pytest.mark.parametrize(

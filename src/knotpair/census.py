@@ -11,13 +11,7 @@ from fractions import Fraction
 from . import classify, oracle
 from . import closedform as cf
 from .diagram import orient, pd_from_json
-from .laurent import (
-    LaurentPoly,
-    jones_from_bracket,
-    jones_span_inclusive,
-    jones_to_text,
-    poly_to_text,
-)
+from .laurent import jones_from_bracket, jones_to_text, packed_slots, slot_terms, terms_to_text
 from .record import Record
 from .reps import canonical_pair, g3_labels, g3_wheel_minima, parse_rep, rep_from_labels
 from .tables import (
@@ -33,24 +27,33 @@ FIELDS = ("rep", "girth", "components", "conway", "jones", "span", "class_id", "
 
 
 def build_record(
-    components: int, conway: LaurentPoly | None, jones: LaurentPoly
+    components: int, conway: int | None, jones: tuple[int, int], conway_bits: int, jones_bits: int
 ) -> tuple[int, str, str, Fraction]:
     """The checked (components, Conway text, Jones text, span) of the class
     of reps with these invariants, the fields ``CensusClass`` holds
     between its id and its members.
 
-    ``classify.check_identities`` reads only the component count and the
-    Conway and Jones polynomials, and the span and the text only the Jones
-    polynomial and the text of both, so one call per class checks and
-    records every member alike; a failure raises ``AssertionError``.  The
-    Conway text is "" where no value is available.
+    ``conway`` is the class's Conway int of ``g3table.census_keys``, packed
+    at ``conway_bits``-bit slots (None where no value is available), and
+    ``jones`` its Jones key (low, value) of ``closedform.census_jones``,
+    packed at ``jones_bits``.  Each is read once into its list of slot
+    coefficients (``laurent.packed_slots``), and no polynomial is built:
+    ``classify.check_identities`` reads the component count and the two
+    lists, and the texts are rendered from the lists' nonzero slots.  One
+    call per class checks and records every member alike; a failure raises
+    ``AssertionError``.  A Jones key's low slot is nonzero and its slots
+    lie at stride 4, so the inclusive span is the slot count.  The Conway
+    text is "" where no value is available.
     """
-    classify.check_identities(components, conway, jones)
+    low, value = jones
+    jones_slots = packed_slots(value, jones_bits)
+    conway_slots = None if conway is None else packed_slots(conway, conway_bits)
+    classify.check_identities(components, conway_slots, low, jones_slots)
     return (
         components,
-        poly_to_text(conway) if conway is not None else "",
-        jones_to_text(jones),
-        jones_span_inclusive(jones),
+        "" if conway_slots is None else terms_to_text(slot_terms(conway_slots, 0, 2), "z"),
+        terms_to_text(slot_terms(jones_slots, low, 4), "t", 4),
+        Fraction(len(jones_slots)),
     )
 
 
@@ -156,9 +159,9 @@ def dedup_census(
     keyer packs every value of the census at one slot width.
     Equal keys mean equal polynomials, so the classes are those of the
     text key.  Members stay label tuples.  Once every rep is keyed, each
-    class decodes its Conway and Jones polynomials and runs
-    ``build_record`` once, and the classes are numbered in the order of
-    their text keys.
+    class runs ``build_record`` once on its ints, which reads them as slot
+    lists and builds no polynomial, and the classes are numbered in the
+    order of their text keys.
     """
     from . import g3table  # frozen data: loaded on first use
 
@@ -166,8 +169,8 @@ def dedup_census(
     labellings = _labellings(girth, max_abs_label, even_only, positive_only)
     m = max_abs_label
     bound = (m,) * 6 if girth == 3 else g3_labels((m, m))
-    jones_key, jones_of = cf.census_jones(bound)
-    invariants, conway_of = g3table.census_keys(bound, oracle.CONWAY_CAP)
+    jones_key, jones_bits = cf.census_jones(bound)
+    invariants, conway_bits = g3table.census_keys(bound, oracle.CONWAY_CAP)
     groups: dict[tuple, list] = {}
     for labels in labellings:
         six = g3_labels(labels)
@@ -181,9 +184,7 @@ def dedup_census(
     classes = []
     while groups:  # each integer key is freed as its class's text is made
         (comps, conway, jones), members = groups.popitem()
-        if conway is not None:
-            conway = conway_of(conway)
-        classes.append((build_record(comps, conway, jones_of(jones)), members))
+        classes.append((build_record(comps, conway, jones, conway_bits, jones_bits), members))
     # the text keys are distinct; the last first, so that each class is
     # popped in order and its member list freed as its tuple is made
     classes.sort(key=lambda c: c[0][:3], reverse=True)
@@ -256,10 +257,10 @@ def census_csv(classes, out) -> None:
     The bytes are those of ``csv.writer`` with minimal quoting and "\\n"
     line ends; the head's verdict is empty, every other member's
     Unresolved (``dedup_census``).  No field but the rep text needs
-    quoting: the alphabets of a component count, of ``poly_to_text``, of
-    ``str`` of a Fraction and of a class id hold no comma, double quote,
-    CR or LF.  Only the text (p,q) holds the delimiter, and its quotes are
-    in its lead.
+    quoting: the alphabets of a component count, of
+    ``laurent.terms_to_text``, of ``str`` of a Fraction and of a class id
+    hold no comma, double quote, CR or LF.  Only the text (p,q) holds the
+    delimiter, and its quotes are in its lead.
     """
     out.write(",".join(FIELDS) + "\n")
 

@@ -152,7 +152,8 @@ def rep_invariants(rep) -> RepInvariants:
     ``closed_invariants`` of its labels, and the Jones polynomial of the
     bracket at the writhe.
 
-    Every result passes ``check_identities`` or raises ``AssertionError``.
+    Every result passes ``check_identities``, read in ``slot_form``, or
+    raises ``AssertionError``.
     A rep whose template has more than ``CLOSED_CAP`` crossings is refused
     with ``ValueError`` before any evaluation; the count comes off its
     labels.
@@ -165,7 +166,7 @@ def rep_invariants(rep) -> RepInvariants:
     bracket = cf.bracket_girth3(rep)
     comps, writhe, conway = closed_invariants(rep_labels(rep))
     jones = jones_from_bracket(bracket, writhe)
-    check_identities(comps, conway, jones)
+    check_identities(comps, *slot_form(comps, conway, jones))
     return RepInvariants(comps, conway, bracket, jones)
 
 
@@ -201,64 +202,116 @@ def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
     return comps, writhe, conway
 
 
-def check_identities(comps: int, conway: LaurentPoly | None, jones: LaurentPoly) -> None:
+def slot_form(comps: int, conway: LaurentPoly | None,
+              jones: LaurentPoly) -> tuple[list[int] | None, int, list[int]]:
+    """The ``check_identities`` arguments after ``comps`` of these
+    polynomials: the Conway coefficients of z^0, z^2, ... (None for None),
+    and the Jones polynomial's least exponent and its coefficients at
+    stride 4 from it, each read in one pass (``_slots``).
+
+    A bracket's exponents agree mod 4, and so do the Jones polynomial's.
+    A term off either stride has no slot, and raises ``AssertionError``:
+    a Conway polynomial outside Z[z^2] ("knot Conway in odd powers of z"),
+    or a Jones polynomial whose exponents differ by a fractional power of t.
+    """
+    terms = jones.terms
+    low = terms[0][0] if terms else 0
+    slots = _slots(terms, low, 2)
+    if slots is None:
+        raise AssertionError(
+            "knot Jones in fractional powers of t" if comps == 1
+            else "link Jones in powers of t differing by a fraction"
+        )
+    if conway is None:
+        return None, low, slots
+    nabla = _slots(conway.terms, 0, 1)
+    if nabla is None:
+        raise AssertionError("knot Conway in odd powers of z")
+    return nabla, low, slots
+
+
+def _slots(terms: tuple, low: int, shift: int) -> list[int] | None:
+    """The coefficients of exponents low, low + 2^shift, ... up to the top
+    term, or None when a term lies below low or off that stride.
+
+    One comprehension keeps the coefficients of the terms whose exponent
+    has the low ``shift`` bits of low, so a term off the stride is one
+    dropped.  Then the coefficients are the slots, unless some slot between
+    two terms is zero and they are spread out by a second pass.
+    """
+    if not terms:
+        return []
+    mask = (1 << shift) - 1
+    r = low & mask
+    coeffs = [c for e, c in terms if e & mask == r]
+    if len(coeffs) != len(terms) or terms[0][0] < low:
+        return None
+    n = ((terms[-1][0] - low) >> shift) + 1
+    if n == len(coeffs):
+        return coeffs
+    slots = [0] * n
+    for e, c in terms:
+        slots[(e - low) >> shift] = c
+    return slots
+
+
+def check_identities(comps: int, conway: list[int] | None, low: int, jones: list[int]) -> None:
     """Raise AssertionError unless the invariants satisfy four identities.
 
-    V(1) = (-2)^(c-1) for a c-component link ties the bracket and the
-    writhe to the component count.  A knot's Jones polynomial lies in
-    Z[t, 1/t], and V(w) = 1 at w = e^(2 pi i/3): with S_j the sum of the
-    coefficients of the powers t^n with n = j mod 3, V(w) = S0 + S1 w +
-    S2 w^2 = (S0 - S2) + (S1 - S2) w, since w^2 = -1 - w.  A knot's Conway
-    polynomial has nabla(0) = 1, and |V(-1)| = |nabla(2i)|, both sides
-    being the determinant, ties the bracket to it.  Its Conway polynomial lies
-    in Z[z^2], so both sides are integers: sum c_e (-1)^(e/4) over the
-    quarter-power exponents e of V, and sum c_2j (-4)^j (``_nabla_2i``).
+    ``jones`` holds the Jones polynomial's coefficients of the quarter
+    powers low, low + 4, ... of t, and ``conway`` the Conway polynomial's
+    of z^0, z^2, ..., or None where no value is available (``slot_form``
+    reads both off polynomials).  Each identity is exact: sums of whole
+    slices, or a Horner pass over the Conway slots.
 
-    For a knot, one pass over the Jones terms sums the coefficients by
-    exponent mod 24 and ORs the exponents together.  For e = 4n,
-    e mod 24 = 4 (n mod 6) gives both n mod 3 and the sign (-1)^n; the low
-    two bits of the OR are zero exactly when every exponent is an integer
-    power of t.  A link needs only V(1).
+    V(1) = (-2)^(c-1) for a c-component link ties the bracket and the
+    writhe to the component count; a link's V(1) is one ``sum``, and a
+    link needs nothing more.  A knot's Jones polynomial lies in
+    Z[t, 1/t], so low is a multiple of 4, and V(w) = 1 at
+    w = e^(2 pi i/3): with S_j the sum of the coefficients of the powers
+    t^n with n = j mod 3, V(w) = S0 + S1 w + S2 w^2 = (S0 - S2) + (S1 - S2) w,
+    since w^2 = -1 - w.  A knot's Conway polynomial has nabla(0) = 1, and
+    |V(-1)| = |nabla(2i)|, both sides being the determinant, ties the
+    bracket to it; nabla(2i) = sum c_2j (-4)^j (``_nabla_2i``).  A knot's
+    slots are summed once each, as the six slices r_m of the slots whose
+    index is m mod 6.  Slot i holds t^(low/4 + i), so V(1) is the sum of
+    all six, the S_j are the r_m + r_(m+3), rotated by low/4 mod 3, and
+    V(-1) is the even r_m less the odd ones, up to the sign (-1)^(low/4).
     """
-    sums = [0] * 24
-    bits = 0
     if comps == 1:
-        for e, c in jones.terms:
-            sums[e % 24] += c
-            bits |= e
-        v1 = sum(sums)
+        r0, r1, r2, r3, r4, r5 = (sum(jones[0::6]), sum(jones[1::6]), sum(jones[2::6]),
+                                  sum(jones[3::6]), sum(jones[4::6]), sum(jones[5::6]))
+        v1 = r0 + r1 + r2 + r3 + r4 + r5
     else:
-        v1 = sum(c for _, c in jones.terms)
+        v1 = sum(jones)
     if v1 != (-2) ** (comps - 1):
         raise AssertionError(f"V(1) = {v1} for a {comps}-component diagram")
     if comps != 1:
         return
-    if bits & 3:
+    if low % 4:
         raise AssertionError("knot Jones in fractional powers of t")
-    s0, s1, s2 = sums[0] + sums[12], sums[4] + sums[16], sums[8] + sums[20]
+    thirds = [r0 + r3, r1 + r4, r2 + r5]
+    k = -(low // 4) % 3
+    s0, s1, s2 = thirds[k:] + thirds[:k]
     if s1 != s2 or s0 - s2 != 1:
         raise AssertionError(f"V(e^(2 pi i/3)) = {s0 - s2} + {s1 - s2} w")
     if conway is None:
         return
-    if any(e % 2 for e, _ in conway.terms):
-        raise AssertionError("knot Conway in odd powers of z")
-    if conway.coeff(0) != 1:
-        raise AssertionError(f"nabla(0) = {conway.coeff(0)} for a knot")
-    v_minus = sums[0] + sums[8] + sums[16] - sums[4] - sums[12] - sums[20]
-    nabla_2i = _nabla_2i(conway)
-    if abs(v_minus) != abs(nabla_2i):
-        raise AssertionError(f"|V(-1)| = {abs(v_minus)} but |nabla(2i)| = {abs(nabla_2i)}")
+    if not conway or conway[0] != 1:
+        raise AssertionError(f"nabla(0) = {conway[0] if conway else 0} for a knot")
+    v_minus = abs(r0 + r2 + r4 - r1 - r3 - r5)
+    nabla_2i = abs(_nabla_2i(conway))
+    if v_minus != nabla_2i:
+        raise AssertionError(f"|V(-1)| = {v_minus} but |nabla(2i)| = {nabla_2i}")
 
 
-def _nabla_2i(conway: LaurentPoly) -> int:
-    """nabla(2i) = sum c_2j (-4)^j of a Conway polynomial in z^2, by Horner's
-    rule from the top term: a gap of 2d in the exponents is one factor (-4)^d."""
+def _nabla_2i(conway: list[int]) -> int:
+    """nabla(2i) = sum c_2j (-4)^j of the Conway coefficients of z^0, z^2,
+    ..., by Horner's rule from the top slot."""
     value = 0
-    e_prev = conway.terms[-1][0] if conway.terms else 0
-    for e, c in reversed(conway.terms):
-        value = value * (-4) ** ((e_prev - e) // 2) + c
-        e_prev = e
-    return value * (-4) ** (e_prev // 2)
+    for c in reversed(conway):
+        value = value * -4 + c
+    return value
 
 
 def jones_equal(

@@ -47,7 +47,7 @@ label absorbs into p, padded likewise, so one formula serves all three:
   coefficient of y^N F, which are those of the bracket, fits a k-bit slot
   with the sign bit to spare, and ``LaurentPoly.from_packed`` reads them
   off: one biased cut into bytes, then a few C-level passes that read
-  every slot as a signed C integer (``laurent.unpack``).  The value is
+  every slot as a signed C integer (``laurent.unpack_slots``).  The value is
   exact at any k; k only has to hold the largest coefficient.
 * **The difference formula.**  ``bracket_diff_formula`` is A^-w times a
   core of products of two s's and 1 - delta^2 = -A^-4 (1 + y + y^2), so it
@@ -57,7 +57,7 @@ label absorbs into p, padded likewise, so one formula serves all three:
   at the slot width of its six-label bound, each rep as its girth-3
   labelling, and keys its Jones polynomial by two integers (argued
   there), so a rep of the census costs int arithmetic alone and only a
-  class decodes a polynomial.
+  class reads its slots back, into a list (``census.build_record``).
 """
 
 from __future__ import annotations
@@ -372,14 +372,15 @@ def _girth3_value(top_row: tuple, bottom_row: tuple, k: int, w: int) -> tuple[in
 
 
 def census_jones(bound: tuple):
-    """(key, jones) for a census whose labellings are bounded, label by
-    label, by the six labels ``bound``.
+    """(key, k) for a census whose labellings are bounded, label by label,
+    by the six labels ``bound``.
 
     ``key(labels, writhe)`` is the exact integer key (low, value) of the
     Jones polynomial of the rep whose girth-3 labelling
-    (``reps.g3_labels``) is ``labels``, at this writhe, and ``jones(key)``
-    decodes it.  Two reps of the census have equal keys exactly when their
-    Jones polynomials are equal:
+    (``reps.g3_labels``) is ``labels``, at this writhe: value packs its
+    coefficients at stride 4 from low in k-bit slots, which
+    ``laurent.packed_slots(value, k)`` reads back.  Two reps of the census
+    have equal keys exactly when their Jones polynomials are equal:
 
     * **One bracket.**  Every six labels are assembled from the ``_row``
       of their two triples, each made once and kept in a dict of this
@@ -412,11 +413,7 @@ def census_jones(bound: tuple):
         value >>= k * zero_slots
         return low + 4 * zero_slots - 3 * writhe, -value if writhe % 2 else value
 
-    def jones(key: tuple[int, int]) -> LaurentPoly:
-        low, value = key
-        return LaurentPoly.from_packed(value, low, k, 4, "t")
-
-    return key, jones
+    return key, k
 
 
 def bracket_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:

@@ -40,8 +40,9 @@ each pattern's 64 corners once per slot width, on first use
 (``_packed``), by Horner's rule over the table's coefficient rows, one
 C-level pass a power of s; a Fibonacci weight is the packed list of its
 binomials, and the contraction is int products and sums.
-``LaurentPoly.from_packed`` at stride 2 cuts the value into the
-coefficients of z^0, z^2, ...
+``laurent.packed_slots`` cuts the value into the coefficients of z^0,
+z^2, ..., which ``conway`` reads as a polynomial (``LaurentPoly.from_packed``
+at stride 2) and the census as a list.
 
 **Slot width.**  k is the least multiple of 8 with ``conway_bound`` below
 2^(k-1), for the bound B = N prod_i v_i:
@@ -167,14 +168,15 @@ def conway(labels: tuple[int, ...]) -> LaurentPoly:
 
 
 def census_keys(bound: tuple, cap: int):
-    """(key, conway) for a census whose labellings are bounded, label by
-    label, by the six labels ``bound``.
+    """(key, k) for a census whose labellings are bounded, label by label,
+    by the six labels ``bound``.
 
     ``key(labels)`` is (components, writhe, nabla) of the rep whose
     girth-3 labelling (``reps.g3_labels``) is ``labels``: nabla is the
     knot's Conway polynomial at z = 2^(k/2), one int, or None for a link
     or a knot of more than ``cap`` crossings with an odd label.
-    ``conway(nabla)`` decodes it.  k is ``slot_bits`` of ``conway_bound``
+    ``laurent.packed_slots(nabla, k)`` reads back its coefficients of z^0,
+    z^2, ....  k is ``slot_bits`` of ``conway_bound``
     on six Fibonacci axes at the bound, so it holds every knot of the
     census (module docstring), and two knots have equal ints exactly when
     their polynomials are equal (one expansion in balanced slots).  An
@@ -214,7 +216,7 @@ def census_keys(bound: tuple, cap: int):
             return 1, writhe, None
         return 1, writhe, _contract(pattern, s >> 20 & 63, s >> 26 & 63, labels, weights, k)
 
-    return key, functools.partial(LaurentPoly.from_packed, low=0, k=k, stride=2, tag="z")
+    return key, k
 
 
 def _contract(pattern: int, corner: int, off: int, labels, weights, k: int) -> int:

@@ -12,16 +12,20 @@ stays sorted; every other product is the schoolbook double loop over all
 pairs of terms into a dict.  Sums and differences merge into a dict too, and
 ``from_dict`` sorts its items in C.
 
-``unpack`` decodes a polynomial packed into one Python int, coefficient c_i
-in the 8*width-bit slot i, as sum(c_i * 2^(8 * width * i)).  The closed-form
-brackets (``closedform``) and the girth-3 Conway table (``g3table``) evaluate
-at a power of 2 and read their coefficients back this way, through
-``LaurentPoly.from_packed``.  Adding the bias 2^(8 * width - 1) in every slot
-makes each slot's content c + 2^(8 * width - 1) lie in [1, 2^(8 * width)) when
-|c| < 2^(8 * width - 1), so no slot borrows from the next.  XOR with the same
-bias then flips each slot's top bit back, which leaves c mod 2^(8 * width),
-the slot's coefficient in two's complement.  The whole value is cut into
-bytes once with ``to_bytes``, and the slots are read in C-level passes:
+**One decoder.**  ``unpack_slots`` decodes a polynomial packed into one
+Python int, coefficient c_i in the 8*width-bit slot i, as
+sum(c_i * 2^(8 * width * i)), into the dense list of its slots, zero top
+slots stripped.  The closed-form brackets (``closedform``) and the girth-3
+Conway table (``g3table``) evaluate at a power of 2 and read their
+coefficients back this way: ``LaurentPoly.from_packed`` keeps the nonzero
+slots as terms (``slot_terms``), and the census reads the lists themselves
+(``packed_slots``), with no polynomial per class.  Adding the bias
+2^(8 * width - 1) in every slot makes each slot's content
+c + 2^(8 * width - 1) lie in [1, 2^(8 * width)) when |c| < 2^(8 * width - 1),
+so no slot borrows from the next.  XOR with the same bias then flips each
+slot's top bit back, which leaves c mod 2^(8 * width), the slot's
+coefficient in two's complement.  The whole value is cut into bytes once
+with ``to_bytes``, and the slots are read in C-level passes:
 
 * 1-, 2-, 4- and 8-byte slots are one ``memoryview.cast`` to a signed C
   type ("b", "h", "i" or "q");
@@ -36,13 +40,22 @@ own ``int.from_bytes`` of the biased bytes, less the bias.  Only girth-3
 brackets whose six labels are all about 1800 or more in absolute value need
 such slots (past 2^63 for 512 P / M); neither the census nor any perfbench
 input reaches them, so they keep that path rather than a limb-combining one.
+
+**One renderer.**  ``terms_to_text`` writes the canonical text of
+(exponent, coefficient) pairs: ``poly_to_text`` passes a polynomial's terms,
+and the census the nonzero slots of its lists.  Terms within
+``SUFFIX_WINDOW`` read the text after their coefficient ("t^3", "t^(1/2)")
+from a table, as the census's small polynomials reuse a few exponents.
+From the first exponent past it, each term is written whole: a large
+``eval`` text's exponents are mostly new, and making a table entry for each
+took 1.1 to 1.4 times as long as writing the term.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from math import gcd
 from operator import sub
 
@@ -52,8 +65,8 @@ from .record import Record, set_field
 # computation fails loudly instead of silently chewing memory.
 MAX_EXPONENT = 2**62
 
-# ``memoryview.cast`` reads native byte order; the slot casts of ``unpack``
-# need it little-endian.
+# ``memoryview.cast`` reads native byte order; the slot casts of
+# ``unpack_slots`` need it little-endian.
 _CAST_SLOTS = sys.byteorder == "little"
 _CAST_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 # ``bytes.translate`` table: a byte to the sign byte of its top bit
@@ -97,9 +110,8 @@ class LaurentPoly(Record):
     @staticmethod
     def from_packed(value: int, low: int, k: int, stride: int, tag: str) -> "LaurentPoly":
         """The polynomial whose exponent low + j * stride has the k-bit slot j
-        of ``value`` as its coefficient (``unpack``; k a multiple of 8)."""
-        slots = abs(value).bit_length() // k + 1
-        return LaurentPoly.from_terms(unpack(value, k // 8, slots, low, stride), tag)
+        of ``value`` as its coefficient (``packed_slots``)."""
+        return LaurentPoly.from_terms(tuple(slot_terms(packed_slots(value, k), low, stride)), tag)
 
     @staticmethod
     def zero(tag: str = "A") -> "LaurentPoly":
@@ -117,12 +129,6 @@ class LaurentPoly(Record):
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coeff(self, exp: int) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
 
     def min_exp(self) -> int:
         if not self.terms:
@@ -234,14 +240,14 @@ def slot_bits(bound: int) -> int:
     return 8 * ((bound.bit_length() + 8) // 8)
 
 
-def unpack(value: int, width: int, slots: int,
-           low: int, stride: int) -> tuple[tuple[int, int], ...]:
-    """Sorted nonzero terms of a packed value.
+def unpack_slots(value: int, width: int, slots: int) -> list[int]:
+    """The coefficients c_0, c_1, ... of a packed value, zero top slots
+    stripped: the one decoder of the package.
 
     ``value`` is sum(c_i * 2^(8 * width * i)) over at most ``slots`` slots,
-    each |c_i| < 2^(8 * width - 1), and slot i holds the coefficient of
-    exponent low + i * stride.  The biased cut, the casts and the per-slot
-    path for widths past 8 bytes are argued in the module docstring.
+    each |c_i| < 2^(8 * width - 1).  The biased cut, the casts and the
+    per-slot path for widths past 8 bytes are argued in the module
+    docstring.
     """
     bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
     if width > 8 or not _CAST_SLOTS:
@@ -261,8 +267,21 @@ def unpack(value: int, width: int, slots: int,
                 wide[j::8] = signs
             data, fmt = wide, "q"
         coeffs = memoryview(data).cast(fmt).tolist()
-    exps = range(low, low + slots * stride, stride)
-    return tuple(compress(zip(exps, coeffs), coeffs))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def packed_slots(value: int, k: int) -> list[int]:
+    """``unpack_slots`` of a value packed at k-bit slots (k a multiple of 8),
+    over as many slots as its bit length needs."""
+    return unpack_slots(value, k // 8, abs(value).bit_length() // k + 1)
+
+
+def slot_terms(coeffs: list[int], low: int, stride: int):
+    """The (exponent, coefficient) pairs of the nonzero slots, slot i at
+    exponent low + i * stride, in order."""
+    return compress(zip(range(low, low + len(coeffs) * stride, stride), coeffs), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -301,20 +320,51 @@ def jones_span_inclusive(jones: LaurentPoly) -> Fraction:
 # canonical text form
 
 
-def poly_to_text(p: LaurentPoly, exp_denom: int = 1) -> str:
-    """Canonical rendering: terms sorted by ascending exponent.
+# The largest |exponent|, in units of the displayed variable, whose text
+# after a coefficient is kept in a table: it holds every exponent of the
+# census, and of small polynomials, which reuse a few.
+SUFFIX_WINDOW = 64
+# (variable, denominator) -> {exponent within the window: its text}
+_SUFFIXES: dict[tuple[str, int], dict[int, str]] = {}
+
+
+def terms_to_text(terms, var: str, exp_denom: int = 1) -> str:
+    """Canonical rendering of (exponent, nonzero coefficient) pairs in
+    ascending exponent order, "0" when there are none: the one renderer.
 
     ``exp_denom`` divides displayed exponents (4 for Jones quarter powers);
     fractional exponents render as e.g. ``t^(1/2)``.  Each term is one
     f-string such as " + 3t^2" or " - t"; once the terms are joined, the
-    first one's " + " becomes "" and its " - " becomes "-".
+    first one's " + " becomes "" and its " - " becomes "-".  The text after
+    a coefficient ("", "t", "t^3", "t^(1/2)") comes from a table kept by
+    variable and denominator, each entry made on its first use, up to the
+    first exponent past ``SUFFIX_WINDOW``; from there on each term is
+    written whole.
     """
-    if p.is_zero():
-        return "0"
-    var = p.tag
+    d = exp_denom
+    window = SUFFIX_WINDOW * d
+    suffix = _SUFFIXES.get((var, d))
+    if suffix is None:
+        suffix = _SUFFIXES[var, d] = {0: "", d: var}
+    get = suffix.get
     parts: list[str] = []
     append = parts.append
-    for e, c in p.terms:
+    rest = ()
+    terms = iter(terms)
+    for e, c in terms:
+        s = get(e)
+        if s is None:
+            if not -window <= e <= window:
+                rest = chain(((e, c),), terms)
+                break
+            g = gcd(e, d)
+            s = suffix[e] = f"{var}^{e // d}" if g == d else f"{var}^({e // g}/{d // g})"
+        sign = " + "
+        if c < 0:
+            sign, c = " - ", -c
+        # a unit coefficient is written only on the constant term
+        append(f"{sign}{s}" if c == 1 and e else f"{sign}{c}{s}")
+    for e, c in rest:
         sign = " + "
         if c < 0:
             sign, c = " - ", -c
@@ -322,15 +372,22 @@ def poly_to_text(p: LaurentPoly, exp_denom: int = 1) -> str:
             append(f"{sign}{c}")
             continue
         mag = "" if c == 1 else c
-        if e == exp_denom:
+        if e == d:
             append(f"{sign}{mag}{var}")
-        elif e % exp_denom:
-            g = gcd(e, exp_denom)
-            append(f"{sign}{mag}{var}^({e // g}/{exp_denom // g})")
+        elif e % d:
+            g = gcd(e, d)
+            append(f"{sign}{mag}{var}^({e // g}/{d // g})")
         else:
-            append(f"{sign}{mag}{var}^{e // exp_denom}")
+            append(f"{sign}{mag}{var}^{e // d}")
+    if not parts:
+        return "0"
     text = "".join(parts)
     return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def poly_to_text(p: LaurentPoly, exp_denom: int = 1) -> str:
+    """``terms_to_text`` of a polynomial, in its tag's variable."""
+    return terms_to_text(p.terms, p.tag, exp_denom)
 
 
 def jones_to_text(p: LaurentPoly) -> str:

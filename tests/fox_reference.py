@@ -174,6 +174,6 @@ def _normalize_alexander_to_conway(delta: dict[int, int]) -> LaurentPoly:
     result = LaurentPoly.zero("z")
     for e, c in in_y.items():
         result = result + c * (z2_plus_2**e)
-    if result.coeff(0) != 1:
+    if dict(result.terms).get(0, 0) != 1:
         raise ValueError("Conway normalization failed: constant term != 1")
     return result

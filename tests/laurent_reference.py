@@ -1,5 +1,5 @@
 """The per-slot packed reader, kept as the reference for
-``knotpair.laurent.unpack``, which reads the slots through
+``knotpair.laurent.unpack_slots``, which reads the slots through
 ``memoryview.cast``: the biased value is cut into bytes, each slot's bytes
 become one int by ``int.from_bytes``, and the bias is taken off again.
 """

@@ -11,7 +11,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from knotpair import classify, g3table
+from knotpair import classify, g3table, laurent
 from knotpair.census import (
     G2_BUDGET,
     CensusClass,
@@ -27,7 +27,7 @@ from knotpair.census import (
     table_report,
     verify_table,
 )
-from knotpair.classify import closed_invariants, compare, rep_invariants
+from knotpair.classify import closed_invariants, compare, rep_invariants, slot_form
 from knotpair.diagram import orient, pd_from_rep
 from knotpair.closedform import _slot_bits, bracket_girth3, census_jones, conway_single_twist
 from knotpair.laurent import (
@@ -36,6 +36,7 @@ from knotpair.laurent import (
     jones_span_inclusive,
     jones_to_text,
     poly_to_text,
+    slot_bits,
 )
 from knotpair.oracle import CONWAY_CAP, bracket_state_sum, conway_fox
 from knotpair.reps import (
@@ -58,9 +59,31 @@ from closedform_reference import bracket_single_twist
 from template_spy import spy_on_templates
 
 
+def _pack(slots):
+    """(k, value): the coefficient list packed at the k-bit slots of its
+    largest coefficient."""
+    k = slot_bits(max(map(abs, slots), default=0))
+    return k, sum(c << k * i for i, c in enumerate(slots))
+
+
 def _record(rep):
+    # ``build_record`` of the rep's own invariants, each packed at the
+    # slot width of its own coefficients
     inv = rep_invariants(rep)
-    return build_record(inv.components, inv.conway, inv.jones)
+    conway, low, jones = slot_form(inv.components, inv.conway, inv.jones)
+    jones_bits, value = _pack(jones)
+    conway_bits, nabla = (8, None) if conway is None else _pack(conway)
+    return build_record(inv.components, nabla, (low, value), conway_bits, jones_bits)
+
+
+def _jones_of(k):
+    """The decoder of a ``census_jones`` key packed at k-bit slots."""
+    return lambda key: LaurentPoly.from_packed(key[1], key[0], k, 4, "t")
+
+
+def _conway_of(k):
+    """The decoder of a ``g3table.census_keys`` Conway int packed at k-bit slots."""
+    return functools.partial(LaurentPoly.from_packed, low=0, k=k, stride=2, tag="z")
 
 
 def test_enumerate_even_positive_girth2():
@@ -267,7 +290,8 @@ def test_the_census_slot_width_gives_each_reps_own_bracket(max_abs, even_only, p
     # label bound, from label-triple rows it shares across reps; from
     # max_abs 3 on, some reps have a narrower width of their own, so the
     # shared width is exercised (at max_abs 2 every rep has the census's)
-    key, jones = census_jones((max_abs,) * 6)
+    key, k = census_jones((max_abs,) * 6)
+    jones = _jones_of(k)
     reps = census_enumerate(3, max_abs, even_only, positive_only)
     census_k = _slot_bits((max_abs,) * 6)
     widths = set()
@@ -291,7 +315,8 @@ def test_the_census_jones_key_is_exact(girth, max_abs, even_only, positive_only)
     # polynomial, a K(p)'s also to that of the K(p) formula, and two reps
     # share a key exactly when they share the text key of their invariants
     bound = (max_abs,) * 6 if girth == 3 else g3_labels((max_abs, max_abs))
-    key, jones = census_jones(bound)
+    key, k = census_jones(bound)
+    jones = _jones_of(k)
     by_key, by_text = {}, {}
     for rep in census_enumerate(girth, max_abs, even_only, positive_only):
         labels = rep_labels(rep)
@@ -321,33 +346,55 @@ def test_the_census_checks_the_identities_once_per_class(monkeypatch):
     calls = []
     real = classify.check_identities
 
-    def spy(comps, conway, jones):
-        calls.append((comps, conway, jones))
-        real(comps, conway, jones)
+    def spy(comps, conway, low, jones):
+        calls.append((comps, conway and tuple(conway), low, tuple(jones)))
+        real(comps, conway, low, jones)
 
     monkeypatch.setattr(classify, "check_identities", spy)
     classes = dedup_census(3, 2)
     assert len(calls) == len(set(calls)) == len(classes) < len(census_enumerate(3, 2))
 
 
-def _packed_decodes_by_tag(monkeypatch, *args):
-    """The tags of the ``LaurentPoly.from_packed`` calls of dedup_census(*args)."""
+def _packed_decodes_by_tag(monkeypatch, girth, max_abs):
+    """The tags of the ``laurent.unpack_slots`` calls of dedup_census(girth,
+    max_abs): "t" at the Jones key's slot width, "z" at the Conway int's,
+    which differ at these bounds."""
+    bound = (max_abs,) * 6 if girth == 3 else g3_labels((max_abs, max_abs))
+    jones_width = census_jones(bound)[1] // 8
+    conway_width = g3table.census_keys(bound, CONWAY_CAP)[1] // 8
+    assert jones_width != conway_width
     tags = []
-    real = LaurentPoly.from_packed
+    real = laurent.unpack_slots
 
-    def spy(value, low, k, stride, tag):
-        tags.append(tag)
-        return real(value, low, k, stride, tag)
+    def spy(value, width, slots):
+        tags.append({jones_width: "t", conway_width: "z"}[width])
+        return real(value, width, slots)
 
-    monkeypatch.setattr(LaurentPoly, "from_packed", staticmethod(spy))
-    return dedup_census(*args), tags
+    monkeypatch.setattr(laurent, "unpack_slots", spy)
+    return dedup_census(girth, max_abs), tags
 
 
 def test_the_census_decodes_a_polynomial_once_per_class(monkeypatch):
-    # a rep is keyed by integers: only a class unpacks its Jones polynomial
+    # a rep is keyed by integers: only a class unpacks its Jones slots
     classes, tags = _packed_decodes_by_tag(monkeypatch, 3, 2)
     assert tags.count("t") == len(classes) == 243
     assert len(census_enumerate(3, 2)) == 1505
+
+
+@pytest.mark.parametrize("girth, max_abs", [(3, 2), (2, 12)])
+def test_the_census_builds_no_polynomial(monkeypatch, girth, max_abs):
+    # a class reads its invariants as slot lists: no ``LaurentPoly``
+    dedup_census(girth, max_abs)  # every module the census loads is loaded
+    calls = []
+    real = LaurentPoly.__init__
+
+    def spy(self, *args):
+        calls.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(LaurentPoly, "__init__", spy)
+    assert dedup_census(girth, max_abs)
+    assert calls == []
 
 
 def test_the_census_conway_key_is_exact():
@@ -355,7 +402,8 @@ def test_the_census_conway_key_is_exact():
     # are those of closed_invariants, its Conway int decodes to the same
     # polynomial, and two knots share an int exactly when they share a
     # polynomial
-    key, conway = g3table.census_keys((3,) * 6, CONWAY_CAP)
+    key, k = g3table.census_keys((3,) * 6, CONWAY_CAP)
+    conway = _conway_of(k)
     by_int, by_poly = {}, {}
     for labels in _labellings(3, 3, False, False):
         comps, writhe, nabla = key(labels)
@@ -374,7 +422,8 @@ def test_the_census_conway_key_is_exact():
 def test_the_census_conway_key_at_the_label_budget():
     # labels to the girth-3 budget of 6, where knots of more than
     # CONWAY_CAP crossings with an odd label have no Conway value
-    key, conway = g3table.census_keys((6,) * 6, CONWAY_CAP)
+    key, k = g3table.census_keys((6,) * 6, CONWAY_CAP)
+    conway = _conway_of(k)
     rng = random.Random(20261019)
     capped = 0
     for _ in range(3000):
@@ -397,7 +446,8 @@ def test_the_girth2_census_conway_key_is_exact(max_abs):
     # parity rule for its components and writhe, and two knots share an
     # int exactly when they share a polynomial
     bound = g3_labels((max_abs, max_abs))
-    key, conway = g3table.census_keys(bound, CONWAY_CAP)
+    key, k = g3table.census_keys(bound, CONWAY_CAP)
+    conway = _conway_of(k)
     values = range(-max_abs, max_abs + 1)
     single = {(p,) for p in values}
     single.update(labels for labels in _labellings(2, max_abs, False, False) if len(labels) == 1)
@@ -493,7 +543,7 @@ _CLASSES = st.lists(st.tuples(_RECORD, _MEMBERS), max_size=6).map(
     # polynomial, then a single-member class
     CensusClass("c0000", 2, "", jones_to_text(_LINK), jones_span_inclusive(_LINK),
                 ((-2,), (2, -4), (-3,))),
-    CensusClass("c0001", *build_record(1, None, LaurentPoly.one("t")), ((1, 0, 0, 2, 0, 0),)),
+    CensusClass("c0001", *build_record(1, None, (0, 1), 8, 8), ((1, 0, 0, 2, 0, 0),)),
 ])
 def test_the_writers_give_the_bytes_of_csv_and_json(classes):
     for write, reference in (

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -20,6 +21,7 @@ from knotpair.classify import (
     cycle_obstruction,
     rep_invariants,
     row_swap_test,
+    slot_form,
     transposition_test,
 )
 from knotpair.closedform import bracket_girth3, conway_diff
@@ -28,6 +30,7 @@ from knotpair.laurent import LaurentPoly, jones_span_inclusive
 from knotpair.oracle import bracket_state_sum, conway_fox
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, d3_orbit, mirror
 
+import identities_reference
 from closedform_reference import bracket_single_twist
 from diagram_builders import reference_torus2_pd
 from template_spy import spy_on_templates
@@ -83,43 +86,64 @@ def test_rep_invariants_checks_the_identities(monkeypatch):
             rep_invariants(rep)
 
 
+def _check(comps, conway, jones):
+    """``check_identities`` of polynomials, read in ``slot_form``."""
+    check_identities(comps, *slot_form(comps, conway, jones))
+
+
 def test_check_identities_evaluates_knot_jones_at_a_cube_root_of_unity():
     # t - t^2 + t^3 has V(1) = 1 but V(w) = 1 + w - w^2 = 2 + 2w
     jones = LaurentPoly.from_dict({4: 1, 8: -1, 12: 1}, "t")
     with pytest.raises(AssertionError, match="2 pi i/3"):
-        check_identities(1, None, jones)
-    check_identities(1, None, rep_invariants(Girth2Rep(2, -3)).jones)
+        _check(1, None, jones)
+    # t^n (t - t^2 + t^3) at each n mod 3, which rotates the slot sums
+    for low in (-8, -4, 0, 4, 8):
+        shifted = LaurentPoly.from_dict({low: 1, low + 4: -1, low + 8: 1}, "t")
+        want = _verdict(identities_reference.check_identities, 1, None, shifted)
+        assert "2 pi i/3" in want
+        assert _verdict(check_identities, 1, None, low, [1, -1, 1]) == want
+    _check(1, None, rep_invariants(Girth2Rep(2, -3)).jones)
 
 
 def test_check_identities_rejects_a_wrong_value_at_one():
     # t + t^2 has V(1) = 2, not (-2)^0
     with pytest.raises(AssertionError, match=r"^V\(1\) = 2 for a 1-component diagram$"):
-        check_identities(1, None, LaurentPoly.from_dict({4: 1, 8: 1}, "t"))
+        _check(1, None, LaurentPoly.from_dict({4: 1, 8: 1}, "t"))
     # a two-component link needs V(1) = -2
     with pytest.raises(AssertionError, match=r"^V\(1\) = 1 for a 2-component diagram$"):
-        check_identities(2, None, LaurentPoly.from_dict({2: 1}, "t"))
+        _check(2, None, LaurentPoly.from_dict({2: 1}, "t"))
 
 
 def test_check_identities_rejects_fractional_powers_of_a_knot():
     # t^(1/2) has V(1) = 1; t^(1/4) - t^(25/4) + t^(1/2) has V(1) = 1 with
-    # its fractional residues cancelling
-    for jones in ({2: 1}, {1: 1, 25: -1, 2: 1}):
+    # its fractional residues cancelling, and no stride-4 slot list
+    # t^0 + t^(1/4) - t^2 has as many terms as stride-4 slots
+    for jones in ({2: 1}, {1: 1, 25: -1, 2: 1}, {0: 1, 1: 1, 8: -1}):
         with pytest.raises(AssertionError, match=r"^knot Jones in fractional powers of t$"):
-            check_identities(1, None, LaurentPoly.from_dict(jones, "t"))
+            _check(1, None, LaurentPoly.from_dict(jones, "t"))
+    # t^(1/4) - t^(5/4) + t^(9/4) at one stride
+    with pytest.raises(AssertionError, match=r"^knot Jones in fractional powers of t$"):
+        check_identities(1, None, 1, [1, -1, 1])
+    # a link's powers of t may be halves, but they differ by whole powers
+    _check(2, None, LaurentPoly.from_dict({2: -1, 6: -1}, "t"))
+    with pytest.raises(AssertionError, match=r"^link Jones in powers of t differing by a fraction$"):
+        _check(2, None, LaurentPoly.from_dict({2: -1, 4: -1}, "t"))
 
 
 def test_check_identities_rejects_odd_conway_powers():
     jones = rep_invariants(Girth2Rep(2, -3)).jones
-    with pytest.raises(AssertionError, match=r"^knot Conway in odd powers of z$"):
-        check_identities(1, LaurentPoly.from_dict({0: 1, 1: 1}, "z"), jones)
+    # 1 + z + z^4 has as many terms as slots of z^0, z^2, z^4
+    for conway in ({0: 1, 1: 1}, {0: 1, 1: 1, 4: 1}):
+        with pytest.raises(AssertionError, match=r"^knot Conway in odd powers of z$"):
+            _check(1, LaurentPoly.from_dict(conway, "z"), jones)
 
 
 def test_check_identities_compares_the_determinants():
     # the trefoil's |V(-1)| = 3 against the unknot's nabla = 1
     trefoil = rep_invariants(Girth1Rep(3))
-    check_identities(1, trefoil.conway, trefoil.jones)
+    _check(1, trefoil.conway, trefoil.jones)
     with pytest.raises(AssertionError, match=r"^\|V\(-1\)\| = 3 but \|nabla\(2i\)\| = 1$"):
-        check_identities(1, LaurentPoly.one("z"), trefoil.jones)
+        _check(1, LaurentPoly.one("z"), trefoil.jones)
 
 
 def test_check_identities_requires_a_knot_conway_of_one_at_zero():
@@ -128,12 +152,78 @@ def test_check_identities_requires_a_knot_conway_of_one_at_zero():
     # checks this as the census does
     trefoil = rep_invariants(Girth1Rep(3))
     with pytest.raises(AssertionError, match=r"^nabla\(0\) = -1 for a knot$"):
-        check_identities(1, LaurentPoly.from_dict({0: -1, 2: -1}, "z"), trefoil.jones)
+        _check(1, LaurentPoly.from_dict({0: -1, 2: -1}, "z"), trefoil.jones)
+    # z^2 has no constant slot to read
+    with pytest.raises(AssertionError, match=r"^nabla\(0\) = 0 for a knot$"):
+        _check(1, LaurentPoly.from_dict({2: 1}, "z"), trefoil.jones)
+
+
+def _verdict(check, *args):
+    """None when ``check(*args)`` passes, else the message it raised."""
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def _census_checks(monkeypatch, *args):
+    """The ``check_identities`` arguments of every class of dedup_census(*args)."""
+    calls = []
+    real = classify.check_identities
+
+    def spy(comps, conway, low, jones):
+        calls.append((comps, conway, low, jones))
+        real(comps, conway, low, jones)
+
+    monkeypatch.setattr(classify, "check_identities", spy)
+    assert len(dedup_census(*args)) == len(calls)
+    monkeypatch.setattr(classify, "check_identities", real)
+    return calls
+
+
+def _mutations(comps, conway, low, jones):
+    """The class's own slots, then each refusal the checkers must agree on:
+    one Jones coefficient +-1, a unit moved to the next Jones slot (which
+    keeps V(1)), the low exponent moved by 2, the Conway constant -1 and
+    one Conway coefficient changed."""
+    yield comps, conway, low, jones
+    for i in {0, len(jones) // 2, len(jones) - 1}:
+        for d in (1, -1):
+            yield comps, conway, low, jones[:i] + [jones[i] + d] + jones[i + 1:]
+    if len(jones) > 1:
+        yield comps, conway, low, [jones[0] + 1, jones[1] - 1, *jones[2:]]
+    yield comps, conway, low + 2, jones
+    yield comps, conway, low - 2, jones
+    if conway is not None:
+        yield comps, [-1] + conway[1:], low, jones
+        for i in {0, len(conway) - 1}:
+            yield comps, conway[:i] + [conway[i] + 3] + conway[i + 1:], low, jones
+
+
+@pytest.mark.parametrize("girth, max_abs", [(3, 3), (2, 12)])
+def test_the_slot_checker_refuses_what_the_term_checker_refuses(monkeypatch, girth, max_abs):
+    # every class of the census, and the mutations of its slots: both
+    # checkers pass, or both raise the same identity's message
+    seen = collections.Counter()
+    for args in _census_checks(monkeypatch, girth, max_abs):
+        for comps, conway, low, jones in _mutations(*args):
+            conway_poly = None if conway is None else LaurentPoly.from_dict(
+                {2 * j: c for j, c in enumerate(conway)}, "z")
+            jones_poly = LaurentPoly.from_dict({low + 4 * j: c for j, c in enumerate(jones)}, "t")
+            want = _verdict(identities_reference.check_identities, comps, conway_poly, jones_poly)
+            got = _verdict(check_identities, comps, conway, low, jones)
+            assert got == want, (comps, conway, low, jones)
+            assert _verdict(_check, comps, conway_poly, jones_poly) == want
+            seen[want.split(" =")[0] if want else None] += 1
+    assert seen[None] > 100
+    assert {"V(1)", "knot Jones in fractional powers of t", "V(e^(2 pi i/3))"} < set(seen)
+    assert {"nabla(0)", "|V(-1)|"} <= set(seen)
 
 
 def _nabla_2i_reference(conway):
-    """nabla(2i) as the sum of c_2j (-4)^j, one power a term."""
-    return sum(c * (-4) ** (e // 2) for e, c in conway.terms)
+    """nabla(2i) as the sum of c_2j (-4)^j, one power a slot."""
+    return sum(c * (-4) ** j for j, c in enumerate(conway))
 
 
 def test_nabla_2i_equals_the_term_sum_on_the_census_conway_values(monkeypatch):
@@ -148,7 +238,7 @@ def test_nabla_2i_equals_the_term_sum_on_the_census_conway_values(monkeypatch):
     dedup_census(3, 2)
     dedup_census(2, 12)
     rep_invariants(Girth2Rep(-464, 29))
-    assert len(seen) > 200 and len(seen[-1].terms) == 233
+    assert len(seen) > 200 and len(seen[-1]) - seen[-1].count(0) == 233
     for conway in seen:
         assert real(conway) == _nabla_2i_reference(conway), conway
 
@@ -157,7 +247,7 @@ def test_nabla_2i_equals_the_term_sum_on_the_census_conway_values(monkeypatch):
 @given(st.dictionaries(st.integers(0, 60), st.integers(-(2**70), 2**70), max_size=20))
 def test_nabla_2i_equals_the_term_sum(coeffs):
     # sparse polynomials in z^2, gaps and a zero constant term included
-    conway = LaurentPoly.from_dict({2 * j: c for j, c in coeffs.items()}, "z")
+    conway = [coeffs.get(j, 0) for j in range(max(coeffs, default=-1) + 1)]
     assert classify._nabla_2i(conway) == _nabla_2i_reference(conway)
 
 

@@ -29,7 +29,7 @@ from knotpair.closedform import (
     sym_s,
 )
 from knotpair.diagram import pd_from_rep
-from knotpair.laurent import LaurentPoly, unpack
+from knotpair.laurent import LaurentPoly, slot_terms, unpack_slots
 from knotpair.oracle import bracket_state_sum, conway_fox
 from knotpair.reps import Girth2Rep, Girth3Rep
 
@@ -228,8 +228,8 @@ def test_bracket_double_twist_examples():
         for q in range(2, 7):
             b = bracket_double_twist(p, q)
             lo, hi = b.min_exp(), b.max_exp()
-            assert lo == -(p + q) and b.coeff(lo) == -1
-            assert hi == 3 * (p + q) - 4 and b.coeff(hi) == (-1) ** (p + q)
+            assert lo == -(p + q) and dict(b.terms).get(lo, 0) == -1
+            assert hi == 3 * (p + q) - 4 and dict(b.terms).get(hi, 0) == (-1) ** (p + q)
 
 
 def test_sym_s_examples():
@@ -357,7 +357,7 @@ def test_chebyshev_vs_nabla_degree():
     # nabla_(n+1)(z) = i^n U_n(-zi/2) has the degree n of U_n, leading 1
     for n in range(9):
         nab = conway_single_twist(n + 1)
-        assert nab.max_exp() == n and nab.coeff(n) == 1
+        assert nab.max_exp() == n and dict(nab.terms).get(n, 0) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +367,7 @@ def test_chebyshev_vs_nabla_degree():
 
 
 def packed_product(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
-    """x * y by one big-integer product, decoded by ``laurent.unpack``.
+    """x * y by one big-integer product, decoded by ``laurent.unpack_slots``.
 
     Each operand packs as sum(c << (8 * width * i)), slot i holding the
     coefficient of exponent low + i * stride; a product coefficient is a sum
@@ -386,7 +386,8 @@ def packed_product(x: LaurentPoly, y: LaurentPoly) -> LaurentPoly:
 
     slots = (x.max_exp() - lx + y.max_exp() - ly) // stride + 1
     return LaurentPoly.from_terms(
-        unpack(pack(x, lx) * pack(y, ly), width, slots, lx + ly, stride), x.tag
+        tuple(slot_terms(unpack_slots(pack(x, lx) * pack(y, ly), width, slots), lx + ly, stride)),
+        x.tag,
     )
 
 

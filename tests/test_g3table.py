@@ -12,11 +12,11 @@ import g3table_reference
 from g3table_reference import base_label
 from knotpair import g3table, g3table_data
 from knotpair.census import _labellings
-from knotpair.classify import check_identities, closed_invariants
+from knotpair.classify import check_identities, closed_invariants, slot_form
 from knotpair.closedform import bracket_girth3, conway_girth3_even
 from knotpair.diagram import orient, pd_from_rep
 from knotpair.g3table import KNOTS
-from knotpair.laurent import jones_from_bracket, slot_bits
+from knotpair.laurent import LaurentPoly, jones_from_bracket, slot_bits
 from knotpair.oracle import CONWAY_CAP, conway_fox
 from knotpair.reps import Girth3Rep, g3_labels
 from make_g3table import build_table, render
@@ -186,7 +186,8 @@ def test_a_long_knot_passes_the_identities_against_the_closed_jones():
     comps, writhe = g3table.components_and_writhe(labels)
     nabla = g3table.conway(labels)
     assert comps == 1 and len(nabla.terms) == 668
-    check_identities(comps, nabla, jones_from_bracket(bracket_girth3(rep), writhe))
+    jones = jones_from_bracket(bracket_girth3(rep), writhe)
+    check_identities(comps, *slot_form(comps, nabla, jones))
     assert nabla == g3table_reference.conway(labels)
 
 
@@ -211,12 +212,13 @@ def test_census_keys_all_even_knots_past_the_cap_by_the_even_formula():
     # keys an all-even knot by the table at any size, never withholding it
     labellings = _labellings(3, 6, True, False)
     assert len(labellings) == 10528
-    key, conway_of = g3table.census_keys((6,) * 6, CONWAY_CAP)
+    key, k = g3table.census_keys((6,) * 6, CONWAY_CAP)
     past = 0
     for labels in labellings:
         comps, _, nabla = key(labels)
         assert comps == 1, labels
-        assert conway_of(nabla) == conway_girth3_even(_rep(labels)), labels
+        got = LaurentPoly.from_packed(nabla, 0, k, 2, "z")
+        assert got == conway_girth3_even(_rep(labels)), labels
         past += sum(map(abs, labels)) > CONWAY_CAP
     assert past == 2089
 
@@ -267,8 +269,8 @@ def _package_modules():
 
 def test_oracle_decodes_its_own_digits():
     # the oracle reads its determinant's digits the way the closed forms
-    # read their products, but with its own loop, never ``laurent.unpack``
-    # or ``LaurentPoly.from_packed``
+    # read their products, but with its own loop, never the slot decoder
+    # ``laurent.unpack_slots`` nor what reads through it
     (tree,) = [tree for name, tree in _package_modules() if name == "oracle.py"]
     names = set()
     for node in ast.walk(tree):
@@ -278,7 +280,9 @@ def test_oracle_decodes_its_own_digits():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
-    assert "_alexander" in names and "unpack" not in names and "from_packed" not in names
+    assert "_alexander" in names
+    for name in ("unpack_slots", "packed_slots", "slot_terms", "from_packed"):
+        assert name not in names, name
 
 
 def test_package_imports_only_the_standard_library():

@@ -16,7 +16,8 @@ from knotpair.laurent import (
     jones_span_inclusive,
     jones_to_text,
     poly_to_text,
-    unpack,
+    slot_terms,
+    terms_to_text,
 )
 import laurent_reference
 from poly_text import poly_from_text, reference_text
@@ -288,12 +289,19 @@ def test_sparse_product_is_fast_and_small():
     assert peak < 2**20
 
 
+def unpack(value, width, slots, low, stride):
+    """Sorted nonzero terms of a packed value, slot i at exponent
+    low + i * stride: ``laurent.unpack_slots`` read by ``slot_terms``, as
+    ``LaurentPoly.from_packed`` reads them."""
+    return tuple(slot_terms(laurent.unpack_slots(value, width, slots), low, stride))
+
+
 def pack(dense, width):
     """sum(c * 2^(8 * width * i)) over the slots."""
     return sum(c << (8 * width * i) for i, c in enumerate(dense))
 
 
-# every branch of ``unpack``: the 1-, 2-, 4- and 8-byte casts, the 3-, 5-, 6-
+# every branch of ``laurent.unpack_slots``: the 1-, 2-, 4- and 8-byte casts, the 3-, 5-, 6-
 # and 7-byte sign extension, and the per-slot read past 8 bytes
 UNPACK_WIDTHS = (*range(1, 10), 17)
 
@@ -320,6 +328,9 @@ def test_unpack_round_trips_signed_slots():
         assert unpack(value, width, n, 0, 1) == expect
         # a spare slot on top reads as zero
         assert unpack(value, width, n + 1, 0, 1) == expect
+        # the dense list stops at the top nonzero slot
+        top = max((i + 1 for i, c in expect), default=0)
+        assert laurent.unpack_slots(value, width, n + 1) == dense[:top]
         low, stride = rng.randint(-50, 50), rng.choice([1, 4])
         assert unpack(value, width, n, low, stride) == tuple(
             (low + i * stride, c) for i, c in expect
@@ -438,6 +449,28 @@ def test_an_int_scales_a_poly_but_is_no_operand_of_a_sum():
             op()
 
 
+def _slot_text_cases(rng):
+    """(slots, low, stride, var): random slot lists at strides 1, 2 and 4,
+    then a constant +-1, 2**70 coefficients and quarter and half exponents."""
+    for _ in range(1500):
+        bound = rng.choice([1, 2, 9, 2**70])
+        slots = [rng.choice([0, rng.randint(-bound, bound)]) for _ in range(rng.randint(0, 14))]
+        # low exponents past ``laurent.SUFFIX_WINDOW`` too, where each term is written whole
+        low = rng.choice([rng.randint(-30, 30), rng.randint(-600, 600)])
+        yield slots, low, rng.choice([1, 2, 4]), rng.choice(["A", "z", "t"])
+    # past the window at both ends, through 0 and the denominators 1, 2 and 4;
+    # and from within it to past it
+    yield [rng.choice([1, -1, 2, 0]) for _ in range(200)], -300, 1, "A"
+    yield [rng.choice([1, -1, 2, 0]) for _ in range(100)], -20, 4, "t"
+    yield [rng.choice([1, -1, 2, 0]) for _ in range(400)], -600, 3, "t"
+    yield [1], 0, 4, "t"
+    yield [-1], 0, 2, "z"
+    yield [-1, 0, 1], -4, 2, "z"
+    yield [2**70, -(2**70), 0, 1], -6, 4, "t"  # half powers of t
+    yield [1, -1, -(2**70)], 1, 4, "t"  # quarter powers of t
+    yield [-1, 2**70, 1], -1, 1, "A"
+
+
 def test_poly_to_text_equals_the_reference_renderer():
     rng = random.Random(31337)
     for _ in range(1500):
@@ -451,3 +484,9 @@ def test_poly_to_text_equals_the_reference_renderer():
     for poly in (P({0: -1}), P({0: 1}), P({1: -1, 4: 1, -4: -7}), P({2: 1, -2: -1}, "t")):
         for exp_denom in (1, 2, 4):
             assert poly_to_text(poly, exp_denom) == reference_text(poly, exp_denom)
+    # the pairs the census renders, read off slot lists by ``slot_terms``
+    for slots, low, stride, var in _slot_text_cases(rng):
+        poly = LaurentPoly.from_terms(tuple(slot_terms(slots, low, stride)), var)
+        for exp_denom in (1, 2, 4):
+            got = terms_to_text(slot_terms(slots, low, stride), var, exp_denom)
+            assert got == reference_text(poly, exp_denom), (slots, low, stride)

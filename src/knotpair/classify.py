@@ -6,9 +6,12 @@ A verdict never claims knot equivalence from invariant equality alone;
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from operator import neg
+
 from . import closedform as cf
 from . import oracle
-from .laurent import LaurentPoly, jones_from_bracket, poly_to_text
+from .laurent import LaurentPoly, packed_slots, poly_to_text
 from .record import Record, set_field
 from .reps import (
     Girth3Rep,
@@ -143,17 +146,40 @@ def row_swap_test(rep: Girth3Rep) -> Verdict:
 
 
 class RepInvariants(Record):
-    __slots__ = ("components", "conway", "bracket", "jones")
+    """Exact invariants of a representation, as tuples of slot coefficients.
+
+    ``conway`` holds the Conway polynomial's coefficients of z^0, z^2, ...,
+    or None for a link or where no closed value is available.  ``jones``
+    holds the Jones polynomial's coefficients of the quarter powers low,
+    low + 4, ... of t, the first and the last nonzero, so its inclusive
+    span is its length.  ``bracket`` reads the Kauffman bracket off the
+    same slots at the writhe.
+    """
+
+    __slots__ = ("components", "writhe", "conway", "low", "jones")
+
+    def bracket(self) -> tuple[int, tuple[int, ...]]:
+        """(low, slots) of the Kauffman bracket: (-1)^w A^(3w) times the
+        Jones polynomial, w the writhe, so the Jones slots, negated when w
+        is odd, at stride 4 from A^(low + 3w)."""
+        w = self.writhe
+        return self.low + 3 * w, tuple(map(neg, self.jones)) if w % 2 else self.jones
+
+    def jones_poly(self) -> LaurentPoly:
+        """The Jones polynomial in quarter powers of t, for a verdict."""
+        return LaurentPoly.from_slots(self.jones, self.low, 4, "t")
 
 
 def rep_invariants(rep) -> RepInvariants:
     """Exact invariants of a representation, all from closed forms: the
-    bracket of its girth-3 labelling (``closedform.bracket_girth3``),
+    bracket of its girth-3 labelling, packed (``closedform.bracket_girth3``),
     ``closed_invariants`` of its labels, and the Jones polynomial of the
     bracket at the writhe.
 
-    Every result passes ``check_identities``, read in ``slot_form``, or
-    raises ``AssertionError``.
+    The packed bracket is normalised to the Jones polynomial as the
+    census's key is (``closedform.jones_key``) and read once into its
+    slots (``laurent.packed_slots``); no polynomial is built.  Every result
+    passes ``check_identities``, or raises ``AssertionError``.
     A rep whose template has more than ``CLOSED_CAP`` crossings is refused
     with ``ValueError`` before any evaluation; the count comes off its
     labels.
@@ -163,29 +189,32 @@ def rep_invariants(rep) -> RepInvariants:
         raise ValueError(
             f"{n} crossings exceeds the closed-form cap of {CLOSED_CAP} crossings"
         )
-    bracket = cf.bracket_girth3(rep)
+    value, low, k = cf.bracket_girth3(rep)
     comps, writhe, conway = closed_invariants(rep_labels(rep))
-    jones = jones_from_bracket(bracket, writhe)
-    check_identities(comps, *slot_form(comps, conway, jones))
-    return RepInvariants(comps, conway, bracket, jones)
+    low, value = cf.jones_key(value, low, k, writhe)
+    jones = tuple(packed_slots(value, k))
+    conway = None if conway is None else tuple(conway)
+    check_identities(comps, conway, low, jones)
+    return RepInvariants(comps, writhe, conway, low, jones)
 
 
-def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
-    """Component count, writhe and Conway polynomial of the rep with these
-    ``rep_labels``, the Conway polynomial None for a link or where no
-    closed value is available.
+def closed_invariants(labels: tuple) -> tuple[int, int, list[int] | None]:
+    """Component count, writhe and Conway coefficients of z^0, z^2, ... of
+    the rep with these ``rep_labels``, the Conway coefficients None for a
+    link or where no closed value is available.
 
     No rep builds a template.  Every rep reads its component count and
     writhe off the frozen table of reduced labellings (``g3table``), at
     its girth-3 labelling (``reps.g3_labels``), which has the rep's
     components and writhe.  A girth-1 or girth-2 knot's Conway polynomial
-    is its twist formula.  A girth-3 knot's is the table's closed form
-    (``g3table.conway``, one int contraction at s = z^2 = 2^k, decoded):
-    an all-even knot's through parity pattern 0, whose six axes are all
-    affine, at any size, and a knot's with an odd label up to
-    ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle answers
-    on.  The census keys the same values by ints in one pass over each
-    rep's labelling (``g3table.census_keys``).  Tests tie the table's
+    is its twist formula (``closedform.twist_slots``,
+    ``closedform.double_twist_slots``).  A girth-3 knot's is the table's
+    closed form (``g3table.conway_slots``, one int contraction at
+    s = z^2 = 2^k, decoded): an all-even knot's through parity pattern 0,
+    whose six axes are all affine, at any size, and a knot's with an odd
+    label up to ``oracle.CONWAY_CAP`` crossings, the domain the Fox oracle
+    answers on.  The census keys the same values by ints in one pass over
+    each rep's labelling (``g3table.census_keys``).  Tests tie the table's
     all-even values to the even formula of ``closedform``.
     """
     from . import g3table  # frozen data: loaded on first use
@@ -194,74 +223,22 @@ def closed_invariants(labels: tuple) -> tuple[int, int, LaurentPoly | None]:
     conway = None
     if comps == 1:
         if len(labels) == 1:
-            conway = cf.conway_single_twist(*labels)
+            conway = cf.twist_slots(*labels)
         elif len(labels) == 2:
-            conway = cf.conway_double_twist(*labels)
+            conway = cf.double_twist_slots(*labels)
         elif all(x % 2 == 0 for x in labels) or sum(map(abs, labels)) <= oracle.CONWAY_CAP:
-            conway = g3table.conway(labels)
+            conway = g3table.conway_slots(labels)
     return comps, writhe, conway
 
 
-def slot_form(comps: int, conway: LaurentPoly | None,
-              jones: LaurentPoly) -> tuple[list[int] | None, int, list[int]]:
-    """The ``check_identities`` arguments after ``comps`` of these
-    polynomials: the Conway coefficients of z^0, z^2, ... (None for None),
-    and the Jones polynomial's least exponent and its coefficients at
-    stride 4 from it, each read in one pass (``_slots``).
-
-    A bracket's exponents agree mod 4, and so do the Jones polynomial's.
-    A term off either stride has no slot, and raises ``AssertionError``:
-    a Conway polynomial outside Z[z^2] ("knot Conway in odd powers of z"),
-    or a Jones polynomial whose exponents differ by a fractional power of t.
-    """
-    terms = jones.terms
-    low = terms[0][0] if terms else 0
-    slots = _slots(terms, low, 2)
-    if slots is None:
-        raise AssertionError(
-            "knot Jones in fractional powers of t" if comps == 1
-            else "link Jones in powers of t differing by a fraction"
-        )
-    if conway is None:
-        return None, low, slots
-    nabla = _slots(conway.terms, 0, 1)
-    if nabla is None:
-        raise AssertionError("knot Conway in odd powers of z")
-    return nabla, low, slots
-
-
-def _slots(terms: tuple, low: int, shift: int) -> list[int] | None:
-    """The coefficients of exponents low, low + 2^shift, ... up to the top
-    term, or None when a term lies below low or off that stride.
-
-    One comprehension keeps the coefficients of the terms whose exponent
-    has the low ``shift`` bits of low, so a term off the stride is one
-    dropped.  Then the coefficients are the slots, unless some slot between
-    two terms is zero and they are spread out by a second pass.
-    """
-    if not terms:
-        return []
-    mask = (1 << shift) - 1
-    r = low & mask
-    coeffs = [c for e, c in terms if e & mask == r]
-    if len(coeffs) != len(terms) or terms[0][0] < low:
-        return None
-    n = ((terms[-1][0] - low) >> shift) + 1
-    if n == len(coeffs):
-        return coeffs
-    slots = [0] * n
-    for e, c in terms:
-        slots[(e - low) >> shift] = c
-    return slots
-
-
-def check_identities(comps: int, conway: list[int] | None, low: int, jones: list[int]) -> None:
+def check_identities(comps: int, conway: Sequence[int] | None, low: int,
+                     jones: Sequence[int]) -> None:
     """Raise AssertionError unless the invariants satisfy four identities.
 
     ``jones`` holds the Jones polynomial's coefficients of the quarter
     powers low, low + 4, ... of t, and ``conway`` the Conway polynomial's
-    of z^0, z^2, ..., or None where no value is available (``slot_form``
-    reads both off polynomials).  Each identity is exact: sums of whole
+    of z^0, z^2, ..., or None where no value is available
+    (``RepInvariants`` holds both).  Each identity is exact: sums of whole
     slices, or a Horner pass over the Conway slots.
 
     V(1) = (-2)^(c-1) for a c-component link ties the bracket and the
@@ -305,7 +282,7 @@ def check_identities(comps: int, conway: list[int] | None, low: int, jones: list
         raise AssertionError(f"|V(-1)| = {v_minus} but |nabla(2i)| = {nabla_2i}")
 
 
-def _nabla_2i(conway: list[int]) -> int:
+def _nabla_2i(conway: Sequence[int]) -> int:
     """nabla(2i) = sum c_2j (-4)^j of the Conway coefficients of z^0, z^2,
     ..., by Horner's rule from the top slot."""
     value = 0
@@ -354,16 +331,12 @@ def compare(r1, r2, mirror_ok: bool = False) -> Verdict:
             note=f"component counts differ ({inv1.components} vs {inv2.components}): "
             "distinct links, but outside the polynomial verdicts",
         )
-    if inv1.conway is not None and inv2.conway is not None:
+    if inv1.conway is not None and inv2.conway is not None and inv1.conway != inv2.conway:
         # Conway of a knot is mirror-invariant, so mirror_ok needs no adjustment
-        diff = inv1.conway - inv2.conway
-        if not diff.is_zero():
-            return Verdict(DISTINCT_BY_CONWAY, evidence=diff)
-    if not jones_equal(
-        inv1.jones,
-        inv2.jones,
-        unit_shift=inv1.components > 1,
-        mirror_ok=mirror_ok,
-    ):
-        return Verdict(DISTINCT_BY_JONES, evidence=inv1.jones - inv2.jones)
+        diff = (LaurentPoly.from_slots(inv1.conway, 0, 2, "z")
+                - LaurentPoly.from_slots(inv2.conway, 0, 2, "z"))
+        return Verdict(DISTINCT_BY_CONWAY, evidence=diff)
+    j1, j2 = inv1.jones_poly(), inv2.jones_poly()
+    if not jones_equal(j1, j2, unit_shift=inv1.components > 1, mirror_ok=mirror_ok):
+        return Verdict(DISTINCT_BY_JONES, evidence=j1 - j2)
     return Verdict(UNRESOLVED, note="all computed invariants agree")

@@ -27,6 +27,8 @@ from .laurent import (
     jones_span_inclusive,
     jones_to_text,
     poly_to_text,
+    slot_terms,
+    terms_to_text,
 )
 from .record import Record, set_field
 from .reps import Girth2Rep, Girth3Rep, parse_rep, template_crossings
@@ -65,10 +67,13 @@ def cmd_eval(args) -> int:
 
     def closed_text() -> str:
         if args.invariant == "conway":
-            return _conway_text(inv.conway)
+            return _conway_text(None if inv.conway is None else slot_terms(inv.conway, 0, 2))
         if args.invariant == "bracket":
-            return poly_to_text(inv.bracket)
-        return jones_text(inv.jones)
+            low, slots = inv.bracket()
+            return terms_to_text(slot_terms(slots, low, 4), "A")
+        if args.invariant == "span":
+            return str(len(inv.jones))
+        return terms_to_text(slot_terms(inv.jones, inv.low, 4), "t", 4)
 
     def oracle_text() -> str:
         n = template_crossings(rep)
@@ -82,16 +87,14 @@ def cmd_eval(args) -> int:
         pd = pd_from_rep(rep)
         if args.invariant == "conway":
             return _conway_text(
-                oracle.conway_fox(pd, cap=args.budget_crossings)
+                oracle.conway_fox(pd, cap=args.budget_crossings).terms
                 if orient(pd).n_components == 1
                 else None
             )
         bracket = oracle.bracket_state_sum(pd, cap=args.budget_crossings)
         if args.invariant == "bracket":
             return poly_to_text(bracket)
-        return jones_text(jones_from_bracket(bracket, orient(pd).writhe))
-
-    def jones_text(jones) -> str:
+        jones = jones_from_bracket(bracket, orient(pd).writhe)
         if args.invariant == "span":
             return str(jones_span_inclusive(jones))
         return jones_to_text(jones)
@@ -111,8 +114,10 @@ def cmd_eval(args) -> int:
     return 0 if agree else 1
 
 
-def _conway_text(conway) -> str:
-    return poly_to_text(conway) if conway is not None else "(not available)"
+def _conway_text(terms) -> str:
+    """The text of a Conway polynomial's (exponent, coefficient) pairs, or
+    of None where no value is available."""
+    return terms_to_text(terms, "z") if terms is not None else "(not available)"
 
 
 def cmd_compare(args) -> int:
@@ -204,13 +209,16 @@ def cmd_selftest(args) -> int:
     def ring(low: int, high: int, scale: int = 1) -> tuple:
         return tuple(scale * rng.randint(low, high) for _ in range(3))
 
+    def closed_bracket(rep):
+        return closedform.bracket_poly(closedform.bracket_girth3(rep))
+
     def suites():
         bad = [(p, q) for p in range(-3, 4) for q in range(-3, 4) if oracle.bracket_state_sum(
             pd_from_rep(Girth2Rep(p, q))) != closedform.bracket_double_twist(p, q)]
         yield f"double twist bracket grid |p|,|q|<=3 {bad[-1] if bad else ''}", [not bad]
         reps = [Girth3Rep(ring(-2, 2), ring(-2, 2)) for _ in range(25)]
         yield "girth-3 bracket vs oracle (25 random reps)", [
-            oracle.bracket_state_sum(pd_from_rep(r)) == closedform.bracket_girth3(r) for r in reps]
+            oracle.bracket_state_sum(pd_from_rep(r)) == closed_bracket(r) for r in reps]
         reps = [Girth3Rep((p, q, r), (2, 2, 2)) for p in (2, 4) for q in (2, 4) for r in (0, 2)]
         yield "girth-3 even Conway vs Fox oracle (sample)", [
             oracle.conway_fox(pd_from_rep(r)) == closedform.conway_girth3_even(r) for r in reps]
@@ -219,12 +227,12 @@ def cmd_selftest(args) -> int:
             det * a2 ** 2 == LaurentPoly.from_dict({32: 1, 40: -2, 56: 2, 64: -1}, "A")]
         cases = []
         for rep in [Girth3Rep(ring(1, 5, 2), ring(1, 5, 2)) for _ in range(20)]:
-            conway, bracket = closedform.conway_girth3_even(rep), closedform.bracket_girth3(rep)
+            conway, bracket = closedform.conway_girth3_even(rep), closed_bracket(rep)
             for perm in ("swap_ab", "swap_bc", "swap_ac", "cycle_cab", "cycle_bca"):
                 other = closedform.permute_bottom(rep, perm)
                 diff = closedform.conway_diff(rep, perm), closedform.bracket_diff_formula(rep, perm)
                 cases.append(diff == (conway - closedform.conway_girth3_even(other),
-                                      bracket - closedform.bracket_girth3(other)))
+                                      bracket - closed_bracket(other)))
         yield "difference formulas (20 random even-positive reps)", cases
         yield "S-hat identity |q| <= 10", [
             closedform.s_hat(q) * a2 == LaurentPoly.from_dict({0: 1, 4 * q: -((-1) ** q)}, "A")

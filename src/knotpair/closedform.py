@@ -45,7 +45,8 @@ label absorbs into p, padded likewise, so one formula serves all three:
   8 P / M over its two labels (``bracket_coefficient_bound``).
   k is the least multiple of 8 with the bound below 2^(k-1), so every
   coefficient of y^N F, which are those of the bracket, fits a k-bit slot
-  with the sign bit to spare, and ``LaurentPoly.from_packed`` reads them
+  with the sign bit to spare.  ``bracket_girth3`` returns the packed
+  (value, low, k), and ``laurent.packed_slots`` reads the coefficients
   off: one biased cut into bytes, then a few C-level passes that read
   every slot as a signed C integer (``laurent.unpack_slots``).  The value is
   exact at any k; k only has to hold the largest coefficient.
@@ -53,11 +54,14 @@ label absorbs into p, padded likewise, so one formula serves all three:
   core of products of two s's and 1 - delta^2 = -A^-4 (1 + y + y^2), so it
   too is one int at y = 2^k; its width bounds |.|_inf by 18 M, M the
   largest |label| (argued there).
-* **The census key.** ``census_jones`` packs every bracket of one census
-  at the slot width of its six-label bound, each rep as its girth-3
-  labelling, and keys its Jones polynomial by two integers (argued
-  there), so a rep of the census costs int arithmetic alone and only a
-  class reads its slots back, into a list (``census.build_record``).
+* **The Jones key.** ``jones_key`` normalises a packed bracket to its
+  Jones polynomial, still packed, by int arithmetic alone.
+  ``census_jones`` packs every bracket of one census at the slot width of
+  its six-label bound, each rep as its girth-3 labelling, and keys its
+  Jones polynomial so (argued there): a rep of the census costs int
+  arithmetic alone and only a class reads its slots back, into a list
+  (``census.build_record``).  ``classify.rep_invariants`` keys each rep's
+  own ``bracket_girth3`` the same way and reads its slots once.
 """
 
 from __future__ import annotations
@@ -78,42 +82,67 @@ def loop_value() -> LaurentPoly:
 # Conway polynomials
 
 def conway_single_twist(p: int) -> LaurentPoly:
-    """Conway polynomial of K(p), its two strands run in the same direction.
+    """Conway polynomial of K(p), its two strands run in the same direction:
+    ``twist_slots(p)`` at stride 2 from z^((p - 1) mod 2)."""
+    return LaurentPoly.from_slots(twist_slots(p), (p - 1) % 2, 2, _Z)
 
-    The solution of the skein recursion nabla_p = z nabla_{p-1} +
-    nabla_{p-2} from nabla_0 = 0, nabla_1 = 1, written out by its
-    Fibonacci-polynomial coefficients: nabla_p = sum_k C(n-k, k) z^(n-2k)
-    for p >= 1, n = p - 1, each got from the one before by the ratio
-    C(n-1-k, k+1) / C(n-k, k) = (n-2k)(n-2k-1) / ((k+1)(n-k)).  For
-    negative p the value is nabla_{|p|} when p is odd and -nabla_{|p|}
-    when p is even.
+
+def twist_slots(p: int) -> list[int]:
+    """The coefficients of the Conway polynomial nabla_p of K(p) at the
+    powers z^((p - 1) mod 2), z^((p - 1) mod 2 + 2), ..., no zero top slot:
+    for a knot K(p), p odd, those of z^0, z^2, ....
+
+    They solve the skein recursion nabla_p = z nabla_{p-1} + nabla_{p-2}
+    from nabla_0 = 0, nabla_1 = 1, written out by its Fibonacci-polynomial
+    coefficients: nabla_p = sum_k C(n-k, k) z^(n-2k) for p >= 1, n = p - 1,
+    each got from the one before by the ratio C(n-1-k, k+1) / C(n-k, k) =
+    (n-2k)(n-2k-1) / ((k+1)(n-k)).  For negative p the value is
+    nabla_{|p|} when p is odd and -nabla_{|p|} when p is even.
     """
     c = -1 if p < 0 and p % 2 == 0 else 1
     p = abs(p)
     n = p - 1
-    terms = []
+    coeffs = []
     for k in range((p + 1) // 2):
         if k:
             c = c * (n - 2 * k + 2) * (n - 2 * k + 1) // (k * (n - k + 1))
-        terms.append((n - 2 * k, c))
-    return LaurentPoly.from_terms(tuple(reversed(terms)), _Z)
+        coeffs.append(c)
+    coeffs.reverse()
+    return coeffs
 
 
 def conway_double_twist(p: int, q: int) -> LaurentPoly:
-    """Conway polynomial of the double twist diagram K(p,q).
+    """Conway polynomial of the double twist diagram K(p,q):
+    ``double_twist_slots(p, q)`` at stride 2 from z^(p q mod 2)."""
+    return LaurentPoly.from_slots(double_twist_slots(p, q), p & q & 1, 2, _Z)
+
+
+def double_twist_slots(p: int, q: int) -> list[int]:
+    """The coefficients of the Conway polynomial of K(p,q) at the powers
+    z^(p q mod 2), z^(p q mod 2 + 2), ..., no zero top slot: for a knot,
+    at least one label even, those of z^0, z^2, ....
 
     Even/even labels give (pq/4) z^2 + 1; an odd label is rotated into the
-    q slot and handled by the twist expansion over the single-twist
-    values nabla_p = ``conway_single_twist(p)``.  For odd/odd
-    pairs the diagram is a two-component link and the value refers to the
-    orientation with parallel p-strands.
+    q slot and handled by the twist expansion nabla_{p-1} - ((q-1)/2) z
+    nabla_p over the single-twist values (``twist_slots``).  Both terms
+    have the parity of p - 2 in their powers of z, and z nabla_p starts one
+    slot up when p is even.  For odd/odd pairs the diagram is a
+    two-component link and the value refers to the orientation with
+    parallel p-strands.
     """
     if p % 2 == 0 and q % 2 == 0:
-        return LaurentPoly.from_dict({2: (p * q) // 4, 0: 1}, _Z)
-    if q % 2 == 0:
-        p, q = q, p
-    # q odd now
-    return conway_single_twist(p - 1) - ((q - 1) // 2) * conway_single_twist(p).shift(1)
+        coeffs = [1, (p * q) // 4]
+    else:
+        if q % 2 == 0:
+            p, q = q, p
+        # q odd now
+        coeffs, higher, first = twist_slots(p - 1), twist_slots(p), 1 - p % 2
+        coeffs += [0] * (first + len(higher) - len(coeffs))
+        for i, c in enumerate(higher, first):
+            coeffs[i] -= (q - 1) // 2 * c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
 
 
 def conway_girth3_even(rep: Girth3Rep) -> LaurentPoly:
@@ -206,7 +235,7 @@ def _cycle_det(rep: Girth3Rep, perm: str, f):
 def s_poly(p: int) -> LaurentPoly:
     """The twist-region polynomial S_p; S_0 = 0 and S_{-p}(A) = S_p(1/A)."""
     if p == 0:
-        return LaurentPoly.zero(_A)
+        return LaurentPoly((), _A)
     if p < 0:
         return s_poly(-p).invert_variable()
     return LaurentPoly.from_dict(
@@ -259,9 +288,9 @@ def _q_int(x: int, k: int) -> tuple[int, int]:
 
 def bracket_double_twist(p: int, q: int) -> LaurentPoly:
     """Kauffman bracket of the double twist diagram K(p, q): that of the
-    girth-3 template of its ``reps.g3_labels``, as ``bracket_girth3`` of
-    ``Girth2Rep(p, q)`` gives it."""
-    return _bracket((p, q))
+    girth-3 template of its ``reps.g3_labels``, the polynomial
+    (``bracket_poly``) of ``bracket_girth3`` of ``Girth2Rep(p, q)``."""
+    return bracket_poly(_bracket((p, q)))
 
 
 def sym_s(k: int, triple: tuple[int, int, int]) -> LaurentPoly:
@@ -304,9 +333,12 @@ def _row(
     return t1 + d * e2d, e2d, (pp, pq, pr), shifts, np_ + nq + nr
 
 
-def bracket_girth3(rep) -> LaurentPoly:
+def bracket_girth3(rep) -> tuple[int, int, int]:
     """Kauffman bracket of a girth <= 3 rep's girth-3 template, assembled
-    per state class.
+    per state class, packed: (value, low, k), its coefficients the k-bit
+    slots of value at stride 4 from exponent low, which
+    ``laurent.packed_slots(value, k)`` reads back and ``bracket_poly``
+    reads as a polynomial.
 
     <K> = A^(-w) F.  F has four blocks weighted by delta^0..delta^3: with
     t_i = e_i(s_p, s_q, s_r) and b_i likewise for the bottom ring,
@@ -339,13 +371,18 @@ def bracket_girth3(rep) -> LaurentPoly:
     return _bracket(rep_labels(rep))
 
 
-def _bracket(labels: tuple) -> LaurentPoly:
-    """The bracket of the rep with these ``rep_labels``: that of its
-    girth-3 labelling, packed at k = ``_slot_bits(labels)``."""
+def bracket_poly(packed: tuple[int, int, int]) -> LaurentPoly:
+    """The polynomial in A of a packed bracket (value, low, k) of
+    ``bracket_girth3``."""
+    return LaurentPoly.from_packed(*packed, 4, _A)
+
+
+def _bracket(labels: tuple) -> tuple[int, int, int]:
+    """``bracket_girth3`` of the rep with these ``rep_labels``: the bracket
+    of its girth-3 labelling, packed at k = ``_slot_bits(labels)``."""
     k = _slot_bits(labels)
     six = g3_labels(labels)
-    value, low = _girth3_value(_row(six[:3], k), _row(six[3:], k), k, sum(six))
-    return LaurentPoly.from_packed(value, low, k, 4, _A)
+    return (*_girth3_value(_row(six[:3], k), _row(six[3:], k), k, sum(six)), k)
 
 
 def _girth3_value(top_row: tuple, bottom_row: tuple, k: int, w: int) -> tuple[int, int]:
@@ -391,12 +428,7 @@ def census_jones(bound: tuple):
       the bound.  With every |c_j| < 2^(k-1), value = sum c_j 2^(kj) has
       one such expansion, so at one k the value fixes the coefficients and
       the coefficients the value.
-    * **Normalised.**  The zero low slots are stripped (each leaves
-      ``value & (2^k - 1) == 0``), so low is the least exponent.  The Jones
-      polynomial is (-1)^w A^(-3w) times the bracket, read in quarter
-      powers of t: low moves by -3w, and value is negated when w is odd.
-      So (low, value) are the least exponent and the packed coefficients
-      of the Jones polynomial itself.
+    * **Normalised.**  The key is ``jones_key`` of the packed bracket.
     """
     k = _slot_bits(bound)
     rows: dict[tuple, tuple] = {}
@@ -409,11 +441,29 @@ def census_jones(bound: tuple):
 
     def key(labels: tuple, writhe: int) -> tuple[int, int]:
         value, low = _girth3_value(row(labels[:3]), row(labels[3:]), k, sum(labels))
-        zero_slots = ((value & -value).bit_length() - 1) // k
-        value >>= k * zero_slots
-        return low + 4 * zero_slots - 3 * writhe, -value if writhe % 2 else value
+        return jones_key(value, low, k, writhe)
 
     return key, k
+
+
+def jones_key(value: int, low: int, k: int, writhe: int) -> tuple[int, int]:
+    """(low, value) of the Jones polynomial, at this writhe, of the nonzero
+    bracket whose coefficients are the k-bit slots of value at stride 4 from
+    exponent low: the packed Jones polynomial, normalised, which
+    ``laurent.packed_slots(value, k)`` reads back at stride 4 from low.
+
+    The zero low slots are stripped (each leaves ``value & (2^k - 1) ==
+    0``), so low is the least exponent.  The Jones polynomial is
+    (-1)^w A^(-3w) times the bracket, read in quarter powers of t: low moves
+    by -3w, and value is negated when w is odd.  So (low, value) are the
+    least exponent and the packed coefficients of the Jones polynomial
+    itself, and at one k two brackets' keys are equal exactly when their
+    Jones polynomials are (``census_jones``).  ``classify.rep_invariants``
+    reads the same key of each rep's own bracket.
+    """
+    zero_slots = ((value & -value).bit_length() - 1) // k
+    value >>= k * zero_slots
+    return low + 4 * zero_slots - 3 * writhe, -value if writhe % 2 else value
 
 
 def bracket_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:
@@ -422,7 +472,7 @@ def bracket_diff(rep: Girth3Rep, perm: str) -> LaurentPoly:
         other = swap_pa(rep)
     else:
         other = permute_bottom(rep, perm)
-    return bracket_girth3(rep) - bracket_girth3(other)
+    return bracket_poly(bracket_girth3(rep)) - bracket_poly(bracket_girth3(other))
 
 
 _DIFF_FACTOR = LaurentPoly.one(_A) - loop_value() ** 2

@@ -35,14 +35,13 @@ the corners, and the other axes are contracted one at a time, the lowest
 label first and the last label last (``_contract``).
 
 **Packing.**  Everything is evaluated once at s = 2^k in Python ints, as
-the closed brackets are (``closedform``): the census and ``conway`` pack
-each pattern's 64 corners once per slot width, on first use
+the closed brackets are (``closedform``): the census and ``conway_slots``
+pack each pattern's 64 corners once per slot width, on first use
 (``_packed``), by Horner's rule over the table's coefficient rows, one
 C-level pass a power of s; a Fibonacci weight is the packed list of its
 binomials, and the contraction is int products and sums.
-``laurent.packed_slots`` cuts the value into the coefficients of z^0,
-z^2, ..., which ``conway`` reads as a polynomial (``LaurentPoly.from_packed``
-at stride 2) and the census as a list.
+``laurent.packed_slots`` cuts the value into the list of the coefficients
+of z^0, z^2, ..., which ``conway_slots`` returns and the census reads.
 
 **Slot width.**  k is the least multiple of 8 with ``conway_bound`` below
 2^(k-1), for the bound B = N prod_i v_i:
@@ -92,7 +91,7 @@ from itertools import repeat
 from operator import add, lshift, mul
 
 from .g3table_data import KNOTS, REDUCED
-from .laurent import LaurentPoly, slot_bits
+from .laurent import packed_slots, slot_bits
 
 AFFINE = "A"
 FIBONACCI = "F"
@@ -152,9 +151,9 @@ def components_and_writhe(labels: tuple[int, ...]) -> tuple[int, int]:
     return entry >> 6, sum(map(mul, labels, _SIGNS[entry & 63]))
 
 
-def conway(labels: tuple[int, ...]) -> LaurentPoly:
-    """Conway polynomial of a girth-3 knot, from one contraction at the
-    slot width of its own labels."""
+def conway_slots(labels: tuple[int, ...]) -> list[int]:
+    """The coefficients of z^0, z^2, ... of the Conway polynomial of a
+    girth-3 knot, from one contraction at the slot width of its own labels."""
     s = _fields(labels)
     pattern, corner, off = s >> 14 & 63, s >> 20 & 63, s >> 26 & 63
     kinds = KNOTS[pattern][0]
@@ -164,7 +163,7 @@ def conway(labels: tuple[int, ...]) -> LaurentPoly:
         for i in _SUBMASKS[off][0]
     }
     nabla = _contract(pattern, corner, off, labels, weights, k)
-    return LaurentPoly.from_packed(nabla, 0, k, 2, "z")
+    return packed_slots(nabla, k)
 
 
 def census_keys(bound: tuple, cap: int):

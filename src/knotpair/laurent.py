@@ -17,10 +17,13 @@ Python int, coefficient c_i in the 8*width-bit slot i, as
 sum(c_i * 2^(8 * width * i)), into the dense list of its slots, zero top
 slots stripped.  The closed-form brackets (``closedform``) and the girth-3
 Conway table (``g3table``) evaluate at a power of 2 and read their
-coefficients back this way: ``LaurentPoly.from_packed`` keeps the nonzero
-slots as terms (``slot_terms``), and the census reads the lists themselves
-(``packed_slots``), with no polynomial per class.  Adding the bias
-2^(8 * width - 1) in every slot makes each slot's content
+coefficients back this way.  The census and ``classify.rep_invariants``
+(``eval``, ``compare``, ``verify-table``) read the lists themselves
+(``packed_slots``) and build no polynomial; where a verdict or a test
+needs one, ``LaurentPoly.from_slots`` keeps a list's nonzero slots as
+terms (``slot_terms``), as ``from_packed`` does for a packed int.  Adding
+the bias 2^(8 * width - 1) in every slot, an int made once per width and
+slot count (``_bias``), makes each slot's content
 c + 2^(8 * width - 1) lie in [1, 2^(8 * width)) when |c| < 2^(8 * width - 1),
 so no slot borrows from the next.  XOR with the same bias then flips each
 slot's top bit back, which leaves c mod 2^(8 * width), the slot's
@@ -43,7 +46,7 @@ input reaches them, so they keep that path rather than a limb-combining one.
 
 **One renderer.**  ``terms_to_text`` writes the canonical text of
 (exponent, coefficient) pairs: ``poly_to_text`` passes a polynomial's terms,
-and the census the nonzero slots of its lists.  Terms within
+and the census and a closed ``eval`` the nonzero slots of their lists.  Terms within
 ``SUFFIX_WINDOW`` read the text after their coefficient ("t^3", "t^(1/2)")
 from a table, as the census's small polynomials reuse a few exponents.
 From the first exponent past it, each term is written whole: a large
@@ -53,7 +56,9 @@ took 1.1 to 1.4 times as long as writing the term.
 
 from __future__ import annotations
 
+import functools
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import gcd
@@ -108,14 +113,15 @@ class LaurentPoly(Record):
         return LaurentPoly(items, tag)
 
     @staticmethod
-    def from_packed(value: int, low: int, k: int, stride: int, tag: str) -> "LaurentPoly":
-        """The polynomial whose exponent low + j * stride has the k-bit slot j
-        of ``value`` as its coefficient (``packed_slots``)."""
-        return LaurentPoly.from_terms(tuple(slot_terms(packed_slots(value, k), low, stride)), tag)
+    def from_slots(coeffs: Sequence[int], low: int, stride: int, tag: str) -> "LaurentPoly":
+        """The polynomial whose exponent low + j * stride has slot j of
+        ``coeffs`` as its coefficient (``slot_terms``)."""
+        return LaurentPoly.from_terms(tuple(slot_terms(coeffs, low, stride)), tag)
 
     @staticmethod
-    def zero(tag: str = "A") -> "LaurentPoly":
-        return LaurentPoly((), tag)
+    def from_packed(value: int, low: int, k: int, stride: int, tag: str) -> "LaurentPoly":
+        """``from_slots`` of the k-bit slots of ``value`` (``packed_slots``)."""
+        return LaurentPoly.from_slots(packed_slots(value, k), low, stride, tag)
 
     @staticmethod
     def one(tag: str = "A") -> "LaurentPoly":
@@ -176,7 +182,7 @@ class LaurentPoly(Record):
         """
         if isinstance(other, int):
             if other == 0:
-                return LaurentPoly.zero(self.tag)
+                return LaurentPoly((), self.tag)
             return LaurentPoly(tuple((e, c * other) for e, c in self.terms), self.tag)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -249,7 +255,7 @@ def unpack_slots(value: int, width: int, slots: int) -> list[int]:
     per-slot path for widths past 8 bytes are argued in the module
     docstring.
     """
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    bias = _bias(width, slots)
     if width > 8 or not _CAST_SLOTS:
         data = (value + bias).to_bytes(slots * width, "little")
         # zip over one iterator cuts the bytes into width-byte tuples
@@ -272,13 +278,20 @@ def unpack_slots(value: int, width: int, slots: int) -> list[int]:
     return coeffs
 
 
+@functools.lru_cache(maxsize=64)
+def _bias(width: int, slots: int) -> int:
+    """2^(8 * width - 1) in each of ``slots`` width-byte slots: made once per
+    size, as a census decodes thousands of values at a few sizes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
 def packed_slots(value: int, k: int) -> list[int]:
     """``unpack_slots`` of a value packed at k-bit slots (k a multiple of 8),
     over as many slots as its bit length needs."""
     return unpack_slots(value, k // 8, abs(value).bit_length() // k + 1)
 
 
-def slot_terms(coeffs: list[int], low: int, stride: int):
+def slot_terms(coeffs: Sequence[int], low: int, stride: int):
     """The (exponent, coefficient) pairs of the nonzero slots, slot i at
     exponent low + i * stride, in order."""
     return compress(zip(range(low, low + len(coeffs) * stride, stride), coeffs), coeffs)

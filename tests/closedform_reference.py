@@ -25,7 +25,7 @@ def bracket_diff_formula(rep: Girth3Rep, perm: str) -> LaurentPoly:
     the determinant with rows (S_p A^p ...), (permuted S A powers), ones.
     """
     if perm == "identity":
-        return LaurentPoly.zero("A")
+        return LaurentPoly((), "A")
     core = perm_core(rep, perm, s_hat)
     if core is None:
         raise ValueError(f"no closed difference form for {perm!r}")

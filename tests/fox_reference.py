@@ -171,7 +171,7 @@ def _normalize_alexander_to_conway(delta: dict[int, int]) -> LaurentPoly:
             in_y[e] = in_y.get(e, 0) + ai * c
 
     z2_plus_2 = LaurentPoly.from_dict({2: 1, 0: 2}, "z")
-    result = LaurentPoly.zero("z")
+    result = LaurentPoly((), "z")
     for e, c in in_y.items():
         result = result + c * (z2_plus_2**e)
     if dict(result.terms).get(0, 0) != 1:

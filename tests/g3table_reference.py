@@ -1,6 +1,6 @@
 """The stepwise extrapolation of the girth-3 Conway table, kept as the
-reference for ``knotpair.g3table.conway``, which evaluates the Chebyshev
-closed form of the same recurrence once at s = z^2 = 2^k.
+reference for ``knotpair.g3table.conway_slots``, which evaluates the
+Chebyshev closed form of the same recurrence once at s = z^2 = 2^k.
 
 ``conway`` walks each off-corner axis one step of f(j+1) = c f(j) - f(j-1)
 at a time on coefficient lists in s, the last label first.  ``corners``

@@ -43,7 +43,7 @@ def poly_from_text(text: str, tag: str | None = None, exp_denom: int = 1) -> Lau
     pos = 0
     text = text.strip()
     if text == "0":
-        return LaurentPoly.zero(tag or "A")
+        return LaurentPoly((), tag or "A")
     seen_var = None
     first = True
     while pos < len(text):

@@ -10,7 +10,7 @@ import pytest
 
 import knotpair.diagram as diagram
 import knotpair.girth as girth_mod
-from knotpair.closedform import bracket_double_twist, bracket_girth3, loop_value
+from knotpair.closedform import bracket_double_twist, bracket_girth3, bracket_poly, loop_value
 from knotpair.diagram import orient, pd_from_rep
 from knotpair.laurent import LaurentPoly, jones_from_bracket
 from knotpair.oracle import bracket_state_sum
@@ -104,7 +104,7 @@ def test_girth3_template_matches_closed_bracket():
             tuple(rng.randint(-2, 2) for _ in range(3)),
             tuple(rng.randint(-2, 2) for _ in range(3)),
         )
-        assert bracket_state_sum(pd_from_rep(rep)) == bracket_girth3(rep)
+        assert bracket_state_sum(pd_from_rep(rep)) == bracket_poly(bracket_girth3(rep))
 
 
 def test_pretzel_anchor():

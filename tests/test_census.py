@@ -27,9 +27,15 @@ from knotpair.census import (
     table_report,
     verify_table,
 )
-from knotpair.classify import closed_invariants, compare, rep_invariants, slot_form
+from knotpair.classify import closed_invariants, compare, rep_invariants
 from knotpair.diagram import orient, pd_from_rep
-from knotpair.closedform import _slot_bits, bracket_girth3, census_jones, conway_single_twist
+from knotpair.closedform import (
+    _slot_bits,
+    bracket_girth3,
+    bracket_poly,
+    census_jones,
+    conway_single_twist,
+)
 from knotpair.laurent import (
     LaurentPoly,
     jones_from_bracket,
@@ -70,10 +76,15 @@ def _record(rep):
     # ``build_record`` of the rep's own invariants, each packed at the
     # slot width of its own coefficients
     inv = rep_invariants(rep)
-    conway, low, jones = slot_form(inv.components, inv.conway, inv.jones)
-    jones_bits, value = _pack(jones)
-    conway_bits, nabla = (8, None) if conway is None else _pack(conway)
-    return build_record(inv.components, nabla, (low, value), conway_bits, jones_bits)
+    jones_bits, value = _pack(inv.jones)
+    conway_bits, nabla = (8, None) if inv.conway is None else _pack(inv.conway)
+    return build_record(inv.components, nabla, (inv.low, value), conway_bits, jones_bits)
+
+
+def _closed_invariants(labels):
+    """``closed_invariants`` with its Conway coefficients read as a polynomial."""
+    comps, writhe, conway = closed_invariants(labels)
+    return comps, writhe, None if conway is None else LaurentPoly.from_slots(conway, 0, 2, "z")
 
 
 def _jones_of(k):
@@ -299,7 +310,7 @@ def test_the_census_slot_width_gives_each_reps_own_bracket(max_abs, even_only, p
         labels = rep.top + rep.bottom
         widths.add(_slot_bits(labels))
         writhe = closed_invariants(labels)[1]
-        assert jones(key(labels, writhe)) == jones_from_bracket(bracket_girth3(rep), writhe), rep
+        assert jones(key(labels, writhe)) == jones_from_bracket(bracket_poly(bracket_girth3(rep)), writhe), rep
     assert max(widths) <= census_k
     if max_abs > 2:
         assert min(widths) < census_k
@@ -320,9 +331,9 @@ def test_the_census_jones_key_is_exact(girth, max_abs, even_only, positive_only)
     by_key, by_text = {}, {}
     for rep in census_enumerate(girth, max_abs, even_only, positive_only):
         labels = rep_labels(rep)
-        comps, writhe, conway = closed_invariants(labels)
+        comps, writhe, conway = _closed_invariants(labels)
         k = key(g3_labels(labels), writhe)
-        want = jones_from_bracket(bracket_girth3(rep), writhe)
+        want = jones_from_bracket(bracket_poly(bracket_girth3(rep)), writhe)
         assert jones(k) == want, rep
         if len(labels) == 1:
             assert want == jones_from_bracket(bracket_single_twist(*labels), writhe), rep
@@ -407,7 +418,7 @@ def test_the_census_conway_key_is_exact():
     by_int, by_poly = {}, {}
     for labels in _labellings(3, 3, False, False):
         comps, writhe, nabla = key(labels)
-        want = closed_invariants(labels)
+        want = _closed_invariants(labels)
         assert (comps, writhe) == want[:2], labels
         if nabla is None:
             assert want[2] is None, labels
@@ -429,7 +440,7 @@ def test_the_census_conway_key_at_the_label_budget():
     for _ in range(3000):
         labels = tuple(rng.randint(-6, 6) for _ in range(6))
         comps, writhe, nabla = key(labels)
-        want = closed_invariants(labels)
+        want = _closed_invariants(labels)
         assert (comps, writhe) == want[:2], labels
         assert (None if nabla is None else conway(nabla)) == want[2], labels
         capped += comps == 1 and nabla is None
@@ -459,7 +470,7 @@ def test_the_girth2_census_conway_key_is_exact(max_abs):
             assert labels == (0,) and max_abs == 0
             continue
         comps, writhe, nabla = key(six)
-        want = closed_invariants(labels)
+        want = _closed_invariants(labels)
         assert (comps, writhe) == want[:2], labels
         assert (None if nabla is None else conway(nabla)) == want[2], labels
         if len(labels) == 1:
@@ -631,7 +642,7 @@ def test_every_table_rep_has_the_closed_values_of_its_template():
         pd = pd_from_rep(rep)
         ori = orient(pd)
         assert inv.components == ori.n_components, text
-        assert inv.jones == jones_from_bracket(bracket_state_sum(pd), ori.writhe), text
+        assert inv.jones_poly() == jones_from_bracket(bracket_state_sum(pd), ori.writhe), text
 
 
 def test_verify_table_knots_up_to_seven_pass_with_errata():

@@ -1,10 +1,12 @@
 import collections
+import contextlib
+import io
 import itertools
 import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotpair import classify
 from knotpair.census import dedup_census
@@ -21,16 +23,24 @@ from knotpair.classify import (
     cycle_obstruction,
     rep_invariants,
     row_swap_test,
-    slot_form,
     transposition_test,
 )
-from knotpair.closedform import bracket_girth3, conway_diff
+from knotpair.cli import main
+from knotpair.closedform import bracket_girth3, bracket_poly, conway_diff
 from knotpair.diagram import pd_from_rep
-from knotpair.laurent import LaurentPoly, jones_span_inclusive
+from knotpair.laurent import (
+    LaurentPoly,
+    jones_from_bracket,
+    jones_span_inclusive,
+    jones_to_text,
+    packed_slots,
+    poly_to_text,
+)
 from knotpair.oracle import bracket_state_sum, conway_fox
 from knotpair.reps import Girth1Rep, Girth2Rep, Girth3Rep, d3_orbit, mirror
 
 import identities_reference
+from identities_reference import slot_form
 from closedform_reference import bracket_single_twist
 from diagram_builders import reference_torus2_pd
 from template_spy import spy_on_templates
@@ -41,7 +51,7 @@ def test_bracket_single_twist_matches_oracle():
     # pair, against the state sum of the closed single ladder
     for p in range(-6, 7):
         want = bracket_state_sum(reference_torus2_pd(p))
-        assert bracket_single_twist(p) == bracket_girth3(Girth1Rep(p)) == want, p
+        assert bracket_single_twist(p) == bracket_poly(bracket_girth3(Girth1Rep(p))) == want, p
 
 
 def _recurrence_single_twist(p: int) -> LaurentPoly:
@@ -59,12 +69,12 @@ def _recurrence_single_twist(p: int) -> LaurentPoly:
 def test_bracket_single_twist_matches_recurrence():
     for p in range(-60, 61):
         want = _recurrence_single_twist(p)
-        assert bracket_single_twist(p) == bracket_girth3(Girth1Rep(p)) == want, p
+        assert bracket_single_twist(p) == bracket_poly(bracket_girth3(Girth1Rep(p))) == want, p
 
 
 def test_long_single_twist_bracket_is_linear():
     start = time.perf_counter()
-    bracket_girth3(Girth1Rep(20000))
+    bracket_poly(bracket_girth3(Girth1Rep(20000)))
     assert time.perf_counter() - start < 1.0
 
 
@@ -77,13 +87,60 @@ def test_rep_invariants_checks_the_identities(monkeypatch):
     true_bracket = closedform.bracket_girth3
 
     def flipped(rep):
-        (e, c), *rest = true_bracket(rep).terms
-        return LaurentPoly(((e, -c), *rest), "A")
+        # the packed bracket with its lowest nonzero slot's sign flipped
+        value, low, k = true_bracket(rep)
+        slots = packed_slots(value, k)
+        i = next(i for i, c in enumerate(slots) if c)
+        return value - (2 * slots[i] << k * i), low, k
 
     monkeypatch.setattr(closedform, "bracket_girth3", flipped)
     for rep in reps:
         with pytest.raises(AssertionError):
             rep_invariants(rep)
+
+
+_LABEL = st.integers(-30, 30)
+_REPS = st.one_of(
+    st.builds(Girth1Rep, _LABEL),
+    st.builds(Girth2Rep, _LABEL, _LABEL),
+    st.builds(Girth3Rep, st.tuples(_LABEL, _LABEL, _LABEL), st.tuples(_LABEL, _LABEL, _LABEL)),
+)
+
+
+def _eval_text(rep, invariant):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["eval", str(rep), invariant]) == 0
+    return out.getvalue().rstrip("\n")
+
+
+@settings(max_examples=150, deadline=None)
+@given(_REPS)
+@example(Girth1Rep(2))  # the Hopf link: -t^(1/2) - t^(5/2)
+@example(Girth2Rep(3, 5))
+@example(Girth3Rep((2, 1, -3), (0, 2, 1)))
+def test_rep_invariants_slots_read_back_as_the_closed_polynomials(rep):
+    # the slots ``eval`` renders are the closed bracket, and its Jones
+    # polynomial at the writhe, read term by term; knots and links alike
+    inv = rep_invariants(rep)
+    bracket = bracket_poly(bracket_girth3(rep))
+    jones = jones_from_bracket(bracket, inv.writhe)
+    low, slots = inv.bracket()
+    assert LaurentPoly.from_slots(slots, low, 4, "A") == bracket
+    assert inv.jones_poly() == jones
+    assert inv.jones[0] and inv.jones[-1] and inv.low == jones.min_exp()
+    assert _eval_text(rep, "bracket") == poly_to_text(bracket)
+    assert _eval_text(rep, "jones") == jones_to_text(jones)
+    assert _eval_text(rep, "span") == str(jones_span_inclusive(jones))
+    if inv.components > 1 and inv.low % 4:
+        assert "/2)" in _eval_text(rep, "jones")
+
+
+def test_the_closed_jones_of_a_link_has_half_integer_powers():
+    # the property above meets links whose powers of t are halves
+    inv = rep_invariants(Girth1Rep(2))
+    assert (inv.components, inv.low, inv.jones) == (2, 2, (-1, 0, -1))
+    assert _eval_text(Girth1Rep(2), "jones") == "-t^(1/2) - t^(5/2)"
 
 
 def _check(comps, conway, jones):
@@ -102,7 +159,7 @@ def test_check_identities_evaluates_knot_jones_at_a_cube_root_of_unity():
         want = _verdict(identities_reference.check_identities, 1, None, shifted)
         assert "2 pi i/3" in want
         assert _verdict(check_identities, 1, None, low, [1, -1, 1]) == want
-    _check(1, None, rep_invariants(Girth2Rep(2, -3)).jones)
+    _check(1, None, rep_invariants(Girth2Rep(2, -3)).jones_poly())
 
 
 def test_check_identities_rejects_a_wrong_value_at_one():
@@ -131,7 +188,7 @@ def test_check_identities_rejects_fractional_powers_of_a_knot():
 
 
 def test_check_identities_rejects_odd_conway_powers():
-    jones = rep_invariants(Girth2Rep(2, -3)).jones
+    jones = rep_invariants(Girth2Rep(2, -3)).jones_poly()
     # 1 + z + z^4 has as many terms as slots of z^0, z^2, z^4
     for conway in ({0: 1, 1: 1}, {0: 1, 1: 1, 4: 1}):
         with pytest.raises(AssertionError, match=r"^knot Conway in odd powers of z$"):
@@ -141,9 +198,9 @@ def test_check_identities_rejects_odd_conway_powers():
 def test_check_identities_compares_the_determinants():
     # the trefoil's |V(-1)| = 3 against the unknot's nabla = 1
     trefoil = rep_invariants(Girth1Rep(3))
-    _check(1, trefoil.conway, trefoil.jones)
+    _check(1, LaurentPoly.from_slots(trefoil.conway, 0, 2, "z"), trefoil.jones_poly())
     with pytest.raises(AssertionError, match=r"^\|V\(-1\)\| = 3 but \|nabla\(2i\)\| = 1$"):
-        _check(1, LaurentPoly.one("z"), trefoil.jones)
+        _check(1, LaurentPoly.one("z"), trefoil.jones_poly())
 
 
 def test_check_identities_requires_a_knot_conway_of_one_at_zero():
@@ -152,10 +209,10 @@ def test_check_identities_requires_a_knot_conway_of_one_at_zero():
     # checks this as the census does
     trefoil = rep_invariants(Girth1Rep(3))
     with pytest.raises(AssertionError, match=r"^nabla\(0\) = -1 for a knot$"):
-        _check(1, LaurentPoly.from_dict({0: -1, 2: -1}, "z"), trefoil.jones)
+        _check(1, LaurentPoly.from_dict({0: -1, 2: -1}, "z"), trefoil.jones_poly())
     # z^2 has no constant slot to read
     with pytest.raises(AssertionError, match=r"^nabla\(0\) = 0 for a knot$"):
-        _check(1, LaurentPoly.from_dict({2: 1}, "z"), trefoil.jones)
+        _check(1, LaurentPoly.from_dict({2: 1}, "z"), trefoil.jones_poly())
 
 
 def _verdict(check, *args):
@@ -396,9 +453,9 @@ def test_rep_invariants_components_and_conway():
     assert inv.components == 2 and inv.conway is None
     inv = rep_invariants(Girth2Rep(2, -3))
     assert inv.components == 1
-    assert inv.conway == LaurentPoly.from_dict({2: 2, 0: 1}, "z")  # 5_2 family
+    assert inv.conway == (1, 2)  # 1 + 2z^2, the 5_2 family
     inv = rep_invariants(Girth3Rep((2, 2, 2), (2, 2, 2)))
-    assert inv.conway == LaurentPoly.from_dict({4: 9, 2: 6, 0: 1}, "z")
+    assert inv.conway == (1, 6, 9)  # 1 + 6z^2 + 9z^4
 
 
 def test_verdict_json_round_trip():

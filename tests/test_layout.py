@@ -140,9 +140,12 @@ def test_every_definition_of_the_package_is_reached_from_a_command():
 def test_only_what_perfbench_names_is_kept_beside_the_commands():
     # what perfbench alone keeps in src/: a change to the benchmark that
     # stops naming these may delete them.  The census command enumerates
-    # label tuples; ``census_enumerate`` builds the reps from them.
+    # label tuples; ``census_enumerate`` builds the reps from them.  The
+    # commands read a K(p)'s Conway coefficients as a list
+    # (``twist_slots``); ``conway_single_twist`` is its polynomial.
     assert _unreached(_package(), [("cli", "main"), *KEPT]) == [
         ("census", "census_enumerate"),
+        ("closedform", "conway_single_twist"),
         ("closedform", "sym_s"),
         ("girth", "tree_count"),
     ]
@@ -328,6 +331,74 @@ def test_the_even_formula_guard_finds_every_form_of_reference():
     ]
 
 
+def _jones_calls(trees) -> list:
+    """(module, top-level definition, oracle) of each call of
+    ``jones_from_bracket`` in ``trees``, by bare name or attribute; oracle
+    is whether its bracket is a call of ``bracket_state_sum`` or a name
+    that the same definition binds only to such calls."""
+
+    def state_sum(node):
+        return (isinstance(node, ast.Call)
+                and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+                == "bracket_state_sum")
+
+    calls = []
+    for m, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            bound: dict[str, bool] = {}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            bound[target.id] = bound.get(target.id, True) and state_sum(node.value)
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call) and node.args
+                        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+                        == "jones_from_bracket"):
+                    arg = node.args[0]
+                    oracle = state_sum(arg) or isinstance(arg, ast.Name) and bound.get(arg.id, False)
+                    calls.append((m, stmt.name, oracle))
+    return sorted(calls)
+
+
+def test_only_oracle_brackets_are_normalised_by_jones_from_bracket():
+    # the closed path normalises its packed bracket as the census does
+    # (``closedform.jones_key``); ``jones_from_bracket`` serves only the
+    # state sum's brackets: ``eval --method oracle|both`` and the fixtures
+    # of ``verify-table``
+    trees = _package()
+    assert _jones_calls(trees) == [("census", "_check_entry", True), ("cli", "cmd_eval", True)]
+    assert _users(trees, "jones_from_bracket") == [
+        ("census", "<module>"),
+        ("census", "_check_entry"),
+        ("cli", "<module>"),
+        ("cli", "cmd_eval"),
+    ]
+
+
+def test_the_jones_guard_finds_a_closed_bracket_normalised():
+    trees = _package()
+    trees["classify"].body += ast.parse(
+        "def closed(rep, writhe):\n"
+        "    return jones_from_bracket(cf.bracket_poly(cf.bracket_girth3(rep)), writhe)\n"
+        "def rebound(rep, pd):\n"
+        "    bracket = oracle.bracket_state_sum(pd)\n"
+        "    bracket = cf.bracket_poly(cf.bracket_girth3(rep))\n"
+        "    return laurent.jones_from_bracket(bracket, 0)\n"
+        "def passed(rep):\n"
+        "    return list(map(jones_from_bracket, [rep]))\n"
+    ).body
+    assert _jones_calls(trees) == [
+        ("census", "_check_entry", True),
+        ("classify", "closed", False),
+        ("classify", "rebound", False),
+        ("cli", "cmd_eval", True),
+    ]
+    assert ("classify", "passed") in _users(trees, "jones_from_bracket")
+
+
 class _Slot:
     """A slot descriptor that reports each read of its field to ``count``."""
 
@@ -423,9 +494,7 @@ KEPT_CALLS = {
 
 def _command_lines(tmp_path) -> list:
     """The golden command lines, the four girth commands on each diagram of
-    ``girth_golden.json``, two censuses, a mirror compare, and
-    ``eval "(2,1)" conway``, the one command that reaches
-    ``LaurentPoly.zero``."""
+    ``girth_golden.json``, two censuses and a mirror compare."""
     argvs = []
     for name in ("cli_usage_golden.json", "oracle_path_golden.json"):
         with open(os.path.join(TESTS, name)) as f:
@@ -443,7 +512,6 @@ def _command_lines(tmp_path) -> list:
         ["census", "--girth", "3", "--max", "2"],
         ["census", "--girth", "2", "--max", "4", "--format", "jsonl"],
         ["compare", "(3,5)", "(5,3)", "--mirror-ok", "--format", "json"],
-        ["eval", "(2,1)", "conway"],
     ]
 
 

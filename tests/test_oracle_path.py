@@ -83,7 +83,7 @@ def test_every_json_stdout_is_one_json_document():
 def test_eval_both_in_json_reports_a_disagreement_and_exits_1(monkeypatch):
     from knotpair import oracle
 
-    monkeypatch.setattr(oracle, "bracket_state_sum", lambda *a, **k: oracle.LaurentPoly.zero())
+    monkeypatch.setattr(oracle, "bracket_state_sum", lambda *a, **k: oracle.LaurentPoly((), "A"))
     got = capture(["eval", "(2,-3)", "bracket", "--method", "both", "--format", "json"])
     assert got["code"] == 1 and got["stderr"] == ""
     assert json.loads(got["stdout"]) == {

@@ -72,13 +72,8 @@ RECORDS = {
     ),
     Verdict: (("tag", "evidence", "note"), lambda: (DISTINCT_BY_JONES, LaurentPoly(((4, -1),), "t"), "x")),
     RepInvariants: (
-        ("components", "conway", "bracket", "jones"),
-        lambda: (
-            1,
-            LaurentPoly(((0, 1), (2, 1)), "z"),
-            LaurentPoly(((-7, 1),), "A"),
-            LaurentPoly(((4, 1), (12, -1)), "t"),
-        ),
+        ("components", "writhe", "conway", "low", "jones"),
+        lambda: (1, -3, (1, 1), 4, (1, 0, 1, -1)),  # K(3)
     ),
     CensusClass: (
         ("class_id", "components", "conway", "jones", "span", "members"),

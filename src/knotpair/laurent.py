@@ -46,9 +46,10 @@ input reaches them, so they keep that path rather than a limb-combining one.
 
 **One renderer.**  ``terms_to_text`` writes the canonical text of
 (exponent, coefficient) pairs: ``poly_to_text`` passes a polynomial's terms,
-and the census and a closed ``eval`` the nonzero slots of their lists.  Terms within
-``SUFFIX_WINDOW`` read the text after their coefficient ("t^3", "t^(1/2)")
-from a table, as the census's small polynomials reuse a few exponents.
+and the census and a closed ``eval`` the nonzero slots of their lists.
+Terms within ``SUFFIX_WINDOW`` read the text after their coefficient
+("t^3", "t^(1/2)") from a table, as the census's small polynomials reuse a
+few exponents.
 From the first exponent past it, each term is written whole: a large
 ``eval`` text's exponents are mostly new, and making a table entry for each
 took 1.1 to 1.4 times as long as writing the term.

@@ -331,6 +331,14 @@ def test_the_even_formula_guard_finds_every_form_of_reference():
     ]
 
 
+def _callee(node):
+    """The name a call's function is written with, bare or as an attribute;
+    None for any other node."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+    return None
+
+
 def _jones_calls(trees) -> list:
     """(module, top-level definition, oracle) of each call of
     ``jones_from_bracket`` in ``trees``, by bare name or attribute; oracle
@@ -338,9 +346,7 @@ def _jones_calls(trees) -> list:
     that the same definition binds only to such calls."""
 
     def state_sum(node):
-        return (isinstance(node, ast.Call)
-                and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
-                == "bracket_state_sum")
+        return _callee(node) == "bracket_state_sum"
 
     calls = []
     for m, tree in trees.items():
@@ -354,9 +360,7 @@ def _jones_calls(trees) -> list:
                         if isinstance(target, ast.Name):
                             bound[target.id] = bound.get(target.id, True) and state_sum(node.value)
             for node in ast.walk(stmt):
-                if (isinstance(node, ast.Call) and node.args
-                        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
-                        == "jones_from_bracket"):
+                if _callee(node) == "jones_from_bracket" and node.args:
                     arg = node.args[0]
                     oracle = state_sum(arg) or isinstance(arg, ast.Name) and bound.get(arg.id, False)
                     calls.append((m, stmt.name, oracle))
